@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__, experiments, verify
-from .experiments import METHOD_ALIASES, FreestreamOptions, MeshConfig
+from .experiments import METHOD_ALIASES, ConfigError, FreestreamOptions, MeshConfig
 from .flow import FreestreamDivergence, FreestreamState
 from .motion import CASE_IDS, DegenerateMeshError, MotionCase
 
@@ -32,10 +32,6 @@ CSV_COLUMNS = (
     "case,method,N,Nts,rel_err_freestream,abs_err1,"
     "abs_err2_x,abs_err2_y,abs_err2_z,fd1_ref,fd2_ref,wall_ms"
 )
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -268,6 +264,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             freestream,
             timing=cfg.timing,
         )
+    except ConfigError as err:
+        print(f"error: config: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except DegenerateMeshError as err:
         print(f"error: degeneracy: {err}", file=sys.stderr)
         return EXIT_DEGENERATE

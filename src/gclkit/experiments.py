@@ -22,6 +22,7 @@ from .spectral import SpectralOperator
 
 __all__ = [
     "METHOD_ALIASES",
+    "ConfigError",
     "MeshConfig",
     "FreestreamOptions",
     "CasePoint",
@@ -40,6 +41,10 @@ METHOD_ALIASES = {
     "ts-lvi": "ts-lvi",
     "ts-aevi": "ts-aevi",
 }
+
+
+class ConfigError(ValueError):
+    """A malformed setting from outside the program (flag, file, environment)."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,10 @@ def worker_count(n_jobs: int) -> int:
     cap = os.environ.get("GCLKIT_THREADS")
     workers = os.cpu_count() or 1
     if cap:
-        workers = max(1, int(cap))
+        try:
+            workers = max(1, int(cap))
+        except ValueError:
+            raise ConfigError(f"GCLKIT_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(workers, n_jobs))
 
 

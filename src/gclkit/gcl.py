@@ -18,6 +18,11 @@ Increments that grow linearly in time (faces sweeping a net volume per
 period) are split into a linear slope plus a periodic part before any
 spectral differentiation; only the periodic part is transformed and the
 slope re-enters as the zeroth mode.
+
+Face values are computed once per mesh interface and scattered to the two
+cells sharing it with opposite signs.  The per-Cartesian-direction split is
+opt-in, from :func:`sweep_volume_by_direction` or :func:`quad_flux_by_direction`;
+a series built from it, time last, goes through the same transforms.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hexmesh import FACE_LOOPS, HexMesh, hex_volume
+from .hexmesh import FACE_LOOPS, HexMesh, hex_volume, quad_area_vectors
 from .motion import MotionTrajectory
 from .spectral import SpectralOperator
 
@@ -34,7 +39,6 @@ __all__ = [
     "METHODS",
     "IncrementSeries",
     "IfmvField",
-    "quad_area_vector",
     "quad_flux",
     "quad_flux_by_direction",
     "dvoldt_trimap",
@@ -53,24 +57,6 @@ __all__ = [
 ]
 
 METHODS = ("nlfd-lvi", "nlfd-aevi", "avg", "trimap", "ts-lvi", "ts-aevi")
-
-# Self-test hook: scales a deliberate perturbation of the trilinear face flux
-# so the verification suite can prove its own closure check has teeth.
-_FLUX_PERTURBATION = 0.0
-
-
-def set_self_test_perturbation(scale: float) -> None:
-    global _FLUX_PERTURBATION
-    _FLUX_PERTURBATION = float(scale)
-
-
-def quad_area_vector(quad: np.ndarray) -> np.ndarray:
-    """Area vector of a bilinear quad (..., 4, 3), half the diagonal cross."""
-    quad = np.asarray(quad, dtype=float)
-    d1 = quad[..., 2, :] - quad[..., 0, :]
-    d2 = quad[..., 3, :] - quad[..., 1, :]
-    return 0.5 * np.cross(d1, d2)
-
 
 def _quad_cross_sums(quad: np.ndarray):
     q0, q1, q2, q3 = (quad[..., i, :] for i in range(4))
@@ -95,16 +81,13 @@ def quad_flux_by_direction(quad: np.ndarray, velocities: np.ndarray) -> np.ndarr
     velocities = np.asarray(velocities, dtype=float)
     full, s012, s123, s230, s301 = _quad_cross_sums(quad)
     vt = velocities.sum(axis=-2)
-    out = (
+    return (
         vt * full
         + velocities[..., 1, :] * s012
         + velocities[..., 2, :] * s123
         + velocities[..., 3, :] * s230
         + velocities[..., 0, :] * s301
     ) / 12.0
-    if _FLUX_PERTURBATION:
-        out = out * (1.0 + _FLUX_PERTURBATION)
-    return out
 
 
 def quad_flux(quad: np.ndarray, velocities: np.ndarray) -> np.ndarray:
@@ -187,8 +170,7 @@ class IncrementSeries:
 
     ``totals[c, m, n]`` is the signed volume swept by face m of cell c
     between t_0 and t_n (n = 0..2N+1, the last entry being the closing
-    sample at t = T).  ``by_direction`` carries the per-axis split.  The
-    linear slope and periodic part are filled by
+    sample at t = T).  The linear slope and periodic part are filled by
     :func:`extract_linear_and_periodic`.
     """
 
@@ -196,15 +178,8 @@ class IncrementSeries:
     period: float
     times: np.ndarray  # (2N+2,)
     totals: np.ndarray  # (n_cells, 6, 2N+2)
-    by_direction: np.ndarray  # (n_cells, 6, 2N+2, 3)
     linear_slope: np.ndarray | None = None  # (n_cells, 6)
     periodic_part: np.ndarray | None = None  # (n_cells, 6, 2N+1)
-    slope_by_direction: np.ndarray | None = None  # (n_cells, 6, 3)
-    periodic_by_direction: np.ndarray | None = None  # (n_cells, 6, 2N+1, 3)
-
-    @property
-    def nts(self) -> int:
-        return self.totals.shape[-1] - 1
 
 
 @dataclass
@@ -213,15 +188,9 @@ class IfmvField:
 
     method: str
     total: np.ndarray  # (n_cells, 6, 2N+1)
-    by_direction: np.ndarray  # (n_cells, 6, 2N+1, 3)
 
     def sum_over_faces(self) -> np.ndarray:
         return self.total.sum(axis=1)
-
-
-def _face_quads(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:
-    """Face corner positions per instant: (n_times, n_cells, 6, 4, 3)."""
-    return mesh.cell_corners(trajectory.positions)[..., FACE_LOOPS, :]
 
 
 def lvi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeries:
@@ -230,27 +199,22 @@ def lvi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeri
     The t_0 entry is zero by definition (empty sweep), not the rounding noise
     of a collapsed hexahedron.
     """
-    quads = _face_quads(mesh, trajectory)
-    q0 = quads[0]
-    swept = np.moveaxis(sweep_volume(q0, quads[1:]), 0, -1)
-    totals = np.concatenate([np.zeros(swept.shape[:-1] + (1,)), swept], axis=-1)
-    swept_dir = np.moveaxis(sweep_volume_by_direction(q0, quads[1:]), 0, -2)
-    by_dir = np.concatenate(
-        [np.zeros(swept_dir.shape[:-2] + (1, 3)), swept_dir], axis=-2
+    quads = mesh.interface_quads(trajectory.positions)
+    totals = np.zeros((quads.shape[1], quads.shape[0]))
+    totals[:, 1:] = sweep_volume(quads[0], quads[1:]).T
+    return IncrementSeries(
+        "lvi", trajectory.period, trajectory.times, mesh.scatter_to_cells(totals)
     )
-    return IncrementSeries("lvi", trajectory.period, trajectory.times, totals, by_dir)
 
 
 def aevi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeries:
     """Increments accumulated as a sum of per-step sweep hexahedra."""
-    quads = _face_quads(mesh, trajectory)
-    steps = np.moveaxis(sweep_volume(quads[:-1], quads[1:]), 0, -1)
-    steps_dir = np.moveaxis(sweep_volume_by_direction(quads[:-1], quads[1:]), 0, -2)
-    totals = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,))
-    np.cumsum(steps, axis=-1, out=totals[..., 1:])
-    by_dir = np.zeros(steps_dir.shape[:-2] + (steps_dir.shape[-2] + 1, 3))
-    np.cumsum(steps_dir, axis=-2, out=by_dir[..., 1:, :])
-    return IncrementSeries("aevi", trajectory.period, trajectory.times, totals, by_dir)
+    quads = mesh.interface_quads(trajectory.positions)
+    totals = np.zeros((quads.shape[1], quads.shape[0]))
+    np.cumsum(sweep_volume(quads[:-1], quads[1:]).T, axis=-1, out=totals[:, 1:])
+    return IncrementSeries(
+        "aevi", trajectory.period, trajectory.times, mesh.scatter_to_cells(totals)
+    )
 
 
 def extract_linear_and_periodic(series: IncrementSeries) -> IncrementSeries:
@@ -260,18 +224,9 @@ def extract_linear_and_periodic(series: IncrementSeries) -> IncrementSeries:
     linear ramp from the samples at t_0..t_2N leaves the periodic part that
     spectral differentiation can act on.
     """
-    t = series.times[:-1]
     slope = series.totals[..., -1] / series.period
-    periodic = series.totals[..., :-1] - slope[..., None] * t
-    slope_dir = series.by_direction[..., -1, :] / series.period
-    periodic_dir = series.by_direction[..., :-1, :] - slope_dir[..., None, :] * t[:, None]
-    return replace(
-        series,
-        linear_slope=slope,
-        periodic_part=periodic,
-        slope_by_direction=slope_dir,
-        periodic_by_direction=periodic_dir,
-    )
+    periodic = series.totals[..., :-1] - slope[..., None] * series.times[:-1]
+    return replace(series, linear_slope=slope, periodic_part=periodic)
 
 
 def _require_periodic(series: IncrementSeries) -> IncrementSeries:
@@ -287,44 +242,32 @@ def ifmv_nlfd(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
     back to the time instants.
     """
     series = _require_periodic(series)
-    factors = 1j * (2.0 * np.pi / spectral.period) * spectral.wavenumbers
-
-    def pipeline(periodic, slope):
-        g = spectral.idft(spectral.dft(periodic) * factors).real
-        return g + slope[..., None]
-
-    total = pipeline(series.periodic_part, series.linear_slope)
-    by_dir = pipeline(
-        series.periodic_by_direction.swapaxes(-1, -2), series.slope_by_direction
-    ).swapaxes(-1, -2)
-    return IfmvField(f"nlfd-{series.method}", total, by_dir)
+    total = spectral.differentiate(series.periodic_part) + series.linear_slope[..., None]
+    return IfmvField(f"nlfd-{series.method}", total)
 
 
 def ifmv_ts(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
     """IFMV from increments via the time-spectral matrix: G = D p + slope."""
     series = _require_periodic(series)
-    d_t = spectral.d_matrix.T
-    total = series.periodic_part @ d_t + series.linear_slope[..., None]
-    by_dir = series.periodic_by_direction.swapaxes(-1, -2) @ d_t
-    by_dir = (by_dir + series.slope_by_direction[..., None]).swapaxes(-1, -2)
-    return IfmvField(f"ts-{series.method}", total, by_dir)
+    total = series.periodic_part @ spectral.d_matrix.T + series.linear_slope[..., None]
+    return IfmvField(f"ts-{series.method}", total)
 
 
 def ifmv_avg(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     """Mean-vertex-velocity approximation: G_m = mean(v) . S_m per instant."""
-    quads = _face_quads(mesh, trajectory)[:-1]
-    vel_quads = mesh.cell_corners(trajectory.velocities)[:-1][..., FACE_LOOPS, :]
-    vbar = vel_quads.mean(axis=-2)
-    by_dir = np.moveaxis(vbar * quad_area_vector(quads), 0, -2)
-    return IfmvField("avg", by_dir.sum(axis=-1), by_dir)
+    quads = mesh.interface_quads(trajectory.positions[:-1])
+    vbar = mesh.interface_quads(trajectory.velocities[:-1]).mean(axis=-2)
+    flux = (vbar * quad_area_vectors(quads)).sum(axis=-1)
+    return IfmvField("avg", mesh.scatter_to_cells(flux.T))
 
 
 def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     """Exact trilinear-mapping IFMV for all cells and instants."""
-    corners = mesh.cell_corners(trajectory.positions)[:-1]
-    vel = mesh.cell_corners(trajectory.velocities)[:-1]
-    total, by_dir = ifmv_trimap(corners, vel)
-    return IfmvField("trimap", np.moveaxis(total, 0, -1), np.moveaxis(by_dir, 0, -2))
+    flux = quad_flux(
+        mesh.interface_quads(trajectory.positions[:-1]),
+        mesh.interface_quads(trajectory.velocities[:-1]),
+    )
+    return IfmvField("trimap", mesh.scatter_to_cells(flux.T))
 
 
 def cell_volumes(

@@ -24,6 +24,7 @@ __all__ = [
     "build_box_mesh",
     "cell_geometry",
     "hex_volume",
+    "quad_area_vectors",
     "face_area_vectors",
     "corner_jacobians",
     "detect_degenerate",
@@ -61,25 +62,15 @@ FACE_NAMES = ("-z", "+z", "+y", "-y", "-x", "+x")
 # Face slots grouped by the Cartesian axis of their reference normal.
 FACE_FAMILY = {"x": (4, 5), "y": (2, 3), "z": (0, 1)}
 
-# d/d(xi,eta,zeta) of the eight trilinear shape functions, tabulated at the
-# eight reference corners: DN[c, n, d] = dN_n/dd at corner c.
-def _shape_gradients() -> np.ndarray:
-    grads = np.empty((8, 8, 3))
-    for c, (xi, eta, zeta) in enumerate(REF_CORNERS):
-        grads[c] = [
-            [-(1 - eta) * (1 - zeta), -(1 - xi) * (1 - zeta), -(1 - xi) * (1 - eta)],
-            [(1 - eta) * (1 - zeta), -xi * (1 - zeta), -xi * (1 - eta)],
-            [eta * (1 - zeta), xi * (1 - zeta), -xi * eta],
-            [-eta * (1 - zeta), (1 - xi) * (1 - zeta), -(1 - xi) * eta],
-            [-(1 - eta) * zeta, -(1 - xi) * zeta, (1 - xi) * (1 - eta)],
-            [(1 - eta) * zeta, -xi * zeta, xi * (1 - eta)],
-            [eta * zeta, xi * zeta, xi * eta],
-            [-eta * zeta, (1 - xi) * zeta, (1 - xi) * eta],
-        ]
-    return grads
-
-
-_CORNER_SHAPE_GRADIENTS = _shape_gradients()
+# Per corner and reference axis (xi, eta, zeta), the low and high corner of
+# the cell edge through it: the trilinear map's derivative along that axis,
+# at that corner, is the edge vector x[high] - x[low].
+_EDGE_LOW = np.array(
+    [[0, 0, 0], [0, 1, 1], [3, 1, 2], [3, 0, 3], [4, 4, 0], [4, 5, 1], [7, 5, 2], [7, 4, 3]]
+)
+_EDGE_HIGH = np.array(
+    [[1, 3, 4], [1, 2, 5], [2, 2, 6], [2, 3, 7], [5, 7, 4], [5, 6, 5], [6, 6, 6], [6, 7, 7]]
+)
 
 
 def _face_corner_views(corners: np.ndarray):
@@ -114,28 +105,42 @@ def hex_volume(corners: np.ndarray) -> np.ndarray:
     return contrib.sum(axis=-1) / 12.0
 
 
-def face_area_vectors(corners: np.ndarray) -> np.ndarray:
-    """Outward area vectors of the six bilinear faces of each cell.
+def quad_area_vectors(quads: np.ndarray) -> np.ndarray:
+    """Area vectors of bilinear quads (..., 4, 3) along their loops' normals.
 
-    Each vector is the exact surface integral of the outward unit normal,
-    which for a bilinear quad is half the cross product of its diagonals.
-    The six vectors of a closed cell sum to zero.
+    Each vector is the exact surface integral of the unit normal, which for
+    a bilinear quad is half the cross product of its diagonals.
     """
-    quads = np.asarray(corners, dtype=float)[..., FACE_LOOPS, :]
+    quads = np.asarray(quads, dtype=float)
     d1 = quads[..., 2, :] - quads[..., 0, :]
     d2 = quads[..., 3, :] - quads[..., 1, :]
     return 0.5 * np.cross(d1, d2)
 
 
+def face_area_vectors(corners: np.ndarray) -> np.ndarray:
+    """Outward area vectors of the six bilinear faces of each cell.
+
+    The six vectors of a closed cell sum to zero.
+    """
+    return quad_area_vectors(np.asarray(corners, dtype=float)[..., FACE_LOOPS, :])
+
+
 def corner_jacobians(corners: np.ndarray) -> np.ndarray:
     """Jacobian determinant of the trilinear map at the 8 reference corners.
 
-    Returns an array of shape (..., 8).  Strict positivity at all corners is
-    a cheap necessary condition for the map to be invertible on the cell.
+    Returns an array of shape (..., 8): at each corner, the triple product of
+    the three cell edges leaving it along xi, eta and zeta.  Strict
+    positivity at all corners is a cheap necessary condition for the map to
+    be invertible on the cell.
     """
     corners = np.asarray(corners, dtype=float)
-    jac = np.einsum("cnd,...nv->...cvd", _CORNER_SHAPE_GRADIENTS, corners)
-    return np.linalg.det(jac)
+    edges = corners[..., _EDGE_HIGH, :] - corners[..., _EDGE_LOW, :]  # (..., 8, 3, 3)
+    a, b, c = (edges[..., axis, :] for axis in range(3))
+    return (
+        a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+        + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
+        + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
+    )
 
 
 @dataclass(frozen=True)
@@ -162,14 +167,17 @@ def detect_degenerate(corners: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    corners : ndarray, shape (n_cells, 8, 3)
-        Deformed corner positions of every cell at one instant.
+    corners : ndarray, shape (..., n_cells, 8, 3)
+        Deformed corner positions of every cell at one instant, or at a stack
+        of instants.
 
     Returns
     -------
     ndarray of int
-        Sorted ids of offending cells; empty when the configuration is
-        admissible.
+        Sorted flat indices of offending cells into the leading
+        (..., n_cells) shape: the cell ids for one instant, and
+        ``n * n_cells + cell`` for instant n of a stack.  Empty when every
+        configuration is admissible.
     """
     corners = np.asarray(corners, dtype=float)
     bad = (hex_volume(corners) <= 0.0) | (corner_jacobians(corners).min(axis=-1) <= 0.0)
@@ -193,6 +201,12 @@ class HexMesh:
     lz: float
     vertices: np.ndarray = field(repr=False)  # (n_vertices, 3)
     cell_vertex_ids: np.ndarray = field(repr=False)  # (n_cells, 8)
+    # Each face appears once as an interface, the face loop of its owner cell;
+    # face slot m of cell c is interface cell_interfaces[c, m] times
+    # cell_interface_signs[c, m] (-1 for the neighbour, which sees it reversed).
+    interface_vertex_ids: np.ndarray = field(repr=False)  # (n_interfaces, 4)
+    cell_interfaces: np.ndarray = field(repr=False)  # (n_cells, 6)
+    cell_interface_signs: np.ndarray = field(repr=False)  # (n_cells, 6)
 
     @property
     def n_vertices(self) -> int:
@@ -219,6 +233,20 @@ class HexMesh:
         if positions is None:
             positions = self.vertices
         return np.asarray(positions)[..., self.cell_vertex_ids, :]
+
+    def interface_quads(self, positions: np.ndarray) -> np.ndarray:
+        """Interface corner loops, shape (..., n_interfaces, 4, 3)."""
+        return np.asarray(positions)[..., self.interface_vertex_ids, :]
+
+    def scatter_to_cells(self, values: np.ndarray) -> np.ndarray:
+        """Per-interface values (n_interfaces, ...) as signed cell-face slots.
+
+        Returns shape (n_cells, 6, ...); the two cells of a shared face hold
+        exact negatives.
+        """
+        values = np.asarray(values)
+        signs = self.cell_interface_signs.reshape((self.n_cells, 6) + (1,) * (values.ndim - 1))
+        return values[self.cell_interfaces] * signs
 
     def boundary_vertex_mask(self) -> np.ndarray:
         """Boolean mask of vertices lying on the box surface."""
@@ -285,4 +313,22 @@ def build_box_mesh(
         ],
         axis=-1,
     )
-    return HexMesh(nx, ny, nz, float(lx), float(ly), float(lz), vertices, cell_vertex_ids)
+    # a cell owns its +z, +y and +x faces, and its -z, -y, -x faces on the low
+    # boundary; an interior low face belongs to the neighbour below it
+    owned = np.zeros((len(ci), 6), dtype=bool)
+    owned[:, [1, 2, 5]] = True
+    owned[:, 0] = ck == 0
+    owned[:, 3] = cj == 0
+    owned[:, 4] = ci == 0
+    owner, slot = np.nonzero(owned)
+    cell_interfaces = np.zeros(owned.shape, dtype=np.intp)
+    cell_interfaces[owner, slot] = np.arange(len(owner))
+    for low, high, step in ((0, 1, nx * ny), (3, 2, nx), (4, 5, 1)):
+        shared = np.flatnonzero(~owned[:, low])
+        cell_interfaces[shared, low] = cell_interfaces[shared - step, high]
+    return HexMesh(
+        nx, ny, nz, float(lx), float(ly), float(lz), vertices, cell_vertex_ids,
+        interface_vertex_ids=cell_vertex_ids[owner[:, None], FACE_LOOPS[slot]],
+        cell_interfaces=cell_interfaces,
+        cell_interface_signs=np.where(owned, 1.0, -1.0),
+    )

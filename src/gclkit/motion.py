@@ -298,10 +298,11 @@ def sample_motion(
     positions = np.concatenate([positions, positions[:1]])
     velocities = np.concatenate([velocities, velocities[:1]])
     if check_degeneracy:
-        for n, t in enumerate(times):
-            bad = detect_degenerate(mesh.cell_corners(positions[n]))
-            if len(bad):
-                raise DegenerateMeshError(t, bad)
+        # one call over the 2N+1 instants; the closing sample is t_0 again
+        bad = detect_degenerate(mesh.cell_corners(positions[:-1]))
+        if len(bad):
+            instants, cells = np.divmod(bad, mesh.n_cells)
+            raise DegenerateMeshError(times[instants[0]], cells[instants == instants[0]])
     return MotionTrajectory(
         case=case,
         n_harmonics=int(n_harmonics),

@@ -20,3 +20,33 @@ def small_mesh():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def _by_direction_increments(mesh, trajectory, kind):
+    """LVI or AEVI increments split by Cartesian direction, (n_cells, 6, 3, 2N+2).
+
+    The split is opt-in: each interface's sweep goes through
+    ``gcl.sweep_volume_by_direction`` and is scattered to the cell slots like
+    the totals.  Time is the last axis, so the series goes through the same
+    ``extract_linear_and_periodic``, ``ifmv_nlfd`` and ``ifmv_ts`` as the
+    totals do.
+    """
+    from gclkit import gcl
+
+    quads = mesh.interface_quads(trajectory.positions)
+    if kind == "lvi":
+        swept = gcl.sweep_volume_by_direction(quads[0], quads)
+    else:
+        steps = gcl.sweep_volume_by_direction(quads[:-1], quads[1:])
+        swept = np.concatenate([np.zeros_like(steps[:1]), np.cumsum(steps, axis=0)])
+    return gcl.IncrementSeries(
+        kind,
+        trajectory.period,
+        trajectory.times,
+        mesh.scatter_to_cells(np.moveaxis(swept, 0, -1)),
+    )
+
+
+@pytest.fixture(scope="session")
+def by_direction_increments():
+    return _by_direction_increments

@@ -140,6 +140,28 @@ def test_worker_pool_respects_thread_cap(monkeypatch):
     assert worker_count(3) >= 1
 
 
+def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GCLKIT_THREADS", "abc")
+    code = main(["run", "--case", "1", "--methods", "avg", "--n", "1..1",
+                 "--mesh", "2,2,2", "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "GCLKIT_THREADS" in err
+    assert err.count("\n") == 1
+
+
+def test_csv_bytes_independent_of_worker_count(tmp_path, monkeypatch):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GCLKIT_THREADS", threads)
+        out = tmp_path / f"threads{threads}.csv"
+        assert main(["run", "--case", "4", "--n", "1..4", "--mesh", "6,6,6",
+                     "--methods", "lvi,aevi,avg,trimap,ts-lvi,ts-aevi",
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_freestream_divergence_exit_code(tmp_path, capsys):
     code = main(["run", "--case", "2", "--methods", "avg", "--n", "2..2",
                  "--mesh", "4,4,4", "--freestream", "on", "--cfl", "1e9",

@@ -151,12 +151,13 @@ def small_mesh_module():
     return build_box_mesh(5, 5, 5, 3.2, 2.8, 2.4)
 
 
-def test_increments_start_at_zero(case1_setup):
+def test_increments_start_at_zero(case1_setup, by_direction_increments):
     mesh, traj, _ = case1_setup
-    for maker in (lvi_increments, aevi_increments):
+    for kind, maker in (("lvi", lvi_increments), ("aevi", aevi_increments)):
         series = maker(mesh, traj)
         assert np.abs(series.totals[..., 0]).max() == 0.0
-        assert np.abs(series.by_direction[..., 0, :]).max() == 0.0
+        by_direction = by_direction_increments(mesh, traj, kind)
+        assert np.abs(by_direction.totals[..., 0]).max() == 0.0
 
 
 def test_lvi_equals_aevi_on_linear_motion(case1_setup):
@@ -175,7 +176,6 @@ def test_extraction_of_synthetic_series():
         period=op.period,
         times=times,
         totals=(slope * times + np.sin(2 * np.pi * times))[None, None, :],
-        by_direction=np.zeros((1, 1, len(times), 3)),
     )
     series = extract_linear_and_periodic(series)
     assert series.linear_slope[0, 0] == pytest.approx(slope, abs=1e-12)
@@ -228,9 +228,7 @@ def test_nlfd_pipeline_on_synthetic_sine():
     op = SpectralOperator(5)
     times = np.append(op.times, op.period)
     totals = np.sin(2 * np.pi * times)[None, None, :] * np.ones((1, 6, 1))
-    series = gcl.IncrementSeries(
-        "aevi", op.period, times, totals, np.zeros((1, 6, len(times), 3))
-    )
+    series = gcl.IncrementSeries("aevi", op.period, times, totals)
     field = ifmv_nlfd(extract_linear_and_periodic(series), op)
     expected = 2 * np.pi * np.cos(2 * np.pi * op.times)
     np.testing.assert_allclose(field.total[0, 0], expected, atol=1e-12)
@@ -239,10 +237,7 @@ def test_nlfd_pipeline_on_synthetic_sine():
 def test_nlfd_zero_increments_zero_ifmv():
     op = SpectralOperator(3)
     times = np.append(op.times, op.period)
-    series = gcl.IncrementSeries(
-        "lvi", op.period, times, np.zeros((2, 6, len(times))),
-        np.zeros((2, 6, len(times), 3)),
-    )
+    series = gcl.IncrementSeries("lvi", op.period, times, np.zeros((2, 6, len(times))))
     field = ifmv_nlfd(extract_linear_and_periodic(series), op)
     assert np.abs(field.total).max() == 0.0
 
@@ -252,8 +247,7 @@ def test_ts_constant_slope_series():
     times = np.append(op.times, op.period)
     slope = 1.9
     series = gcl.IncrementSeries(
-        "aevi", op.period, times, slope * times[None, None, :] * np.ones((1, 6, 1)),
-        np.zeros((1, 6, len(times), 3)),
+        "aevi", op.period, times, slope * times[None, None, :] * np.ones((1, 6, 1))
     )
     field = ifmv_ts(extract_linear_and_periodic(series), op)
     np.testing.assert_allclose(field.total, slope, atol=1e-12)
@@ -262,13 +256,13 @@ def test_ts_constant_slope_series():
 def test_ts_zero_increments_zero_ifmv():
     op = SpectralOperator(3)
     times = np.append(op.times, op.period)
-    series = gcl.IncrementSeries(
-        "lvi", op.period, times, np.zeros((2, 6, len(times))),
-        np.zeros((2, 6, len(times), 3)),
-    )
+    series = gcl.IncrementSeries("lvi", op.period, times, np.zeros((2, 6, len(times))))
     field = ifmv_ts(extract_linear_and_periodic(series), op)
     assert np.abs(field.total).max() == 0.0
-    assert np.abs(field.by_direction).max() == 0.0
+    # the per-direction layout, time still last
+    series = gcl.IncrementSeries("lvi", op.period, times, np.zeros((2, 6, 3, len(times))))
+    field = ifmv_ts(extract_linear_and_periodic(series), op)
+    assert np.abs(field.total).max() == 0.0
 
 
 def test_gcl_identity_case1(case1_setup):
@@ -279,14 +273,17 @@ def test_gcl_identity_case1(case1_setup):
     assert np.abs(field.sum_over_faces() - dvdt).max() <= 1e-12
 
 
-def test_ts_equals_nlfd(case1_setup):
+def test_ts_equals_nlfd(case1_setup, by_direction_increments):
     mesh, traj, op = case1_setup
     traj3 = sample_motion(mesh, MotionCase.for_case("case3"), 3)
     series = extract_linear_and_periodic(aevi_increments(mesh, traj3))
     a = ifmv_nlfd(series, op)
     b = ifmv_ts(series, op)
     assert np.abs(a.total - b.total).max() <= 1e-12
-    assert np.abs(a.by_direction - b.by_direction).max() <= 1e-12
+    split = extract_linear_and_periodic(by_direction_increments(mesh, traj3, "aevi"))
+    a = ifmv_nlfd(split, op)
+    b = ifmv_ts(split, op)
+    assert np.abs(a.total - b.total).max() <= 1e-12
 
 
 def test_avg_on_stationary_mesh(small_mesh_module):
@@ -322,3 +319,34 @@ def test_mesh_slope_matches_standalone_face(paper_mesh):
     quads = case3_face_trajectory(times, 0.05, 0.28, 0.24)
     standalone = sweep_volume(quads[:-1], quads[1:]).sum()
     assert series.linear_slope[cell, 5] == pytest.approx(standalone, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def case5_fields(paper_mesh):
+    traj = sample_motion(paper_mesh, MotionCase.for_case("case5"), 3)
+    op = SpectralOperator(3)
+    return {
+        "nlfd-lvi": ifmv_nlfd(lvi_increments(paper_mesh, traj), op),
+        "nlfd-aevi": ifmv_nlfd(aevi_increments(paper_mesh, traj), op),
+        "avg": ifmv_avg(paper_mesh, traj),
+        "trimap": trimap_field(paper_mesh, traj),
+    }
+
+
+@pytest.mark.parametrize("method", ["nlfd-lvi", "nlfd-aevi", "avg", "trimap"])
+def test_interior_faces_exactly_antisymmetric(paper_mesh, case5_fields, method):
+    # the two cells of an interior face see the same face with opposite
+    # orientation, so their values must be exact negatives of each other
+    total = case5_fields[method].total
+    assert np.abs(total).max() > 0.0
+    nx, ny, nz = paper_mesh.counts
+    cells = np.arange(paper_mesh.n_cells).reshape(nz, ny, nx)
+    neighbours = (
+        (cells[:, :, :-1], 5, cells[:, :, 1:], 4),  # +x face of the left cell
+        (cells[:, :-1, :], 2, cells[:, 1:, :], 3),  # +y face
+        (cells[:-1], 1, cells[1:], 0),  # +z face
+    )
+    for low, low_slot, high, high_slot in neighbours:
+        a = total[low.ravel(), low_slot]
+        b = total[high.ravel(), high_slot]
+        assert np.array_equal(a, -b)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gclkit.gcl import cell_volumes
-from gclkit.hexmesh import hex_volume
+from gclkit.hexmesh import build_box_mesh, detect_degenerate, hex_volume
 from gclkit.motion import (
     CASE_IDS,
     DegenerateMeshError,
@@ -145,3 +145,31 @@ def test_analytic_increment_rate_identity():
         ) / (2 * h)
         rate = analytic_increment_rate_case3(r, y30, depth, t)
         assert abs(fd - rate) <= 1e-12
+
+
+def _first_degenerate_instant(mesh, trajectory):
+    """Reference gate: one detect_degenerate call per sampled instant."""
+    for t, positions in zip(trajectory.times, trajectory.positions):
+        bad = detect_degenerate(mesh.cell_corners(positions))
+        if len(bad):
+            return t, bad
+    return None
+
+
+def test_batched_gate_names_first_bad_instant():
+    # case 4 inverts a cell of the 20^3 mesh at several instants
+    mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
+    case = MotionCase.for_case("case4")
+    unchecked = sample_motion(mesh, case, 10, check_degeneracy=False)
+    expected = _first_degenerate_instant(mesh, unchecked)
+    assert expected is not None
+    with pytest.raises(DegenerateMeshError) as info:
+        sample_motion(mesh, case, 10)
+    assert info.value.instant == expected[0]
+    assert info.value.cell_ids.tolist() == expected[1].tolist()
+
+
+@pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4", "case5"])
+def test_batched_gate_passes_clean_cases(paper_mesh, case_id):
+    trajectory = sample_motion(paper_mesh, MotionCase.for_case(case_id), 10)
+    assert _first_degenerate_instant(paper_mesh, trajectory) is None
