@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
-from . import __version__, experiments, verify
+from . import __version__, experiments, flow, verify
 from .experiments import METHOD_ALIASES, ConfigError, FreestreamOptions, MeshConfig
-from .flow import FreestreamDivergence, FreestreamState
+from .flow import FreestreamDivergence
 from .motion import CASE_IDS, DegenerateMeshError, MotionCase
 
 EXIT_OK = 0
@@ -31,6 +32,12 @@ EXIT_DIVERGED = 4
 CSV_COLUMNS = (
     "case,method,N,Nts,rel_err_freestream,abs_err1,"
     "abs_err2_x,abs_err2_y,abs_err2_z,fd1_ref,fd2_ref,wall_ms"
+)
+
+# Settings a config file or the command line may carry.
+CONFIG_KEYS = (
+    "case", "methods", "n", "mesh", "lengths", "amp", "alpha0", "radius",
+    "seed", "support_radius", "freestream", "cfl", "max_iters", "timing", "out",
 )
 
 
@@ -102,17 +109,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_floats(text: str, count: int | None = None) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in text.split(","))
+def _number(key: str, value, kind=float):
+    try:
+        number = kind(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return number
+
+
+def _parse_list(key: str, value, kind=float, count: int | None = None) -> tuple:
+    """A JSON list or a comma-separated string of numbers."""
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    vals = tuple(_number(key, v, kind) for v in items)
     if count is not None and len(vals) != count:
-        raise ConfigError(f"expected {count} comma-separated values, got {text!r}")
-    return vals
-
-
-def _parse_ints(text: str, count: int) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in text.split(","))
-    if len(vals) != count:
-        raise ConfigError(f"expected {count} comma-separated integers, got {text!r}")
+        raise ConfigError(f"{key} expects {count} comma-separated values, got {value!r}")
     return vals
 
 
@@ -134,16 +147,20 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             with open(args.config) as handle:
-                layers.append(json.load(handle))
+                file_layer = json.load(handle)
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config file {args.config}: {err}") from err
+        if not isinstance(file_layer, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(file_layer) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(
+                f"unknown config keys {unknown}; choose from {', '.join(CONFIG_KEYS)}"
+            )
+        layers.append(file_layer)
     cli_layer = {
         key: getattr(args, key)
-        for key in (
-            "case", "methods", "n", "mesh", "lengths", "amp", "alpha0", "radius",
-            "seed", "support_radius", "freestream", "cfl", "max_iters", "timing",
-            "out",
-        )
+        for key in CONFIG_KEYS
         if getattr(args, key, None) is not None
     }
     layers.append(cli_layer)
@@ -154,35 +171,40 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             cfg.case = _parse_case(str(layer["case"]))
         if "methods" in layer:
             raw = layer["methods"]
-            cfg.methods = _parse_methods(raw if isinstance(raw, str) else ",".join(raw))
+            raw = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
+            cfg.methods = _parse_methods(raw)
         if "n" in layer:
             cfg.n_range = _parse_range(str(layer["n"]))
         if "mesh" in layer:
-            mesh_counts = _parse_ints(str(layer["mesh"]), 3)
+            mesh_counts = _parse_list("mesh", layer["mesh"], int, 3)
         if "lengths" in layer:
-            mesh_lengths = _parse_floats(str(layer["lengths"]), 3)
+            mesh_lengths = _parse_list("lengths", layer["lengths"], float, 3)
         if "amp" in layer:
-            amp = layer["amp"]
-            cfg.amp = _parse_floats(str(amp)) if not isinstance(amp, (list, tuple)) else tuple(map(float, amp))
+            cfg.amp = _parse_list("amp", layer["amp"])
             if len(cfg.amp) == 1 and cfg.case != "case4":
                 cfg.amp = cfg.amp * 3
         for key in ("alpha0", "radius", "support_radius", "cfl"):
             if key in layer:
-                setattr(cfg, key, float(layer[key]))
+                setattr(cfg, key, _number(key, layer[key]))
         if "seed" in layer:
-            cfg.seed = int(layer["seed"])
+            cfg.seed = _number("seed", layer["seed"], int)
         if "max_iters" in layer:
-            cfg.max_iters = int(layer["max_iters"])
+            cfg.max_iters = _number("max_iters", layer["max_iters"], int)
         if "freestream" in layer:
             cfg.freestream = _parse_onoff(layer["freestream"])
         if "timing" in layer:
             cfg.timing = bool(layer["timing"])
         if "out" in layer:
             cfg.out = str(layer["out"])
-    try:
-        cfg.mesh = MeshConfig(*map(int, mesh_counts), *map(float, mesh_lengths))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad mesh configuration: {err}") from err
+    if min(mesh_counts) < 1 or not all(length > 0.0 for length in mesh_lengths):
+        raise ConfigError(f"mesh sizes must be positive, got {mesh_counts} {mesh_lengths}")
+    if not cfg.cfl > 0.0:
+        raise ConfigError(f"cfl must be positive, got {cfg.cfl}")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
+    if cfg.support_radius is not None and not cfg.support_radius > 0.0:
+        raise ConfigError(f"support radius must be positive, got {cfg.support_radius}")
+    cfg.mesh = MeshConfig(*mesh_counts, *mesh_lengths)
     return cfg
 
 
@@ -208,9 +230,10 @@ def write_csv(path, cfg: RunConfig, rows, stream=None) -> None:
     )
     lines.append(
         f"# freestream={'on' if cfg.freestream else 'off'} cfl={cfg.cfl} "
-        f"max_iters={cfg.max_iters} convergence_drop=1e-12 "
-        f"rk_stages=0.25,0.16666666666666666,0.375,0.5,1.0 "
-        f"dissipation_blend=1.0,0.56,0.44 kappa2=1 kappa4=0.03125"
+        f"max_iters={cfg.max_iters} convergence_drop={flow.CONVERGENCE_DROP:g} "
+        f"rk_stages={','.join(map(str, flow.RK_STAGE_FRACTIONS))} "
+        f"dissipation_blend={','.join(map(str, flow.RK_DISSIPATION_BLEND.values()))} "
+        f"kappa2={flow.KAPPA2:g} kappa4={flow.KAPPA4:g}"
     )
     lines.append(CSV_COLUMNS)
     canonical = [METHOD_ALIASES[m] for m in cfg.methods]
@@ -251,7 +274,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     freestream = FreestreamOptions(
         enabled=cfg.freestream,
-        state=FreestreamState(),
         cfl=cfg.cfl,
         max_iterations=cfg.max_iters,
     )
@@ -331,12 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "freestream", None) is not None:
-        try:
-            args.freestream = _parse_onoff(args.freestream)
-        except ConfigError as err:
-            print(f"error: config: {err}", file=sys.stderr)
-            return EXIT_CONFIG
     return args.handler(args)
 
 

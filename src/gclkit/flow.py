@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .gcl import IfmvField, cell_volumes
-from .hexmesh import HexMesh
+from .hexmesh import HexMesh, face_area_vectors
 from .metrics import rel_err_freestream
 from .motion import MotionTrajectory
 from .spectral import SpectralOperator
@@ -53,6 +53,11 @@ class FreestreamDivergence(RuntimeError):
 # and blended at stages 1, 3 and 5.
 RK_STAGE_FRACTIONS = (0.25, 1.0 / 6.0, 0.375, 0.5, 1.0)
 RK_DISSIPATION_BLEND = {0: 1.0, 2: 0.56, 4: 0.44}
+# JST second- and fourth-difference coefficients.
+KAPPA2 = 1.0
+KAPPA4 = 1.0 / 32.0
+# A march has converged once its residual falls by this factor.
+CONVERGENCE_DROP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,9 @@ class FreestreamProblem:
 
     All per-instant geometry (cell volumes, interface area vectors, interface
     mesh-velocity integrals) is frozen at construction; the pseudo-time
-    iteration only updates the spectral state.
+    iteration only updates the spectral state.  Interface values are read
+    from the mesh's cell-face slots, so each face's flux uses the same face
+    as its integrated mesh velocity.
     """
 
     def __init__(
@@ -191,70 +198,28 @@ class FreestreamProblem:
         spectral: SpectralOperator,
         ifmv: IfmvField | None,
         freestream: FreestreamState | None = None,
-        kappa2: float = 1.0,
-        kappa4: float = 1.0 / 32.0,
-        include_mesh_velocity_in_radius: bool = True,
     ):
         self.mesh = mesh
         self.spectral = spectral
         self.freestream = freestream or FreestreamState()
-        self.kappa2 = float(kappa2)
-        self.kappa4 = float(kappa4)
-        self.include_mesh_velocity_in_radius = include_mesh_velocity_in_radius
-        nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
         nts = spectral.nts
 
-        verts = trajectory.positions[:-1].reshape(nts, nz + 1, ny + 1, nx + 1, 3)
         self.volumes = (
-            cell_volumes(mesh, trajectory).T.reshape(nts, nz, ny, nx)
+            cell_volumes(mesh, trajectory).T.reshape(nts, mesh.nz, mesh.ny, mesh.nx)
         )
-        self.face_vectors = self._interface_area_vectors(verts)
-        self.face_ifmv = self._interface_ifmv(ifmv)
+        corners = mesh.cell_corners(trajectory.positions[:-1])
+        self.face_vectors = self._per_interface(face_area_vectors(corners))
+        slot_ifmv = np.zeros((mesh.n_cells, 6, nts)) if ifmv is None else ifmv.total
+        self.face_ifmv = self._per_interface(np.moveaxis(slot_ifmv, -1, 0))
         self.w0 = self.freestream.conservative()
 
-    # -- geometry ---------------------------------------------------------
-
-    @staticmethod
-    def _interface_area_vectors(verts: np.ndarray):
-        """Outward (+axis oriented) area vectors of x-, y-, z-interfaces."""
-        # x: loop (j,k) -> (j+1,k) -> (j+1,k+1) -> (j,k+1); normal +x
-        a = verts[:, :-1, :-1, :, :]
-        b = verts[:, :-1, 1:, :, :]
-        c = verts[:, 1:, 1:, :, :]
-        d = verts[:, 1:, :-1, :, :]
-        s_x = 0.5 * np.cross(c - a, d - b)
-        # y: loop (k,i) -> (k+1,i) -> (k+1,i+1) -> (k,i+1); normal +y
-        a = verts[:, :-1, :, :-1, :]
-        b = verts[:, 1:, :, :-1, :]
-        c = verts[:, 1:, :, 1:, :]
-        d = verts[:, :-1, :, 1:, :]
-        s_y = 0.5 * np.cross(c - a, d - b)
-        # z: loop (i,j) -> (i+1,j) -> (i+1,j+1) -> (i,j+1); normal +z
-        a = verts[:, :, :-1, :-1, :]
-        b = verts[:, :, :-1, 1:, :]
-        c = verts[:, :, 1:, 1:, :]
-        d = verts[:, :, 1:, :-1, :]
-        s_z = 0.5 * np.cross(c - a, d - b)
-        return {"x": s_x, "y": s_y, "z": s_z}
-
-    def _interface_ifmv(self, ifmv: IfmvField | None):
-        nx, ny, nz = self.mesh.nx, self.mesh.ny, self.mesh.nz
-        nts = self.spectral.nts
-        out = {
-            "x": np.zeros((nts, nz, ny, nx + 1)),
-            "y": np.zeros((nts, nz, ny + 1, nx)),
-            "z": np.zeros((nts, nz + 1, ny, nx)),
-        }
-        if ifmv is None:
-            return out
-        # per-cell outward values -> single value per interface, oriented +axis
-        f = np.moveaxis(ifmv.total.reshape(nz, ny, nx, 6, nts), -1, 0)
-        out["x"][..., 1:] = f[..., 5]
-        out["x"][..., 0] = -f[:, :, :, 0, 4]
-        out["y"][:, :, 1:, :] = f[..., 2]
-        out["y"][:, :, 0, :] = -f[:, :, 0, :, 3]
-        out["z"][:, 1:, :, :] = f[..., 1]
-        out["z"][:, 0, :, :] = -f[:, 0, :, :, 0]
+    def _per_interface(self, values: np.ndarray) -> dict[str, np.ndarray]:
+        """Cell-slot values (Nts, n_cells, 6, ...) on each axis's interface grid."""
+        out = {}
+        for axis in ("x", "y", "z"):
+            cells, slots, signs = self.mesh.axis_faces(axis)
+            signs = signs.reshape(signs.shape + (1,) * (values.ndim - 3))
+            out[axis] = values[:, cells, slots] * signs
         return out
 
     # -- state handling ----------------------------------------------------
@@ -300,12 +265,10 @@ class FreestreamProblem:
         p_mean = _pressure_unchecked(mean, self.freestream.gamma)
         sound = np.sqrt(self.freestream.gamma * p_mean / mean[..., 0])
         area = np.linalg.norm(s_line, axis=-1)
-        contravariant = np.einsum("...i,...i->...", vel, s_line)
-        if self.include_mesh_velocity_in_radius:
-            contravariant = contravariant - g_line
+        contravariant = np.einsum("...i,...i->...", vel, s_line) - g_line
         radii = np.abs(contravariant) + sound * area
 
-        diss = jst_dissipation(w_line, p_line, radii, self.kappa2, self.kappa4)
+        diss = jst_dissipation(w_line, p_line, radii, KAPPA2, KAPPA4)
 
         conv_cells = flux[..., 1:, :] - flux[..., :-1, :]
         diss_cells = diss[..., 1:, :] - diss[..., :-1, :]
@@ -361,7 +324,6 @@ class FreestreamProblem:
         self,
         cfl: float = 1.5,
         max_iterations: int = 20000,
-        convergence_drop: float = 1e-12,
         rel_err_stop: float | None = None,
     ) -> FreestreamResult:
         """Drive the unsteady residual to zero with the five-stage scheme.
@@ -401,7 +363,7 @@ class FreestreamProblem:
             final = float(np.sqrt(np.mean(stage_residual**2)))
             if iteration == 1:
                 initial = final
-            if final <= floor or final <= convergence_drop * initial:
+            if final <= floor or final <= CONVERGENCE_DROP * initial:
                 converged = True
                 break
             if rel_err_stop is not None and iteration % 25 == 0:
@@ -431,19 +393,11 @@ def nlfd_unsteady_residual(problem: FreestreamProblem, wbar: np.ndarray) -> np.n
     ``wbar`` holds the spectral state Omega*w at the sample instants (first
     axis); the result carries the complex coefficients for k = -N..N on the
     first axis.  At a converged periodic solution every coefficient vanishes.
+    The time-spectral matrix in ``problem.residual`` is the exact derivative
+    on the samples, so its DFT carries (i 2 pi k / T) w_k.
     """
-    spectral = problem.spectral
-    states = problem.physical_states(wbar)
-    wp, pp = problem._padded(states)
-    flux_residual = np.zeros_like(wbar)
-    for axis_name in ("x", "y", "z"):
-        c, d, _ = problem._direction_terms(wp, pp, axis_name)
-        flux_residual += c - d
-    as_last = lambda arr: np.moveaxis(arr, 0, -1)
-    w_hat = spectral.dft(as_last(wbar))
-    r_hat = spectral.dft(as_last(flux_residual))
-    factors = 1j * (2.0 * np.pi / spectral.period) * spectral.wavenumbers
-    return np.moveaxis(w_hat * factors + r_hat, -1, 0)
+    residual = np.moveaxis(problem.residual(wbar), 0, -1)
+    return np.moveaxis(problem.spectral.dft(residual), -1, 0)
 
 
 def run_freestream(
@@ -452,11 +406,8 @@ def run_freestream(
     spectral: SpectralOperator,
     ifmv: IfmvField | None,
     freestream: FreestreamState | None = None,
-    kappa2: float = 1.0,
-    kappa4: float = 1.0 / 32.0,
     cfl: float = 1.5,
     max_iterations: int = 20000,
-    convergence_drop: float = 1e-12,
     rel_err_stop: float | None = None,
 ) -> FreestreamResult:
     """Initialise uniform flow, march to convergence, report the departure.
@@ -465,7 +416,5 @@ def run_freestream(
     controlled conservation defect.  Divergence is reported through the
     result, not raised.
     """
-    problem = FreestreamProblem(
-        mesh, trajectory, spectral, ifmv, freestream, kappa2, kappa4
-    )
-    return problem.march(cfl, max_iterations, convergence_drop, rel_err_stop)
+    problem = FreestreamProblem(mesh, trajectory, spectral, ifmv, freestream)
+    return problem.march(cfl, max_iterations, rel_err_stop)

@@ -270,13 +270,9 @@ def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     return IfmvField("trimap", mesh.scatter_to_cells(flux.T))
 
 
-def cell_volumes(
-    mesh: HexMesh, trajectory: MotionTrajectory, include_closing: bool = False
-) -> np.ndarray:
-    """Cell volumes per instant, shape (n_cells, 2N+1(+1))."""
-    corners = mesh.cell_corners(trajectory.positions)
-    if not include_closing:
-        corners = corners[:-1]
+def cell_volumes(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:
+    """Cell volumes per instant, shape (n_cells, 2N+1)."""
+    corners = mesh.cell_corners(trajectory.positions)[:-1]
     return np.moveaxis(hex_volume(corners), 0, -1)
 
 

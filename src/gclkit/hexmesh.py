@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "REF_CORNERS",
     "FACE_LOOPS",
-    "FACE_NAMES",
     "FACE_FAMILY",
     "HexMesh",
     "CellGeometry",
@@ -57,10 +56,9 @@ FACE_LOOPS = np.array(
     ]
 )
 
-FACE_NAMES = ("-z", "+z", "+y", "-y", "-x", "+x")
-
-# Face slots grouped by the Cartesian axis of their reference normal.
-FACE_FAMILY = {"x": (4, 5), "y": (2, 3), "z": (0, 1)}
+# Face slots grouped by the Cartesian axis of their reference normal, as
+# (low, high): the slot facing -axis, then the one facing +axis.
+FACE_FAMILY = {"x": (4, 5), "y": (3, 2), "z": (0, 1)}
 
 # Per corner and reference axis (xi, eta, zeta), the low and high corner of
 # the cell edge through it: the trilinear map's derivative along that axis,
@@ -248,6 +246,23 @@ class HexMesh:
         signs = self.cell_interface_signs.reshape((self.n_cells, 6) + (1,) * (values.ndim - 1))
         return values[self.cell_interfaces] * signs
 
+    def axis_faces(self, axis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Owner cell, face slot and sign of every interface normal to ``axis``.
+
+        Each array has the shape of that axis's interface grid, e.g.
+        (nz, ny, nx+1) for "x".  ``values[..., cells, slots] * signs`` reads
+        cell-slot data (..., n_cells, 6) as one value per interface, oriented
+        +axis, always from the slot of the cell that owns the interface.
+        """
+        low, high = FACE_FAMILY[axis]
+        grid_axis = "zyx".index(axis)
+        ids = np.arange(self.n_cells).reshape(self.nz, self.ny, self.nx)
+        # layer 0 is the low boundary, owned through its cells' -axis slot;
+        # layer l > 0 is the +axis face of the cells in layer l - 1
+        cells = np.concatenate([np.take(ids, [0], axis=grid_axis), ids], axis=grid_axis)
+        on_low = np.indices(cells.shape)[grid_axis] == 0
+        return cells, np.where(on_low, low, high), np.where(on_low, -1.0, 1.0)
+
     def boundary_vertex_mask(self) -> np.ndarray:
         """Boolean mask of vertices lying on the box surface."""
         v = self.vertices
@@ -323,7 +338,8 @@ def build_box_mesh(
     owner, slot = np.nonzero(owned)
     cell_interfaces = np.zeros(owned.shape, dtype=np.intp)
     cell_interfaces[owner, slot] = np.arange(len(owner))
-    for low, high, step in ((0, 1, nx * ny), (3, 2, nx), (4, 5, 1)):
+    for axis, step in (("z", nx * ny), ("y", nx), ("x", 1)):
+        low, high = FACE_FAMILY[axis]
         shared = np.flatnonzero(~owned[:, low])
         cell_interfaces[shared, low] = cell_interfaces[shared - step, high]
     return HexMesh(

@@ -67,11 +67,6 @@ class SpectralOperator:
         return cls((nts - 1) // 2, period)
 
     @property
-    def times_closed(self) -> np.ndarray:
-        """Sample instants plus the closing instant t = T."""
-        return np.append(self.times, self.period)
-
-    @property
     def d_matrix(self) -> np.ndarray:
         return self._d_matrix
 

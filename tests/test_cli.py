@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gclkit.cli import main
 from gclkit.experiments import worker_count
 
@@ -65,6 +67,36 @@ def test_bad_range_is_config_error():
     assert main(["run", "--n", "1..65"]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra, config",
+    [
+        (["--amp", "abc"], None),
+        (["--mesh", "a,b,c"], None),
+        (["--lengths", "1,x,2"], None),
+        (["--mesh", "0,2,2"], None),
+        (["--support-radius", "-1", "--case", "5"], None),
+        (["--cfl", "-1", "--freestream", "on"], None),
+        (["--lengths", "inf,1,1"], None),
+        (["--seed", "-1", "--case", "4"], None),
+        ([], {"cfl": "abc"}),
+        ([], {"nope": 1}),
+        ([], {"methods": 5}),
+    ],
+    ids=["amp", "mesh-text", "lengths", "mesh-zero", "support-radius", "cfl",
+         "lengths-inf", "seed", "config-cfl", "config-unknown-key", "config-methods"],
+)
+def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, config):
+    argv = ["run", "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",
+            "--out", str(tmp_path / "m.csv")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+
+
 def test_unknown_case_is_config_error():
     assert main(["run", "--case", "7"]) == 2
 
@@ -97,6 +129,11 @@ def test_metadata_header_echoes_configuration(tmp_path):
     assert head[0].startswith("# gclkit")
     assert "case=case4" in head[1]
     assert "seed=7" in head[2]
+    assert head[3] == (
+        "# freestream=off cfl=1.5 max_iters=20000 convergence_drop=1e-12 "
+        "rk_stages=0.25,0.16666666666666666,0.375,0.5,1.0 "
+        "dissipation_blend=1.0,0.56,0.44 kappa2=1 kappa4=0.03125"
+    )
 
 
 def test_verify_passes_cleanly(capsys):

@@ -135,6 +135,56 @@ def case2_small():
     return mesh, traj, SpectralOperator(3)
 
 
+def _structured_face_reference(mesh, traj, ifmv):
+    """+axis interface area vectors and IFMV from the structured vertex grid.
+
+    Every face loop is built from the (k, j, i) vertex grid and the cell
+    slots are decoded by number, independently of the mesh's interfaces.
+    """
+    nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
+    nts = traj.positions.shape[0] - 1
+    v = traj.positions[:-1].reshape(nts, nz + 1, ny + 1, nx + 1, 3)
+
+    def area(a, b, c, d):
+        return 0.5 * np.cross(c - a, d - b)
+
+    vectors = {
+        "x": area(v[:, :-1, :-1], v[:, :-1, 1:], v[:, 1:, 1:], v[:, 1:, :-1]),
+        "y": area(v[:, :-1, :, :-1], v[:, 1:, :, :-1], v[:, 1:, :, 1:], v[:, :-1, :, 1:]),
+        "z": area(v[:, :, :-1, :-1], v[:, :, :-1, 1:], v[:, :, 1:, 1:], v[:, :, 1:, :-1]),
+    }
+    g = {
+        "x": np.zeros((nts, nz, ny, nx + 1)),
+        "y": np.zeros((nts, nz, ny + 1, nx)),
+        "z": np.zeros((nts, nz + 1, ny, nx)),
+    }
+    if ifmv is not None:
+        # slots: 0 -z, 1 +z, 2 +y, 3 -y, 4 -x, 5 +x
+        f = np.moveaxis(ifmv.total.reshape(nz, ny, nx, 6, nts), -1, 0)
+        g["x"][..., 1:] = f[..., 5]
+        g["x"][..., 0] = -f[:, :, :, 0, 4]
+        g["y"][:, :, 1:, :] = f[..., 2]
+        g["y"][:, :, 0, :] = -f[:, :, 0, :, 3]
+        g["z"][:, 1:, :, :] = f[..., 1]
+        g["z"][:, 0, :, :] = -f[:, 0, :, :, 0]
+    return vectors, g
+
+
+@pytest.mark.parametrize("with_ifmv", [True, False], ids=["trimap", "none"])
+@pytest.mark.parametrize("case_id", ["case1", "case5"])
+def test_face_data_matches_structured_reference(case_id, with_ifmv):
+    from gclkit.hexmesh import build_box_mesh
+
+    mesh = build_box_mesh(4, 5, 6, 3.2, 2.8, 2.4)
+    traj = sample_motion(mesh, MotionCase.for_case(case_id), 2)
+    ifmv = gcl.trimap_field(mesh, traj) if with_ifmv else None
+    problem = FreestreamProblem(mesh, traj, SpectralOperator(2), ifmv)
+    vectors, g = _structured_face_reference(mesh, traj, ifmv)
+    for axis in "xyz":
+        assert np.array_equal(problem.face_vectors[axis], vectors[axis])
+        assert np.array_equal(problem.face_ifmv[axis], g[axis])
+
+
 def test_unsteady_residual_with_conserving_ifmv(case2_small):
     mesh, traj, op = case2_small
     problem = FreestreamProblem(mesh, traj, op, aevi_field(mesh, traj, op))

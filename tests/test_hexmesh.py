@@ -3,6 +3,7 @@ import pytest
 
 from gclkit import hexmesh
 from gclkit.hexmesh import (
+    FACE_LOOPS,
     REF_CORNERS,
     build_box_mesh,
     cell_geometry,
@@ -163,3 +164,25 @@ def test_volume_of_collapsed_hexahedron_is_zero(rng):
     quad = rng.normal(size=(4, 3))
     scale = np.abs(quad).max() ** 3
     assert abs(hex_volume(np.vstack([quad, quad]))) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_axis_faces_read_owned_slots_along_axis(axis):
+    mesh = build_box_mesh(4, 5, 6, 3.2, 2.8, 2.4)
+    a = "xyz".index(axis)
+    cells, slots, signs = mesh.axis_faces(axis)
+    grid = [mesh.nz, mesh.ny, mesh.nx]
+    grid[2 - a] += 1
+    assert cells.shape == slots.shape == signs.shape == tuple(grid)
+    # every interface of the axis is read once, from its owner's slot
+    assert np.all(mesh.cell_interface_signs[cells, slots] == 1.0)
+    assert np.unique(mesh.cell_interfaces[cells, slots]).size == cells.size
+    # interface layer l lies at l * spacing along the axis
+    quads = mesh.vertices[mesh.cell_vertex_ids[cells[..., None], FACE_LOOPS[slots]]]
+    layer = np.indices(grid)[2 - a]
+    spacing = mesh.lengths[a] / mesh.counts[a]
+    np.testing.assert_allclose(quads[..., a].mean(axis=-1), layer * spacing, atol=1e-12)
+    # on the undeformed box, the +axis area vectors point along +axis
+    vectors = face_area_vectors(mesh.cell_corners())[cells, slots] * signs[..., None]
+    assert np.all(vectors[..., a] > 0.0)
+    assert np.all(np.delete(vectors, a, axis=-1) == 0.0)
