@@ -112,7 +112,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _number(key: str, value, kind=float):
     try:
         number = kind(value)
-    except (TypeError, ValueError):
+        if kind is int and number != float(value):
+            raise ValueError("not an integer")  # int() would truncate 42.7
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         expected = "an integer" if kind is int else "a finite number"
@@ -193,13 +195,15 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if "freestream" in layer:
             cfg.freestream = _parse_onoff(layer["freestream"])
         if "timing" in layer:
-            cfg.timing = bool(layer["timing"])
+            cfg.timing = _parse_onoff(layer["timing"])
         if "out" in layer:
             cfg.out = str(layer["out"])
     if min(mesh_counts) < 1 or not all(length > 0.0 for length in mesh_lengths):
         raise ConfigError(f"mesh sizes must be positive, got {mesh_counts} {mesh_lengths}")
     if not cfg.cfl > 0.0:
         raise ConfigError(f"cfl must be positive, got {cfg.cfl}")
+    if cfg.max_iters < 1:
+        raise ConfigError(f"max_iters must be at least 1, got {cfg.max_iters}")
     if cfg.seed is not None and cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.support_radius is not None and not cfg.support_radius > 0.0:

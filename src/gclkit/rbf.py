@@ -22,8 +22,12 @@ def wendland_c0(distance: np.ndarray, support_radius: float) -> np.ndarray:
     """Wendland C0 kernel (1 - d/R)^2, truncated to zero for d >= R."""
     if not support_radius > 0.0:
         raise ValueError(f"support radius must be positive, got {support_radius}")
-    xi = np.asarray(distance, dtype=float) / support_radius
-    return np.where(xi < 1.0, (1.0 - np.minimum(xi, 1.0)) ** 2, 0.0)
+    # one fresh array, updated in place: the kernel matrices are large
+    distance = np.asarray(distance, dtype=float)
+    kernel = np.divide(distance, support_radius, out=np.empty_like(distance))
+    np.minimum(kernel, 1.0, out=kernel)
+    np.subtract(1.0, kernel, out=kernel)
+    return np.square(kernel, out=kernel)
 
 
 @dataclass

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gclkit.cli import main
+from gclkit.cli import build_parser, build_run_config, main
 from gclkit.experiments import worker_count
 
 
@@ -81,9 +81,19 @@ def test_bad_range_is_config_error():
         ([], {"cfl": "abc"}),
         ([], {"nope": 1}),
         ([], {"methods": 5}),
+        ([], {"seed": 42.7}),
+        ([], {"seed": "42.7"}),
+        ([], {"max_iters": 42.7}),
+        ([], {"max_iters": "42.7"}),
+        ([], {"max_iters": 0}),
+        (["--max-iters", "0"], None),
+        ([], {"timing": "maybe"}),
     ],
     ids=["amp", "mesh-text", "lengths", "mesh-zero", "support-radius", "cfl",
-         "lengths-inf", "seed", "config-cfl", "config-unknown-key", "config-methods"],
+         "lengths-inf", "seed", "config-cfl", "config-unknown-key", "config-methods",
+         "config-seed-float", "config-seed-text", "config-max-iters-float",
+         "config-max-iters-text", "config-max-iters-zero", "max-iters-zero",
+         "config-timing"],
 )
 def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, config):
     argv = ["run", "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",
@@ -95,6 +105,13 @@ def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, confi
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+def test_config_integers_and_onoff_are_read_exactly(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 42, "max_iters": "300", "timing": "no"}))
+    cfg = build_run_config(build_parser().parse_args(["run", "--config", str(path)]))
+    assert (cfg.seed, cfg.max_iters, cfg.timing) == (42, 300, False)
 
 
 def test_unknown_case_is_config_error():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gclkit import gcl
+from gclkit import flow, gcl
 from gclkit.flow import (
     FreestreamProblem,
     FreestreamState,
@@ -214,7 +214,7 @@ def test_freestream_static_mesh(case2_small):
     mesh, _, op = case2_small
     static = sample_motion(mesh, MotionCase.for_case("rigid-translation", amplitude=(0, 0, 0)), 3)
     result = run_freestream(mesh, static, op, None, max_iterations=10)
-    assert result.converged
+    assert result.converged and result.stop_reason == "floor"
     assert result.rel_err <= 1e-14
 
 
@@ -237,6 +237,7 @@ def test_avg_preserves_worse_than_spectral_methods(case2_small):
         rel_err_stop=1e-5,
     )
     assert avg.rel_err > 100 * max(good.rel_err, 1e-14)
+    assert avg.stop_reason == "rel_err_stop" and not avg.converged
 
 
 def test_divergence_is_reported_not_raised(case2_small):
@@ -244,6 +245,7 @@ def test_divergence_is_reported_not_raised(case2_small):
     result = run_freestream(mesh, traj, op, None, cfl=1e6, max_iterations=30)
     assert result.diverged
     assert not result.converged
+    assert result.stop_reason == "diverged"
 
 
 def test_uniform_state_is_stationary_under_rk5(case2_small):
@@ -255,3 +257,148 @@ def test_uniform_state_is_stationary_under_rk5(case2_small):
     result = problem.march(max_iterations=1)
     after = result.states * problem.volumes[..., None]
     assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
+
+
+# -- reference residual: the per-axis assembly before dissipation was skipped
+# at unblended stages and cell primitives were shared between faces --------
+
+
+def _reference_face_flux(left, right, face_vector, face_ifmv, gamma):
+    def fixed_grid(states):
+        rho = states[..., 0]
+        vel = states[..., 1:4] / rho[..., None]
+        p = flow._pressure_unchecked(states, gamma)
+        contravariant = np.einsum("...i,...i->...", vel, face_vector)
+        out = np.empty_like(states)
+        out[..., 0] = rho * contravariant
+        out[..., 1:4] = states[..., 1:4] * contravariant[..., None] + (
+            p[..., None] * face_vector
+        )
+        out[..., 4] = (states[..., 4] + p) * contravariant
+        return out
+
+    central = 0.5 * (fixed_grid(left) + fixed_grid(right))
+    return central - face_ifmv[..., None] * 0.5 * (left + right)
+
+
+def _reference_padded(problem, wbar):
+    states = problem.physical_states(wbar)
+    nts, nz, ny, nx, _ = states.shape
+    wp = np.empty((nts, nz + 4, ny + 4, nx + 4, 5))
+    wp[...] = problem.w0
+    wp[:, 2:-2, 2:-2, 2:-2, :] = states
+    return wp, flow._pressure_unchecked(wp, GAMMA)
+
+
+def _reference_direction_terms(problem, wp, pp, axis_name):
+    axis = {"x": 3, "y": 2, "z": 1}[axis_name]
+    m = {"x": problem.mesh.nx, "y": problem.mesh.ny, "z": problem.mesh.nz}[axis_name]
+    w_line = np.moveaxis(wp, axis, -2)[:, 2:-2, 2:-2]
+    p_line = np.moveaxis(pp, axis, -1)[:, 2:-2, 2:-2]
+    s_line = np.moveaxis(problem.face_vectors[axis_name], axis, -2)
+    g_line = np.moveaxis(problem.face_ifmv[axis_name], axis, -1)
+
+    wl = w_line[..., 1 : m + 2, :]
+    wr = w_line[..., 2 : m + 3, :]
+    flux = _reference_face_flux(wl, wr, s_line, g_line, GAMMA)
+
+    mean = 0.5 * (wl + wr)
+    vel = mean[..., 1:4] / mean[..., 0:1]
+    p_mean = flow._pressure_unchecked(mean, GAMMA)
+    sound = np.sqrt(GAMMA * p_mean / mean[..., 0])
+    area = np.linalg.norm(s_line, axis=-1)
+    contravariant = np.einsum("...i,...i->...", vel, s_line) - g_line
+    radii = np.abs(contravariant) + sound * area
+
+    diss = jst_dissipation(w_line, p_line, radii, flow.KAPPA2, flow.KAPPA4)
+    conv_cells = flux[..., 1:, :] - flux[..., :-1, :]
+    diss_cells = diss[..., 1:, :] - diss[..., :-1, :]
+    return (
+        np.moveaxis(conv_cells, -2, axis),
+        np.moveaxis(diss_cells, -2, axis),
+        radii,
+    )
+
+
+def _reference_residual_parts(problem, wbar):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        wp, pp = _reference_padded(problem, wbar)
+        conv = np.einsum("nK,K...->n...", problem.spectral.d_matrix, wbar)
+        diss = np.zeros_like(conv)
+        for axis_name in ("x", "y", "z"):
+            c, d, _ = _reference_direction_terms(problem, wp, pp, axis_name)
+            conv += c
+            diss += d
+    return conv, diss
+
+
+def _reference_local_timestep(problem, wbar, cfl):
+    wp, pp = _reference_padded(problem, wbar)
+    total = np.zeros_like(problem.volumes)
+    for axis_name, axis in (("x", 3), ("y", 2), ("z", 1)):
+        _, _, radii = _reference_direction_terms(problem, wp, pp, axis_name)
+        per_cell = 0.5 * (radii[..., :-1] + radii[..., 1:])
+        total += np.moveaxis(per_cell, -1, axis)
+    spectral = problem.spectral
+    temporal = (2.0 * np.pi * spectral.n_harmonics / spectral.period) * problem.volumes
+    return cfl * problem.volumes / (total + temporal)
+
+
+def _reference_march(problem, iterations, cfl=1.5):
+    """RK5 stages with every residual evaluated in full, as before."""
+    wbar = problem.initial_state()
+    dt = _reference_local_timestep(problem, wbar, cfl)[..., None]
+    for _ in range(iterations):
+        w_stage = wbar
+        diss_blend = None
+        for stage, alpha in enumerate(flow.RK_STAGE_FRACTIONS):
+            conv, diss = _reference_residual_parts(problem, w_stage)
+            beta = flow.RK_DISSIPATION_BLEND.get(stage)
+            if beta is not None:
+                diss_blend = (
+                    diss if diss_blend is None else beta * diss + (1.0 - beta) * diss_blend
+                )
+            w_stage = wbar - alpha * dt * (conv - diss_blend)
+        wbar = w_stage
+    return problem.physical_states(wbar)
+
+
+@pytest.fixture(scope="module", params=["avg", "zero"])
+def restructure_problem(request, case2_small):
+    mesh, traj, op = case2_small
+    ifmv = gcl.ifmv_avg(mesh, traj) if request.param == "avg" else None
+    return FreestreamProblem(mesh, traj, op, ifmv)
+
+
+def _perturbed_state(problem, seed):
+    rng = np.random.default_rng(seed)
+    wbar = problem.initial_state()
+    return wbar * (1.0 + 1e-3 * rng.standard_normal(wbar.shape))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_residual_parts_bitwise_equal_reference(restructure_problem, seed):
+    problem = restructure_problem
+    wbar = _perturbed_state(problem, seed)
+    conv, diss = problem.residual_parts(wbar)
+    ref_conv, ref_diss = _reference_residual_parts(problem, wbar)
+    assert np.array_equal(conv, ref_conv)
+    assert np.array_equal(diss, ref_diss)
+    conv_only, skipped = problem.residual_parts(wbar, dissipation=False)
+    assert skipped is None
+    assert np.array_equal(conv_only, ref_conv)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_local_timestep_bitwise_equal_reference(restructure_problem, seed):
+    problem = restructure_problem
+    wbar = _perturbed_state(problem, seed)
+    assert np.array_equal(
+        problem.local_timestep(wbar, 1.5), _reference_local_timestep(problem, wbar, 1.5)
+    )
+
+
+def test_march_bitwise_equal_reference(restructure_problem):
+    result = restructure_problem.march(max_iterations=40)
+    assert result.iterations == 40 and result.stop_reason == "max_iterations"
+    assert np.array_equal(result.states, _reference_march(restructure_problem, 40))

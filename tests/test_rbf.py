@@ -13,6 +13,16 @@ def test_wendland_values():
     assert wendland_c0(1.0, 2.0) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_wendland_leaves_input_and_matches_truncated_form(rng):
+    distance = rng.uniform(0.0, 3.0, size=(40, 30))
+    before = distance.copy()
+    kernel = wendland_c0(distance, 1.7)
+    assert np.array_equal(distance, before)
+    xi = before / 1.7
+    expected = np.where(xi < 1.0, (1.0 - np.minimum(xi, 1.0)) ** 2, 0.0)
+    assert np.array_equal(kernel, expected) and not np.signbit(kernel).any()
+
+
 def test_wendland_rejects_bad_support():
     with pytest.raises(ValueError):
         wendland_c0(0.5, 0.0)
