@@ -9,10 +9,8 @@ flow exactly uniform.
 __version__ = "0.1.0"
 
 from .hexmesh import (
-    CellGeometry,
     HexMesh,
     build_box_mesh,
-    cell_geometry,
     detect_degenerate,
     face_area_vectors,
     hex_volume,

@@ -332,15 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mesh", help="cells per axis, e.g. 10,10,10")
     run.add_argument("--lengths", help="box edge lengths, e.g. 3.2,2.8,2.4")
     run.add_argument("--amp", help="motion amplitude(s); case-dependent")
-    run.add_argument("--alpha0", type=float, help="rotation amplitude [rad]")
-    run.add_argument("--radius", type=float, help="case-3 circle radius")
-    run.add_argument("--seed", type=int, help="case-4 random seed")
-    run.add_argument("--support-radius", dest="support_radius", type=float,
-                     help="RBF support radius")
+    run.add_argument("--alpha0", help="rotation amplitude [rad]")
+    run.add_argument("--radius", help="case-3 circle radius")
+    run.add_argument("--seed", help="case-4 random seed")
+    run.add_argument("--support-radius", dest="support_radius", help="RBF support radius")
     run.add_argument("--freestream", help="on/off: run the uniform-flow experiment")
-    run.add_argument("--cfl", type=float, help="pseudo-time CFL number")
-    run.add_argument("--max-iters", dest="max_iters", type=int,
-                     help="pseudo-time iteration cap")
+    run.add_argument("--cfl", help="pseudo-time CFL number")
+    run.add_argument("--max-iters", dest="max_iters", help="pseudo-time iteration cap")
     run.add_argument("--out", help="output CSV path (default: stdout)")
     run.add_argument("--config", help="JSON config file (flags override it)")
     run.add_argument("--timing", action="store_true", default=None,

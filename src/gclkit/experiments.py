@@ -17,7 +17,8 @@ import numpy as np
 
 from . import flow, gcl, metrics
 from .hexmesh import HexMesh, build_box_mesh
-from .motion import MotionCase, MotionTrajectory, sample_motion
+from .motion import MotionCase, MotionTrajectory, build_rbf_system, sample_motion
+from .rbf import RbfSystem
 from .spectral import SpectralOperator
 
 __all__ = [
@@ -104,8 +105,13 @@ class CasePoint:
         return gcl.ifmv_ts(series, self.spectral)
 
 
-def prepare_point(mesh: HexMesh, case: MotionCase, n_harmonics: int) -> CasePoint:
-    trajectory = sample_motion(mesh, case, n_harmonics)
+def prepare_point(
+    mesh: HexMesh,
+    case: MotionCase,
+    n_harmonics: int,
+    rbf_system: RbfSystem | None = None,
+) -> CasePoint:
+    trajectory = sample_motion(mesh, case, n_harmonics, rbf_system=rbf_system)
     spectral = SpectralOperator(n_harmonics, case.period)
     volumes = gcl.cell_volumes(mesh, trajectory)
     exact_rates = gcl.exact_volume_rates(mesh, trajectory)
@@ -189,11 +195,16 @@ def run_sweep(
     freestream: FreestreamOptions | None = None,
     timing: bool = False,
 ) -> list[metrics.ErrorReport]:
-    """Evaluate all methods over a harmonic sweep; rows ordered by (N, method)."""
+    """Evaluate all methods over a harmonic sweep; rows ordered by (N, method).
+
+    The case's RBF operator is built once, before the pool; its threads only
+    read it.
+    """
     mesh = mesh_config.build()
+    rbf_system = build_rbf_system(mesh, case)
 
     def job(n):
-        point = prepare_point(mesh, case, n)
+        point = prepare_point(mesh, case, n, rbf_system)
         return evaluate_point(point, methods, freestream, timing)
 
     workers = worker_count(len(harmonic_range))

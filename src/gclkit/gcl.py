@@ -199,21 +199,27 @@ def lvi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeri
     The t_0 entry is zero by definition (empty sweep), not the rounding noise
     of a collapsed hexahedron.
     """
-    quads = mesh.interface_quads(trajectory.positions)
-    totals = np.zeros((quads.shape[1], quads.shape[0]))
-    totals[:, 1:] = sweep_volume(quads[0], quads[1:]).T
-    return IncrementSeries(
-        "lvi", trajectory.period, trajectory.times, mesh.scatter_to_cells(totals)
-    )
+    return _increments("lvi", mesh, trajectory, lambda q: sweep_volume(q[0], q[1:]))
 
 
 def aevi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeries:
     """Increments accumulated as a sum of per-step sweep hexahedra."""
-    quads = mesh.interface_quads(trajectory.positions)
-    totals = np.zeros((quads.shape[1], quads.shape[0]))
-    np.cumsum(sweep_volume(quads[:-1], quads[1:]).T, axis=-1, out=totals[:, 1:])
+    return _increments(
+        "aevi",
+        mesh,
+        trajectory,
+        lambda q: np.cumsum(sweep_volume(q[:-1], q[1:]), axis=0),
+    )
+
+
+def _increments(method, mesh, trajectory, sweeps) -> IncrementSeries:
+    """Interface increments t_1..t_2N+1 from ``sweeps`` of the gathered quads."""
+    totals = np.zeros((len(mesh.interface_vertex_ids), len(trajectory.times)))
+    mesh.blockwise(
+        sweeps, mesh.interface_vertex_ids, trajectory.positions, out=totals[:, 1:]
+    )
     return IncrementSeries(
-        "aevi", trajectory.period, trajectory.times, mesh.scatter_to_cells(totals)
+        method, trajectory.period, trajectory.times, mesh.scatter_to_cells(totals)
     )
 
 
@@ -253,31 +259,42 @@ def ifmv_ts(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
     return IfmvField(f"ts-{series.method}", total)
 
 
+def _avg_flux(quads: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+    return (velocities.mean(axis=-2) * quad_area_vectors(quads)).sum(axis=-1)
+
+
 def ifmv_avg(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     """Mean-vertex-velocity approximation: G_m = mean(v) . S_m per instant."""
-    quads = mesh.interface_quads(trajectory.positions[:-1])
-    vbar = mesh.interface_quads(trajectory.velocities[:-1]).mean(axis=-2)
-    flux = (vbar * quad_area_vectors(quads)).sum(axis=-1)
-    return IfmvField("avg", mesh.scatter_to_cells(flux.T))
+    flux = mesh.blockwise(
+        _avg_flux,
+        mesh.interface_vertex_ids,
+        trajectory.positions[:-1],
+        trajectory.velocities[:-1],
+    )
+    return IfmvField("avg", mesh.scatter_to_cells(flux))
 
 
 def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     """Exact trilinear-mapping IFMV for all cells and instants."""
-    flux = quad_flux(
-        mesh.interface_quads(trajectory.positions[:-1]),
-        mesh.interface_quads(trajectory.velocities[:-1]),
+    flux = mesh.blockwise(
+        quad_flux,
+        mesh.interface_vertex_ids,
+        trajectory.positions[:-1],
+        trajectory.velocities[:-1],
     )
-    return IfmvField("trimap", mesh.scatter_to_cells(flux.T))
+    return IfmvField("trimap", mesh.scatter_to_cells(flux))
 
 
 def cell_volumes(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:
     """Cell volumes per instant, shape (n_cells, 2N+1)."""
-    corners = mesh.cell_corners(trajectory.positions)[:-1]
-    return np.moveaxis(hex_volume(corners), 0, -1)
+    return mesh.blockwise(hex_volume, mesh.cell_vertex_ids, trajectory.positions[:-1])
 
 
 def exact_volume_rates(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:
     """Exact d(volume)/dt per cell and instant, shape (n_cells, 2N+1)."""
-    corners = mesh.cell_corners(trajectory.positions)[:-1]
-    vel = mesh.cell_corners(trajectory.velocities)[:-1]
-    return np.moveaxis(dvoldt_trimap(corners, vel), 0, -1)
+    return mesh.blockwise(
+        dvoldt_trimap,
+        mesh.cell_vertex_ids,
+        trajectory.positions[:-1],
+        trajectory.velocities[:-1],
+    )

@@ -18,10 +18,9 @@ __all__ = [
     "REF_CORNERS",
     "FACE_LOOPS",
     "FACE_FAMILY",
+    "BLOCK_ELEMENT_INSTANTS",
     "HexMesh",
-    "CellGeometry",
     "build_box_mesh",
-    "cell_geometry",
     "hex_volume",
     "quad_area_vectors",
     "face_area_vectors",
@@ -59,6 +58,11 @@ FACE_LOOPS = np.array(
 # Face slots grouped by the Cartesian axis of their reference normal, as
 # (low, high): the slot facing -axis, then the one facing +axis.
 FACE_FAMILY = {"x": (4, 5), "y": (3, 2), "z": (0, 1)}
+
+# Element-instants per block of :meth:`HexMesh.blockwise`: a block's gathered
+# corners and the kernels' temporaries stay cache-sized, so a thread's working
+# set does not grow with the mesh or the number of instants.
+BLOCK_ELEMENT_INSTANTS = 8192
 
 # Per corner and reference axis (xi, eta, zeta), the low and high corner of
 # the cell edge through it: the trilinear map's derivative along that axis,
@@ -141,33 +145,19 @@ def corner_jacobians(corners: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class CellGeometry:
-    """Volume, outward face area vectors and corner Jacobian signs of a cell."""
-
-    volume: float
-    face_area_vectors: np.ndarray  # (6, 3)
-    jacobian_signs: np.ndarray  # (8,)
+def _degenerate(corners: np.ndarray) -> np.ndarray:
+    return (hex_volume(corners) <= 0.0) | (corner_jacobians(corners).min(axis=-1) <= 0.0)
 
 
-def cell_geometry(corners: np.ndarray) -> CellGeometry:
-    """Evaluate the geometry record of a single cell."""
-    corners = np.asarray(corners, dtype=float)
-    return CellGeometry(
-        volume=float(hex_volume(corners)),
-        face_area_vectors=face_area_vectors(corners),
-        jacobian_signs=np.sign(corner_jacobians(corners)),
-    )
-
-
-def detect_degenerate(corners: np.ndarray) -> np.ndarray:
+def detect_degenerate(mesh: HexMesh, positions: np.ndarray) -> np.ndarray:
     """Indices of cells with nonpositive volume or a nonpositive corner Jacobian.
 
     Parameters
     ----------
-    corners : ndarray, shape (..., n_cells, 8, 3)
-        Deformed corner positions of every cell at one instant, or at a stack
-        of instants.
+    mesh : HexMesh
+        The mesh whose cells are checked.
+    positions : ndarray, shape (..., n_vertices, 3)
+        Deformed vertex positions at one instant, or at a stack of instants.
 
     Returns
     -------
@@ -177,9 +167,10 @@ def detect_degenerate(corners: np.ndarray) -> np.ndarray:
         ``n * n_cells + cell`` for instant n of a stack.  Empty when every
         configuration is admissible.
     """
-    corners = np.asarray(corners, dtype=float)
-    bad = (hex_volume(corners) <= 0.0) | (corner_jacobians(corners).min(axis=-1) <= 0.0)
-    return np.flatnonzero(bad)
+    positions = np.asarray(positions, dtype=float)
+    stack = positions.reshape((-1,) + positions.shape[-2:])
+    bad = mesh.blockwise(_degenerate, mesh.cell_vertex_ids, stack, dtype=bool)
+    return np.flatnonzero(bad.T)
 
 
 @dataclass(frozen=True)
@@ -232,9 +223,28 @@ class HexMesh:
             positions = self.vertices
         return np.asarray(positions)[..., self.cell_vertex_ids, :]
 
-    def interface_quads(self, positions: np.ndarray) -> np.ndarray:
-        """Interface corner loops, shape (..., n_interfaces, 4, 3)."""
-        return np.asarray(positions)[..., self.interface_vertex_ids, :]
+    def blockwise(self, kernel, vertex_ids, *fields, out=None, dtype=float):
+        """Evaluate a per-element geometry kernel over blocks of elements.
+
+        ``vertex_ids`` (n_elements, k) lists the vertices of each element,
+        e.g. ``cell_vertex_ids`` or ``interface_vertex_ids``; each field is a
+        vertex array (n_instants, n_vertices, 3) such as positions or
+        velocities.  For a block of elements, ``kernel`` receives every field
+        gathered as (n_instants, block, k, 3) and returns (n_out, block),
+        written to those elements' rows of ``out`` (n_elements, n_out).
+        ``out`` defaults to an instant-major array with n_out = n_instants.
+        A block holds about ``BLOCK_ELEMENT_INSTANTS`` element-instants; an
+        elementwise kernel gives bitwise the values of one call over all
+        elements.
+        """
+        n_instants = fields[0].shape[0]
+        if out is None:
+            out = np.empty((n_instants, len(vertex_ids)), dtype=dtype).T
+        step = max(1, BLOCK_ELEMENT_INSTANTS // n_instants)
+        for start in range(0, len(vertex_ids), step):
+            ids = vertex_ids[start : start + step]
+            out[start : start + step] = kernel(*(f[:, ids] for f in fields)).T
+        return out
 
     def scatter_to_cells(self, values: np.ndarray) -> np.ndarray:
         """Per-interface values (n_interfaces, ...) as signed cell-face slots.

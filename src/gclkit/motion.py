@@ -22,6 +22,7 @@ __all__ = [
     "MotionCase",
     "MotionTrajectory",
     "DegenerateMeshError",
+    "build_rbf_system",
     "sample_motion",
     "analytic_increment_case3",
     "analytic_increment_rate_case3",
@@ -238,10 +239,21 @@ def _case5_boundary(points, case, t, lx):
     return np.stack([sx, sy, zeros], axis=-1), np.stack([vx, vy, zeros], axis=-1)
 
 
-def _rbf_case(mesh, case, t):
-    boundary = mesh.boundary_vertex_ids()
-    points = mesh.vertices[boundary]
-    system = rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
+def build_rbf_system(mesh: HexMesh, case: MotionCase) -> rbf.RbfSystem | None:
+    """The operator that spreads case 4 or 5's boundary motion into the mesh.
+
+    It depends on the mesh and the case only, not on N or the instants, so a
+    harmonic sweep builds it once and shares it.  None for the other cases,
+    whose vertex paths are closed forms.
+    """
+    if case.case_id not in ("case4", "case5"):
+        return None
+    points = mesh.vertices[mesh.boundary_vertex_ids()]
+    return rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
+
+
+def _rbf_case(mesh, case, t, system):
+    points = system.points
     if case.case_id == "case4":
         disp_r, vel_r = _case4_boundary(points, case, t)
     else:
@@ -267,20 +279,37 @@ _DIRECT_CASES = {
 }
 
 
-def evaluate_motion(mesh: HexMesh, case: MotionCase, t: np.ndarray):
-    """Vertex positions and velocities at arbitrary instants t (shape (Nt,))."""
+def evaluate_motion(
+    mesh: HexMesh,
+    case: MotionCase,
+    t: np.ndarray,
+    rbf_system: rbf.RbfSystem | None = None,
+):
+    """Vertex positions and velocities at arbitrary instants t (shape (Nt,)).
+
+    Cases 4 and 5 use ``rbf_system`` from :func:`build_rbf_system`, built
+    here when not given.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if case.case_id in _DIRECT_CASES:
         return _DIRECT_CASES[case.case_id](mesh, case, t)
     if case.case_id in ("case4", "case5"):
-        return _rbf_case(mesh, case, t)
+        if rbf_system is None:
+            rbf_system = build_rbf_system(mesh, case)
+        return _rbf_case(mesh, case, t, rbf_system)
     raise ValueError(f"unknown case id {case.case_id!r}")
 
 
 def sample_motion(
-    mesh: HexMesh, case: MotionCase, n_harmonics: int, check_degeneracy: bool = True
+    mesh: HexMesh,
+    case: MotionCase,
+    n_harmonics: int,
+    check_degeneracy: bool = True,
+    rbf_system: rbf.RbfSystem | None = None,
 ) -> MotionTrajectory:
     """Sample a motion case at the 2N+1 spectral instants plus t = T.
+
+    ``rbf_system`` is passed on to :func:`evaluate_motion`.
 
     Raises
     ------
@@ -292,14 +321,14 @@ def sample_motion(
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     nts = 2 * n_harmonics + 1
     times = np.append(np.arange(nts) * case.period / nts, case.period)
-    positions, velocities = evaluate_motion(mesh, case, times[:-1])
+    positions, velocities = evaluate_motion(mesh, case, times[:-1], rbf_system)
     # the closing sample at t = T is the t = 0 configuration again; reusing it
     # makes the periodic closure exact instead of rounding-level
     positions = np.concatenate([positions, positions[:1]])
     velocities = np.concatenate([velocities, velocities[:1]])
     if check_degeneracy:
         # one call over the 2N+1 instants; the closing sample is t_0 again
-        bad = detect_degenerate(mesh.cell_corners(positions[:-1]))
+        bad = detect_degenerate(mesh, positions[:-1])
         if len(bad):
             instants, cells = np.divmod(bad, mesh.n_cells)
             raise DegenerateMeshError(times[instants[0]], cells[instants == instants[0]])

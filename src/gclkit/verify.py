@@ -121,11 +121,11 @@ def _check_partition(rng):
 
 def _check_degeneracy_gate(rng):
     mesh = build_box_mesh(4, 4, 4, 1.0, 1.0, 1.0)
-    clean = len(detect_degenerate(mesh.cell_corners())) == 0
+    clean = len(detect_degenerate(mesh, mesh.vertices)) == 0
     positions = mesh.vertices.copy()
     victim = mesh.interior_vertex_ids()[0]
     positions[victim] += np.array([0.6, 0.6, 0.6])  # push through neighbours
-    flagged = len(detect_degenerate(mesh.cell_corners(positions))) > 0
+    flagged = len(detect_degenerate(mesh, positions)) > 0
     return clean and flagged, ""
 
 

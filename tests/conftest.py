@@ -33,7 +33,7 @@ def _by_direction_increments(mesh, trajectory, kind):
     """
     from gclkit import gcl
 
-    quads = mesh.interface_quads(trajectory.positions)
+    quads = trajectory.positions[:, mesh.interface_vertex_ids]
     if kind == "lvi":
         swept = gcl.sweep_volume_by_direction(quads[0], quads)
     else:

@@ -88,12 +88,19 @@ def test_bad_range_is_config_error():
         ([], {"max_iters": 0}),
         (["--max-iters", "0"], None),
         ([], {"timing": "maybe"}),
+        (["--seed", "42.7", "--case", "4"], None),
+        (["--max-iters", "1.5"], None),
+        (["--cfl", "abc"], None),
+        (["--alpha0", "x", "--case", "2"], None),
+        (["--radius", "nan", "--case", "3"], None),
+        (["--support-radius", "abc", "--case", "5"], None),
     ],
     ids=["amp", "mesh-text", "lengths", "mesh-zero", "support-radius", "cfl",
          "lengths-inf", "seed", "config-cfl", "config-unknown-key", "config-methods",
          "config-seed-float", "config-seed-text", "config-max-iters-float",
          "config-max-iters-text", "config-max-iters-zero", "max-iters-zero",
-         "config-timing"],
+         "config-timing", "seed-float", "max-iters-float", "cfl-text", "alpha0-text",
+         "radius-nan", "support-radius-text"],
 )
 def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, config):
     argv = ["run", "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",

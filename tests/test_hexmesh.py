@@ -6,7 +6,6 @@ from gclkit.hexmesh import (
     FACE_LOOPS,
     REF_CORNERS,
     build_box_mesh,
-    cell_geometry,
     corner_jacobians,
     detect_degenerate,
     face_area_vectors,
@@ -115,17 +114,8 @@ def test_corner_jacobians_positive_on_valid_cells(rng):
     assert corner_jacobians(hexes).min() > 0.0
 
 
-def test_cell_geometry_record(rng):
-    corners = random_hexahedra(1, rng, scale=0.2)[0]
-    geom = cell_geometry(corners)
-    assert geom.volume > 0.0
-    assert geom.volume == pytest.approx(hex_volume(corners), rel=1e-14)
-    assert geom.face_area_vectors.shape == (6, 3)
-    assert (geom.jacobian_signs == 1.0).all()
-
-
 def test_detect_degenerate_undeformed(paper_mesh):
-    assert len(detect_degenerate(paper_mesh.cell_corners())) == 0
+    assert len(detect_degenerate(paper_mesh, paper_mesh.vertices)) == 0
 
 
 def test_detect_degenerate_reports_incident_cells():
@@ -133,7 +123,7 @@ def test_detect_degenerate_reports_incident_cells():
     victim = mesh.interior_vertex_ids()[0]
     positions = mesh.vertices.copy()
     positions[victim] += np.array([0.8, 0.0, 0.0])  # push past the next plane
-    flagged = set(detect_degenerate(mesh.cell_corners(positions)).tolist())
+    flagged = set(detect_degenerate(mesh, positions).tolist())
     incident = {
         c for c in range(mesh.n_cells) if victim in mesh.cell_vertex_ids[c]
     }
@@ -145,7 +135,7 @@ def test_case2_alpha_0p1_is_admissible(paper_mesh):
     case = MotionCase.for_case("case2", alpha0=0.1)
     trajectory = sample_motion(paper_mesh, case, 3)  # raises on degeneracy
     for positions in trajectory.positions:
-        assert len(detect_degenerate(paper_mesh.cell_corners(positions))) == 0
+        assert len(detect_degenerate(paper_mesh, positions)) == 0
 
 
 def test_volume_partition_of_deformed_box(rng):

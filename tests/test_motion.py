@@ -150,7 +150,7 @@ def test_analytic_increment_rate_identity():
 def _first_degenerate_instant(mesh, trajectory):
     """Reference gate: one detect_degenerate call per sampled instant."""
     for t, positions in zip(trajectory.times, trajectory.positions):
-        bad = detect_degenerate(mesh.cell_corners(positions))
+        bad = detect_degenerate(mesh, positions)
         if len(bad):
             return t, bad
     return None

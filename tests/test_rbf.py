@@ -1,6 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
+from scipy.sparse import issparse
+from scipy.spatial.distance import cdist
 
+from gclkit import experiments, rbf
 from gclkit.motion import MotionCase, evaluate_motion
 from gclkit.rbf import build_system, interpolate, wendland_c0
 
@@ -55,6 +60,53 @@ def test_paper_setup_factorises(paper_mesh):
     values = np.sin(points[:, 0]) + points[:, 1] ** 2
     recovered = interpolate(system, values)[boundary]
     assert np.abs(recovered - values).max() <= 1e-10 * np.abs(values).max()
+
+
+def test_sparse_eval_matrix_equals_dense_kernel(rng):
+    # dyadic coordinates and radius, so some grid points sit exactly at d == R
+    radius = 0.5
+    pts = rng.integers(0, 8, size=(40, 3)) / 8.0
+    pts = np.unique(pts, axis=0)
+    on_support = pts[:5] + np.array([radius, 0.0, 0.0])
+    grid = np.vstack([pts, on_support, rng.uniform(0.0, 1.0, (60, 3))])
+    system = build_system(pts, grid, radius)
+    distance = cdist(grid, pts)
+    dense = wendland_c0(distance, radius)
+    assert (dense == 1.0).sum() >= len(pts)  # coincident grid and control points
+    assert (distance == radius).any()
+    assert issparse(system.eval_matrix) and system.eval_matrix.format == "csr"
+    assert system.eval_matrix.nnz <= (distance <= radius).sum()
+    assert np.array_equal(system.eval_matrix.toarray(), dense)
+
+
+def test_sweep_builds_one_rbf_system(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_system(*args, **kwargs)
+
+    monkeypatch.setattr(rbf, "build_system", counting)
+    mesh = experiments.MeshConfig(4, 4, 4)
+    rows = experiments.run_sweep(mesh, MotionCase.for_case("case5"), [1, 2, 3], ["avg"])
+    assert len(rows) == 3 and len(calls) == 1
+
+
+def test_shared_system_gives_same_rows_under_many_threads(monkeypatch):
+    # the pool threads share one RbfSystem; more workers than cores and a
+    # short switch interval make any write to it show up in the rows
+    mesh, case = experiments.MeshConfig(4, 4, 4), MotionCase.for_case("case5")
+    methods, n_range = ["avg", "trimap"], list(range(1, 9))
+    monkeypatch.setenv("GCLKIT_THREADS", "1")
+    expected = experiments.run_sweep(mesh, case, n_range, methods)
+    monkeypatch.setenv("GCLKIT_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = experiments.run_sweep(mesh, case, n_range, methods)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == expected
 
 
 def test_zero_values_interpolate_to_zero(rng):
