@@ -11,6 +11,14 @@ scheme marches the coupled system in pseudo-time.
 Boundary handling is deliberately plain: two layers of halo cells frozen at
 the freestream state, so geometric effects are never mixed with boundary
 condition effects.
+
+Arrays are stored component-first.  The spectral state is
+(5, Nts, nz, ny, nx); padded states and face fluxes are (5, Nts, ...) on
+their own grids; velocities and face area vectors are (3, Nts, ...);
+pressures, volumes, radii and face mesh velocities have no component axis.
+Every broadcast then runs over contiguous grid blocks rather than over 3- or
+5-wide component vectors.  Three-term dot products are summed in the fixed
+order ``(a_x b_x + a_y b_y) + a_z b_z``.
 """
 
 from __future__ import annotations
@@ -76,7 +84,7 @@ class FreestreamState:
 
 
 def pressure(states: np.ndarray, gamma: float = 1.4) -> np.ndarray:
-    """Ideal-gas pressure from conservative variables (..., 5).
+    """Ideal-gas pressure from conservative variables (5, ...).
 
     Raises
     ------
@@ -90,9 +98,13 @@ def pressure(states: np.ndarray, gamma: float = 1.4) -> np.ndarray:
 
 
 def _pressure_unchecked(states: np.ndarray, gamma: float) -> np.ndarray:
-    rho = states[..., 0]
-    momentum_sq = np.einsum("...i,...i->...", states[..., 1:4], states[..., 1:4])
-    return (gamma - 1.0) * (states[..., 4] - 0.5 * momentum_sq / rho)
+    momentum = states[1:4]
+    return (gamma - 1.0) * (states[4] - 0.5 * _dot(momentum, momentum) / states[0])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the leading 3-component axis, in a fixed order."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 def ale_face_flux(
@@ -109,8 +121,9 @@ def ale_face_flux(
 
     Average of the fixed-grid fluxes of the two states dotted with the face
     area vector, minus the integrated face mesh velocity times the average
-    state.  ``face_vector`` points from the left to the right state and
-    ``face_ifmv`` replaces the product of grid velocity and face area.
+    state.  The states are (5, ...), ``face_vector`` is (3, ...) and points
+    from the left to the right state, and ``face_ifmv`` (...) replaces the
+    product of grid velocity and face area; the flux is (5, ...).
 
     A caller that already holds them may pass the states' ``primitives``,
     ``((velocity_left, pressure_left), (velocity_right, pressure_right))``,
@@ -122,22 +135,26 @@ def ale_face_flux(
     face_ifmv = np.asarray(face_ifmv, dtype=float)
     if primitives is None:
         primitives = [
-            (states[..., 1:4] / states[..., 0:1], _pressure_unchecked(states, gamma))
+            (states[1:4] / states[0], _pressure_unchecked(states, gamma))
             for states in (left, right)
         ]
     if state_sum is None:
         state_sum = left + right
 
     def fixed_grid(states, vel, p):
-        contravariant = np.einsum("...i,...i->...", vel, face_vector)
-        out = states * contravariant[..., None]
-        out[..., 1:4] += p[..., None] * face_vector
-        out[..., 4] = (states[..., 4] + p) * contravariant
+        contravariant = _dot(vel, face_vector)
+        out = states * contravariant
+        out[1:4] += p * face_vector
+        out[4] = (states[4] + p) * contravariant
         return out
 
     (vel_l, p_l), (vel_r, p_r) = primitives
-    central = 0.5 * (fixed_grid(left, vel_l, p_l) + fixed_grid(right, vel_r, p_r))
-    return central - face_ifmv[..., None] * 0.5 * state_sum
+    # in place, in the order 0.5 * (F_l + F_r) - (g * 0.5) * (w_l + w_r)
+    flux = fixed_grid(left, vel_l, p_l)
+    flux += fixed_grid(right, vel_r, p_r)
+    flux *= 0.5
+    flux -= face_ifmv * 0.5 * state_sum
+    return flux
 
 
 def jst_dissipation(
@@ -146,29 +163,43 @@ def jst_dissipation(
     radii: np.ndarray,
     kappa2: float,
     kappa4: float,
+    axis: int = -1,
 ) -> np.ndarray:
-    """Scalar JST dissipative flux on all interfaces of one grid line.
+    """Scalar JST dissipative flux on all interfaces along one grid axis.
 
-    ``states_padded`` is (..., m+4, 5) along a grid line with two halo cells
-    on each side, ``pressures_padded`` the matching (..., m+4) pressures and
-    ``radii`` the (..., m+1) per-interface spectral radii.  Returns the
-    (..., m+1, 5) blend of second and fourth differences switched by the
-    pressure sensor; it vanishes identically on a uniform field.
+    ``states_padded`` is (5, ...) with m+4 cells along ``axis``, two halo
+    cells on each side, ``pressures_padded`` the matching (...) pressures and
+    ``radii`` the (...) per-interface spectral radii, m+1 along ``axis``.
+    ``axis`` counts from the end, so it names the same grid axis in all
+    three arrays.  Returns the (5, ...) blend of second and fourth
+    differences switched by the pressure sensor, m+1 along ``axis``; it
+    vanishes identically on a uniform field.
     """
+    if axis >= 0:
+        raise ValueError(f"axis must count from the end, got {axis}")
     w = np.asarray(states_padded, dtype=float)
     p = np.asarray(pressures_padded, dtype=float)
-    nu = np.abs(p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / (
-        p[..., 2:] + 2.0 * p[..., 1:-1] + p[..., :-2]
-    )
-    eps2 = kappa2 * np.maximum(nu[..., :-1], nu[..., 1:])
+
+    def cut(lo, hi):
+        return (Ellipsis, slice(lo, hi)) + (slice(None),) * (-1 - axis)
+
+    twice = 2.0 * p[cut(1, -1)]
+    nu = np.abs(p[cut(2, None)] - twice + p[cut(None, -2)])
+    nu /= p[cut(2, None)] + twice + p[cut(None, -2)]
+    eps2 = kappa2 * np.maximum(nu[cut(None, -1)], nu[cut(1, None)])
     eps4 = np.maximum(0.0, kappa4 - eps2)
     # third difference built from first differences so it is exactly zero on
     # uniform fields
-    diff = np.diff(w, axis=-2)
-    delta1 = diff[..., 1:-1, :]
-    delta3 = diff[..., 2:, :] - 2.0 * delta1 + diff[..., :-2, :]
-    radii = np.asarray(radii, dtype=float)[..., None]
-    return radii * (eps2[..., None] * delta1 - eps4[..., None] * delta3)
+    diff = np.diff(w, axis=axis)
+    delta1 = diff[cut(1, -1)]
+    delta3 = diff[cut(2, None)] - 2.0 * delta1
+    delta3 += diff[cut(None, -2)]
+    # in place, in the order radii * (eps2 * delta1 - eps4 * delta3)
+    delta3 *= eps4
+    out = eps2 * delta1
+    out -= delta3
+    out *= np.asarray(radii, dtype=float)
+    return out
 
 
 @dataclass
@@ -198,17 +229,19 @@ class _AxisFaces:
     """Frozen geometry of the interfaces normal to one axis.
 
     Arrays live on the axis's interface grid, e.g. (Nts, nz, ny, nx+1) for
-    x.  ``left`` and ``right`` index the padded cell states on either side
-    of each interface, ``lower`` and ``upper`` the low and high interfaces
-    of each cell.  ``line`` transposes (Nts, nz, ny, nx) so that the axis
-    comes last, ``unline`` transposes back.
+    x.  The index tuples address the three trailing grid axes, so they apply
+    with or without a leading component axis.  ``left`` and ``right`` index
+    the padded cell values on either side of each interface, ``lower`` and
+    ``upper`` the low and high interfaces of each cell, and ``line`` the
+    padded cells JST reads: every cell along ``axis`` (counted from the
+    end), the interior across it.
     """
 
-    vectors: np.ndarray  # +axis area vectors, (..., 3)
+    vectors: np.ndarray  # +axis area vectors, (3, ...)
     ifmv: np.ndarray  # integrated face mesh velocities
     area: np.ndarray  # |vectors|
+    axis: int  # the grid axis, counted from the end
     line: tuple
-    unline: tuple
     left: tuple
     right: tuple
     lower: tuple
@@ -242,31 +275,32 @@ class FreestreamProblem:
             cell_volumes(mesh, trajectory).T.reshape(nts, mesh.nz, mesh.ny, mesh.nx)
         )
         corners = mesh.cell_corners(trajectory.positions[:-1])
-        self.face_vectors = self._per_interface(face_area_vectors(corners))
+        self.face_vectors = self._per_interface(
+            np.moveaxis(face_area_vectors(corners), -1, 0)
+        )
         slot_ifmv = np.zeros((mesh.n_cells, 6, nts)) if ifmv is None else ifmv.total
         self.face_ifmv = self._per_interface(np.moveaxis(slot_ifmv, -1, 0))
         self.w0 = self.freestream.conservative()
         self._axes = [
-            self._axis_faces(name, dim) for name, dim in (("x", 3), ("y", 2), ("z", 1))
+            self._axis_faces(name, axis) for name, axis in (("x", -1), ("y", -2), ("z", -3))
         ]
 
-    def _axis_faces(self, name: str, dim: int) -> _AxisFaces:
-        m = self.volumes.shape[dim]
+    def _axis_faces(self, name: str, axis: int) -> _AxisFaces:
+        m = self.volumes.shape[axis]
 
         def along(lo, hi, passive):
-            index = [slice(None)] + [passive] * 3
-            index[dim] = slice(lo, hi)
+            index = [Ellipsis] + [passive] * 3
+            index[axis] = slice(lo, hi)
             return tuple(index)
 
         interior = slice(2, -2)
         vectors = self.face_vectors[name]
-        line = tuple(d for d in range(4) if d != dim) + (dim,)
         return _AxisFaces(
             vectors=vectors,
             ifmv=self.face_ifmv[name],
-            area=np.linalg.norm(vectors, axis=-1),
-            line=line,
-            unline=tuple(int(d) for d in np.argsort(line)),
+            area=np.sqrt(_dot(vectors, vectors)),
+            axis=axis,
+            line=along(None, None, interior),
             left=along(1, m + 2, interior),
             right=along(2, m + 3, interior),
             lower=along(None, -1, slice(None)),
@@ -274,29 +308,32 @@ class FreestreamProblem:
         )
 
     def _per_interface(self, values: np.ndarray) -> dict[str, np.ndarray]:
-        """Cell-slot values (Nts, n_cells, 6, ...) on each axis's interface grid."""
+        """Cell-slot values (..., n_cells, 6) on each axis's interface grid.
+
+        The result is C-ordered whatever the memory order of ``values``, so
+        the leading axes are the slow ones.
+        """
         out = {}
         for axis in ("x", "y", "z"):
             cells, slots, signs = self.mesh.axis_faces(axis)
-            signs = signs.reshape(signs.shape + (1,) * (values.ndim - 3))
-            out[axis] = values[:, cells, slots] * signs
+            out[axis] = np.multiply(values[..., cells, slots], signs, order="C")
         return out
 
     # -- state handling ----------------------------------------------------
 
     def initial_state(self) -> np.ndarray:
-        """Spectral state Omega * w for the uniform flow, (Nts, nz, ny, nx, 5)."""
-        return self.volumes[..., None] * self.w0
+        """Spectral state Omega * w for the uniform flow, (5, Nts, nz, ny, nx)."""
+        return self.volumes * self.w0.reshape(-1, 1, 1, 1, 1)
 
     def physical_states(self, wbar: np.ndarray) -> np.ndarray:
-        return wbar / self.volumes[..., None]
+        return wbar / self.volumes
 
     def _padded(self, wbar: np.ndarray) -> np.ndarray:
         """Physical states with two freestream halo layers on every side."""
-        nts, nz, ny, nx, _ = wbar.shape
-        wp = np.empty((nts, nz + 4, ny + 4, nx + 4, 5))
-        wp[...] = self.w0
-        wp[:, 2:-2, 2:-2, 2:-2, :] = self.physical_states(wbar)
+        _, nts, nz, ny, nx = wbar.shape
+        wp = np.empty((5, nts, nz + 4, ny + 4, nx + 4))
+        wp[...] = self.w0.reshape(-1, 1, 1, 1, 1)
+        wp[..., 2:-2, 2:-2, 2:-2] = self.physical_states(wbar)
         return wp
 
     # -- residual assembly -------------------------------------------------
@@ -305,10 +342,10 @@ class FreestreamProblem:
         """Spectral radii on one axis's interfaces from the summed face states."""
         gamma = self.freestream.gamma
         mean = 0.5 * state_sum
-        vel = mean[..., 1:4] / mean[..., 0:1]
+        vel = mean[1:4] / mean[0]
         p_mean = _pressure_unchecked(mean, gamma)
-        sound = np.sqrt(gamma * p_mean / mean[..., 0])
-        contravariant = np.einsum("...i,...i->...", vel, axis.vectors) - axis.ifmv
+        sound = np.sqrt(gamma * p_mean / mean[0])
+        contravariant = _dot(vel, axis.vectors) - axis.ifmv
         return np.abs(contravariant) + sound * axis.area
 
     def residual_parts(self, wbar: np.ndarray, dissipation: bool = True):
@@ -321,9 +358,9 @@ class FreestreamProblem:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             wp = self._padded(wbar)
             # per padded cell, shared by every face the cell touches
-            vel = wp[..., 1:4] / wp[..., 0:1]
+            vel = wp[1:4] / wp[0]
             pp = _pressure_unchecked(wp, gamma)
-            conv = np.einsum("nK,K...->n...", self.spectral.d_matrix, wbar)
+            conv = np.einsum("nK,cK...->cn...", self.spectral.d_matrix, wbar)
             diss = np.zeros_like(conv) if dissipation else None
             for axis in self._axes:
                 wl, wr = wp[axis.left], wp[axis.right]
@@ -338,14 +375,10 @@ class FreestreamProblem:
                 )
                 conv += flux[axis.upper] - flux[axis.lower]
                 if dissipation:
-                    # JST runs along the last grid axis; the two passive axes
-                    # are cut to the interior
                     faces = jst_dissipation(
-                        wp.transpose(*axis.line, 4)[:, 2:-2, 2:-2],
-                        pp.transpose(axis.line)[:, 2:-2, 2:-2],
-                        self._radii(axis, state_sum).transpose(axis.line),
-                        KAPPA2, KAPPA4,
-                    ).transpose(*axis.unline, 4)
+                        wp[axis.line], pp[axis.line],
+                        self._radii(axis, state_sum), KAPPA2, KAPPA4, axis.axis,
+                    )
                     diss += faces[axis.upper] - faces[axis.lower]
         return conv, diss
 
@@ -398,7 +431,7 @@ class FreestreamProblem:
         evaluated only at the stages that blend it.
         """
         wbar = self.initial_state()
-        dt = self.local_timestep(wbar, cfl)[..., None]
+        dt = self.local_timestep(wbar, cfl)
         floor = 1e-14 * self.flux_scale()
 
         initial = final = 0.0
@@ -418,9 +451,10 @@ class FreestreamProblem:
                         if diss_blend is None
                         else beta * diss + (1.0 - beta) * diss_blend
                     )
+                residual = conv - diss_blend
                 if stage == 0:
-                    stage_residual = conv - diss_blend
-                w_stage = wbar - alpha * dt * (conv - diss_blend)
+                    stage_residual = residual
+                w_stage = wbar - alpha * dt * residual
             if not np.all(np.isfinite(w_stage)):
                 diverged = True
                 break
@@ -459,14 +493,15 @@ class FreestreamProblem:
 def nlfd_unsteady_residual(problem: FreestreamProblem, wbar: np.ndarray) -> np.ndarray:
     """Per-harmonic unsteady residual: (i 2 pi k / T) w_k + R_k.
 
-    ``wbar`` holds the spectral state Omega*w at the sample instants (first
-    axis); the result carries the complex coefficients for k = -N..N on the
-    first axis.  At a converged periodic solution every coefficient vanishes.
-    The time-spectral matrix in ``problem.residual`` is the exact derivative
-    on the samples, so its DFT carries (i 2 pi k / T) w_k.
+    ``wbar`` holds the spectral state Omega*w, (5, Nts, nz, ny, nx), with the
+    sample instants on the second axis; the result carries the complex
+    coefficients for k = -N..N on that axis.  At a converged periodic
+    solution every coefficient vanishes.  The time-spectral matrix in
+    ``problem.residual`` is the exact derivative on the samples, so its DFT
+    carries (i 2 pi k / T) w_k.
     """
-    residual = np.moveaxis(problem.residual(wbar), 0, -1)
-    return np.moveaxis(problem.spectral.dft(residual), -1, 0)
+    residual = np.moveaxis(problem.residual(wbar), 1, -1)
+    return np.moveaxis(problem.spectral.dft(residual), -1, 1)
 
 
 def run_freestream(

@@ -35,25 +35,27 @@ ORDER_FLOOR = 1e-13
 def rel_err_freestream(states: np.ndarray, reference: np.ndarray) -> float:
     """Max componentwise relative departure from the uniform reference state.
 
-    ``states`` holds conservative variables on any shape (..., 5) or
-    (5, ...); the reference is the uniform 5-vector.  Components whose
-    reference value is zero (e.g. cross-stream momentum) are normalised by
-    the largest reference component instead, since a componentwise division
-    is undefined there.
+    ``states`` holds conservative variables component-first, (5, ...); the
+    reference is the uniform 5-vector.  Components whose reference value is
+    zero (e.g. cross-stream momentum) are normalised by the largest
+    reference component instead, since a componentwise division is
+    undefined there.
+
+    Raises
+    ------
+    ValueError
+        If the first axis of ``states`` is not the reference's components.
     """
     states = np.asarray(states, dtype=float)
     reference = np.asarray(reference, dtype=float).reshape(-1)
-    if states.shape[-1] == reference.size:
-        diff = np.abs(states - reference)
-        axes = -1
-    elif states.shape[0] == reference.size:
-        diff = np.abs(states - reference.reshape((-1,) + (1,) * (states.ndim - 1)))
-        axes = 0
-    else:
-        raise ValueError("states do not match the reference component count")
+    if states.ndim == 0 or states.shape[0] != reference.size:
+        raise ValueError(
+            f"states must be ({reference.size}, ...) component-first, got {states.shape}"
+        )
+    column = (-1,) + (1,) * (states.ndim - 1)
+    diff = np.abs(states - reference.reshape(column))
     scale = np.where(reference != 0.0, np.abs(reference), np.abs(reference).max())
-    scale = scale.reshape(-1) if axes == -1 else scale.reshape((-1,) + (1,) * (states.ndim - 1))
-    return float(np.max(diff / scale))
+    return float(np.max(diff / scale.reshape(column)))
 
 
 def abs_err_sum_vs_dvoldt(field: IfmvField, dvoldt: np.ndarray) -> float:

@@ -226,8 +226,8 @@ def _check_freestream_defect_identity(rng):
     volumes = gcl.cell_volumes(mesh, traj)
     defect = -op.differentiate(volumes)  # sum of zeroed IFMV minus d(vol)/dt
     nz = ny = nx = 5
-    predicted = (
-        -np.moveaxis(defect.reshape(nz, ny, nx, op.nts), -1, 0)[..., None] * problem.w0
+    predicted = -np.moveaxis(defect.reshape(nz, ny, nx, op.nts), -1, 0) * (
+        problem.w0.reshape(-1, 1, 1, 1, 1)
     )
     err = float(np.abs(residual - predicted).max() / np.abs(residual).max())
     return err <= 1e-12, f"identity defect {err:.2e}"

@@ -80,7 +80,7 @@ def test_closed_cell_flux_cancellation(rng):
 
 def test_jst_vanishes_on_uniform_field():
     w0 = FreestreamState().conservative()
-    line = np.tile(w0, (9, 1))
+    line = np.tile(w0[:, None], (1, 9))
     p = np.full(9, FreestreamState().pressure)
     radii = np.ones(6)
     d = jst_dissipation(line, p, radii, 1.0, 1.0 / 32.0)
@@ -89,16 +89,16 @@ def test_jst_vanishes_on_uniform_field():
 
 def test_jst_damps_density_spike():
     w0 = FreestreamState().conservative()
-    line = np.tile(w0, (9, 1))
+    line = np.tile(w0[:, None], (1, 9))
     spike = 4  # interior cell (2 halo + index 2)
-    line[spike, 0] *= 1.01
-    p = np.array([pressure(w) for w in line])
+    line[0, spike] *= 1.01
+    p = pressure(line)
     radii = np.ones(8 - 2)
     d = jst_dissipation(line, p, radii, 1.0, 1.0 / 32.0)
     # residual contribution at the spike cell: d(right) - d(left); applying
     # the update w <- w - dt*(conv - diss) must pull the spike down
     cell = spike - 2  # interior index; its interfaces are cell and cell + 1
-    diss_residual = d[cell + 1, 0] - d[cell, 0]
+    diss_residual = d[0, cell + 1] - d[0, cell]
     assert diss_residual < 0.0
 
 
@@ -106,24 +106,24 @@ def test_jst_fourth_difference_scaling(rng):
     # smooth data, quiet sensor: dissipation reduces to -radius*kappa4*delta3
     w0 = FreestreamState().conservative()
     n = 16
-    line = np.tile(w0, (n + 4, 1))
+    line = np.tile(w0[:, None], (1, n + 4))
     x = np.arange(n + 4, dtype=float)
     bump = 1e-4 * np.sin(2 * np.pi * x / (n + 4))
-    line[:, 0] += bump
-    p = np.array([pressure(w) for w in line])
+    line[0] += bump
+    p = pressure(line)
     radii = np.ones(n + 1)
     kappa4 = 1.0 / 32.0
     d = jst_dissipation(line, p, radii, 1.0, kappa4)
     # independent stencil evaluation
     for f in (3, 7):
         i = f + 1  # padded index of the left cell
-        delta3 = line[i + 2, 0] - 3 * line[i + 1, 0] + 3 * line[i, 0] - line[i - 1, 0]
-        delta1 = line[i + 1, 0] - line[i, 0]
+        delta3 = line[0, i + 2] - 3 * line[0, i + 1] + 3 * line[0, i] - line[0, i - 1]
+        delta1 = line[0, i + 1] - line[0, i]
         nu = np.abs(p[2:] - 2 * p[1:-1] + p[:-2]) / (p[2:] + 2 * p[1:-1] + p[:-2])
         eps2 = 1.0 * max(nu[f], nu[f + 1])
         eps4 = max(0.0, kappa4 - eps2)
         expected = eps2 * delta1 - eps4 * delta3
-        assert d[f, 0] == pytest.approx(expected, rel=1e-12)
+        assert d[0, f] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,7 @@ def case2_small():
 
 
 def _structured_face_reference(mesh, traj, ifmv):
-    """+axis interface area vectors and IFMV from the structured vertex grid.
+    """+axis interface area vectors (3, ...) and IFMV from the structured grid.
 
     Every face loop is built from the (k, j, i) vertex grid and the cell
     slots are decoded by number, independently of the mesh's interfaces.
@@ -153,6 +153,7 @@ def _structured_face_reference(mesh, traj, ifmv):
         "y": area(v[:, :-1, :, :-1], v[:, 1:, :, :-1], v[:, 1:, :, 1:], v[:, :-1, :, 1:]),
         "z": area(v[:, :, :-1, :-1], v[:, :, :-1, 1:], v[:, :, 1:, 1:], v[:, :, 1:, :-1]),
     }
+    vectors = {axis: np.moveaxis(s, -1, 0) for axis, s in vectors.items()}
     g = {
         "x": np.zeros((nts, nz, ny, nx + 1)),
         "y": np.zeros((nts, nz, ny + 1, nx)),
@@ -255,75 +256,109 @@ def test_uniform_state_is_stationary_under_rk5(case2_small):
     problem = FreestreamProblem(mesh, traj, op, aevi_field(mesh, traj, op))
     before = problem.initial_state()
     result = problem.march(max_iterations=1)
-    after = result.states * problem.volumes[..., None]
+    after = result.states * problem.volumes
     assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
 
 
 # -- reference residual: the per-axis assembly before dissipation was skipped
-# at unblended stages and cell primitives were shared between faces --------
+# at unblended stages and cell primitives were shared between faces, in the
+# component-first layout with every 3-term dot product summed in the order
+# (x + y) + z --------------------------------------------------------------
+
+# grid axes counted from the end, valid with or without a component axis
+GRID_AXIS = {"x": -1, "y": -2, "z": -3}
+
+
+def _reference_dot(a, b):
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
+def _reference_pressure(states, gamma):
+    rho = states[0]
+    momentum_sq = _reference_dot(states[1:4], states[1:4])
+    return (gamma - 1.0) * (states[4] - 0.5 * momentum_sq / rho)
 
 
 def _reference_face_flux(left, right, face_vector, face_ifmv, gamma):
     def fixed_grid(states):
-        rho = states[..., 0]
-        vel = states[..., 1:4] / rho[..., None]
-        p = flow._pressure_unchecked(states, gamma)
-        contravariant = np.einsum("...i,...i->...", vel, face_vector)
+        rho = states[0]
+        vel = states[1:4] / rho
+        p = _reference_pressure(states, gamma)
+        contravariant = _reference_dot(vel, face_vector)
         out = np.empty_like(states)
-        out[..., 0] = rho * contravariant
-        out[..., 1:4] = states[..., 1:4] * contravariant[..., None] + (
-            p[..., None] * face_vector
-        )
-        out[..., 4] = (states[..., 4] + p) * contravariant
+        out[0] = rho * contravariant
+        out[1:4] = states[1:4] * contravariant + p * face_vector
+        out[4] = (states[4] + p) * contravariant
         return out
 
     central = 0.5 * (fixed_grid(left) + fixed_grid(right))
-    return central - face_ifmv[..., None] * 0.5 * (left + right)
+    return central - face_ifmv * 0.5 * (left + right)
+
+
+def _reference_jst(states, pressures, radii, kappa2, kappa4):
+    """JST dissipation along the last axis, out of place."""
+    p = pressures
+    nu = np.abs(p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / (
+        p[..., 2:] + 2.0 * p[..., 1:-1] + p[..., :-2]
+    )
+    eps2 = kappa2 * np.maximum(nu[..., :-1], nu[..., 1:])
+    eps4 = np.maximum(0.0, kappa4 - eps2)
+    diff = np.diff(states, axis=-1)
+    delta1 = diff[..., 1:-1]
+    delta3 = diff[..., 2:] - 2.0 * delta1 + diff[..., :-2]
+    return radii * (eps2 * delta1 - eps4 * delta3)
 
 
 def _reference_padded(problem, wbar):
     states = problem.physical_states(wbar)
-    nts, nz, ny, nx, _ = states.shape
-    wp = np.empty((nts, nz + 4, ny + 4, nx + 4, 5))
-    wp[...] = problem.w0
-    wp[:, 2:-2, 2:-2, 2:-2, :] = states
-    return wp, flow._pressure_unchecked(wp, GAMMA)
+    _, nts, nz, ny, nx = states.shape
+    wp = np.empty((5, nts, nz + 4, ny + 4, nx + 4))
+    wp[...] = problem.w0[:, None, None, None, None]
+    wp[:, :, 2:-2, 2:-2, 2:-2] = states
+    return wp, _reference_pressure(wp, GAMMA)
 
 
 def _reference_direction_terms(problem, wp, pp, axis_name):
-    axis = {"x": 3, "y": 2, "z": 1}[axis_name]
+    """Fluxes, JST and radii of one direction with that grid axis moved last."""
+    axis = GRID_AXIS[axis_name]
     m = {"x": problem.mesh.nx, "y": problem.mesh.ny, "z": problem.mesh.nz}[axis_name]
-    w_line = np.moveaxis(wp, axis, -2)[:, 2:-2, 2:-2]
-    p_line = np.moveaxis(pp, axis, -1)[:, 2:-2, 2:-2]
-    s_line = np.moveaxis(problem.face_vectors[axis_name], axis, -2)
+    w_line = np.moveaxis(wp, axis, -1)[..., 2:-2, 2:-2, :]
+    p_line = np.moveaxis(pp, axis, -1)[..., 2:-2, 2:-2, :]
+    s_line = np.moveaxis(problem.face_vectors[axis_name], axis, -1)
     g_line = np.moveaxis(problem.face_ifmv[axis_name], axis, -1)
 
-    wl = w_line[..., 1 : m + 2, :]
-    wr = w_line[..., 2 : m + 3, :]
+    wl = w_line[..., 1 : m + 2]
+    wr = w_line[..., 2 : m + 3]
     flux = _reference_face_flux(wl, wr, s_line, g_line, GAMMA)
 
     mean = 0.5 * (wl + wr)
-    vel = mean[..., 1:4] / mean[..., 0:1]
-    p_mean = flow._pressure_unchecked(mean, GAMMA)
-    sound = np.sqrt(GAMMA * p_mean / mean[..., 0])
-    area = np.linalg.norm(s_line, axis=-1)
-    contravariant = np.einsum("...i,...i->...", vel, s_line) - g_line
+    vel = mean[1:4] / mean[0]
+    p_mean = _reference_pressure(mean, GAMMA)
+    sound = np.sqrt(GAMMA * p_mean / mean[0])
+    area = np.linalg.norm(s_line, axis=0)
+    contravariant = _reference_dot(vel, s_line) - g_line
     radii = np.abs(contravariant) + sound * area
 
-    diss = jst_dissipation(w_line, p_line, radii, flow.KAPPA2, flow.KAPPA4)
-    conv_cells = flux[..., 1:, :] - flux[..., :-1, :]
-    diss_cells = diss[..., 1:, :] - diss[..., :-1, :]
+    diss = _reference_jst(w_line, p_line, radii, flow.KAPPA2, flow.KAPPA4)
+    conv_cells = flux[..., 1:] - flux[..., :-1]
+    diss_cells = diss[..., 1:] - diss[..., :-1]
     return (
-        np.moveaxis(conv_cells, -2, axis),
-        np.moveaxis(diss_cells, -2, axis),
+        np.moveaxis(conv_cells, -1, axis),
+        np.moveaxis(diss_cells, -1, axis),
         radii,
     )
+
+
+def _reference_time_derivative(problem, wbar):
+    """D w on the component-last layout the time-spectral term used before."""
+    states = np.moveaxis(wbar, 0, -1)
+    return np.moveaxis(np.einsum("nK,K...->n...", problem.spectral.d_matrix, states), -1, 0)
 
 
 def _reference_residual_parts(problem, wbar):
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         wp, pp = _reference_padded(problem, wbar)
-        conv = np.einsum("nK,K...->n...", problem.spectral.d_matrix, wbar)
+        conv = _reference_time_derivative(problem, wbar)
         diss = np.zeros_like(conv)
         for axis_name in ("x", "y", "z"):
             c, d, _ = _reference_direction_terms(problem, wp, pp, axis_name)
@@ -335,7 +370,7 @@ def _reference_residual_parts(problem, wbar):
 def _reference_local_timestep(problem, wbar, cfl):
     wp, pp = _reference_padded(problem, wbar)
     total = np.zeros_like(problem.volumes)
-    for axis_name, axis in (("x", 3), ("y", 2), ("z", 1)):
+    for axis_name, axis in GRID_AXIS.items():
         _, _, radii = _reference_direction_terms(problem, wp, pp, axis_name)
         per_cell = 0.5 * (radii[..., :-1] + radii[..., 1:])
         total += np.moveaxis(per_cell, -1, axis)
@@ -347,7 +382,7 @@ def _reference_local_timestep(problem, wbar, cfl):
 def _reference_march(problem, iterations, cfl=1.5):
     """RK5 stages with every residual evaluated in full, as before."""
     wbar = problem.initial_state()
-    dt = _reference_local_timestep(problem, wbar, cfl)[..., None]
+    dt = _reference_local_timestep(problem, wbar, cfl)
     for _ in range(iterations):
         w_stage = wbar
         diss_blend = None
@@ -363,11 +398,30 @@ def _reference_march(problem, iterations, cfl=1.5):
     return problem.physical_states(wbar)
 
 
-@pytest.fixture(scope="module", params=["avg", "zero"])
-def restructure_problem(request, case2_small):
-    mesh, traj, op = case2_small
-    ifmv = gcl.ifmv_avg(mesh, traj) if request.param == "avg" else None
+@pytest.fixture(scope="module")
+def case2_box():
+    # every grid extent differs, so a mix-up of the x, y and z axes shows
+    from gclkit.hexmesh import build_box_mesh
+
+    mesh = build_box_mesh(4, 5, 6, 3.2, 2.8, 2.4)
+    traj = sample_motion(mesh, MotionCase.for_case("case2"), 3)
+    return mesh, traj, SpectralOperator(3)
+
+
+@pytest.fixture(scope="module", params=["avg", "zero", "box-avg", "box-zero"])
+def restructure_problem(request, case2_small, case2_box):
+    mesh, traj, op = case2_box if request.param.startswith("box") else case2_small
+    ifmv = gcl.ifmv_avg(mesh, traj) if request.param.endswith("avg") else None
     return FreestreamProblem(mesh, traj, op, ifmv)
+
+
+@pytest.fixture(scope="module")
+def case4_paper(paper_mesh):
+    """The 10^3 case-4, N = 2, AVG problem the freestream benchmark marches."""
+    case = MotionCase.for_case("case4", seed=42)
+    traj = sample_motion(paper_mesh, case, 2)
+    op = SpectralOperator(2, case.period)
+    return FreestreamProblem(paper_mesh, traj, op, gcl.ifmv_avg(paper_mesh, traj))
 
 
 def _perturbed_state(problem, seed):
@@ -402,3 +456,44 @@ def test_march_bitwise_equal_reference(restructure_problem):
     result = restructure_problem.march(max_iterations=40)
     assert result.iterations == 40 and result.stop_reason == "max_iterations"
     assert np.array_equal(result.states, _reference_march(restructure_problem, 40))
+
+
+def test_paper_case4_residual_bitwise_equal_reference(case4_paper):
+    # on this problem an einsum-ordered dot product differs from (x + y) + z
+    # in some y- and z-face values, so only the pinned order matches
+    problem = case4_paper
+    for wbar in (problem.initial_state(), _perturbed_state(problem, 0)):
+        conv, diss = problem.residual_parts(wbar)
+        ref_conv, ref_diss = _reference_residual_parts(problem, wbar)
+        assert np.array_equal(conv, ref_conv)
+        assert np.array_equal(diss, ref_diss)
+
+
+def test_residual_calls_flux_and_jst_through_module(case2_box, monkeypatch):
+    # the benchmark's flow.face_flux and flow.jst spans wrap these module
+    # globals; a residual that stopped calling them would time nothing
+    calls = {"ale_face_flux": 0, "jst_dissipation": 0}
+
+    def counting(name):
+        original = getattr(flow, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(flow, name, counting(name))
+    problem = FreestreamProblem(*case2_box, None)
+    wbar = problem.initial_state()
+    problem.residual_parts(wbar)
+    assert calls == {"ale_face_flux": 3, "jst_dissipation": 3}
+    problem.residual_parts(wbar, dissipation=False)
+    assert calls == {"ale_face_flux": 6, "jst_dissipation": 3}
+
+
+def test_jst_rejects_axis_counted_from_the_front():
+    line = np.tile(FreestreamState().conservative()[:, None], (1, 9))
+    with pytest.raises(ValueError):
+        jst_dissipation(line, pressure(line), np.ones(6), 1.0, 1.0 / 32.0, axis=1)

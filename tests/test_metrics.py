@@ -15,22 +15,22 @@ from gclkit.spectral import SpectralOperator
 
 def test_rel_err_identical_fields():
     w0 = np.array([1.0, 0.5, 0.0, 0.0, 2.625])
-    states = np.tile(w0, (4, 7, 1))
+    states = np.tile(w0[:, None, None], (1, 4, 7))
     assert rel_err_freestream(states, w0) == 0.0
 
 
 def test_rel_err_single_perturbed_entry():
     w0 = np.array([1.0, 0.5, 0.0, 0.0, 2.625])
-    states = np.tile(w0, (3, 5, 1))
-    states[1, 2, 0] *= 1.0 + 1e-6
+    states = np.tile(w0[:, None, None], (1, 3, 5))
+    states[0, 1, 2] *= 1.0 + 1e-6
     assert rel_err_freestream(states, w0) == pytest.approx(1e-6, rel=1e-9)
 
 
 def test_rel_err_zero_component_normalisation():
     # zero reference components fall back to the largest reference magnitude
     w0 = np.array([1.0, 0.5, 0.0, 0.0, 2.625])
-    states = np.tile(w0, (2, 2, 1))
-    states[0, 0, 2] += 1e-3
+    states = np.tile(w0[:, None, None], (1, 2, 2))
+    states[2, 0, 0] += 1e-3
     assert rel_err_freestream(states, w0) == pytest.approx(1e-3 / 2.625, rel=1e-12)
 
 
@@ -94,3 +94,16 @@ def test_fitted_order_requires_points_above_floor():
 def test_rel_err_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         rel_err_freestream(np.zeros((3, 4)), np.zeros(5))
+    # component-last states are rejected, not reinterpreted
+    with pytest.raises(ValueError):
+        rel_err_freestream(np.ones((4, 7, 5)), np.ones(5))
+
+
+def test_rel_err_reads_components_first_when_every_axis_is_five():
+    # a (5, 5, 5, 5, 5) state is what the 5^3 mesh at N = 2 marches; only
+    # the first axis holds the components, and read along the last axis the
+    # uniform state would depart from itself by O(1)
+    w0 = np.array([1.0, 0.5, 0.0, 0.0, 2.625])
+    states = np.tile(w0.reshape(5, 1, 1, 1, 1), (1, 5, 5, 5, 5))
+    states[1, 3, 0, 0, 2] = 0.5 * (1.0 + 1e-6)
+    assert rel_err_freestream(states, w0) == pytest.approx(1e-6, rel=1e-9)
