@@ -26,7 +26,6 @@ from .gcl import (
     extract_linear_and_periodic,
     ifmv_avg,
     ifmv_nlfd,
-    ifmv_trimap,
     ifmv_ts,
     lvi_increments,
     trimap_field,

@@ -31,7 +31,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hexmesh import FACE_LOOPS, HexMesh, hex_volume, quad_area_vectors
+from .hexmesh import (
+    FACE_LOOPS,
+    HexMesh,
+    _cross,
+    _dot,
+    _hex_volume,
+    _quad_area,
+    _sum,
+    corner_planes,
+)
 from .motion import MotionTrajectory
 from .spectral import SpectralOperator
 
@@ -42,7 +51,6 @@ __all__ = [
     "quad_flux",
     "quad_flux_by_direction",
     "dvoldt_trimap",
-    "ifmv_trimap",
     "sweep_volume",
     "sweep_volume_by_direction",
     "lvi_increments",
@@ -58,16 +66,41 @@ __all__ = [
 
 METHODS = ("nlfd-lvi", "nlfd-aevi", "avg", "trimap", "ts-lvi", "ts-aevi")
 
-def _quad_cross_sums(quad: np.ndarray):
-    q0, q1, q2, q3 = (quad[..., i, :] for i in range(4))
-    c01 = np.cross(q0, q1)
-    c12 = np.cross(q1, q2)
-    c23 = np.cross(q2, q3)
-    c30 = np.cross(q3, q0)
-    c02 = np.cross(q0, q2)
-    c13 = np.cross(q1, q3)
-    full = c01 + c12 + c23 + c30
-    return full, c01 + c12 - c02, c12 + c23 - c13, c23 + c30 + c02, c30 + c01 + c13
+def _quad_flux_by_direction(q, v):
+    """Flux components of quads with corners q[0..3] and velocities v[0..3]."""
+    c01, c12, c23, c30, c02, c13 = (
+        _cross(q[a], q[b]) for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
+    )
+    vt = _sum(v)
+    flux = []
+    for d in range(3):
+        head = c01[d] + c12[d]
+        full = (head + c23[d]) + c30[d]
+        s012 = head - c02[d]
+        s123 = (c12[d] + c23[d]) - c13[d]
+        s230 = (c23[d] + c30[d]) + c02[d]
+        s301 = (c30[d] + c01[d]) + c13[d]
+        flux.append(
+            (
+                vt[d] * full
+                + v[1][d] * s012
+                + v[2][d] * s123
+                + v[3][d] * s230
+                + v[0][d] * s301
+            )
+            / 12.0
+        )
+    return flux
+
+
+def _quad_flux(q, v):
+    return _sum(_quad_flux_by_direction(q, v))
+
+
+def _planes_of(*arrays):
+    """Corner planes of arrays (..., k, 3) broadcast against each other."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+    return [corner_planes(a) for a in arrays]
 
 
 def quad_flux_by_direction(quad: np.ndarray, velocities: np.ndarray) -> np.ndarray:
@@ -77,56 +110,39 @@ def quad_flux_by_direction(quad: np.ndarray, velocities: np.ndarray) -> np.ndarr
     positions and velocities interpolated bilinearly from the four corners
     (..., 4, 3).  Summing the three components gives the total flux.
     """
-    quad = np.asarray(quad, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    full, s012, s123, s230, s301 = _quad_cross_sums(quad)
-    vt = velocities.sum(axis=-2)
-    return (
-        vt * full
-        + velocities[..., 1, :] * s012
-        + velocities[..., 2, :] * s123
-        + velocities[..., 3, :] * s230
-        + velocities[..., 0, :] * s301
-    ) / 12.0
+    return np.stack(_quad_flux_by_direction(*_planes_of(quad, velocities)), axis=-1)
 
 
 def quad_flux(quad: np.ndarray, velocities: np.ndarray) -> np.ndarray:
     """Total face flux integral (v . n) dS of a bilinear quad."""
-    return quad_flux_by_direction(quad, velocities).sum(axis=-1)
+    return _quad_flux(*_planes_of(quad, velocities))
+
+
+def _dvoldt(r, v):
+    """Volume rate of hexahedra with corners r[0..7] and velocities v[0..7]."""
+    terms = []
+    for i, j, k, l in FACE_LOOPS:
+        il, ij, jk = r[i] + r[l], r[i] + r[j], r[j] + r[k]
+        terms.append(
+            _dot(v[j] + v[k], _cross(il, ij))
+            + _dot(jk, _cross(v[i] + v[l], ij))
+            + _dot(jk, _cross(il, v[i] + v[j]))
+        )
+    return _sum(terms) / 12.0
 
 
 def dvoldt_trimap(corners: np.ndarray, velocities: np.ndarray) -> np.ndarray:
     """Exact rate of change of the hexahedron volume.
 
     Product rule applied to the closed-form volume, as a function of the
-    eight corner positions and velocities (..., 8, 3).
+    eight corner positions and velocities (..., 8, 3).  The six face totals
+    of :func:`quad_flux` over ``FACE_LOOPS`` sum to it to rounding.
     """
-    corners = np.asarray(corners, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    q = corners[..., FACE_LOOPS, :]
-    v = velocities[..., FACE_LOOPS, :]
-    ri, rj, rk, rl = (q[..., i, :] for i in range(4))
-    vi, vj, vk, vl = (v[..., i, :] for i in range(4))
-    terms = (
-        np.einsum("...i,...i->...", vj + vk, np.cross(ri + rl, ri + rj))
-        + np.einsum("...i,...i->...", rj + rk, np.cross(vi + vl, ri + rj))
-        + np.einsum("...i,...i->...", rj + rk, np.cross(ri + rl, vi + vj))
-    )
-    return terms.sum(axis=-1) / 12.0
+    return _dvoldt(*_planes_of(corners, velocities))
 
 
-def ifmv_trimap(corners: np.ndarray, velocities: np.ndarray):
-    """Exact IFMV of the six faces of each cell at one instant.
-
-    Returns ``(total, by_direction)`` with shapes (..., 6) and (..., 6, 3);
-    the six totals sum to :func:`dvoldt_trimap` identically.
-    """
-    corners = np.asarray(corners, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    by_dir = quad_flux_by_direction(
-        corners[..., FACE_LOOPS, :], velocities[..., FACE_LOOPS, :]
-    )
-    return by_dir.sum(axis=-1), by_dir
+def _sweep_volume(start, end):
+    return _hex_volume([*start, *end])
 
 
 def sweep_volume(quad_start: np.ndarray, quad_end: np.ndarray) -> np.ndarray:
@@ -137,10 +153,7 @@ def sweep_volume(quad_start: np.ndarray, quad_end: np.ndarray) -> np.ndarray:
     sweeps cancel to rounding level.  Positive values mean motion along the
     quad loop's right-hand normal.
     """
-    quad_start, quad_end = np.broadcast_arrays(
-        np.asarray(quad_start, dtype=float), np.asarray(quad_end, dtype=float)
-    )
-    return hex_volume(np.concatenate([quad_start, quad_end], axis=-2))
+    return _sweep_volume(*_planes_of(quad_start, quad_end))
 
 
 def sweep_volume_by_direction(
@@ -199,7 +212,9 @@ def lvi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeri
     The t_0 entry is zero by definition (empty sweep), not the rounding noise
     of a collapsed hexahedron.
     """
-    return _increments("lvi", mesh, trajectory, lambda q: sweep_volume(q[0], q[1:]))
+    return _increments(
+        "lvi", mesh, trajectory, lambda q: _sweep_volume(q[:, :, :1], q[:, :, 1:])
+    )
 
 
 def aevi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeries:
@@ -208,12 +223,16 @@ def aevi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSer
         "aevi",
         mesh,
         trajectory,
-        lambda q: np.cumsum(sweep_volume(q[:-1], q[1:]), axis=0),
+        lambda q: np.cumsum(_sweep_volume(q[:, :, :-1], q[:, :, 1:]), axis=0),
     )
 
 
 def _increments(method, mesh, trajectory, sweeps) -> IncrementSeries:
-    """Interface increments t_1..t_2N+1 from ``sweeps`` of the gathered quads."""
+    """Interface increments t_1..t_2N+1 from ``sweeps`` of the gathered quads.
+
+    ``sweeps`` receives a block's quads as corner planes (4, 3, 2N+2, block)
+    and returns (2N+1, block).
+    """
     totals = np.zeros((len(mesh.interface_vertex_ids), len(trajectory.times)))
     mesh.blockwise(
         sweeps, mesh.interface_vertex_ids, trajectory.positions, out=totals[:, 1:]
@@ -259,8 +278,10 @@ def ifmv_ts(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
     return IfmvField(f"ts-{series.method}", total)
 
 
-def _avg_flux(quads: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    return (velocities.mean(axis=-2) * quad_area_vectors(quads)).sum(axis=-1)
+def _avg_flux(q, v):
+    """Mean corner velocity dotted with the area vector, as ``mean`` and ``sum`` order it."""
+    vbar = _sum(v) / 4.0
+    return _sum([a * s for a, s in zip(vbar, _quad_area(q))])
 
 
 def ifmv_avg(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
@@ -277,7 +298,7 @@ def ifmv_avg(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
 def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     """Exact trilinear-mapping IFMV for all cells and instants."""
     flux = mesh.blockwise(
-        quad_flux,
+        _quad_flux,
         mesh.interface_vertex_ids,
         trajectory.positions[:-1],
         trajectory.velocities[:-1],
@@ -287,13 +308,13 @@ def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
 
 def cell_volumes(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:
     """Cell volumes per instant, shape (n_cells, 2N+1)."""
-    return mesh.blockwise(hex_volume, mesh.cell_vertex_ids, trajectory.positions[:-1])
+    return mesh.blockwise(_hex_volume, mesh.cell_vertex_ids, trajectory.positions[:-1])
 
 
 def exact_volume_rates(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:
     """Exact d(volume)/dt per cell and instant, shape (n_cells, 2N+1)."""
     return mesh.blockwise(
-        dvoldt_trimap,
+        _dvoldt,
         mesh.cell_vertex_ids,
         trajectory.positions[:-1],
         trajectory.velocities[:-1],

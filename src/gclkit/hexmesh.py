@@ -6,10 +6,29 @@ reference cube (zeta = 0) and corners 5-6-7-8 sit directly above them
 (zeta = 1).  All closed-form geometry in this package (volumes, face area
 vectors, face flux integrals) is written against that numbering, so it is
 centralised here.
+
+The closed-form kernels are written out component by component over corner
+planes, a (k, 3, ...) layout in which ``r[j][c]`` is component c of corner j
+over any number of elements and instants.  :meth:`HexMesh.blockwise` gathers
+vertex fields into that layout directly, so each corner component of a block
+is one (n_instants, block) slab; the public functions take component-last
+(..., k, 3) arrays and pass the kernel strided views of them
+(:func:`corner_planes`).  Each formula therefore has one implementation, with
+no ``np.cross``, ``einsum`` or per-face fancy-index copy.
+
+The kernels give bitwise the values of the component-last ``np.cross`` and
+``einsum`` formulas they replaced, so the CSV output and the freestream march
+do not move.  That pins the summation order: three-term dot products are
+summed ``(x x + z z) + y y``, the order numpy's ``einsum`` uses for a
+contiguous 3-long contraction on x86-64 (``(x + y) + z`` is not bitwise
+equal), and sums over faces or corners run left to right from +0 like
+``add.reduce``.  ``tests/test_blocks.py`` keeps the old formulas as the
+reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +39,7 @@ __all__ = [
     "FACE_FAMILY",
     "BLOCK_ELEMENT_INSTANTS",
     "HexMesh",
+    "corner_planes",
     "build_box_mesh",
     "hex_volume",
     "quad_area_vectors",
@@ -73,17 +93,64 @@ _EDGE_LOW = np.array(
 _EDGE_HIGH = np.array(
     [[1, 3, 4], [1, 2, 5], [2, 2, 6], [2, 3, 7], [5, 7, 4], [5, 6, 5], [6, 6, 6], [6, 7, 7]]
 )
+# the twelve cell edges (low, high); each serves the two corners it joins
+_EDGES = sorted(set(zip(_EDGE_LOW.ravel().tolist(), _EDGE_HIGH.ravel().tolist())))
 
 
-def _face_corner_views(corners: np.ndarray):
-    """Gather the four corner positions of all six face loops."""
-    quads = corners[..., FACE_LOOPS, :]  # (..., 6, 4, 3)
-    return (
-        quads[..., 0, :],
-        quads[..., 1, :],
-        quads[..., 2, :],
-        quads[..., 3, :],
-    )
+def corner_planes(array: np.ndarray) -> np.ndarray:
+    """Corner-major component planes of an (..., k, 3) array, a (k, 3, ...) view.
+
+    ``planes[j]`` is corner j as three component planes (3, ...), the layout
+    every closed-form kernel below reads.
+    """
+    return np.moveaxis(np.asarray(array, dtype=float), (-2, -1), (0, 1))
+
+
+def _dot(a, b):
+    """a . b in numpy einsum's order for a contiguous 3-long contraction."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _cross(a, b):
+    """a x b component by component, as ``np.cross`` forms it."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _sum(terms):
+    """t0 + t1 + ... in the order and zero sign of numpy's ``add.reduce``.
+
+    The reduction starts from +0, so its result is never -0; the trailing
+    ``+ 0.0`` maps the -0 a plain chain gives when every term is -0 to +0.
+    """
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total = total + term
+    return total + 0.0
+
+
+def _hex_volume(r):
+    """Closed-form volume of hexahedra with corners r[0..7], each (3, ...)."""
+    terms = [_dot(r[j] + r[k], _cross(r[i] + r[l], r[i] + r[j])) for i, j, k, l in FACE_LOOPS]
+    return _sum(terms) / 12.0
+
+
+def _corner_jacobians(r):
+    """The eight corner Jacobian determinants of corners r[0..7], each (3, ...)."""
+    edges = {edge: r[edge[1]] - r[edge[0]] for edge in _EDGES}
+    jacobians = []
+    for lows, highs in zip(_EDGE_LOW.tolist(), _EDGE_HIGH.tolist()):
+        a, b, c = (edges[edge] for edge in zip(lows, highs))
+        jacobians.append(
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            + a[1] * (b[2] * c[0] - b[0] * c[2])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+    return jacobians
+
+
+def _quad_area(q):
+    """Area vector components of bilinear quads with corners q[0..3]."""
+    return tuple(0.5 * s for s in _cross(q[2] - q[0], q[3] - q[1]))
 
 
 def hex_volume(corners: np.ndarray) -> np.ndarray:
@@ -102,9 +169,7 @@ def hex_volume(corners: np.ndarray) -> np.ndarray:
         Negative values signal an inverted cell; degenerate (zero-thickness)
         hexahedra return 0.
     """
-    ri, rj, rk, rl = _face_corner_views(np.asarray(corners, dtype=float))
-    contrib = np.einsum("...i,...i->...", rj + rk, np.cross(ri + rl, ri + rj))
-    return contrib.sum(axis=-1) / 12.0
+    return _hex_volume(corner_planes(corners))
 
 
 def quad_area_vectors(quads: np.ndarray) -> np.ndarray:
@@ -113,10 +178,7 @@ def quad_area_vectors(quads: np.ndarray) -> np.ndarray:
     Each vector is the exact surface integral of the unit normal, which for
     a bilinear quad is half the cross product of its diagonals.
     """
-    quads = np.asarray(quads, dtype=float)
-    d1 = quads[..., 2, :] - quads[..., 0, :]
-    d2 = quads[..., 3, :] - quads[..., 1, :]
-    return 0.5 * np.cross(d1, d2)
+    return np.stack(_quad_area(corner_planes(quads)), axis=-1)
 
 
 def face_area_vectors(corners: np.ndarray) -> np.ndarray:
@@ -135,18 +197,12 @@ def corner_jacobians(corners: np.ndarray) -> np.ndarray:
     positivity at all corners is a cheap necessary condition for the map to
     be invertible on the cell.
     """
-    corners = np.asarray(corners, dtype=float)
-    edges = corners[..., _EDGE_HIGH, :] - corners[..., _EDGE_LOW, :]  # (..., 8, 3, 3)
-    a, b, c = (edges[..., axis, :] for axis in range(3))
-    return (
-        a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
-        + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
-        + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
-    )
+    return np.stack(_corner_jacobians(corner_planes(corners)), axis=-1)
 
 
-def _degenerate(corners: np.ndarray) -> np.ndarray:
-    return (hex_volume(corners) <= 0.0) | (corner_jacobians(corners).min(axis=-1) <= 0.0)
+def _degenerate(r) -> np.ndarray:
+    worst = functools.reduce(np.minimum, _corner_jacobians(r))
+    return (_hex_volume(r) <= 0.0) | (worst <= 0.0)
 
 
 def detect_degenerate(mesh: HexMesh, positions: np.ndarray) -> np.ndarray:
@@ -229,8 +285,11 @@ class HexMesh:
         ``vertex_ids`` (n_elements, k) lists the vertices of each element,
         e.g. ``cell_vertex_ids`` or ``interface_vertex_ids``; each field is a
         vertex array (n_instants, n_vertices, 3) such as positions or
-        velocities.  For a block of elements, ``kernel`` receives every field
-        gathered as (n_instants, block, k, 3) and returns (n_out, block),
+        velocities.  Each field is turned into component planes
+        (3, n_instants, n_vertices) once; for a block of elements, ``kernel``
+        receives every field gathered as (3, n_instants, k, block) and viewed
+        as its corner planes (k, 3, n_instants, block), so each corner
+        component is an (n_instants, block) slab.  It returns (n_out, block),
         written to those elements' rows of ``out`` (n_elements, n_out).
         ``out`` defaults to an instant-major array with n_out = n_instants.
         A block holds about ``BLOCK_ELEMENT_INSTANTS`` element-instants; an
@@ -240,10 +299,12 @@ class HexMesh:
         n_instants = fields[0].shape[0]
         if out is None:
             out = np.empty((n_instants, len(vertex_ids)), dtype=dtype).T
+        planes = [np.ascontiguousarray(np.moveaxis(f, -1, 0), dtype=float) for f in fields]
         step = max(1, BLOCK_ELEMENT_INSTANTS // n_instants)
         for start in range(0, len(vertex_ids), step):
-            ids = vertex_ids[start : start + step]
-            out[start : start + step] = kernel(*(f[:, ids] for f in fields)).T
+            ids = vertex_ids[start : start + step].T
+            gathered = (p[:, :, ids].transpose(2, 0, 1, 3) for p in planes)
+            out[start : start + step] = kernel(*gathered).T
         return out
 
     def scatter_to_cells(self, values: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 from . import gcl, metrics, rbf
 from .flow import FreestreamProblem
 from .hexmesh import (
+    FACE_LOOPS,
     REF_CORNERS,
     build_box_mesh,
     detect_degenerate,
@@ -168,7 +169,7 @@ def _check_ts_matrix(rng):
 def _check_trilinear_closure(rng, flux_perturbation=0.0):
     hexes = random_hexahedra(1000, rng)
     vels = rng.normal(size=(1000, 8, 3))
-    total = gcl.ifmv_trimap(hexes, vels)[0] * (1.0 + flux_perturbation)
+    total = gcl.quad_flux(hexes[:, FACE_LOOPS], vels[:, FACE_LOOPS]) * (1.0 + flux_perturbation)
     rate = gcl.dvoldt_trimap(hexes, vels)
     scale = np.abs(rate) + np.abs(total).sum(axis=-1) + 1e-300
     worst = float((np.abs(total.sum(axis=-1) - rate) / scale).max())

@@ -1,10 +1,14 @@
-"""Blocked geometry kernels against their one-shot formulas.
+"""Blocked component-first geometry kernels against the component-last formulas.
 
 The per-element kernels (LVI and AEVI sweeps, AVG and TRI-MAP face fluxes,
 cell volumes, exact volume rates, the degeneracy gate) run over blocks of
-``BLOCK_ELEMENT_INSTANTS`` element-instants.  Their arithmetic is elementwise,
-so every value must be bitwise what one call over the whole stack of
-instants x elements gives; the formulas below are those one-shot calls.
+``BLOCK_ELEMENT_INSTANTS`` element-instants on component planes, with every
+dot and cross product written out.  The references below are the formulas
+they replaced, kept here verbatim: ``(..., k, 3)`` arrays through
+``FACE_LOOPS`` fancy indexing, ``np.cross`` and ``einsum``.  Every value must
+be bitwise what they give, zero signs included.  The "one-shot" tests
+evaluate the references without blocks, over all elements of one instant
+at a time.
 """
 
 import tracemalloc
@@ -13,11 +17,13 @@ import numpy as np
 import pytest
 
 from gclkit import gcl
-from gclkit.gcl import quad_flux, sweep_volume
 from gclkit.hexmesh import (
     BLOCK_ELEMENT_INSTANTS,
+    FACE_LOOPS,
+    REF_CORNERS,
     corner_jacobians,
     detect_degenerate,
+    face_area_vectors,
     hex_volume,
     quad_area_vectors,
 )
@@ -25,54 +31,131 @@ from gclkit.motion import MotionCase, sample_motion
 
 N = 20  # 2N+2 = 42 instants: several blocks per kernel, the last one ragged
 
+_EDGE_LOW = np.array(
+    [[0, 0, 0], [0, 1, 1], [3, 1, 2], [3, 0, 3], [4, 4, 0], [4, 5, 1], [7, 5, 2], [7, 4, 3]]
+)
+_EDGE_HIGH = np.array(
+    [[1, 3, 4], [1, 2, 5], [2, 2, 6], [2, 3, 7], [5, 7, 4], [5, 6, 5], [6, 6, 6], [6, 7, 7]]
+)
+
+
+# -- reference formulas, component-last ----------------------------------------
+
+
+def _dot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _reference_hex_volume(corners):
+    quads = np.asarray(corners, dtype=float)[..., FACE_LOOPS, :]
+    ri, rj, rk, rl = (quads[..., i, :] for i in range(4))
+    return _dot(rj + rk, np.cross(ri + rl, ri + rj)).sum(axis=-1) / 12.0
+
+
+def _reference_corner_jacobians(corners):
+    corners = np.asarray(corners, dtype=float)
+    edges = corners[..., _EDGE_HIGH, :] - corners[..., _EDGE_LOW, :]
+    a, b, c = (edges[..., axis, :] for axis in range(3))
+    return (
+        a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+        + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
+        + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
+    )
+
+
+def _reference_quad_area_vectors(quads):
+    quads = np.asarray(quads, dtype=float)
+    return 0.5 * np.cross(quads[..., 2, :] - quads[..., 0, :], quads[..., 3, :] - quads[..., 1, :])
+
+
+def _reference_quad_flux_by_direction(quad, velocities):
+    quad = np.asarray(quad, dtype=float)
+    velocities = np.asarray(velocities, dtype=float)
+    q0, q1, q2, q3 = (quad[..., i, :] for i in range(4))
+    c01, c12, c23, c30 = np.cross(q0, q1), np.cross(q1, q2), np.cross(q2, q3), np.cross(q3, q0)
+    c02, c13 = np.cross(q0, q2), np.cross(q1, q3)
+    return (
+        velocities.sum(axis=-2) * (c01 + c12 + c23 + c30)
+        + velocities[..., 1, :] * (c01 + c12 - c02)
+        + velocities[..., 2, :] * (c12 + c23 - c13)
+        + velocities[..., 3, :] * (c23 + c30 + c02)
+        + velocities[..., 0, :] * (c30 + c01 + c13)
+    ) / 12.0
+
+
+def _reference_quad_flux(quad, velocities):
+    return _reference_quad_flux_by_direction(quad, velocities).sum(axis=-1)
+
+
+def _reference_dvoldt(corners, velocities):
+    q = np.asarray(corners, dtype=float)[..., FACE_LOOPS, :]
+    v = np.asarray(velocities, dtype=float)[..., FACE_LOOPS, :]
+    ri, rj, rk, rl = (q[..., i, :] for i in range(4))
+    vi, vj, vk, vl = (v[..., i, :] for i in range(4))
+    terms = (
+        _dot(vj + vk, np.cross(ri + rl, ri + rj))
+        + _dot(rj + rk, np.cross(vi + vl, ri + rj))
+        + _dot(rj + rk, np.cross(ri + rl, vi + vj))
+    )
+    return terms.sum(axis=-1) / 12.0
+
+
+def _reference_sweep(quad_start, quad_end):
+    quad_start, quad_end = np.broadcast_arrays(quad_start, quad_end)
+    return _reference_hex_volume(np.concatenate([quad_start, quad_end], axis=-2))
+
+
+def _reference_avg_flux(quads, velocities):
+    return (velocities.mean(axis=-2) * _reference_quad_area_vectors(quads)).sum(axis=-1)
+
+
+# -- the same formulas over a trajectory, one instant at a time ----------------
+
+
+def _per_instant(formula, *stacks):
+    """formula over each instant of (n_instants, n_elements, ...) stacks, as
+    (n_elements, n_instants); one instant at a time keeps the memory small."""
+    return np.stack([formula(*arrays) for arrays in zip(*stacks)], axis=-1)
+
+
+def _reference_increments(mesh, trajectory, kind):
+    quads = trajectory.positions[:, mesh.interface_vertex_ids]
+    totals = np.zeros((quads.shape[1], quads.shape[0]))
+    if kind == "lvi":
+        totals[:, 1:] = _per_instant(lambda q: _reference_sweep(quads[0], q), quads[1:])
+    else:
+        steps = _per_instant(_reference_sweep, quads[:-1], quads[1:])
+        np.cumsum(steps, axis=-1, out=totals[:, 1:])
+    return mesh.scatter_to_cells(totals)
+
+
+def _face_stacks(mesh, trajectory):
+    ids = mesh.interface_vertex_ids
+    return trajectory.positions[:-1][:, ids], trajectory.velocities[:-1][:, ids]
+
+
+def _cell_stacks(mesh, trajectory):
+    return (
+        mesh.cell_corners(trajectory.positions)[:-1],
+        mesh.cell_corners(trajectory.velocities)[:-1],
+    )
+
+
+def _reference_gate(mesh, positions):
+    corners = mesh.cell_corners(positions)
+    bad = (_reference_hex_volume(corners) <= 0.0) | (
+        _reference_corner_jacobians(corners).min(axis=-1) <= 0.0
+    )
+    return np.flatnonzero(bad)
+
 
 def _bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
     return (
         a.shape == b.shape
         and np.array_equal(a, b)
         and np.array_equal(np.signbit(a), np.signbit(b))
     )
-
-
-def _one_shot_increments(mesh, trajectory, kind):
-    quads = trajectory.positions[:, mesh.interface_vertex_ids]
-    totals = np.zeros((quads.shape[1], quads.shape[0]))
-    if kind == "lvi":
-        totals[:, 1:] = sweep_volume(quads[0], quads[1:]).T
-    else:
-        np.cumsum(sweep_volume(quads[:-1], quads[1:]).T, axis=-1, out=totals[:, 1:])
-    return mesh.scatter_to_cells(totals)
-
-
-def _one_shot_avg(mesh, trajectory):
-    quads = trajectory.positions[:-1][:, mesh.interface_vertex_ids]
-    vbar = trajectory.velocities[:-1][:, mesh.interface_vertex_ids].mean(axis=-2)
-    flux = (vbar * quad_area_vectors(quads)).sum(axis=-1)
-    return mesh.scatter_to_cells(flux.T)
-
-
-def _one_shot_trimap(mesh, trajectory):
-    flux = quad_flux(
-        trajectory.positions[:-1][:, mesh.interface_vertex_ids],
-        trajectory.velocities[:-1][:, mesh.interface_vertex_ids],
-    )
-    return mesh.scatter_to_cells(flux.T)
-
-
-def _one_shot_volumes(mesh, trajectory):
-    return np.moveaxis(hex_volume(mesh.cell_corners(trajectory.positions)[:-1]), 0, -1)
-
-
-def _one_shot_rates(mesh, trajectory):
-    corners = mesh.cell_corners(trajectory.positions)[:-1]
-    vel = mesh.cell_corners(trajectory.velocities)[:-1]
-    return np.moveaxis(gcl.dvoldt_trimap(corners, vel), 0, -1)
-
-
-def _one_shot_gate(mesh, positions):
-    corners = mesh.cell_corners(positions)
-    bad = (hex_volume(corners) <= 0.0) | (corner_jacobians(corners).min(axis=-1) <= 0.0)
-    return np.flatnonzero(bad)
 
 
 @pytest.fixture(scope="module")
@@ -92,22 +175,26 @@ def test_increments_bitwise_equal_one_shot(paper_mesh, case5_trajectory, kind):
     maker = gcl.lvi_increments if kind == "lvi" else gcl.aevi_increments
     series = maker(paper_mesh, case5_trajectory)
     assert _bitwise_equal(
-        series.totals, _one_shot_increments(paper_mesh, case5_trajectory, kind)
+        series.totals, _reference_increments(paper_mesh, case5_trajectory, kind)
     )
 
 
 def test_face_fields_bitwise_equal_one_shot(paper_mesh, case5_trajectory):
+    stacks = _face_stacks(paper_mesh, case5_trajectory)
     avg = gcl.ifmv_avg(paper_mesh, case5_trajectory).total
-    assert _bitwise_equal(avg, _one_shot_avg(paper_mesh, case5_trajectory))
+    expected = paper_mesh.scatter_to_cells(_per_instant(_reference_avg_flux, *stacks))
+    assert _bitwise_equal(avg, expected)
     trimap = gcl.trimap_field(paper_mesh, case5_trajectory).total
-    assert _bitwise_equal(trimap, _one_shot_trimap(paper_mesh, case5_trajectory))
+    expected = paper_mesh.scatter_to_cells(_per_instant(_reference_quad_flux, *stacks))
+    assert _bitwise_equal(trimap, expected)
 
 
 def test_cell_kernels_bitwise_equal_one_shot(paper_mesh, case5_trajectory):
+    corners, velocities = _cell_stacks(paper_mesh, case5_trajectory)
     volumes = gcl.cell_volumes(paper_mesh, case5_trajectory)
-    assert _bitwise_equal(volumes, _one_shot_volumes(paper_mesh, case5_trajectory))
+    assert _bitwise_equal(volumes, _per_instant(_reference_hex_volume, corners))
     rates = gcl.exact_volume_rates(paper_mesh, case5_trajectory)
-    assert _bitwise_equal(rates, _one_shot_rates(paper_mesh, case5_trajectory))
+    assert _bitwise_equal(rates, _per_instant(_reference_dvoldt, corners, velocities))
 
 
 def test_gate_indices_equal_one_shot(paper_mesh):
@@ -115,13 +202,75 @@ def test_gate_indices_equal_one_shot(paper_mesh):
     case = MotionCase.for_case("case4", rbf_amplitude=0.2)
     positions = sample_motion(paper_mesh, case, N, check_degeneracy=False).positions[:-1]
     bad = detect_degenerate(paper_mesh, positions)
-    expected = _one_shot_gate(paper_mesh, positions)
+    expected = _reference_gate(paper_mesh, positions)
     assert len(expected) > 0
     assert bad.tolist() == expected.tolist()
     # one instant: plain cell ids
     n = int(expected[0]) // paper_mesh.n_cells
     single = detect_degenerate(paper_mesh, positions[n])
-    assert single.tolist() == _one_shot_gate(paper_mesh, positions[n]).tolist()
+    assert single.tolist() == _reference_gate(paper_mesh, positions[n]).tolist()
+
+
+@pytest.fixture(scope="module")
+def awkward_hexahedra():
+    """Random cells, some flat or still, with exact zeros and negative zeros.
+
+    A zero coordinate or velocity component makes products of either zero
+    sign, and a still face sums them; the kernels must give the zero signs
+    the reference reductions give.
+    """
+    rng = np.random.default_rng(2024)
+    corners = REF_CORNERS + rng.uniform(-0.3, 0.3, (400, 8, 3))
+    corners[:40, :, 2] = 0.0  # flat cells
+    corners[40:60] = np.where(rng.random((20, 8, 3)) < 0.5, 0.0, -0.0)
+    velocities = rng.normal(size=(400, 8, 3))
+    velocities[:60] = -0.0  # still
+    velocities[60:90, :, 1] = 0.0
+    velocities[90:120, :, ::2] = -0.0
+    return corners, velocities
+
+
+def test_public_kernels_bitwise_equal_reference(awkward_hexahedra):
+    corners, velocities = awkward_hexahedra
+    quads, face_velocities = corners[:, FACE_LOOPS], velocities[:, FACE_LOOPS]
+    pairs = [
+        (hex_volume(corners), _reference_hex_volume(corners)),
+        (corner_jacobians(corners), _reference_corner_jacobians(corners)),
+        (face_area_vectors(corners), _reference_quad_area_vectors(quads)),
+        (quad_area_vectors(quads), _reference_quad_area_vectors(quads)),
+        (
+            gcl.quad_flux_by_direction(quads, face_velocities),
+            _reference_quad_flux_by_direction(quads, face_velocities),
+        ),
+        (gcl.quad_flux(quads, face_velocities), _reference_quad_flux(quads, face_velocities)),
+        (gcl.dvoldt_trimap(corners, velocities), _reference_dvoldt(corners, velocities)),
+        (
+            gcl.sweep_volume(corners[:, :4], corners[:, 4:]),
+            _reference_sweep(corners[:, :4], corners[:, 4:]),
+        ),
+        (gcl.sweep_volume(quads, quads), _reference_sweep(quads, quads)),
+        # broadcasting: one start quad against many ends, one cell at a time
+        (
+            gcl.sweep_volume(quads[0, 2], quads[:, 1]),
+            _reference_sweep(quads[0, 2], quads[:, 1]),
+        ),
+        (hex_volume(corners[7]), _reference_hex_volume(corners[7])),
+        (
+            gcl.quad_flux(quads[0, 1], face_velocities[:, 1]),
+            _reference_quad_flux(quads[0, 1], face_velocities[:, 1]),
+        ),
+    ]
+    for i, (got, expected) in enumerate(pairs):
+        assert _bitwise_equal(got, expected), f"pair {i}"
+
+
+def test_avg_flux_bitwise_equal_reference(awkward_hexahedra):
+    corners, velocities = awkward_hexahedra
+    quads, face_velocities = corners[:, FACE_LOOPS], velocities[:, FACE_LOOPS]
+    planes = [np.moveaxis(a, (-2, -1), (0, 1)) for a in (quads, face_velocities)]
+    assert _bitwise_equal(
+        gcl._avg_flux(*planes), _reference_avg_flux(quads, face_velocities)
+    )
 
 
 @pytest.mark.parametrize(

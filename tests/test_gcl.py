@@ -9,7 +9,6 @@ from gclkit.gcl import (
     extract_linear_and_periodic,
     ifmv_avg,
     ifmv_nlfd,
-    ifmv_trimap,
     ifmv_ts,
     lvi_increments,
     quad_flux,
@@ -73,7 +72,9 @@ def test_zero_velocity_zero_flux(rng):
 def test_trimap_faces_sum_to_volume_rate(rng):
     hexes = random_hexahedra(1000, rng)
     vels = rng.normal(size=(1000, 8, 3))
-    total, by_dir = ifmv_trimap(hexes, vels)
+    quads, face_vels = hexes[:, FACE_LOOPS], vels[:, FACE_LOOPS]
+    total = quad_flux(quads, face_vels)
+    by_dir = quad_flux_by_direction(quads, face_vels)
     rate = dvoldt_trimap(hexes, vels)
     scale = np.abs(rate) + np.abs(total).sum(-1)
     assert (np.abs(total.sum(-1) - rate) / scale).max() <= 1e-13
