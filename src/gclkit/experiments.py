@@ -18,7 +18,6 @@ import numpy as np
 from . import flow, gcl, metrics
 from .hexmesh import HexMesh, build_box_mesh
 from .motion import MotionCase, MotionTrajectory, build_rbf_system, sample_motion
-from .rbf import RbfSystem
 from .spectral import SpectralOperator
 
 __all__ = [
@@ -109,9 +108,9 @@ def prepare_point(
     mesh: HexMesh,
     case: MotionCase,
     n_harmonics: int,
-    rbf_system: RbfSystem | None = None,
+    rbf_fields: np.ndarray | None = None,
 ) -> CasePoint:
-    trajectory = sample_motion(mesh, case, n_harmonics, rbf_system=rbf_system)
+    trajectory = sample_motion(mesh, case, n_harmonics, rbf_fields=rbf_fields)
     spectral = SpectralOperator(n_harmonics, case.period)
     volumes = gcl.cell_volumes(mesh, trajectory)
     exact_rates = gcl.exact_volume_rates(mesh, trajectory)
@@ -197,14 +196,14 @@ def run_sweep(
 ) -> list[metrics.ErrorReport]:
     """Evaluate all methods over a harmonic sweep; rows ordered by (N, method).
 
-    The case's RBF operator is built once, before the pool; its threads only
-    read it.
+    The case's RBF-spread boundary modes are built once, before the pool;
+    its threads only read them.
     """
     mesh = mesh_config.build()
-    rbf_system = build_rbf_system(mesh, case)
+    rbf_fields = build_rbf_system(mesh, case)
 
     def job(n):
-        point = prepare_point(mesh, case, n, rbf_system)
+        point = prepare_point(mesh, case, n, rbf_fields)
         return evaluate_point(point, methods, freestream, timing)
 
     workers = worker_count(len(harmonic_range))

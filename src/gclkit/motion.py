@@ -3,8 +3,11 @@
 Five benchmark deformations of the box mesh plus two rigid calibration
 motions.  Cases 1-3 impose closed-form vertex paths directly; cases 4 and 5
 prescribe boundary-point paths and let RBF interpolation carry them into the
-volume.  Velocities are always the exact analytic time derivatives of the
-positions, never finite differences.
+volume.  Their boundary laws are separable, a few spatial modes times
+functions of time, so the modes are spread once per (mesh, case) and the
+time law is applied to the spread fields at every instant.  Velocities are
+always the exact analytic time derivatives of the positions, never finite
+differences.
 """
 
 from __future__ import annotations
@@ -203,71 +206,77 @@ def _rigid_rotation(mesh, case, t):
     return pos, vel
 
 
-def _case4_boundary(points, case, t):
-    """Per-point random straight-line paths prescribed at the control points."""
+def _case4_modes(mesh, case, points):
+    """Each control point's random straight-line direction, (Nr, 3).
+
+    The boundary displacement is sin(2 pi t / T) times these three fields.
+    """
     rng = np.random.default_rng(case.seed)
     amp = rng.uniform(-case.rbf_amplitude, case.rbf_amplitude, (len(points), 3))
     x0, y0, z0 = points.T
-    spatial = np.stack(
+    return np.stack(
         [
             amp[:, 0] * np.sin(2.0 * np.pi * y0) * np.sin(2.0 * np.pi * z0),
             amp[:, 1] * np.sin(2.0 * np.pi * x0) * np.sin(2.0 * np.pi * z0),
             amp[:, 2] * np.sin(2.0 * np.pi * y0) * np.sin(2.0 * np.pi * z0),
         ],
         axis=-1,
-    )  # (Nr, 3)
-    theta = _phase(t, case.period)
-    disp = np.sin(theta)[:, None, None] * spatial
-    vel = (2.0 * np.pi / case.period) * np.cos(theta)[:, None, None] * spatial
-    return disp, vel
+    )
 
 
-def _case5_boundary(points, case, t, lx):
-    """Rigid pitching of the control points about x_p (angle alpha0 cos)."""
+def _case4(mesh, case, t, fields):
+    """Straight-line paths: the spread directions scaled by sin(2 pi t / T)."""
+    theta = _phase(t, case.period)[:, None, None]
+    pos = mesh.vertices + np.sin(theta) * fields
+    vel = (2.0 * np.pi / case.period) * np.cos(theta) * fields
+    return pos, vel
+
+
+def _case5_modes(mesh, case, points):
+    """The control points' offsets x - x_p and y from the pitch axis, (Nr, 2)."""
+    return np.stack([points[:, 0] - case.pivot_fraction * mesh.lx, points[:, 1]], axis=-1)
+
+
+def _case5(mesh, case, t, fields):
+    """Rigid pitching about x_p (angle alpha0 cos) of the spread offsets."""
     theta = _phase(t, case.period)
     alpha = case.alpha0 * np.cos(theta)[:, None]
     alpha_dot = -case.alpha0 * (2.0 * np.pi / case.period) * np.sin(theta)[:, None]
-    xp = case.pivot_fraction * lx
-    dx = points[:, 0] - xp
-    y0 = points[:, 1]
+    dx, y0 = fields.T
     ca, sa = np.cos(alpha), np.sin(alpha)
     sx = dx * (ca - 1.0) + y0 * sa
     sy = -dx * sa + y0 * (ca - 1.0)
     vx = alpha_dot * (-dx * sa + y0 * ca)
     vy = alpha_dot * (-dx * ca - y0 * sa)
     zeros = np.zeros_like(sx)
-    return np.stack([sx, sy, zeros], axis=-1), np.stack([vx, vy, zeros], axis=-1)
+    pos = mesh.vertices + np.stack([sx, sy, zeros], axis=-1)
+    vel = np.stack([vx, vy, zeros], axis=-1)
+    return pos, vel
 
 
-def build_rbf_system(mesh: HexMesh, case: MotionCase) -> rbf.RbfSystem | None:
-    """The operator that spreads case 4 or 5's boundary motion into the mesh.
+# case -> (boundary modes, time law applied to the modes' grid fields)
+_RBF_CASES = {"case4": (_case4_modes, _case4), "case5": (_case5_modes, _case5)}
 
-    It depends on the mesh and the case only, not on N or the instants, so a
-    harmonic sweep builds it once and shares it.  None for the other cases,
+
+def build_rbf_system(mesh: HexMesh, case: MotionCase) -> np.ndarray | None:
+    """Case 4 or 5's boundary modes spread into the mesh, (n_vertices, k).
+
+    Both boundary laws are a few spatial fields times functions of time, and
+    the RBF interpolant is linear, so the k modes (3 for case 4, 2 for
+    case 5) are spread once and the time law is applied to the grid fields
+    at every instant.  The fields depend on the mesh and the case only, not
+    on N, so a harmonic sweep builds them once and shares them read-only;
+    the RBF system itself is dropped on return.  None for the other cases,
     whose vertex paths are closed forms.
     """
-    if case.case_id not in ("case4", "case5"):
+    if case.case_id not in _RBF_CASES:
         return None
+    modes = _RBF_CASES[case.case_id][0]
     points = mesh.vertices[mesh.boundary_vertex_ids()]
-    return rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
-
-
-def _rbf_case(mesh, case, t, system):
-    points = system.points
-    if case.case_id == "case4":
-        disp_r, vel_r = _case4_boundary(points, case, t)
-    else:
-        disp_r, vel_r = _case5_boundary(points, case, t, mesh.lx)
-    nt = len(t)
-
-    def spread(values_r):
-        stacked = values_r.transpose(1, 0, 2).reshape(len(points), nt * 3)
-        out = rbf.interpolate(system, stacked)
-        return out.reshape(mesh.n_vertices, nt, 3).transpose(1, 0, 2)
-
-    pos = mesh.vertices + spread(disp_r)
-    vel = spread(vel_r)
-    return pos, vel
+    system = rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
+    fields = rbf.interpolate(system, modes(mesh, case, points))
+    fields.flags.writeable = False
+    return fields
 
 
 _DIRECT_CASES = {
@@ -283,20 +292,20 @@ def evaluate_motion(
     mesh: HexMesh,
     case: MotionCase,
     t: np.ndarray,
-    rbf_system: rbf.RbfSystem | None = None,
+    rbf_fields: np.ndarray | None = None,
 ):
     """Vertex positions and velocities at arbitrary instants t (shape (Nt,)).
 
-    Cases 4 and 5 use ``rbf_system`` from :func:`build_rbf_system`, built
-    here when not given.
+    Cases 4 and 5 apply their time law to ``rbf_fields`` from
+    :func:`build_rbf_system`, built here when not given.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if case.case_id in _DIRECT_CASES:
         return _DIRECT_CASES[case.case_id](mesh, case, t)
-    if case.case_id in ("case4", "case5"):
-        if rbf_system is None:
-            rbf_system = build_rbf_system(mesh, case)
-        return _rbf_case(mesh, case, t, rbf_system)
+    if case.case_id in _RBF_CASES:
+        if rbf_fields is None:
+            rbf_fields = build_rbf_system(mesh, case)
+        return _RBF_CASES[case.case_id][1](mesh, case, t, rbf_fields)
     raise ValueError(f"unknown case id {case.case_id!r}")
 
 
@@ -305,11 +314,11 @@ def sample_motion(
     case: MotionCase,
     n_harmonics: int,
     check_degeneracy: bool = True,
-    rbf_system: rbf.RbfSystem | None = None,
+    rbf_fields: np.ndarray | None = None,
 ) -> MotionTrajectory:
     """Sample a motion case at the 2N+1 spectral instants plus t = T.
 
-    ``rbf_system`` is passed on to :func:`evaluate_motion`.
+    ``rbf_fields`` is passed on to :func:`evaluate_motion`.
 
     Raises
     ------
@@ -321,7 +330,7 @@ def sample_motion(
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     nts = 2 * n_harmonics + 1
     times = np.append(np.arange(nts) * case.period / nts, case.period)
-    positions, velocities = evaluate_motion(mesh, case, times[:-1], rbf_system)
+    positions, velocities = evaluate_motion(mesh, case, times[:-1], rbf_fields)
     # the closing sample at t = T is the t = 0 configuration again; reusing it
     # makes the periodic closure exact instead of rounding-level
     positions = np.concatenate([positions, positions[:1]])

@@ -3,8 +3,10 @@
 ``tests/data/golden_sweep.csv`` holds the five ``gclkit run`` outputs for
 cases 1-5 on the 10^3 mesh, N = 2..3, all six methods, without timing,
 concatenated in case order.  Any change that moves a value by rounding has
-to regenerate the file (run the command of ``_run_case`` for each case and
-concatenate the outputs) and list the moved values in CHANGES.md.
+to regenerate the file and list the moved values in CHANGES.md; from the
+repository root::
+
+    python tests/test_golden.py
 
 The runs are separate processes with BLAS on one thread: the RBF solve of
 cases 4 and 5 rounds differently with more BLAS threads.
@@ -13,6 +15,7 @@ cases 4 and 5 rounds differently with more BLAS threads.
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.csv"
@@ -33,7 +36,16 @@ def _run_case(case: str, out: Path) -> bytes:
     return out.read_bytes()
 
 
+def _run_all_cases(out_dir: Path) -> bytes:
+    return b"".join(_run_case(case, out_dir / f"case{case}.csv") for case in "12345")
+
+
 def test_run_writes_golden_csv(tmp_path):
-    written = b"".join(_run_case(case, tmp_path / f"case{case}.csv") for case in "12345")
+    written = _run_all_cases(tmp_path)
     assert written.decode().splitlines() == GOLDEN.read_bytes().decode().splitlines()
     assert written == GOLDEN.read_bytes()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_bytes(_run_all_cases(Path(tmp)))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gclkit import rbf
 from gclkit.gcl import cell_volumes
 from gclkit.hexmesh import build_box_mesh, detect_degenerate, hex_volume
 from gclkit.motion import (
@@ -9,6 +12,7 @@ from gclkit.motion import (
     MotionCase,
     analytic_increment_case3,
     analytic_increment_rate_case3,
+    build_rbf_system,
     evaluate_motion,
     sample_motion,
 )
@@ -173,3 +177,104 @@ def test_batched_gate_names_first_bad_instant():
 def test_batched_gate_passes_clean_cases(paper_mesh, case_id):
     trajectory = sample_motion(paper_mesh, MotionCase.for_case(case_id), 10)
     assert _first_degenerate_instant(paper_mesh, trajectory) is None
+
+
+# -- reference: the per-instant RBF path that the spread modes replaced -------
+#
+# Cases 4 and 5 used to prescribe the boundary displacement and velocity at
+# every instant and interpolate each into the volume.  The formulas below are
+# that path, kept verbatim, as the reference for the modes spread once.
+
+
+def _reference_case4_boundary(points, case, t):
+    rng = np.random.default_rng(case.seed)
+    amp = rng.uniform(-case.rbf_amplitude, case.rbf_amplitude, (len(points), 3))
+    x0, y0, z0 = points.T
+    spatial = np.stack(
+        [
+            amp[:, 0] * np.sin(2.0 * np.pi * y0) * np.sin(2.0 * np.pi * z0),
+            amp[:, 1] * np.sin(2.0 * np.pi * x0) * np.sin(2.0 * np.pi * z0),
+            amp[:, 2] * np.sin(2.0 * np.pi * y0) * np.sin(2.0 * np.pi * z0),
+        ],
+        axis=-1,
+    )
+    theta = 2.0 * np.pi * t / case.period
+    disp = np.sin(theta)[:, None, None] * spatial
+    vel = (2.0 * np.pi / case.period) * np.cos(theta)[:, None, None] * spatial
+    return disp, vel
+
+
+def _reference_case5_boundary(points, case, t, lx):
+    theta = 2.0 * np.pi * t / case.period
+    alpha = case.alpha0 * np.cos(theta)[:, None]
+    alpha_dot = -case.alpha0 * (2.0 * np.pi / case.period) * np.sin(theta)[:, None]
+    xp = case.pivot_fraction * lx
+    dx = points[:, 0] - xp
+    y0 = points[:, 1]
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    sx = dx * (ca - 1.0) + y0 * sa
+    sy = -dx * sa + y0 * (ca - 1.0)
+    vx = alpha_dot * (-dx * sa + y0 * ca)
+    vy = alpha_dot * (-dx * ca - y0 * sa)
+    zeros = np.zeros_like(sx)
+    return np.stack([sx, sy, zeros], axis=-1), np.stack([vx, vy, zeros], axis=-1)
+
+
+def _reference_boundary(mesh, case, t):
+    points = mesh.vertices[mesh.boundary_vertex_ids()]
+    if case.case_id == "case4":
+        return _reference_case4_boundary(points, case, t)
+    return _reference_case5_boundary(points, case, t, mesh.lx)
+
+
+def _reference_rbf_motion(mesh, case, t):
+    """Positions and velocities from one interpolation per instant and axis."""
+    points = mesh.vertices[mesh.boundary_vertex_ids()]
+    system = rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
+    disp_r, vel_r = _reference_boundary(mesh, case, t)
+    nt = len(t)
+
+    def spread(values_r):
+        stacked = values_r.transpose(1, 0, 2).reshape(len(points), nt * 3)
+        out = rbf.interpolate(system, stacked)
+        return out.reshape(mesh.n_vertices, nt, 3).transpose(1, 0, 2)
+
+    return mesh.vertices + spread(disp_r), spread(vel_r)
+
+
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("case_id", ["case4", "case5"])
+def test_spread_modes_match_per_instant_interpolation(paper_mesh, case_id, n):
+    case = MotionCase.for_case(case_id)
+    traj = sample_motion(paper_mesh, case, n)
+    pos, vel = _reference_rbf_motion(paper_mesh, case, traj.times[:-1])
+    scale = np.abs(pos - paper_mesh.vertices).max()
+    assert np.abs(traj.positions[:-1] - pos).max() <= 1e-13 * scale
+    assert np.abs(traj.velocities[:-1] - vel).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("case_id", ["case4", "case5"])
+def test_boundary_vertices_follow_prescribed_law(paper_mesh, case_id):
+    case = MotionCase.for_case(case_id)
+    traj = sample_motion(paper_mesh, case, 10)
+    disp_r, vel_r = _reference_boundary(paper_mesh, case, traj.times[:-1])
+    boundary = paper_mesh.boundary_vertex_ids()
+    moved = traj.positions[:-1, boundary] - paper_mesh.vertices[boundary]
+    assert np.abs(moved - disp_r).max() <= 1e-12
+    assert np.abs(traj.velocities[:-1, boundary] - vel_r).max() <= 1e-12
+
+
+def test_rbf_spread_keeps_only_the_grid_fields():
+    # a 20^3 RBF system holds about 75 MB (the CSR kernel matrices and the
+    # dense Cholesky factor); only the (n_vertices, 2) case-5 fields outlive it
+    mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
+    case = MotionCase.for_case("case5")
+    tracemalloc.start()
+    try:
+        fields = build_rbf_system(mesh, case)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fields.shape == (mesh.n_vertices, 2)
+    assert kept <= 1e6, f"{kept / 1e6:.2f} MB kept after the spread"
+    assert peak <= 90e6, f"allocation peak {peak / 1e6:.1f} MB"

@@ -38,13 +38,13 @@ def test_wendland_rejects_bad_support():
 def test_single_point_system(rng):
     grid = rng.uniform(size=(10, 3))
     system = build_system(np.array([[0.2, 0.3, 0.4]]), grid, 1.0)
-    np.testing.assert_array_equal(system.system_matrix, [[1.0]])
+    np.testing.assert_array_equal(system.system_matrix.toarray(), [[1.0]])
 
 
 def test_distant_points_give_identity():
     pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
     system = build_system(pts, pts, 1.0)
-    np.testing.assert_array_equal(system.system_matrix, np.eye(2))
+    np.testing.assert_array_equal(system.system_matrix.toarray(), np.eye(2))
 
 
 def test_paper_setup_factorises(paper_mesh):
@@ -52,7 +52,7 @@ def test_paper_setup_factorises(paper_mesh):
     points = paper_mesh.vertices[boundary]
     assert len(points) == 602
     system = build_system(points, paper_mesh.vertices, 2.0 * 3.2)
-    m = system.system_matrix
+    m = system.system_matrix.toarray()
     assert np.array_equal(m, m.T)
     assert np.allclose(np.diag(m), 1.0)
     # factorisation succeeded at build time; interpolation reproduces the
@@ -77,6 +77,19 @@ def test_sparse_eval_matrix_equals_dense_kernel(rng):
     assert issparse(system.eval_matrix) and system.eval_matrix.format == "csr"
     assert system.eval_matrix.nnz <= (distance <= radius).sum()
     assert np.array_equal(system.eval_matrix.toarray(), dense)
+
+
+def test_sparse_gram_equals_dense_kernel(rng):
+    # dyadic coordinates and radius, so some control pairs sit exactly at d == R
+    radius = 0.5
+    pts = np.unique(rng.integers(0, 8, size=(60, 3)) / 8.0, axis=0)
+    system = build_system(pts, pts, radius)
+    distance = cdist(pts, pts)
+    assert (distance == radius).any()
+    gram = system.system_matrix
+    assert issparse(gram) and gram.format == "csr"
+    assert gram.nnz <= (distance <= radius).sum()
+    assert np.array_equal(gram.toarray(), wendland_c0(distance, radius))
 
 
 def test_sweep_builds_one_rbf_system(monkeypatch):
@@ -133,11 +146,10 @@ def test_constant_field_matches_dense_solve(rng):
     system = build_system(pts, grid, 2.0)
     c = 3.7
     out = interpolate(system, np.full(40, c))
-    dense = system.eval_matrix @ np.linalg.solve(system.system_matrix, np.full(40, c))
+    gram = system.system_matrix.toarray()
+    dense = system.eval_matrix @ np.linalg.solve(gram, np.full(40, c))
     np.testing.assert_allclose(out, dense, rtol=1e-10, atol=1e-12)
-    row_sums = system.eval_matrix @ np.linalg.solve(
-        system.system_matrix, np.ones(40)
-    )
+    row_sums = system.eval_matrix @ np.linalg.solve(gram, np.ones(40))
     np.testing.assert_allclose(out, c * row_sums, rtol=1e-10)
 
 
