@@ -87,9 +87,7 @@ class CasePoint:
     def increments(self, kind: str) -> gcl.IncrementSeries:
         if kind not in self._series:
             maker = gcl.lvi_increments if kind == "lvi" else gcl.aevi_increments
-            self._series[kind] = gcl.extract_linear_and_periodic(
-                maker(self.mesh, self.trajectory)
-            )
+            self._series[kind] = maker(self.mesh, self.trajectory)
         return self._series[kind]
 
     def field_for(self, method: str) -> gcl.IfmvField:
@@ -133,9 +131,9 @@ def evaluate_point(
     for method in methods:
         start = time.perf_counter()
         ifmv = point.field_for(method)
-        err1 = metrics.abs_err_sum_vs_dvoldt(ifmv, point.dvoldt)
+        err1 = metrics.abs_err_sum_vs_dvoldt(point.mesh, ifmv, point.dvoldt)
         err2 = {
-            d: metrics.abs_err_ifmv_vs_reference(ifmv, point.reference, d)
+            d: metrics.abs_err_ifmv_vs_reference(point.mesh, ifmv, point.reference, d)
             for d in ("x", "y", "z")
         }
         rel_err = None

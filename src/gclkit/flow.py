@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .gcl import IfmvField, cell_volumes
-from .hexmesh import HexMesh, face_area_vectors
+from .hexmesh import HexMesh, _quad_area
 from .metrics import rel_err_freestream
 from .motion import MotionTrajectory
 from .spectral import SpectralOperator
@@ -253,9 +253,9 @@ class FreestreamProblem:
 
     All per-instant geometry (cell volumes, interface area vectors, interface
     mesh-velocity integrals) is frozen at construction; the pseudo-time
-    iteration only updates the spectral state.  Interface values are read
-    from the mesh's cell-face slots, so each face's flux uses the same face
-    as its integrated mesh velocity.
+    iteration only updates the spectral state.  Area vectors are computed on
+    the interfaces the IFMV belongs to, and each axis's block of interfaces
+    is read as its grid, oriented +axis (:meth:`HexMesh.axis_interfaces`).
     """
 
     def __init__(
@@ -274,12 +274,25 @@ class FreestreamProblem:
         self.volumes = (
             cell_volumes(mesh, trajectory).T.reshape(nts, mesh.nz, mesh.ny, mesh.nx)
         )
-        corners = mesh.cell_corners(trajectory.positions[:-1])
-        self.face_vectors = self._per_interface(
-            np.moveaxis(face_area_vectors(corners), -1, 0)
-        )
-        slot_ifmv = np.zeros((mesh.n_cells, 6, nts)) if ifmv is None else ifmv.total
-        self.face_ifmv = self._per_interface(np.moveaxis(slot_ifmv, -1, 0))
+        n_interfaces = len(mesh.interface_vertex_ids)
+        areas = mesh.blockwise(
+            lambda q: np.concatenate(_quad_area(q)),
+            mesh.interface_vertex_ids,
+            trajectory.positions[:-1],
+            out=np.empty((3 * nts, n_interfaces)).T,
+        ).T.reshape(3, nts, n_interfaces)
+        g = np.zeros((nts, n_interfaces)) if ifmv is None else ifmv.total.T
+        self.face_vectors, self.face_ifmv = {}, {}
+        for name in "xyz":
+            block, orientation = mesh.axis_interfaces(name)
+            self.face_vectors[name], self.face_ifmv[name] = (
+                np.multiply(
+                    values[..., block].reshape(values.shape[:-1] + orientation.shape),
+                    orientation,
+                    order="C",
+                )
+                for values in (areas, g)
+            )
         self.w0 = self.freestream.conservative()
         self._axes = [
             self._axis_faces(name, axis) for name, axis in (("x", -1), ("y", -2), ("z", -3))
@@ -306,18 +319,6 @@ class FreestreamProblem:
             lower=along(None, -1, slice(None)),
             upper=along(1, None, slice(None)),
         )
-
-    def _per_interface(self, values: np.ndarray) -> dict[str, np.ndarray]:
-        """Cell-slot values (..., n_cells, 6) on each axis's interface grid.
-
-        The result is C-ordered whatever the memory order of ``values``, so
-        the leading axes are the slow ones.
-        """
-        out = {}
-        for axis in ("x", "y", "z"):
-            cells, slots, signs = self.mesh.axis_faces(axis)
-            out[axis] = np.multiply(values[..., cells, slots], signs, order="C")
-        return out
 
     # -- state handling ----------------------------------------------------
 

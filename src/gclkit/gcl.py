@@ -19,9 +19,9 @@ period) are split into a linear slope plus a periodic part before any
 spectral differentiation; only the periodic part is transformed and the
 slope re-enters as the zeroth mode.
 
-Face values are computed once per mesh interface and scattered to the two
-cells sharing it with opposite signs.  The per-Cartesian-direction split is
-opt-in, from :func:`sweep_volume_by_direction` or :func:`quad_flux_by_direction`;
+Every field holds one value per mesh interface, (n_interfaces, ...), and
+:meth:`HexMesh.sum_over_faces` forms the cell sums.  The per-direction split
+is opt-in, from :func:`sweep_volume_by_direction` or :func:`quad_flux_by_direction`;
 a series built from it, time last, goes through the same transforms.
 """
 
@@ -179,31 +179,28 @@ def sweep_volume_by_direction(
 
 @dataclass
 class IncrementSeries:
-    """Per-face volumetric increments relative to the initial configuration.
+    """Per-interface volumetric increments relative to the initial configuration.
 
-    ``totals[c, m, n]`` is the signed volume swept by face m of cell c
-    between t_0 and t_n (n = 0..2N+1, the last entry being the closing
-    sample at t = T).  The linear slope and periodic part are filled by
-    :func:`extract_linear_and_periodic`.
+    ``totals[f, n]`` is the signed volume swept by interface f between t_0
+    and t_n (n = 0..2N+1, the last entry being the closing sample at t = T).
+    :func:`extract_linear_and_periodic` fills the linear slope and periodic
+    part; the increment builders return the series split.
     """
 
     method: str  # "lvi" or "aevi"
     period: float
     times: np.ndarray  # (2N+2,)
-    totals: np.ndarray  # (n_cells, 6, 2N+2)
-    linear_slope: np.ndarray | None = None  # (n_cells, 6)
-    periodic_part: np.ndarray | None = None  # (n_cells, 6, 2N+1)
+    totals: np.ndarray  # (n_interfaces, 2N+2)
+    linear_slope: np.ndarray | None = None  # (n_interfaces,)
+    periodic_part: np.ndarray | None = None  # (n_interfaces, 2N+1)
 
 
 @dataclass
 class IfmvField:
-    """IFMV of every face at the 2N+1 spectral instants, tagged by method."""
+    """IFMV of every interface at the 2N+1 spectral instants, tagged by method."""
 
     method: str
-    total: np.ndarray  # (n_cells, 6, 2N+1)
-
-    def sum_over_faces(self) -> np.ndarray:
-        return self.total.sum(axis=1)
+    total: np.ndarray  # (n_interfaces, 2N+1)
 
 
 def lvi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeries:
@@ -228,7 +225,8 @@ def aevi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSer
 
 
 def _increments(method, mesh, trajectory, sweeps) -> IncrementSeries:
-    """Interface increments t_1..t_2N+1 from ``sweeps`` of the gathered quads.
+    """Interface increments t_1..t_2N+1 from ``sweeps`` of the gathered quads,
+    split into their linear slope and periodic part.
 
     ``sweeps`` receives a block's quads as corner planes (4, 3, 2N+2, block)
     and returns (2N+1, block).
@@ -237,8 +235,8 @@ def _increments(method, mesh, trajectory, sweeps) -> IncrementSeries:
     mesh.blockwise(
         sweeps, mesh.interface_vertex_ids, trajectory.positions, out=totals[:, 1:]
     )
-    return IncrementSeries(
-        method, trajectory.period, trajectory.times, mesh.scatter_to_cells(totals)
+    return extract_linear_and_periodic(
+        IncrementSeries(method, trajectory.period, trajectory.times, totals)
     )
 
 
@@ -254,26 +252,18 @@ def extract_linear_and_periodic(series: IncrementSeries) -> IncrementSeries:
     return replace(series, linear_slope=slope, periodic_part=periodic)
 
 
-def _require_periodic(series: IncrementSeries) -> IncrementSeries:
-    if series.periodic_part is None:
-        series = extract_linear_and_periodic(series)
-    return series
-
-
 def ifmv_nlfd(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
-    """IFMV from increments via DFT: G_k = (i 2 pi k / T) p_k for k != 0.
+    """IFMV from split increments via DFT: G_k = (i 2 pi k / T) p_k for k != 0.
 
     The zeroth mode is the extracted linear slope; the result is transformed
     back to the time instants.
     """
-    series = _require_periodic(series)
     total = spectral.differentiate(series.periodic_part) + series.linear_slope[..., None]
     return IfmvField(f"nlfd-{series.method}", total)
 
 
 def ifmv_ts(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
-    """IFMV from increments via the time-spectral matrix: G = D p + slope."""
-    series = _require_periodic(series)
+    """IFMV from split increments via the time-spectral matrix: G = D p + slope."""
     total = series.periodic_part @ spectral.d_matrix.T + series.linear_slope[..., None]
     return IfmvField(f"ts-{series.method}", total)
 
@@ -292,18 +282,18 @@ def ifmv_avg(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
         trajectory.positions[:-1],
         trajectory.velocities[:-1],
     )
-    return IfmvField("avg", mesh.scatter_to_cells(flux))
+    return IfmvField("avg", flux)
 
 
 def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
-    """Exact trilinear-mapping IFMV for all cells and instants."""
+    """Exact trilinear-mapping IFMV for all interfaces and instants."""
     flux = mesh.blockwise(
         _quad_flux,
         mesh.interface_vertex_ids,
         trajectory.positions[:-1],
         trajectory.velocities[:-1],
     )
-    return IfmvField("trimap", mesh.scatter_to_cells(flux))
+    return IfmvField("trimap", flux)
 
 
 def cell_volumes(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:

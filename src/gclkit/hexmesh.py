@@ -246,9 +246,10 @@ class HexMesh:
     lz: float
     vertices: np.ndarray = field(repr=False)  # (n_vertices, 3)
     cell_vertex_ids: np.ndarray = field(repr=False)  # (n_cells, 8)
-    # Each face appears once as an interface, the face loop of its owner cell;
-    # face slot m of cell c is interface cell_interfaces[c, m] times
-    # cell_interface_signs[c, m] (-1 for the neighbour, which sees it reversed).
+    # Each face appears once as an interface, numbered as in axis_interfaces
+    # and stored as the face loop of its owner cell; face slot m of cell c is
+    # interface cell_interfaces[c, m] times cell_interface_signs[c, m] (-1 for
+    # the neighbour, which sees it reversed).
     interface_vertex_ids: np.ndarray = field(repr=False)  # (n_interfaces, 4)
     cell_interfaces: np.ndarray = field(repr=False)  # (n_cells, 6)
     cell_interface_signs: np.ndarray = field(repr=False)  # (n_cells, 6)
@@ -307,32 +308,31 @@ class HexMesh:
             out[start : start + step] = kernel(*gathered).T
         return out
 
-    def scatter_to_cells(self, values: np.ndarray) -> np.ndarray:
-        """Per-interface values (n_interfaces, ...) as signed cell-face slots.
+    def sum_over_faces(self, values: np.ndarray) -> np.ndarray:
+        """Per-cell sums of per-interface values (n_interfaces, ...), (n_cells, ...).
 
-        Returns shape (n_cells, 6, ...); the two cells of a shared face hold
-        exact negatives.
+        Each cell adds its six face slots in slot order 0..5; a slot holds
+        its interface's value, negated in the neighbour that sees the face
+        reversed.  This is the only place face values meet cell slots.
         """
         values = np.asarray(values)
         signs = self.cell_interface_signs.reshape((self.n_cells, 6) + (1,) * (values.ndim - 1))
-        return values[self.cell_interfaces] * signs
+        return (values[self.cell_interfaces] * signs).sum(axis=1)
 
-    def axis_faces(self, axis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Owner cell, face slot and sign of every interface normal to ``axis``.
+    def axis_interfaces(self, axis: str) -> tuple[slice, np.ndarray]:
+        """The block of interfaces normal to ``axis`` and their orientation.
 
-        Each array has the shape of that axis's interface grid, e.g.
-        (nz, ny, nx+1) for "x".  ``values[..., cells, slots] * signs`` reads
-        cell-slot data (..., n_cells, 6) as one value per interface, oriented
-        +axis, always from the slot of the cell that owns the interface.
+        Interfaces are numbered axis by axis, x, y, then z, each block in the
+        C order of its grid: (nz, ny, nx+1) for "x", (nz, ny+1, nx) for "y",
+        (nz+1, ny, nx) for "z".  Layer l of the grid lies at l spacings along
+        the axis.  Layer 0 is the low boundary, stored as the -axis face of
+        its cells; layer l > 0 is the +axis face of the cells in layer l - 1.
+        ``orientation`` has the grid's shape, -1 on layer 0 and +1 elsewhere,
+        so ``values[block].reshape(orientation.shape) * orientation`` reads
+        one value per interface, oriented +axis.
         """
-        low, high = FACE_FAMILY[axis]
-        grid_axis = "zyx".index(axis)
-        ids = np.arange(self.n_cells).reshape(self.nz, self.ny, self.nx)
-        # layer 0 is the low boundary, owned through its cells' -axis slot;
-        # layer l > 0 is the +axis face of the cells in layer l - 1
-        cells = np.concatenate([np.take(ids, [0], axis=grid_axis), ids], axis=grid_axis)
-        on_low = np.indices(cells.shape)[grid_axis] == 0
-        return cells, np.where(on_low, low, high), np.where(on_low, -1.0, 1.0)
+        block, layer = _interface_blocks(self.counts)[axis]
+        return block, np.where(layer == 0, -1.0, 1.0)
 
     def boundary_vertex_mask(self) -> np.ndarray:
         """Boolean mask of vertices lying on the box surface."""
@@ -369,53 +369,52 @@ def build_box_mesh(
         raise ValueError(f"edge lengths must be positive, got {lengths}")
     nx, ny, nz = int(nx), int(ny), int(nz)
 
-    xs = np.linspace(0.0, lx, nx + 1)
-    ys = np.linspace(0.0, ly, ny + 1)
-    zs = np.linspace(0.0, lz, nz + 1)
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
+    gz, gy, gx = np.meshgrid(
+        np.linspace(0.0, lz, nz + 1),
+        np.linspace(0.0, ly, ny + 1),
+        np.linspace(0.0, lx, nx + 1),
+        indexing="ij",
+    )
     # vertex id = i + (nx+1)*(j + (ny+1)*k)  -> x-fastest flattening
-    vertices = np.stack(
-        [gx.transpose(2, 1, 0).ravel(), gy.transpose(2, 1, 0).ravel(), gz.transpose(2, 1, 0).ravel()],
-        axis=-1,
-    )
-
-    def vid(i, j, k):
-        return i + (nx + 1) * (j + (ny + 1) * k)
-
-    ci, cj, ck = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    ci = ci.transpose(2, 1, 0).ravel()
-    cj = cj.transpose(2, 1, 0).ravel()
-    ck = ck.transpose(2, 1, 0).ravel()
+    vertices = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
+    # cell corner m is the vertex REF_CORNERS[m] grid steps past the cell's corner 0
+    grid = np.arange(len(vertices)).reshape(nz + 1, ny + 1, nx + 1)
     cell_vertex_ids = np.stack(
-        [
-            vid(ci, cj, ck),
-            vid(ci + 1, cj, ck),
-            vid(ci + 1, cj + 1, ck),
-            vid(ci, cj + 1, ck),
-            vid(ci, cj, ck + 1),
-            vid(ci + 1, cj, ck + 1),
-            vid(ci + 1, cj + 1, ck + 1),
-            vid(ci, cj + 1, ck + 1),
-        ],
+        [grid[k : k + nz, j : j + ny, i : i + nx].ravel() for i, j, k in REF_CORNERS.astype(int)],
         axis=-1,
     )
-    # a cell owns its +z, +y and +x faces, and its -z, -y, -x faces on the low
-    # boundary; an interior low face belongs to the neighbour below it
-    owned = np.zeros((len(ci), 6), dtype=bool)
-    owned[:, [1, 2, 5]] = True
-    owned[:, 0] = ck == 0
-    owned[:, 3] = cj == 0
-    owned[:, 4] = ci == 0
-    owner, slot = np.nonzero(owned)
-    cell_interfaces = np.zeros(owned.shape, dtype=np.intp)
-    cell_interfaces[owner, slot] = np.arange(len(owner))
-    for axis, step in (("z", nx * ny), ("y", nx), ("x", 1)):
+    # interfaces are numbered axis by axis (HexMesh.axis_interfaces); layer l
+    # of an axis is owned by the cells of layer max(l - 1, 0), through their
+    # -axis face on layer 0 and their +axis face elsewhere
+    cells = np.arange(len(cell_vertex_ids)).reshape(nz, ny, nx)
+    cell_interfaces = np.empty((cells.size, 6), dtype=np.intp)
+    owners, slots = [], []
+    for axis, (block, layer) in _interface_blocks((nx, ny, nz)).items():
         low, high = FACE_FAMILY[axis]
-        shared = np.flatnonzero(~owned[:, low])
-        cell_interfaces[shared, low] = cell_interfaces[shared - step, high]
+        grid_axis = "zyx".index(axis)
+        index = list(np.indices(layer.shape))
+        index[grid_axis] = np.maximum(layer - 1, 0)
+        owners.append(cells[tuple(index)].ravel())
+        slots.append(np.where(layer == 0, low, high).ravel())
+        ids = np.arange(block.start, block.stop).reshape(layer.shape)
+        cell_interfaces[:, low] = np.delete(ids, -1, axis=grid_axis).ravel()
+        cell_interfaces[:, high] = np.delete(ids, 0, axis=grid_axis).ravel()
+    owners, slots = np.concatenate(owners), np.concatenate(slots)
     return HexMesh(
         nx, ny, nz, float(lx), float(ly), float(lz), vertices, cell_vertex_ids,
-        interface_vertex_ids=cell_vertex_ids[owner[:, None], FACE_LOOPS[slot]],
+        interface_vertex_ids=cell_vertex_ids[owners[:, None], FACE_LOOPS[slots]],
         cell_interfaces=cell_interfaces,
-        cell_interface_signs=np.where(owned, 1.0, -1.0),
+        cell_interface_signs=np.where(owners[cell_interfaces] == cells.reshape(-1, 1), 1.0, -1.0),
     )
+
+
+def _interface_blocks(counts) -> dict[str, tuple[slice, np.ndarray]]:
+    """Per axis, its interface block and each interface's layer on the axis's grid."""
+    blocks, start = {}, 0
+    for axis in "xyz":
+        shape = list(counts[::-1])
+        shape["zyx".index(axis)] += 1
+        layer = np.indices(shape)["zyx".index(axis)]
+        blocks[axis] = slice(start, start + layer.size), layer
+        start += layer.size
+    return blocks

@@ -8,7 +8,7 @@ Three benchmark metrics quantify how well an IFMV method behaves:
   sum_m G_m = spectral d(volume)/dt;
 * ``abs_err_ifmv_vs_reference`` -- distance of individual face IFMV values
   from the exact trilinear-mapping reference, reported per face family
-  (the two faces whose reference normal is +-x, +-y or +-z).
+  (the interfaces whose reference normal is along x, y or z).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gcl import IfmvField
-from .hexmesh import FACE_FAMILY
+from .hexmesh import HexMesh
 
 __all__ = [
     "ErrorReport",
@@ -58,27 +58,27 @@ def rel_err_freestream(states: np.ndarray, reference: np.ndarray) -> float:
     return float(np.max(diff / scale.reshape(column)))
 
 
-def abs_err_sum_vs_dvoldt(field: IfmvField, dvoldt: np.ndarray) -> float:
+def abs_err_sum_vs_dvoldt(mesh: HexMesh, field: IfmvField, dvoldt: np.ndarray) -> float:
     """Max |sum_m G_m - dvoldt| over cells/instants.
 
-    ``dvoldt`` is the spectral time derivative of the cell volumes,
-    (n_cells, Nts), computed once and shared by every method at a point.
+    The sum runs over each cell's six signed faces of ``mesh``.  ``dvoldt``
+    is the spectral time derivative of the cell volumes, (n_cells, Nts),
+    computed once and shared by every method at a point.
     """
-    return float(np.max(np.abs(field.sum_over_faces() - dvoldt)))
+    return float(np.max(np.abs(mesh.sum_over_faces(field.total) - dvoldt)))
 
 
 def abs_err_ifmv_vs_reference(
-    field: IfmvField, reference: IfmvField, direction: str
+    mesh: HexMesh, field: IfmvField, reference: IfmvField, direction: str
 ) -> float:
     """Max face IFMV error against the reference for one face family.
 
-    ``direction`` selects the pair of faces whose reference normal is along
-    that axis; the comparison is on the total face flux, matching the
-    sweep-geometry the per-direction benchmark curves isolate.
+    ``direction`` selects the interfaces of ``mesh`` whose reference normal
+    is along that axis; the comparison is on the total face flux, matching
+    the sweep-geometry the per-direction benchmark curves isolate.
     """
-    slots = FACE_FAMILY[direction]
-    diff = field.total[:, slots, :] - reference.total[:, slots, :]
-    return float(np.max(np.abs(diff)))
+    block, _ = mesh.axis_interfaces(direction)
+    return float(np.max(np.abs(field.total[block] - reference.total[block])))
 
 
 def fd_reference_errors(

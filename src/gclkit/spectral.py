@@ -59,13 +59,6 @@ class SpectralOperator:
         self._inverse = np.exp(1j * phase).T
         self._d_matrix = ts_matrix(self.n_harmonics, self.period)
 
-    @classmethod
-    def from_sample_count(cls, nts: int, period: float = 1.0) -> "SpectralOperator":
-        """Build the operator for a given sample count; only odd counts exist."""
-        if nts < 3 or nts % 2 == 0:
-            raise ValueError(f"sample count must be odd and >= 3, got {nts}")
-        return cls((nts - 1) // 2, period)
-
     @property
     def d_matrix(self) -> np.ndarray:
         return self._d_matrix
@@ -103,18 +96,3 @@ class SpectralOperator:
         if np.isrealobj(samples):
             return out.real
         return out
-
-    def volume_derivative_error(
-        self, volumes: np.ndarray, reference_derivatives: np.ndarray
-    ) -> float:
-        """Max abs difference between the spectral and exact volume derivatives.
-
-        ``volumes`` holds per-cell volume samples (..., Nts); the reference is
-        the exact rate of change on the same sampling.  The result locates the
-        harmonic count beyond which Fourier differentiation of the cell volume
-        is converged.
-        """
-        reference_derivatives = np.asarray(reference_derivatives)
-        return float(
-            np.max(np.abs(self.differentiate(volumes) - reference_derivatives))
-        )

@@ -23,13 +23,12 @@ def rng():
 
 
 def _by_direction_increments(mesh, trajectory, kind):
-    """LVI or AEVI increments split by Cartesian direction, (n_cells, 6, 3, 2N+2).
+    """LVI or AEVI increments split by Cartesian direction, (n_interfaces, 3, 2N+2).
 
     The split is opt-in: each interface's sweep goes through
-    ``gcl.sweep_volume_by_direction`` and is scattered to the cell slots like
-    the totals.  Time is the last axis, so the series goes through the same
-    ``extract_linear_and_periodic``, ``ifmv_nlfd`` and ``ifmv_ts`` as the
-    totals do.
+    ``gcl.sweep_volume_by_direction``.  Time is the last axis, so the series
+    goes through the same ``extract_linear_and_periodic``, ``ifmv_nlfd`` and
+    ``ifmv_ts`` as the totals do.
     """
     from gclkit import gcl
 
@@ -40,10 +39,7 @@ def _by_direction_increments(mesh, trajectory, kind):
         steps = gcl.sweep_volume_by_direction(quads[:-1], quads[1:])
         swept = np.concatenate([np.zeros_like(steps[:1]), np.cumsum(steps, axis=0)])
     return gcl.IncrementSeries(
-        kind,
-        trajectory.period,
-        trajectory.times,
-        mesh.scatter_to_cells(np.moveaxis(swept, 0, -1)),
+        kind, trajectory.period, trajectory.times, np.moveaxis(swept, 0, -1)
     )
 
 

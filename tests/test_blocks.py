@@ -126,7 +126,7 @@ def _reference_increments(mesh, trajectory, kind):
     else:
         steps = _per_instant(_reference_sweep, quads[:-1], quads[1:])
         np.cumsum(steps, axis=-1, out=totals[:, 1:])
-    return mesh.scatter_to_cells(totals)
+    return totals
 
 
 def _face_stacks(mesh, trajectory):
@@ -182,10 +182,10 @@ def test_increments_bitwise_equal_one_shot(paper_mesh, case5_trajectory, kind):
 def test_face_fields_bitwise_equal_one_shot(paper_mesh, case5_trajectory):
     stacks = _face_stacks(paper_mesh, case5_trajectory)
     avg = gcl.ifmv_avg(paper_mesh, case5_trajectory).total
-    expected = paper_mesh.scatter_to_cells(_per_instant(_reference_avg_flux, *stacks))
+    expected = _per_instant(_reference_avg_flux, *stacks)
     assert _bitwise_equal(avg, expected)
     trimap = gcl.trimap_field(paper_mesh, case5_trajectory).total
-    expected = paper_mesh.scatter_to_cells(_per_instant(_reference_quad_flux, *stacks))
+    expected = _per_instant(_reference_quad_flux, *stacks)
     assert _bitwise_equal(trimap, expected)
 
 

@@ -164,7 +164,7 @@ def test_verify_passes_cleanly(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "14/14" in out
+    assert "13/13" in out
 
 
 def test_verify_mutation_trips_closure_property(capsys):

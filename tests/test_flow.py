@@ -138,8 +138,10 @@ def case2_small():
 def _structured_face_reference(mesh, traj, ifmv):
     """+axis interface area vectors (3, ...) and IFMV from the structured grid.
 
-    Every face loop is built from the (k, j, i) vertex grid and the cell
-    slots are decoded by number, independently of the mesh's interfaces.
+    Every face loop is built from the (k, j, i) vertex grid, independently of
+    the mesh's interfaces, and the IFMV is decoded from the interface
+    numbering: the x, y and z blocks in turn, each in the C order of its grid,
+    with layer 0 stored as its cells' -axis face.
     """
     nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
     nts = traj.positions.shape[0] - 1
@@ -160,14 +162,15 @@ def _structured_face_reference(mesh, traj, ifmv):
         "z": np.zeros((nts, nz + 1, ny, nx)),
     }
     if ifmv is not None:
-        # slots: 0 -z, 1 +z, 2 +y, 3 -y, 4 -x, 5 +x
-        f = np.moveaxis(ifmv.total.reshape(nz, ny, nx, 6, nts), -1, 0)
-        g["x"][..., 1:] = f[..., 5]
-        g["x"][..., 0] = -f[:, :, :, 0, 4]
-        g["y"][:, :, 1:, :] = f[..., 2]
-        g["y"][:, :, 0, :] = -f[:, :, 0, :, 3]
-        g["z"][:, 1:, :, :] = f[..., 1]
-        g["z"][:, 0, :, :] = -f[:, 0, :, :, 0]
+        f = ifmv.total.T
+        start = 0
+        for axis in "xyz":
+            stop = start + g[axis][0].size
+            g[axis][...] = f[:, start:stop].reshape(g[axis].shape)
+            start = stop
+        g["x"][..., 0] *= -1.0
+        g["y"][:, :, 0, :] *= -1.0
+        g["z"][:, 0, :, :] *= -1.0
     return vectors, g
 
 

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gclkit import hexmesh
 from gclkit.hexmesh import (
-    FACE_LOOPS,
+    FACE_FAMILY,
     REF_CORNERS,
     build_box_mesh,
     corner_jacobians,
     detect_degenerate,
     face_area_vectors,
     hex_volume,
+    quad_area_vectors,
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.verify import gauss_volume_oracle, random_hexahedra
@@ -157,22 +159,67 @@ def test_volume_of_collapsed_hexahedron_is_zero(rng):
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
-def test_axis_faces_read_owned_slots_along_axis(axis):
+def test_axis_interfaces_read_owned_loops_along_axis(axis):
     mesh = build_box_mesh(4, 5, 6, 3.2, 2.8, 2.4)
     a = "xyz".index(axis)
-    cells, slots, signs = mesh.axis_faces(axis)
+    block, orientation = mesh.axis_interfaces(axis)
     grid = [mesh.nz, mesh.ny, mesh.nx]
     grid[2 - a] += 1
-    assert cells.shape == slots.shape == signs.shape == tuple(grid)
-    # every interface of the axis is read once, from its owner's slot
-    assert np.all(mesh.cell_interface_signs[cells, slots] == 1.0)
-    assert np.unique(mesh.cell_interfaces[cells, slots]).size == cells.size
+    assert orientation.shape == tuple(grid)
+    ids = np.arange(len(mesh.interface_vertex_ids))[block].reshape(grid)
+    # every interface of the axis is read once, and its owner holds it with +1
+    family = list(FACE_FAMILY[axis])
+    owned = mesh.cell_interface_signs[:, family] == 1.0
+    assert np.array_equal(np.sort(mesh.cell_interfaces[:, family][owned]), ids.ravel())
     # interface layer l lies at l * spacing along the axis
-    quads = mesh.vertices[mesh.cell_vertex_ids[cells[..., None], FACE_LOOPS[slots]]]
+    quads = mesh.vertices[mesh.interface_vertex_ids[ids]]
     layer = np.indices(grid)[2 - a]
     spacing = mesh.lengths[a] / mesh.counts[a]
     np.testing.assert_allclose(quads[..., a].mean(axis=-1), layer * spacing, atol=1e-12)
     # on the undeformed box, the +axis area vectors point along +axis
-    vectors = face_area_vectors(mesh.cell_corners())[cells, slots] * signs[..., None]
+    vectors = quad_area_vectors(quads) * orientation[..., None]
     assert np.all(vectors[..., a] > 0.0)
     assert np.all(np.delete(vectors, a, axis=-1) == 0.0)
+
+
+@st.composite
+def boxes(draw):
+    """Box meshes of 1-5 cells per axis with random edge lengths."""
+    counts = [draw(st.integers(1, 5)) for _ in range(3)]
+    lengths = [draw(st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)) for _ in range(3)]
+    return build_box_mesh(*counts, *lengths)
+
+
+@settings(max_examples=40, deadline=None)
+@given(boxes())
+def test_interface_map_properties(mesh):
+    n_interfaces = len(mesh.interface_vertex_ids)
+    # the axis blocks tile the interfaces in order x, y, z; each reshapes to
+    # its grid, whose layer l lies at l * spacing
+    start = 0
+    for a, axis in enumerate("xyz"):
+        block, orientation = mesh.axis_interfaces(axis)
+        assert block.start == start
+        start = block.stop
+        quads = mesh.vertices[mesh.interface_vertex_ids[block]]
+        centres = quads[..., a].mean(axis=-1).reshape(orientation.shape)
+        layer = np.indices(orientation.shape)[2 - a]
+        spacing = mesh.lengths[a] / mesh.counts[a]
+        np.testing.assert_allclose(centres, layer * spacing, rtol=0, atol=1e-12 * mesh.lengths[a])
+        assert np.array_equal(orientation, np.where(layer == 0, -1.0, 1.0))
+    assert start == n_interfaces
+    # interior interfaces sit in two cell slots with signs +1 and -1, boundary
+    # interfaces in one slot with +1
+    ids, signs = mesh.cell_interfaces.ravel(), mesh.cell_interface_signs.ravel()
+    plus = np.bincount(ids[signs == 1.0], minlength=n_interfaces)
+    minus = np.bincount(ids[signs == -1.0], minlength=n_interfaces)
+    assert np.all(np.isin(signs, (1.0, -1.0)))
+    assert np.all(plus == 1)
+    centres = mesh.vertices[mesh.interface_vertex_ids].mean(axis=1)
+    on_boundary = np.any(
+        np.isclose(centres, 0.0, atol=1e-9) | np.isclose(centres, mesh.lengths, atol=1e-9), axis=1
+    )
+    assert np.array_equal(minus, np.where(on_boundary, 0, 1))
+    # the undeformed cells are closed: their signed face area vectors cancel exactly
+    vectors = quad_area_vectors(mesh.vertices[mesh.interface_vertex_ids])
+    assert np.all(mesh.sum_over_faces(vectors) == 0.0)

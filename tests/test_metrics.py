@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gclkit import flow, gcl
+from gclkit import experiments, flow, gcl
+from gclkit.hexmesh import FACE_FAMILY
 from gclkit.metrics import (
     abs_err_ifmv_vs_reference,
     abs_err_sum_vs_dvoldt,
@@ -50,7 +51,7 @@ def test_abs_err2_reference_self_consistency(small_mesh):
     traj = sample_motion(small_mesh, MotionCase.for_case("case2"), 2)
     field = gcl.trimap_field(small_mesh, traj)
     for d in "xyz":
-        assert abs_err_ifmv_vs_reference(field, field, d) == 0.0
+        assert abs_err_ifmv_vs_reference(small_mesh, field, field, d) == 0.0
 
 
 def test_abs_err1_uses_spectral_derivative(small_mesh):
@@ -59,7 +60,40 @@ def test_abs_err1_uses_spectral_derivative(small_mesh):
     series = gcl.extract_linear_and_periodic(gcl.aevi_increments(small_mesh, traj))
     field = gcl.ifmv_nlfd(series, op)
     dvoldt = op.differentiate(gcl.cell_volumes(small_mesh, traj))
-    assert abs_err_sum_vs_dvoldt(field, dvoldt) <= 1e-11
+    assert abs_err_sum_vs_dvoldt(small_mesh, field, dvoldt) <= 1e-11
+
+
+def _cell_slots(mesh, values):
+    """Per-interface values (n_interfaces, ...) as signed cell-face slots (n_cells, 6, ...)."""
+    signs = mesh.cell_interface_signs.reshape(mesh.cell_interfaces.shape + (1,) * (values.ndim - 1))
+    return values[mesh.cell_interfaces] * signs
+
+
+def _slot_field(point, method):
+    """A method's IFMV computed the cell-slot way: increments scattered to the
+    slots, then split and transformed there (avg and trimap scattered)."""
+    if method in ("avg", "trimap"):
+        return _cell_slots(point.mesh, point.field_for(method).total)
+    transform, kind = method.split("-")
+    series = point.increments(kind)
+    totals = _cell_slots(point.mesh, series.totals)
+    split = gcl.extract_linear_and_periodic(
+        gcl.IncrementSeries(kind, series.period, series.times, totals)
+    )
+    make = gcl.ifmv_nlfd if transform == "nlfd" else gcl.ifmv_ts
+    return make(split, point.spectral).total
+
+
+def test_errors_equal_cell_slot_reference(paper_mesh):
+    point = experiments.prepare_point(paper_mesh, MotionCase.for_case("case5"), 5)
+    reference = _cell_slots(paper_mesh, point.reference.total)
+    for row in experiments.evaluate_point(point, list(gcl.METHODS)):
+        total = _slot_field(point, row.method)
+        assert row.abs_err1 == np.max(np.abs(total.sum(axis=1) - point.dvoldt)), row.method
+        for d in "xyz":
+            slots = list(FACE_FAMILY[d])
+            err2 = np.max(np.abs(total[:, slots] - reference[:, slots]))
+            assert getattr(row, f"abs_err2_{d}") == err2, (row.method, d)
 
 
 def test_fd_reference_errors_orders():
