@@ -95,14 +95,17 @@ def _parse_methods(text: str) -> list[str]:
         raise ConfigError(
             f"unknown methods {bad}; choose from {', '.join(METHOD_ALIASES)}"
         )
+    twice = sorted({m for m in methods if methods.count(m) > 1})
+    if twice:
+        raise ConfigError(f"methods named more than once: {twice}")
     return methods
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split("..") if ".." in text else [text, text]
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except (ValueError, IndexError) as err:
+        lo, hi = map(int, parts)  # ValueError unless exactly two parts
+    except ValueError as err:
         raise ConfigError(f"bad harmonic range {text!r}; expected 'a..b'") from err
     if not (1 <= lo <= hi <= 64):
         raise ConfigError(f"harmonic range must satisfy 1 <= a <= b <= 64, got {text}")

@@ -13,12 +13,13 @@ the freestream state, so geometric effects are never mixed with boundary
 condition effects.
 
 Arrays are stored component-first.  The spectral state is
-(5, Nts, nz, ny, nx); padded states and face fluxes are (5, Nts, ...) on
-their own grids; velocities and face area vectors are (3, Nts, ...);
-pressures, volumes, radii and face mesh velocities have no component axis.
-Every broadcast then runs over contiguous grid blocks rather than over 3- or
-5-wide component vectors.  Three-term dot products are summed in the fixed
-order ``(a_x b_x + a_y b_y) + a_z b_z``.
+(5, Nts, nz, ny, nx); velocities are (3, ...); pressures, volumes, radii and
+face mesh velocities have no component axis.  Face work along one grid axis
+runs axis-major: padded states, velocities and pressures, face geometry and
+face fluxes put that axis's cells or interfaces first, after any component
+axis, e.g. (5, nx+4, Nts, nz, ny) for x, so every left, right and JST
+stencil slice is a few long contiguous runs.  Three-term dot products are
+summed in the fixed order ``(a_x b_x + a_y b_y) + a_z b_z``.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ def ale_face_flux(
 
     def fixed_grid(states, vel, p):
         contravariant = _dot(vel, face_vector)
-        out = states * contravariant
+        out = np.empty(states.shape)
+        np.multiply(states[:4], contravariant, out=out[:4])
         out[1:4] += p * face_vector
         out[4] = (states[4] + p) * contravariant
         return out
@@ -224,28 +226,32 @@ class FreestreamResult:
         return self.final_residual / self.initial_residual
 
 
+def _along(lo, hi) -> tuple:
+    """Index lo:hi along the leading grid axis of an axis-major array."""
+    return (Ellipsis, slice(lo, hi), slice(None), slice(None), slice(None))
+
+
+# padded cells left and right of each interface; low and high interfaces of
+# each cell
+_LEFT, _RIGHT = _along(1, -2), _along(2, -1)
+_LOWER, _UPPER = _along(None, -1), _along(1, None)
+
+
 @dataclass(frozen=True)
 class _AxisFaces:
-    """Frozen geometry of the interfaces normal to one axis.
+    """Frozen geometry of the interfaces normal to one axis, axis-major.
 
-    Arrays live on the axis's interface grid, e.g. (Nts, nz, ny, nx+1) for
-    x.  The index tuples address the three trailing grid axes, so they apply
-    with or without a leading component axis.  ``left`` and ``right`` index
-    the padded cell values on either side of each interface, ``lower`` and
-    ``upper`` the low and high interfaces of each cell, and ``line`` the
-    padded cells JST reads: every cell along ``axis`` (counted from the
-    end), the interior across it.
+    Arrays put the axis's m+1 interfaces first on their grid, e.g.
+    (nx+1, Nts, nz, ny) for x.  ``order`` transposes a (c, Nts, nz, ny, nx)
+    array to axis-major and ``back`` undoes it; ``order[1:]`` and
+    ``back[1:]`` do the same without the component axis.
     """
 
     vectors: np.ndarray  # +axis area vectors, (3, ...)
     ifmv: np.ndarray  # integrated face mesh velocities
     area: np.ndarray  # |vectors|
-    axis: int  # the grid axis, counted from the end
-    line: tuple
-    left: tuple
-    right: tuple
-    lower: tuple
-    upper: tuple
+    order: tuple
+    back: tuple
 
 
 class FreestreamProblem:
@@ -256,6 +262,8 @@ class FreestreamProblem:
     iteration only updates the spectral state.  Area vectors are computed on
     the interfaces the IFMV belongs to, and each axis's block of interfaces
     is read as its grid, oriented +axis (:meth:`HexMesh.axis_interfaces`).
+    ``face_vectors`` and ``face_ifmv`` keep those grids; the residual reads
+    axis-major copies.
     """
 
     def __init__(
@@ -294,30 +302,20 @@ class FreestreamProblem:
                 for values in (areas, g)
             )
         self.w0 = self.freestream.conservative()
-        self._axes = [
-            self._axis_faces(name, axis) for name, axis in (("x", -1), ("y", -2), ("z", -3))
-        ]
+        # the halo cells' state, velocity and pressure, computed as per cell
+        w0 = self.w0.reshape(5, 1, 1, 1, 1)
+        self._halo = (w0, w0[1:4] / w0[0], _pressure_unchecked(w0, self.freestream.gamma))
+        self._axes = [self._axis_faces(name, axis) for name, axis in zip("xyz", (-1, -2, -3))]
 
     def _axis_faces(self, name: str, axis: int) -> _AxisFaces:
-        m = self.volumes.shape[axis]
-
-        def along(lo, hi, passive):
-            index = [Ellipsis] + [passive] * 3
-            index[axis] = slice(lo, hi)
-            return tuple(index)
-
-        interior = slice(2, -2)
-        vectors = self.face_vectors[name]
+        order = (0, axis) + tuple(i for i in range(-4, 0) if i != axis)
+        vectors = np.ascontiguousarray(self.face_vectors[name].transpose(order))
         return _AxisFaces(
             vectors=vectors,
-            ifmv=self.face_ifmv[name],
+            ifmv=np.ascontiguousarray(self.face_ifmv[name].transpose(order[1:])),
             area=np.sqrt(_dot(vectors, vectors)),
-            axis=axis,
-            line=along(None, None, interior),
-            left=along(1, m + 2, interior),
-            right=along(2, m + 3, interior),
-            lower=along(None, -1, slice(None)),
-            upper=along(1, None, slice(None)),
+            order=order,
+            back=(0,) + tuple(np.argsort(np.mod(order, 5))[1:] - 5),
         )
 
     # -- state handling ----------------------------------------------------
@@ -329,13 +327,17 @@ class FreestreamProblem:
     def physical_states(self, wbar: np.ndarray) -> np.ndarray:
         return wbar / self.volumes
 
-    def _padded(self, wbar: np.ndarray) -> np.ndarray:
-        """Physical states with two freestream halo layers on every side."""
-        _, nts, nz, ny, nx = wbar.shape
-        wp = np.empty((5, nts, nz + 4, ny + 4, nx + 4))
-        wp[...] = self.w0.reshape(-1, 1, 1, 1, 1)
-        wp[..., 2:-2, 2:-2, 2:-2] = self.physical_states(wbar)
-        return wp
+    def _axis_major(self, cells: tuple, axis: _AxisFaces) -> list:
+        """Per-cell states, velocities and pressures (or the first of them),
+        axis-major, with two frozen freestream halo cells at each end."""
+        padded = []
+        for values, halo in zip(cells, self._halo):
+            moved = values.transpose(axis.order[-values.ndim:])
+            out = np.empty(moved.shape[:-4] + (moved.shape[-4] + 4,) + moved.shape[-3:])
+            out[_along(None, 2)] = out[_along(-2, None)] = halo
+            out[_along(2, -2)] = moved
+            padded.append(out)
+        return padded
 
     # -- residual assembly -------------------------------------------------
 
@@ -357,30 +359,29 @@ class FreestreamProblem:
         """
         gamma = self.freestream.gamma
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            wp = self._padded(wbar)
-            # per padded cell, shared by every face the cell touches
-            vel = wp[1:4] / wp[0]
-            pp = _pressure_unchecked(wp, gamma)
+            # per interior cell, shared by every face the cell touches
+            states = self.physical_states(wbar)
+            cells = (states, states[1:4] / states[0], _pressure_unchecked(states, gamma))
             conv = np.einsum("nK,cK...->cn...", self.spectral.d_matrix, wbar)
             diss = np.zeros_like(conv) if dissipation else None
             for axis in self._axes:
-                wl, wr = wp[axis.left], wp[axis.right]
+                wp, vel, pp = self._axis_major(cells, axis)
+                wl, wr = wp[_LEFT], wp[_RIGHT]
                 state_sum = wl + wr
                 flux = ale_face_flux(
                     wl, wr, axis.vectors, axis.ifmv, gamma,
                     primitives=(
-                        (vel[axis.left], pp[axis.left]),
-                        (vel[axis.right], pp[axis.right]),
+                        (vel[_LEFT], pp[_LEFT]),
+                        (vel[_RIGHT], pp[_RIGHT]),
                     ),
                     state_sum=state_sum,
                 )
-                conv += flux[axis.upper] - flux[axis.lower]
+                conv += (flux[_UPPER] - flux[_LOWER]).transpose(axis.back)
                 if dissipation:
                     faces = jst_dissipation(
-                        wp[axis.line], pp[axis.line],
-                        self._radii(axis, state_sum), KAPPA2, KAPPA4, axis.axis,
+                        wp, pp, self._radii(axis, state_sum), KAPPA2, KAPPA4, -4
                     )
-                    diss += faces[axis.upper] - faces[axis.lower]
+                    diss += (faces[_UPPER] - faces[_LOWER]).transpose(axis.back)
         return conv, diss
 
     def residual(self, wbar: np.ndarray) -> np.ndarray:
@@ -389,11 +390,12 @@ class FreestreamProblem:
 
     def local_timestep(self, wbar: np.ndarray, cfl: float) -> np.ndarray:
         """Per-cell, per-instant pseudo-time step from the spectral radii."""
-        wp = self._padded(wbar)
+        states = self.physical_states(wbar)
         total = np.zeros_like(self.volumes)
         for axis in self._axes:
-            radii = self._radii(axis, wp[axis.left] + wp[axis.right])
-            total += 0.5 * (radii[axis.lower] + radii[axis.upper])
+            (wp,) = self._axis_major((states,), axis)
+            radii = self._radii(axis, wp[_LEFT] + wp[_RIGHT])
+            total += (0.5 * (radii[_LOWER] + radii[_UPPER])).transpose(axis.back[1:])
         temporal = (
             2.0 * np.pi * self.spectral.n_harmonics / self.spectral.period
         ) * self.volumes

@@ -16,12 +16,12 @@ modes through it once and keep only the grid fields (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse import csr_array
-from scipy.spatial import cKDTree
 
+if TYPE_CHECKING:  # scipy is imported where used: only the RBF cases need it
+    from scipy.sparse import csr_array
 __all__ = ["wendland_c0", "RbfSystem", "build_system", "interpolate"]
 
 
@@ -61,6 +61,7 @@ class RbfSystem:
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """M^-1 values with one step of iterative refinement."""
+        from scipy.linalg import cho_solve
         values = np.asarray(values, dtype=float)
         coeff = cho_solve(self._factor, values)
         residual = values - self.system_matrix @ coeff
@@ -73,12 +74,14 @@ def _near_pairs(rows: np.ndarray, cols: np.ndarray, support_radius: float) -> np
     The ndarray output keeps zero distances, so coincident points (where the
     kernel is 1) are included.
     """
+    from scipy.spatial import cKDTree
     return cKDTree(rows).sparse_distance_matrix(
         cKDTree(cols), support_radius, output_type="ndarray"
     )
 
 
 def _kernel_matrix(near: np.ndarray, shape: tuple, support_radius: float) -> csr_array:
+    from scipy.sparse import csr_array
     return csr_array(
         (wendland_c0(near["v"], support_radius), (near["i"], near["j"])), shape=shape
     )
@@ -123,6 +126,7 @@ def build_system(
         If the kernel matrix cannot be factorised; duplicated control points
         are reported with their indices.
     """
+    from scipy.linalg import cho_factor
     rbf_points = np.atleast_2d(np.asarray(rbf_points, dtype=float))
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
     eval_matrix = _eval_matrix(rbf_points, grid_points, support_radius)

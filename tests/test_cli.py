@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,13 +98,18 @@ def test_bad_range_is_config_error():
         (["--alpha0", "x", "--case", "2"], None),
         (["--radius", "nan", "--case", "3"], None),
         (["--support-radius", "abc", "--case", "5"], None),
+        (["--n", "1..2..3"], None),
+        (["--n", "1..2.."], None),
+        (["--methods", "lvi,avg,lvi"], None),
+        ([], {"methods": ["avg", "avg"]}),
     ],
     ids=["amp", "mesh-text", "lengths", "mesh-zero", "support-radius", "cfl",
          "lengths-inf", "seed", "config-cfl", "config-unknown-key", "config-methods",
          "config-seed-float", "config-seed-text", "config-max-iters-float",
          "config-max-iters-text", "config-max-iters-zero", "max-iters-zero",
          "config-timing", "seed-float", "max-iters-float", "cfl-text", "alpha0-text",
-         "radius-nan", "support-radius-text"],
+         "radius-nan", "support-radius-text", "range-three-parts", "range-trailing-dots",
+         "methods-twice", "config-methods-twice"],
 )
 def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, config):
     argv = ["run", "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",
@@ -229,3 +238,37 @@ def test_freestream_divergence_exit_code(tmp_path, capsys):
                  "--max-iters", "30", "--out", str(tmp_path / "d.csv")])
     assert code == 4
     assert "divergence" in capsys.readouterr().err
+
+
+# runs ``python -m gclkit`` with the probe's arguments, then reports whether
+# any scipy module was imported
+MODULE_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("gclkit", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    print(exit.code, any(name.split(".")[0] == "scipy" for name in sys.modules))
+"""
+
+
+def _probe(code, *args):
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_scipy_is_imported_only_by_the_rbf_cases(tmp_path):
+    # scipy is most of the package's import time and only cases 4 and 5 use it
+    assert _probe("import sys, gclkit; print('scipy' in sys.modules)") == ["False"]
+    run = ["run", "--mesh", "2,2,2", "--n", "1..1", "--methods", "avg"]
+    out = tmp_path / "case1.csv"
+    assert _probe(MODULE_PROBE, *run, "--case", "1", "--out", str(out)) == ["0", "False"]
+    assert len(read_rows(out)) == 1
+    out = tmp_path / "case4.csv"
+    assert _probe(MODULE_PROBE, *run, "--case", "4", "--out", str(out)) == ["0", "True"]
+    assert len(read_rows(out)) == 1

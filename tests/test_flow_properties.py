@@ -4,7 +4,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gclkit.flow import ale_face_flux, jst_dissipation, pressure
+from gclkit import gcl
+from gclkit.flow import FreestreamProblem, ale_face_flux, jst_dissipation, pressure
+from gclkit.hexmesh import build_box_mesh
+from gclkit.motion import MotionCase, sample_motion
+from gclkit.spectral import SpectralOperator
+from test_flow import _reference_local_timestep, _reference_residual_parts
 
 GAMMA = 1.4
 
@@ -101,3 +106,35 @@ def test_jst_is_zero_on_uniform_lines(data):
     d = jst_dissipation(states, pressure(states), radii, kappa2, kappa4, axis)
     assert d.shape == (5,) + radii.shape
     assert np.all(d == 0.0)
+
+
+@st.composite
+def box_problems(draw):
+    """A case-2 problem on a random box, with a perturbed spectral state."""
+    nx, ny, nz = (draw(st.integers(2, 6)) for _ in range(3))
+    n_harmonics = draw(st.integers(1, 3))
+    mesh = build_box_mesh(nx, ny, nz, 3.2, 2.8, 2.4)
+    trajectory = sample_motion(mesh, MotionCase.for_case("case2"), n_harmonics)
+    ifmv = gcl.ifmv_avg(mesh, trajectory) if draw(st.booleans()) else None
+    problem = FreestreamProblem(mesh, trajectory, SpectralOperator(n_harmonics), ifmv)
+    wbar = problem.initial_state()
+    noise = _values(draw, wbar.shape, -1e-3, 1e-3)
+    return problem, wbar * (1.0 + noise)
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(box_problems())
+def test_axis_major_residual_is_bitwise_the_reference(data):
+    problem, wbar = data
+    ref_conv, ref_diss = _reference_residual_parts(problem, wbar)
+    conv, diss = problem.residual_parts(wbar)
+    assert _bitwise_equal(conv, ref_conv) and _bitwise_equal(diss, ref_diss)
+    conv, skipped = problem.residual_parts(wbar, dissipation=False)
+    assert skipped is None and _bitwise_equal(conv, ref_conv)
+    assert _bitwise_equal(
+        problem.local_timestep(wbar, 1.5), _reference_local_timestep(problem, wbar, 1.5)
+    )
