@@ -78,6 +78,10 @@ FACE_LOOPS = np.array(
 # Face slots grouped by the Cartesian axis of their reference normal, as
 # (low, high): the slot facing -axis, then the one facing +axis.
 FACE_FAMILY = {"x": (4, 5), "y": (3, 2), "z": (0, 1)}
+# face slot -> (axis of its reference normal, whether it faces +axis)
+_SLOT_FACES = {
+    slot: (axis, high) for axis, pair in FACE_FAMILY.items() for high, slot in enumerate(pair)
+}
 
 # Element-instants per block of :meth:`HexMesh.blockwise`: a block's gathered
 # corners and the kernels' temporaries stay cache-sized, so a thread's working
@@ -200,13 +204,18 @@ def corner_jacobians(corners: np.ndarray) -> np.ndarray:
     return np.stack(_corner_jacobians(corner_planes(corners)), axis=-1)
 
 
-def _degenerate(r) -> np.ndarray:
-    worst = functools.reduce(np.minimum, _corner_jacobians(r))
-    return (_hex_volume(r) <= 0.0) | (worst <= 0.0)
+def _inverted_corner(r) -> np.ndarray:
+    return functools.reduce(np.minimum, _corner_jacobians(r)) <= 0.0
 
 
-def detect_degenerate(mesh: HexMesh, positions: np.ndarray) -> np.ndarray:
+def detect_degenerate(
+    mesh: HexMesh, positions: np.ndarray, volumes: np.ndarray | None = None
+) -> np.ndarray:
     """Indices of cells with nonpositive volume or a nonpositive corner Jacobian.
+
+    Only cells are gated.  The per-step sweep hexahedra of AEVI are not: their
+    volumes are signed increments, and a negative sweep is a face moving
+    against its normal, not an inverted cell.
 
     Parameters
     ----------
@@ -214,6 +223,11 @@ def detect_degenerate(mesh: HexMesh, positions: np.ndarray) -> np.ndarray:
         The mesh whose cells are checked.
     positions : ndarray, shape (..., n_vertices, 3)
         Deformed vertex positions at one instant, or at a stack of instants.
+    volumes : ndarray, shape (n_cells, n_instants), optional
+        The cell volumes at those instants, as :func:`gclkit.gcl.cell_volumes`
+        gives them (n_cells, one column per flattened leading index), so a
+        caller that has them pays only the corner-Jacobian pass.  Computed
+        here when not given.
 
     Returns
     -------
@@ -225,7 +239,10 @@ def detect_degenerate(mesh: HexMesh, positions: np.ndarray) -> np.ndarray:
     """
     positions = np.asarray(positions, dtype=float)
     stack = positions.reshape((-1,) + positions.shape[-2:])
-    bad = mesh.blockwise(_degenerate, mesh.cell_vertex_ids, stack, dtype=bool)
+    if volumes is None:
+        volumes = mesh.blockwise(_hex_volume, mesh.cell_vertex_ids, stack)
+    inverted = mesh.blockwise(_inverted_corner, mesh.cell_vertex_ids, stack, dtype=bool)
+    bad = (np.reshape(volumes, inverted.shape) <= 0.0) | inverted
     return np.flatnonzero(bad.T)
 
 
@@ -311,13 +328,30 @@ class HexMesh:
     def sum_over_faces(self, values: np.ndarray) -> np.ndarray:
         """Per-cell sums of per-interface values (n_interfaces, ...), (n_cells, ...).
 
-        Each cell adds its six face slots in slot order 0..5; a slot holds
-        its interface's value, negated in the neighbour that sees the face
-        reversed.  This is the only place face values meet cell slots.
+        Each cell adds its six face slots to +0 in slot order 0..5, as
+        ``add.reduce`` does; a slot holds its interface's value, negated in
+        the neighbour that sees the face reversed.  This is the only place
+        face values meet cell slots.  The slots are read straight from each
+        axis's interface grid (:meth:`axis_interfaces`): a cell layer's
+        +axis faces are the next interface layer, its -axis faces the same
+        layer, owned on layer 0 and seen reversed (subtracted) elsewhere.
         """
         values = np.asarray(values)
-        signs = self.cell_interface_signs.reshape((self.n_cells, 6) + (1,) * (values.ndim - 1))
-        return (values[self.cell_interfaces] * signs).sum(axis=1)
+        tail = values.shape[1:]
+        total = np.zeros(self.counts[::-1] + tail, dtype=np.result_type(values, 1.0))
+        blocks = _interface_blocks(self.counts)
+        for slot in range(6):
+            axis, high = _SLOT_FACES[slot]
+            block, layer = blocks[axis]
+            grid = values[block].reshape(layer.shape + tail)
+            along = (slice(None),) * "zyx".index(axis)
+            if high:
+                np.add(total, grid[along + (slice(1, None),)], out=total)
+            else:
+                owned, seen = total[along + (slice(0, 1),)], total[along + (slice(1, None),)]
+                np.add(owned, grid[along + (slice(0, 1),)], out=owned)
+                np.subtract(seen, grid[along + (slice(1, -1),)], out=seen)
+        return total.reshape((self.n_cells,) + tail)
 
     def axis_interfaces(self, axis: str) -> tuple[slice, np.ndarray]:
         """The block of interfaces normal to ``axis`` and their orientation.

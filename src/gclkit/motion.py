@@ -27,6 +27,7 @@ __all__ = [
     "DegenerateMeshError",
     "build_rbf_system",
     "sample_motion",
+    "raise_if_degenerate",
     "analytic_increment_case3",
     "analytic_increment_rate_case3",
 ]
@@ -318,13 +319,15 @@ def sample_motion(
 ) -> MotionTrajectory:
     """Sample a motion case at the 2N+1 spectral instants plus t = T.
 
-    ``rbf_fields`` is passed on to :func:`evaluate_motion`.
+    ``rbf_fields`` is passed on to :func:`evaluate_motion`.  A caller that
+    computes the cell volumes anyway passes ``check_degeneracy=False`` and
+    gates with them through :func:`raise_if_degenerate`.
 
     Raises
     ------
     DegenerateMeshError
-        If any sampled configuration contains a cell with nonpositive volume
-        or corner Jacobian.
+        If ``check_degeneracy`` and a sampled configuration contains a cell
+        with nonpositive volume or corner Jacobian.
     """
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
@@ -335,13 +338,7 @@ def sample_motion(
     # makes the periodic closure exact instead of rounding-level
     positions = np.concatenate([positions, positions[:1]])
     velocities = np.concatenate([velocities, velocities[:1]])
-    if check_degeneracy:
-        # one call over the 2N+1 instants; the closing sample is t_0 again
-        bad = detect_degenerate(mesh, positions[:-1])
-        if len(bad):
-            instants, cells = np.divmod(bad, mesh.n_cells)
-            raise DegenerateMeshError(times[instants[0]], cells[instants == instants[0]])
-    return MotionTrajectory(
+    trajectory = MotionTrajectory(
         case=case,
         n_harmonics=int(n_harmonics),
         period=case.period,
@@ -350,6 +347,30 @@ def sample_motion(
         velocities=velocities,
         metadata=case.metadata(mesh),
     )
+    if check_degeneracy:
+        raise_if_degenerate(mesh, trajectory)
+    return trajectory
+
+
+def raise_if_degenerate(
+    mesh: HexMesh, trajectory: MotionTrajectory, volumes: np.ndarray | None = None
+) -> None:
+    """The degeneracy gate over a trajectory's 2N+1 sampled instants.
+
+    The closing sample is t_0 again and is not checked twice.  ``volumes``
+    are the trajectory's cell volumes (n_cells, 2N+1) when the caller has
+    them; see :func:`~gclkit.hexmesh.detect_degenerate`.
+
+    Raises
+    ------
+    DegenerateMeshError
+        Naming the first instant with a cell of nonpositive volume or corner
+        Jacobian, and every such cell at that instant.
+    """
+    bad = detect_degenerate(mesh, trajectory.positions[:-1], volumes)
+    if len(bad):
+        instants, cells = np.divmod(bad, mesh.n_cells)
+        raise DegenerateMeshError(trajectory.times[instants[0]], cells[instants == instants[0]])
 
 
 def analytic_increment_case3(

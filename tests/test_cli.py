@@ -102,6 +102,8 @@ def test_bad_range_is_config_error():
         (["--n", "1..2.."], None),
         (["--methods", "lvi,avg,lvi"], None),
         ([], {"methods": ["avg", "avg"]}),
+        # fails at once, allocating nothing
+        (["--mesh", "1000000,1000000,1000000"], None),
     ],
     ids=["amp", "mesh-text", "lengths", "mesh-zero", "support-radius", "cfl",
          "lengths-inf", "seed", "config-cfl", "config-unknown-key", "config-methods",
@@ -109,7 +111,7 @@ def test_bad_range_is_config_error():
          "config-max-iters-text", "config-max-iters-zero", "max-iters-zero",
          "config-timing", "seed-float", "max-iters-float", "cfl-text", "alpha0-text",
          "radius-nan", "support-radius-text", "range-three-parts", "range-trailing-dots",
-         "methods-twice", "config-methods-twice"],
+         "methods-twice", "config-methods-twice", "mesh-exabytes"],
 )
 def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, config):
     argv = ["run", "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",

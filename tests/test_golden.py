@@ -8,6 +8,9 @@ repository root::
 
     python tests/test_golden.py
 
+rewrites the file and prints every value that moved against the committed
+one, with its relative move, one line each.
+
 The runs are separate processes with BLAS on one thread: the RBF solve of
 cases 4 and 5 rounds differently with more BLAS threads.
 """
@@ -40,6 +43,52 @@ def _run_all_cases(out_dir: Path) -> bytes:
     return b"".join(_run_case(case, out_dir / f"case{case}.csv") for case in "12345")
 
 
+def _rows(text: str) -> dict:
+    """Data rows of concatenated run outputs, (case, method, N) -> {column: text}."""
+    rows, header = {}, []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if cells[0] == "case":
+            header = cells
+        else:
+            rows[tuple(cells[:3])] = dict(zip(header, cells))
+    return rows
+
+
+def moved_values(old: str, new: str) -> list[str]:
+    """One line per CSV value that differs between two outputs, with its relative move."""
+    old_rows, new_rows = _rows(old), _rows(new)
+    lines = []
+    for key in list(old_rows) + [k for k in new_rows if k not in old_rows]:
+        label = "{} {} N={}".format(*key)
+        if key not in new_rows or key not in old_rows:
+            lines.append(f"{label}: row {'removed' if key in old_rows else 'added'}")
+            continue
+        for column, before in old_rows[key].items():
+            after = new_rows[key].get(column)
+            if after == before:
+                continue
+            try:
+                move = abs(float(after) - float(before)) / abs(float(before))
+                lines.append(f"{label} {column}: {before} -> {after} (relative {move:.1e})")
+            except (TypeError, ValueError, ZeroDivisionError):
+                lines.append(f"{label} {column}: {before} -> {after}")
+    return lines
+
+
+def test_moved_values_lists_each_changed_cell():
+    old = "# meta\ncase,method,N,fd1_ref,fd2_ref\ncase1,avg,2,0.5,0.25\ncase1,avg,3,1,2\n"
+    new = "# other\ncase,method,N,fd1_ref,fd2_ref\ncase1,avg,2,0.5,0.2500001\ncase1,lvi,3,1,2\n"
+    assert moved_values(old, new) == [
+        "case1 avg N=2 fd2_ref: 0.25 -> 0.2500001 (relative 4.0e-07)",
+        "case1 avg N=3: row removed",
+        "case1 lvi N=3: row added",
+    ]
+    assert moved_values(old, old) == []
+
+
 def test_run_writes_golden_csv(tmp_path):
     written = _run_all_cases(tmp_path)
     assert written.decode().splitlines() == GOLDEN.read_bytes().decode().splitlines()
@@ -48,4 +97,8 @@ def test_run_writes_golden_csv(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_bytes(_run_all_cases(Path(tmp)))
+        written = _run_all_cases(Path(tmp))
+    committed = GOLDEN.read_text() if GOLDEN.exists() else ""
+    for line in moved_values(committed, written.decode()):
+        print(line)
+    GOLDEN.write_bytes(written)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gclkit import hexmesh
 from gclkit.hexmesh import (
@@ -223,3 +224,29 @@ def test_interface_map_properties(mesh):
     # the undeformed cells are closed: their signed face area vectors cancel exactly
     vectors = quad_area_vectors(mesh.vertices[mesh.interface_vertex_ids])
     assert np.all(mesh.sum_over_faces(vectors) == 0.0)
+
+
+@st.composite
+def boxes_with_face_values(draw):
+    """A random box and per-interface values (n_interfaces, ...) rich in signed zeros."""
+    mesh = draw(boxes())
+    tail = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    elements = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    )
+    values = draw(arrays(np.float64, (len(mesh.interface_vertex_ids),) + tail, elements=elements))
+    return mesh, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxes_with_face_values())
+def test_sum_over_faces_equals_gathered_slots(data):
+    mesh, values = data
+    # the cell-slot form: gather each cell's six signed slots, then add.reduce
+    signs = mesh.cell_interface_signs.reshape((mesh.n_cells, 6) + (1,) * (values.ndim - 1))
+    expected = (values[mesh.cell_interfaces] * signs).sum(axis=1)
+    total = mesh.sum_over_faces(values)
+    assert total.shape == expected.shape
+    assert np.array_equal(total, expected)
+    assert np.array_equal(np.signbit(total), np.signbit(expected))
