@@ -35,7 +35,6 @@ from .metrics import (
     ErrorReport,
     abs_err_ifmv_vs_reference,
     abs_err_sum_vs_dvoldt,
-    fitted_order,
     rel_err_freestream,
 )
 

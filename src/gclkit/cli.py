@@ -72,8 +72,8 @@ class RunConfig:
         if self.amp is not None:
             if self.case == "case4":
                 overrides["rbf_amplitude"] = self.amp[0]
-            else:
-                overrides["amplitude"] = self.amp
+            else:  # one value is the same amplitude along x, y and z
+                overrides["amplitude"] = self.amp if len(self.amp) == 3 else self.amp[0]
         return MotionCase.for_case(self.case, **overrides)
 
 
@@ -186,8 +186,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             mesh_lengths = _parse_list("lengths", layer["lengths"], float, 3)
         if "amp" in layer:
             cfg.amp = _parse_list("amp", layer["amp"])
-            if len(cfg.amp) == 1 and cfg.case != "case4":
-                cfg.amp = cfg.amp * 3
         for key in ("alpha0", "radius", "support_radius", "cfl"):
             if key in layer:
                 setattr(cfg, key, _number(key, layer[key]))
@@ -201,6 +199,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             cfg.timing = _parse_onoff(layer["timing"])
         if "out" in layer:
             cfg.out = str(layer["out"])
+    counts = (1,) if cfg.case == "case4" else (1, 3)
+    if cfg.amp is not None and len(cfg.amp) not in counts:
+        raise ConfigError(
+            f"the number of amp values for {cfg.case} must be "
+            f"{' or '.join(map(str, counts))}, got {len(cfg.amp)}"
+        )
     if min(mesh_counts) < 1 or not all(length > 0.0 for length in mesh_lengths):
         raise ConfigError(f"mesh sizes must be positive, got {mesh_counts} {mesh_lengths}")
     if not cfg.cfl > 0.0:
@@ -246,24 +250,11 @@ def write_csv(path, cfg: RunConfig, rows, stream=None) -> None:
     canonical = [METHOD_ALIASES[m] for m in cfg.methods]
     rows = sorted(rows, key=lambda r: (r.n_harmonics, canonical.index(r.method)))
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.case_id,
-                    r.method,
-                    str(r.n_harmonics),
-                    str(r.nts),
-                    _fmt(r.rel_err_freestream),
-                    _fmt(r.abs_err1),
-                    _fmt(r.abs_err2_x),
-                    _fmt(r.abs_err2_y),
-                    _fmt(r.abs_err2_z),
-                    _fmt(r.fd1_ref),
-                    _fmt(r.fd2_ref),
-                    _fmt(round(r.wall_ms, 3)),
-                ]
-            )
+        values = (
+            r.case_id, r.method, r.n_harmonics, r.nts, r.rel_err_freestream, r.abs_err1,
+            r.abs_err2_x, r.abs_err2_y, r.abs_err2_z, r.fd1_ref, r.fd2_ref, round(r.wall_ms, 3),
         )
+        lines.append(",".join(map(_fmt, values)))
     text = "\n".join(lines) + "\n"
     if path is None:
         (stream or sys.stdout).write(text)
@@ -275,22 +266,12 @@ def write_csv(path, cfg: RunConfig, rows, stream=None) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = build_run_config(args)
-        case = cfg.motion_case()
-    except ConfigError as err:
-        print(f"error: config: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    freestream = FreestreamOptions(
-        enabled=cfg.freestream,
-        cfl=cfg.cfl,
-        max_iterations=cfg.max_iters,
-    )
-    try:
         rows = experiments.run_sweep(
             cfg.mesh,
-            case,
+            cfg.motion_case(),
             cfg.harmonic_range(),
             [METHOD_ALIASES[m] for m in cfg.methods],
-            freestream,
+            FreestreamOptions(cfg.freestream, cfg.cfl, cfg.max_iters),
             timing=cfg.timing,
         )
     except ConfigError as err:

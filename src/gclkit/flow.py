@@ -42,7 +42,6 @@ __all__ = [
     "pressure",
     "ale_face_flux",
     "jst_dissipation",
-    "nlfd_unsteady_residual",
     "run_freestream",
 ]
 
@@ -261,9 +260,8 @@ class FreestreamProblem:
     mesh-velocity integrals) is frozen at construction; the pseudo-time
     iteration only updates the spectral state.  Area vectors are computed on
     the interfaces the IFMV belongs to, and each axis's block of interfaces
-    is read as its grid, oriented +axis (:meth:`HexMesh.axis_interfaces`).
-    ``face_vectors`` and ``face_ifmv`` keep those grids; the residual reads
-    axis-major copies.
+    is read as its grid, oriented +axis (:meth:`HexMesh.axis_interfaces`),
+    and kept once, axis-major (:class:`_AxisFaces`).
     """
 
     def __init__(
@@ -290,33 +288,30 @@ class FreestreamProblem:
             out=np.empty((3 * nts, n_interfaces)).T,
         ).T.reshape(3, nts, n_interfaces)
         g = np.zeros((nts, n_interfaces)) if ifmv is None else ifmv.total.T
-        self.face_vectors, self.face_ifmv = {}, {}
-        for name in "xyz":
-            block, orientation = mesh.axis_interfaces(name)
-            self.face_vectors[name], self.face_ifmv[name] = (
-                np.multiply(
-                    values[..., block].reshape(values.shape[:-1] + orientation.shape),
-                    orientation,
-                    order="C",
-                )
-                for values in (areas, g)
-            )
         self.w0 = self.freestream.conservative()
         # the halo cells' state, velocity and pressure, computed as per cell
         w0 = self.w0.reshape(5, 1, 1, 1, 1)
         self._halo = (w0, w0[1:4] / w0[0], _pressure_unchecked(w0, self.freestream.gamma))
-        self._axes = [self._axis_faces(name, axis) for name, axis in zip("xyz", (-1, -2, -3))]
-
-    def _axis_faces(self, name: str, axis: int) -> _AxisFaces:
-        order = (0, axis) + tuple(i for i in range(-4, 0) if i != axis)
-        vectors = np.ascontiguousarray(self.face_vectors[name].transpose(order))
-        return _AxisFaces(
-            vectors=vectors,
-            ifmv=np.ascontiguousarray(self.face_ifmv[name].transpose(order[1:])),
-            area=np.sqrt(_dot(vectors, vectors)),
-            order=order,
-            back=(0,) + tuple(np.argsort(np.mod(order, 5))[1:] - 5),
-        )
+        self._axes = []
+        for name, axis in zip("xyz", (-1, -2, -3)):
+            block, orientation = mesh.axis_interfaces(name)
+            order = (0, axis) + tuple(i for i in range(-4, 0) if i != axis)
+            grids = (
+                values[..., block].reshape(values.shape[:-1] + orientation.shape) * orientation
+                for values in (areas, g)
+            )
+            vectors, face_ifmv = (
+                np.ascontiguousarray(grid.transpose(order[-grid.ndim:])) for grid in grids
+            )
+            self._axes.append(
+                _AxisFaces(
+                    vectors=vectors,
+                    ifmv=face_ifmv,
+                    area=np.sqrt(_dot(vectors, vectors)),
+                    order=order,
+                    back=(0,) + tuple(np.argsort(np.mod(order, 5))[1:] - 5),
+                )
+            )
 
     # -- state handling ----------------------------------------------------
 
@@ -404,8 +399,9 @@ class FreestreamProblem:
     def flux_scale(self) -> float:
         """Reference magnitude of one-cell flux sums, for residual floors.
 
-        The area factor is the Frobenius norm of each axis's whole
-        face-vector array (all faces and instants), not the largest face
+        The area factor is the Frobenius norm of each axis's face vectors
+        over all faces and instants, summed in grid (C) order, as the
+        axis-major order rounds differently.  It is not the largest face
         area: on the 10^3 mesh it is about 62 times the largest face, so the
         floor ``1e-14 * flux_scale()`` that ends a march is looser than a
         per-face scale would make it.  Fixing it is deferred because the fix
@@ -415,7 +411,7 @@ class FreestreamProblem:
         speed = np.linalg.norm(self.freestream.velocity) + np.sqrt(
             self.freestream.gamma * self.freestream.pressure / self.freestream.rho
         )
-        area = max(np.linalg.norm(s).max() for s in self.face_vectors.values())
+        area = max(np.linalg.norm(a.vectors.transpose(a.back).ravel()) for a in self._axes)
         return float(np.abs(w0).max() * speed * area)
 
     # -- pseudo-time -------------------------------------------------------
@@ -491,20 +487,6 @@ class FreestreamProblem:
 
     def current_rel_err(self, wbar: np.ndarray) -> float:
         return rel_err_freestream(self.physical_states(wbar), self.w0)
-
-
-def nlfd_unsteady_residual(problem: FreestreamProblem, wbar: np.ndarray) -> np.ndarray:
-    """Per-harmonic unsteady residual: (i 2 pi k / T) w_k + R_k.
-
-    ``wbar`` holds the spectral state Omega*w, (5, Nts, nz, ny, nx), with the
-    sample instants on the second axis; the result carries the complex
-    coefficients for k = -N..N on that axis.  At a converged periodic
-    solution every coefficient vanishes.  The time-spectral matrix in
-    ``problem.residual`` is the exact derivative on the samples, so its DFT
-    carries (i 2 pi k / T) w_k.
-    """
-    residual = np.moveaxis(problem.residual(wbar), 1, -1)
-    return np.moveaxis(problem.spectral.dft(residual), -1, 1)
 
 
 def run_freestream(

@@ -4,11 +4,13 @@ Four ways to obtain the surface integral of mesh velocity over each cell
 face, G_m(t) = integral of (v . n) dS:
 
 * ``nlfd-lvi``   -- straight-line volumetric increments from the initial
-  configuration, differentiated in Fourier space;
+  configuration, differentiated spectrally;
 * ``nlfd-aevi``  -- increments accumulated as per-step sweep hexahedra,
-  differentiated in Fourier space;
-* ``ts-lvi`` / ``ts-aevi`` -- the same increments pushed through the dense
-  time-spectral derivative matrix instead of an explicit DFT/IDFT;
+  differentiated spectrally;
+* ``ts-lvi`` / ``ts-aevi`` -- the same increments under the time-spectral
+  name.  On the 2N+1 samples the NLFD route (DFT, multiply by i k, inverse
+  DFT) and the time-spectral matrix are one linear operator, so both names
+  take the derivative through the matrix and give identical fields;
 * ``avg``    -- mean vertex velocity dotted with the instantaneous face
   area vector (no conservation guarantee);
 * ``trimap`` -- the exact closed-form face flux of the trilinear mapping,
@@ -252,20 +254,25 @@ def extract_linear_and_periodic(series: IncrementSeries) -> IncrementSeries:
     return replace(series, linear_slope=slope, periodic_part=periodic)
 
 
-def ifmv_nlfd(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
-    """IFMV from split increments via DFT: G_k = (i 2 pi k / T) p_k for k != 0.
+def _ifmv_spectral(tag: str, series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
+    """IFMV from split increments: G = D p + slope, tagged ``tag-<kind>``.
 
-    The zeroth mode is the extracted linear slope; the result is transformed
-    back to the time instants.
+    D is the time-spectral matrix, the same operator on the samples as a DFT,
+    a multiply by i 2 pi k / T and an inverse DFT; the extracted linear slope
+    is the zeroth mode.
     """
     total = spectral.differentiate(series.periodic_part) + series.linear_slope[..., None]
-    return IfmvField(f"nlfd-{series.method}", total)
+    return IfmvField(f"{tag}-{series.method}", total)
+
+
+def ifmv_nlfd(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
+    """NLFD IFMV: G_k = (i 2 pi k / T) p_k for k != 0, the slope as mode 0."""
+    return _ifmv_spectral("nlfd", series, spectral)
 
 
 def ifmv_ts(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
-    """IFMV from split increments via the time-spectral matrix: G = D p + slope."""
-    total = series.periodic_part @ spectral.d_matrix.T + series.linear_slope[..., None]
-    return IfmvField(f"ts-{series.method}", total)
+    """Time-spectral IFMV: G = D p + slope."""
+    return _ifmv_spectral("ts", series, spectral)
 
 
 def _avg_flux(q, v):

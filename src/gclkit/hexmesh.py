@@ -264,12 +264,9 @@ class HexMesh:
     vertices: np.ndarray = field(repr=False)  # (n_vertices, 3)
     cell_vertex_ids: np.ndarray = field(repr=False)  # (n_cells, 8)
     # Each face appears once as an interface, numbered as in axis_interfaces
-    # and stored as the face loop of its owner cell; face slot m of cell c is
-    # interface cell_interfaces[c, m] times cell_interface_signs[c, m] (-1 for
-    # the neighbour, which sees it reversed).
+    # and stored as the face loop of its owner cell; the neighbour sees it
+    # reversed (sum_over_faces).
     interface_vertex_ids: np.ndarray = field(repr=False)  # (n_interfaces, 4)
-    cell_interfaces: np.ndarray = field(repr=False)  # (n_cells, 6)
-    cell_interface_signs: np.ndarray = field(repr=False)  # (n_cells, 6)
 
     @property
     def n_vertices(self) -> int:
@@ -421,24 +418,16 @@ def build_box_mesh(
     # of an axis is owned by the cells of layer max(l - 1, 0), through their
     # -axis face on layer 0 and their +axis face elsewhere
     cells = np.arange(len(cell_vertex_ids)).reshape(nz, ny, nx)
-    cell_interfaces = np.empty((cells.size, 6), dtype=np.intp)
     owners, slots = [], []
-    for axis, (block, layer) in _interface_blocks((nx, ny, nz)).items():
-        low, high = FACE_FAMILY[axis]
-        grid_axis = "zyx".index(axis)
+    for axis, (_, layer) in _interface_blocks((nx, ny, nz)).items():
         index = list(np.indices(layer.shape))
-        index[grid_axis] = np.maximum(layer - 1, 0)
+        index["zyx".index(axis)] = np.maximum(layer - 1, 0)
         owners.append(cells[tuple(index)].ravel())
-        slots.append(np.where(layer == 0, low, high).ravel())
-        ids = np.arange(block.start, block.stop).reshape(layer.shape)
-        cell_interfaces[:, low] = np.delete(ids, -1, axis=grid_axis).ravel()
-        cell_interfaces[:, high] = np.delete(ids, 0, axis=grid_axis).ravel()
+        slots.append(np.where(layer == 0, *FACE_FAMILY[axis]).ravel())
     owners, slots = np.concatenate(owners), np.concatenate(slots)
     return HexMesh(
         nx, ny, nz, float(lx), float(ly), float(lz), vertices, cell_vertex_ids,
         interface_vertex_ids=cell_vertex_ids[owners[:, None], FACE_LOOPS[slots]],
-        cell_interfaces=cell_interfaces,
-        cell_interface_signs=np.where(owners[cell_interfaces] == cells.reshape(-1, 1), 1.0, -1.0),
     )
 
 

@@ -1,4 +1,4 @@
-"""Error metrics and convergence-order estimation.
+"""Error metrics of the benchmark table.
 
 Three benchmark metrics quantify how well an IFMV method behaves:
 
@@ -26,10 +26,7 @@ __all__ = [
     "abs_err_sum_vs_dvoldt",
     "abs_err_ifmv_vs_reference",
     "fd_reference_errors",
-    "fitted_order",
 ]
-
-ORDER_FLOOR = 1e-13
 
 
 def rel_err_freestream(states: np.ndarray, reference: np.ndarray) -> float:
@@ -99,26 +96,6 @@ def fd_reference_errors(
     fd1 = float(np.max(np.abs(backward - exact_rates)))
     fd2 = float(np.max(np.abs(centred - exact_rates)))
     return fd1, fd2
-
-
-def fitted_order(
-    nts_values: np.ndarray, errors: np.ndarray, floor: float = ORDER_FLOOR
-) -> float:
-    """Least-squares slope of log(error) against log(1/Nts).
-
-    Points at or below the rounding floor are excluded so a flat noise
-    plateau cannot corrupt the slope.  Raises if fewer than three usable
-    points remain.
-    """
-    nts_values = np.asarray(nts_values, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    keep = errors > floor
-    if keep.sum() < 3:
-        raise ValueError(
-            f"need at least 3 points above the {floor:g} floor, have {int(keep.sum())}"
-        )
-    slope = np.polyfit(np.log(1.0 / nts_values[keep]), np.log(errors[keep]), 1)[0]
-    return float(slope)
 
 
 @dataclass

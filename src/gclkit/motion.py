@@ -28,8 +28,6 @@ __all__ = [
     "build_rbf_system",
     "sample_motion",
     "raise_if_degenerate",
-    "analytic_increment_case3",
-    "analytic_increment_rate_case3",
 ]
 
 CASE_IDS = (
@@ -372,31 +370,3 @@ def raise_if_degenerate(
         instants, cells = np.divmod(bad, mesh.n_cells)
         raise DegenerateMeshError(trajectory.times[instants[0]], cells[instants == instants[0]])
 
-
-def analytic_increment_case3(
-    radius: float, y30: float, depth: float, t: float, period: float = 1.0
-):
-    """Exact swept volume of the fixed/circling face since t = 0 (case 3).
-
-    The face has one edge fixed and the opposite edge tracing the case-3
-    circle of the given radius; ``y30`` is the height of the moving edge above
-    the fixed one at t = 0 and ``depth`` the face extent in z.  Serves as the
-    independent oracle for increment-accuracy studies.
-    """
-    alpha = 2.0 * np.pi * np.asarray(t, dtype=float) / period
-    area = 0.5 * radius * radius * (alpha - np.sin(alpha)) + 0.5 * radius * y30 * (
-        1.0 - np.cos(alpha)
-    )
-    return depth * area
-
-
-def analytic_increment_rate_case3(
-    radius: float, y30: float, depth: float, t: float, period: float = 1.0
-):
-    """Exact time derivative of :func:`analytic_increment_case3`."""
-    alpha = 2.0 * np.pi * np.asarray(t, dtype=float) / period
-    alpha_dot = 2.0 * np.pi / period
-    rate = 0.5 * radius * radius * alpha_dot * (1.0 - np.cos(alpha)) + (
-        0.5 * radius * y30 * alpha_dot * np.sin(alpha)
-    )
-    return depth * rate

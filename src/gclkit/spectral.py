@@ -1,8 +1,12 @@
-"""Discrete Fourier transform pair and time-spectral differentiation.
+"""Time-spectral differentiation and the discrete Fourier transform pair.
 
 Signals are sampled at the 2N+1 equally spaced instants t_n = n T / (2N+1).
-Transforms are dense O(Nts^2) matrix products; sample counts never exceed a
-few dozen here, so there is nothing to gain from an FFT.
+On such samples the Fourier route to d/dt (transform, multiply by
+i 2 pi k / T, transform back) and the dense time-spectral matrix D are the
+same linear operator, so the derivative is always taken through D; the
+transforms are kept for reading Fourier coefficients.  Both are dense
+O(Nts^2) matrix products; sample counts never exceed a few dozen here, so
+there is nothing to gain from an FFT.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ def ts_matrix(n_harmonics: int, period: float = 1.0) -> np.ndarray:
 
 
 class SpectralOperator:
-    """DFT / inverse DFT / spectral time derivative for one harmonic count.
+    """Spectral time derivative and DFT / inverse DFT for one harmonic count.
 
     Parameters
     ----------
@@ -57,42 +61,25 @@ class SpectralOperator:
         phase = np.outer(self.wavenumbers, self.times) * (2.0 * np.pi / self.period)
         self._forward = np.exp(-1j * phase) / self.nts
         self._inverse = np.exp(1j * phase).T
-        self._d_matrix = ts_matrix(self.n_harmonics, self.period)
+        self.d_matrix = ts_matrix(self.n_harmonics, self.period)
 
-    @property
-    def d_matrix(self) -> np.ndarray:
-        return self._d_matrix
-
-    def _check_samples(self, samples: np.ndarray) -> np.ndarray:
-        samples = np.asarray(samples)
-        if samples.shape[-1] != self.nts:
-            raise ValueError(
-                f"expected {self.nts} samples on the last axis, got {samples.shape[-1]}"
-            )
-        return samples
+    def _along_time(self, values: np.ndarray, what: str = "samples") -> np.ndarray:
+        values = np.asarray(values)
+        if values.shape[-1] != self.nts:
+            raise ValueError(f"expected {self.nts} {what} on the last axis, got {values.shape[-1]}")
+        return values
 
     def dft(self, samples: np.ndarray) -> np.ndarray:
         """Fourier coefficients c_k, k = -N..N, of samples along the last axis."""
-        return self._check_samples(samples) @ self._forward.T
+        return self._along_time(samples) @ self._forward.T
 
     def idft(self, coefficients: np.ndarray) -> np.ndarray:
         """Samples at t_n reconstructed from coefficients along the last axis."""
-        coefficients = np.asarray(coefficients)
-        if coefficients.shape[-1] != self.nts:
-            raise ValueError(
-                f"expected {self.nts} coefficients on the last axis, got {coefficients.shape[-1]}"
-            )
-        return coefficients @ self._inverse.T
+        return self._along_time(coefficients, "coefficients") @ self._inverse.T
 
     def differentiate(self, samples: np.ndarray) -> np.ndarray:
-        """Spectral time derivative at the samples (exact for bandwidth <= N).
+        """Spectral time derivative at the samples along the last axis, D s.
 
-        Real input yields real output; the imaginary residue of the inverse
-        transform is discarded (it is at rounding level by conjugate symmetry).
+        Exact for bandwidth <= N; real input yields real output.
         """
-        samples = self._check_samples(samples)
-        factors = 1j * (2.0 * np.pi / self.period) * self.wavenumbers
-        out = self.idft(self.dft(samples) * factors)
-        if np.isrealobj(samples):
-            return out.real
-        return out
+        return self._along_time(samples) @ self.d_matrix.T

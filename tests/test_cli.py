@@ -104,6 +104,10 @@ def test_bad_range_is_config_error():
         ([], {"methods": ["avg", "avg"]}),
         # fails at once, allocating nothing
         (["--mesh", "1000000,1000000,1000000"], None),
+        (["--amp", "0.1,0.1"], None),
+        (["--amp", "0.1,0.1,0.1,0.1"], None),
+        ([], {"amp": []}),
+        (["--case", "4", "--amp", "0.01,0.02"], None),
     ],
     ids=["amp", "mesh-text", "lengths", "mesh-zero", "support-radius", "cfl",
          "lengths-inf", "seed", "config-cfl", "config-unknown-key", "config-methods",
@@ -111,7 +115,8 @@ def test_bad_range_is_config_error():
          "config-max-iters-text", "config-max-iters-zero", "max-iters-zero",
          "config-timing", "seed-float", "max-iters-float", "cfl-text", "alpha0-text",
          "radius-nan", "support-radius-text", "range-three-parts", "range-trailing-dots",
-         "methods-twice", "config-methods-twice", "mesh-exabytes"],
+         "methods-twice", "config-methods-twice", "mesh-exabytes", "amp-two", "amp-four",
+         "config-amp-empty", "case4-amp-two"],
 )
 def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, config):
     argv = ["run", "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",

@@ -70,3 +70,21 @@ def test_degenerate_point_raises_the_same_error(paper_mesh, tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert capsys.readouterr().err == f"error: degeneracy: {info.value}\n"
+
+
+def test_face_sums_run_once_per_method_but_trimap(paper_mesh, monkeypatch):
+    point = experiments.prepare_point(paper_mesh, MotionCase.for_case("case5"), 3)
+    calls = []
+    summed = hexmesh.HexMesh.sum_over_faces
+
+    def counted(mesh, values):
+        calls.append(values.shape)
+        return summed(mesh, values)
+
+    monkeypatch.setattr(hexmesh.HexMesh, "sum_over_faces", counted)
+    rows = experiments.evaluate_point(point, list(gcl.METHODS))
+    # the TRI-MAP row reads the exact rates, its own face sums
+    assert len(calls) == len(gcl.METHODS) - 1
+    trimap = rows[gcl.METHODS.index("trimap")]
+    face_sums = summed(paper_mesh, point.reference.total)
+    assert trimap.abs_err1 == np.max(np.abs(face_sums - point.dvoldt))

@@ -7,12 +7,12 @@ from gclkit.flow import (
     FreestreamState,
     ale_face_flux,
     jst_dissipation,
-    nlfd_unsteady_residual,
     pressure,
     run_freestream,
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
+from oracles import nlfd_unsteady_residual
 
 GAMMA = 1.4
 
@@ -135,6 +135,13 @@ def case2_small():
     return mesh, traj, SpectralOperator(3)
 
 
+def _grid_faces(problem, axis_name):
+    """One axis's +axis area vectors (3, Nts, ...) and IFMV (Nts, ...) on its
+    interface grid, read back from the problem's axis-major arrays."""
+    axis = problem._axes["xyz".index(axis_name)]
+    return axis.vectors.transpose(axis.back), axis.ifmv.transpose(axis.back[1:])
+
+
 def _structured_face_reference(mesh, traj, ifmv):
     """+axis interface area vectors (3, ...) and IFMV from the structured grid.
 
@@ -185,8 +192,9 @@ def test_face_data_matches_structured_reference(case_id, with_ifmv):
     problem = FreestreamProblem(mesh, traj, SpectralOperator(2), ifmv)
     vectors, g = _structured_face_reference(mesh, traj, ifmv)
     for axis in "xyz":
-        assert np.array_equal(problem.face_vectors[axis], vectors[axis])
-        assert np.array_equal(problem.face_ifmv[axis], g[axis])
+        face_vectors, face_ifmv = _grid_faces(problem, axis)
+        assert np.array_equal(face_vectors, vectors[axis])
+        assert np.array_equal(face_ifmv, g[axis])
 
 
 def test_unsteady_residual_with_conserving_ifmv(case2_small):
@@ -327,8 +335,7 @@ def _reference_direction_terms(problem, wp, pp, axis_name):
     m = {"x": problem.mesh.nx, "y": problem.mesh.ny, "z": problem.mesh.nz}[axis_name]
     w_line = np.moveaxis(wp, axis, -1)[..., 2:-2, 2:-2, :]
     p_line = np.moveaxis(pp, axis, -1)[..., 2:-2, 2:-2, :]
-    s_line = np.moveaxis(problem.face_vectors[axis_name], axis, -1)
-    g_line = np.moveaxis(problem.face_ifmv[axis_name], axis, -1)
+    s_line, g_line = (np.moveaxis(a, axis, -1) for a in _grid_faces(problem, axis_name))
 
     wl = w_line[..., 1 : m + 2]
     wr = w_line[..., 2 : m + 3]
@@ -470,6 +477,17 @@ def test_paper_case4_residual_bitwise_equal_reference(case4_paper):
         ref_conv, ref_diss = _reference_residual_parts(problem, wbar)
         assert np.array_equal(conv, ref_conv)
         assert np.array_equal(diss, ref_diss)
+
+
+def test_flux_scale_pinned_on_the_freestream_benchmark(case4_paper, small_mesh):
+    # the Frobenius norm of each axis's face vectors, summed in grid order;
+    # the axis-major order gives 4.9884169031829675 for x here, one ulp off,
+    # but z holds the largest norm
+    assert repr(case4_paper.flux_scale()) == "29.377172479280322"
+    # here x holds it, and the axis-major order would give 43.4665837061095
+    traj = sample_motion(small_mesh, MotionCase.for_case("case1"), 2)
+    problem = FreestreamProblem(small_mesh, traj, SpectralOperator(2), None)
+    assert repr(problem.flux_scale()) == "43.466583706109496"
 
 
 def test_residual_calls_flux_and_jst_through_module(case2_box, monkeypatch):

@@ -18,9 +18,10 @@ from gclkit.gcl import (
     trimap_field,
 )
 from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS, hex_volume
-from gclkit.motion import MotionCase, analytic_increment_case3, sample_motion
+from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
-from gclkit.verify import quad_flux_oracle, random_hexahedra
+from gclkit.verify import random_hexahedra
+from oracles import analytic_increment_case3, cell_face_slots, quad_flux_oracle
 
 
 def case3_face_trajectory(times, radius=0.05, y30=0.28, depth=0.24):
@@ -315,7 +316,7 @@ def test_mesh_slope_matches_standalone_face(paper_mesh):
     traj = sample_motion(paper_mesh, MotionCase.for_case("case3"), 10)
     series = extract_linear_and_periodic(aevi_increments(paper_mesh, traj))
     cell = 0 + 10 * (0 + 10 * 5)
-    interface = paper_mesh.cell_interfaces[cell, 5]  # the +x face, which the cell owns
+    interface = cell_face_slots(paper_mesh)[0][cell, 5]  # the +x face, which the cell owns
     nts = 21
     times = np.append(np.arange(nts) / nts, 1.0)
     quads = case3_face_trajectory(times, 0.05, 0.28, 0.24)
@@ -341,8 +342,8 @@ def test_interior_faces_exactly_antisymmetric(paper_mesh, case5_fields, method):
     # orientation, so their values must be exact negatives of each other
     total = case5_fields[method].total
     assert np.abs(total).max() > 0.0
-    signs = paper_mesh.cell_interface_signs[..., None]
-    total = total[paper_mesh.cell_interfaces] * signs  # (n_cells, 6, Nts) face slots
+    interfaces, signs = cell_face_slots(paper_mesh)
+    total = total[interfaces] * signs[..., None]  # (n_cells, 6, Nts) face slots
     nx, ny, nz = paper_mesh.counts
     cells = np.arange(paper_mesh.n_cells).reshape(nz, ny, nx)
     neighbours = (

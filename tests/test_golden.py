@@ -89,6 +89,17 @@ def test_moved_values_lists_each_changed_cell():
     assert moved_values(old, old) == []
 
 
+def test_golden_nlfd_rows_equal_their_ts_twins():
+    # NLFD and TS take the derivative through the same matrix
+    rows = _rows(GOLDEN.read_text())
+    twins = [key for key in rows if key[1].startswith("nlfd-")]
+    assert len(twins) == 2 * 2 * 5
+    for case, method, n in twins:
+        nlfd, ts = rows[case, method, n], rows[case, "ts-" + method[5:], n]
+        for column in ("abs_err1", "abs_err2_x", "abs_err2_y", "abs_err2_z"):
+            assert nlfd[column] == ts[column], (case, method, n, column)
+
+
 def test_run_writes_golden_csv(tmp_path):
     written = _run_all_cases(tmp_path)
     assert written.decode().splitlines() == GOLDEN.read_bytes().decode().splitlines()

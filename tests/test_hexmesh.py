@@ -16,6 +16,7 @@ from gclkit.hexmesh import (
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.verify import gauss_volume_oracle, random_hexahedra
+from oracles import cell_face_slots
 
 
 def test_paper_mesh_counts_and_volumes(paper_mesh):
@@ -170,8 +171,9 @@ def test_axis_interfaces_read_owned_loops_along_axis(axis):
     ids = np.arange(len(mesh.interface_vertex_ids))[block].reshape(grid)
     # every interface of the axis is read once, and its owner holds it with +1
     family = list(FACE_FAMILY[axis])
-    owned = mesh.cell_interface_signs[:, family] == 1.0
-    assert np.array_equal(np.sort(mesh.cell_interfaces[:, family][owned]), ids.ravel())
+    interfaces, signs = cell_face_slots(mesh)
+    owned = signs[:, family] == 1.0
+    assert np.array_equal(np.sort(interfaces[:, family][owned]), ids.ravel())
     # interface layer l lies at l * spacing along the axis
     quads = mesh.vertices[mesh.interface_vertex_ids[ids]]
     layer = np.indices(grid)[2 - a]
@@ -211,7 +213,7 @@ def test_interface_map_properties(mesh):
     assert start == n_interfaces
     # interior interfaces sit in two cell slots with signs +1 and -1, boundary
     # interfaces in one slot with +1
-    ids, signs = mesh.cell_interfaces.ravel(), mesh.cell_interface_signs.ravel()
+    ids, signs = (a.ravel() for a in cell_face_slots(mesh))
     plus = np.bincount(ids[signs == 1.0], minlength=n_interfaces)
     minus = np.bincount(ids[signs == -1.0], minlength=n_interfaces)
     assert np.all(np.isin(signs, (1.0, -1.0)))
@@ -244,8 +246,9 @@ def boxes_with_face_values(draw):
 def test_sum_over_faces_equals_gathered_slots(data):
     mesh, values = data
     # the cell-slot form: gather each cell's six signed slots, then add.reduce
-    signs = mesh.cell_interface_signs.reshape((mesh.n_cells, 6) + (1,) * (values.ndim - 1))
-    expected = (values[mesh.cell_interfaces] * signs).sum(axis=1)
+    interfaces, signs = cell_face_slots(mesh)
+    signs = signs.reshape((mesh.n_cells, 6) + (1,) * (values.ndim - 1))
+    expected = (values[interfaces] * signs).sum(axis=1)
     total = mesh.sum_over_faces(values)
     assert total.shape == expected.shape
     assert np.array_equal(total, expected)

@@ -7,11 +7,11 @@ from gclkit.metrics import (
     abs_err_ifmv_vs_reference,
     abs_err_sum_vs_dvoldt,
     fd_reference_errors,
-    fitted_order,
     rel_err_freestream,
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
+from oracles import cell_face_slots, fitted_order
 
 
 def test_rel_err_identical_fields():
@@ -65,8 +65,8 @@ def test_abs_err1_uses_spectral_derivative(small_mesh):
 
 def _cell_slots(mesh, values):
     """Per-interface values (n_interfaces, ...) as signed cell-face slots (n_cells, 6, ...)."""
-    signs = mesh.cell_interface_signs.reshape(mesh.cell_interfaces.shape + (1,) * (values.ndim - 1))
-    return values[mesh.cell_interfaces] * signs
+    interfaces, signs = cell_face_slots(mesh)
+    return values[interfaces] * signs.reshape(signs.shape + (1,) * (values.ndim - 1))
 
 
 def _slot_field(point, method):

@@ -10,12 +10,11 @@ from gclkit.motion import (
     CASE_IDS,
     DegenerateMeshError,
     MotionCase,
-    analytic_increment_case3,
-    analytic_increment_rate_case3,
     build_rbf_system,
     evaluate_motion,
     sample_motion,
 )
+from oracles import analytic_increment_case3, analytic_increment_rate_case3
 
 ALL_CASES = list(CASE_IDS)
 

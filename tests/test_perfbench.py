@@ -1,0 +1,48 @@
+"""The benchmark runner's output, as its reader parses it.
+
+``perfbench/run.py`` must print only the ``machine:`` record, one
+``name = value unit`` line per metric and, last, one JSON result line.  Each
+run here is one untimed-budget pass of ``ifmv_sweep`` (``--seconds 0``), a
+few seconds each.
+"""
+
+import json
+import math
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+END_TO_END = ("setup_s", "wall_s", "peak_rss_mb", "ok_frac")
+
+
+def _reject(constant):
+    raise ValueError(f"non-JSON constant {constant} in the result line")
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_ifmv_sweep_output_is_well_formed(trace):
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "ifmv_sweep", "--seed", "42",
+         "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("machine: ")
+    json.loads(lines[0][len("machine: "):], parse_constant=_reject)
+    metric_lines = lines[1:-1]
+    assert all(re.fullmatch(r"[\w.]+ = \S+ \S+", line) for line in metric_lines), metric_lines
+    result = json.loads(lines[-1], parse_constant=_reject)
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    assert [line.split(" = ")[0] for line in metric_lines] == list(metrics)
+    if trace:
+        assert [name for name, m in metrics.items() if m["value"] is None] == []
+        assert metrics["spectral.transform_s"]["value"] == 0
+    else:
+        assert list(metrics) == list(END_TO_END)
+        assert all(math.isfinite(metrics[name]["value"]) for name in END_TO_END)
