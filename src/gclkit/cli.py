@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import __version__, experiments, flow, verify
 from .experiments import METHOD_ALIASES, ConfigError, FreestreamOptions, MeshConfig
 from .flow import FreestreamDivergence
-from .motion import CASE_IDS, DegenerateMeshError, MotionCase
+from .motion import CASE_IDS, DegenerateMeshError, MotionCase, case_parameters
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,18 +63,24 @@ class RunConfig:
         return list(range(lo, hi + 1))
 
     def motion_case(self) -> MotionCase:
-        overrides = {
-            "alpha0": self.alpha0,
-            "radius": self.radius,
-            "seed": self.seed,
-            "support_radius": self.support_radius,
+        """The case's motion; a motion setting that the case ignores is an error."""
+        # one amp value is the same amplitude along x, y and z
+        amp = self.amp if self.amp is None or len(self.amp) == 3 else self.amp[0]
+        settings = {  # setting -> (the MotionCase parameter it sets, value)
+            "amp": ("rbf_amplitude" if self.case == "case4" else "amplitude", amp),
+            "alpha0": ("alpha0", self.alpha0),
+            "radius": ("radius", self.radius),
+            "seed": ("seed", self.seed),
+            "support_radius": ("support_radius", self.support_radius),
         }
-        if self.amp is not None:
-            if self.case == "case4":
-                overrides["rbf_amplitude"] = self.amp[0]
-            else:  # one value is the same amplitude along x, y and z
-                overrides["amplitude"] = self.amp if len(self.amp) == 3 else self.amp[0]
-        return MotionCase.for_case(self.case, **overrides)
+        used = case_parameters(self.case)
+        unused = [k for k, (p, v) in settings.items() if v is not None and p not in used]
+        if unused:
+            takes = ", ".join(k for k, (p, _) in settings.items() if p in used)
+            raise ConfigError(
+                f"{self.case} does not use {', '.join(unused)}; it takes {takes}"
+            )
+        return MotionCase.for_case(self.case, **dict(settings.values()))
 
 
 def _parse_case(text: str) -> str:

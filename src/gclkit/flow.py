@@ -57,6 +57,10 @@ class FreestreamDivergence(RuntimeError):
             f"freestream run diverged: case={case_id} method={method} N={n_harmonics}"
         )
 
+    def __reduce__(self):  # pickle by the constructor's arguments, not by args
+        return type(self), (self.case_id, self.method, self.n_harmonics)
+
+
 # Hybrid five-stage scheme: stage fractions, with dissipation re-evaluated
 # and blended at stages 1, 3 and 5.
 RK_STAGE_FRACTIONS = (0.25, 1.0 / 6.0, 0.375, 0.5, 1.0)

@@ -44,7 +44,6 @@ __all__ = [
     "hex_volume",
     "quad_area_vectors",
     "face_area_vectors",
-    "corner_jacobians",
     "detect_degenerate",
 ]
 
@@ -191,17 +190,6 @@ def face_area_vectors(corners: np.ndarray) -> np.ndarray:
     The six vectors of a closed cell sum to zero.
     """
     return quad_area_vectors(np.asarray(corners, dtype=float)[..., FACE_LOOPS, :])
-
-
-def corner_jacobians(corners: np.ndarray) -> np.ndarray:
-    """Jacobian determinant of the trilinear map at the 8 reference corners.
-
-    Returns an array of shape (..., 8): at each corner, the triple product of
-    the three cell edges leaving it along xi, eta and zeta.  Strict
-    positivity at all corners is a cheap necessary condition for the map to
-    be invertible on the cell.
-    """
-    return np.stack(_corner_jacobians(corner_planes(corners)), axis=-1)
 
 
 def _inverted_corner(r) -> np.ndarray:

@@ -26,6 +26,7 @@ __all__ = [
     "MotionTrajectory",
     "DegenerateMeshError",
     "build_rbf_system",
+    "case_parameters",
     "sample_motion",
     "raise_if_degenerate",
 ]
@@ -64,6 +65,9 @@ class DegenerateMeshError(RuntimeError):
             f"degenerate cells {self.cell_ids.tolist()} at t = {self.instant:.6g}"
         )
 
+    def __reduce__(self):  # pickle by the constructor's arguments, not by args
+        return type(self), (self.instant, self.cell_ids)
+
 
 @dataclass(frozen=True)
 class MotionCase:
@@ -94,17 +98,8 @@ class MotionCase:
 
     def metadata(self, mesh: HexMesh) -> dict[str, Any]:
         meta = {"case": self.case_id, "period": self.period}
-        if self.case_id in ("case1", "rigid-translation"):
-            meta["amplitude"] = self.amplitude
-        if self.case_id in ("case2", "case5", "rigid-rotation"):
-            meta["alpha0"] = self.alpha0
-        if self.case_id == "case3":
-            meta["radius"] = self.radius
-        if self.case_id == "case4":
-            meta.update(rbf_amplitude=self.rbf_amplitude, seed=self.seed)
-        if self.case_id == "case5":
-            meta["pivot_fraction"] = self.pivot_fraction
-        if self.case_id in ("case4", "case5"):
+        meta.update((p, getattr(self, p)) for p in case_parameters(self.case_id))
+        if "support_radius" in meta:
             meta["support_radius"] = self.resolved_support_radius(mesh)
         return meta
 
@@ -276,6 +271,12 @@ def build_rbf_system(mesh: HexMesh, case: MotionCase) -> np.ndarray | None:
     fields = rbf.interpolate(system, modes(mesh, case, points))
     fields.flags.writeable = False
     return fields
+
+
+def case_parameters(case_id: str) -> frozenset[str]:
+    """The ``MotionCase`` parameters that the motion of ``case_id`` reads."""
+    rbf_only = {"support_radius"} if case_id in _RBF_CASES else set()
+    return frozenset(_CASE_DEFAULTS[case_id]) | rbf_only
 
 
 _DIRECT_CASES = {

@@ -2,27 +2,29 @@
 
 Control values prescribed at a set of points (here: the boundary vertices of
 the box) are propagated to all grid points through a compactly supported
-Wendland C0 kernel.  Both kernel matrices hold only the pairs within the
-support radius, found by ``cKDTree.sparse_distance_matrix``: the Gram matrix
-over the control points (about 7% nonzero on the benchmark meshes) and the
-evaluation matrix from control points to grid points (about 6%) are sparse.
-The Gram matrix is densified once, into the array that the Cholesky
-factorisation overwrites; the sparse copy serves the refinement step of the
-solve.  A system is transient: the motion cases spread their few boundary
-modes through it once and keep only the grid fields (see
-``motion.build_rbf_system``).
+Wendland C0 kernel, so only pairs within the support radius are formed.  The
+sparse Gram matrix over the control points is factorised by SuperLU, and the
+interpolant is evaluated over blocks of ``BLOCK_POINTS`` grid points against
+one k-d tree of the control points: no dense and no (n_grid, n_rbf) matrix is
+built, and the result has the same bytes whatever the BLAS thread count.  A
+system is transient (see ``motion.build_rbf_system``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 if TYPE_CHECKING:  # scipy is imported where used: only the RBF cases need it
     from scipy.sparse import csr_array
-__all__ = ["wendland_c0", "RbfSystem", "build_system", "interpolate"]
+    from scipy.sparse.linalg import SuperLU
+    from scipy.spatial import cKDTree
+__all__ = ["BLOCK_POINTS", "wendland_c0", "RbfSystem", "build_system", "interpolate"]
+
+# Grid points evaluated together; a block's near pairs take a few MB.
+BLOCK_POINTS = 1024
 
 
 def wendland_c0(distance: np.ndarray, support_radius: float) -> np.ndarray:
@@ -42,18 +44,17 @@ class RbfSystem:
     """Assembled interpolation system.
 
     ``system_matrix`` is the sparse kernel Gram matrix M over the control
-    points and ``eval_matrix`` the sparse matrix that maps control
-    coefficients to grid points.  The Cholesky factor of M is computed in
-    place of its one dense copy and stored for the solve.  A system is meant
-    to be transient: build it, interpolate every field it is needed for in
-    one call, and drop it.  Nothing is written after construction.
+    points, kept with its sparse LU factor for the solve and with a k-d tree
+    of the control points for the evaluation at ``grid_points``.  Nothing is
+    written after construction.
     """
 
     points: np.ndarray  # (n_rbf, 3)
+    grid_points: np.ndarray  # (n_grid, 3)
     support_radius: float
     system_matrix: csr_array  # (n_rbf, n_rbf)
-    eval_matrix: csr_array  # (n_grid, n_rbf)
-    _factor: tuple = field(repr=False, default=None)
+    _factor: SuperLU = field(repr=False)
+    _tree: cKDTree = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -61,35 +62,28 @@ class RbfSystem:
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """M^-1 values with one step of iterative refinement."""
-        from scipy.linalg import cho_solve
         values = np.asarray(values, dtype=float)
-        coeff = cho_solve(self._factor, values)
+        coeff = self._factor.solve(values)
         residual = values - self.system_matrix @ coeff
-        return coeff + cho_solve(self._factor, residual)
+        return coeff + self._factor.solve(residual)
+
+    def near_weights(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per grid block, (rows, i, j, w): block point i, control point j and
+        w = phi(|x_i - p_j|) for each pair within the support, zero distances
+        (coincident points, w = 1) included."""
+        from scipy.spatial import cKDTree
+        for start in range(0, len(self.grid_points), BLOCK_POINTS):
+            rows = slice(start, start + BLOCK_POINTS)
+            near = cKDTree(self.grid_points[rows]).sparse_distance_matrix(
+                self._tree, self.support_radius, output_type="ndarray"
+            )
+            yield rows, near["i"], near["j"], wendland_c0(near["v"], self.support_radius)
 
 
-def _near_pairs(rows: np.ndarray, cols: np.ndarray, support_radius: float) -> np.ndarray:
-    """Records (i, j, v) of every (row, column) point pair within the support.
-
-    The ndarray output keeps zero distances, so coincident points (where the
-    kernel is 1) are included.
-    """
-    from scipy.spatial import cKDTree
-    return cKDTree(rows).sparse_distance_matrix(
-        cKDTree(cols), support_radius, output_type="ndarray"
-    )
-
-
-def _kernel_matrix(near: np.ndarray, shape: tuple, support_radius: float) -> csr_array:
-    from scipy.sparse import csr_array
-    return csr_array(
-        (wendland_c0(near["v"], support_radius), (near["i"], near["j"])), shape=shape
-    )
-
-
-def _gram_matrix(points: np.ndarray, support_radius: float) -> csr_array:
+def _gram_matrix(tree: cKDTree, support_radius: float) -> csr_array:
     """Sparse kernel matrix over the control points; rejects duplicated points."""
-    near = _near_pairs(points, points, support_radius)
+    from scipy.sparse import csr_array
+    near = tree.sparse_distance_matrix(tree, support_radius, output_type="ndarray")
     dup = (near["i"] != near["j"]) & (near["v"] < 1e-14 * max(support_radius, 1.0))
     if dup.any():
         pairs = sorted(
@@ -98,15 +92,10 @@ def _gram_matrix(points: np.ndarray, support_radius: float) -> csr_array:
         raise ValueError(
             f"singular RBF system: duplicated control points at index pairs {pairs}"
         )
-    return _kernel_matrix(near, (len(points), len(points)), support_radius)
-
-
-def _eval_matrix(
-    rbf_points: np.ndarray, grid_points: np.ndarray, support_radius: float
-) -> csr_array:
-    """Sparse kernel matrix from the control points to the grid points."""
-    near = _near_pairs(grid_points, rbf_points, support_radius)
-    return _kernel_matrix(near, (len(grid_points), len(rbf_points)), support_radius)
+    return csr_array(
+        (wendland_c0(near["v"], support_radius), (near["i"], near["j"])),
+        shape=(tree.n, tree.n),
+    )
 
 
 def build_system(
@@ -114,11 +103,8 @@ def build_system(
 ) -> RbfSystem:
     """Assemble and factorise the interpolation system.
 
-    Each matrix is built in a function of its own, so that its temporaries
-    (the list of near pairs) are freed before the next large array is
-    allocated.  The evaluation matrix, whose temporaries are the largest, is
-    built first; the Gram matrix is then densified into a Fortran-ordered
-    array that the Cholesky factorisation overwrites.
+    M is symmetric positive definite, so SuperLU factors it with diagonal
+    pivots after a minimum-degree ordering of M + M^T.
 
     Raises
     ------
@@ -126,27 +112,39 @@ def build_system(
         If the kernel matrix cannot be factorised; duplicated control points
         are reported with their indices.
     """
-    from scipy.linalg import cho_factor
+    from scipy.sparse.linalg import splu
+    from scipy.spatial import cKDTree
     rbf_points = np.atleast_2d(np.asarray(rbf_points, dtype=float))
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    eval_matrix = _eval_matrix(rbf_points, grid_points, support_radius)
-    system_matrix = _gram_matrix(rbf_points, support_radius)
+    tree = cKDTree(rbf_points)
+    gram = _gram_matrix(tree, support_radius)
     try:
-        factor = cho_factor(system_matrix.toarray(order="F"), overwrite_a=True)
-    except np.linalg.LinAlgError as err:
+        factor = splu(
+            gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise ValueError("singular RBF system") from err
-    return RbfSystem(rbf_points, float(support_radius), system_matrix, eval_matrix, factor)
+    return RbfSystem(rbf_points, grid_points, float(support_radius), gram, factor, tree)
 
 
 def interpolate(system: RbfSystem, values: np.ndarray) -> np.ndarray:
     """Interpolate control-point values to all grid points.
 
     ``values`` has shape (n_rbf,) or (n_rbf, k); columns are treated
-    independently (e.g. one column per Cartesian direction).
+    independently (e.g. one column per Cartesian direction).  Each grid
+    point sums its near pairs in the k-d tree's order, by one ``np.bincount``
+    per block and column.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != system.n_points:
         raise ValueError(
             f"expected {system.n_points} control values, got {values.shape[0]}"
         )
-    return system.eval_matrix @ system.solve(values)
+    coeff = system.solve(values).reshape(system.n_points, -1)
+    out = np.empty((len(system.grid_points), coeff.shape[1]))
+    for rows, i, j, w in system.near_weights():
+        block = out[rows]
+        for col in range(coeff.shape[1]):
+            block[:, col] = np.bincount(i, w * coeff[j, col], minlength=len(block))
+    return out.reshape((len(out),) + values.shape[1:])

@@ -4,15 +4,27 @@ Nothing in the package calls these.  Each reaches a quantity the package
 computes another way: the time derivative through the DFT instead of the
 time-spectral matrix, a closed-form swept volume, a Gauss quadrature of the
 face flux, the per-harmonic residual, a least-squares convergence order, and
-the cell-slot table of faces gathered by matching vertex sets.
+the cell-slot table of faces gathered by matching vertex sets.  The corner
+Jacobians are stacked here from the package's kernel, whose only package
+reader, the degeneracy gate, takes their minimum.
 """
 
 import numpy as np
 
+from gclkit import hexmesh
 from gclkit.hexmesh import FACE_LOOPS
 
 # errors at or below this are rounding noise, not a convergence curve
 ORDER_FLOOR = 1e-13
+
+
+def corner_jacobians(corners):
+    """Jacobian determinant of the trilinear map at the 8 reference corners.
+
+    Returns an array of shape (..., 8): at each corner, the triple product of
+    the three cell edges leaving it along xi, eta and zeta.
+    """
+    return np.stack(hexmesh._corner_jacobians(hexmesh.corner_planes(corners)), axis=-1)
 
 
 def dft_derivative(op, samples):

@@ -21,13 +21,13 @@ from gclkit.hexmesh import (
     BLOCK_ELEMENT_INSTANTS,
     FACE_LOOPS,
     REF_CORNERS,
-    corner_jacobians,
     detect_degenerate,
     face_area_vectors,
     hex_volume,
     quad_area_vectors,
 )
 from gclkit.motion import MotionCase, sample_motion
+from oracles import corner_jacobians
 
 N = 20  # 2N+2 = 42 instants: several blocks per kernel, the last one ragged
 

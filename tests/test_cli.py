@@ -130,6 +130,61 @@ def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, confi
     assert err.startswith("error: config:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "case, key, value",
+    [
+        ("2", "amp", "5"),
+        ("3", "amp", "0.1"),
+        ("5", "amp", "0.1"),
+        ("1", "alpha0", "0.1"),
+        ("3", "alpha0", "0.1"),
+        ("4", "alpha0", "0.1"),
+        ("rigid-translation", "alpha0", "0.1"),
+        ("1", "radius", "0.1"),
+        ("5", "radius", "0.1"),
+        ("1", "seed", "3"),
+        ("5", "seed", "3"),
+        ("rigid-rotation", "seed", "3"),
+        ("1", "support_radius", "1"),
+        ("3", "support_radius", "1"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unused_motion_setting_is_one_line_config_error(tmp_path, capsys, case, key, value,
+                                                          source):
+    argv = ["run", "--case", case, "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",
+            "--out", str(tmp_path / "m.csv")]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    case_id = f"case{case}" if case.isdigit() else case
+    assert err.startswith(f"error: config: {case_id} does not use {key};")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "case, settings",
+    [
+        ("1", ["--amp", "0.1"]),
+        ("2", ["--alpha0", "0.04"]),
+        ("3", ["--radius", "0.04"]),
+        ("4", ["--amp", "0.04", "--seed", "3", "--support-radius", "1"]),
+        ("5", ["--alpha0", "0.04", "--support-radius", "1"]),
+        ("rigid-translation", ["--amp", "0.1,0.0,0.0"]),
+        ("rigid-rotation", ["--alpha0", "0.04"]),
+    ],
+)
+def test_used_motion_settings_are_accepted(tmp_path, case, settings):
+    assert main(["run", "--case", case, "--n", "1..1", "--methods", "avg",
+                 "--mesh", "2,2,2", "--out", str(tmp_path / "m.csv")] + settings) == 0
+
+
 def test_config_integers_and_onoff_are_read_exactly(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 42, "max_iters": "300", "timing": "no"}))

@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from gclkit import flow, gcl
 from gclkit.flow import (
+    FreestreamDivergence,
     FreestreamProblem,
     FreestreamState,
     ale_face_flux,
@@ -518,3 +521,10 @@ def test_jst_rejects_axis_counted_from_the_front():
     line = np.tile(FreestreamState().conservative()[:, None], (1, 9))
     with pytest.raises(ValueError):
         jst_dissipation(line, pressure(line), np.ones(6), 1.0, 1.0 / 32.0, axis=1)
+
+
+def test_freestream_divergence_pickles():
+    err = FreestreamDivergence("case4", "avg", 3)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is FreestreamDivergence and str(back) == str(err)
+    assert (back.case_id, back.method, back.n_harmonics) == ("case4", "avg", 3)

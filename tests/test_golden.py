@@ -11,8 +11,10 @@ repository root::
 rewrites the file and prints every value that moved against the committed
 one, with its relative move, one line each.
 
-The runs are separate processes with BLAS on one thread: the RBF solve of
-cases 4 and 5 rounds differently with more BLAS threads.
+The runs are separate processes with BLAS on one thread.  The RBF spread of
+cases 4 and 5 calls BLAS inside its sparse LU factor and solves; a test
+beside the golden one runs both cases under one and two BLAS threads and
+requires the same bytes.
 """
 
 import os
@@ -21,18 +23,21 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.csv"
 SRC = Path(__file__).resolve().parents[1] / "src"
 METHODS = "lvi,aevi,avg,trimap,ts-lvi,ts-aevi"
-ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _run_case(case: str, out: Path) -> bytes:
-    env = dict(os.environ, PYTHONPATH=str(SRC), **ONE_BLAS_THREAD)
+def _run_case(case: str, out: Path, mesh: str = "10,10,10", blas_threads: int = 1) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, str(blas_threads)))
     subprocess.run(
         [
             sys.executable, "-m", "gclkit.cli", "run", "--case", case, "--n", "2..3",
-            "--mesh", "10,10,10", "--methods", METHODS, "--out", str(out),
+            "--mesh", mesh, "--methods", METHODS, "--out", str(out),
         ],
         env=env, check=True, timeout=300,
     )
@@ -104,6 +109,13 @@ def test_run_writes_golden_csv(tmp_path):
     written = _run_all_cases(tmp_path)
     assert written.decode().splitlines() == GOLDEN.read_bytes().decode().splitlines()
     assert written == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["4", "5"])
+def test_rbf_cases_write_same_bytes_under_one_and_two_blas_threads(tmp_path, case):
+    one = _run_case(case, tmp_path / "one.csv", mesh="6,6,6", blas_threads=1)
+    two = _run_case(case, tmp_path / "two.csv", mesh="6,6,6", blas_threads=2)
+    assert one == two
 
 
 if __name__ == "__main__":

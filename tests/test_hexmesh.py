@@ -8,7 +8,6 @@ from gclkit.hexmesh import (
     FACE_FAMILY,
     REF_CORNERS,
     build_box_mesh,
-    corner_jacobians,
     detect_degenerate,
     face_area_vectors,
     hex_volume,
@@ -16,7 +15,7 @@ from gclkit.hexmesh import (
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.verify import gauss_volume_oracle, random_hexahedra
-from oracles import cell_face_slots
+from oracles import cell_face_slots, corner_jacobians
 
 
 def test_paper_mesh_counts_and_volumes(paper_mesh):

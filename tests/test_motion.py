@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -264,10 +265,13 @@ def test_boundary_vertices_follow_prescribed_law(paper_mesh, case_id):
 
 
 def test_rbf_spread_keeps_only_the_grid_fields():
-    # a 20^3 RBF system holds about 75 MB (the CSR kernel matrices and the
-    # dense Cholesky factor); only the (n_vertices, 2) case-5 fields outlive it
+    # a 20^3 RBF system holds the sparse Gram matrix, its SuperLU factor
+    # (outside numpy, unseen here) and one block's near pairs at a time; only
+    # the (n_vertices, 2) case-5 fields outlive it.  A first spread on a tiny
+    # mesh imports scipy, whose modules would otherwise count as kept.
     mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("case5")
+    build_rbf_system(build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4), case)
     tracemalloc.start()
     try:
         fields = build_rbf_system(mesh, case)
@@ -277,3 +281,10 @@ def test_rbf_spread_keeps_only_the_grid_fields():
     assert fields.shape == (mesh.n_vertices, 2)
     assert kept <= 1e6, f"{kept / 1e6:.2f} MB kept after the spread"
     assert peak <= 90e6, f"allocation peak {peak / 1e6:.1f} MB"
+
+
+def test_degenerate_mesh_error_pickles():
+    err = DegenerateMeshError(0.25, np.array([3, 17]))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is DegenerateMeshError and str(back) == str(err)
+    assert back.instant == 0.25 and back.cell_ids.tolist() == [3, 17]

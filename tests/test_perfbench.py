@@ -3,9 +3,11 @@
 ``perfbench/run.py`` must print only the ``machine:`` record, one
 ``name = value unit`` line per metric and, last, one JSON result line.  Each
 run here is one untimed-budget pass of ``ifmv_sweep`` (``--seconds 0``), a
-few seconds each.
+few seconds each.  A span whose every binding a rename removed reads null
+in the benchmark, so the span list is also checked against the package.
 """
 
+import importlib.util
 import json
 import math
 import re
@@ -46,3 +48,18 @@ def test_ifmv_sweep_output_is_well_formed(trace):
     else:
         assert list(metrics) == list(END_TO_END)
         assert all(math.isfinite(metrics[name]["value"]) for name in END_TO_END)
+
+
+def test_every_traced_span_keeps_a_binding(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+    spec.loader.exec_module(tracing)
+    missing = [
+        name
+        for name, bindings in tracing.TARGETS.items()
+        if not any(attr in vars(owner) for owner, attr in bindings)
+    ]
+    assert missing == []

@@ -62,8 +62,11 @@ def test_paper_setup_factorises(paper_mesh):
     assert np.abs(recovered - values).max() <= 1e-10 * np.abs(values).max()
 
 
-def test_sparse_eval_matrix_equals_dense_kernel(rng):
+@pytest.mark.parametrize("block", [None, 7])
+def test_blocked_weights_equal_dense_kernel(rng, monkeypatch, block):
     # dyadic coordinates and radius, so some grid points sit exactly at d == R
+    if block is not None:
+        monkeypatch.setattr(rbf, "BLOCK_POINTS", block)
     radius = 0.5
     pts = rng.integers(0, 8, size=(40, 3)) / 8.0
     pts = np.unique(pts, axis=0)
@@ -74,9 +77,17 @@ def test_sparse_eval_matrix_equals_dense_kernel(rng):
     dense = wendland_c0(distance, radius)
     assert (dense == 1.0).sum() >= len(pts)  # coincident grid and control points
     assert (distance == radius).any()
-    assert issparse(system.eval_matrix) and system.eval_matrix.format == "csr"
-    assert system.eval_matrix.nnz <= (distance <= radius).sum()
-    assert np.array_equal(system.eval_matrix.toarray(), dense)
+    blocked = np.zeros_like(dense)
+    seen = np.zeros(dense.shape, dtype=int)
+    blocks = 0
+    for rows, i, j, w in system.near_weights():
+        assert len(i) <= (distance[rows] <= radius).sum()
+        blocked[rows][i, j] = w
+        np.add.at(seen[rows], (i, j), 1)
+        blocks += 1
+    assert blocks == -(-len(grid) // rbf.BLOCK_POINTS)
+    assert seen.max() == 1  # each near pair once
+    assert np.array_equal(blocked, dense)
 
 
 def test_sparse_gram_equals_dense_kernel(rng):
@@ -147,10 +158,25 @@ def test_constant_field_matches_dense_solve(rng):
     c = 3.7
     out = interpolate(system, np.full(40, c))
     gram = system.system_matrix.toarray()
-    dense = system.eval_matrix @ np.linalg.solve(gram, np.full(40, c))
+    kernel = wendland_c0(cdist(grid, pts), 2.0)
+    dense = kernel @ np.linalg.solve(gram, np.full(40, c))
     np.testing.assert_allclose(out, dense, rtol=1e-10, atol=1e-12)
-    row_sums = system.eval_matrix @ np.linalg.solve(gram, np.ones(40))
+    row_sums = kernel @ np.linalg.solve(gram, np.ones(40))
     np.testing.assert_allclose(out, c * row_sums, rtol=1e-10)
+
+
+def test_blocked_evaluation_matches_one_block(rng, monkeypatch):
+    # only the summation order of each grid point's near pairs may change
+    pts = rng.uniform(size=(60, 3))
+    grid = rng.uniform(size=(50, 3))
+    values = rng.normal(size=(60, 3))
+    one_block = interpolate(build_system(pts, grid, 0.7), values)
+    monkeypatch.setattr(rbf, "BLOCK_POINTS", 7)
+    system = build_system(pts, grid, 0.7)
+    assert len(list(system.near_weights())) == 8
+    blocked = interpolate(system, values)
+    assert blocked.shape == one_block.shape == (50, 3)
+    assert np.abs(blocked - one_block).max() <= 1e-14 * np.abs(one_block).max()
 
 
 def test_linearity(rng):
@@ -175,6 +201,18 @@ def test_dimension_mismatch_rejected(rng):
 def test_duplicate_points_reported():
     pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
     with pytest.raises(ValueError, match=r"(1, 2)"):
+        build_system(pts, pts, 1.0)
+
+
+def test_singular_factor_is_value_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="^singular RBF system$"):
         build_system(pts, pts, 1.0)
 
 
