@@ -2,14 +2,16 @@
 
 ``tests/data/golden_sweep.csv`` holds the five ``gclkit run`` outputs for
 cases 1-5 on the 10^3 mesh, N = 2..3, all six methods, without timing,
-concatenated in case order.  Any change that moves a value by rounding has
-to regenerate the file and list the moved values in CHANGES.md; from the
-repository root::
+concatenated in case order.  ``tests/data/golden_freestream.csv`` holds one
+``gclkit run --freestream on`` output: case 2 on the 4^3 mesh, N = 1..2, all
+six methods, so the pseudo-time march is pinned too.  Any change that moves
+a value by rounding has to regenerate the files and list the moved values in
+CHANGES.md; from the repository root::
 
     python tests/test_golden.py
 
-rewrites the file and prints every value that moved against the committed
-one, with its relative move, one line each.
+rewrites both files and prints every value that moved against the committed
+ones, with its relative move, one line each.
 
 The runs are separate processes with BLAS on one thread.  The RBF spread of
 cases 4 and 5 calls BLAS inside its sparse LU factor and solves; a test
@@ -26,22 +28,33 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sweep.csv"
+GOLDEN_FREESTREAM = Path(__file__).parent / "data" / "golden_freestream.csv"
 SRC = Path(__file__).resolve().parents[1] / "src"
 METHODS = "lvi,aevi,avg,trimap,ts-lvi,ts-aevi"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _run_case(case: str, out: Path, mesh: str = "10,10,10", blas_threads: int = 1) -> bytes:
+def _run_case(
+    case: str, out: Path, mesh: str = "10,10,10", blas_threads: int = 1,
+    n: str = "2..3", extra: tuple = (),
+) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.update(dict.fromkeys(BLAS_THREAD_VARS, str(blas_threads)))
     subprocess.run(
         [
-            sys.executable, "-m", "gclkit.cli", "run", "--case", case, "--n", "2..3",
-            "--mesh", mesh, "--methods", METHODS, "--out", str(out),
+            sys.executable, "-m", "gclkit.cli", "run", "--case", case, "--n", n,
+            "--mesh", mesh, "--methods", METHODS, "--out", str(out), *extra,
         ],
         env=env, check=True, timeout=300,
     )
     return out.read_bytes()
+
+
+def _run_freestream(out_dir: Path) -> bytes:
+    return _run_case(
+        "2", out_dir / "freestream.csv", mesh="4,4,4", n="1..2",
+        extra=("--freestream", "on"),
+    )
 
 
 def _run_all_cases(out_dir: Path) -> bytes:
@@ -111,6 +124,13 @@ def test_run_writes_golden_csv(tmp_path):
     assert written == GOLDEN.read_bytes()
 
 
+def test_freestream_run_writes_golden_csv(tmp_path):
+    written = _run_freestream(tmp_path)
+    golden = GOLDEN_FREESTREAM.read_bytes()
+    assert written.decode().splitlines() == golden.decode().splitlines()
+    assert written == golden
+
+
 @pytest.mark.parametrize("case", ["4", "5"])
 def test_rbf_cases_write_same_bytes_under_one_and_two_blas_threads(tmp_path, case):
     one = _run_case(case, tmp_path / "one.csv", mesh="6,6,6", blas_threads=1)
@@ -119,9 +139,10 @@ def test_rbf_cases_write_same_bytes_under_one_and_two_blas_threads(tmp_path, cas
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        written = _run_all_cases(Path(tmp))
-    committed = GOLDEN.read_text() if GOLDEN.exists() else ""
-    for line in moved_values(committed, written.decode()):
-        print(line)
-    GOLDEN.write_bytes(written)
+    for golden, run in ((GOLDEN, _run_all_cases), (GOLDEN_FREESTREAM, _run_freestream)):
+        with tempfile.TemporaryDirectory() as tmp:
+            written = run(Path(tmp))
+        committed = golden.read_text() if golden.exists() else ""
+        for line in moved_values(committed, written.decode()):
+            print(f"{golden.name}: {line}")
+        golden.write_bytes(written)

@@ -2,8 +2,8 @@
 
 ``perfbench/run.py`` must print only the ``machine:`` record, one
 ``name = value unit`` line per metric and, last, one JSON result line.  Each
-run here is one untimed-budget pass of ``ifmv_sweep`` (``--seconds 0``), a
-few seconds each.  A span whose every binding a rename removed reads null
+run here is one untimed-budget pass (``--seconds 0``) of ``ifmv_sweep``, a
+few seconds, or of ``freestream``, about ten.  A span whose every binding a rename removed reads null
 in the benchmark, so the span list is also checked against the package.
 """
 
@@ -25,10 +25,10 @@ def _reject(constant):
     raise ValueError(f"non-JSON constant {constant} in the result line")
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_ifmv_sweep_output_is_well_formed(trace):
+def _check_output(workload: str, trace: int) -> dict:
+    """One pass's output, checked line by line; returns its metrics."""
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "ifmv_sweep", "--seed", "42",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "42",
          "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -44,10 +44,24 @@ def test_ifmv_sweep_output_is_well_formed(trace):
     assert [line.split(" = ")[0] for line in metric_lines] == list(metrics)
     if trace:
         assert [name for name, m in metrics.items() if m["value"] is None] == []
-        assert metrics["spectral.transform_s"]["value"] == 0
     else:
         assert list(metrics) == list(END_TO_END)
         assert all(math.isfinite(metrics[name]["value"]) for name in END_TO_END)
+    return metrics
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_ifmv_sweep_output_is_well_formed(trace):
+    metrics = _check_output("ifmv_sweep", trace)
+    if trace:
+        assert metrics["spectral.transform_s"]["value"] == 0
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_freestream_output_is_well_formed(trace):
+    metrics = _check_output("freestream", trace)
+    if trace:
+        assert metrics["flow.iterations"]["value"] == 569
 
 
 def test_every_traced_span_keeps_a_binding(monkeypatch):
