@@ -30,7 +30,7 @@ from .gcl import (
     lvi_increments,
     trimap_field,
 )
-from .flow import FreestreamState, ale_face_flux, jst_dissipation, pressure, run_freestream
+from .flow import FreestreamProblem, ale_face_flux, jst_dissipation, pressure
 from .metrics import (
     ErrorReport,
     abs_err_ifmv_vs_reference,

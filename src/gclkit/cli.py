@@ -221,6 +221,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.support_radius is not None and not cfg.support_radius > 0.0:
         raise ConfigError(f"support radius must be positive, got {cfg.support_radius}")
+    pseudo_time = [key for key in ("cfl", "max_iters") if any(key in layer for layer in layers)]
+    if pseudo_time and not cfg.freestream:
+        raise ConfigError(f"freestream is off, so it does not use {', '.join(pseudo_time)}")
     cfg.mesh = MeshConfig(*mesh_counts, *mesh_lengths)
     return cfg
 
@@ -277,7 +280,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             cfg.motion_case(),
             cfg.harmonic_range(),
             [METHOD_ALIASES[m] for m in cfg.methods],
-            FreestreamOptions(cfg.freestream, cfg.cfl, cfg.max_iters),
+            FreestreamOptions(cfg.cfl, cfg.max_iters) if cfg.freestream else None,
             timing=cfg.timing,
         )
     except ConfigError as err:

@@ -35,14 +35,12 @@ from .motion import MotionTrajectory
 from .spectral import SpectralOperator
 
 __all__ = [
-    "FreestreamState",
     "FreestreamResult",
     "FreestreamProblem",
     "FreestreamDivergence",
     "pressure",
     "ale_face_flux",
     "jst_dissipation",
-    "run_freestream",
 ]
 
 
@@ -70,24 +68,16 @@ KAPPA2 = 1.0
 KAPPA4 = 1.0 / 32.0
 # A march has converged once its residual falls by this factor.
 CONVERGENCE_DROP = 1e-12
+# Ratio of specific heats, and the one uniform flow every run starts from and
+# is judged against: density, velocity, pressure and conservative variables.
+GAMMA = 1.4
+RHO_INF, VELOCITY_INF, PRESSURE_INF = 1.0, (0.5, 0.0, 0.0), 1.0
+_u = np.array(VELOCITY_INF)
+W_INF = np.array([RHO_INF, *RHO_INF * _u, PRESSURE_INF / (GAMMA - 1.0) + 0.5 * RHO_INF * (_u @ _u)])
+W_INF.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class FreestreamState:
-    """Uniform flow state used to initialise and judge the experiment."""
-
-    rho: float = 1.0
-    velocity: tuple[float, float, float] = (0.5, 0.0, 0.0)
-    pressure: float = 1.0
-    gamma: float = 1.4
-
-    def conservative(self) -> np.ndarray:
-        u = np.asarray(self.velocity, dtype=float)
-        rho_e = self.pressure / (self.gamma - 1.0) + 0.5 * self.rho * (u @ u)
-        return np.concatenate([[self.rho], self.rho * u, [rho_e]])
-
-
-def pressure(states: np.ndarray, gamma: float = 1.4) -> np.ndarray:
+def pressure(states: np.ndarray) -> np.ndarray:
     """Ideal-gas pressure from conservative variables (5, ...).
 
     Raises
@@ -95,15 +85,15 @@ def pressure(states: np.ndarray, gamma: float = 1.4) -> np.ndarray:
     ValueError
         If any resulting pressure is nonpositive (unphysical state).
     """
-    p = _pressure_unchecked(np.asarray(states, dtype=float), gamma)
+    p = _pressure_unchecked(np.asarray(states, dtype=float))
     if np.any(p <= 0.0):
         raise ValueError("nonpositive pressure encountered")
     return p
 
 
-def _pressure_unchecked(states: np.ndarray, gamma: float) -> np.ndarray:
+def _pressure_unchecked(states: np.ndarray) -> np.ndarray:
     momentum = states[1:4]
-    return (gamma - 1.0) * (states[4] - 0.5 * _dot(momentum, momentum) / states[0])
+    return (GAMMA - 1.0) * (states[4] - 0.5 * _dot(momentum, momentum) / states[0])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,7 +106,6 @@ def ale_face_flux(
     right: np.ndarray,
     face_vector: np.ndarray,
     face_ifmv: np.ndarray,
-    gamma: float = 1.4,
     *,
     primitives: tuple | None = None,
     state_sum: np.ndarray | None = None,
@@ -139,7 +128,7 @@ def ale_face_flux(
     face_ifmv = np.asarray(face_ifmv, dtype=float)
     if primitives is None:
         primitives = [
-            (states[1:4] / states[0], _pressure_unchecked(states, gamma))
+            (states[1:4] / states[0], _pressure_unchecked(states))
             for states in (left, right)
         ]
     if state_sum is None:
@@ -215,12 +204,18 @@ class FreestreamResult:
     iterations: int
     initial_residual: float
     final_residual: float
-    converged: bool
-    diverged: bool
     # why the march ended: "floor" or "drop" (converged), "rel_err_stop",
     # "max_iterations", or "diverged" (a non-finite state or rel_err > 1)
     stop_reason: str
     states: np.ndarray = dataclass_field(repr=False, default=None)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("floor", "drop")
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason == "diverged"
 
     @property
     def residual_drop(self) -> float:
@@ -265,7 +260,8 @@ class FreestreamProblem:
     iteration only updates the spectral state.  Area vectors are computed on
     the interfaces the IFMV belongs to, and each axis's block of interfaces
     is read as its grid, oriented +axis (:meth:`HexMesh.axis_interfaces`),
-    and kept once, axis-major (:class:`_AxisFaces`).
+    and kept once, axis-major (:class:`_AxisFaces`).  ``ifmv=None`` zeroes
+    every face mesh velocity, a controlled conservation defect.
     """
 
     def __init__(
@@ -274,11 +270,9 @@ class FreestreamProblem:
         trajectory: MotionTrajectory,
         spectral: SpectralOperator,
         ifmv: IfmvField | None,
-        freestream: FreestreamState | None = None,
     ):
         self.mesh = mesh
         self.spectral = spectral
-        self.freestream = freestream or FreestreamState()
         nts = spectral.nts
 
         self.volumes = (
@@ -292,10 +286,9 @@ class FreestreamProblem:
             out=np.empty((3 * nts, n_interfaces)).T,
         ).T.reshape(3, nts, n_interfaces)
         g = np.zeros((nts, n_interfaces)) if ifmv is None else ifmv.total.T
-        self.w0 = self.freestream.conservative()
         # the halo cells' state, velocity and pressure, computed as per cell
-        w0 = self.w0.reshape(5, 1, 1, 1, 1)
-        self._halo = (w0, w0[1:4] / w0[0], _pressure_unchecked(w0, self.freestream.gamma))
+        w0 = W_INF.reshape(5, 1, 1, 1, 1)
+        self._halo = (w0, w0[1:4] / w0[0], _pressure_unchecked(w0))
         self._axes = []
         for name, axis in zip("xyz", (-1, -2, -3)):
             block, orientation = mesh.axis_interfaces(name)
@@ -321,7 +314,7 @@ class FreestreamProblem:
 
     def initial_state(self) -> np.ndarray:
         """Spectral state Omega * w for the uniform flow, (5, Nts, nz, ny, nx)."""
-        return self.volumes * self.w0.reshape(-1, 1, 1, 1, 1)
+        return self.volumes * W_INF.reshape(-1, 1, 1, 1, 1)
 
     def physical_states(self, wbar: np.ndarray) -> np.ndarray:
         return wbar / self.volumes
@@ -342,11 +335,10 @@ class FreestreamProblem:
 
     def _radii(self, axis: _AxisFaces, state_sum: np.ndarray) -> np.ndarray:
         """Spectral radii on one axis's interfaces from the summed face states."""
-        gamma = self.freestream.gamma
         mean = 0.5 * state_sum
         vel = mean[1:4] / mean[0]
-        p_mean = _pressure_unchecked(mean, gamma)
-        sound = np.sqrt(gamma * p_mean / mean[0])
+        p_mean = _pressure_unchecked(mean)
+        sound = np.sqrt(GAMMA * p_mean / mean[0])
         contravariant = _dot(vel, axis.vectors) - axis.ifmv
         return np.abs(contravariant) + sound * axis.area
 
@@ -356,11 +348,10 @@ class FreestreamProblem:
         With ``dissipation=False`` the dissipative part is not computed and
         comes back as None.
         """
-        gamma = self.freestream.gamma
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             # per interior cell, shared by every face the cell touches
             states = self.physical_states(wbar)
-            cells = (states, states[1:4] / states[0], _pressure_unchecked(states, gamma))
+            cells = (states, states[1:4] / states[0], _pressure_unchecked(states))
             conv = np.einsum("nK,cK...->cn...", self.spectral.d_matrix, wbar)
             diss = np.zeros_like(conv) if dissipation else None
             for axis in self._axes:
@@ -368,7 +359,7 @@ class FreestreamProblem:
                 wl, wr = wp[_LEFT], wp[_RIGHT]
                 state_sum = wl + wr
                 flux = ale_face_flux(
-                    wl, wr, axis.vectors, axis.ifmv, gamma,
+                    wl, wr, axis.vectors, axis.ifmv,
                     primitives=(
                         (vel[_LEFT], pp[_LEFT]),
                         (vel[_RIGHT], pp[_RIGHT]),
@@ -411,12 +402,9 @@ class FreestreamProblem:
         per-face scale would make it.  Fixing it is deferred because the fix
         changes when marches stop.
         """
-        w0 = self.w0
-        speed = np.linalg.norm(self.freestream.velocity) + np.sqrt(
-            self.freestream.gamma * self.freestream.pressure / self.freestream.rho
-        )
+        speed = np.linalg.norm(VELOCITY_INF) + np.sqrt(GAMMA * PRESSURE_INF / RHO_INF)
         area = max(np.linalg.norm(a.vectors.transpose(a.back).ravel()) for a in self._axes)
-        return float(np.abs(w0).max() * speed * area)
+        return float(np.abs(W_INF).max() * speed * area)
 
     # -- pseudo-time -------------------------------------------------------
 
@@ -431,20 +419,19 @@ class FreestreamProblem:
         ``rel_err_stop`` optionally ends the run early once the departure
         from freestream exceeds that value (used when demonstrating failure
         modes, where full convergence is pointless).  Dissipation is
-        evaluated only at the stages that blend it.
+        evaluated only at the stages that blend it.  Divergence is reported
+        through the result, not raised.
         """
         wbar = self.initial_state()
         dt = self.local_timestep(wbar, cfl)
         floor = 1e-14 * self.flux_scale()
 
         initial = final = 0.0
-        converged = diverged = False
         stop_reason = "max_iterations"
         iteration = 0
         for iteration in range(1, max_iterations + 1):
             w_stage = wbar
             diss_blend = None
-            stage_residual = None
             for stage, alpha in enumerate(RK_STAGE_FRACTIONS):
                 beta = RK_DISSIPATION_BLEND.get(stage)
                 conv, diss = self.residual_parts(w_stage, dissipation=beta is not None)
@@ -459,7 +446,7 @@ class FreestreamProblem:
                     stage_residual = residual
                 w_stage = wbar - alpha * dt * residual
             if not np.all(np.isfinite(w_stage)):
-                diverged = True
+                stop_reason = "diverged"
                 break
             wbar = w_stage
 
@@ -467,7 +454,6 @@ class FreestreamProblem:
             if iteration == 1:
                 initial = final
             if final <= floor or final <= CONVERGENCE_DROP * initial:
-                converged = True
                 stop_reason = "floor" if final <= floor else "drop"
                 break
             if rel_err_stop is not None and iteration % 25 == 0:
@@ -475,39 +461,17 @@ class FreestreamProblem:
                     stop_reason = "rel_err_stop"
                     break
 
-        rel_err = np.inf if diverged else self.current_rel_err(wbar)
+        rel_err = np.inf if stop_reason == "diverged" else self.current_rel_err(wbar)
         if rel_err > 1.0:
-            diverged = True
+            stop_reason = "diverged"
         return FreestreamResult(
             rel_err=rel_err,
             iterations=iteration,
             initial_residual=initial,
             final_residual=final,
-            converged=converged,
-            diverged=diverged,
-            stop_reason="diverged" if diverged else stop_reason,
-            states=None if diverged else self.physical_states(wbar),
+            stop_reason=stop_reason,
+            states=None if stop_reason == "diverged" else self.physical_states(wbar),
         )
 
     def current_rel_err(self, wbar: np.ndarray) -> float:
-        return rel_err_freestream(self.physical_states(wbar), self.w0)
-
-
-def run_freestream(
-    mesh: HexMesh,
-    trajectory: MotionTrajectory,
-    spectral: SpectralOperator,
-    ifmv: IfmvField | None,
-    freestream: FreestreamState | None = None,
-    cfl: float = 1.5,
-    max_iterations: int = 20000,
-    rel_err_stop: float | None = None,
-) -> FreestreamResult:
-    """Initialise uniform flow, march to convergence, report the departure.
-
-    ``ifmv=None`` deliberately zeroes all face mesh velocities, producing a
-    controlled conservation defect.  Divergence is reported through the
-    result, not raised.
-    """
-    problem = FreestreamProblem(mesh, trajectory, spectral, ifmv, freestream)
-    return problem.march(cfl, max_iterations, rel_err_stop)
+        return rel_err_freestream(self.physical_states(wbar), W_INF)

@@ -193,13 +193,13 @@ def face_area_vectors(corners: np.ndarray) -> np.ndarray:
 
 
 def _inverted_corner(r) -> np.ndarray:
-    return functools.reduce(np.minimum, _corner_jacobians(r)) <= 0.0
+    return ~(functools.reduce(np.minimum, _corner_jacobians(r)) > 0.0)
 
 
 def detect_degenerate(
     mesh: HexMesh, positions: np.ndarray, volumes: np.ndarray | None = None
 ) -> np.ndarray:
-    """Indices of cells with nonpositive volume or a nonpositive corner Jacobian.
+    """Indices of cells whose volume or smallest corner Jacobian is NaN or nonpositive.
 
     Only cells are gated.  The per-step sweep hexahedra of AEVI are not: their
     volumes are signed increments, and a negative sweep is a face moving
@@ -230,7 +230,7 @@ def detect_degenerate(
     if volumes is None:
         volumes = mesh.blockwise(_hex_volume, mesh.cell_vertex_ids, stack)
     inverted = mesh.blockwise(_inverted_corner, mesh.cell_vertex_ids, stack, dtype=bool)
-    bad = (np.reshape(volumes, inverted.shape) <= 0.0) | inverted
+    bad = ~(np.reshape(volumes, inverted.shape) > 0.0) | inverted
     return np.flatnonzero(bad.T)
 
 

@@ -56,17 +56,18 @@ _CASE_DEFAULTS: dict[str, dict[str, Any]] = {
 
 
 class DegenerateMeshError(RuntimeError):
-    """A sampled configuration contains inverted or non-invertible cells."""
+    """A sampled configuration has inverted, non-invertible or non-finitely moving cells."""
 
-    def __init__(self, instant: float, cell_ids: np.ndarray):
+    def __init__(self, instant: float, cell_ids: np.ndarray, cause: str = "degenerate"):
         self.instant = float(instant)
         self.cell_ids = np.asarray(cell_ids)
+        self.cause = cause
         super().__init__(
-            f"degenerate cells {self.cell_ids.tolist()} at t = {self.instant:.6g}"
+            f"{cause} cells {self.cell_ids.tolist()} at t = {self.instant:.6g}"
         )
 
     def __reduce__(self):  # pickle by the constructor's arguments, not by args
-        return type(self), (self.instant, self.cell_ids)
+        return type(self), (self.instant, self.cell_ids, self.cause)
 
 
 @dataclass(frozen=True)
@@ -363,11 +364,17 @@ def raise_if_degenerate(
     Raises
     ------
     DegenerateMeshError
-        Naming the first instant with a cell of nonpositive volume or corner
-        Jacobian, and every such cell at that instant.
+        Naming the first instant with a cell whose volume or corner Jacobian
+        is not positive, or failing that with a non-finite vertex velocity,
+        and every such cell at that instant.
     """
     bad = detect_degenerate(mesh, trajectory.positions[:-1], volumes)
     if len(bad):
         instants, cells = np.divmod(bad, mesh.n_cells)
         raise DegenerateMeshError(trajectory.times[instants[0]], cells[instants == instants[0]])
+    finite = np.isfinite(trajectory.velocities[:-1]).all(axis=-1)  # (2N+1, n_vertices)
+    if not finite.all():
+        n = np.flatnonzero(~finite.all(axis=-1))[0]
+        cells = np.flatnonzero(~finite[n][mesh.cell_vertex_ids].all(axis=-1))
+        raise DegenerateMeshError(trajectory.times[n], cells, "non-finite velocities in")
 

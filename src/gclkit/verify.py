@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gcl, metrics, rbf
-from .flow import FreestreamProblem
+from .flow import W_INF, FreestreamProblem
 from .hexmesh import (
     FACE_LOOPS,
     REF_CORNERS,
@@ -206,7 +206,7 @@ def _check_freestream_defect_identity(rng):
     defect = -op.differentiate(volumes)  # sum of zeroed IFMV minus d(vol)/dt
     nz = ny = nx = 5
     predicted = -np.moveaxis(defect.reshape(nz, ny, nx, op.nts), -1, 0) * (
-        problem.w0.reshape(-1, 1, 1, 1, 1)
+        W_INF.reshape(-1, 1, 1, 1, 1)
     )
     err = float(np.abs(residual - predicted).max() / np.abs(residual).max())
     return err <= 1e-12, f"identity defect {err:.2e}"

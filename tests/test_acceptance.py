@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from gclkit import experiments, gcl
-from gclkit.flow import run_freestream
+from gclkit.flow import FreestreamProblem
 from gclkit.hexmesh import FACE_LOOPS, hex_volume
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator, ts_matrix
@@ -370,11 +370,11 @@ def test_criterion_13_freestream_preservation(paper_mesh_session):
     traj = sample_motion(mesh, case, 5)
     op = SpectralOperator(5, case.period)
     series = gcl.extract_linear_and_periodic(gcl.aevi_increments(mesh, traj))
-    good = run_freestream(
-        mesh, traj, op, gcl.ifmv_nlfd(series, op), max_iterations=2000
+    good = FreestreamProblem(mesh, traj, op, gcl.ifmv_nlfd(series, op)).march(
+        max_iterations=2000
     )
-    broken = run_freestream(
-        mesh, traj, op, None, max_iterations=800, rel_err_stop=5e-4
+    broken = FreestreamProblem(mesh, traj, op, None).march(
+        max_iterations=800, rel_err_stop=5e-4
     )
     ok = good.converged and good.rel_err <= 1e-8 and broken.rel_err >= 1e-4
     _report(

@@ -187,9 +187,36 @@ def test_used_motion_settings_are_accepted(tmp_path, case, settings):
 
 def test_config_integers_and_onoff_are_read_exactly(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 42, "max_iters": "300", "timing": "no"}))
+    path.write_text(
+        json.dumps({"seed": 42, "max_iters": "300", "timing": "no", "freestream": "on"})
+    )
     cfg = build_run_config(build_parser().parse_args(["run", "--config", str(path)]))
-    assert (cfg.seed, cfg.max_iters, cfg.timing) == (42, 300, False)
+    assert (cfg.seed, cfg.max_iters, cfg.timing, cfg.freestream) == (42, 300, False, True)
+
+
+@pytest.mark.parametrize(
+    "extra, config, named",
+    [
+        (["--cfl", "2"], None, "cfl"),
+        (["--max-iters", "10"], None, "max_iters"),
+        (["--cfl", "2", "--max-iters", "10", "--freestream", "off"], None, "cfl, max_iters"),
+        ([], {"cfl": 2}, "cfl"),
+        ([], {"max_iters": 10, "freestream": "off"}, "max_iters"),
+    ],
+)
+def test_pseudo_time_setting_without_freestream_is_config_error(tmp_path, capsys, extra,
+                                                                 config, named):
+    # a setting the run would ignore is refused, not echoed in the header
+    argv = ["run", "--case", "1", "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",
+            "--out", str(tmp_path / "m.csv")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: freestream is off, so it does not use {named}\n"
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_unknown_case_is_config_error():
@@ -201,6 +228,24 @@ def test_degenerate_motion_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert "degeneracy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case, setting",
+    [("1", ["--amp", "1e308"]), ("rigid-rotation", ["--alpha0", "1e308"])],
+    ids=["non-finite-geometry", "non-finite-velocity"],
+)
+def test_non_finite_motion_is_one_line_degeneracy_error(tmp_path, case, setting):
+    out = tmp_path / "x.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "gclkit", "run", "--case", case, "--n", "1..1",
+         "--mesh", "2,2,2", "--methods", "avg,lvi,trimap", "--out", str(out), *setting],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: degeneracy:") and done.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -5,13 +5,16 @@ import pytest
 
 from gclkit import flow, gcl
 from gclkit.flow import (
+    PRESSURE_INF,
+    RHO_INF,
+    VELOCITY_INF,
+    W_INF,
     FreestreamDivergence,
     FreestreamProblem,
-    FreestreamState,
+    FreestreamResult,
     ale_face_flux,
     jst_dissipation,
     pressure,
-    run_freestream,
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
@@ -40,26 +43,34 @@ def test_pressure_flags_unphysical_state():
         pressure(w)
 
 
+def test_freestream_constants():
+    u = np.array(VELOCITY_INF)
+    energy = PRESSURE_INF / (GAMMA - 1.0) + 0.5 * RHO_INF * (u @ u)
+    assert flow.GAMMA == GAMMA
+    assert np.array_equal(W_INF, [RHO_INF, *(RHO_INF * u), energy])
+    assert pressure(W_INF) == pytest.approx(PRESSURE_INF, rel=1e-15)
+    with pytest.raises(ValueError):
+        W_INF[0] = 2.0  # shared by every problem, so read-only
+
+
 def test_face_flux_single_state():
-    state = FreestreamState()
-    w = state.conservative()
+    w = W_INF
     s = np.array([0.3, -0.2, 0.5])
     flux = ale_face_flux(w, w, s, 0.0)
-    u = np.array(state.velocity)
-    contra = u @ s
-    h_total = (w[4] + state.pressure) / state.rho
+    contra = np.array(VELOCITY_INF) @ s
+    h_total = (w[4] + PRESSURE_INF) / RHO_INF
     expected = np.array(
         [
-            state.rho * contra,
-            *(w[1:4] * contra + state.pressure * s),
-            state.rho * h_total * contra,
+            RHO_INF * contra,
+            *(w[1:4] * contra + PRESSURE_INF * s),
+            RHO_INF * h_total * contra,
         ]
     )
     np.testing.assert_allclose(flux, expected, rtol=1e-14)
 
 
 def test_face_flux_ifmv_linearity():
-    w = FreestreamState().conservative()
+    w = W_INF
     s = np.array([0.1, 0.0, 0.2])
     g = 0.37
     base = ale_face_flux(w, w, s, 0.0)
@@ -73,7 +84,7 @@ def test_closed_cell_flux_cancellation(rng):
     from gclkit.hexmesh import face_area_vectors
     from gclkit.verify import random_hexahedra
 
-    w = FreestreamState().conservative()
+    w = W_INF
     corners = random_hexahedra(1, rng)[0]
     vectors = face_area_vectors(corners)
     g = rng.normal(size=6)
@@ -82,17 +93,15 @@ def test_closed_cell_flux_cancellation(rng):
 
 
 def test_jst_vanishes_on_uniform_field():
-    w0 = FreestreamState().conservative()
-    line = np.tile(w0[:, None], (1, 9))
-    p = np.full(9, FreestreamState().pressure)
+    line = np.tile(W_INF[:, None], (1, 9))
+    p = np.full(9, PRESSURE_INF)
     radii = np.ones(6)
     d = jst_dissipation(line, p, radii, 1.0, 1.0 / 32.0)
     assert np.abs(d).max() == 0.0
 
 
 def test_jst_damps_density_spike():
-    w0 = FreestreamState().conservative()
-    line = np.tile(w0[:, None], (1, 9))
+    line = np.tile(W_INF[:, None], (1, 9))
     spike = 4  # interior cell (2 halo + index 2)
     line[0, spike] *= 1.01
     p = pressure(line)
@@ -107,9 +116,8 @@ def test_jst_damps_density_spike():
 
 def test_jst_fourth_difference_scaling(rng):
     # smooth data, quiet sensor: dissipation reduces to -radius*kappa4*delta3
-    w0 = FreestreamState().conservative()
     n = 16
-    line = np.tile(w0[:, None], (1, n + 4))
+    line = np.tile(W_INF[:, None], (1, n + 4))
     x = np.arange(n + 4, dtype=float)
     bump = 1e-4 * np.sin(2 * np.pi * x / (n + 4))
     line[0] += bump
@@ -212,8 +220,7 @@ def test_unsteady_residual_with_zero_ifmv(case2_small):
     problem = FreestreamProblem(mesh, traj, op, None)
     rhat = nlfd_unsteady_residual(problem, problem.initial_state())
     rates = gcl.exact_volume_rates(mesh, traj)
-    w0 = problem.w0
-    scale = np.abs(rates).max() * np.abs(w0).max()
+    scale = np.abs(rates).max() * np.abs(W_INF).max()
     assert 0.1 * scale <= np.abs(rhat).max() <= 10.0 * scale
 
 
@@ -228,7 +235,7 @@ def test_unsteady_residual_static_mesh(case2_small):
 def test_freestream_static_mesh(case2_small):
     mesh, _, op = case2_small
     static = sample_motion(mesh, MotionCase.for_case("rigid-translation", amplitude=(0, 0, 0)), 3)
-    result = run_freestream(mesh, static, op, None, max_iterations=10)
+    result = FreestreamProblem(mesh, static, op, None).march(max_iterations=10)
     assert result.converged and result.stop_reason == "floor"
     assert result.rel_err <= 1e-14
 
@@ -236,9 +243,8 @@ def test_freestream_static_mesh(case2_small):
 def test_freestream_case1_aevi(paper_mesh):
     traj = sample_motion(paper_mesh, MotionCase.for_case("case1"), 3)
     op = SpectralOperator(3)
-    result = run_freestream(
-        paper_mesh, traj, op, aevi_field(paper_mesh, traj, op), max_iterations=200
-    )
+    problem = FreestreamProblem(paper_mesh, traj, op, aevi_field(paper_mesh, traj, op))
+    result = problem.march(max_iterations=200)
     assert result.rel_err <= 1e-8
     assert result.converged
 
@@ -246,10 +252,11 @@ def test_freestream_case1_aevi(paper_mesh):
 def test_avg_preserves_worse_than_spectral_methods(case2_small):
     mesh, _, op = case2_small
     traj = sample_motion(mesh, MotionCase.for_case("case5"), 3)
-    good = run_freestream(mesh, traj, op, aevi_field(mesh, traj, op), max_iterations=150)
-    avg = run_freestream(
-        mesh, traj, op, gcl.ifmv_avg(mesh, traj), max_iterations=150,
-        rel_err_stop=1e-5,
+    good = FreestreamProblem(mesh, traj, op, aevi_field(mesh, traj, op)).march(
+        max_iterations=150
+    )
+    avg = FreestreamProblem(mesh, traj, op, gcl.ifmv_avg(mesh, traj)).march(
+        max_iterations=150, rel_err_stop=1e-5
     )
     assert avg.rel_err > 100 * max(good.rel_err, 1e-14)
     assert avg.stop_reason == "rel_err_stop" and not avg.converged
@@ -257,10 +264,20 @@ def test_avg_preserves_worse_than_spectral_methods(case2_small):
 
 def test_divergence_is_reported_not_raised(case2_small):
     mesh, traj, op = case2_small
-    result = run_freestream(mesh, traj, op, None, cfl=1e6, max_iterations=30)
+    result = FreestreamProblem(mesh, traj, op, None).march(cfl=1e6, max_iterations=30)
     assert result.diverged
     assert not result.converged
     assert result.stop_reason == "diverged"
+
+
+@pytest.mark.parametrize(
+    "stop_reason, converged, diverged",
+    [("floor", True, False), ("drop", True, False), ("rel_err_stop", False, False),
+     ("max_iterations", False, False), ("diverged", False, True)],
+)
+def test_result_flags_follow_stop_reason(stop_reason, converged, diverged):
+    result = FreestreamResult(0.0, 1, 1.0, 1.0, stop_reason)
+    assert (result.converged, result.diverged) == (converged, diverged)
 
 
 def test_uniform_state_is_stationary_under_rk5(case2_small):
@@ -327,7 +344,7 @@ def _reference_padded(problem, wbar):
     states = problem.physical_states(wbar)
     _, nts, nz, ny, nx = states.shape
     wp = np.empty((5, nts, nz + 4, ny + 4, nx + 4))
-    wp[...] = problem.w0[:, None, None, None, None]
+    wp[...] = W_INF[:, None, None, None, None]
     wp[:, :, 2:-2, 2:-2, 2:-2] = states
     return wp, _reference_pressure(wp, GAMMA)
 
@@ -518,7 +535,7 @@ def test_residual_calls_flux_and_jst_through_module(case2_box, monkeypatch):
 
 
 def test_jst_rejects_axis_counted_from_the_front():
-    line = np.tile(FreestreamState().conservative()[:, None], (1, 9))
+    line = np.tile(W_INF[:, None], (1, 9))
     with pytest.raises(ValueError):
         jst_dissipation(line, pressure(line), np.ones(6), 1.0, 1.0 / 32.0, axis=1)
 

@@ -64,8 +64,8 @@ def _scalar_flux(left, right, s, g):
 @given(faces())
 def test_flux_is_antisymmetric(data):
     left, right, vectors, ifmv = data
-    forward = ale_face_flux(left, right, vectors, ifmv, GAMMA)
-    backward = ale_face_flux(right, left, -vectors, -ifmv, GAMMA)
+    forward = ale_face_flux(left, right, vectors, ifmv)
+    backward = ale_face_flux(right, left, -vectors, -ifmv)
     assert np.array_equal(backward, -forward)
 
 
@@ -73,7 +73,7 @@ def test_flux_is_antisymmetric(data):
 @given(faces())
 def test_flux_equals_scalar_formula(data):
     left, right, vectors, ifmv = data
-    flux = ale_face_flux(left, right, vectors, ifmv, GAMMA)
+    flux = ale_face_flux(left, right, vectors, ifmv)
     expected = np.array(
         [
             _scalar_flux(left[:, j].tolist(), right[:, j].tolist(), vectors[:, j].tolist(), g)

@@ -121,6 +121,18 @@ def test_detect_degenerate_undeformed(paper_mesh):
     assert len(detect_degenerate(paper_mesh, paper_mesh.vertices)) == 0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_detect_degenerate_flags_non_finite_cells(value):
+    # a NaN volume or Jacobian is not positive, so it must not pass
+    mesh = build_box_mesh(3, 3, 3, 1.0, 1.0, 1.0)
+    victim = mesh.interior_vertex_ids()[0]
+    positions = mesh.vertices.copy()
+    positions[victim, 0] = value
+    incident = np.flatnonzero((mesh.cell_vertex_ids == victim).any(axis=1))
+    with np.errstate(invalid="ignore"):
+        assert detect_degenerate(mesh, positions).tolist() == incident.tolist()
+
+
 def test_detect_degenerate_reports_incident_cells():
     mesh = build_box_mesh(3, 3, 3, 1.0, 1.0, 1.0)
     victim = mesh.interior_vertex_ids()[0]

@@ -13,6 +13,7 @@ from gclkit.motion import (
     MotionCase,
     build_rbf_system,
     evaluate_motion,
+    raise_if_degenerate,
     sample_motion,
 )
 from oracles import analytic_increment_case3, analytic_increment_rate_case3
@@ -284,7 +285,24 @@ def test_rbf_spread_keeps_only_the_grid_fields():
 
 
 def test_degenerate_mesh_error_pickles():
-    err = DegenerateMeshError(0.25, np.array([3, 17]))
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is DegenerateMeshError and str(back) == str(err)
-    assert back.instant == 0.25 and back.cell_ids.tolist() == [3, 17]
+    for err in (
+        DegenerateMeshError(0.25, np.array([3, 17])),
+        DegenerateMeshError(0.25, np.array([3, 17]), "non-finite velocities in"),
+    ):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DegenerateMeshError and str(back) == str(err)
+        assert back.instant == 0.25 and back.cell_ids.tolist() == [3, 17]
+
+
+def test_gate_rejects_non_finite_velocities():
+    # the positions stay valid while the velocities overflow
+    mesh = build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4)
+    case = MotionCase.for_case("rigid-rotation", alpha0=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajectory = sample_motion(mesh, case, 1, check_degeneracy=False)
+    assert np.isfinite(trajectory.positions).all()
+    assert not np.isfinite(trajectory.velocities).all()
+    with pytest.raises(DegenerateMeshError) as info:
+        raise_if_degenerate(mesh, trajectory)
+    assert info.value.instant == 0.0 and info.value.cell_ids.tolist() == list(range(8))
+    assert str(info.value).startswith("non-finite velocities in cells")
