@@ -16,6 +16,9 @@ face, G_m(t) = integral of (v . n) dS:
 * ``trimap`` -- the exact closed-form face flux of the trilinear mapping,
   used as the reference.
 
+The LVI/AEVI sweep volumes and the TRI-MAP flux are built from corner
+differences, so a translated mesh keeps its values to its cells' rounding.
+
 Increments that grow linearly in time (faces sweeping a net volume per
 period) are split into a linear slope plus a periodic part before any
 spectral differentiation; only the periodic part is transformed and the
@@ -69,30 +72,16 @@ __all__ = [
 METHODS = ("nlfd-lvi", "nlfd-aevi", "avg", "trimap", "ts-lvi", "ts-aevi")
 
 def _quad_flux_by_direction(q, v):
-    """Flux components of quads with corners q[0..3] and velocities v[0..3]."""
-    c01, c12, c23, c30, c02, c13 = (
-        _cross(q[a], q[b]) for a, b in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
-    )
+    """Flux components of quads with corners q[0..3] and velocities v[0..3].
+
+    The bilinear normal is N0 + xi N1 + eta N2, so the flux is (3 vt N0 + w1 N1 + w2 N2) / 12.
+    """
+    a, b = q[1] - q[0], q[3] - q[0]
+    c = (q[2] - q[3]) - a  # (q0 - q1) + (q2 - q3), to the bit
+    n0, n1, n2 = _cross(a, b), _cross(a, c), _cross(c, b)
     vt = _sum(v)
-    flux = []
-    for d in range(3):
-        head = c01[d] + c12[d]
-        full = (head + c23[d]) + c30[d]
-        s012 = head - c02[d]
-        s123 = (c12[d] + c23[d]) - c13[d]
-        s230 = (c23[d] + c30[d]) + c02[d]
-        s301 = (c30[d] + c01[d]) + c13[d]
-        flux.append(
-            (
-                vt[d] * full
-                + v[1][d] * s012
-                + v[2][d] * s123
-                + v[3][d] * s230
-                + v[0][d] * s301
-            )
-            / 12.0
-        )
-    return flux
+    vt3, w1, w2 = 3.0 * vt, (vt + v[1]) + v[2], (vt + v[2]) + v[3]
+    return [(vt3[d] * n0[d] + w1[d] * n1[d] + w2[d] * n2[d]) / 12.0 for d in range(3)]
 
 
 def _quad_flux(q, v):
@@ -151,9 +140,10 @@ def sweep_volume(quad_start: np.ndarray, quad_end: np.ndarray) -> np.ndarray:
     """Signed volume swept by a face moving on straight corner paths.
 
     The sweep is the hexahedron whose bottom face is the quad at the start
-    and whose top face is the quad at the end; degenerate (zero-motion)
-    sweeps cancel to rounding level.  Positive values mean motion along the
-    quad loop's right-hand normal.
+    and whose top face is the quad at the end, its volume taken from edge
+    and diagonal vectors; degenerate (zero-motion) sweeps cancel to the
+    rounding of the face's own size, wherever it sits.  Positive values
+    mean motion along the quad loop's right-hand normal.
     """
     return _sweep_volume(*_planes_of(quad_start, quad_end))
 

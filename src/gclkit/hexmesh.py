@@ -16,14 +16,19 @@ is one (n_instants, block) slab; the public functions take component-last
 (:func:`corner_planes`).  Each formula therefore has one implementation, with
 no ``np.cross``, ``einsum`` or per-face fancy-index copy.
 
-The kernels give bitwise the values of the component-last ``np.cross`` and
-``einsum`` formulas they replaced, so the CSV output and the freestream march
-do not move.  That pins the summation order: three-term dot products are
-summed ``(x x + z z) + y y``, the order numpy's ``einsum`` uses for a
-contiguous 3-long contraction on x86-64 (``(x + y) + z`` is not bitwise
-equal), and sums over faces or corners run left to right from +0 like
-``add.reduce``.  ``tests/test_blocks.py`` keeps the old formulas as the
-reference.
+The kernels give bitwise the values of the same formulas written
+component-last with ``np.cross`` and ``einsum``, which
+``tests/test_blocks.py`` keeps as the reference.  That pins the summation
+order: three-term dot products are summed ``(x x + z z) + y y``, the order
+numpy's ``einsum`` uses for a contiguous 3-long contraction on x86-64
+(``(x + y) + z`` is not bitwise equal), and sums over faces or corners run
+left to right from +0 like ``add.reduce``.
+
+The cell volume (three triple products of edge and diagonal vectors; Davies
+& Salmond 1985, Grandy 1997) and the face flux in :mod:`gclkit.gcl` are
+built from corner differences, so their rounding scales with an element's
+size, not with its distance from the origin.  ``tests/oracles.py`` keeps the
+absolute-position forms they replaced (six face terms, six cross products).
 """
 
 from __future__ import annotations
@@ -132,8 +137,10 @@ def _sum(terms):
 
 
 def _hex_volume(r):
-    """Closed-form volume of hexahedra with corners r[0..7], each (3, ...)."""
-    terms = [_dot(r[j] + r[k], _cross(r[i] + r[l], r[i] + r[j])) for i, j, k, l in FACE_LOOPS]
+    """Closed-form volume of hexahedra with corners r[0..7] (0-based), each (3, ...)."""
+    a, b, c = r[6] - r[3], r[2] - r[0], r[5] - r[0]
+    d, e, f = r[6] - r[4], r[7] - r[0], r[6] - r[1]
+    terms = [_dot(f + e, _cross(a, b)), _dot(e, _cross(a + c, d)), _dot(f, _cross(c, d + b))]
     return _sum(terms) / 12.0
 
 
@@ -167,8 +174,9 @@ def hex_volume(corners: np.ndarray) -> np.ndarray:
     Returns
     -------
     ndarray, shape (...)
-        The exact integral of the trilinear-mapping Jacobian determinant,
-        evaluated in closed form as a sum of six face contributions.
+        The exact integral of the trilinear-mapping Jacobian determinant, in
+        closed form from edge and diagonal vectors, so its rounding scales
+        with the cell's size, not its distance from the origin.
         Negative values signal an inverted cell; degenerate (zero-thickness)
         hexahedra return 0.
     """

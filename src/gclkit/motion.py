@@ -62,9 +62,9 @@ class DegenerateMeshError(RuntimeError):
         self.instant = float(instant)
         self.cell_ids = np.asarray(cell_ids)
         self.cause = cause
-        super().__init__(
-            f"{cause} cells {self.cell_ids.tolist()} at t = {self.instant:.6g}"
-        )
+        ids = self.cell_ids.tolist()  # all kept; the message names the count and first 10
+        shown = ", ".join(map(str, ids[:10])) + (", ..." if len(ids) > 10 else "")
+        super().__init__(f"{cause} cells [{shown}] ({len(ids)} in all) at t = {self.instant:.6g}")
 
     def __reduce__(self):  # pickle by the constructor's arguments, not by args
         return type(self), (self.instant, self.cell_ids, self.cause)

@@ -6,7 +6,10 @@ time-spectral matrix, a closed-form swept volume, a Gauss quadrature of the
 face flux, the per-harmonic residual, a least-squares convergence order, and
 the cell-slot table of faces gathered by matching vertex sets.  The corner
 Jacobians are stacked here from the package's kernel, whose only package
-reader, the degeneracy gate, takes their minimum.
+reader, the degeneracy gate, takes their minimum.  The cell volume as a sum
+of six face terms and the face flux from six corner cross products are the
+absolute-position forms the package's edge-vector kernels replaced: the same
+polynomials, with rounding that grows with the distance from the origin.
 """
 
 import numpy as np
@@ -25,6 +28,30 @@ def corner_jacobians(corners):
     the three cell edges leaving it along xi, eta and zeta.
     """
     return np.stack(hexmesh._corner_jacobians(hexmesh.corner_planes(corners)), axis=-1)
+
+
+def six_face_hex_volume(corners):
+    """Hexahedron volume as a sum of six face terms of absolute corner positions."""
+    quads = np.asarray(corners, dtype=float)[..., FACE_LOOPS, :]
+    ri, rj, rk, rl = (quads[..., i, :] for i in range(4))
+    terms = np.einsum("...i,...i->...", rj + rk, np.cross(ri + rl, ri + rj))
+    return terms.sum(axis=-1) / 12.0
+
+
+def six_cross_quad_flux_by_direction(quad, velocities):
+    """Per-direction face flux from the six cross products of absolute corner positions."""
+    quad = np.asarray(quad, dtype=float)
+    velocities = np.asarray(velocities, dtype=float)
+    q0, q1, q2, q3 = (quad[..., i, :] for i in range(4))
+    c01, c12, c23, c30 = np.cross(q0, q1), np.cross(q1, q2), np.cross(q2, q3), np.cross(q3, q0)
+    c02, c13 = np.cross(q0, q2), np.cross(q1, q3)
+    return (
+        velocities.sum(axis=-2) * (c01 + c12 + c23 + c30)
+        + velocities[..., 1, :] * (c01 + c12 - c02)
+        + velocities[..., 2, :] * (c12 + c23 - c13)
+        + velocities[..., 3, :] * (c23 + c30 + c02)
+        + velocities[..., 0, :] * (c30 + c01 + c13)
+    ) / 12.0
 
 
 def dft_derivative(op, samples):

@@ -3,12 +3,13 @@
 The per-element kernels (LVI and AEVI sweeps, AVG and TRI-MAP face fluxes,
 cell volumes, exact volume rates, the degeneracy gate) run over blocks of
 ``BLOCK_ELEMENT_INSTANTS`` element-instants on component planes, with every
-dot and cross product written out.  The references below are the formulas
-they replaced, kept here verbatim: ``(..., k, 3)`` arrays through
-``FACE_LOOPS`` fancy indexing, ``np.cross`` and ``einsum``.  Every value must
-be bitwise what they give, zero signs included.  The "one-shot" tests
-evaluate the references without blocks, over all elements of one instant
-at a time.
+dot and cross product written out.  The references below are the same
+formulas on ``(..., k, 3)`` arrays, through ``np.cross`` and ``einsum``: the
+edge-vector volume and flux, and the six-face product-rule volume rate.
+Every value must be bitwise what they give, zero signs included.  The
+"one-shot" tests evaluate the references without blocks, over all elements
+of one instant at a time.  The six-face volume and six-cross flux the
+edge-vector forms replaced are oracles in ``tests/oracles.py``.
 """
 
 import tracemalloc
@@ -47,9 +48,14 @@ def _dot(a, b):
 
 
 def _reference_hex_volume(corners):
-    quads = np.asarray(corners, dtype=float)[..., FACE_LOOPS, :]
-    ri, rj, rk, rl = (quads[..., i, :] for i in range(4))
-    return _dot(rj + rk, np.cross(ri + rl, ri + rj)).sum(axis=-1) / 12.0
+    r = np.asarray(corners, dtype=float)
+    a, b, c = r[..., 6, :] - r[..., 3, :], r[..., 2, :] - r[..., 0, :], r[..., 5, :] - r[..., 0, :]
+    d, e, f = r[..., 6, :] - r[..., 4, :], r[..., 7, :] - r[..., 0, :], r[..., 6, :] - r[..., 1, :]
+    terms = np.stack(
+        [_dot(f + e, np.cross(a, b)), _dot(e, np.cross(a + c, d)), _dot(f, np.cross(c, d + b))],
+        axis=-1,
+    )
+    return terms.sum(axis=-1) / 12.0
 
 
 def _reference_corner_jacobians(corners):
@@ -72,14 +78,13 @@ def _reference_quad_flux_by_direction(quad, velocities):
     quad = np.asarray(quad, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     q0, q1, q2, q3 = (quad[..., i, :] for i in range(4))
-    c01, c12, c23, c30 = np.cross(q0, q1), np.cross(q1, q2), np.cross(q2, q3), np.cross(q3, q0)
-    c02, c13 = np.cross(q0, q2), np.cross(q1, q3)
+    v1, v2, v3 = (velocities[..., i, :] for i in (1, 2, 3))
+    a, b, c = q1 - q0, q3 - q0, (q0 - q1) + (q2 - q3)
+    vt = velocities.sum(axis=-2)
     return (
-        velocities.sum(axis=-2) * (c01 + c12 + c23 + c30)
-        + velocities[..., 1, :] * (c01 + c12 - c02)
-        + velocities[..., 2, :] * (c12 + c23 - c13)
-        + velocities[..., 3, :] * (c23 + c30 + c02)
-        + velocities[..., 0, :] * (c30 + c01 + c13)
+        3.0 * vt * np.cross(a, b)
+        + ((vt + v1) + v2) * np.cross(a, c)
+        + ((vt + v2) + v3) * np.cross(c, b)
     ) / 12.0
 
 

@@ -236,15 +236,18 @@ def test_degenerate_motion_exit_code(tmp_path, capsys):
     ids=["non-finite-geometry", "non-finite-velocity"],
 )
 def test_non_finite_motion_is_one_line_degeneracy_error(tmp_path, case, setting):
+    # every cell of 10^3 is named in cell_ids; the line shows the count and 10 ids
     out = tmp_path / "x.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run(
         [sys.executable, "-m", "gclkit", "run", "--case", case, "--n", "1..1",
-         "--mesh", "2,2,2", "--methods", "avg,lvi,trimap", "--out", str(out), *setting],
+         "--mesh", "10,10,10", "--methods", "avg,lvi,trimap", "--out", str(out), *setting],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 3
     assert done.stderr.startswith("error: degeneracy:") and done.stderr.count("\n") == 1
+    assert "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...] (1000 in all)" in done.stderr
+    assert len(done.stderr.encode()) < 200, done.stderr
     assert not out.exists()
 
 

@@ -11,7 +11,9 @@ CHANGES.md; from the repository root::
     python tests/test_golden.py
 
 rewrites both files and prints every value that moved against the committed
-ones, with its relative move, one line each.
+ones, with its relative move, one line each.  It ends with one summary line
+per file and column: how many values moved, the largest absolute and
+relative move, and how many values at or below 1e-10 rose and fell.
 
 The runs are separate processes with BLAS on one thread.  The RBF spread of
 cases 4 and 5 calls BLAS inside its sparse LU factor and solves; a test
@@ -96,6 +98,50 @@ def moved_values(old: str, new: str) -> list[str]:
     return lines
 
 
+# values at or below this are rounding floors, counted apart in the summary
+FLOOR = 1e-10
+
+
+def move_summary(old: str, new: str) -> list[str]:
+    """One line per column with moved values: count, largest moves, floors up and down."""
+    old_rows, new_rows = _rows(old), _rows(new)
+    moves = {}
+    for key in old_rows.keys() & new_rows.keys():
+        for column, before in old_rows[key].items():
+            after = new_rows[key].get(column)
+            try:
+                before_value, after_value = float(before), float(after)
+            except (TypeError, ValueError):
+                continue
+            if after != before:
+                moves.setdefault(column, []).append((before_value, after_value))
+    lines = []
+    for column in sorted(moves):
+        pairs = moves[column]
+        absolute = max(abs(b - a) for a, b in pairs)
+        relative = max((abs(b - a) / abs(a) for a, b in pairs if a != 0.0), default=0.0)
+        floor = [(a, b) for a, b in pairs if abs(a) <= FLOOR]
+        rose = sum(abs(b) > abs(a) for a, b in floor)
+        fell = sum(abs(b) < abs(a) for a, b in floor)
+        lines.append(
+            f"{column}: {len(pairs)} moved, largest {absolute:.1e} absolute and"
+            f" {relative:.1e} relative; at or below {FLOOR:g}: {rose} rose, {fell} fell"
+        )
+    return lines
+
+
+def test_move_summary_counts_each_column():
+    old = "case,method,N,abs_err1,fd1_ref\ncase1,avg,2,1e-12,0.5\ncase1,avg,3,2e-13,1\n"
+    new = "case,method,N,abs_err1,fd1_ref\ncase1,avg,2,3e-14,0.5\ncase1,avg,3,4e-13,1.25\n"
+    assert move_summary(old, new) == [
+        "abs_err1: 2 moved, largest 9.7e-13 absolute and 1.0e+00 relative;"
+        " at or below 1e-10: 1 rose, 1 fell",
+        "fd1_ref: 1 moved, largest 2.5e-01 absolute and 2.5e-01 relative;"
+        " at or below 1e-10: 0 rose, 0 fell",
+    ]
+    assert move_summary(old, old) == []
+
+
 def test_moved_values_lists_each_changed_cell():
     old = "# meta\ncase,method,N,fd1_ref,fd2_ref\ncase1,avg,2,0.5,0.25\ncase1,avg,3,1,2\n"
     new = "# other\ncase,method,N,fd1_ref,fd2_ref\ncase1,avg,2,0.5,0.2500001\ncase1,lvi,3,1,2\n"
@@ -139,10 +185,15 @@ def test_rbf_cases_write_same_bytes_under_one_and_two_blas_threads(tmp_path, cas
 
 
 if __name__ == "__main__":
+    summaries = []
     for golden, run in ((GOLDEN, _run_all_cases), (GOLDEN_FREESTREAM, _run_freestream)):
         with tempfile.TemporaryDirectory() as tmp:
             written = run(Path(tmp))
         committed = golden.read_text() if golden.exists() else ""
         for line in moved_values(committed, written.decode()):
             print(f"{golden.name}: {line}")
+        summary = move_summary(committed, written.decode())
+        summaries.extend(f"{golden.name} {line}" for line in summary)
         golden.write_bytes(written)
+    for line in summaries:
+        print(line)

@@ -165,7 +165,7 @@ def test_volume_partition_of_deformed_box(rng):
 
 def test_volume_of_collapsed_hexahedron_is_zero(rng):
     # degenerate sweep hexahedra (coincident top and bottom) cancel among the
-    # six face contributions down to rounding level
+    # three edge-vector triple products down to rounding level
     quad = rng.normal(size=(4, 3))
     scale = np.abs(quad).max() ** 3
     assert abs(hex_volume(np.vstack([quad, quad]))) <= 1e-15 * scale

@@ -292,6 +292,13 @@ def test_degenerate_mesh_error_pickles():
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is DegenerateMeshError and str(back) == str(err)
         assert back.instant == 0.25 and back.cell_ids.tolist() == [3, 17]
+    # the message shows ten ids; the attribute and the pickle keep them all
+    err = DegenerateMeshError(0.5, np.arange(1000))
+    assert str(err) == (
+        "degenerate cells [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...] (1000 in all) at t = 0.5"
+    )
+    back = pickle.loads(pickle.dumps(err))
+    assert str(back) == str(err) and back.cell_ids.tolist() == list(range(1000))
 
 
 def test_gate_rejects_non_finite_velocities():
