@@ -176,7 +176,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     }
     layers.append(cli_layer)
 
-    mesh_counts, mesh_lengths = (10, 10, 10), (3.2, 2.8, 2.4)
+    mesh_counts = (cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.nz)
+    mesh_lengths = (cfg.mesh.lx, cfg.mesh.ly, cfg.mesh.lz)
     for layer in layers:
         if "case" in layer:
             cfg.case = _parse_case(str(layer["case"]))
@@ -236,7 +237,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, cfg: RunConfig, rows, stream=None) -> None:
+def write_csv(path, cfg: RunConfig, rows) -> None:
+    """The run's CSV, rows in the order given, to ``path`` or to stdout if None."""
     lines = [f"# gclkit {__version__} run"]
     mesh = cfg.mesh
     lines.append(
@@ -256,8 +258,6 @@ def write_csv(path, cfg: RunConfig, rows, stream=None) -> None:
         f"kappa2={flow.KAPPA2:g} kappa4={flow.KAPPA4:g}"
     )
     lines.append(CSV_COLUMNS)
-    canonical = [METHOD_ALIASES[m] for m in cfg.methods]
-    rows = sorted(rows, key=lambda r: (r.n_harmonics, canonical.index(r.method)))
     for r in rows:
         values = (
             r.case_id, r.method, r.n_harmonics, r.nts, r.rel_err_freestream, r.abs_err1,
@@ -266,7 +266,7 @@ def write_csv(path, cfg: RunConfig, rows, stream=None) -> None:
         lines.append(",".join(map(_fmt, values)))
     text = "\n".join(lines) + "\n"
     if path is None:
-        (stream or sys.stdout).write(text)
+        sys.stdout.write(text)
     else:
         with open(path, "w") as handle:
             handle.write(text)
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate methods over a harmonic sweep")
     run.add_argument("--case", help="motion case (1..5, rigid-translation, rigid-rotation)")
-    run.add_argument("--methods", help="comma list: lvi,aevi,avg,trimap,ts-lvi,ts-aevi")
+    run.add_argument("--methods", help=f"comma list: {','.join(METHOD_ALIASES)}")
     run.add_argument("--n", help="harmonic range a..b (default 1..20)")
     run.add_argument("--mesh", help="cells per axis, e.g. 10,10,10")
     run.add_argument("--lengths", help="box edge lengths, e.g. 3.2,2.8,2.4")

@@ -1,9 +1,9 @@
 """Benchmark driver wiring cases, methods and harmonic sweeps together.
 
-One evaluation point is a (case, N) pair: the motion is sampled, increments
-and IFMV fields built for the requested methods, and the error metrics
-reduced into :class:`~gclkit.metrics.ErrorReport` rows.  The CLI and the
-acceptance suite both run through this module so they cannot drift apart.
+One evaluation point is a (case, N) pair: the motion is sampled, each
+distinct IFMV field of the requested methods built once, and the error
+metrics reduced into :class:`~gclkit.metrics.ErrorReport` rows.  The CLI and
+the acceptance suite both run through this module so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .spectral import SpectralOperator
 
 __all__ = [
     "METHOD_ALIASES",
+    "SHARES_FIELD_WITH",
     "ConfigError",
     "MeshConfig",
     "FreestreamOptions",
@@ -47,6 +48,11 @@ METHOD_ALIASES = {
     "ts-lvi": "ts-lvi",
     "ts-aevi": "ts-aevi",
 }
+
+# Method ids that report another method's field.  On the 2N+1 samples NLFD
+# and time-spectral differentiation are one linear operator, so a ts-* row is
+# its nlfd-* twin's row under another name.
+SHARES_FIELD_WITH = {"ts-lvi": "nlfd-lvi", "ts-aevi": "nlfd-aevi"}
 
 
 class ConfigError(ValueError):
@@ -94,22 +100,16 @@ class CasePoint:
     reference: gcl.IfmvField  # trimap
     fd1: float
     fd2: float
-    _series: dict = field(default_factory=dict)
-
-    def increments(self, kind: str) -> gcl.IncrementSeries:
-        if kind not in self._series:
-            maker = gcl.lvi_increments if kind == "lvi" else gcl.aevi_increments
-            self._series[kind] = maker(self.mesh, self.trajectory)
-        return self._series[kind]
 
     def field_for(self, method: str) -> gcl.IfmvField:
+        """The IFMV field that ``method``'s row reports."""
+        method = SHARES_FIELD_WITH.get(method, method)
         if method == "trimap":
             return self.reference
         if method == "avg":
             return gcl.ifmv_avg(self.mesh, self.trajectory)
-        transform, kind = method.split("-")
-        ifmv = gcl.ifmv_nlfd if transform == "nlfd" else gcl.ifmv_ts
-        return ifmv(self.increments(kind), self.spectral)
+        maker = gcl.lvi_increments if method == "nlfd-lvi" else gcl.aevi_increments
+        return gcl.ifmv_nlfd(maker(self.mesh, self.trajectory), self.spectral)
 
 
 def prepare_point(
@@ -149,12 +149,20 @@ def evaluate_point(
     freestream: FreestreamOptions | None = None,
     timing: bool = False,
 ) -> list[metrics.ErrorReport]:
-    """Error reports for the requested methods at one evaluation point."""
-    rows = []
+    """Error reports for the requested methods at one evaluation point, in their order.
+
+    Each distinct field is evaluated once, with its metrics and march; a
+    method that shares it (:data:`SHARES_FIELD_WITH`) gets a copy of that
+    row, ``wall_ms`` included, with only ``method`` changed.
+    """
+    reports = {}
     for method in methods:
+        name = SHARES_FIELD_WITH.get(method, method)
+        if name in reports:
+            continue
         start = time.perf_counter()
-        ifmv = point.field_for(method)
-        if method == "trimap":  # its face sums are the exact rates
+        ifmv = point.field_for(name)
+        if name == "trimap":  # its face sums are the exact rates
             err1 = float(np.max(np.abs(point.exact_rates - point.dvoldt)))
         else:
             err1 = metrics.abs_err_sum_vs_dvoldt(point.mesh, ifmv, point.dvoldt)
@@ -173,24 +181,22 @@ def evaluate_point(
                 )
             rel_err = result.rel_err
         wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        rows.append(
-            metrics.ErrorReport(
-                case_id=point.case.case_id,
-                method=method,
-                n_harmonics=point.n_harmonics,
-                nts=point.spectral.nts,
-                abs_err1=err1,
-                abs_err2_x=err2["x"],
-                abs_err2_y=err2["y"],
-                abs_err2_z=err2["z"],
-                fd1_ref=point.fd1,
-                fd2_ref=point.fd2,
-                rel_err_freestream=rel_err,
-                wall_ms=wall_ms,
-                metadata=dict(point.trajectory.metadata),
-            )
+        reports[name] = metrics.ErrorReport(
+            case_id=point.case.case_id,
+            method=method,
+            n_harmonics=point.n_harmonics,
+            nts=point.spectral.nts,
+            abs_err1=err1,
+            abs_err2_x=err2["x"],
+            abs_err2_y=err2["y"],
+            abs_err2_z=err2["z"],
+            fd1_ref=point.fd1,
+            fd2_ref=point.fd2,
+            rel_err_freestream=rel_err,
+            wall_ms=wall_ms,
+            metadata=dict(point.trajectory.metadata),
         )
-    return rows
+    return [replace(reports[SHARES_FIELD_WITH.get(m, m)], method=m) for m in methods]
 
 
 def worker_count(n_jobs: int) -> int:

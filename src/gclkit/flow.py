@@ -217,12 +217,6 @@ class FreestreamResult:
     def diverged(self) -> bool:
         return self.stop_reason == "diverged"
 
-    @property
-    def residual_drop(self) -> float:
-        if self.initial_residual == 0.0:
-            return 0.0
-        return self.final_residual / self.initial_residual
-
 
 def _along(lo, hi) -> tuple:
     """Index lo:hi along the leading grid axis of an axis-major array."""
@@ -271,7 +265,6 @@ class FreestreamProblem:
         spectral: SpectralOperator,
         ifmv: IfmvField | None,
     ):
-        self.mesh = mesh
         self.spectral = spectral
         nts = spectral.nts
 

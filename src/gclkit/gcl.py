@@ -9,8 +9,9 @@ face, G_m(t) = integral of (v . n) dS:
   differentiated spectrally;
 * ``ts-lvi`` / ``ts-aevi`` -- the same increments under the time-spectral
   name.  On the 2N+1 samples the NLFD route (DFT, multiply by i k, inverse
-  DFT) and the time-spectral matrix are one linear operator, so both names
-  take the derivative through the matrix and give identical fields;
+  DFT) and the time-spectral matrix are one linear operator, so
+  :func:`ifmv_ts` is :func:`ifmv_nlfd`, which takes the derivative through
+  the matrix; a ``ts-*`` row is its ``nlfd-*`` twin's row under another name;
 * ``avg``    -- mean vertex velocity dotted with the instantaneous face
   area vector (no conservation guarantee);
 * ``trimap`` -- the exact closed-form face flux of the trilinear mapping,
@@ -37,10 +38,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hexmesh import (
-    FACE_LOOPS,
     HexMesh,
     _cross,
     _dot,
+    _hex_edges,
     _hex_volume,
     _quad_area,
     _sum,
@@ -50,7 +51,6 @@ from .motion import MotionTrajectory
 from .spectral import SpectralOperator
 
 __all__ = [
-    "METHODS",
     "IncrementSeries",
     "IfmvField",
     "quad_flux",
@@ -69,7 +69,6 @@ __all__ = [
     "exact_volume_rates",
 ]
 
-METHODS = ("nlfd-lvi", "nlfd-aevi", "avg", "trimap", "ts-lvi", "ts-aevi")
 
 def _quad_flux_by_direction(q, v):
     """Flux components of quads with corners q[0..3] and velocities v[0..3].
@@ -110,15 +109,19 @@ def quad_flux(quad: np.ndarray, velocities: np.ndarray) -> np.ndarray:
 
 
 def _dvoldt(r, v):
-    """Volume rate of hexahedra with corners r[0..7] and velocities v[0..7]."""
-    terms = []
-    for i, j, k, l in FACE_LOOPS:
-        il, ij, jk = r[i] + r[l], r[i] + r[j], r[j] + r[k]
-        terms.append(
-            _dot(v[j] + v[k], _cross(il, ij))
-            + _dot(jk, _cross(v[i] + v[l], ij))
-            + _dot(jk, _cross(il, v[i] + v[j]))
-        )
+    """Volume rate of hexahedra with corners r[0..7] and velocities v[0..7].
+
+    The product rule of :func:`_hex_volume`: nine triple products of its edge
+    vectors and their rates, so the rounding scales with a cell's size, not
+    its distance from the origin.
+    """
+    a, b, c, d, e, f = _hex_edges(r)
+    da, db, dc, dd, de, df = _hex_edges(v)
+    terms = [
+        _dot(df + de, _cross(a, b)) + _dot(f + e, _cross(da, b)) + _dot(f + e, _cross(a, db)),
+        _dot(de, _cross(a + c, d)) + _dot(e, _cross(da + dc, d)) + _dot(e, _cross(a + c, dd)),
+        _dot(df, _cross(c, d + b)) + _dot(f, _cross(dc, d + b)) + _dot(f, _cross(c, dd + db)),
+    ]
     return _sum(terms) / 12.0
 
 
@@ -244,25 +247,19 @@ def extract_linear_and_periodic(series: IncrementSeries) -> IncrementSeries:
     return replace(series, linear_slope=slope, periodic_part=periodic)
 
 
-def _ifmv_spectral(tag: str, series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
-    """IFMV from split increments: G = D p + slope, tagged ``tag-<kind>``.
+def ifmv_nlfd(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
+    """IFMV from split increments: G = D p + slope, tagged ``nlfd-<kind>``.
 
-    D is the time-spectral matrix, the same operator on the samples as a DFT,
-    a multiply by i 2 pi k / T and an inverse DFT; the extracted linear slope
-    is the zeroth mode.
+    D is the time-spectral matrix, the same operator on the samples as the
+    NLFD route: a DFT, a multiply by i 2 pi k / T and an inverse DFT.  The
+    extracted linear slope is the zeroth mode.
     """
     total = spectral.differentiate(series.periodic_part) + series.linear_slope[..., None]
-    return IfmvField(f"{tag}-{series.method}", total)
+    return IfmvField(f"nlfd-{series.method}", total)
 
 
-def ifmv_nlfd(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
-    """NLFD IFMV: G_k = (i 2 pi k / T) p_k for k != 0, the slope as mode 0."""
-    return _ifmv_spectral("nlfd", series, spectral)
-
-
-def ifmv_ts(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
-    """Time-spectral IFMV: G = D p + slope."""
-    return _ifmv_spectral("ts", series, spectral)
+# the time-spectral name of the same operator
+ifmv_ts = ifmv_nlfd
 
 
 def _avg_flux(q, v):

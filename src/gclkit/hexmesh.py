@@ -136,10 +136,14 @@ def _sum(terms):
     return total + 0.0
 
 
+def _hex_edges(r):
+    """The edge and diagonal vectors a..f of corners r[0..7] that :func:`_hex_volume` takes."""
+    return r[6] - r[3], r[2] - r[0], r[5] - r[0], r[6] - r[4], r[7] - r[0], r[6] - r[1]
+
+
 def _hex_volume(r):
     """Closed-form volume of hexahedra with corners r[0..7] (0-based), each (3, ...)."""
-    a, b, c = r[6] - r[3], r[2] - r[0], r[5] - r[0]
-    d, e, f = r[6] - r[4], r[7] - r[0], r[6] - r[1]
+    a, b, c, d, e, f = _hex_edges(r)
     terms = [_dot(f + e, _cross(a, b)), _dot(e, _cross(a + c, d)), _dot(f, _cross(c, d + b))]
     return _sum(terms) / 12.0
 

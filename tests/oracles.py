@@ -7,9 +7,10 @@ face flux, the per-harmonic residual, a least-squares convergence order, and
 the cell-slot table of faces gathered by matching vertex sets.  The corner
 Jacobians are stacked here from the package's kernel, whose only package
 reader, the degeneracy gate, takes their minimum.  The cell volume as a sum
-of six face terms and the face flux from six corner cross products are the
-absolute-position forms the package's edge-vector kernels replaced: the same
-polynomials, with rounding that grows with the distance from the origin.
+of six face terms, its product-rule rate and the face flux from six corner
+cross products are the absolute-position forms the package's edge-vector
+kernels replaced: the same polynomials, with rounding that grows with the
+distance from the origin.
 """
 
 import numpy as np
@@ -35,6 +36,21 @@ def six_face_hex_volume(corners):
     quads = np.asarray(corners, dtype=float)[..., FACE_LOOPS, :]
     ri, rj, rk, rl = (quads[..., i, :] for i in range(4))
     terms = np.einsum("...i,...i->...", rj + rk, np.cross(ri + rl, ri + rj))
+    return terms.sum(axis=-1) / 12.0
+
+
+def six_face_dvoldt(corners, velocities):
+    """Product rule of :func:`six_face_hex_volume`: the hexahedron volume rate from
+    corner velocities and absolute corner positions."""
+    quads = np.asarray(corners, dtype=float)[..., FACE_LOOPS, :]
+    rates = np.asarray(velocities, dtype=float)[..., FACE_LOOPS, :]
+    ri, rj, rk, rl = (quads[..., i, :] for i in range(4))
+    vi, vj, vk, vl = (rates[..., i, :] for i in range(4))
+    terms = (
+        np.einsum("...i,...i->...", vj + vk, np.cross(ri + rl, ri + rj))
+        + np.einsum("...i,...i->...", rj + rk, np.cross(vi + vl, ri + rj))
+        + np.einsum("...i,...i->...", rj + rk, np.cross(ri + rl, vi + vj))
+    )
     return terms.sum(axis=-1) / 12.0
 
 

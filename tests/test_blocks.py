@@ -5,10 +5,10 @@ cell volumes, exact volume rates, the degeneracy gate) run over blocks of
 ``BLOCK_ELEMENT_INSTANTS`` element-instants on component planes, with every
 dot and cross product written out.  The references below are the same
 formulas on ``(..., k, 3)`` arrays, through ``np.cross`` and ``einsum``: the
-edge-vector volume and flux, and the six-face product-rule volume rate.
-Every value must be bitwise what they give, zero signs included.  The
-"one-shot" tests evaluate the references without blocks, over all elements
-of one instant at a time.  The six-face volume and six-cross flux the
+edge-vector volume, its product-rule rate and the edge-vector flux.  Every
+value must be bitwise what they give, zero signs included.  The "one-shot"
+tests evaluate the references without blocks, over all elements of one
+instant at a time.  The six-face volume and rate and the six-cross flux the
 edge-vector forms replaced are oracles in ``tests/oracles.py``.
 """
 
@@ -47,10 +47,16 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _reference_hex_volume(corners):
+_VOLUME_EDGES = ((6, 3), (2, 0), (5, 0), (6, 4), (7, 0), (6, 1))
+
+
+def _reference_hex_edges(corners):
     r = np.asarray(corners, dtype=float)
-    a, b, c = r[..., 6, :] - r[..., 3, :], r[..., 2, :] - r[..., 0, :], r[..., 5, :] - r[..., 0, :]
-    d, e, f = r[..., 6, :] - r[..., 4, :], r[..., 7, :] - r[..., 0, :], r[..., 6, :] - r[..., 1, :]
+    return tuple(r[..., i, :] - r[..., j, :] for i, j in _VOLUME_EDGES)
+
+
+def _reference_hex_volume(corners):
+    a, b, c, d, e, f = _reference_hex_edges(corners)
     terms = np.stack(
         [_dot(f + e, np.cross(a, b)), _dot(e, np.cross(a + c, d)), _dot(f, np.cross(c, d + b))],
         axis=-1,
@@ -93,14 +99,21 @@ def _reference_quad_flux(quad, velocities):
 
 
 def _reference_dvoldt(corners, velocities):
-    q = np.asarray(corners, dtype=float)[..., FACE_LOOPS, :]
-    v = np.asarray(velocities, dtype=float)[..., FACE_LOOPS, :]
-    ri, rj, rk, rl = (q[..., i, :] for i in range(4))
-    vi, vj, vk, vl = (v[..., i, :] for i in range(4))
-    terms = (
-        _dot(vj + vk, np.cross(ri + rl, ri + rj))
-        + _dot(rj + rk, np.cross(vi + vl, ri + rj))
-        + _dot(rj + rk, np.cross(ri + rl, vi + vj))
+    a, b, c, d, e, f = _reference_hex_edges(corners)
+    da, db, dc, dd, de, df = _reference_hex_edges(velocities)
+    terms = np.stack(
+        [
+            _dot(df + de, np.cross(a, b))
+            + _dot(f + e, np.cross(da, b))
+            + _dot(f + e, np.cross(a, db)),
+            _dot(de, np.cross(a + c, d))
+            + _dot(e, np.cross(da + dc, d))
+            + _dot(e, np.cross(a + c, dd)),
+            _dot(df, np.cross(c, d + b))
+            + _dot(f, np.cross(dc, d + b))
+            + _dot(f, np.cross(c, dd + db)),
+        ],
+        axis=-1,
     )
     return terms.sum(axis=-1) / 12.0
 

@@ -6,10 +6,12 @@ rates as the independent oracle and pin the gate's error on a degenerate
 point.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gclkit import experiments, gcl, hexmesh
+from gclkit import experiments, flow, gcl, hexmesh
 from gclkit.cli import main
 from gclkit.motion import DegenerateMeshError, MotionCase, build_rbf_system
 
@@ -73,6 +75,9 @@ def test_degenerate_point_raises_the_same_error(paper_mesh, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: degeneracy: {info.value}\n"
 
 
+ALL_METHODS = list(experiments.METHOD_ALIASES.values())
+
+
 def test_face_sums_run_once_per_method_but_trimap(paper_mesh, monkeypatch):
     point = experiments.prepare_point(paper_mesh, MotionCase.for_case("case5"), 3)
     calls = []
@@ -83,9 +88,59 @@ def test_face_sums_run_once_per_method_but_trimap(paper_mesh, monkeypatch):
         return summed(mesh, values)
 
     monkeypatch.setattr(hexmesh.HexMesh, "sum_over_faces", counted)
-    rows = experiments.evaluate_point(point, list(gcl.METHODS))
-    # the TRI-MAP row reads the exact rates, its own face sums
-    assert len(calls) == len(gcl.METHODS) - 1
-    trimap = rows[gcl.METHODS.index("trimap")]
+    rows = experiments.evaluate_point(point, ALL_METHODS)
+    # the TRI-MAP row reads the exact rates, its own face sums, and the ts-*
+    # rows copy the nlfd-* rows: LVI, AEVI and AVG are summed once each
+    assert len(calls) == 3
+    trimap = rows[ALL_METHODS.index("trimap")]
     face_sums = summed(paper_mesh, point.reference.total)
     assert trimap.abs_err1 == np.max(np.abs(face_sums - point.dvoldt))
+
+
+def _counted(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def _fields(row, **changes):
+    return dataclasses.asdict(dataclasses.replace(row, **changes))
+
+
+FREESTREAM = experiments.FreestreamOptions(cfl=1.5, max_iterations=50)
+
+
+def test_ts_rows_copy_their_nlfd_twins(small_mesh, monkeypatch):
+    point = experiments.prepare_point(small_mesh, MotionCase.for_case("case5"), 2)
+    calls = {}
+    _counted(monkeypatch, gcl, "lvi_increments", calls)
+    _counted(monkeypatch, gcl, "aevi_increments", calls)
+    _counted(monkeypatch, flow.FreestreamProblem, "march", calls)
+    methods = ["nlfd-lvi", "ts-lvi", "ts-aevi"]
+    rows = experiments.evaluate_point(point, methods, FREESTREAM)
+    assert calls == {"lvi_increments": 1, "aevi_increments": 1, "march": 2}
+    assert [row.method for row in rows] == methods
+    assert rows[0].rel_err_freestream is not None
+    assert _fields(rows[1], method="nlfd-lvi") == _fields(rows[0])
+    (aevi,) = experiments.evaluate_point(point, ["nlfd-aevi"], FREESTREAM)
+    assert _fields(rows[2], method="nlfd-aevi") == _fields(aevi)
+    (alone,) = experiments.evaluate_point(point, ["ts-aevi"])
+    assert alone.method == "ts-aevi"
+    assert _fields(alone) == _fields(rows[2], rel_err_freestream=None)
+
+
+def test_divergence_names_the_first_method_that_reads_the_field(small_mesh, monkeypatch):
+    point = experiments.prepare_point(small_mesh, MotionCase.for_case("case5"), 1)
+
+    def diverged(self, *args, **kwargs):
+        return flow.FreestreamResult(np.inf, 1, 1.0, np.inf, "diverged")
+
+    monkeypatch.setattr(flow.FreestreamProblem, "march", diverged)
+    for methods in (["ts-aevi"], ["ts-lvi", "nlfd-lvi"]):
+        with pytest.raises(flow.FreestreamDivergence) as info:
+            experiments.evaluate_point(point, methods, FREESTREAM)
+        assert info.value.method == methods[0]

@@ -352,7 +352,7 @@ def _reference_padded(problem, wbar):
 def _reference_direction_terms(problem, wp, pp, axis_name):
     """Fluxes, JST and radii of one direction with that grid axis moved last."""
     axis = GRID_AXIS[axis_name]
-    m = {"x": problem.mesh.nx, "y": problem.mesh.ny, "z": problem.mesh.nz}[axis_name]
+    m = wp.shape[axis] - 4  # cells along the axis, without the two-cell halos
     w_line = np.moveaxis(wp, axis, -1)[..., 2:-2, 2:-2, :]
     p_line = np.moveaxis(pp, axis, -1)[..., 2:-2, 2:-2, :]
     s_line, g_line = (np.moveaxis(a, axis, -1) for a in _grid_faces(problem, axis_name))

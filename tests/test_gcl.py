@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gclkit import gcl
 from gclkit.gcl import (
@@ -21,7 +23,13 @@ from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS, hex_volume
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
 from gclkit.verify import random_hexahedra
-from oracles import analytic_increment_case3, cell_face_slots, quad_flux_oracle
+from oracles import (
+    analytic_increment_case3,
+    cell_face_slots,
+    dft_ifmv,
+    quad_flux_oracle,
+    six_face_dvoldt,
+)
 
 
 def case3_face_trajectory(times, radius=0.05, y30=0.28, depth=0.24):
@@ -106,6 +114,14 @@ def test_dvoldt_matches_finite_difference(rng):
     fd = (hex_volume(corners + h * vels) - hex_volume(corners - h * vels)) / (2 * h)
     rate = dvoldt_trimap(corners, vels)
     assert (np.abs(rate - fd) / np.abs(fd)).max() <= 1e-6
+
+
+def test_dvoldt_matches_absolute_position_form(rng):
+    # the same polynomial as the six-face product rule it replaced
+    corners = random_hexahedra(1000, rng)
+    vels = rng.normal(size=(1000, 8, 3))
+    gap = np.abs(dvoldt_trimap(corners, vels) - six_face_dvoldt(corners, vels))
+    assert gap.max() <= 1e-13
 
 
 # -- sweep volumes ----------------------------------------------------------
@@ -286,6 +302,34 @@ def test_ts_equals_nlfd(case1_setup, by_direction_increments):
     a = ifmv_nlfd(split, op)
     b = ifmv_ts(split, op)
     assert np.abs(a.total - b.total).max() <= 1e-12
+
+
+@st.composite
+def periodic_plus_linear(draw):
+    """An operator and increments slope * t + p(t), p periodic with p(0) = 0,
+    sampled at t_0..t_2N and at the closing t = T."""
+    op = SpectralOperator(draw(st.integers(1, 20)), draw(st.floats(0.1, 10.0)))
+    faces = draw(st.integers(1, 4))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    periodic = draw(arrays(np.float64, (faces, op.nts), elements=values))
+    slope = draw(arrays(np.float64, (faces, 1), elements=values))
+    periodic = periodic - periodic[:, :1]
+    times = np.append(op.times, op.period)
+    totals = np.concatenate([periodic, periodic[:, :1]], axis=1) + slope * times
+    return op, gcl.IncrementSeries("lvi", op.period, times, totals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_plus_linear())
+def test_nlfd_matches_dft_route(data):
+    # ifmv_ts is ifmv_nlfd, so this property and criterion 12 are what hold
+    # the ts-* rows, copies of the nlfd-* rows, to the time-spectral route
+    op, series = data
+    series = extract_linear_and_periodic(series)
+    gap = np.abs(ifmv_nlfd(series, op).total - dft_ifmv(series, op)).max()
+    # the series' size in derivative units: its largest sample at harmonic N
+    size = np.abs(series.totals).max() * 2.0 * np.pi * op.n_harmonics / op.period
+    assert gap <= 1e-12 * size
 
 
 def test_avg_on_stationary_mesh(small_mesh_module):

@@ -23,7 +23,7 @@ from gclkit.hexmesh import (
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
-from oracles import six_cross_quad_flux_by_direction, six_face_hex_volume
+from oracles import six_cross_quad_flux_by_direction, six_face_dvoldt, six_face_hex_volume
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -124,6 +124,10 @@ def test_edge_vector_forms_equal_absolute_forms_on_integers(data):
     corners, velocities = data
     quads, face_velocities = corners[:, FACE_LOOPS], velocities[:, FACE_LOOPS]
     assert _same_bits(hex_volume(corners), six_face_hex_volume(corners))
+    # both rates sum to exactly the same value, whose zero may carry either sign
+    assert np.array_equal(
+        dvoldt_trimap(corners, velocities), six_face_dvoldt(corners, velocities)
+    )
     oracle = six_cross_quad_flux_by_direction(quads, face_velocities)
     assert _same_bits(quad_flux(quads, face_velocities), oracle.sum(axis=-1))
     # the components sum different products, so a zero may differ in sign
@@ -177,6 +181,12 @@ def test_results_do_not_depend_on_where_the_mesh_sits(paper_mesh, case_id, n, sh
         - quad_flux(trajectory.positions[:, ids], face_velocities)
     )
     assert flux_move.max() <= 1e-12, f"quad_flux moved {flux_move.max():.1e}; {floors}"
+    cell_velocities = paper_mesh.cell_corners(trajectory.velocities)
+    rate_move = np.abs(
+        dvoldt_trimap(paper_mesh.cell_corners(moved.positions), cell_velocities)
+        - dvoldt_trimap(corners, cell_velocities)
+    )
+    assert rate_move.max() <= 1e-12, f"dvoldt_trimap moved {rate_move.max():.1e}; {floors}"
 
     # The increments close each cell's volume change exactly in real
     # arithmetic; the defect is the rounding of that closure, taken through

@@ -71,23 +71,23 @@ def _cell_slots(mesh, values):
 
 def _slot_field(point, method):
     """A method's IFMV computed the cell-slot way: increments scattered to the
-    slots, then split and transformed there (avg and trimap scattered)."""
+    slots, then split and transformed there (avg and trimap scattered; a
+    ts-* method is its nlfd-* twin)."""
     if method in ("avg", "trimap"):
         return _cell_slots(point.mesh, point.field_for(method).total)
-    transform, kind = method.split("-")
-    series = point.increments(kind)
+    maker = gcl.lvi_increments if method.endswith("-lvi") else gcl.aevi_increments
+    series = maker(point.mesh, point.trajectory)
     totals = _cell_slots(point.mesh, series.totals)
     split = gcl.extract_linear_and_periodic(
-        gcl.IncrementSeries(kind, series.period, series.times, totals)
+        gcl.IncrementSeries(series.method, series.period, series.times, totals)
     )
-    make = gcl.ifmv_nlfd if transform == "nlfd" else gcl.ifmv_ts
-    return make(split, point.spectral).total
+    return gcl.ifmv_nlfd(split, point.spectral).total
 
 
 def test_errors_equal_cell_slot_reference(paper_mesh):
     point = experiments.prepare_point(paper_mesh, MotionCase.for_case("case5"), 5)
     reference = _cell_slots(paper_mesh, point.reference.total)
-    for row in experiments.evaluate_point(point, list(gcl.METHODS)):
+    for row in experiments.evaluate_point(point, list(experiments.METHOD_ALIASES.values())):
         total = _slot_field(point, row.method)
         assert row.abs_err1 == np.max(np.abs(total.sum(axis=1) - point.dvoldt)), row.method
         for d in "xyz":
