@@ -10,13 +10,15 @@ reader, the degeneracy gate, takes their minimum.  The cell volume as a sum
 of six face terms, its product-rule rate and the face flux from six corner
 cross products are the absolute-position forms the package's edge-vector
 kernels replaced: the same polynomials, with rounding that grows with the
-distance from the origin.
+distance from the origin.  The RBF solve through one SuperLU factor of the
+whole sparse Gram matrix is the route the mirror-symmetry blocks replaced.
 """
 
 import numpy as np
 
 from gclkit import hexmesh
 from gclkit.hexmesh import FACE_LOOPS
+from gclkit.rbf import wendland_c0
 
 # errors at or below this are rounding noise, not a convergence curve
 ORDER_FLOOR = 1e-13
@@ -68,6 +70,32 @@ def six_cross_quad_flux_by_direction(quad, velocities):
         + velocities[..., 3, :] * (c23 + c30 + c02)
         + velocities[..., 0, :] * (c30 + c01 + c13)
     ) / 12.0
+
+
+def rbf_gram(points, support_radius):
+    """Sparse Wendland Gram matrix over all control points (CSR)."""
+    from scipy.sparse import csr_array
+    from scipy.spatial import cKDTree
+    tree = cKDTree(np.asarray(points, dtype=float))
+    near = tree.sparse_distance_matrix(tree, support_radius, output_type="ndarray")
+    return csr_array(
+        (wendland_c0(near["v"], support_radius), (near["i"], near["j"])),
+        shape=(tree.n, tree.n),
+    )
+
+
+def rbf_solve(points, support_radius, values):
+    """M^-1 values by one SuperLU factor of the whole Gram matrix M (minimum
+    degree ordering of M + M^T, diagonal pivots) and one refinement step."""
+    from scipy.sparse.linalg import splu
+    gram = rbf_gram(points, support_radius)
+    factor = splu(
+        gram.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    values = np.asarray(values, dtype=float)
+    coeff = factor.solve(values)
+    return coeff + factor.solve(values - gram @ coeff)
 
 
 def dft_derivative(op, samples):

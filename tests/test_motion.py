@@ -266,8 +266,8 @@ def test_boundary_vertices_follow_prescribed_law(paper_mesh, case_id):
 
 
 def test_rbf_spread_keeps_only_the_grid_fields():
-    # a 20^3 RBF system holds the sparse Gram matrix, its SuperLU factor
-    # (outside numpy, unseen here) and one block's near pairs at a time; only
+    # a 20^3 RBF system holds its eight symmetry blocks, their one SuperLU factor
+    # (outside numpy, unseen here) and one grid block's near pairs at a time; only
     # the (n_vertices, 2) case-5 fields outlive it.  A first spread on a tiny
     # mesh imports scipy, whose modules would otherwise count as kept.
     mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)

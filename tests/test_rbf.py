@@ -2,10 +2,15 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
+from oracles import rbf_gram, rbf_solve
 from scipy.sparse import issparse
 from scipy.spatial.distance import cdist
 
-from gclkit import experiments, rbf
+from gclkit import experiments, motion, rbf
+from gclkit.hexmesh import build_box_mesh
 from gclkit.motion import MotionCase, evaluate_motion
 from gclkit.rbf import build_system, interpolate, wendland_c0
 
@@ -37,14 +42,17 @@ def test_wendland_rejects_bad_support():
 
 def test_single_point_system(rng):
     grid = rng.uniform(size=(10, 3))
-    system = build_system(np.array([[0.2, 0.3, 0.4]]), grid, 1.0)
-    np.testing.assert_array_equal(system.system_matrix.toarray(), [[1.0]])
+    point = np.array([[0.2, 0.3, 0.4]])
+    system = build_system(point, grid, 1.0)
+    np.testing.assert_array_equal(wendland_c0(cdist(point, point), 1.0), [[1.0]])
+    np.testing.assert_array_equal(system.solve(np.array([2.5])), [2.5])
 
 
 def test_distant_points_give_identity():
     pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
     system = build_system(pts, pts, 1.0)
-    np.testing.assert_array_equal(system.system_matrix.toarray(), np.eye(2))
+    np.testing.assert_array_equal(wendland_c0(cdist(pts, pts), 1.0), np.eye(2))
+    np.testing.assert_array_equal(system.solve(np.array([1.0, 2.0])), [1.0, 2.0])
 
 
 def test_paper_setup_factorises(paper_mesh):
@@ -52,7 +60,7 @@ def test_paper_setup_factorises(paper_mesh):
     points = paper_mesh.vertices[boundary]
     assert len(points) == 602
     system = build_system(points, paper_mesh.vertices, 2.0 * 3.2)
-    m = system.system_matrix.toarray()
+    m = wendland_c0(cdist(points, points), 2.0 * 3.2)
     assert np.array_equal(m, m.T)
     assert np.allclose(np.diag(m), 1.0)
     # factorisation succeeded at build time; interpolation reproduces the
@@ -94,13 +102,95 @@ def test_sparse_gram_equals_dense_kernel(rng):
     # dyadic coordinates and radius, so some control pairs sit exactly at d == R
     radius = 0.5
     pts = np.unique(rng.integers(0, 8, size=(60, 3)) / 8.0, axis=0)
-    system = build_system(pts, pts, radius)
     distance = cdist(pts, pts)
     assert (distance == radius).any()
-    gram = system.system_matrix
+    gram = rbf_gram(pts, radius)
     assert issparse(gram) and gram.format == "csr"
     assert gram.nnz <= (distance <= radius).sum()
     assert np.array_equal(gram.toarray(), wendland_c0(distance, radius))
+
+
+def _counting_blocks(monkeypatch):
+    """Record the order of every symmetry block that ``build_system`` sets on
+    the diagonal, and of every matrix that it factors."""
+    blocks, factored = [], []
+    block_diag, splu = scipy.sparse.block_diag, scipy.sparse.linalg.splu
+
+    def counting_block_diag(mats, *args, **kwargs):
+        blocks.extend(m.shape[0] for m in mats)
+        return block_diag(mats, *args, **kwargs)
+
+    def counting_splu(matrix, *args, **kwargs):
+        factored.append(matrix.shape[0])
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "block_diag", counting_block_diag)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return blocks, factored
+
+
+def _relative_change(coeff, reference):
+    return np.abs(coeff - reference).max() / np.abs(reference).max()
+
+
+@st.composite
+def box_boundaries(draw):
+    """A box mesh's boundary vertices, odd and even cell counts, and a radius."""
+    counts = [draw(st.integers(1, 6)) for _ in range(3)]
+    lengths = [draw(st.floats(0.5, 3.0)) for _ in range(3)]
+    mesh = build_box_mesh(*counts, *lengths)
+    radius = draw(st.floats(0.3, 1.5)) * max(lengths)
+    return mesh.vertices[mesh.boundary_vertex_ids()], radius, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_boundaries())
+def test_box_boundary_splits_into_eight_blocks(case):
+    # points on the mid-planes (even counts) have non-trivial stabilisers
+    points, radius, seed = case
+    values = np.random.default_rng(seed).normal(size=(len(points), 2))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        blocks, factored = _counting_blocks(monkeypatch)
+        system = build_system(points, points, radius)
+    assert len(blocks) == 8 and sum(blocks) == len(points)
+    assert factored == [len(points)]  # one factor of the block-diagonal matrix
+    assert _relative_change(system.solve(values), rbf_solve(points, radius, values)) <= 1e-12
+
+
+@pytest.mark.parametrize("cells, case_id", [(10, "case4"), (10, "case5"), (20, "case5")])
+def test_case_modes_match_the_full_solve(cells, case_id):
+    mesh = build_box_mesh(cells, cells, cells, 3.2, 2.8, 2.4)
+    case = MotionCase.for_case(case_id)
+    points = mesh.vertices[mesh.boundary_vertex_ids()]
+    radius = case.resolved_support_radius(mesh)
+    modes = motion._RBF_CASES[case_id][0](mesh, case, points)
+    coeff = build_system(points, mesh.vertices, radius).solve(modes)
+    assert _relative_change(coeff, rbf_solve(points, radius, modes)) <= 1e-13
+
+
+def test_one_mirror_plane_gives_two_blocks(rng, monkeypatch):
+    half = rng.uniform(size=(80, 3)) * [1.0, 1.0, 0.45]
+    points = np.vstack([half, half * [1.0, 1.0, -1.0] + [0.0, 0.0, 1.0]])
+    values = rng.normal(size=(160, 3))
+    blocks, factored = _counting_blocks(monkeypatch)
+    system = build_system(points, points, 0.6)
+    assert blocks == [80, 80] and factored == [160]
+    assert _relative_change(system.solve(values), rbf_solve(points, 0.6, values)) <= 1e-13
+    # one point moved by 1e-9 of the box: no mirror matches any more
+    points[0, 0] += 1e-9
+    blocks.clear()
+    system = build_system(points, points, 0.6)
+    assert blocks == [160]
+    assert _relative_change(system.solve(values), rbf_solve(points, 0.6, values)) <= 1e-13
+
+
+def test_random_points_give_one_block(rng, monkeypatch):
+    points = rng.uniform(size=(150, 3))
+    values = rng.normal(size=150)
+    blocks, factored = _counting_blocks(monkeypatch)
+    system = build_system(points, points, 0.6)
+    assert blocks == [150] and factored == [150]
+    assert _relative_change(system.solve(values), rbf_solve(points, 0.6, values)) <= 1e-13
 
 
 def test_sweep_builds_one_rbf_system(monkeypatch):
@@ -157,7 +247,7 @@ def test_constant_field_matches_dense_solve(rng):
     system = build_system(pts, grid, 2.0)
     c = 3.7
     out = interpolate(system, np.full(40, c))
-    gram = system.system_matrix.toarray()
+    gram = wendland_c0(cdist(pts, pts), 2.0)
     kernel = wendland_c0(cdist(grid, pts), 2.0)
     dense = kernel @ np.linalg.solve(gram, np.full(40, c))
     np.testing.assert_allclose(out, dense, rtol=1e-10, atol=1e-12)
