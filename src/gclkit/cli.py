@@ -120,6 +120,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _number(key: str, value, kind=float):
     try:
+        if isinstance(value, bool):  # a JSON true or false is not a number
+            raise TypeError("a boolean")
         number = kind(value)
         if kind is int and number != float(value):
             raise ValueError("not an integer")  # int() would truncate 42.7
@@ -205,7 +207,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if "timing" in layer:
             cfg.timing = _parse_onoff(layer["timing"])
         if "out" in layer:
-            cfg.out = str(layer["out"])
+            if not isinstance(layer["out"], str):
+                raise ConfigError(f"out must be a file path, got {layer['out']!r}")
+            cfg.out = layer["out"]
     counts = (1,) if cfg.case == "case4" else (1, 3)
     if cfg.amp is not None and len(cfg.amp) not in counts:
         raise ConfigError(

@@ -17,13 +17,7 @@ import numpy as np
 
 from . import flow, gcl, metrics
 from .hexmesh import HexMesh, build_box_mesh
-from .motion import (
-    MotionCase,
-    MotionTrajectory,
-    build_rbf_system,
-    raise_if_degenerate,
-    sample_motion,
-)
+from .motion import MotionCase, MotionTrajectory, build_rbf_system, sample_motion
 from .spectral import SpectralOperator
 
 __all__ = [
@@ -92,10 +86,9 @@ class CasePoint:
     mesh: HexMesh
     case: MotionCase
     n_harmonics: int
-    trajectory: MotionTrajectory
+    trajectory: MotionTrajectory  # holds the cell volumes, (n_cells, Nts)
     spectral: SpectralOperator
-    volumes: np.ndarray  # (n_cells, Nts)
-    dvoldt: np.ndarray  # spectral derivative of volumes, (n_cells, Nts)
+    dvoldt: np.ndarray  # spectral derivative of the volumes, (n_cells, Nts)
     exact_rates: np.ndarray  # (n_cells, Nts)
     reference: gcl.IfmvField  # trimap
     fd1: float
@@ -120,26 +113,21 @@ def prepare_point(
 ) -> CasePoint:
     """Sample, gate and measure one (case, N) point, each quantity once.
 
-    The degeneracy gate reuses the cell volumes.  The TRI-MAP face fluxes
+    The trajectory's cell volumes serve the gate, the metrics and every
+    freestream problem of the point.  The TRI-MAP face fluxes
     are exact, so their signed sum over each cell's faces is the exact
     dV/dt; the product-rule rates (:func:`gcl.exact_volume_rates`,
     :func:`gcl.dvoldt_trimap`) stay the independent oracle of the tests and
     ``gclkit verify``.
     """
-    # an overflowing motion is reported by the gate, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        trajectory = sample_motion(
-            mesh, case, n_harmonics, check_degeneracy=False, rbf_fields=rbf_fields
-        )
-        volumes = gcl.cell_volumes(mesh, trajectory)
-        raise_if_degenerate(mesh, trajectory, volumes)
+    trajectory = sample_motion(mesh, case, n_harmonics, rbf_fields=rbf_fields)
     spectral = SpectralOperator(n_harmonics, case.period)
     reference = gcl.trimap_field(mesh, trajectory)
     exact_rates = mesh.sum_over_faces(reference.total)
-    fd1, fd2 = metrics.fd_reference_errors(volumes, exact_rates, case.period)
+    fd1, fd2 = metrics.fd_reference_errors(trajectory.volumes, exact_rates, case.period)
     return CasePoint(
-        mesh, case, n_harmonics, trajectory, spectral, volumes,
-        spectral.differentiate(volumes), exact_rates, reference, fd1, fd2,
+        mesh, case, n_harmonics, trajectory, spectral,
+        spectral.differentiate(trajectory.volumes), exact_rates, reference, fd1, fd2,
     )
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .gcl import IfmvField, cell_volumes
+from .gcl import IfmvField
 from .hexmesh import HexMesh, _quad_area
 from .metrics import rel_err_freestream
 from .motion import MotionTrajectory
@@ -251,11 +251,12 @@ class FreestreamProblem:
 
     All per-instant geometry (cell volumes, interface area vectors, interface
     mesh-velocity integrals) is frozen at construction; the pseudo-time
-    iteration only updates the spectral state.  Area vectors are computed on
-    the interfaces the IFMV belongs to, and each axis's block of interfaces
-    is read as its grid, oriented +axis (:meth:`HexMesh.axis_interfaces`),
-    and kept once, axis-major (:class:`_AxisFaces`).  ``ifmv=None`` zeroes
-    every face mesh velocity, a controlled conservation defect.
+    iteration only updates the spectral state.  The cell volumes are the
+    trajectory's own.  Area vectors are computed on the interfaces the IFMV
+    belongs to, and each axis's block of interfaces, stored +axis, is read as
+    its grid (:meth:`HexMesh.axis_interfaces`) and kept once, axis-major
+    (:class:`_AxisFaces`).  ``ifmv=None`` zeroes every face mesh velocity, a
+    controlled conservation defect.
     """
 
     def __init__(
@@ -268,9 +269,7 @@ class FreestreamProblem:
         self.spectral = spectral
         nts = spectral.nts
 
-        self.volumes = (
-            cell_volumes(mesh, trajectory).T.reshape(nts, mesh.nz, mesh.ny, mesh.nx)
-        )
+        self.volumes = trajectory.volumes.T.reshape(nts, mesh.nz, mesh.ny, mesh.nx)
         n_interfaces = len(mesh.interface_vertex_ids)
         areas = mesh.blockwise(
             lambda q: np.concatenate(_quad_area(q)),
@@ -284,12 +283,9 @@ class FreestreamProblem:
         self._halo = (w0, w0[1:4] / w0[0], _pressure_unchecked(w0))
         self._axes = []
         for name, axis in zip("xyz", (-1, -2, -3)):
-            block, orientation = mesh.axis_interfaces(name)
+            block, shape = mesh.axis_interfaces(name)
             order = (0, axis) + tuple(i for i in range(-4, 0) if i != axis)
-            grids = (
-                values[..., block].reshape(values.shape[:-1] + orientation.shape) * orientation
-                for values in (areas, g)
-            )
+            grids = (values[..., block].reshape(values.shape[:-1] + shape) for values in (areas, g))
             vectors, face_ifmv = (
                 np.ascontiguousarray(grid.transpose(order[-grid.ndim:])) for grid in grids
             )

@@ -25,8 +25,10 @@ period) are split into a linear slope plus a periodic part before any
 spectral differentiation; only the periodic part is transformed and the
 slope re-enters as the zeroth mode.
 
-Every field holds one value per mesh interface, (n_interfaces, ...), and
-:meth:`HexMesh.sum_over_faces` forms the cell sums.  The per-direction split
+Every field holds one value per mesh interface, (n_interfaces, ...), taken
+along the interface's +axis normal.  :meth:`HexMesh.sum_over_faces` forms the
+cell sums, which the metrics set against the spectral derivative of the
+trajectory's cell volumes.  The per-direction split
 is opt-in, from :func:`sweep_volume_by_direction` or :func:`quad_flux_by_direction`;
 a series built from it, time last, goes through the same transforms.
 """
@@ -65,7 +67,6 @@ __all__ = [
     "ifmv_ts",
     "ifmv_avg",
     "trimap_field",
-    "cell_volumes",
     "exact_volume_rates",
 ]
 
@@ -288,11 +289,6 @@ def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
         trajectory.velocities[:-1],
     )
     return IfmvField("trimap", flux)
-
-
-def cell_volumes(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:
-    """Cell volumes per instant, shape (n_cells, 2N+1)."""
-    return mesh.blockwise(_hex_volume, mesh.cell_vertex_ids, trajectory.positions[:-1])
 
 
 def exact_volume_rates(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:

@@ -7,6 +7,11 @@ reference cube (zeta = 0) and corners 5-6-7-8 sit directly above them
 vectors, face flux integrals) is written against that numbering, so it is
 centralised here.
 
+Each face of the mesh is stored once, as an interface whose loop is
+oriented +axis along the grid axis it is normal to
+(:meth:`HexMesh.axis_interfaces`), so a cell adds its +axis faces and
+subtracts its -axis faces (:meth:`HexMesh.sum_over_faces`).
+
 The closed-form kernels are written out component by component over corner
 planes, a (k, 3, ...) layout in which ``r[j][c]`` is component c of corner j
 over any number of elements and instants.  :meth:`HexMesh.blockwise` gathers
@@ -29,6 +34,8 @@ The cell volume (three triple products of edge and diagonal vectors; Davies
 built from corner differences, so their rounding scales with an element's
 size, not with its distance from the origin.  ``tests/oracles.py`` keeps the
 absolute-position forms they replaced (six face terms, six cross products).
+A motion's cell volumes are computed once, as it is sampled
+(:attr:`gclkit.motion.MotionTrajectory.volumes`).
 """
 
 from __future__ import annotations
@@ -224,10 +231,10 @@ def detect_degenerate(
     positions : ndarray, shape (..., n_vertices, 3)
         Deformed vertex positions at one instant, or at a stack of instants.
     volumes : ndarray, shape (n_cells, n_instants), optional
-        The cell volumes at those instants, as :func:`gclkit.gcl.cell_volumes`
-        gives them (n_cells, one column per flattened leading index), so a
-        caller that has them pays only the corner-Jacobian pass.  Computed
-        here when not given.
+        The cell volumes at those instants, as
+        :attr:`gclkit.motion.MotionTrajectory.volumes` holds them (n_cells,
+        one column per flattened leading index), so a caller that has them
+        pays only the corner-Jacobian pass.  Computed here when not given.
 
     Returns
     -------
@@ -264,8 +271,8 @@ class HexMesh:
     vertices: np.ndarray = field(repr=False)  # (n_vertices, 3)
     cell_vertex_ids: np.ndarray = field(repr=False)  # (n_cells, 8)
     # Each face appears once as an interface, numbered as in axis_interfaces
-    # and stored as the face loop of its owner cell; the neighbour sees it
-    # reversed (sum_over_faces).
+    # and stored as a loop whose normal points +axis; the cell below it on
+    # the axis sees it as is, the cell above it reversed (sum_over_faces).
     interface_vertex_ids: np.ndarray = field(repr=False)  # (n_interfaces, 4)
 
     @property
@@ -326,44 +333,33 @@ class HexMesh:
         """Per-cell sums of per-interface values (n_interfaces, ...), (n_cells, ...).
 
         Each cell adds its six face slots to +0 in slot order 0..5, as
-        ``add.reduce`` does; a slot holds its interface's value, negated in
-        the neighbour that sees the face reversed.  This is the only place
-        face values meet cell slots.  The slots are read straight from each
-        axis's interface grid (:meth:`axis_interfaces`): a cell layer's
-        +axis faces are the next interface layer, its -axis faces the same
-        layer, owned on layer 0 and seen reversed (subtracted) elsewhere.
+        ``add.reduce`` does: a +axis slot adds its interface's value, a -axis
+        slot subtracts it.  This is the only place face values meet cell
+        slots.  The slots are read straight from each axis's interface grid
+        (:meth:`axis_interfaces`): a cell layer's -axis faces are the
+        interface layer of the same index, its +axis faces the next one.
         """
         values = np.asarray(values)
         tail = values.shape[1:]
         total = np.zeros(self.counts[::-1] + tail, dtype=np.result_type(values, 1.0))
-        blocks = _interface_blocks(self.counts)
         for slot in range(6):
             axis, high = _SLOT_FACES[slot]
-            block, layer = blocks[axis]
-            grid = values[block].reshape(layer.shape + tail)
-            along = (slice(None),) * "zyx".index(axis)
-            if high:
-                np.add(total, grid[along + (slice(1, None),)], out=total)
-            else:
-                owned, seen = total[along + (slice(0, 1),)], total[along + (slice(1, None),)]
-                np.add(owned, grid[along + (slice(0, 1),)], out=owned)
-                np.subtract(seen, grid[along + (slice(1, -1),)], out=seen)
+            block, shape = self.axis_interfaces(axis)
+            grid = values[block].reshape(shape + tail)
+            layers = (slice(None),) * "zyx".index(axis) + (slice(1, None) if high else slice(-1),)
+            (np.add if high else np.subtract)(total, grid[layers], out=total)
         return total.reshape((self.n_cells,) + tail)
 
-    def axis_interfaces(self, axis: str) -> tuple[slice, np.ndarray]:
-        """The block of interfaces normal to ``axis`` and their orientation.
+    def axis_interfaces(self, axis: str) -> tuple[slice, tuple[int, int, int]]:
+        """The block of interfaces normal to ``axis`` and the shape of its grid.
 
         Interfaces are numbered axis by axis, x, y, then z, each block in the
         C order of its grid: (nz, ny, nx+1) for "x", (nz, ny+1, nx) for "y",
         (nz+1, ny, nx) for "z".  Layer l of the grid lies at l spacings along
-        the axis.  Layer 0 is the low boundary, stored as the -axis face of
-        its cells; layer l > 0 is the +axis face of the cells in layer l - 1.
-        ``orientation`` has the grid's shape, -1 on layer 0 and +1 elsewhere,
-        so ``values[block].reshape(orientation.shape) * orientation`` reads
-        one value per interface, oriented +axis.
+        the axis, and every interface is stored oriented +axis, so
+        ``values[block].reshape(shape)`` reads one value per interface.
         """
-        block, layer = _interface_blocks(self.counts)[axis]
-        return block, np.where(layer == 0, -1.0, 1.0)
+        return _interface_blocks(self.counts)[axis]
 
     def boundary_vertex_mask(self) -> np.ndarray:
         """Boolean mask of vertices lying on the box surface."""
@@ -408,36 +404,41 @@ def build_box_mesh(
     )
     # vertex id = i + (nx+1)*(j + (ny+1)*k)  -> x-fastest flattening
     vertices = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
-    # cell corner m is the vertex REF_CORNERS[m] grid steps past the cell's corner 0
     grid = np.arange(len(vertices)).reshape(nz + 1, ny + 1, nx + 1)
-    cell_vertex_ids = np.stack(
-        [grid[k : k + nz, j : j + ny, i : i + nx].ravel() for i, j, k in REF_CORNERS.astype(int)],
-        axis=-1,
-    )
-    # interfaces are numbered axis by axis (HexMesh.axis_interfaces); layer l
-    # of an axis is owned by the cells of layer max(l - 1, 0), through their
-    # -axis face on layer 0 and their +axis face elsewhere
-    cells = np.arange(len(cell_vertex_ids)).reshape(nz, ny, nx)
-    owners, slots = [], []
-    for axis, (_, layer) in _interface_blocks((nx, ny, nz)).items():
-        index = list(np.indices(layer.shape))
-        index["zyx".index(axis)] = np.maximum(layer - 1, 0)
-        owners.append(cells[tuple(index)].ravel())
-        slots.append(np.where(layer == 0, *FACE_FAMILY[axis]).ravel())
-    owners, slots = np.concatenate(owners), np.concatenate(slots)
+    # an interface's loop is a cell's +axis face loop, with its corner
+    # offsets counted from the interface's own grid point, one step further
+    # along the axis than the cell's corner 0
+    plus_loops = {
+        axis: REF_CORNERS[FACE_LOOPS[high]].astype(int) - np.eye(3, dtype=int)["xyz".index(axis)]
+        for axis, (_, high) in FACE_FAMILY.items()
+    }
     return HexMesh(
-        nx, ny, nz, float(lx), float(ly), float(lz), vertices, cell_vertex_ids,
-        interface_vertex_ids=cell_vertex_ids[owners[:, None], FACE_LOOPS[slots]],
+        nx, ny, nz, float(lx), float(ly), float(lz), vertices,
+        _grid_elements(grid, REF_CORNERS.astype(int), (nz, ny, nx)),
+        interface_vertex_ids=np.concatenate(
+            [_grid_elements(grid, plus_loops[axis], shape)
+             for axis, (_, shape) in _interface_blocks((nx, ny, nz)).items()]
+        ),
     )
 
 
-def _interface_blocks(counts) -> dict[str, tuple[slice, np.ndarray]]:
-    """Per axis, its interface block and each interface's layer on the axis's grid."""
+def _grid_elements(grid: np.ndarray, offsets: np.ndarray, shape) -> np.ndarray:
+    """Vertex ids (n_elements, k) of the elements at the points of a (z, y, x)
+    ``shape``: corner m of each is the vertex ``offsets[m]`` = (i, j, k) grid
+    steps past the element's point on the vertex ``grid``."""
+    nz, ny, nx = shape
+    return np.stack(
+        [grid[k : k + nz, j : j + ny, i : i + nx].ravel() for i, j, k in offsets], axis=-1
+    )
+
+
+def _interface_blocks(counts) -> dict[str, tuple[slice, tuple[int, int, int]]]:
+    """Per axis, its interface block and the (z, y, x) shape of the axis's grid."""
     blocks, start = {}, 0
     for axis in "xyz":
         shape = list(counts[::-1])
         shape["zyx".index(axis)] += 1
-        layer = np.indices(shape)["zyx".index(axis)]
-        blocks[axis] = slice(start, start + layer.size), layer
-        start += layer.size
+        stop = start + int(np.prod(shape))
+        blocks[axis] = slice(start, stop), tuple(shape)
+        start = stop
     return blocks

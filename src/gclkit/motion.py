@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from . import rbf
-from .hexmesh import HexMesh, detect_degenerate
+from .hexmesh import HexMesh, _hex_volume, detect_degenerate
 
 __all__ = [
     "CASE_IDS",
@@ -28,7 +28,6 @@ __all__ = [
     "build_rbf_system",
     "case_parameters",
     "sample_motion",
-    "raise_if_degenerate",
 ]
 
 CASE_IDS = (
@@ -112,7 +111,8 @@ class MotionCase:
 
 @dataclass(frozen=True)
 class MotionTrajectory:
-    """Vertex positions and velocities at t_0..t_2N plus the closing t = T."""
+    """Vertex positions and velocities at t_0..t_2N plus the closing t = T,
+    and the cell volumes at t_0..t_2N."""
 
     case: MotionCase
     n_harmonics: int
@@ -120,6 +120,7 @@ class MotionTrajectory:
     times: np.ndarray  # (2N+2,)
     positions: np.ndarray  # (2N+2, n_vertices, 3)
     velocities: np.ndarray  # (2N+2, n_vertices, 3)
+    volumes: np.ndarray  # (n_cells, 2N+1)
     metadata: dict
 
     @property
@@ -314,52 +315,13 @@ def sample_motion(
     mesh: HexMesh,
     case: MotionCase,
     n_harmonics: int,
-    check_degeneracy: bool = True,
     rbf_fields: np.ndarray | None = None,
 ) -> MotionTrajectory:
     """Sample a motion case at the 2N+1 spectral instants plus t = T.
 
-    ``rbf_fields`` is passed on to :func:`evaluate_motion`.  A caller that
-    computes the cell volumes anyway passes ``check_degeneracy=False`` and
-    gates with them through :func:`raise_if_degenerate`.
-
-    Raises
-    ------
-    DegenerateMeshError
-        If ``check_degeneracy`` and a sampled configuration contains a cell
-        with nonpositive volume or corner Jacobian.
-    """
-    if n_harmonics < 1:
-        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
-    nts = 2 * n_harmonics + 1
-    times = np.append(np.arange(nts) * case.period / nts, case.period)
-    positions, velocities = evaluate_motion(mesh, case, times[:-1], rbf_fields)
-    # the closing sample at t = T is the t = 0 configuration again; reusing it
-    # makes the periodic closure exact instead of rounding-level
-    positions = np.concatenate([positions, positions[:1]])
-    velocities = np.concatenate([velocities, velocities[:1]])
-    trajectory = MotionTrajectory(
-        case=case,
-        n_harmonics=int(n_harmonics),
-        period=case.period,
-        times=times,
-        positions=positions,
-        velocities=velocities,
-        metadata=case.metadata(mesh),
-    )
-    if check_degeneracy:
-        raise_if_degenerate(mesh, trajectory)
-    return trajectory
-
-
-def raise_if_degenerate(
-    mesh: HexMesh, trajectory: MotionTrajectory, volumes: np.ndarray | None = None
-) -> None:
-    """The degeneracy gate over a trajectory's 2N+1 sampled instants.
-
-    The closing sample is t_0 again and is not checked twice.  ``volumes``
-    are the trajectory's cell volumes (n_cells, 2N+1) when the caller has
-    them; see :func:`~gclkit.hexmesh.detect_degenerate`.
+    ``rbf_fields`` is passed on to :func:`evaluate_motion`.  The cell volumes
+    are computed once, here, and gate the sample: the closing sample is t_0
+    again and is neither measured nor checked twice.
 
     Raises
     ------
@@ -368,13 +330,32 @@ def raise_if_degenerate(
         is not positive, or failing that with a non-finite vertex velocity,
         and every such cell at that instant.
     """
-    bad = detect_degenerate(mesh, trajectory.positions[:-1], volumes)
+    if n_harmonics < 1:
+        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
+    nts = 2 * n_harmonics + 1
+    times = np.append(np.arange(nts) * case.period / nts, case.period)
+    # an overflowing motion is reported by the gate, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions, velocities = evaluate_motion(mesh, case, times[:-1], rbf_fields)
+        volumes = mesh.blockwise(_hex_volume, mesh.cell_vertex_ids, positions)
+        bad = detect_degenerate(mesh, positions, volumes)
     if len(bad):
         instants, cells = np.divmod(bad, mesh.n_cells)
-        raise DegenerateMeshError(trajectory.times[instants[0]], cells[instants == instants[0]])
-    finite = np.isfinite(trajectory.velocities[:-1]).all(axis=-1)  # (2N+1, n_vertices)
+        raise DegenerateMeshError(times[instants[0]], cells[instants == instants[0]])
+    finite = np.isfinite(velocities).all(axis=-1)  # (2N+1, n_vertices)
     if not finite.all():
         n = np.flatnonzero(~finite.all(axis=-1))[0]
         cells = np.flatnonzero(~finite[n][mesh.cell_vertex_ids].all(axis=-1))
-        raise DegenerateMeshError(trajectory.times[n], cells, "non-finite velocities in")
-
+        raise DegenerateMeshError(times[n], cells, "non-finite velocities in")
+    # the closing sample at t = T is the t = 0 configuration again; reusing it
+    # makes the periodic closure exact instead of rounding-level
+    return MotionTrajectory(
+        case=case,
+        n_harmonics=int(n_harmonics),
+        period=case.period,
+        times=times,
+        positions=np.concatenate([positions, positions[:1]]),
+        velocities=np.concatenate([velocities, velocities[:1]]),
+        volumes=volumes,
+        metadata=case.metadata(mesh),
+    )

@@ -39,7 +39,7 @@ count.  A system is transient (see ``motion.build_rbf_system``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -95,18 +95,6 @@ class RbfSystem:
         rhs = self._basis.T @ np.asarray(values, dtype=float)
         coeff = self._factor.solve(rhs)
         return self._basis @ (coeff + self._factor.solve(rhs - self._blocks @ coeff))
-
-    def near_weights(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per grid block, (rows, i, j, w): block point i, control point j and
-        w = phi(|x_i - p_j|) for each pair within the support, zero distances
-        (coincident points, w = 1) included."""
-        from scipy.spatial import cKDTree
-        for start in range(0, len(self.grid_points), BLOCK_POINTS):
-            rows = slice(start, start + BLOCK_POINTS)
-            near = cKDTree(self.grid_points[rows]).sparse_distance_matrix(
-                self._tree, self.support_radius, output_type="ndarray"
-            )
-            yield rows, near["i"], near["j"], wendland_c0(near["v"], self.support_radius)
 
 
 def _reject_duplicates(tree: cKDTree, support_radius: float) -> None:
@@ -230,10 +218,18 @@ def interpolate(system: RbfSystem, values: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {system.n_points} control values, got {values.shape[0]}"
         )
+    from scipy.spatial import cKDTree
     coeff = system.solve(values).reshape(system.n_points, -1)
     out = np.empty((len(system.grid_points), coeff.shape[1]))
-    for rows, i, j, w in system.near_weights():
+    for start in range(0, len(out), BLOCK_POINTS):
+        rows = slice(start, start + BLOCK_POINTS)
         block = out[rows]
+        # block point i, control point j and w = phi(|x_i - p_j|) for each
+        # pair within the support, coincident points (w = 1) included
+        near = cKDTree(system.grid_points[rows]).sparse_distance_matrix(
+            system._tree, system.support_radius, output_type="ndarray"
+        )
+        i, j, w = near["i"], near["j"], wendland_c0(near["v"], system.support_radius)
         for col in range(coeff.shape[1]):
             block[:, col] = np.bincount(i, w * coeff[j, col], minlength=len(block))
     return out.reshape((len(out),) + values.shape[1:])

@@ -94,7 +94,7 @@ def _check_partition(rng):
     return err <= 1e-12, f"partition defect {err:.2e}"
 
 
-def _check_degeneracy_gate(rng):
+def _check_degenerate_gate(rng):
     mesh = build_box_mesh(4, 4, 4, 1.0, 1.0, 1.0)
     clean = len(detect_degenerate(mesh, mesh.vertices)) == 0
     positions = mesh.vertices.copy()
@@ -166,7 +166,7 @@ def _check_gcl_by_construction(rng):
     case = MotionCase.for_case("case2")
     traj = sample_motion(mesh, case, 4)
     op = SpectralOperator(4)
-    dvoldt = op.differentiate(gcl.cell_volumes(mesh, traj))
+    dvoldt = op.differentiate(traj.volumes)
     worst = 0.0
     for maker in (gcl.lvi_increments, gcl.aevi_increments):
         fld = gcl.ifmv_nlfd(maker(mesh, traj), op)
@@ -201,8 +201,7 @@ def _check_freestream_defect_identity(rng):
     op = SpectralOperator(3)
     problem = FreestreamProblem(mesh, traj, op, None)
     residual = problem.residual(problem.initial_state())
-    volumes = gcl.cell_volumes(mesh, traj)
-    defect = -op.differentiate(volumes)  # sum of zeroed IFMV minus d(vol)/dt
+    defect = -op.differentiate(traj.volumes)  # sum of zeroed IFMV minus d(vol)/dt
     nz = ny = nx = 5
     predicted = -np.moveaxis(defect.reshape(nz, ny, nx, op.nts), -1, 0) * (
         W_INF.reshape(-1, 1, 1, 1, 1)
@@ -215,7 +214,7 @@ PROPERTIES = [
     ("surface closure (1000 random hexahedra)", _check_surface_closure),
     ("volume vs quadrature oracle", _check_volume_oracle),
     ("volume partition of a deformed box", _check_partition),
-    ("degeneracy detector gate", _check_degeneracy_gate),
+    ("degeneracy detector gate", _check_degenerate_gate),
     ("DFT round trip", _check_spectral_roundtrip),
     ("Parseval identity", _check_parseval),
     ("spectral derivative matrix equivalence", _check_operator_equivalence),

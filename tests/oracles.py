@@ -201,8 +201,8 @@ def cell_face_slots(mesh):
 
     Slot m of cell c is the interface whose four vertices are the cell's face
     loop ``FACE_LOOPS[m]``; its sign is +1 when the stored loop runs the same
-    way round as the cell's loop and -1 when it runs the other way (the
-    neighbour sees the owner's face reversed).
+    way round as the cell's loop and -1 when it runs the other way (a cell
+    sees its -axis faces reversed).
     """
     loops = mesh.cell_vertex_ids[:, FACE_LOOPS]  # (n_cells, 6, 4)
     lookup = {tuple(k): i for i, k in enumerate(np.sort(mesh.interface_vertex_ids).tolist())}

@@ -109,7 +109,7 @@ def test_criterion_02_trimap_exact_on_linear_motion(
         # point.exact_rates is the TRI-MAP face sum itself; the product-rule
         # rates are the independent oracle
         exact = gcl.exact_volume_rates(paper_mesh_session, point.trajectory)
-        aliasing = np.abs(exact - point.spectral.differentiate(point.volumes)).max()
+        aliasing = np.abs(exact - point.spectral.differentiate(point.trajectory.volumes)).max()
         alias_gap[n] = abs(errs[n] - aliasing)
     ok = resolved[worst_n] <= 1e-12 and max(alias_gap.values()) <= 1e-12
     _report(

@@ -27,7 +27,7 @@ from gclkit.hexmesh import (
     hex_volume,
     quad_area_vectors,
 )
-from gclkit.motion import MotionCase, sample_motion
+from gclkit.motion import MotionCase, evaluate_motion, sample_motion
 from oracles import corner_jacobians
 
 N = 20  # 2N+2 = 42 instants: several blocks per kernel, the last one ragged
@@ -209,7 +209,7 @@ def test_face_fields_bitwise_equal_one_shot(paper_mesh, case5_trajectory):
 
 def test_cell_kernels_bitwise_equal_one_shot(paper_mesh, case5_trajectory):
     corners, velocities = _cell_stacks(paper_mesh, case5_trajectory)
-    volumes = gcl.cell_volumes(paper_mesh, case5_trajectory)
+    volumes = case5_trajectory.volumes
     assert _bitwise_equal(volumes, _per_instant(_reference_hex_volume, corners))
     rates = gcl.exact_volume_rates(paper_mesh, case5_trajectory)
     assert _bitwise_equal(rates, _per_instant(_reference_dvoldt, corners, velocities))
@@ -218,7 +218,7 @@ def test_cell_kernels_bitwise_equal_one_shot(paper_mesh, case5_trajectory):
 def test_gate_indices_equal_one_shot(paper_mesh):
     # a case-4 amplitude that inverts cells at about half the instants
     case = MotionCase.for_case("case4", rbf_amplitude=0.2)
-    positions = sample_motion(paper_mesh, case, N, check_degeneracy=False).positions[:-1]
+    positions, _ = evaluate_motion(paper_mesh, case, np.arange(2 * N + 1) / (2 * N + 1))
     bad = detect_degenerate(paper_mesh, positions)
     expected = _reference_gate(paper_mesh, positions)
     assert len(expected) > 0
@@ -298,7 +298,8 @@ def test_avg_flux_bitwise_equal_reference(awkward_hexahedra):
         gcl.aevi_increments,
         gcl.ifmv_avg,
         gcl.trimap_field,
-        gcl.cell_volumes,
+        # the cell volumes are measured as the motion is sampled
+        lambda mesh, trajectory: sample_motion(mesh, trajectory.case, N),
         gcl.exact_volume_rates,
         lambda mesh, trajectory: detect_degenerate(mesh, trajectory.positions[:-1]),
     ],

@@ -13,7 +13,7 @@ from gclkit.experiments import worker_count
 def read_rows(path):
     header = None
     rows = []
-    for line in open(path):
+    for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -108,6 +108,12 @@ def test_bad_range_is_config_error():
         (["--amp", "0.1,0.1,0.1,0.1"], None),
         ([], {"amp": []}),
         (["--case", "4", "--amp", "0.01,0.02"], None),
+        ([], {"out": None}),
+        ([], {"out": 5}),
+        # JSON booleans are not numbers
+        ([], {"cfl": True, "freestream": "on"}),
+        ([], {"seed": True, "case": "4"}),
+        ([], {"mesh": [True, 2, 2]}),
     ],
     ids=["amp", "mesh-text", "lengths", "mesh-zero", "support-radius", "cfl",
          "lengths-inf", "seed", "config-cfl", "config-unknown-key", "config-methods",
@@ -116,7 +122,8 @@ def test_bad_range_is_config_error():
          "config-timing", "seed-float", "max-iters-float", "cfl-text", "alpha0-text",
          "radius-nan", "support-radius-text", "range-three-parts", "range-trailing-dots",
          "methods-twice", "config-methods-twice", "mesh-exabytes", "amp-two", "amp-four",
-         "config-amp-empty", "case4-amp-two"],
+         "config-amp-empty", "case4-amp-two", "config-out-null", "config-out-number",
+         "config-cfl-bool", "config-seed-bool", "config-mesh-bool"],
 )
 def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, config):
     argv = ["run", "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",

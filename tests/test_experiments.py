@@ -1,9 +1,9 @@
 """One (case, N) evaluation point computes each geometric quantity once.
 
 ``prepare_point`` takes the exact dV/dt from the signed TRI-MAP face sums and
-gates degeneracy on its own cell volumes; these tests keep the product-rule
-rates as the independent oracle and pin the gate's error on a degenerate
-point.
+gates degeneracy on the cell volumes its trajectory carries; these tests keep
+the product-rule rates as the independent oracle and pin the gate's error on
+a degenerate point.
 """
 
 import dataclasses
@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gclkit import experiments, flow, gcl, hexmesh
+from gclkit import experiments, flow, gcl, hexmesh, motion
 from gclkit.cli import main
 from gclkit.motion import DegenerateMeshError, MotionCase, build_rbf_system
 
@@ -33,6 +33,7 @@ def test_exact_rates_match_product_rule(paper_mesh, case_id):
 
 
 def test_prepare_point_makes_one_volume_pass(paper_mesh, monkeypatch):
+    # the gate, the metrics and the freestream problem share one pass
     seen = []
 
     def counted(kernel):
@@ -45,11 +46,12 @@ def test_prepare_point_makes_one_volume_pass(paper_mesh, monkeypatch):
     def forbidden(*args):
         raise AssertionError("the product-rule rates ran")
 
-    monkeypatch.setattr(gcl, "_hex_volume", counted(gcl._hex_volume))
-    monkeypatch.setattr(hexmesh, "_hex_volume", counted(hexmesh._hex_volume))
+    for module in (gcl, hexmesh, motion):
+        monkeypatch.setattr(module, "_hex_volume", counted(module._hex_volume))
     monkeypatch.setattr(gcl, "exact_volume_rates", forbidden)
     monkeypatch.setattr(gcl, "_dvoldt", forbidden)
     point = experiments.prepare_point(paper_mesh, MotionCase.for_case("case5"), 3)
+    experiments.evaluate_point(point, ["trimap"], experiments.FreestreamOptions(1.5, 1))
     assert sum(seen) == paper_mesh.n_cells * point.spectral.nts
 
 

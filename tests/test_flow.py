@@ -158,8 +158,7 @@ def _structured_face_reference(mesh, traj, ifmv):
 
     Every face loop is built from the (k, j, i) vertex grid, independently of
     the mesh's interfaces, and the IFMV is decoded from the interface
-    numbering: the x, y and z blocks in turn, each in the C order of its grid,
-    with layer 0 stored as its cells' -axis face.
+    numbering: the x, y and z blocks in turn, each in the C order of its grid.
     """
     nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
     nts = traj.positions.shape[0] - 1
@@ -186,9 +185,6 @@ def _structured_face_reference(mesh, traj, ifmv):
             stop = start + g[axis][0].size
             g[axis][...] = f[:, start:stop].reshape(g[axis].shape)
             start = stop
-        g["x"][..., 0] *= -1.0
-        g["y"][:, :, 0, :] *= -1.0
-        g["z"][:, 0, :, :] *= -1.0
     return vectors, g
 
 

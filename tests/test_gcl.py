@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 from gclkit import gcl
 from gclkit.gcl import (
     aevi_increments,
-    cell_volumes,
     dvoldt_trimap,
     extract_linear_and_periodic,
     ifmv_avg,
@@ -287,7 +286,7 @@ def test_gcl_identity_case1(case1_setup):
     mesh, traj, op = case1_setup
     series = extract_linear_and_periodic(aevi_increments(mesh, traj))
     field = ifmv_nlfd(series, op)
-    dvdt = op.differentiate(cell_volumes(mesh, traj))
+    dvdt = op.differentiate(traj.volumes)
     assert np.abs(mesh.sum_over_faces(field.total) - dvdt).max() <= 1e-12
 
 

@@ -175,23 +175,26 @@ def test_volume_of_collapsed_hexahedron_is_zero(rng):
 def test_axis_interfaces_read_owned_loops_along_axis(axis):
     mesh = build_box_mesh(4, 5, 6, 3.2, 2.8, 2.4)
     a = "xyz".index(axis)
-    block, orientation = mesh.axis_interfaces(axis)
+    block, shape = mesh.axis_interfaces(axis)
     grid = [mesh.nz, mesh.ny, mesh.nx]
     grid[2 - a] += 1
-    assert orientation.shape == tuple(grid)
+    assert shape == tuple(grid)
     ids = np.arange(len(mesh.interface_vertex_ids))[block].reshape(grid)
-    # every interface of the axis is read once, and its owner holds it with +1
-    family = list(FACE_FAMILY[axis])
+    # a cell layer's +axis faces are the next interface layer, held with +1,
+    # and its -axis faces the same layer, held with -1
+    low, high = FACE_FAMILY[axis]
     interfaces, signs = cell_face_slots(mesh)
-    owned = signs[:, family] == 1.0
-    assert np.array_equal(np.sort(interfaces[:, family][owned]), ids.ravel())
+    along = (slice(None),) * (2 - a)
+    for slot, layers, sign in ((high, slice(1, None), 1.0), (low, slice(-1), -1.0)):
+        assert np.array_equal(interfaces[:, slot], ids[along + (layers,)].ravel())
+        assert np.all(signs[:, slot] == sign)
     # interface layer l lies at l * spacing along the axis
     quads = mesh.vertices[mesh.interface_vertex_ids[ids]]
     layer = np.indices(grid)[2 - a]
     spacing = mesh.lengths[a] / mesh.counts[a]
     np.testing.assert_allclose(quads[..., a].mean(axis=-1), layer * spacing, atol=1e-12)
-    # on the undeformed box, the +axis area vectors point along +axis
-    vectors = quad_area_vectors(quads) * orientation[..., None]
+    # on the undeformed box, every stored area vector points along +axis
+    vectors = quad_area_vectors(quads)
     assert np.all(vectors[..., a] > 0.0)
     assert np.all(np.delete(vectors, a, axis=-1) == 0.0)
 
@@ -212,28 +215,30 @@ def test_interface_map_properties(mesh):
     # its grid, whose layer l lies at l * spacing
     start = 0
     for a, axis in enumerate("xyz"):
-        block, orientation = mesh.axis_interfaces(axis)
+        block, shape = mesh.axis_interfaces(axis)
         assert block.start == start
         start = block.stop
         quads = mesh.vertices[mesh.interface_vertex_ids[block]]
-        centres = quads[..., a].mean(axis=-1).reshape(orientation.shape)
-        layer = np.indices(orientation.shape)[2 - a]
+        centres = quads[..., a].mean(axis=-1).reshape(shape)
+        layer = np.indices(shape)[2 - a]
         spacing = mesh.lengths[a] / mesh.counts[a]
         np.testing.assert_allclose(centres, layer * spacing, rtol=0, atol=1e-12 * mesh.lengths[a])
-        assert np.array_equal(orientation, np.where(layer == 0, -1.0, 1.0))
+        # every stored area vector points along +axis, on every layer
+        vectors = quad_area_vectors(quads)
+        assert np.all(vectors[:, a] > 0.0)
+        assert np.all(np.delete(vectors, a, axis=-1) == 0.0)
     assert start == n_interfaces
-    # interior interfaces sit in two cell slots with signs +1 and -1, boundary
-    # interfaces in one slot with +1
+    # interior interfaces sit in two cell slots with signs +1 and -1; a
+    # boundary interface in one slot, +1 on the high and -1 on the low boundary
     ids, signs = (a.ravel() for a in cell_face_slots(mesh))
     plus = np.bincount(ids[signs == 1.0], minlength=n_interfaces)
     minus = np.bincount(ids[signs == -1.0], minlength=n_interfaces)
     assert np.all(np.isin(signs, (1.0, -1.0)))
-    assert np.all(plus == 1)
     centres = mesh.vertices[mesh.interface_vertex_ids].mean(axis=1)
-    on_boundary = np.any(
-        np.isclose(centres, 0.0, atol=1e-9) | np.isclose(centres, mesh.lengths, atol=1e-9), axis=1
-    )
-    assert np.array_equal(minus, np.where(on_boundary, 0, 1))
+    low = np.any(np.isclose(centres, 0.0, atol=1e-9), axis=1)
+    high = np.any(np.isclose(centres, mesh.lengths, atol=1e-9), axis=1)
+    assert np.array_equal(plus, np.where(low, 0, 1))
+    assert np.array_equal(minus, np.where(high, 0, 1))
     # the undeformed cells are closed: their signed face area vectors cancel exactly
     vectors = quad_area_vectors(mesh.vertices[mesh.interface_vertex_ids])
     assert np.all(mesh.sum_over_faces(vectors) == 0.0)

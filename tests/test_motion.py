@@ -1,11 +1,11 @@
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gclkit import rbf
-from gclkit.gcl import cell_volumes
 from gclkit.hexmesh import build_box_mesh, detect_degenerate, hex_volume
 from gclkit.motion import (
     CASE_IDS,
@@ -13,7 +13,6 @@ from gclkit.motion import (
     MotionCase,
     build_rbf_system,
     evaluate_motion,
-    raise_if_degenerate,
     sample_motion,
 )
 from oracles import analytic_increment_case3, analytic_increment_rate_case3
@@ -44,7 +43,7 @@ def test_rigid_translation_uniform_velocity_constant_volumes(small_mesh):
     traj = sample_motion(small_mesh, case, 2)
     spread = traj.velocities.max(axis=1) - traj.velocities.min(axis=1)
     assert np.abs(spread).max() == 0.0
-    vols = cell_volumes(small_mesh, traj)
+    vols = traj.volumes
     ref = hex_volume(small_mesh.cell_corners())
     assert np.abs(vols - ref[:, None]).max() <= 1e-14
 
@@ -152,24 +151,32 @@ def test_analytic_increment_rate_identity():
         assert abs(fd - rate) <= 1e-12
 
 
-def _first_degenerate_instant(mesh, trajectory):
+def _first_degenerate_instant(mesh, times, positions):
     """Reference gate: one detect_degenerate call per sampled instant."""
-    for t, positions in zip(trajectory.times, trajectory.positions):
-        bad = detect_degenerate(mesh, positions)
+    for t, instant in zip(times, positions):
+        bad = detect_degenerate(mesh, instant)
         if len(bad):
             return t, bad
     return None
+
+
+def _spectral_instants(case, n_harmonics):
+    """The 2N+1 instants that sample_motion samples and gates."""
+    nts = 2 * n_harmonics + 1
+    return np.arange(nts) * case.period / nts
 
 
 def test_batched_gate_names_first_bad_instant():
     # case 4 inverts a cell of the 20^3 mesh at several instants
     mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("case4")
-    unchecked = sample_motion(mesh, case, 10, check_degeneracy=False)
-    expected = _first_degenerate_instant(mesh, unchecked)
+    fields = build_rbf_system(mesh, case)
+    times = _spectral_instants(case, 10)
+    positions, _ = evaluate_motion(mesh, case, times, fields)
+    expected = _first_degenerate_instant(mesh, times, positions)
     assert expected is not None
     with pytest.raises(DegenerateMeshError) as info:
-        sample_motion(mesh, case, 10)
+        sample_motion(mesh, case, 10, fields)
     assert info.value.instant == expected[0]
     assert info.value.cell_ids.tolist() == expected[1].tolist()
 
@@ -177,7 +184,7 @@ def test_batched_gate_names_first_bad_instant():
 @pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4", "case5"])
 def test_batched_gate_passes_clean_cases(paper_mesh, case_id):
     trajectory = sample_motion(paper_mesh, MotionCase.for_case(case_id), 10)
-    assert _first_degenerate_instant(paper_mesh, trajectory) is None
+    assert _first_degenerate_instant(paper_mesh, trajectory.times, trajectory.positions) is None
 
 
 # -- reference: the per-instant RBF path that the spread modes replaced -------
@@ -306,10 +313,12 @@ def test_gate_rejects_non_finite_velocities():
     mesh = build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("rigid-rotation", alpha0=1e308)
     with np.errstate(over="ignore", invalid="ignore"):
-        trajectory = sample_motion(mesh, case, 1, check_degeneracy=False)
-    assert np.isfinite(trajectory.positions).all()
-    assert not np.isfinite(trajectory.velocities).all()
-    with pytest.raises(DegenerateMeshError) as info:
-        raise_if_degenerate(mesh, trajectory)
+        positions, velocities = evaluate_motion(mesh, case, _spectral_instants(case, 1))
+    assert np.isfinite(positions).all()
+    assert not np.isfinite(velocities).all()
+    # the gate reports the overflow; numpy does not warn about it on the way
+    with warnings.catch_warnings(), pytest.raises(DegenerateMeshError) as info:
+        warnings.simplefilter("error")
+        sample_motion(mesh, case, 1)
     assert info.value.instant == 0.0 and info.value.cell_ids.tolist() == list(range(8))
     assert str(info.value).startswith("non-finite velocities in cells")

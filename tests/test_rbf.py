@@ -85,17 +85,24 @@ def test_blocked_weights_equal_dense_kernel(rng, monkeypatch, block):
     dense = wendland_c0(distance, radius)
     assert (dense == 1.0).sum() >= len(pts)  # coincident grid and control points
     assert (distance == radius).any()
-    blocked = np.zeros_like(dense)
-    seen = np.zeros(dense.shape, dtype=int)
-    blocks = 0
-    for rows, i, j, w in system.near_weights():
-        assert len(i) <= (distance[rows] <= radius).sum()
-        blocked[rows][i, j] = w
-        np.add.at(seen[rows], (i, j), 1)
-        blocks += 1
-    assert blocks == -(-len(grid) // rbf.BLOCK_POINTS)
-    assert seen.max() == 1  # each near pair once
-    assert np.array_equal(blocked, dense)
+    # with unit coefficients, column j of the interpolant is the sum of the
+    # near-pair weights of control point j: a missed or repeated pair shows
+    monkeypatch.setattr(system, "solve", lambda values: np.eye(len(pts)))
+    blocks = _count_calls(monkeypatch, rbf, "wendland_c0")  # once per grid block
+    assert np.array_equal(interpolate(system, np.zeros((len(pts), len(pts)))), dense)
+    assert len(blocks) == -(-len(grid) // rbf.BLOCK_POINTS)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Patch ``owner.name`` to record each call; returns the record."""
+    calls, wrapped = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_sparse_gram_equals_dense_kernel(rng):
@@ -263,8 +270,9 @@ def test_blocked_evaluation_matches_one_block(rng, monkeypatch):
     one_block = interpolate(build_system(pts, grid, 0.7), values)
     monkeypatch.setattr(rbf, "BLOCK_POINTS", 7)
     system = build_system(pts, grid, 0.7)
-    assert len(list(system.near_weights())) == 8
+    blocks = _count_calls(monkeypatch, rbf, "wendland_c0")  # once per grid block
     blocked = interpolate(system, values)
+    assert len(blocks) == 8
     assert blocked.shape == one_block.shape == (50, 3)
     assert np.abs(blocked - one_block).max() <= 1e-14 * np.abs(one_block).max()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gclkit.gcl import cell_volumes, exact_volume_rates
+from gclkit.gcl import exact_volume_rates
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator, ts_matrix
 from oracles import dft_derivative
@@ -110,7 +110,7 @@ def test_volume_derivative_error_rigid_translation(small_mesh):
     for n in (1, 4):
         traj = sample_motion(small_mesh, case, n)
         op = SpectralOperator(n)
-        volumes, rates = cell_volumes(small_mesh, traj), exact_volume_rates(small_mesh, traj)
+        volumes, rates = traj.volumes, exact_volume_rates(small_mesh, traj)
         err = np.abs(op.differentiate(volumes) - rates).max()
         assert err <= 1e-13
 
@@ -120,7 +120,7 @@ def test_volume_derivative_error_case1_band_limited(small_mesh):
     for n in (2, 3, 6):
         traj = sample_motion(small_mesh, case, n)
         op = SpectralOperator(n)
-        volumes, rates = cell_volumes(small_mesh, traj), exact_volume_rates(small_mesh, traj)
+        volumes, rates = traj.volumes, exact_volume_rates(small_mesh, traj)
         err = np.abs(op.differentiate(volumes) - rates).max()
         assert err <= 1e-11
 
@@ -131,7 +131,7 @@ def test_volume_derivative_error_case2_spectral_decay(small_mesh):
     for n in (2, 4, 6, 8):
         traj = sample_motion(small_mesh, case, n)
         op = SpectralOperator(n)
-        volumes, rates = cell_volumes(small_mesh, traj), exact_volume_rates(small_mesh, traj)
+        volumes, rates = traj.volumes, exact_volume_rates(small_mesh, traj)
         errs.append(np.abs(op.differentiate(volumes) - rates).max())
     # monotone decay (within a factor-10 slack) and faster than second order
     for a, b in zip(errs, errs[1:]):
