@@ -412,45 +412,48 @@ class FreestreamProblem:
         through the result, not raised.
         """
         wbar = self.initial_state()
-        dt = self.local_timestep(wbar, cfl)
         floor = 1e-14 * self.flux_scale()
 
         initial = final = 0.0
         stop_reason = "max_iterations"
         iteration = 0
-        for iteration in range(1, max_iterations + 1):
-            w_stage = wbar
-            diss_blend = None
-            for stage, alpha in enumerate(RK_STAGE_FRACTIONS):
-                beta = RK_DISSIPATION_BLEND.get(stage)
-                conv, diss = self.residual_parts(w_stage, dissipation=beta is not None)
-                if beta is not None:
-                    diss_blend = (
-                        diss
-                        if diss_blend is None
-                        else beta * diss + (1.0 - beta) * diss_blend
-                    )
-                residual = conv - diss_blend
-                if stage == 0:
-                    stage_residual = residual
-                w_stage = wbar - alpha * dt * residual
-            if not np.all(np.isfinite(w_stage)):
-                stop_reason = "diverged"
-                break
-            wbar = w_stage
-
-            final = float(np.sqrt(np.mean(stage_residual**2)))
-            if iteration == 1:
-                initial = final
-            if final <= floor or final <= CONVERGENCE_DROP * initial:
-                stop_reason = "floor" if final <= floor else "drop"
-                break
-            if rel_err_stop is not None and iteration % 25 == 0:
-                if self.current_rel_err(wbar) >= rel_err_stop:
-                    stop_reason = "rel_err_stop"
+        # a diverging march overflows before its state turns non-finite,
+        # which is how divergence is detected and reported
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt = self.local_timestep(wbar, cfl)
+            for iteration in range(1, max_iterations + 1):
+                w_stage = wbar
+                diss_blend = None
+                for stage, alpha in enumerate(RK_STAGE_FRACTIONS):
+                    beta = RK_DISSIPATION_BLEND.get(stage)
+                    conv, diss = self.residual_parts(w_stage, dissipation=beta is not None)
+                    if beta is not None:
+                        diss_blend = (
+                            diss
+                            if diss_blend is None
+                            else beta * diss + (1.0 - beta) * diss_blend
+                        )
+                    residual = conv - diss_blend
+                    if stage == 0:
+                        stage_residual = residual
+                    w_stage = wbar - alpha * dt * residual
+                if not np.all(np.isfinite(w_stage)):
+                    stop_reason = "diverged"
                     break
+                wbar = w_stage
 
-        rel_err = np.inf if stop_reason == "diverged" else self.current_rel_err(wbar)
+                final = float(np.sqrt(np.mean(stage_residual**2)))
+                if iteration == 1:
+                    initial = final
+                if final <= floor or final <= CONVERGENCE_DROP * initial:
+                    stop_reason = "floor" if final <= floor else "drop"
+                    break
+                if rel_err_stop is not None and iteration % 25 == 0:
+                    if self.current_rel_err(wbar) >= rel_err_stop:
+                        stop_reason = "rel_err_stop"
+                        break
+
+            rel_err = np.inf if stop_reason == "diverged" else self.current_rel_err(wbar)
         if rel_err > 1.0:
             stop_reason = "diverged"
         return FreestreamResult(

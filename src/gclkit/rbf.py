@@ -21,19 +21,45 @@ with BLAS on 1 thread, best of 3, against one factor of the full Gram matrix
 =====  =====  ===============================  ==========  =============
 cells  n_rbf  block sizes                      full solve  block solve
 =====  =====  ===============================  ==========  =============
-10^3     602  91 80 80 70 80 70 70 61          8.7 ms      8.9 ms
-20^3   2,402  331 310 310 290 310 290 290 271  0.26 s      0.062 s
-30^3   5,402  721 690 690 660 690 660 660 631  2.5 s       0.50 s
+10^3     602  91 80 80 70 80 70 70 61          8.7 ms      8.3 ms
+20^3   2,402  331 310 310 290 310 290 290 271  0.26 s      0.057 s
+30^3   5,402  721 690 690 660 690 660 660 631  2.5 s       0.37 s
 =====  =====  ===============================  ==========  =============
 
 From the repository root, with ``n = 20`` for the 20^3 row::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m timeit -n 1 -r 3 -s "import scipy.sparse.linalg, scipy.spatial; from gclkit import motion, rbf; from gclkit.hexmesh import build_box_mesh; n = 20; m = build_box_mesh(n, n, n, 3.2, 2.8, 2.4); c = motion.MotionCase.for_case('case5'); p = m.vertices[m.boundary_vertex_ids()]; v = motion._case5_modes(m, c, p)" "rbf.build_system(p, m.vertices, c.resolved_support_radius(m)).solve(v)"
 
-The interpolant is evaluated over blocks of ``BLOCK_POINTS`` grid points
-against one k-d tree of the control points: no dense and no (n_grid, n_rbf)
-matrix is built, and the result has the same bytes whatever the BLAS thread
-count.  A system is transient (see ``motion.build_rbf_system``).
+The grid is evaluated by the same symmetry: the value at g x is
+sum_p phi(|x - p|) c[g p], so only the grid's orbit representatives, its
+points on the low side of every mirror, form near pairs.  ``build_system``
+folds every other grid point onto the low side and finds the representative
+it lands on with one k-d tree query; ``interpolate`` forms the
+representatives' pairs against one k-d tree of the control points, over
+blocks of ``BLOCK_POINTS`` representatives, and writes all |G| images of a
+block with one sparse product.  A grid that the whole group does not map
+onto itself is evaluated point by point, under the identity alone.  Near
+pairs and interpolation (solve included) of the case-5 modes, BLAS on 1
+thread, best of 5, against every grid point's own pairs
+(``rbf_interpolate`` in ``tests/oracles.py``):
+
+=====  ======  ===============  ===========================  =========  ===============
+cells  n_grid  representatives  near pairs                   per point  representatives
+=====  ======  ===============  ===========================  =========  ===============
+10^3    1,331              216  49,182 -> 7,563              4.2 ms     0.98 ms
+20^3    9,261            1,331  1,416,782 -> 197,509         0.091 s    0.014 s
+30^3   29,791            4,096  10,446,375 -> 1,406,165      0.45 s     0.077 s
+=====  ======  ===============  ===========================  =========  ===============
+
+From the repository root, with ``n = 20`` for the 20^3 row, and the
+statement ``"rbf_interpolate(p, m.vertices, r, s.solve(v))"`` for the per
+point column::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python -m timeit -n 1 -r 5 -s "import scipy.sparse.linalg, scipy.spatial; from gclkit import motion, rbf; from gclkit.hexmesh import build_box_mesh; from oracles import rbf_interpolate; n = 20; m = build_box_mesh(n, n, n, 3.2, 2.8, 2.4); c = motion.MotionCase.for_case('case5'); p = m.vertices[m.boundary_vertex_ids()]; r = c.resolved_support_radius(m); v = motion._case5_modes(m, c, p); s = rbf.build_system(p, m.vertices, r)" "rbf.interpolate(s, v)"
+
+No dense and no (n_grid, n_rbf) matrix is built, and the result has the same
+bytes whatever the BLAS thread count.  A system is transient (see
+``motion.build_rbf_system``).
 """
 
 from __future__ import annotations
@@ -74,7 +100,10 @@ class RbfSystem:
     :func:`build_system`): ``_basis`` is Q, ``_blocks`` the block-diagonal
     Q^T M Q, kept with its sparse LU factor, whose L and U are block diagonal
     too.  A k-d tree of the control points serves the evaluation at
-    ``grid_points``.  Nothing is written after construction.
+    ``grid_points``, whose orbit representatives are ``_grid_reps``: grid
+    point x is g r_k for the flat index ``_grid_source[x]`` = |G| k + g, with
+    the control points' images under g in row g of ``_group``.  Nothing is
+    written after construction.
     """
 
     points: np.ndarray  # (n_rbf, 3)
@@ -84,6 +113,9 @@ class RbfSystem:
     _blocks: csc_array = field(repr=False)  # Q^T M Q, (n_rbf, n_rbf)
     _factor: SuperLU = field(repr=False)
     _tree: cKDTree = field(repr=False)
+    _group: np.ndarray = field(repr=False)  # (|G|, n_rbf): index of g p
+    _grid_reps: np.ndarray = field(repr=False)  # (n_reps,) grid indices
+    _grid_source: np.ndarray = field(repr=False)  # (n_grid,) |G| k + g
 
     @property
     def n_points(self) -> int:
@@ -106,22 +138,28 @@ def _reject_duplicates(tree: cKDTree, support_radius: float) -> None:
         )
 
 
-def _mirror_group(tree: cKDTree) -> np.ndarray:
-    """(|G|, n) permutations of the control points by the group G that the
-    mid-plane mirrors of their bounding box generate, where a mirror counts
-    if it maps the points onto themselves.  Element g applies the mirrors of
-    its set bits, so row 0 is the identity."""
+def _mirror_group(tree: cKDTree):
+    """The group G that the mid-plane mirrors of the points' bounding box
+    generate, where a mirror counts if it maps the points onto themselves.
+
+    Element g applies the mirror of ``axes[b]``, x_a -> sums[a] - x_a, for
+    each set bit b of g.  Returns the (|G|, n) permutations, whose row g
+    holds the index of g p at column p (row 0 is the identity), the
+    mirrored axes, the sums low + high of the box's sides and the distance
+    within which an image matches a point.
+    """
     points = tree.data
     low, high = points.min(axis=0), points.max(axis=0)
-    tol = 1e-12 * float(np.max(high - low))
-    group = [np.arange(tree.n)]
+    sums, tol = low + high, 1e-12 * float(np.max(high - low))
+    group, axes = [np.arange(tree.n)], []
     for axis in range(points.shape[1]):
         image = points.copy()
-        image[:, axis] = (low[axis] + high[axis]) - image[:, axis]
-        distance, perm = tree.query(image)
+        image[:, axis] = sums[axis] - image[:, axis]
+        distance, perm = tree.query(image, distance_upper_bound=tol)
         if distance.max() <= tol and np.array_equal(perm[perm], group[0]):
             group += [perm[g] for g in group]
-    return np.stack(group)
+            axes.append(axis)
+    return np.stack(group), axes, sums, tol
 
 
 def _symmetry_basis(group: np.ndarray):
@@ -154,6 +192,35 @@ def _symmetry_basis(group: np.ndarray):
     return basis, slices, reps, np.sqrt(order / stab), col_orbit
 
 
+def _grid_orbits(
+    grid: np.ndarray, group: np.ndarray, axes: list, sums: np.ndarray, tol: float
+):
+    """The grid's orbit representatives under the control points' mirror
+    group (see :func:`_mirror_group`): the group rows used, the
+    representatives' grid indices and each grid point's source |G| k + g,
+    where grid point x = g r_k.
+
+    A point on the high side of some mirrors is folded onto the low side by
+    them, and one k-d query finds the low-side point it lands on.  If a fold
+    lands no nearer than ``tol`` to any low-side point, the grid is not
+    symmetric, and every grid point is its own representative under the
+    identity.
+    """
+    from scipy.spatial import cKDTree
+    high = grid[:, axes] > 0.5 * sums[axes] + tol
+    element = high @ (1 << np.arange(len(axes)))
+    reps, moved = np.flatnonzero(element == 0), np.flatnonzero(element)
+    source = np.empty(len(grid), dtype=int)
+    source[reps] = np.arange(len(reps))
+    if moved.size:
+        image = grid[moved]
+        image[:, axes] = np.where(high[moved], sums[axes] - image[:, axes], image[:, axes])
+        distance, source[moved] = cKDTree(grid[reps]).query(image, distance_upper_bound=tol)
+        if distance.max() > tol:
+            return group[:1], np.arange(len(grid)), np.arange(len(grid))
+    return group, reps, source * len(group) + element
+
+
 def build_system(
     rbf_points: np.ndarray, grid_points: np.ndarray, support_radius: float
 ) -> RbfSystem:
@@ -168,6 +235,8 @@ def build_system(
     are symmetric positive definite up to rounding, and SuperLU factors
     their block-diagonal matrix B with diagonal pivots after a minimum-degree
     ordering of B + B^T, which keeps every block's elimination inside it.
+    The grid's orbit representatives under the same group are found here
+    too (:func:`_grid_orbits`).
 
     Raises
     ------
@@ -175,14 +244,15 @@ def build_system(
         If the blocks cannot be factorised; duplicated control points are
         reported with their indices.
     """
-    from scipy.sparse import block_diag, csr_array
+    from scipy.sparse import csc_array, csr_array
     from scipy.sparse.linalg import splu
     from scipy.spatial import cKDTree
     rbf_points = np.atleast_2d(np.asarray(rbf_points, dtype=float))
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
     tree = cKDTree(rbf_points)
     _reject_duplicates(tree, support_radius)
-    basis, slices, reps, scale, col_orbit = _symmetry_basis(_mirror_group(tree))
+    group, axes, sums, tol = _mirror_group(tree)
+    basis, slices, reps, scale, col_orbit = _symmetry_basis(group)
     near = cKDTree(rbf_points[reps]).sparse_distance_matrix(
         tree, support_radius, output_type="ndarray"
     )
@@ -190,8 +260,15 @@ def build_system(
         (wendland_c0(near["v"], support_radius) * scale[near["i"]], (near["i"], near["j"])),
         shape=(len(reps), tree.n),
     )
-    blocks = block_diag(
-        [rep_rows[col_orbit[cols]] @ basis[:, cols] for cols in slices], format="csc"
+    # each block is symmetric, so its CSR arrays serve as its CSC arrays, and
+    # the blocks are laid side by side with offset indices
+    parts = [rep_rows[col_orbit[cols]] @ basis[:, cols] for cols in slices]
+    offsets = np.cumsum([0] + [part.nnz for part in parts])
+    blocks = csc_array(
+        (np.concatenate([part.data for part in parts]),
+         np.concatenate([part.indices + cols.start for part, cols in zip(parts, slices)]),
+         np.concatenate([[0]] + [part.indptr[1:] + off for part, off in zip(parts, offsets)])),
+        shape=(tree.n, tree.n),
     )
     try:
         factor = splu(
@@ -201,7 +278,8 @@ def build_system(
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise ValueError("singular RBF system") from err
     return RbfSystem(
-        rbf_points, grid_points, float(support_radius), basis, blocks, factor, tree
+        rbf_points, grid_points, float(support_radius), basis, blocks, factor, tree,
+        *_grid_orbits(grid_points, group, axes, sums, tol),
     )
 
 
@@ -209,27 +287,35 @@ def interpolate(system: RbfSystem, values: np.ndarray) -> np.ndarray:
     """Interpolate control-point values to all grid points.
 
     ``values`` has shape (n_rbf,) or (n_rbf, k); columns are treated
-    independently (e.g. one column per Cartesian direction).  Each grid
-    point sums its near pairs in the k-d tree's order, by one ``np.bincount``
-    per block and column.
+    independently (e.g. one column per Cartesian direction).  The kernel is
+    radial, so the value at g r is sum_p phi(|r - p|) c[g p]: the near pairs
+    of the grid's orbit representatives r are formed, over blocks of
+    ``BLOCK_POINTS`` of them, and one sparse product with the coefficients
+    permuted by every group element g gives all the images g r at once.
+    Each image sums its pairs in the k-d tree's order.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != system.n_points:
         raise ValueError(
             f"expected {system.n_points} control values, got {values.shape[0]}"
         )
+    from scipy.sparse import coo_array
     from scipy.spatial import cKDTree
     coeff = system.solve(values).reshape(system.n_points, -1)
-    out = np.empty((len(system.grid_points), coeff.shape[1]))
-    for start in range(0, len(out), BLOCK_POINTS):
+    reps = system._grid_reps
+    permuted = coeff[system._group.T].reshape(system.n_points, -1)  # [p, (g, col)]
+    images = np.empty((len(reps), permuted.shape[1]))
+    for start in range(0, len(reps), BLOCK_POINTS):
         rows = slice(start, start + BLOCK_POINTS)
-        block = out[rows]
-        # block point i, control point j and w = phi(|x_i - p_j|) for each
+        # representative i, control point j and w = phi(|r_i - p_j|) for each
         # pair within the support, coincident points (w = 1) included
-        near = cKDTree(system.grid_points[rows]).sparse_distance_matrix(
+        near = cKDTree(system.grid_points[reps[rows]]).sparse_distance_matrix(
             system._tree, system.support_radius, output_type="ndarray"
         )
-        i, j, w = near["i"], near["j"], wendland_c0(near["v"], system.support_radius)
-        for col in range(coeff.shape[1]):
-            block[:, col] = np.bincount(i, w * coeff[j, col], minlength=len(block))
+        weights = coo_array(
+            (wendland_c0(near["v"], system.support_radius), (near["i"], near["j"])),
+            shape=(len(images[rows]), system.n_points),
+        )
+        images[rows] = weights @ permuted
+    out = images.reshape(-1, coeff.shape[1])[system._grid_source]
     return out.reshape((len(out),) + values.shape[1:])

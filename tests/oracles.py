@@ -11,7 +11,9 @@ of six face terms, its product-rule rate and the face flux from six corner
 cross products are the absolute-position forms the package's edge-vector
 kernels replaced: the same polynomials, with rounding that grows with the
 distance from the origin.  The RBF solve through one SuperLU factor of the
-whole sparse Gram matrix is the route the mirror-symmetry blocks replaced.
+whole sparse Gram matrix is the route the mirror-symmetry blocks replaced,
+and the sum over every grid point's own near pairs is the evaluation that
+the grid's orbit representatives replaced.
 """
 
 import numpy as np
@@ -96,6 +98,28 @@ def rbf_solve(points, support_radius, values):
     values = np.asarray(values, dtype=float)
     coeff = factor.solve(values)
     return coeff + factor.solve(values - gram @ coeff)
+
+
+def rbf_interpolate(points, grid, support_radius, coeff, block=1024):
+    """sum_p phi(|x - p|) coeff[p] at every grid point x, over blocks of
+    ``block`` grid points: each point sums its own near pairs in the k-d
+    tree's order, by one ``np.bincount`` per block and column."""
+    from scipy.spatial import cKDTree
+    grid = np.asarray(grid, dtype=float)
+    tree = cKDTree(np.asarray(points, dtype=float))
+    columns = np.asarray(coeff, dtype=float).reshape(tree.n, -1)
+    out = np.empty((len(grid), columns.shape[1]))
+    for start in range(0, len(grid), block):
+        rows = slice(start, start + block)
+        near = cKDTree(grid[rows]).sparse_distance_matrix(
+            tree, support_radius, output_type="ndarray"
+        )
+        weight = wendland_c0(near["v"], support_radius)
+        for col in range(columns.shape[1]):
+            out[rows, col] = np.bincount(
+                near["i"], weight * columns[near["j"], col], minlength=len(out[rows])
+            )
+    return out.reshape((len(grid),) + np.shape(coeff)[1:])
 
 
 def dft_derivative(op, samples):

@@ -357,6 +357,20 @@ def test_freestream_divergence_exit_code(tmp_path, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+def test_freestream_divergence_is_one_line_error(tmp_path):
+    out = tmp_path / "d.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "gclkit", "run", "--case", "rigid-rotation", "--mesh", "2,2,2",
+         "--n", "1..1", "--methods", "avg", "--freestream", "on", "--cfl", "1e300",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 4
+    assert done.stderr.startswith("error: divergence:"), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
 # runs ``python -m gclkit`` with the probe's arguments, then reports whether
 # any scipy module was imported
 MODULE_PROBE = """

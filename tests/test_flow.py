@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,17 @@ def test_divergence_is_reported_not_raised(case2_small):
     result = FreestreamProblem(mesh, traj, op, None).march(cfl=1e6, max_iterations=30)
     assert result.diverged
     assert not result.converged
+    assert result.stop_reason == "diverged"
+
+
+@pytest.mark.parametrize("cfl", [1e300, 1e308])
+def test_divergence_raises_no_floating_point_warning(case2_small, cfl):
+    # the state overflows on its way to non-finite, and at CFL 1e308 so does
+    # the time step; the result reports it, numpy does not
+    mesh, traj, op = case2_small
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = FreestreamProblem(mesh, traj, op, None).march(cfl=cfl, max_iterations=30)
     assert result.stop_reason == "diverged"
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
-from oracles import rbf_gram, rbf_solve
+from oracles import rbf_gram, rbf_interpolate, rbf_solve
 from scipy.sparse import issparse
 from scipy.spatial.distance import cdist
 
@@ -121,17 +121,18 @@ def _counting_blocks(monkeypatch):
     """Record the order of every symmetry block that ``build_system`` sets on
     the diagonal, and of every matrix that it factors."""
     blocks, factored = [], []
-    block_diag, splu = scipy.sparse.block_diag, scipy.sparse.linalg.splu
+    symmetry_basis, splu = rbf._symmetry_basis, scipy.sparse.linalg.splu
 
-    def counting_block_diag(mats, *args, **kwargs):
-        blocks.extend(m.shape[0] for m in mats)
-        return block_diag(mats, *args, **kwargs)
+    def counting_symmetry_basis(group):
+        basis, slices, *rest = symmetry_basis(group)
+        blocks.extend(cols.stop - cols.start for cols in slices)
+        return (basis, slices, *rest)
 
     def counting_splu(matrix, *args, **kwargs):
         factored.append(matrix.shape[0])
         return splu(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse, "block_diag", counting_block_diag)
+    monkeypatch.setattr(rbf, "_symmetry_basis", counting_symmetry_basis)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     return blocks, factored
 
@@ -141,13 +142,20 @@ def _relative_change(coeff, reference):
 
 
 @st.composite
-def box_boundaries(draw):
-    """A box mesh's boundary vertices, odd and even cell counts, and a radius."""
+def box_meshes(draw):
+    """A box mesh, odd and even cell counts, a support radius and a seed."""
     counts = [draw(st.integers(1, 6)) for _ in range(3)]
     lengths = [draw(st.floats(0.5, 3.0)) for _ in range(3)]
     mesh = build_box_mesh(*counts, *lengths)
     radius = draw(st.floats(0.3, 1.5)) * max(lengths)
-    return mesh.vertices[mesh.boundary_vertex_ids()], radius, draw(st.integers(0, 2**32 - 1))
+    return mesh, radius, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def box_boundaries(draw):
+    """A box mesh's boundary vertices, a support radius and a seed."""
+    mesh, radius, seed = draw(box_meshes())
+    return mesh.vertices[mesh.boundary_vertex_ids()], radius, seed
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,6 +206,85 @@ def test_random_points_give_one_block(rng, monkeypatch):
     system = build_system(points, points, 0.6)
     assert blocks == [150] and factored == [150]
     assert _relative_change(system.solve(values), rbf_solve(points, 0.6, values)) <= 1e-13
+
+
+def _evaluation_matches_oracle(points, grid, radius, values):
+    """Interpolate, hold the result to the per-grid-point oracle with the
+    same coefficients, and return the system."""
+    system = build_system(points, grid, radius)
+    expected = rbf_interpolate(points, grid, radius, system.solve(values))
+    out = interpolate(system, values)
+    assert out.shape == expected.shape
+    assert _relative_change(out, expected) <= 1e-13
+    return system
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_meshes())
+def test_box_grid_evaluated_at_orbit_representatives(case):
+    # the box's vertices are symmetric under all eight mirrors of its boundary
+    mesh, radius, seed = case
+    points = mesh.vertices[mesh.boundary_vertex_ids()]
+    values = np.random.default_rng(seed).normal(size=(len(points), 2))
+    system = _evaluation_matches_oracle(points, mesh.vertices, radius, values)
+    assert len(system._group) == 8
+    assert len(system._grid_reps) == np.prod([(n + 2) // 2 for n in (mesh.nx, mesh.ny, mesh.nz)])
+
+
+def _box(cells=(5, 4, 3), lengths=(1.6, 1.4, 1.2)):
+    mesh = build_box_mesh(*cells, *lengths)
+    return mesh.vertices[mesh.boundary_vertex_ids()], mesh.vertices
+
+
+def test_random_grid_falls_back_to_the_identity(rng):
+    points, _ = _box()
+    grid = rng.uniform(size=(300, 3)) * [1.6, 1.4, 1.2]
+    system = _evaluation_matches_oracle(points, grid, 0.7, rng.normal(size=(len(points), 3)))
+    assert len(system._group) == 1 and len(system._grid_reps) == len(grid)
+
+
+def test_grid_symmetric_under_some_mirrors_falls_back_to_the_identity(rng):
+    # mirrored in z only: the grid takes the whole group or none of it
+    points, _ = _box()
+    half = rng.uniform(size=(150, 3)) * [1.6, 1.4, 0.6]
+    grid = np.vstack([half, half * [1.0, 1.0, -1.0] + [0.0, 0.0, 1.2]])
+    system = _evaluation_matches_oracle(points, grid, 0.7, rng.normal(size=len(points)))
+    assert len(system._group) == 1 and len(system._grid_reps) == len(grid)
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_grid_point_moved_by_1e_9_falls_back_to_the_identity(rng, index):
+    # a low-side and a high-side corner: either way a fold misses
+    points, grid = _box()
+    values = rng.normal(size=(len(points), 2))
+    assert len(_evaluation_matches_oracle(points, grid, 0.7, values)._group) == 8
+    grid = grid.copy()
+    grid[index, 0] += 1e-9
+    system = _evaluation_matches_oracle(points, grid, 0.7, values)
+    assert len(system._group) == 1 and len(system._grid_reps) == len(grid)
+
+
+def test_control_points_without_mirrors_use_the_identity(rng):
+    _, grid = _box()
+    points = rng.uniform(size=(80, 3)) * [1.6, 1.4, 1.2]
+    system = _evaluation_matches_oracle(points, grid, 0.7, rng.normal(size=80))
+    assert len(system._group) == 1 and len(system._grid_reps) == len(grid)
+
+
+def test_paper_case5_box_forms_each_representatives_pairs_once():
+    # 20^3: 1,331 of 9,261 grid points are representatives, and their pairs
+    # are 197,509 of the 1,416,782 that every grid point's own would be
+    mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
+    case = MotionCase.for_case("case5")
+    points = mesh.vertices[mesh.boundary_vertex_ids()]
+    system = build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
+    modes = motion._case5_modes(mesh, case, points)
+    for _ in range(2):
+        with pytest.MonkeyPatch.context() as patch:
+            weighed = _count_calls(patch, rbf, "wendland_c0")
+            interpolate(system, modes)
+        assert len(system._grid_reps) == 1331
+        assert sum(len(args[0]) for args in weighed) == 197_509
 
 
 def test_sweep_builds_one_rbf_system(monkeypatch):
