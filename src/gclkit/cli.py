@@ -54,7 +54,7 @@ class RunConfig:
     support_radius: float | None = None
     freestream: bool = False
     cfl: float = 1.5
-    max_iters: int = 20000
+    max_iters: int = 50
     timing: bool = False
     out: str | None = None
 
@@ -257,8 +257,8 @@ def write_csv(path, cfg: RunConfig, rows) -> None:
     lines.append(
         f"# freestream={'on' if cfg.freestream else 'off'} cfl={cfg.cfl} "
         f"max_iters={cfg.max_iters} convergence_drop={flow.CONVERGENCE_DROP:g} "
-        f"rk_stages={','.join(map(str, flow.RK_STAGE_FRACTIONS))} "
-        f"dissipation_blend={','.join(map(str, flow.RK_DISSIPATION_BLEND.values()))} "
+        f"krylov_restart={flow.KRYLOV_RESTART} krylov_max={flow.KRYLOV_MAX} "
+        f"forcing={flow.FORCING_GAMMA:g},{flow.FORCING_ALPHA:g},{flow.FORCING_MAX:g} "
         f"kappa2={flow.KAPPA2:g} kappa4={flow.KAPPA4:g}"
     )
     lines.append(CSV_COLUMNS)
@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", help="case-4 random seed")
     run.add_argument("--support-radius", dest="support_radius", help="RBF support radius")
     run.add_argument("--freestream", help="on/off: run the uniform-flow experiment")
-    run.add_argument("--cfl", help="pseudo-time CFL number")
-    run.add_argument("--max-iters", dest="max_iters", help="pseudo-time iteration cap")
+    run.add_argument("--cfl", help="CFL number of the pseudo-time step preconditioning Newton")
+    run.add_argument("--max-iters", dest="max_iters", help="Newton step cap (default 50)")
     run.add_argument("--out", help="output CSV path (default: stdout)")
     run.add_argument("--config", help="JSON config file (flags override it)")
     run.add_argument("--timing", action="store_true", default=None,

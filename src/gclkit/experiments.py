@@ -73,10 +73,10 @@ class MeshConfig:
 
 @dataclass(frozen=True)
 class FreestreamOptions:
-    """Pseudo-time settings of the uniform-flow run; None in their place runs none."""
+    """Newton-Krylov settings of the uniform-flow run; None in their place runs none."""
 
-    cfl: float
-    max_iterations: int
+    cfl: float  # of the pseudo-time step that preconditions each Newton step
+    max_iterations: int  # Newton steps
 
 
 @dataclass
@@ -139,9 +139,9 @@ def evaluate_point(
 ) -> list[metrics.ErrorReport]:
     """Error reports for the requested methods at one evaluation point, in their order.
 
-    Each distinct field is evaluated once, with its metrics and march; a
-    method that shares it (:data:`SHARES_FIELD_WITH`) gets a copy of that
-    row, ``wall_ms`` included, with only ``method`` changed.
+    Each distinct field is evaluated once, with its metrics and freestream
+    solve; a method that shares it (:data:`SHARES_FIELD_WITH`) gets a copy of
+    that row, ``wall_ms`` included, with only ``method`` changed.
     """
     reports = {}
     for method in methods:

@@ -1,12 +1,12 @@
-"""Minimal ALE Euler residual and pseudo-time driver for freestream tests.
+"""Minimal ALE Euler residual and Newton-Krylov solver for freestream tests.
 
 The only flow this solver ever sees is a uniform state on a deforming box
 mesh, which is exactly the point: with a conservation-law-respecting set of
 face mesh velocities the uniform state is a fixed point of the scheme, and
 any departure measures the geometric defect.  Spatial discretisation is a
 cell-centred finite-volume scheme with central fluxes plus scalar JST
-dissipation; the time axis is spectral, and a hybrid five-stage Runge-Kutta
-scheme marches the coupled system in pseudo-time.
+dissipation; the time axis is spectral, and Jacobian-free Newton-Krylov,
+preconditioned by an implicit pseudo-time step, solves the coupled system.
 
 Boundary handling is deliberately plain: two layers of halo cells frozen at
 the freestream state, so geometric effects are never mixed with boundary
@@ -45,7 +45,7 @@ __all__ = [
 
 
 class FreestreamDivergence(RuntimeError):
-    """Pseudo-time marching left the physical regime for one method."""
+    """The freestream solve left the physical regime for one method."""
 
     def __init__(self, case_id: str, method: str, n_harmonics: int):
         self.case_id = case_id
@@ -59,15 +59,15 @@ class FreestreamDivergence(RuntimeError):
         return type(self), (self.case_id, self.method, self.n_harmonics)
 
 
-# Hybrid five-stage scheme: stage fractions, with dissipation re-evaluated
-# and blended at stages 1, 3 and 5.
-RK_STAGE_FRACTIONS = (0.25, 1.0 / 6.0, 0.375, 0.5, 1.0)
-RK_DISSIPATION_BLEND = {0: 1.0, 2: 0.56, 4: 0.44}
 # JST second- and fourth-difference coefficients.
 KAPPA2 = 1.0
 KAPPA4 = 1.0 / 32.0
-# A march has converged once its residual falls by this factor.
+# A solve has converged once its residual falls by this factor.
 CONVERGENCE_DROP = 1e-12
+# GMRES restart length and Krylov iterations allowed per Newton step;
+# Eisenstat-Walker forcing (choice 2): gamma, alpha and the cap.
+KRYLOV_RESTART, KRYLOV_MAX = 30, 20 * 30
+FORCING_GAMMA, FORCING_ALPHA, FORCING_MAX = 0.9, 2.0, 0.5
 # Ratio of specific heats, and the one uniform flow every run starts from and
 # is judged against: density, velocity, pressure and conservative variables.
 GAMMA = 1.4
@@ -94,6 +94,11 @@ def pressure(states: np.ndarray) -> np.ndarray:
 def _pressure_unchecked(states: np.ndarray) -> np.ndarray:
     momentum = states[1:4]
     return (GAMMA - 1.0) * (states[4] - 0.5 * _dot(momentum, momentum) / states[0])
+
+
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a flat vector by numpy's own reduction, not BLAS."""
+    return np.sqrt(np.einsum("i,i", v, v))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,15 +203,16 @@ def jst_dissipation(
 
 @dataclass
 class FreestreamResult:
-    """Outcome of one pseudo-time run."""
+    """Outcome of one freestream solve."""
 
     rel_err: float
-    iterations: int
+    iterations: int  # Newton steps
     initial_residual: float
     final_residual: float
-    # why the march ended: "floor" or "drop" (converged), "rel_err_stop",
+    # why the solve ended: "floor" or "drop" (converged), "rel_err_stop",
     # "max_iterations", or "diverged" (a non-finite state or rel_err > 1)
     stop_reason: str
+    krylov_iterations: int = 0
     states: np.ndarray = dataclass_field(repr=False, default=None)
 
     @property
@@ -250,8 +256,8 @@ class FreestreamProblem:
     """Geometry, metrics and residual assembly for one (case, N, method).
 
     All per-instant geometry (cell volumes, interface area vectors, interface
-    mesh-velocity integrals) is frozen at construction; the pseudo-time
-    iteration only updates the spectral state.  The cell volumes are the
+    mesh-velocity integrals) is frozen at construction; the solve only
+    updates the spectral state.  The cell volumes are the
     trajectory's own.  Area vectors are computed on the interfaces the IFMV
     belongs to, and each axis's block of interfaces, stored +axis, is read as
     its grid (:meth:`HexMesh.axis_interfaces`) and kept once, axis-major
@@ -331,18 +337,14 @@ class FreestreamProblem:
         contravariant = _dot(vel, axis.vectors) - axis.ifmv
         return np.abs(contravariant) + sound * axis.area
 
-    def residual_parts(self, wbar: np.ndarray, dissipation: bool = True):
-        """(spectral-derivative + convective, dissipative) residual parts.
-
-        With ``dissipation=False`` the dissipative part is not computed and
-        comes back as None.
-        """
+    def residual_parts(self, wbar: np.ndarray):
+        """(spectral-derivative + convective, dissipative) residual parts."""
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             # per interior cell, shared by every face the cell touches
             states = self.physical_states(wbar)
             cells = (states, states[1:4] / states[0], _pressure_unchecked(states))
             conv = np.einsum("nK,cK...->cn...", self.spectral.d_matrix, wbar)
-            diss = np.zeros_like(conv) if dissipation else None
+            diss = np.zeros_like(conv)
             for axis in self._axes:
                 wp, vel, pp = self._axis_major(cells, axis)
                 wl, wr = wp[_LEFT], wp[_RIGHT]
@@ -356,11 +358,8 @@ class FreestreamProblem:
                     state_sum=state_sum,
                 )
                 conv += (flux[_UPPER] - flux[_LOWER]).transpose(axis.back)
-                if dissipation:
-                    faces = jst_dissipation(
-                        wp, pp, self._radii(axis, state_sum), KAPPA2, KAPPA4, -4
-                    )
-                    diss += (faces[_UPPER] - faces[_LOWER]).transpose(axis.back)
+                faces = jst_dissipation(wp, pp, self._radii(axis, state_sum), KAPPA2, KAPPA4, -4)
+                diss += (faces[_UPPER] - faces[_LOWER]).transpose(axis.back)
         return conv, diss
 
     def residual(self, wbar: np.ndarray) -> np.ndarray:
@@ -381,87 +380,128 @@ class FreestreamProblem:
         return cfl * self.volumes / (total + temporal)
 
     def flux_scale(self) -> float:
-        """Reference magnitude of one-cell flux sums, for residual floors.
-
-        The area factor is the Frobenius norm of each axis's face vectors
-        over all faces and instants, summed in grid (C) order, as the
-        axis-major order rounds differently.  It is not the largest face
-        area: on the 10^3 mesh it is about 62 times the largest face, so the
-        floor ``1e-14 * flux_scale()`` that ends a march is looser than a
-        per-face scale would make it.  Fixing it is deferred because the fix
-        changes when marches stop.
-        """
+        """Reference magnitude of one face's flux, for residual floors: the
+        freestream's largest conservative value times its fastest signal
+        speed times the largest face area over all faces and instants."""
         speed = np.linalg.norm(VELOCITY_INF) + np.sqrt(GAMMA * PRESSURE_INF / RHO_INF)
-        area = max(np.linalg.norm(a.vectors.transpose(a.back).ravel()) for a in self._axes)
+        area = max(a.area.max() for a in self._axes)
         return float(np.abs(W_INF).max() * speed * area)
 
-    # -- pseudo-time -------------------------------------------------------
+    # -- Newton-Krylov solve -----------------------------------------------
+
+    def _block_preconditioner(self, wbar: np.ndarray, cfl: float):
+        """``P^-1`` of one implicit pseudo-time step without the spatial
+        Jacobian: per cell, the (Nts, Nts) block ``D + diag(1 / dtau)`` with
+        the local step at ``wbar``, inverted once, for flat residual vectors."""
+        nts = self.spectral.nts
+        inv_dtau = 1.0 / self.local_timestep(wbar, cfl).reshape(nts, -1).T  # (cells, Nts)
+        blocks = self.spectral.d_matrix + inv_dtau[:, None, :] * np.eye(nts)
+        try:
+            inverse = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError:  # 1 / dtau lost against D: no step to take
+            inverse = np.full_like(blocks, np.nan)
+        # (5, Nts, cells) -> (cells, Nts, 5), every component alike, and back
+        return lambda v: np.matmul(inverse, v.reshape(5, nts, -1).T).T.ravel()
+
+    def _gmres(self, wbar: np.ndarray, r: np.ndarray, precondition, tol: float):
+        """Inexact Newton step ``x`` with ``|r - J x| <= tol``, and its Krylov count,
+        by right-preconditioned restarted GMRES, ``x = P^-1 V y``, storing only
+        the basis ``V``; ``J`` is the forward-difference Jacobian at ``wbar``.
+        Inner products are numpy's own, not BLAS, whose threads move the bits."""
+        r = r.ravel()
+        scale = 1e-7 * (1.0 + _norm(wbar.ravel()))
+
+        def jacobian_times(z):
+            eps = scale / _norm(z)
+            return (self.residual(wbar + eps * z.reshape(wbar.shape)).ravel() - r) / eps
+
+        x, rest, iterations = np.zeros_like(r), r, 0
+        basis = np.empty((KRYLOV_RESTART + 1, r.size))
+        while (beta := _norm(rest)) > tol and iterations < KRYLOV_MAX:
+            hessenberg = np.zeros((KRYLOV_RESTART + 1, KRYLOV_RESTART))
+            rhs = np.zeros(KRYLOV_RESTART + 1)
+            rhs[0], basis[0] = beta, rest / beta
+            for j in range(KRYLOV_RESTART):
+                iterations += 1
+                v = jacobian_times(precondition(basis[j]))
+                after = _norm(v)
+                for _ in range(2):  # a second pass when the first cancels
+                    before = after
+                    c = np.einsum("ij,j->i", basis[: j + 1], v)
+                    v -= np.einsum("i,ij->j", c, basis[: j + 1])
+                    hessenberg[: j + 1, j] += c
+                    if (after := _norm(v)) > 0.5 * before:
+                        break
+                if not after < np.inf:  # a non-finite product: no step to take
+                    return np.full(wbar.shape, np.nan), iterations
+                hessenberg[j + 1, j] = after
+                small = hessenberg[: j + 2, : j + 1]
+                y = np.linalg.lstsq(small, rhs[: j + 2])[0]
+                if done := after == 0.0 or _norm(rhs[: j + 2] - small @ y) <= tol:
+                    break
+                basis[j + 1] = v / after
+            x += precondition(np.einsum("i,ij->j", y, basis[: j + 1]))
+            if done:
+                break
+            rest = r - jacobian_times(x)
+        return x.reshape(wbar.shape), iterations
 
     def march(
         self,
         cfl: float = 1.5,
-        max_iterations: int = 20000,
+        max_iterations: int = 50,
         rel_err_stop: float | None = None,
     ) -> FreestreamResult:
-        """Drive the unsteady residual to zero with the five-stage scheme.
+        """Drive the unsteady residual to zero by Jacobian-free Newton-Krylov.
 
-        ``rel_err_stop`` optionally ends the run early once the departure
-        from freestream exceeds that value (used when demonstrating failure
-        modes, where full convergence is pointless).  Dissipation is
-        evaluated only at the stages that blend it.  Divergence is reported
-        through the result, not raised.
+        At most ``max_iterations`` Newton steps, each solved by :meth:`_gmres`
+        to the Eisenstat-Walker forcing tolerance and preconditioned by an
+        implicit pseudo-time step of CFL number ``cfl``.  ``rel_err_stop``
+        optionally ends the run once the departure from freestream exceeds
+        it (for failure modes, where full convergence is pointless).
+        Divergence is reported through the result, not raised.
         """
         wbar = self.initial_state()
         floor = 1e-14 * self.flux_scale()
-
-        initial = final = 0.0
-        stop_reason = "max_iterations"
-        iteration = 0
-        # a diverging march overflows before its state turns non-finite,
-        # which is how divergence is detected and reported
-        with np.errstate(over="ignore", invalid="ignore"):
-            dt = self.local_timestep(wbar, cfl)
-            for iteration in range(1, max_iterations + 1):
-                w_stage = wbar
-                diss_blend = None
-                for stage, alpha in enumerate(RK_STAGE_FRACTIONS):
-                    beta = RK_DISSIPATION_BLEND.get(stage)
-                    conv, diss = self.residual_parts(w_stage, dissipation=beta is not None)
-                    if beta is not None:
-                        diss_blend = (
-                            diss
-                            if diss_blend is None
-                            else beta * diss + (1.0 - beta) * diss_blend
-                        )
-                    residual = conv - diss_blend
-                    if stage == 0:
-                        stage_residual = residual
-                    w_stage = wbar - alpha * dt * residual
-                if not np.all(np.isfinite(w_stage)):
+        stop_reason, krylov, forcing = "max_iterations", 0, FORCING_MAX
+        # a diverging solve overflows on its way to a non-finite state
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            precondition = self._block_preconditioner(wbar, cfl)
+            r = self.residual(wbar)
+            initial = final = float(np.sqrt(np.mean(r**2)))
+            for newton in range(max_iterations + 1):
+                if not (np.isfinite(final) and np.all(np.isfinite(wbar))):
                     stop_reason = "diverged"
                     break
-                wbar = w_stage
-
-                final = float(np.sqrt(np.mean(stage_residual**2)))
-                if iteration == 1:
-                    initial = final
                 if final <= floor or final <= CONVERGENCE_DROP * initial:
                     stop_reason = "floor" if final <= floor else "drop"
                     break
-                if rel_err_stop is not None and iteration % 25 == 0:
-                    if self.current_rel_err(wbar) >= rel_err_stop:
-                        stop_reason = "rel_err_stop"
-                        break
-
+                if rel_err_stop is not None and self.current_rel_err(wbar) >= rel_err_stop:
+                    stop_reason = "rel_err_stop"
+                    break
+                if newton == max_iterations:
+                    break
+                if newton:  # Eisenstat-Walker choice 2, safeguarded
+                    safeguard = FORCING_GAMMA * forcing**FORCING_ALPHA
+                    forcing = FORCING_GAMMA * (final / previous) ** FORCING_ALPHA
+                    forcing = max(forcing, safeguard if safeguard > 0.1 else 0.0)
+                # capped, and never solving past what the floor needs
+                forcing = max(min(forcing, FORCING_MAX), 0.5 * floor / final)
+                step, iterations = self._gmres(wbar, r, precondition, forcing * _norm(r.ravel()))
+                wbar = wbar - step
+                krylov += iterations
+                r = self.residual(wbar)
+                previous, final = final, float(np.sqrt(np.mean(r**2)))
             rel_err = np.inf if stop_reason == "diverged" else self.current_rel_err(wbar)
         if rel_err > 1.0:
             stop_reason = "diverged"
         return FreestreamResult(
             rel_err=rel_err,
-            iterations=iteration,
+            iterations=newton,
             initial_residual=initial,
             final_residual=final,
             stop_reason=stop_reason,
+            krylov_iterations=krylov,
             states=None if stop_reason == "diverged" else self.physical_states(wbar),
         )
 

@@ -13,12 +13,15 @@ kernels replaced: the same polynomials, with rounding that grows with the
 distance from the origin.  The RBF solve through one SuperLU factor of the
 whole sparse Gram matrix is the route the mirror-symmetry blocks replaced,
 and the sum over every grid point's own near pairs is the evaluation that
-the grid's orbit representatives replaced.
+the grid's orbit representatives replaced.  The five-stage Runge-Kutta
+pseudo-time march is the route to the converged freestream state that the
+Newton-Krylov solve replaced.
 """
 
 import numpy as np
 
 from gclkit import hexmesh
+from gclkit.flow import CONVERGENCE_DROP, FreestreamResult
 from gclkit.hexmesh import FACE_LOOPS
 from gclkit.rbf import wendland_c0
 
@@ -218,6 +221,48 @@ def nlfd_unsteady_residual(problem, wbar):
     """
     residual = np.moveaxis(problem.residual(wbar), 1, -1)
     return np.moveaxis(problem.spectral.dft(residual), -1, 1)
+
+
+# hybrid five-stage scheme: stage fractions, with dissipation blended at
+# stages 1, 3 and 5
+RK_STAGE_FRACTIONS = (0.25, 1.0 / 6.0, 0.375, 0.5, 1.0)
+RK_DISSIPATION_BLEND = {0: 1.0, 2: 0.56, 4: 0.44}
+
+
+def rk_march(problem, cfl=1.5, max_iterations=20000, drop=CONVERGENCE_DROP):
+    """March ``problem`` in pseudo-time with the hybrid five-stage scheme.
+
+    Local time steps from :meth:`FreestreamProblem.local_timestep` at the
+    initial state; every stage evaluates the full residual and blends the
+    dissipation of stages 1, 3 and 5.  The march stops on the solver's own
+    rule: the stage-1 residual at ``1e-14 * flux_scale()`` ("floor") or
+    fallen by ``drop`` ("drop"), else "max_iterations".
+    """
+    wbar = problem.initial_state()
+    floor = 1e-14 * problem.flux_scale()
+    dt = problem.local_timestep(wbar, cfl)
+    stop_reason, initial = "max_iterations", None
+    for iteration in range(1, max_iterations + 1):
+        w_stage = wbar
+        diss_blend = None
+        for stage, alpha in enumerate(RK_STAGE_FRACTIONS):
+            conv, diss = problem.residual_parts(w_stage)
+            beta = RK_DISSIPATION_BLEND.get(stage)
+            if beta is not None:
+                diss_blend = diss if diss_blend is None else beta * diss + (1.0 - beta) * diss_blend
+            residual = conv - diss_blend
+            if stage == 0:
+                final = float(np.sqrt(np.mean(residual**2)))
+            w_stage = wbar - alpha * dt * residual
+        wbar = w_stage
+        initial = final if initial is None else initial
+        if final <= floor or final <= drop * initial:
+            stop_reason = "floor" if final <= floor else "drop"
+            break
+    return FreestreamResult(
+        problem.current_rel_err(wbar), iteration, initial, final, stop_reason,
+        states=problem.physical_states(wbar),
+    )
 
 
 def cell_face_slots(mesh):

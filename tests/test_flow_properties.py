@@ -133,8 +133,6 @@ def test_axis_major_residual_is_bitwise_the_reference(data):
     ref_conv, ref_diss = _reference_residual_parts(problem, wbar)
     conv, diss = problem.residual_parts(wbar)
     assert _bitwise_equal(conv, ref_conv) and _bitwise_equal(diss, ref_diss)
-    conv, skipped = problem.residual_parts(wbar, dissipation=False)
-    assert skipped is None and _bitwise_equal(conv, ref_conv)
     assert _bitwise_equal(
         problem.local_timestep(wbar, 1.5), _reference_local_timestep(problem, wbar, 1.5)
     )

@@ -4,7 +4,7 @@
 cases 1-5 on the 10^3 mesh, N = 2..3, all six methods, without timing,
 concatenated in case order.  ``tests/data/golden_freestream.csv`` holds one
 ``gclkit run --freestream on`` output: case 2 on the 4^3 mesh, N = 1..2, all
-six methods, so the pseudo-time march is pinned too.  Any change that moves
+six methods, so the freestream solve is pinned too.  Any change that moves
 a value by rounding has to regenerate the files and list the moved values in
 CHANGES.md; from the repository root::
 
@@ -18,7 +18,8 @@ relative move, and how many values at or below 1e-10 rose and fell.
 The runs are separate processes with BLAS on one thread.  The RBF spread of
 cases 4 and 5 calls BLAS inside its sparse LU factor and solves; a test
 beside the golden one runs both cases under one and two BLAS threads and
-requires the same bytes.
+requires the same bytes, and another does the same for the freestream
+solve on the 10^3 mesh.
 """
 
 import os
@@ -38,14 +39,14 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def _run_case(
     case: str, out: Path, mesh: str = "10,10,10", blas_threads: int = 1,
-    n: str = "2..3", extra: tuple = (),
+    n: str = "2..3", extra: tuple = (), methods: str = METHODS,
 ) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.update(dict.fromkeys(BLAS_THREAD_VARS, str(blas_threads)))
     subprocess.run(
         [
             sys.executable, "-m", "gclkit.cli", "run", "--case", case, "--n", n,
-            "--mesh", mesh, "--methods", METHODS, "--out", str(out), *extra,
+            "--mesh", mesh, "--methods", methods, "--out", str(out), *extra,
         ],
         env=env, check=True, timeout=300,
     )
@@ -182,6 +183,17 @@ def test_rbf_cases_write_same_bytes_under_one_and_two_blas_threads(tmp_path, cas
     one = _run_case(case, tmp_path / "one.csv", mesh="6,6,6", blas_threads=1)
     two = _run_case(case, tmp_path / "two.csv", mesh="6,6,6", blas_threads=2)
     assert one == two
+
+
+def test_freestream_solve_writes_same_bytes_under_one_and_two_blas_threads(tmp_path):
+    # the benchmark's problem: its Krylov vectors, 25,000 values, are long
+    # enough for a threaded BLAS to split their reductions
+    runs = [
+        _run_case("4", tmp_path / f"fs{threads}.csv", blas_threads=threads, n="2..2",
+                  extra=("--freestream", "on"), methods="avg")
+        for threads in (1, 2)
+    ]
+    assert runs[0] == runs[1]
 
 
 if __name__ == "__main__":
