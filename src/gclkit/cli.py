@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__, experiments, flow, verify
-from .experiments import METHOD_ALIASES, ConfigError, FreestreamOptions, MeshConfig
+from .experiments import METHOD_ALIASES, ConfigError, MeshConfig
 from .flow import FreestreamDivergence
 from .motion import CASE_IDS, DegenerateMeshError, MotionCase, case_parameters
 
@@ -37,7 +37,7 @@ CSV_COLUMNS = (
 # Settings a config file or the command line may carry.
 CONFIG_KEYS = (
     "case", "methods", "n", "mesh", "lengths", "amp", "alpha0", "radius",
-    "seed", "support_radius", "freestream", "cfl", "max_iters", "timing", "out",
+    "seed", "support_radius", "freestream", "timing", "out",
 )
 
 
@@ -53,8 +53,6 @@ class RunConfig:
     seed: int | None = None
     support_radius: float | None = None
     freestream: bool = False
-    cfl: float = 1.5
-    max_iters: int = 50
     timing: bool = False
     out: str | None = None
 
@@ -114,7 +112,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     except ValueError as err:
         raise ConfigError(f"bad harmonic range {text!r}; expected 'a..b'") from err
     if not (1 <= lo <= hi <= 64):
-        raise ConfigError(f"harmonic range must satisfy 1 <= a <= b <= 64, got {text}")
+        raise ConfigError(f"harmonic range must satisfy 1 <= a <= b <= 64, got {text!r}")
     return lo, hi
 
 
@@ -195,13 +193,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             mesh_lengths = _parse_list("lengths", layer["lengths"], float, 3)
         if "amp" in layer:
             cfg.amp = _parse_list("amp", layer["amp"])
-        for key in ("alpha0", "radius", "support_radius", "cfl"):
+        for key in ("alpha0", "radius", "support_radius"):
             if key in layer:
                 setattr(cfg, key, _number(key, layer[key]))
         if "seed" in layer:
             cfg.seed = _number("seed", layer["seed"], int)
-        if "max_iters" in layer:
-            cfg.max_iters = _number("max_iters", layer["max_iters"], int)
         if "freestream" in layer:
             cfg.freestream = _parse_onoff(layer["freestream"])
         if "timing" in layer:
@@ -218,17 +214,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         )
     if min(mesh_counts) < 1 or not all(length > 0.0 for length in mesh_lengths):
         raise ConfigError(f"mesh sizes must be positive, got {mesh_counts} {mesh_lengths}")
-    if not cfg.cfl > 0.0:
-        raise ConfigError(f"cfl must be positive, got {cfg.cfl}")
-    if cfg.max_iters < 1:
-        raise ConfigError(f"max_iters must be at least 1, got {cfg.max_iters}")
     if cfg.seed is not None and cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.support_radius is not None and not cfg.support_radius > 0.0:
         raise ConfigError(f"support radius must be positive, got {cfg.support_radius}")
-    pseudo_time = [key for key in ("cfl", "max_iters") if any(key in layer for layer in layers)]
-    if pseudo_time and not cfg.freestream:
-        raise ConfigError(f"freestream is off, so it does not use {', '.join(pseudo_time)}")
     cfg.mesh = MeshConfig(*mesh_counts, *mesh_lengths)
     return cfg
 
@@ -255,8 +244,8 @@ def write_csv(path, cfg: RunConfig, rows) -> None:
         "# motion: " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
     )
     lines.append(
-        f"# freestream={'on' if cfg.freestream else 'off'} cfl={cfg.cfl} "
-        f"max_iters={cfg.max_iters} convergence_drop={flow.CONVERGENCE_DROP:g} "
+        f"# freestream={'on' if cfg.freestream else 'off'} cfl={flow.CFL} "
+        f"max_iters={flow.NEWTON_MAX} convergence_drop={flow.CONVERGENCE_DROP:g} "
         f"krylov_restart={flow.KRYLOV_RESTART} krylov_max={flow.KRYLOV_MAX} "
         f"forcing={flow.FORCING_GAMMA:g},{flow.FORCING_ALPHA:g},{flow.FORCING_MAX:g} "
         f"kappa2={flow.KAPPA2:g} kappa4={flow.KAPPA4:g}"
@@ -284,12 +273,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             cfg.motion_case(),
             cfg.harmonic_range(),
             [METHOD_ALIASES[m] for m in cfg.methods],
-            FreestreamOptions(cfg.cfl, cfg.max_iters) if cfg.freestream else None,
+            cfg.freestream,
             timing=cfg.timing,
         )
-    except ConfigError as err:
-        print(f"error: config: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except DegenerateMeshError as err:
         print(f"error: degeneracy: {err}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -315,8 +301,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises each usage error as a one-line :class:`ConfigError`."""
+
+    def error(self, message):
+        raise ConfigError(" ".join(message.splitlines()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gclkit",
         description="Face mesh velocity benchmarks on deforming hexahedral meshes",
     )
@@ -334,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", help="case-4 random seed")
     run.add_argument("--support-radius", dest="support_radius", help="RBF support radius")
     run.add_argument("--freestream", help="on/off: run the uniform-flow experiment")
-    run.add_argument("--cfl", help="CFL number of the pseudo-time step preconditioning Newton")
-    run.add_argument("--max-iters", dest="max_iters", help="Newton step cap (default 50)")
     run.add_argument("--out", help="output CSV path (default: stdout)")
     run.add_argument("--config", help="JSON config file (flags override it)")
     run.add_argument("--timing", action="store_true", default=None,
@@ -351,8 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except ConfigError as err:
+        print(f"error: config: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

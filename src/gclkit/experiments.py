@@ -25,7 +25,6 @@ __all__ = [
     "SHARES_FIELD_WITH",
     "ConfigError",
     "MeshConfig",
-    "FreestreamOptions",
     "CasePoint",
     "prepare_point",
     "evaluate_point",
@@ -69,14 +68,6 @@ class MeshConfig:
             raise ConfigError(
                 f"mesh {self.nx}x{self.ny}x{self.nz} does not fit in memory: {err}"
             ) from None
-
-
-@dataclass(frozen=True)
-class FreestreamOptions:
-    """Newton-Krylov settings of the uniform-flow run; None in their place runs none."""
-
-    cfl: float  # of the pseudo-time step that preconditions each Newton step
-    max_iterations: int  # Newton steps
 
 
 @dataclass
@@ -134,7 +125,7 @@ def prepare_point(
 def evaluate_point(
     point: CasePoint,
     methods: list[str],
-    freestream: FreestreamOptions | None = None,
+    freestream: bool = False,
     timing: bool = False,
 ) -> list[metrics.ErrorReport]:
     """Error reports for the requested methods at one evaluation point, in their order.
@@ -159,10 +150,10 @@ def evaluate_point(
             for d in ("x", "y", "z")
         }
         rel_err = None
-        if freestream is not None:
+        if freestream:
             result = flow.FreestreamProblem(
                 point.mesh, point.trajectory, point.spectral, ifmv
-            ).march(freestream.cfl, freestream.max_iterations)
+            ).march()
             if result.diverged:
                 raise flow.FreestreamDivergence(
                     point.case.case_id, method, point.n_harmonics
@@ -204,7 +195,7 @@ def run_sweep(
     case: MotionCase,
     harmonic_range: list[int],
     methods: list[str],
-    freestream: FreestreamOptions | None = None,
+    freestream: bool = False,
     timing: bool = False,
 ) -> list[metrics.ErrorReport]:
     """Evaluate all methods over a harmonic sweep; rows ordered by (N, method).

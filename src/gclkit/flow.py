@@ -68,6 +68,9 @@ CONVERGENCE_DROP = 1e-12
 # Eisenstat-Walker forcing (choice 2): gamma, alpha and the cap.
 KRYLOV_RESTART, KRYLOV_MAX = 30, 20 * 30
 FORCING_GAMMA, FORCING_ALPHA, FORCING_MAX = 0.9, 2.0, 0.5
+# CFL number of the pseudo-time step that preconditions each Newton step (it
+# sets how fast the solve converges, not where it ends), and the step cap.
+CFL, NEWTON_MAX = 1.5, 50
 # Ratio of specific heats, and the one uniform flow every run starts from and
 # is judged against: density, velocity, pressure and conservative variables.
 GAMMA = 1.4
@@ -209,8 +212,8 @@ class FreestreamResult:
     iterations: int  # Newton steps
     initial_residual: float
     final_residual: float
-    # why the solve ended: "floor" or "drop" (converged), "rel_err_stop",
-    # "max_iterations", or "diverged" (a non-finite state or rel_err > 1)
+    # why the solve ended: "floor" or "drop" (converged), "max_iterations",
+    # or "diverged" (a non-finite state or rel_err > 1)
     stop_reason: str
     krylov_iterations: int = 0
     states: np.ndarray = dataclass_field(repr=False, default=None)
@@ -446,40 +449,30 @@ class FreestreamProblem:
             rest = r - jacobian_times(x)
         return x.reshape(wbar.shape), iterations
 
-    def march(
-        self,
-        cfl: float = 1.5,
-        max_iterations: int = 50,
-        rel_err_stop: float | None = None,
-    ) -> FreestreamResult:
+    def march(self) -> FreestreamResult:
         """Drive the unsteady residual to zero by Jacobian-free Newton-Krylov.
 
-        At most ``max_iterations`` Newton steps, each solved by :meth:`_gmres`
+        At most :data:`NEWTON_MAX` Newton steps, each solved by :meth:`_gmres`
         to the Eisenstat-Walker forcing tolerance and preconditioned by an
-        implicit pseudo-time step of CFL number ``cfl``.  ``rel_err_stop``
-        optionally ends the run once the departure from freestream exceeds
-        it (for failure modes, where full convergence is pointless).
-        Divergence is reported through the result, not raised.
+        implicit pseudo-time step of CFL number :data:`CFL`.  Divergence is
+        reported through the result, not raised.
         """
         wbar = self.initial_state()
         floor = 1e-14 * self.flux_scale()
         stop_reason, krylov, forcing = "max_iterations", 0, FORCING_MAX
         # a diverging solve overflows on its way to a non-finite state
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            precondition = self._block_preconditioner(wbar, cfl)
+            precondition = self._block_preconditioner(wbar, CFL)
             r = self.residual(wbar)
             initial = final = float(np.sqrt(np.mean(r**2)))
-            for newton in range(max_iterations + 1):
+            for newton in range(NEWTON_MAX + 1):
                 if not (np.isfinite(final) and np.all(np.isfinite(wbar))):
                     stop_reason = "diverged"
                     break
                 if final <= floor or final <= CONVERGENCE_DROP * initial:
                     stop_reason = "floor" if final <= floor else "drop"
                     break
-                if rel_err_stop is not None and self.current_rel_err(wbar) >= rel_err_stop:
-                    stop_reason = "rel_err_stop"
-                    break
-                if newton == max_iterations:
+                if newton == NEWTON_MAX:
                     break
                 if newton:  # Eisenstat-Walker choice 2, safeguarded
                     safeguard = FORCING_GAMMA * forcing**FORCING_ALPHA

@@ -275,7 +275,7 @@ def ifmv_avg(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
         _avg_flux,
         mesh.interface_vertex_ids,
         trajectory.positions[:-1],
-        trajectory.velocities[:-1],
+        trajectory.velocities,
     )
     return IfmvField("avg", flux)
 
@@ -286,7 +286,7 @@ def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
         _quad_flux,
         mesh.interface_vertex_ids,
         trajectory.positions[:-1],
-        trajectory.velocities[:-1],
+        trajectory.velocities,
     )
     return IfmvField("trimap", flux)
 
@@ -297,5 +297,5 @@ def exact_volume_rates(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarra
         _dvoldt,
         mesh.cell_vertex_ids,
         trajectory.positions[:-1],
-        trajectory.velocities[:-1],
+        trajectory.velocities,
     )

@@ -111,15 +111,15 @@ class MotionCase:
 
 @dataclass(frozen=True)
 class MotionTrajectory:
-    """Vertex positions and velocities at t_0..t_2N plus the closing t = T,
-    and the cell volumes at t_0..t_2N."""
+    """Vertex positions at t_0..t_2N plus the closing t = T, and the vertex
+    velocities and cell volumes at t_0..t_2N."""
 
     case: MotionCase
     n_harmonics: int
     period: float
     times: np.ndarray  # (2N+2,)
     positions: np.ndarray  # (2N+2, n_vertices, 3)
-    velocities: np.ndarray  # (2N+2, n_vertices, 3)
+    velocities: np.ndarray  # (2N+1, n_vertices, 3)
     volumes: np.ndarray  # (n_cells, 2N+1)
     metadata: dict
 
@@ -317,7 +317,7 @@ def sample_motion(
     n_harmonics: int,
     rbf_fields: np.ndarray | None = None,
 ) -> MotionTrajectory:
-    """Sample a motion case at the 2N+1 spectral instants plus t = T.
+    """Sample a motion case at the 2N+1 spectral instants, positions also at t = T.
 
     ``rbf_fields`` is passed on to :func:`evaluate_motion`.  The cell volumes
     are computed once, here, and gate the sample: the closing sample is t_0
@@ -355,7 +355,7 @@ def sample_motion(
         period=case.period,
         times=times,
         positions=np.concatenate([positions, positions[:1]]),
-        velocities=np.concatenate([velocities, velocities[:1]]),
+        velocities=velocities,
         volumes=volumes,
         metadata=case.metadata(mesh),
     )

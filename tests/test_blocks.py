@@ -149,13 +149,13 @@ def _reference_increments(mesh, trajectory, kind):
 
 def _face_stacks(mesh, trajectory):
     ids = mesh.interface_vertex_ids
-    return trajectory.positions[:-1][:, ids], trajectory.velocities[:-1][:, ids]
+    return trajectory.positions[:-1][:, ids], trajectory.velocities[:, ids]
 
 
 def _cell_stacks(mesh, trajectory):
     return (
         mesh.cell_corners(trajectory.positions)[:-1],
-        mesh.cell_corners(trajectory.velocities)[:-1],
+        mesh.cell_corners(trajectory.velocities),
     )
 
 

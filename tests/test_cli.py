@@ -195,10 +195,10 @@ def test_used_motion_settings_are_accepted(tmp_path, case, settings):
 def test_config_integers_and_onoff_are_read_exactly(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(
-        json.dumps({"seed": 42, "max_iters": "300", "timing": "no", "freestream": "on"})
+        json.dumps({"seed": 42, "timing": "no", "freestream": "on"})
     )
     cfg = build_run_config(build_parser().parse_args(["run", "--config", str(path)]))
-    assert (cfg.seed, cfg.max_iters, cfg.timing, cfg.freestream) == (42, 300, False, True)
+    assert (cfg.seed, cfg.timing, cfg.freestream) == (42, False, True)
 
 
 @pytest.mark.parametrize(
@@ -213,7 +213,8 @@ def test_config_integers_and_onoff_are_read_exactly(tmp_path):
 )
 def test_pseudo_time_setting_without_freestream_is_config_error(tmp_path, capsys, extra,
                                                                  config, named):
-    # a setting the run would ignore is refused, not echoed in the header
+    # the freestream solve takes no settings: a retired flag or config key is
+    # refused by name, with or without --freestream, and no CSV is written
     argv = ["run", "--case", "1", "--n", "1..1", "--methods", "avg", "--mesh", "2,2,2",
             "--out", str(tmp_path / "m.csv")]
     if config is not None:
@@ -222,8 +223,31 @@ def test_pseudo_time_setting_without_freestream_is_config_error(tmp_path, capsys
         argv += ["--config", str(path)]
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
-    assert err == f"error: config: freestream is off, so it does not use {named}\n"
+    assert err.startswith("error: config:") and err.count("\n") == 1, err
+    for key in named.split(", "):
+        assert (f"'{key}'" if config else "--" + key.replace("_", "-")) in err, err
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["run", "--bogus"], ["run", "--n"], ["run", "--timing", "on"],
+     ["verify", "--mutate-trimap", "abc"], ["nope"]],
+    ids=["no-command", "unknown-flag", "missing-value", "extra-value", "verify-float",
+         "unknown-command"],
+)
+def test_usage_error_is_one_line_config_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gclkit run")
 
 
 def test_unknown_case_is_config_error():
@@ -310,8 +334,7 @@ def test_rigid_cases_accepted(tmp_path):
 def test_freestream_column_populated(tmp_path):
     out = tmp_path / "fs.csv"
     code = main(["run", "--case", "1", "--methods", "aevi", "--n", "2..2",
-                 "--mesh", "4,4,4", "--freestream", "on", "--max-iters", "50",
-                 "--out", str(out)])
+                 "--mesh", "4,4,4", "--freestream", "on", "--out", str(out)])
     assert code == 0
     row = read_rows(out)[0]
     assert float(row["rel_err_freestream"]) <= 1e-8
@@ -355,8 +378,7 @@ DIVERGING_RUN = ["--case", "2", "--alpha0", "1.0", "--methods", "avg", "--n", "1
 
 
 def test_freestream_divergence_exit_code(tmp_path, capsys):
-    code = main(["run", *DIVERGING_RUN, "--mesh", "4,4,4", "--max-iters", "30",
-                 "--out", str(tmp_path / "d.csv")])
+    code = main(["run", *DIVERGING_RUN, "--mesh", "4,4,4", "--out", str(tmp_path / "d.csv")])
     assert code == 4
     assert "divergence" in capsys.readouterr().err
 

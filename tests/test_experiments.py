@@ -50,8 +50,9 @@ def test_prepare_point_makes_one_volume_pass(paper_mesh, monkeypatch):
         monkeypatch.setattr(module, "_hex_volume", counted(module._hex_volume))
     monkeypatch.setattr(gcl, "exact_volume_rates", forbidden)
     monkeypatch.setattr(gcl, "_dvoldt", forbidden)
+    monkeypatch.setattr(flow, "NEWTON_MAX", 1)
     point = experiments.prepare_point(paper_mesh, MotionCase.for_case("case5"), 3)
-    experiments.evaluate_point(point, ["trimap"], experiments.FreestreamOptions(1.5, 1))
+    experiments.evaluate_point(point, ["trimap"], freestream=True)
     assert sum(seen) == paper_mesh.n_cells * point.spectral.nts
 
 
@@ -113,9 +114,6 @@ def _fields(row, **changes):
     return dataclasses.asdict(dataclasses.replace(row, **changes))
 
 
-FREESTREAM = experiments.FreestreamOptions(cfl=1.5, max_iterations=50)
-
-
 def test_ts_rows_copy_their_nlfd_twins(small_mesh, monkeypatch):
     point = experiments.prepare_point(small_mesh, MotionCase.for_case("case5"), 2)
     calls = {}
@@ -123,12 +121,12 @@ def test_ts_rows_copy_their_nlfd_twins(small_mesh, monkeypatch):
     _counted(monkeypatch, gcl, "aevi_increments", calls)
     _counted(monkeypatch, flow.FreestreamProblem, "march", calls)
     methods = ["nlfd-lvi", "ts-lvi", "ts-aevi"]
-    rows = experiments.evaluate_point(point, methods, FREESTREAM)
+    rows = experiments.evaluate_point(point, methods, freestream=True)
     assert calls == {"lvi_increments": 1, "aevi_increments": 1, "march": 2}
     assert [row.method for row in rows] == methods
     assert rows[0].rel_err_freestream is not None
     assert _fields(rows[1], method="nlfd-lvi") == _fields(rows[0])
-    (aevi,) = experiments.evaluate_point(point, ["nlfd-aevi"], FREESTREAM)
+    (aevi,) = experiments.evaluate_point(point, ["nlfd-aevi"], freestream=True)
     assert _fields(rows[2], method="nlfd-aevi") == _fields(aevi)
     (alone,) = experiments.evaluate_point(point, ["ts-aevi"])
     assert alone.method == "ts-aevi"
@@ -144,5 +142,5 @@ def test_divergence_names_the_first_method_that_reads_the_field(small_mesh, monk
     monkeypatch.setattr(flow.FreestreamProblem, "march", diverged)
     for methods in (["ts-aevi"], ["ts-lvi", "nlfd-lvi"]):
         with pytest.raises(flow.FreestreamDivergence) as info:
-            experiments.evaluate_point(point, methods, FREESTREAM)
+            experiments.evaluate_point(point, methods, freestream=True)
         assert info.value.method == methods[0]
