@@ -244,8 +244,9 @@ def write_csv(path, cfg: RunConfig, rows) -> None:
         "# motion: " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
     )
     lines.append(
-        f"# freestream={'on' if cfg.freestream else 'off'} cfl={flow.CFL} "
-        f"max_iters={flow.NEWTON_MAX} convergence_drop={flow.CONVERGENCE_DROP:g} "
+        f"# freestream={'on' if cfg.freestream else 'off'} "
+        f"precond_dissipation={flow.PRECONDITIONER_DISSIPATION:g} max_iters={flow.NEWTON_MAX} "
+        f"convergence_drop={flow.CONVERGENCE_DROP:g} "
         f"krylov_restart={flow.KRYLOV_RESTART} krylov_max={flow.KRYLOV_MAX} "
         f"forcing={flow.FORCING_GAMMA:g},{flow.FORCING_ALPHA:g},{flow.FORCING_MAX:g} "
         f"kappa2={flow.KAPPA2:g} kappa4={flow.KAPPA4:g}"

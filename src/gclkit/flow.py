@@ -6,7 +6,7 @@ face mesh velocities the uniform state is a fixed point of the scheme, and
 any departure measures the geometric defect.  Spatial discretisation is a
 cell-centred finite-volume scheme with central fluxes plus scalar JST
 dissipation; the time axis is spectral, and Jacobian-free Newton-Krylov,
-preconditioned by an implicit pseudo-time step, solves the coupled system.
+preconditioned line by line in each Fourier harmonic, solves the coupled system.
 
 Boundary handling is deliberately plain: two layers of halo cells frozen at
 the freestream state, so geometric effects are never mixed with boundary
@@ -68,9 +68,9 @@ CONVERGENCE_DROP = 1e-12
 # Eisenstat-Walker forcing (choice 2): gamma, alpha and the cap.
 KRYLOV_RESTART, KRYLOV_MAX = 30, 20 * 30
 FORCING_GAMMA, FORCING_ALPHA, FORCING_MAX = 0.9, 2.0, 0.5
-# CFL number of the pseudo-time step that preconditions each Newton step (it
-# sets how fast the solve converges, not where it ends), and the step cap.
-CFL, NEWTON_MAX = 1.5, 50
+# Newton step cap, and the preconditioner's Rusanov dissipation coefficient
+# (it sets how fast the solve converges, not where it ends; 0 is singular).
+NEWTON_MAX, PRECONDITIONER_DISSIPATION = 50, 0.125
 # Ratio of specific heats, and the one uniform flow every run starts from and
 # is judged against: density, velocity, pressure and conservative variables.
 GAMMA = 1.4
@@ -202,6 +202,37 @@ def jst_dissipation(
     out -= delta3
     out *= np.asarray(radii, dtype=float)
     return out
+
+
+def _flux_jacobians() -> np.ndarray:
+    """(3, 5, 5) closed-form Jacobians ``A_d = d(F . e_d)/dw`` at :data:`W_INF`."""
+    u = W_INF[1:4] / W_INF[0]
+    q2, h, g1 = u @ u, (W_INF[4] + PRESSURE_INF) / W_INF[0], GAMMA - 1.0
+    out = np.zeros((3, 5, 5))
+    for d, n in enumerate(np.eye(3)):
+        out[d, 0, 1:4] = n
+        out[d, 1:4, 0], out[d, 1:4, 4] = 0.5 * g1 * q2 * n - u * u[d], g1 * n
+        out[d, 1:4, 1:4] = np.outer(u, n) - g1 * np.outer(n, u) + u[d] * np.eye(3)
+        out[d, 4] = [(0.5 * g1 * q2 - h) * u[d], *(h * n - g1 * u[d] * u), GAMMA * u[d]]
+    return out
+
+
+def _mv(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """5x5 blocks (5, 5, ...) times vectors (5, ...), line by line."""
+    return (blocks * v[None]).sum(axis=1)
+
+
+def _solve_lines(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Block Thomas on all lines of one axis at once, their cells on axis 1 of
+    ``rhs``; ``factor`` is from :meth:`FreestreamProblem._line_factors`."""
+    inverses, lower, upper = factor
+    x = np.empty(rhs.shape, complex)
+    x[:, 0] = _mv(inverses[0], rhs[:, 0])
+    for i in range(1, len(inverses)):
+        x[:, i] = _mv(inverses[i], rhs[:, i] - _mv(lower[:, :, i - 1], x[:, i - 1]))
+    for i in range(len(inverses) - 2, -1, -1):
+        x[:, i] -= _mv(inverses[i], _mv(upper[:, :, i], x[:, i + 1]))
+    return x
 
 
 @dataclass
@@ -392,19 +423,65 @@ class FreestreamProblem:
 
     # -- Newton-Krylov solve -----------------------------------------------
 
-    def _block_preconditioner(self, wbar: np.ndarray, cfl: float):
-        """``P^-1`` of one implicit pseudo-time step without the spatial
-        Jacobian: per cell, the (Nts, Nts) block ``D + diag(1 / dtau)`` with
-        the local step at ``wbar``, inverted once, for flat residual vectors."""
-        nts = self.spectral.nts
-        inv_dtau = 1.0 / self.local_timestep(wbar, cfl).reshape(nts, -1).T  # (cells, Nts)
-        blocks = self.spectral.d_matrix + inv_dtau[:, None, :] * np.eye(nts)
+    def _line_factors(self):
+        """The cell diagonal of ``J1``, ``i omega k Vbar`` (k = 0..N) and, per
+        axis, the m line pivots' inverses (5, 5, N+1, a, b) and the real lower
+        and upper couplings (5, 5, m-1, 1, a, b) of ``Dg + O_axis``, in that
+        axis's :attr:`_AxisFaces.order`.  ``J1`` is the Rusanov Jacobian at
+        :data:`W_INF` on the time-averaged faces: an interface couples its left
+        and right cells by ``1/2 (A . S - g) +- c lambda``, with its mean area
+        vector, IFMV and start-state spectral radius, and ``c`` from
+        :data:`PRECONDITIONER_DISSIPATION`."""
+        spectral, eye = self.spectral, np.eye(5).reshape(5, 5, 1, 1, 1, 1)
+        omega = (2.0 * np.pi / spectral.period) * np.arange(spectral.n_harmonics + 1)
+        temporal = 1j * np.multiply.outer(omega, self.volumes.mean(axis=0))
+        couplings, diagonal = [], 0.0
+        for axis in self._axes:
+            radii = self._radii(axis, 2.0 * W_INF.reshape(5, 1, 1, 1, 1))
+            dissipation = PRECONDITIONER_DISSIPATION * radii.mean(axis=1, keepdims=True)
+            g = 0.5 * axis.ifmv.mean(axis=1, keepdims=True)
+            central = 0.5 * np.einsum("dij,d...->ij...", _flux_jacobians(),
+                                      axis.vectors.mean(axis=2, keepdims=True))
+            left, right = central + (dissipation - g) * eye, central - (dissipation + g) * eye
+            couplings.append((-left[:, :, 1:-1], right[:, :, 1:-1]))
+            cells = left[:, :, 1:] - right[:, :, :-1]
+            diagonal = diagonal + cells.transpose((0, 1) + axis.back[1:])
+        factors = []
+        for axis, (lower, upper) in zip(self._axes, couplings):
+            pivots = (diagonal + temporal * eye).transpose((0, 1) + axis.order[1:])
+            inverses = []
+            for i in range(pivots.shape[2]):
+                pivot = pivots[:, :, i]
+                if i:  # minus lower . previous inverse . upper
+                    step = np.einsum("ij...,jk...->ik...", inverses[-1], upper[:, :, i - 1])
+                    pivot = pivot - np.einsum("ij...,jk...->ik...", lower[:, :, i - 1], step)
+                inverse = np.linalg.inv(np.moveaxis(pivot, (0, 1), (-2, -1)))
+                inverses.append(np.ascontiguousarray(np.moveaxis(inverse, (-2, -1), (0, 1))))
+            factors.append((inverses, lower, upper))
+        return diagonal, temporal, factors
+
+    def _preconditioner(self):
+        """``P^-1 v`` for flat ``v``, ``P = D + J1 Vbar^-1`` with ``Vbar`` the mean
+        cell volumes: harmonic k solves ``(i omega k Vbar + J1) y = v_k`` alone,
+        factored by axis as ``(Dg + Ox) Dg^-1 (Dg + Oy) Dg^-1 (Dg + Oz)``.  The
+        real FFT's N+1 harmonics k >= 0 fix a real signal; the 2N+1 of
+        :meth:`SpectralOperator.dft` would nearly double the line work.  A
+        singular pivot gives a NaN operator."""
+        nts, vbar = self.spectral.nts, self.volumes.mean(axis=0)
         try:
-            inverse = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError:  # 1 / dtau lost against D: no step to take
-            inverse = np.full_like(blocks, np.nan)
-        # (5, Nts, cells) -> (cells, Nts, 5), every component alike, and back
-        return lambda v: np.matmul(inverse, v.reshape(5, nts, -1).T).T.ravel()
+            diagonal, temporal, factors = self._line_factors()
+        except np.linalg.LinAlgError:
+            return lambda v: np.full_like(v, np.nan)
+
+        def precondition(v):
+            y = np.fft.rfft(v.reshape((5,) + self.volumes.shape), axis=1)
+            for n, (axis, factor) in enumerate(zip(self._axes, factors)):
+                if n:
+                    y = _mv(diagonal, y) + temporal * y
+                y = _solve_lines(factor, y.transpose(axis.order)).transpose(axis.back)
+            return (vbar * np.fft.irfft(y, nts, axis=1)).ravel()
+
+        return precondition
 
     def _gmres(self, wbar: np.ndarray, r: np.ndarray, precondition, tol: float):
         """Inexact Newton step ``x`` with ``|r - J x| <= tol``, and its Krylov count,
@@ -453,16 +530,16 @@ class FreestreamProblem:
         """Drive the unsteady residual to zero by Jacobian-free Newton-Krylov.
 
         At most :data:`NEWTON_MAX` Newton steps, each solved by :meth:`_gmres`
-        to the Eisenstat-Walker forcing tolerance and preconditioned by an
-        implicit pseudo-time step of CFL number :data:`CFL`.  Divergence is
-        reported through the result, not raised.
+        to the Eisenstat-Walker forcing tolerance and preconditioned by
+        :meth:`_preconditioner`, built at the first Newton step, so a solve
+        that starts on the floor never builds it.  Divergence is reported
+        through the result, not raised.
         """
         wbar = self.initial_state()
         floor = 1e-14 * self.flux_scale()
         stop_reason, krylov, forcing = "max_iterations", 0, FORCING_MAX
         # a diverging solve overflows on its way to a non-finite state
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            precondition = self._block_preconditioner(wbar, CFL)
             r = self.residual(wbar)
             initial = final = float(np.sqrt(np.mean(r**2)))
             for newton in range(NEWTON_MAX + 1):
@@ -480,6 +557,7 @@ class FreestreamProblem:
                     forcing = max(forcing, safeguard if safeguard > 0.1 else 0.0)
                 # capped, and never solving past what the floor needs
                 forcing = max(min(forcing, FORCING_MAX), 0.5 * floor / final)
+                precondition = precondition if newton else self._preconditioner()
                 step, iterations = self._gmres(wbar, r, precondition, forcing * _norm(r.ravel()))
                 wbar = wbar - step
                 krylov += iterations

@@ -15,13 +15,22 @@ whole sparse Gram matrix is the route the mirror-symmetry blocks replaced,
 and the sum over every grid point's own near pairs is the evaluation that
 the grid's orbit representatives replaced.  The five-stage Runge-Kutta
 pseudo-time march is the route to the converged freestream state that the
-Newton-Krylov solve replaced.
+Newton-Krylov solve replaced, and the dense first-order Jacobian, assembled
+face by face, is the matrix whose per-axis factors the solve's line-implicit
+preconditioner inverts line by line.
 """
 
 import numpy as np
 
 from gclkit import hexmesh
-from gclkit.flow import CONVERGENCE_DROP, FreestreamResult
+from gclkit.flow import (
+    CONVERGENCE_DROP,
+    GAMMA,
+    PRESSURE_INF,
+    RHO_INF,
+    VELOCITY_INF,
+    FreestreamResult,
+)
 from gclkit.hexmesh import FACE_LOOPS
 from gclkit.rbf import wendland_c0
 
@@ -263,6 +272,90 @@ def rk_march(problem, cfl=1.5, max_iterations=20000, drop=CONVERGENCE_DROP):
         problem.current_rel_err(wbar), iteration, initial, final, stop_reason,
         states=problem.physical_states(wbar),
     )
+
+
+def dense_first_order_jacobian(problem, jacobians, dissipation):
+    """Dense parts of the line-implicit preconditioner of ``problem``.
+
+    Returns the cell-diagonal blocks of the first-order Jacobian ``J1`` and
+    its couplings along x, y and z, each a real (5n, 5n) matrix with row
+    ``5 c + component`` for cell ``c`` in the C order of (nz, ny, nx), and
+    the time-averaged cell volumes (n,).  Every interface carries the flux
+    ``f = left w_L + right w_R`` with ``left, right = 1/2 (A . S - g) +-
+    dissipation * lambda``: the time-averaged +axis area vector ``S`` and
+    IFMV ``g``, the flux Jacobians ``jacobians`` (3, 5, 5) and the mean over
+    the instants of the freestream spectral radius ``|u . S_t - g_t| + a
+    |S_t|``.  The flux enters its left cell's residual with a plus sign and
+    its right cell's with a minus sign; a box-boundary face faces a frozen
+    halo cell, so it touches only its one interior cell.
+    """
+    nz, ny, nx = problem.volumes.shape[1:]
+    n = nx * ny * nz
+    sound = np.sqrt(GAMMA * PRESSURE_INF / RHO_INF)
+    diagonal = np.zeros((n, 5, n, 5))
+    couplings = []
+    for index, axis in enumerate(problem._axes):
+        grid_axis = 2 - index  # of (nz, ny, nx)
+        vectors = axis.vectors.transpose(axis.back)  # (3, Nts, ...) on the interface grid
+        ifmv = axis.ifmv.transpose(axis.back[1:])
+        contravariant = sum(u * s for u, s in zip(VELOCITY_INF, vectors)) - ifmv
+        radius = (np.abs(contravariant) + sound * np.linalg.norm(vectors, axis=0)).mean(axis=0)
+        mean_vectors, mean_ifmv = vectors.mean(axis=1), ifmv.mean(axis=0)
+        coupling = np.zeros((n, 5, n, 5))
+        for face in np.ndindex(*radius.shape):
+            vector = mean_vectors[(slice(None),) + face]
+            central = 0.5 * np.einsum("dij,d->ij", jacobians, vector)
+            central -= 0.5 * mean_ifmv[face] * np.eye(5)
+            left = central + dissipation * radius[face] * np.eye(5)
+            right = central - dissipation * radius[face] * np.eye(5)
+            position = face[grid_axis]
+            cells = []
+            for offset in (-1, 0):
+                cell = list(face)
+                cell[grid_axis] = position + offset
+                inside = 0 <= cell[grid_axis] < problem.volumes.shape[1 + grid_axis]
+                cells.append(np.ravel_multi_index(cell, (nz, ny, nx)) if inside else None)
+            low, high = cells
+            if low is not None:
+                diagonal[low, :, low] += left
+            if high is not None:
+                diagonal[high, :, high] -= right
+            if low is not None and high is not None:
+                coupling[low, :, high] += right
+                coupling[high, :, low] -= left
+        couplings.append(coupling.reshape(5 * n, 5 * n))
+    return diagonal.reshape(5 * n, 5 * n), couplings, problem.volumes.mean(axis=0).ravel()
+
+
+def dense_preconditioner(problem, jacobians, dissipation):
+    """``v -> P^-1 v`` for ``P = D + J1 Vbar^-1``, approximately factored, from
+    dense matrices: every harmonic k = -N..N of the state's DFT solves
+    ``(Dg + Ox) Dg^-1 (Dg + Oy) Dg^-1 (Dg + Oz) y_k = v_k`` with
+    ``Dg = diagonal + i 2 pi k / T Vbar`` by dense solves, and the samples
+    are ``Vbar`` times the real part of the inverse DFT.  ``v`` is flat, in
+    the (5, Nts, nz, ny, nx) layout of the spectral state.
+    """
+    spectral = problem.spectral
+    diagonal, couplings, vbar = dense_first_order_jacobian(problem, jacobians, dissipation)
+    cells = vbar.size
+    shape = (5, spectral.nts, cells)
+
+    def apply(v):
+        # cell-major rows (5 c + component) with the instants last
+        samples = v.reshape(shape).transpose(2, 0, 1).reshape(5 * cells, spectral.nts)
+        coefficients = spectral.dft(samples)
+        for column, k in enumerate(spectral.wavenumbers):
+            dg = diagonal + np.diag(np.repeat(1j * 2.0 * np.pi * k / spectral.period * vbar, 5))
+            y = coefficients[:, column]
+            for m, coupling in enumerate(couplings):
+                if m:
+                    y = dg @ y
+                y = np.linalg.solve(dg + coupling, y)
+            coefficients[:, column] = y
+        out = np.repeat(vbar, 5)[:, None] * spectral.idft(coefficients).real
+        return out.reshape(cells, 5, spectral.nts).transpose(1, 2, 0).ravel()
+
+    return apply
 
 
 def cell_face_slots(mesh):

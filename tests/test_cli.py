@@ -304,7 +304,7 @@ def test_metadata_header_echoes_configuration(tmp_path):
     assert "case=case4" in head[1]
     assert "seed=7" in head[2]
     assert head[3] == (
-        "# freestream=off cfl=1.5 max_iters=50 convergence_drop=1e-12 "
+        "# freestream=off precond_dissipation=0.125 max_iters=50 convergence_drop=1e-12 "
         "krylov_restart=30 krylov_max=600 forcing=0.9,2,0.5 kappa2=1 kappa4=0.03125"
     )
 

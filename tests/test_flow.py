@@ -19,7 +19,12 @@ from gclkit.flow import (
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
-from oracles import nlfd_unsteady_residual, rk_march
+from oracles import (
+    dense_first_order_jacobian,
+    dense_preconditioner,
+    nlfd_unsteady_residual,
+    rk_march,
+)
 
 GAMMA = 1.4
 
@@ -267,15 +272,15 @@ def test_divergence_is_reported_not_raised(case2_small):
     assert result.stop_reason == "diverged"
 
 
-@pytest.mark.parametrize("cfl", [1e300, 1e308])
-def test_divergence_raises_no_floating_point_warning(case2_small, monkeypatch, cfl):
-    # at such a CFL number 1/dtau vanishes against the time-spectral matrix,
-    # whose N = 1 block is singular in floating point, and at 1e308 the time
-    # step itself overflows; the preconditioned state turns non-finite, and
-    # the result reports it, numpy does not
+@pytest.mark.parametrize("dissipation", [0.0, 1e300, 1e308])
+def test_divergence_raises_no_floating_point_warning(case2_small, monkeypatch, dissipation):
+    # without dissipation the preconditioner's k = 0 pivots are singular; at
+    # 1e300 its operator shrinks to ~1e-301 and the Krylov solve overflows;
+    # at 1e308 the cell diagonal itself overflows.  Each time the state turns
+    # non-finite, and the result reports it, numpy does not
     mesh, _, _ = case2_small
     traj = sample_motion(mesh, MotionCase.for_case("case2"), 1)
-    monkeypatch.setattr(flow, "CFL", cfl)
+    monkeypatch.setattr(flow, "PRECONDITIONER_DISSIPATION", dissipation)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = FreestreamProblem(mesh, traj, SpectralOperator(1), None).march()
@@ -305,8 +310,10 @@ def test_uniform_state_is_stationary_under_rk5(case2_small, monkeypatch):
         assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
 
 
-@pytest.mark.parametrize("n_harmonics", [1, 2])
-@pytest.mark.parametrize("case_id", ["case2", "case4", "case5"])
+@pytest.mark.parametrize(
+    "case_id, n_harmonics",
+    [(case_id, n) for case_id in ("case2", "case4", "case5") for n in (1, 2)] + [("case4", 5)],
+)
 def test_newton_drift_matches_the_rk_march(case_id, n_harmonics):
     # the steady state does not depend on the solver: the five-stage march,
     # stopped once its residual has fallen 1e5-fold, agrees with Newton to
@@ -328,16 +335,95 @@ def test_newton_drift_matches_the_rk_march(case_id, n_harmonics):
     assert aevi.converged and aevi.rel_err <= 1e-8
 
 
-def test_block_preconditioner_inverts_one_implicit_step(case2_box):
-    # P v = D v + v / dtau along time in each cell, every component alike
-    problem = FreestreamProblem(*case2_box, None)
-    wbar = problem.initial_state()
-    precondition = problem._block_preconditioner(wbar, 1.5)
-    v = _perturbed_state(problem, 0) - wbar
-    step = np.einsum("nK,cK...->cn...", problem.spectral.d_matrix, v)
-    step += v / problem.local_timestep(wbar, 1.5)
-    back = precondition(step.ravel()).reshape(v.shape)
-    assert np.allclose(back, v, rtol=0.0, atol=1e-12 * np.abs(v).max())
+def test_flux_jacobians_match_the_face_flux():
+    # the Euler flux is homogeneous of degree one, F(w) = A(w) w, and A is
+    # its derivative: central differences of the face flux agree
+    jacobians = flow._flux_jacobians()
+    step = 1e-6 * np.eye(5)
+    for d, normal in enumerate(np.eye(3)):
+        flux = ale_face_flux(W_INF, W_INF, normal, 0.0)
+        np.testing.assert_allclose(jacobians[d] @ W_INF, flux, rtol=1e-14, atol=1e-15)
+        plus, minus = (
+            ale_face_flux(w, w, normal[:, None], 0.0)
+            for w in (W_INF[:, None] + step, W_INF[:, None] - step)
+        )
+        np.testing.assert_allclose((plus - minus) / 2e-6, jacobians[d], atol=1e-8)
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def odd_box_problem(request):
+    # every grid extent differs, so a mix-up of the x, y and z axes or of an
+    # interface's orientation shows; AVG gives every face a mesh velocity
+    from gclkit.hexmesh import build_box_mesh
+
+    mesh = build_box_mesh(3, 4, 5, 3.2, 2.8, 2.4)
+    case = MotionCase.for_case("case5")
+    traj = sample_motion(mesh, case, request.param)
+    op = SpectralOperator(request.param, case.period)
+    return FreestreamProblem(mesh, traj, op, gcl.ifmv_avg(mesh, traj))
+
+
+def test_preconditioner_is_the_product_of_the_inverted_factors(odd_box_problem):
+    problem = odd_box_problem
+    v = np.random.default_rng(3).standard_normal(problem.initial_state().size)
+    dense = dense_preconditioner(problem, flow._flux_jacobians(), flow.PRECONDITIONER_DISSIPATION)
+    expected = dense(v)
+    got = problem._preconditioner()(v)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+
+def test_line_solves_invert_their_factors(odd_box_problem):
+    # harmonic k's factor along one axis is Dg_k + O_axis, block-tridiagonal
+    # along that axis's grid lines; its block-Thomas solve inverts it exactly
+    problem = odd_box_problem
+    spectral = problem.spectral
+    diagonal, couplings, vbar = dense_first_order_jacobian(
+        problem, flow._flux_jacobians(), flow.PRECONDITIONER_DISSIPATION
+    )
+    _, _, factors = problem._line_factors()
+    rng = np.random.default_rng(4)
+    shape = (5, spectral.n_harmonics + 1) + problem.volumes.shape[1:]
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def cell_major(a, k):  # harmonic k as the oracle's rows, 5 c + component
+        return a[:, k].reshape(5, -1).T.ravel()
+
+    for axis, factor, coupling in zip(problem._axes, factors, couplings):
+        x = flow._solve_lines(factor, rhs.transpose(axis.order)).transpose(axis.back)
+        for k in range(spectral.n_harmonics + 1):
+            temporal = np.repeat(2.0 * np.pi * k / spectral.period * vbar, 5)
+            back = (diagonal + coupling + np.diag(1j * temporal)) @ cell_major(x, k)
+            np.testing.assert_allclose(
+                back, cell_major(rhs, k), rtol=0.0, atol=1e-12 * np.abs(rhs).max()
+            )
+
+
+@pytest.mark.parametrize("size", [(1, 1, 1), (1, 3, 2)])
+def test_one_cell_thick_meshes_march_to_the_floor(size):
+    # an axis one cell thick has lines with no couplings
+    from gclkit.hexmesh import build_box_mesh
+
+    mesh = build_box_mesh(*size, 3.2, 2.8, 2.4)
+    case = MotionCase.for_case("case4")
+    traj = sample_motion(mesh, case, 2)
+    result = FreestreamProblem(mesh, traj, SpectralOperator(2, case.period), None).march()
+    assert result.stop_reason == "floor" and result.iterations > 0
+
+
+def test_preconditioner_is_built_once_per_solve_that_steps(case2_small, monkeypatch):
+    # a conserving field starts on the floor and never pays for the build;
+    # a solve that steps builds it once, and the next solve builds it afresh
+    mesh, traj, op = case2_small
+    builds = []
+    build = FreestreamProblem._preconditioner
+    monkeypatch.setattr(
+        FreestreamProblem, "_preconditioner", lambda self: builds.append(1) or build(self)
+    )
+    aevi = FreestreamProblem(mesh, traj, op, aevi_field(mesh, traj, op)).march()
+    assert aevi.iterations == 0 and aevi.stop_reason == "floor" and not builds
+    avg = FreestreamProblem(mesh, traj, op, gcl.ifmv_avg(mesh, traj))
+    for solves in (1, 2):
+        assert avg.march().iterations > 0 and len(builds) == solves
 
 
 # -- reference residual: the per-axis assembly before cell primitives were
