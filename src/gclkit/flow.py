@@ -313,7 +313,7 @@ class FreestreamProblem:
         n_interfaces = len(mesh.interface_vertex_ids)
         areas = mesh.blockwise(
             lambda q: np.concatenate(_quad_area(q)),
-            mesh.interface_vertex_ids,
+            "interfaces",
             trajectory.positions[:-1],
             out=np.empty((3 * nts, n_interfaces)).T,
         ).T.reshape(3, nts, n_interfaces)

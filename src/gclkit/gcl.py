@@ -206,7 +206,10 @@ def lvi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeri
     of a collapsed hexahedron.
     """
     return _increments(
-        "lvi", mesh, trajectory, lambda q: _sweep_volume(q[:, :, :1], q[:, :, 1:])
+        "lvi",
+        mesh,
+        trajectory,
+        lambda q: _sweep_volume([c[:, :1] for c in q], [c[:, 1:] for c in q]),
     )
 
 
@@ -216,21 +219,19 @@ def aevi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSer
         "aevi",
         mesh,
         trajectory,
-        lambda q: np.cumsum(_sweep_volume(q[:, :, :-1], q[:, :, 1:]), axis=0),
+        lambda q: np.cumsum(_sweep_volume([c[:, :-1] for c in q], [c[:, 1:] for c in q]), axis=0),
     )
 
 
 def _increments(method, mesh, trajectory, sweeps) -> IncrementSeries:
-    """Interface increments t_1..t_2N+1 from ``sweeps`` of the gathered quads,
+    """Interface increments t_1..t_2N+1 from ``sweeps`` of a block's quads,
     split into their linear slope and periodic part.
 
-    ``sweeps`` receives a block's quads as corner planes (4, 3, 2N+2, block)
+    ``sweeps`` receives a block's quads as four corner views (3, 2N+2, block)
     and returns (2N+1, block).
     """
     totals = np.zeros((len(mesh.interface_vertex_ids), len(trajectory.times)))
-    mesh.blockwise(
-        sweeps, mesh.interface_vertex_ids, trajectory.positions, out=totals[:, 1:]
-    )
+    mesh.blockwise(sweeps, "interfaces", trajectory.positions, out=totals[:, 1:])
     return extract_linear_and_periodic(
         IncrementSeries(method, trajectory.period, trajectory.times, totals)
     )
@@ -273,7 +274,7 @@ def ifmv_avg(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     """Mean-vertex-velocity approximation: G_m = mean(v) . S_m per instant."""
     flux = mesh.blockwise(
         _avg_flux,
-        mesh.interface_vertex_ids,
+        "interfaces",
         trajectory.positions[:-1],
         trajectory.velocities,
     )
@@ -284,7 +285,7 @@ def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     """Exact trilinear-mapping IFMV for all interfaces and instants."""
     flux = mesh.blockwise(
         _quad_flux,
-        mesh.interface_vertex_ids,
+        "interfaces",
         trajectory.positions[:-1],
         trajectory.velocities,
     )
@@ -295,7 +296,7 @@ def exact_volume_rates(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarra
     """Exact d(volume)/dt per cell and instant, shape (n_cells, 2N+1)."""
     return mesh.blockwise(
         _dvoldt,
-        mesh.cell_vertex_ids,
+        "cells",
         trajectory.positions[:-1],
         trajectory.velocities,
     )

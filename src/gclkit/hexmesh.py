@@ -14,12 +14,34 @@ subtracts its -axis faces (:meth:`HexMesh.sum_over_faces`).
 
 The closed-form kernels are written out component by component over corner
 planes, a (k, 3, ...) layout in which ``r[j][c]`` is component c of corner j
-over any number of elements and instants.  :meth:`HexMesh.blockwise` gathers
-vertex fields into that layout directly, so each corner component of a block
-is one (n_instants, block) slab; the public functions take component-last
-(..., k, 3) arrays and pass the kernel strided views of them
+over any number of elements and instants.  :meth:`HexMesh.blockwise` slices
+vertex fields into that layout directly: on the structured grid every corner
+of a cell or interface is a fixed flat offset from the element's grid point,
+so for a block of consecutive elements each corner is one slice of a field's
+component planes (3, n_instants, n_vertices), and each corner component is
+one (n_instants, block) view, with no gather.  The public functions take
+component-last (..., k, 3) arrays and pass the kernel strided views of them
 (:func:`corner_planes`).  Each formula therefore has one implementation, with
 no ``np.cross``, ``einsum`` or per-face fancy-index copy.
+
+Case 5 at N = 20 on 10^3 (42 position instants), BLAS on 1 thread, best of
+5, the range of three runs on a 2-core host, against the gather of every
+block's element corners that the slices replaced (``gathered_blockwise`` in
+``tests/oracles.py``):
+
+=============  =============  =============
+kernel         gathered       sliced
+=============  =============  =============
+LVI            13.8-16.1 ms   9.7-11.1 ms
+TRI-MAP        15.1-20.7 ms   12.0-15.6 ms
+cell volumes   4.1-4.7 ms     3.4-3.9 ms
+=============  =============  =============
+
+From the repository root, with the statement ``"gcl.trimap_field(m, t)"``
+for TRI-MAP, and without the set-up's last statement,
+``HexMesh.blockwise = gathered_blockwise``, for the sliced column::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python -m timeit -r 5 -s "from gclkit import gcl, motion; from gclkit.hexmesh import HexMesh, build_box_mesh; from oracles import gathered_blockwise; m = build_box_mesh(10, 10, 10, 3.2, 2.8, 2.4); t = motion.sample_motion(m, motion.MotionCase.for_case('case5'), 20); HexMesh.blockwise = gathered_blockwise" "gcl.lvi_increments(m, t)"
 
 The kernels give bitwise the values of the same formulas written
 component-last with ``np.cross`` and ``einsum``, which
@@ -93,10 +115,18 @@ FACE_FAMILY = {"x": (4, 5), "y": (3, 2), "z": (0, 1)}
 _SLOT_FACES = {
     slot: (axis, high) for axis, pair in FACE_FAMILY.items() for high, slot in enumerate(pair)
 }
+# Corner offsets (i, j, k), in grid steps from the element's grid point, of
+# the cells and of each axis's interfaces.  An interface's loop is a cell's
+# +axis face loop counted from the interface's own grid point, one step
+# further along the axis than the cell's corner 0.
+_CORNER_STEPS = {"cells": REF_CORNERS.astype(int)} | {
+    axis: REF_CORNERS[FACE_LOOPS[high]].astype(int) - np.eye(3, dtype=int)["xyz".index(axis)]
+    for axis, (_, high) in FACE_FAMILY.items()
+}
 
-# Element-instants per block of :meth:`HexMesh.blockwise`: a block's gathered
-# corners and the kernels' temporaries stay cache-sized, so a thread's working
-# set does not grow with the mesh or the number of instants.
+# Anchor-instants per block of :meth:`HexMesh.blockwise`: the kernels'
+# temporaries stay cache-sized, so a thread's working set does not grow with
+# the mesh or the number of instants.
 BLOCK_ELEMENT_INSTANTS = 8192
 
 # Per corner and reference axis (xi, eta, zeta), the low and high corner of
@@ -247,8 +277,8 @@ def detect_degenerate(
     positions = np.asarray(positions, dtype=float)
     stack = positions.reshape((-1,) + positions.shape[-2:])
     if volumes is None:
-        volumes = mesh.blockwise(_hex_volume, mesh.cell_vertex_ids, stack)
-    inverted = mesh.blockwise(_inverted_corner, mesh.cell_vertex_ids, stack, dtype=bool)
+        volumes = mesh.blockwise(_hex_volume, "cells", stack)
+    inverted = mesh.blockwise(_inverted_corner, "cells", stack, dtype=bool)
     bad = ~(np.reshape(volumes, inverted.shape) > 0.0) | inverted
     return np.flatnonzero(bad.T)
 
@@ -301,32 +331,40 @@ class HexMesh:
             positions = self.vertices
         return np.asarray(positions)[..., self.cell_vertex_ids, :]
 
-    def blockwise(self, kernel, vertex_ids, *fields, out=None, dtype=float):
+    def blockwise(self, kernel, kind, *fields, out=None, dtype=float):
         """Evaluate a per-element geometry kernel over blocks of elements.
 
-        ``vertex_ids`` (n_elements, k) lists the vertices of each element,
-        e.g. ``cell_vertex_ids`` or ``interface_vertex_ids``; each field is a
+        ``kind`` is "cells" or "interfaces", the elements of
+        ``cell_vertex_ids`` or ``interface_vertex_ids``.  Each field is a
         vertex array (n_instants, n_vertices, 3) such as positions or
-        velocities.  Each field is turned into component planes
-        (3, n_instants, n_vertices) once; for a block of elements, ``kernel``
-        receives every field gathered as (3, n_instants, k, block) and viewed
-        as its corner planes (k, 3, n_instants, block), so each corner
-        component is an (n_instants, block) slab.  It returns (n_out, block),
-        written to those elements' rows of ``out`` (n_elements, n_out).
-        ``out`` defaults to an instant-major array with n_out = n_instants.
-        A block holds about ``BLOCK_ELEMENT_INSTANTS`` element-instants; an
-        elementwise kernel gives bitwise the values of one call over all
-        elements.
+        velocities, read without a copy as its component planes
+        (3, n_instants, n_vertices); :func:`gclkit.motion.sample_motion`
+        stores a trajectory's that way.  Corner m of each element of a family
+        (the cells, or one axis's interfaces) is vertex p + o_m, with p the
+        element's grid point (its anchor), so for a block of consecutive
+        anchors s..e ``kernel`` receives each field as k corner views
+        ``planes[:, :, o_m + s : o_m + e]`` (3, n_instants, block).  It
+        returns (n_out, block); the anchors at the ends of grid rows and
+        planes, which are no elements, are dropped, and the rest written to
+        their elements' rows of ``out`` (n_elements, n_out), by default an
+        instant-major array with n_out = n_instants.  A block holds about
+        ``BLOCK_ELEMENT_INSTANTS`` anchor-instants; an elementwise kernel
+        gives bitwise the values of one call over all elements.
         """
-        n_instants = fields[0].shape[0]
+        planes = [np.moveaxis(np.asarray(f, dtype=float), -1, 0) for f in fields]
+        n_instants = planes[0].shape[1]
+        families = _element_families(self.counts, kind)
         if out is None:
-            out = np.empty((n_instants, len(vertex_ids)), dtype=dtype).T
-        planes = [np.ascontiguousarray(np.moveaxis(f, -1, 0), dtype=float) for f in fields]
+            out = np.empty((n_instants, families[-1][0].stop), dtype=dtype).T
         step = max(1, BLOCK_ELEMENT_INSTANTS // n_instants)
-        for start in range(0, len(vertex_ids), step):
-            ids = vertex_ids[start : start + step].T
-            gathered = (p[:, :, ids].transpose(2, 0, 1, 3) for p in planes)
-            out[start : start + step] = kernel(*gathered).T
+        for rows, offsets, anchors in families:
+            row = rows.start
+            for start in range(0, len(anchors), step):
+                stop = min(start + step, len(anchors))
+                corners = [[p[:, :, o + start : o + stop] for o in offsets] for p in planes]
+                values = kernel(*corners).T[anchors[start:stop]]
+                out[row : row + len(values)] = values
+                row += len(values)
         return out
 
     def sum_over_faces(self, values: np.ndarray) -> np.ndarray:
@@ -394,7 +432,7 @@ def build_box_mesh(
         raise ValueError(f"cell counts must be positive integers, got {counts}")
     if any(not (length > 0.0) for length in lengths):
         raise ValueError(f"edge lengths must be positive, got {lengths}")
-    nx, ny, nz = int(nx), int(ny), int(nz)
+    nx, ny, nz = counts = int(nx), int(ny), int(nz)
 
     gz, gy, gx = np.meshgrid(
         np.linspace(0.0, lz, nz + 1),
@@ -404,31 +442,45 @@ def build_box_mesh(
     )
     # vertex id = i + (nx+1)*(j + (ny+1)*k)  -> x-fastest flattening
     vertices = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
-    grid = np.arange(len(vertices)).reshape(nz + 1, ny + 1, nx + 1)
-    # an interface's loop is a cell's +axis face loop, with its corner
-    # offsets counted from the interface's own grid point, one step further
-    # along the axis than the cell's corner 0
-    plus_loops = {
-        axis: REF_CORNERS[FACE_LOOPS[high]].astype(int) - np.eye(3, dtype=int)["xyz".index(axis)]
-        for axis, (_, high) in FACE_FAMILY.items()
-    }
     return HexMesh(
         nx, ny, nz, float(lx), float(ly), float(lz), vertices,
-        _grid_elements(grid, REF_CORNERS.astype(int), (nz, ny, nx)),
-        interface_vertex_ids=np.concatenate(
-            [_grid_elements(grid, plus_loops[axis], shape)
-             for axis, (_, shape) in _interface_blocks((nx, ny, nz)).items()]
-        ),
+        _element_vertex_ids(counts, "cells"),
+        interface_vertex_ids=_element_vertex_ids(counts, "interfaces"),
     )
 
 
-def _grid_elements(grid: np.ndarray, offsets: np.ndarray, shape) -> np.ndarray:
-    """Vertex ids (n_elements, k) of the elements at the points of a (z, y, x)
-    ``shape``: corner m of each is the vertex ``offsets[m]`` = (i, j, k) grid
-    steps past the element's point on the vertex ``grid``."""
-    nz, ny, nx = shape
-    return np.stack(
-        [grid[k : k + nz, j : j + ny, i : i + nx].ravel() for i, j, k in offsets], axis=-1
+@functools.lru_cache(maxsize=8)
+def _element_families(counts, kind: str):
+    """The element families of ``kind`` ("cells" or "interfaces") on the
+    vertex grid of ``counts``.
+
+    Per family (the cells, or the x, y and z interfaces in turn), its rows
+    among the elements of ``kind``, the flat vertex offsets o_m of its k
+    corners and its anchor mask.  An element's anchor is the flat id p of
+    its grid point, and its corner m is vertex p + o_m.  The mask runs over
+    the anchors from 0 to the family's last and marks the family's grid
+    points, in the C order of its grid; the corners of an unmarked anchor,
+    at the end of a grid row or plane, are still vertices.
+    """
+    nx, ny, nz = counts
+    strides = np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+    cells = {"cells": (slice(0, nx * ny * nz), (nz, ny, nx))}
+    families = {"cells": cells, "interfaces": _interface_blocks(counts)}[kind]
+    result = []
+    for name, (rows, (sz, sy, sx)) in families.items():
+        grid = np.zeros((nz + 1, ny + 1, nx + 1), dtype=bool)
+        grid[:sz, :sy, :sx] = True
+        anchors = grid.ravel()[: np.flatnonzero(grid)[-1] + 1]
+        anchors.flags.writeable = False
+        result.append((rows, tuple((_CORNER_STEPS[name] @ strides).tolist()), anchors))
+    return tuple(result)
+
+
+def _element_vertex_ids(counts, kind: str) -> np.ndarray:
+    """Vertex ids (n_elements, k) of the elements of ``kind``, in row order."""
+    return np.concatenate(
+        [np.flatnonzero(anchors)[:, None] + offsets
+         for _, offsets, anchors in _element_families(counts, kind)]
     )
 
 

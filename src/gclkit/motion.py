@@ -311,6 +311,14 @@ def evaluate_motion(
     raise ValueError(f"unknown case id {case.case_id!r}")
 
 
+def _by_component(*arrays: np.ndarray) -> np.ndarray:
+    """Vertex arrays (n, n_vertices, 3) joined along n into one array stored
+    as component planes (3, n, n_vertices), viewed as (n, n_vertices, 3)."""
+    planes = np.empty((3, sum(len(a) for a in arrays), arrays[0].shape[1]))
+    np.concatenate([np.moveaxis(a, -1, 0) for a in arrays], axis=1, out=planes)
+    return np.moveaxis(planes, 0, -1)
+
+
 def sample_motion(
     mesh: HexMesh,
     case: MotionCase,
@@ -321,7 +329,12 @@ def sample_motion(
 
     ``rbf_fields`` is passed on to :func:`evaluate_motion`.  The cell volumes
     are computed once, here, and gate the sample: the closing sample is t_0
-    again and is neither measured nor checked twice.
+    again and is neither measured nor checked twice.  Positions and
+    velocities are stored component-first, as the planes (3, n_instants,
+    n_vertices) that :meth:`HexMesh.blockwise` reads, and returned as
+    (n_instants, n_vertices, 3) views of them: every geometry pass over the
+    trajectory reads them in place, and they take no more memory than the
+    vertex arrays would.
 
     Raises
     ------
@@ -337,8 +350,12 @@ def sample_motion(
     # an overflowing motion is reported by the gate, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         positions, velocities = evaluate_motion(mesh, case, times[:-1], rbf_fields)
-        volumes = mesh.blockwise(_hex_volume, mesh.cell_vertex_ids, positions)
-        bad = detect_degenerate(mesh, positions, volumes)
+        # the closing sample at t = T is the t = 0 configuration again;
+        # reusing it makes the periodic closure exact instead of rounding-level
+        positions = _by_component(positions, positions[:1])
+        velocities = _by_component(velocities)
+        volumes = mesh.blockwise(_hex_volume, "cells", positions[:-1])
+        bad = detect_degenerate(mesh, positions[:-1], volumes)
     if len(bad):
         instants, cells = np.divmod(bad, mesh.n_cells)
         raise DegenerateMeshError(times[instants[0]], cells[instants == instants[0]])
@@ -347,14 +364,12 @@ def sample_motion(
         n = np.flatnonzero(~finite.all(axis=-1))[0]
         cells = np.flatnonzero(~finite[n][mesh.cell_vertex_ids].all(axis=-1))
         raise DegenerateMeshError(times[n], cells, "non-finite velocities in")
-    # the closing sample at t = T is the t = 0 configuration again; reusing it
-    # makes the periodic closure exact instead of rounding-level
     return MotionTrajectory(
         case=case,
         n_harmonics=int(n_harmonics),
         period=case.period,
         times=times,
-        positions=np.concatenate([positions, positions[:1]]),
+        positions=positions,
         velocities=velocities,
         volumes=volumes,
         metadata=case.metadata(mesh),

@@ -17,7 +17,9 @@ the grid's orbit representatives replaced.  The five-stage Runge-Kutta
 pseudo-time march is the route to the converged freestream state that the
 Newton-Krylov solve replaced, and the dense first-order Jacobian, assembled
 face by face, is the matrix whose per-axis factors the solve's line-implicit
-preconditioner inverts line by line.
+preconditioner inverts line by line.  The gather of every element's
+corners, block by block, is the route that slicing the structured vertex
+grid at fixed corner offsets replaced in ``HexMesh.blockwise``.
 """
 
 import numpy as np
@@ -45,6 +47,28 @@ def corner_jacobians(corners):
     the three cell edges leaving it along xi, eta and zeta.
     """
     return np.stack(hexmesh._corner_jacobians(hexmesh.corner_planes(corners)), axis=-1)
+
+
+def gathered_blockwise(mesh, kernel, kind, *fields, out=None, dtype=float):
+    """``HexMesh.blockwise`` by a gather of each block's element corners.
+
+    The vertex ids of the elements of ``kind`` index each field's component
+    planes, so ``kernel`` receives every field as one gathered array of
+    corner planes (k, 3, n_instants, block), blocks of
+    ``hexmesh.BLOCK_ELEMENT_INSTANTS`` element-instants.  Takes the method's
+    arguments, so it can stand in for it.
+    """
+    vertex_ids = {"cells": mesh.cell_vertex_ids, "interfaces": mesh.interface_vertex_ids}[kind]
+    n_instants = fields[0].shape[0]
+    if out is None:
+        out = np.empty((n_instants, len(vertex_ids)), dtype=dtype).T
+    planes = [np.ascontiguousarray(np.moveaxis(f, -1, 0), dtype=float) for f in fields]
+    step = max(1, hexmesh.BLOCK_ELEMENT_INSTANTS // n_instants)
+    for start in range(0, len(vertex_ids), step):
+        ids = vertex_ids[start : start + step].T
+        gathered = (p[:, :, ids].transpose(2, 0, 1, 3) for p in planes)
+        out[start : start + step] = kernel(*gathered).T
+    return out
 
 
 def six_face_hex_volume(corners):

@@ -2,33 +2,39 @@
 
 The per-element kernels (LVI and AEVI sweeps, AVG and TRI-MAP face fluxes,
 cell volumes, exact volume rates, the degeneracy gate) run over blocks of
-``BLOCK_ELEMENT_INSTANTS`` element-instants on component planes, with every
+``BLOCK_ELEMENT_INSTANTS`` anchor-instants on component planes, with every
 dot and cross product written out.  The references below are the same
 formulas on ``(..., k, 3)`` arrays, through ``np.cross`` and ``einsum``: the
 edge-vector volume, its product-rule rate and the edge-vector flux.  Every
 value must be bitwise what they give, zero signs included.  The "one-shot"
 tests evaluate the references without blocks, over all elements of one
 instant at a time.  The six-face volume and rate and the six-cross flux the
-edge-vector forms replaced are oracles in ``tests/oracles.py``.
+edge-vector forms replaced are oracles in ``tests/oracles.py``, and so is the
+gather of each block's element corners that slicing the vertex grid
+replaced: on small meshes every kernel family must give bitwise its values.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gclkit import gcl
+from gclkit import flow, gcl, hexmesh, motion
 from gclkit.hexmesh import (
     BLOCK_ELEMENT_INSTANTS,
     FACE_LOOPS,
     REF_CORNERS,
+    HexMesh,
+    build_box_mesh,
     detect_degenerate,
     face_area_vectors,
     hex_volume,
     quad_area_vectors,
 )
-from gclkit.motion import MotionCase, evaluate_motion, sample_motion
-from oracles import corner_jacobians
+from gclkit.motion import MotionCase, MotionTrajectory, evaluate_motion, sample_motion
+from gclkit.spectral import SpectralOperator
+from oracles import corner_jacobians, gathered_blockwise
 
 N = 20  # 2N+2 = 42 instants: several blocks per kernel, the last one ragged
 
@@ -182,10 +188,12 @@ def case5_trajectory(paper_mesh):
 
 
 def test_paper_mesh_spans_ragged_blocks(paper_mesh):
-    for n_elements in (len(paper_mesh.interface_vertex_ids), paper_mesh.n_cells):
-        for n_instants in (2 * N + 1, 2 * N + 2):
-            step = BLOCK_ELEMENT_INSTANTS // n_instants
-            assert n_elements > 2 * step and n_elements % step != 0
+    # the cells and each axis's interfaces run over blocks of anchors
+    for kind in ("cells", "interfaces"):
+        for _, _, anchors in hexmesh._element_families(paper_mesh.counts, kind):
+            for n_instants in (2 * N + 1, 2 * N + 2):
+                step = BLOCK_ELEMENT_INSTANTS // n_instants
+                assert len(anchors) > 2 * step and len(anchors) % step != 0
 
 
 @pytest.mark.parametrize("kind", ["lvi", "aevi"])
@@ -314,3 +322,72 @@ def test_kernel_allocation_peak_is_bounded(paper_mesh, case5_trajectory, kernel)
     finally:
         tracemalloc.stop()
     assert peak <= 48e6, f"allocation peak {peak / 1e6:.1f} MB"
+
+
+# -- sliced blocks against the gathered ones -----------------------------------
+
+
+@st.composite
+def moving_grids(draw):
+    """A mesh of 1-5 cells a side, one-cell-thick axes included, and a
+    trajectory of 1-6 instants of randomly moved vertices.
+
+    The vertices stay still, move within a fifth of a spacing or move far
+    enough to invert cells; a third of the velocity components are zeros of
+    either sign.  The trajectory is stored component-last or, as sampled
+    motions are, component-first.
+    """
+    mesh = build_box_mesh(*(draw(st.integers(1, 5)) for _ in range(3)), 3.2, 2.8, 2.4)
+    n_instants = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reach = draw(st.sampled_from([0.0, 0.2, 0.7])) * mesh.lengths / mesh.counts
+    shape = (n_instants, mesh.n_vertices, 3)
+    moved = mesh.vertices + reach * rng.uniform(-1.0, 1.0, shape)
+    velocities = rng.normal(size=shape)
+    zeros = rng.random(shape)
+    velocities[zeros < 0.2] = 0.0
+    velocities[zeros > 0.9] = -0.0
+    positions = np.concatenate([moved, moved[:1]])
+    if draw(st.booleans()):
+        positions, velocities = motion._by_component(positions), motion._by_component(velocities)
+    times = np.arange(n_instants + 1) / n_instants
+    volumes = mesh.blockwise(hexmesh._hex_volume, "cells", positions[:-1])
+    trajectory = MotionTrajectory(
+        MotionCase.for_case("case1"), n_instants // 2, 1.0, times, positions, velocities,
+        volumes, {},
+    )
+    return mesh, trajectory
+
+
+def _kernel_families(mesh, trajectory):
+    """Every blockwise kernel family's values on a trajectory."""
+    values = {
+        "volumes": mesh.blockwise(hexmesh._hex_volume, "cells", trajectory.positions[:-1]),
+        "gate": detect_degenerate(mesh, trajectory.positions[:-1]),
+        "lvi": gcl.lvi_increments(mesh, trajectory).totals,
+        "aevi": gcl.aevi_increments(mesh, trajectory).totals,
+        "trimap": gcl.trimap_field(mesh, trajectory).total,
+        "avg": gcl.ifmv_avg(mesh, trajectory).total,
+        "rates": gcl.exact_volume_rates(mesh, trajectory),
+    }
+    if trajectory.nts == len(trajectory.velocities) > 1:
+        spectral = SpectralOperator(trajectory.n_harmonics)
+        problem = flow.FreestreamProblem(mesh, trajectory, spectral, None)
+        for name, axis in zip("xyz", problem._axes):
+            values[f"areas {name}"] = axis.vectors
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(moving_grids(), st.integers(1, 64))
+def test_sliced_blocks_bitwise_equal_gathered(grid, block_element_instants):
+    mesh, trajectory = grid
+    with pytest.MonkeyPatch.context() as patch:
+        # blocks of a few anchors, most of them ragged
+        patch.setattr(hexmesh, "BLOCK_ELEMENT_INSTANTS", block_element_instants)
+        sliced = _kernel_families(mesh, trajectory)
+        patch.setattr(HexMesh, "blockwise", gathered_blockwise)
+        gathered = _kernel_families(mesh, trajectory)
+    assert sliced.keys() == gathered.keys()
+    for name, expected in gathered.items():
+        assert _bitwise_equal(sliced[name], expected), name
