@@ -222,16 +222,26 @@ def _mv(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (blocks * v[None]).sum(axis=1)
 
 
+def _times(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Block products ``a b`` (5, 5, ...) into complex ``out``, where one factor is
+    the float view of complex blocks and the other is real, each entry twice."""
+    return np.einsum("ij...,jk...->ik...", a, b, out=out.view(float)).view(complex)
+
+
 def _solve_lines(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Block Thomas on all lines of one axis at once, their cells on axis 1 of
-    ``rhs``; ``factor`` is from :meth:`FreestreamProblem._line_factors`."""
-    inverses, lower, upper = factor
-    x = np.empty(rhs.shape, complex)
-    x[:, 0] = _mv(inverses[0], rhs[:, 0])
-    for i in range(1, len(inverses)):
-        x[:, i] = _mv(inverses[i], rhs[:, i] - _mv(lower[:, :, i - 1], x[:, i - 1]))
-    for i in range(len(inverses) - 2, -1, -1):
-        x[:, i] -= _mv(inverses[i], _mv(upper[:, :, i], x[:, i + 1]))
+    """Block Thomas on all lines of an axis, their m cells on axis 0 of ``rhs``
+    (m, 5, ...): ``x_i = first_i rhs_i - lower_i x_{i-1}`` down the lines and
+    ``x_i -= upper_i x_{i+1}`` back up.  With no ``first`` it solves ``(Dg + O) x
+    = Dg rhs``, as ``P_i^-1 Dg_i = I + lower_i upper_{i-1}`` and ``P_0 = Dg_0``."""
+    first, lower, upper = factor
+    x = np.array(rhs, complex, order="C")
+    for i in range(len(x)):
+        if first is not None:
+            x[i] = _mv(first[i], x[i]) - (_mv(lower[i - 1], x[i - 1]) if i else 0.0)
+        elif i:
+            x[i] -= _mv(lower[i - 1], x[i - 1] - _mv(upper[i - 1], x[i]))
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= _mv(upper[i], x[i + 1])
     return x
 
 
@@ -424,10 +434,12 @@ class FreestreamProblem:
     # -- Newton-Krylov solve -----------------------------------------------
 
     def _line_factors(self):
-        """The cell diagonal of ``J1``, ``i omega k Vbar`` (k = 0..N) and, per
-        axis, the m line pivots' inverses (5, 5, N+1, a, b) and the real lower
-        and upper couplings (5, 5, m-1, 1, a, b) of ``Dg + O_axis``, in that
-        axis's :attr:`_AxisFaces.order`.  ``J1`` is the Rusanov Jacobian at
+        """Per axis, ``(first, lower, upper)``: the pivots ``P_i`` of block Thomas on
+        ``Dg + O_axis`` folded into its couplings, ``lower_i = P_i^-1 L_{i-1}`` and
+        ``upper_i = P_i^-1 U_i`` (m-1, 5, 5, N+1, a, b), line-first on the axis's
+        m cells with (a, b) as in :attr:`_AxisFaces.order`, and ``first_i =
+        P_i^-1`` on x, None on y and z.  ``Dg`` is the cell diagonal of ``J1``
+        plus ``i omega k Vbar`` (k = 0..N).  ``J1`` is the Rusanov Jacobian at
         :data:`W_INF` on the time-averaged faces: an interface couples its left
         and right cells by ``1/2 (A . S - g) +- c lambda``, with its mean area
         vector, IFMV and start-state spectral radius, and ``c`` from
@@ -443,42 +455,45 @@ class FreestreamProblem:
             central = 0.5 * np.einsum("dij,d...->ij...", _flux_jacobians(),
                                       axis.vectors.mean(axis=2, keepdims=True))
             left, right = central + (dissipation - g) * eye, central - (dissipation + g) * eye
-            couplings.append((-left[:, :, 1:-1], right[:, :, 1:-1]))
+            couplings.append([np.repeat(np.moveaxis(c, 2, 0), 2, axis=-1)  # for _times
+                              for c in (-left[:, :, 1:-1], right[:, :, 1:-1])])
             cells = left[:, :, 1:] - right[:, :, :-1]
             diagonal = diagonal + cells.transpose((0, 1) + axis.back[1:])
-        factors = []
-        for axis, (lower, upper) in zip(self._axes, couplings):
-            pivots = (diagonal + temporal * eye).transpose((0, 1) + axis.order[1:])
-            inverses = []
-            for i in range(pivots.shape[2]):
-                pivot = pivots[:, :, i]
-                if i:  # minus lower . previous inverse . upper
-                    step = np.einsum("ij...,jk...->ik...", inverses[-1], upper[:, :, i - 1])
-                    pivot = pivot - np.einsum("ij...,jk...->ik...", lower[:, :, i - 1], step)
+        dg, factors = diagonal + temporal * eye, []
+        for n, (axis, (lower, upper)) in enumerate(zip(self._axes, couplings)):
+            pivots = np.moveaxis(dg, axis.order[1], 0)
+            inverses = np.empty(pivots.shape, complex)
+            folds = np.empty((2, len(pivots) - 1) + pivots.shape[1:], complex)
+            for i, pivot in enumerate(pivots):
+                if i:  # minus L_{i-1} upper_{i-1}, with inverses[i] as scratch
+                    pivot = pivot - _times(lower[i - 1], folds[1, i - 1].view(float), inverses[i])
                 inverse = np.linalg.inv(np.moveaxis(pivot, (0, 1), (-2, -1)))
-                inverses.append(np.ascontiguousarray(np.moveaxis(inverse, (-2, -1), (0, 1))))
-            factors.append((inverses, lower, upper))
-        return diagonal, temporal, factors
+                inverses[i] = np.moveaxis(inverse, (-2, -1), (0, 1))
+                if i:
+                    _times(inverses[i].view(float), lower[i - 1], folds[0, i - 1])
+                if i < len(folds[1]):
+                    _times(inverses[i].view(float), upper[i], folds[1, i])
+            factors.append((None if n else inverses, *folds))
+        return factors
 
     def _preconditioner(self):
         """``P^-1 v`` for flat ``v``, ``P = D + J1 Vbar^-1`` with ``Vbar`` the mean
         cell volumes: harmonic k solves ``(i omega k Vbar + J1) y = v_k`` alone,
-        factored by axis as ``(Dg + Ox) Dg^-1 (Dg + Oy) Dg^-1 (Dg + Oz)``.  The
-        real FFT's N+1 harmonics k >= 0 fix a real signal; the 2N+1 of
-        :meth:`SpectralOperator.dft` would nearly double the line work.  A
-        singular pivot gives a NaN operator."""
+        factored by axis as ``(Dg + Ox) Dg^-1 (Dg + Oy) Dg^-1 (Dg + Oz)``, each
+        factor a line solve.  The real FFT's N+1 harmonics k >= 0 fix a real signal;
+        the 2N+1 of :meth:`SpectralOperator.dft` would nearly double the line
+        work.  A singular pivot gives a NaN operator."""
         nts, vbar = self.spectral.nts, self.volumes.mean(axis=0)
         try:
-            diagonal, temporal, factors = self._line_factors()
+            factors = self._line_factors()
         except np.linalg.LinAlgError:
             return lambda v: np.full_like(v, np.nan)
 
         def precondition(v):
             y = np.fft.rfft(v.reshape((5,) + self.volumes.shape), axis=1)
-            for n, (axis, factor) in enumerate(zip(self._axes, factors)):
-                if n:
-                    y = _mv(diagonal, y) + temporal * y
-                y = _solve_lines(factor, y.transpose(axis.order)).transpose(axis.back)
+            for axis, factor in zip(self._axes, factors):
+                lines = _solve_lines(factor, np.moveaxis(y, axis.order[1], 0))
+                y = np.moveaxis(lines, 0, axis.order[1])
             return (vbar * np.fft.irfft(y, nts, axis=1)).ravel()
 
         return precondition

@@ -374,13 +374,15 @@ def test_preconditioner_is_the_product_of_the_inverted_factors(odd_box_problem):
 
 def test_line_solves_invert_their_factors(odd_box_problem):
     # harmonic k's factor along one axis is Dg_k + O_axis, block-tridiagonal
-    # along that axis's grid lines; its block-Thomas solve inverts it exactly
+    # along that axis's grid lines; the block-Thomas solve on the folded
+    # factors inverts it on x, and on y and z it inverts it after the Dg_k
+    # between the factors: (Dg_k + O_axis) x = Dg_k rhs
     problem = odd_box_problem
     spectral = problem.spectral
     diagonal, couplings, vbar = dense_first_order_jacobian(
         problem, flow._flux_jacobians(), flow.PRECONDITIONER_DISSIPATION
     )
-    _, _, factors = problem._line_factors()
+    factors = problem._line_factors()
     rng = np.random.default_rng(4)
     shape = (5, spectral.n_harmonics + 1) + problem.volumes.shape[1:]
     rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -388,13 +390,16 @@ def test_line_solves_invert_their_factors(odd_box_problem):
     def cell_major(a, k):  # harmonic k as the oracle's rows, 5 c + component
         return a[:, k].reshape(5, -1).T.ravel()
 
-    for axis, factor, coupling in zip(problem._axes, factors, couplings):
-        x = flow._solve_lines(factor, rhs.transpose(axis.order)).transpose(axis.back)
+    for n, (axis, factor, coupling) in enumerate(zip(problem._axes, factors, couplings)):
+        line = axis.order[1]
+        x = np.moveaxis(flow._solve_lines(factor, np.moveaxis(rhs, line, 0)), 0, line)
         for k in range(spectral.n_harmonics + 1):
             temporal = np.repeat(2.0 * np.pi * k / spectral.period * vbar, 5)
-            back = (diagonal + coupling + np.diag(1j * temporal)) @ cell_major(x, k)
+            dg = diagonal + np.diag(1j * temporal)
+            expected = dg @ cell_major(rhs, k) if n else cell_major(rhs, k)
             np.testing.assert_allclose(
-                back, cell_major(rhs, k), rtol=0.0, atol=1e-12 * np.abs(rhs).max()
+                (dg + coupling) @ cell_major(x, k), expected,
+                rtol=0.0, atol=1e-12 * np.abs(expected).max(),
             )
 
 

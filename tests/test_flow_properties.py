@@ -4,11 +4,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gclkit import gcl
+from gclkit import flow, gcl
 from gclkit.flow import FreestreamProblem, ale_face_flux, jst_dissipation, pressure
 from gclkit.hexmesh import build_box_mesh
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
+from oracles import dense_preconditioner
 from test_flow import _reference_local_timestep, _reference_residual_parts
 
 GAMMA = 1.4
@@ -136,3 +137,31 @@ def test_axis_major_residual_is_bitwise_the_reference(data):
     assert _bitwise_equal(
         problem.local_timestep(wbar, 1.5), _reference_local_timestep(problem, wbar, 1.5)
     )
+
+
+@st.composite
+def preconditioned_problems(draw):
+    """A problem on a box of 1-4 cells an axis, so a line may have no
+    couplings, with two random vectors in the spectral state's layout."""
+    nx, ny, nz = (draw(st.integers(1, 4)) for _ in range(3))
+    n_harmonics = draw(st.integers(1, 3))
+    case = MotionCase.for_case(draw(st.sampled_from(["case2", "case4", "case5"])))
+    mesh = build_box_mesh(nx, ny, nz, 3.2, 2.8, 2.4)
+    trajectory = sample_motion(mesh, case, n_harmonics)
+    ifmv = gcl.ifmv_avg(mesh, trajectory) if draw(st.booleans()) else None
+    problem = FreestreamProblem(mesh, trajectory, SpectralOperator(n_harmonics, case.period), ifmv)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = rng.standard_normal((2, problem.initial_state().size))
+    return problem, u, v, draw(_floats(-2.0, 2.0))
+
+
+@PROPERTY
+@given(preconditioned_problems())
+def test_preconditioner_is_the_linear_dense_factorisation(data):
+    problem, u, v, scale = data
+    precondition = problem._preconditioner()
+    dense = dense_preconditioner(problem, flow._flux_jacobians(), flow.PRECONDITIONER_DISSIPATION)
+    expected, got = dense(u), precondition(u)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+    combined, parts = precondition(scale * u + v), scale * got + precondition(v)
+    np.testing.assert_allclose(combined, parts, rtol=0.0, atol=1e-13 * np.abs(parts).max())
