@@ -8,13 +8,7 @@ flow exactly uniform.
 
 __version__ = "0.1.0"
 
-from .hexmesh import (
-    HexMesh,
-    build_box_mesh,
-    detect_degenerate,
-    face_area_vectors,
-    hex_volume,
-)
+from .hexmesh import HexMesh, build_box_mesh, detect_degenerate
 from .motion import MotionCase, MotionTrajectory, sample_motion
 from .rbf import RbfSystem, build_system, interpolate, wendland_c0
 from .spectral import SpectralOperator, ts_matrix
@@ -22,7 +16,6 @@ from .gcl import (
     IfmvField,
     IncrementSeries,
     aevi_increments,
-    dvoldt_trimap,
     extract_linear_and_periodic,
     ifmv_avg,
     ifmv_nlfd,

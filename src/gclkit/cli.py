@@ -1,13 +1,10 @@
-"""Command-line front end: benchmark sweeps to CSV and a verification suite.
+"""Command-line front end: benchmark sweeps to CSV.
 
 ``gclkit run`` evaluates the requested IFMV methods over a harmonic sweep of
 one motion case and writes one CSV row per (case, method, N), preceded by a
-``#`` metadata block echoing the effective configuration.  ``gclkit verify``
-executes the cross-module property suite and prints one pass/fail line per
-property.
+``#`` metadata block echoing the effective configuration.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 degenerate mesh, 4 divergence.
+Exit codes: 0 success, 2 configuration error, 3 degenerate mesh, 4 divergence.
 """
 
 from __future__ import annotations
@@ -18,13 +15,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from . import __version__, experiments, flow, verify
+from . import __version__, experiments, flow
 from .experiments import METHOD_ALIASES, ConfigError, MeshConfig
 from .flow import FreestreamDivergence
 from .motion import CASE_IDS, DegenerateMeshError, MotionCase, case_parameters
 
 EXIT_OK = 0
-EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
@@ -291,17 +287,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_all(mutate_trimap=args.mutate_trimap)
-    failed = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name}" + (f"  ({detail})" if detail else ""))
-        failed += not ok
-    print(f"{len(results) - failed}/{len(results)} properties passed")
-    return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that raises each usage error as a one-line :class:`ConfigError`."""
 
@@ -333,12 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--timing", action="store_true", default=None,
                      help="record wall-clock per row (breaks byte-determinism)")
     run.set_defaults(handler=cmd_run)
-
-    ver = sub.add_parser("verify", help="run the cross-module property suite")
-    ver.add_argument("--mutate-trimap", type=float, default=0.0,
-                     help="perturb the trilinear face flux to prove the "
-                          "closure property can fail (self-test of the tester)")
-    ver.set_defaults(handler=cmd_verify)
     return parser
 
 

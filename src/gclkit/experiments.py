@@ -107,9 +107,8 @@ def prepare_point(
     The trajectory's cell volumes serve the gate, the metrics and every
     freestream problem of the point.  The TRI-MAP face fluxes
     are exact, so their signed sum over each cell's faces is the exact
-    dV/dt; the product-rule rates (:func:`gcl.exact_volume_rates`,
-    :func:`gcl.dvoldt_trimap`) stay the independent oracle of the tests and
-    ``gclkit verify``.
+    dV/dt; the product-rule rates (:func:`gcl.exact_volume_rates`) stay the
+    independent oracle of the tests.
     """
     trajectory = sample_motion(mesh, case, n_harmonics, rbf_fields=rbf_fields)
     spectral = SpectralOperator(n_harmonics, case.period)

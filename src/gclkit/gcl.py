@@ -55,9 +55,7 @@ from .spectral import SpectralOperator
 __all__ = [
     "IncrementSeries",
     "IfmvField",
-    "quad_flux",
     "quad_flux_by_direction",
-    "dvoldt_trimap",
     "sweep_volume",
     "sweep_volume_by_direction",
     "lvi_increments",
@@ -104,11 +102,6 @@ def quad_flux_by_direction(quad: np.ndarray, velocities: np.ndarray) -> np.ndarr
     return np.stack(_quad_flux_by_direction(*_planes_of(quad, velocities)), axis=-1)
 
 
-def quad_flux(quad: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """Total face flux integral (v . n) dS of a bilinear quad."""
-    return _quad_flux(*_planes_of(quad, velocities))
-
-
 def _dvoldt(r, v):
     """Volume rate of hexahedra with corners r[0..7] and velocities v[0..7].
 
@@ -124,16 +117,6 @@ def _dvoldt(r, v):
         _dot(df, _cross(c, d + b)) + _dot(f, _cross(dc, d + b)) + _dot(f, _cross(c, dd + db)),
     ]
     return _sum(terms) / 12.0
-
-
-def dvoldt_trimap(corners: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """Exact rate of change of the hexahedron volume.
-
-    Product rule applied to the closed-form volume, as a function of the
-    eight corner positions and velocities (..., 8, 3).  The six face totals
-    of :func:`quad_flux` over ``FACE_LOOPS`` sum to it to rounding.
-    """
-    return _dvoldt(*_planes_of(corners, velocities))
 
 
 def _sweep_volume(start, end):

@@ -19,29 +19,14 @@ vertex fields into that layout directly: on the structured grid every corner
 of a cell or interface is a fixed flat offset from the element's grid point,
 so for a block of consecutive elements each corner is one slice of a field's
 component planes (3, n_instants, n_vertices), and each corner component is
-one (n_instants, block) view, with no gather.  The public functions take
-component-last (..., k, 3) arrays and pass the kernel strided views of them
+one (n_instants, block) view, with no gather.  A caller holding
+component-last (..., k, 3) arrays passes the kernels strided views of them
 (:func:`corner_planes`).  Each formula therefore has one implementation, with
 no ``np.cross``, ``einsum`` or per-face fancy-index copy.
 
-Case 5 at N = 20 on 10^3 (42 position instants), BLAS on 1 thread, best of
-5, the range of three runs on a 2-core host, against the gather of every
-block's element corners that the slices replaced (``gathered_blockwise`` in
-``tests/oracles.py``):
-
-=============  =============  =============
-kernel         gathered       sliced
-=============  =============  =============
-LVI            13.8-16.1 ms   9.7-11.1 ms
-TRI-MAP        15.1-20.7 ms   12.0-15.6 ms
-cell volumes   4.1-4.7 ms     3.4-3.9 ms
-=============  =============  =============
-
-From the repository root, with the statement ``"gcl.trimap_field(m, t)"``
-for TRI-MAP, and without the set-up's last statement,
-``HexMesh.blockwise = gathered_blockwise``, for the sliced column::
-
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python -m timeit -r 5 -s "from gclkit import gcl, motion; from gclkit.hexmesh import HexMesh, build_box_mesh; from oracles import gathered_blockwise; m = build_box_mesh(10, 10, 10, 3.2, 2.8, 2.4); t = motion.sample_motion(m, motion.MotionCase.for_case('case5'), 20); HexMesh.blockwise = gathered_blockwise" "gcl.lvi_increments(m, t)"
+The README's measurements section times the slices against the gather of
+every block's element corners that they replaced (``gathered_blockwise`` in
+``tests/oracles.py``).
 
 The kernels give bitwise the values of the same formulas written
 component-last with ``np.cross`` and ``einsum``, which
@@ -75,9 +60,6 @@ __all__ = [
     "HexMesh",
     "corner_planes",
     "build_box_mesh",
-    "hex_volume",
-    "quad_area_vectors",
-    "face_area_vectors",
     "detect_degenerate",
 ]
 
@@ -204,43 +186,6 @@ def _quad_area(q):
     return tuple(0.5 * s for s in _cross(q[2] - q[0], q[3] - q[1]))
 
 
-def hex_volume(corners: np.ndarray) -> np.ndarray:
-    """Signed volume of hexahedra from their eight corner positions.
-
-    Parameters
-    ----------
-    corners : ndarray, shape (..., 8, 3)
-        Corner positions in the canonical numbering.
-
-    Returns
-    -------
-    ndarray, shape (...)
-        The exact integral of the trilinear-mapping Jacobian determinant, in
-        closed form from edge and diagonal vectors, so its rounding scales
-        with the cell's size, not its distance from the origin.
-        Negative values signal an inverted cell; degenerate (zero-thickness)
-        hexahedra return 0.
-    """
-    return _hex_volume(corner_planes(corners))
-
-
-def quad_area_vectors(quads: np.ndarray) -> np.ndarray:
-    """Area vectors of bilinear quads (..., 4, 3) along their loops' normals.
-
-    Each vector is the exact surface integral of the unit normal, which for
-    a bilinear quad is half the cross product of its diagonals.
-    """
-    return np.stack(_quad_area(corner_planes(quads)), axis=-1)
-
-
-def face_area_vectors(corners: np.ndarray) -> np.ndarray:
-    """Outward area vectors of the six bilinear faces of each cell.
-
-    The six vectors of a closed cell sum to zero.
-    """
-    return quad_area_vectors(np.asarray(corners, dtype=float)[..., FACE_LOOPS, :])
-
-
 def _inverted_corner(r) -> np.ndarray:
     return ~(functools.reduce(np.minimum, _corner_jacobians(r)) > 0.0)
 
@@ -320,16 +265,6 @@ class HexMesh:
     @property
     def counts(self) -> tuple[int, int, int]:
         return (self.nx, self.ny, self.nz)
-
-    def cell_corners(self, positions: np.ndarray | None = None) -> np.ndarray:
-        """Corner positions of all cells, shape (..., n_cells, 8, 3).
-
-        ``positions`` defaults to the undeformed vertices; any array of shape
-        (..., n_vertices, 3) (e.g. one entry per time instance) is accepted.
-        """
-        if positions is None:
-            positions = self.vertices
-        return np.asarray(positions)[..., self.cell_vertex_ids, :]
 
     def blockwise(self, kernel, kind, *fields, out=None, dtype=float):
         """Evaluate a per-element geometry kernel over blocks of elements.

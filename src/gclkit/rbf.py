@@ -13,22 +13,9 @@ character: eight for a box's boundary, one for points with no mirror
 symmetry (Fassler & Stiefel, *Group Theoretical Methods and Their
 Applications*, 1992).  Only the Gram rows of the orbit representatives are
 formed, no full Gram matrix, and SuperLU factors the blocks' block-diagonal
-matrix, so its L and U stay inside the blocks.  On the paper's box (lengths
-3.2, 2.8, 2.4, support radius 0.3 * 3.2), build + solve of the case-5 modes
-with BLAS on 1 thread, best of 3, against one factor of the full Gram matrix
-(``rbf_solve`` in ``tests/oracles.py``):
-
-=====  =====  ===============================  ==========  =============
-cells  n_rbf  block sizes                      full solve  block solve
-=====  =====  ===============================  ==========  =============
-10^3     602  91 80 80 70 80 70 70 61          8.7 ms      8.3 ms
-20^3   2,402  331 310 310 290 310 290 290 271  0.26 s      0.057 s
-30^3   5,402  721 690 690 660 690 660 660 631  2.5 s       0.37 s
-=====  =====  ===============================  ==========  =============
-
-From the repository root, with ``n = 20`` for the 20^3 row::
-
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m timeit -n 1 -r 3 -s "import scipy.sparse.linalg, scipy.spatial; from gclkit import motion, rbf; from gclkit.hexmesh import build_box_mesh; n = 20; m = build_box_mesh(n, n, n, 3.2, 2.8, 2.4); c = motion.MotionCase.for_case('case5'); p = m.vertices[m.boundary_vertex_ids()]; v = motion._case5_modes(m, c, p)" "rbf.build_system(p, m.vertices, c.resolved_support_radius(m)).solve(v)"
+matrix, so its L and U stay inside the blocks.  The README's measurements
+section times build + solve against one factor of the full Gram matrix
+(``rbf_solve`` in ``tests/oracles.py``).
 
 The grid is evaluated by the same symmetry: the value at g x is
 sum_p phi(|x - p|) c[g p], so only the grid's orbit representatives, its
@@ -38,24 +25,10 @@ it lands on with one k-d tree query; ``interpolate`` forms the
 representatives' pairs against one k-d tree of the control points, over
 blocks of ``BLOCK_POINTS`` representatives, and writes all |G| images of a
 block with one sparse product.  A grid that the whole group does not map
-onto itself is evaluated point by point, under the identity alone.  Near
-pairs and interpolation (solve included) of the case-5 modes, BLAS on 1
-thread, best of 5, against every grid point's own pairs
-(``rbf_interpolate`` in ``tests/oracles.py``):
-
-=====  ======  ===============  ===========================  =========  ===============
-cells  n_grid  representatives  near pairs                   per point  representatives
-=====  ======  ===============  ===========================  =========  ===============
-10^3    1,331              216  49,182 -> 7,563              4.2 ms     0.98 ms
-20^3    9,261            1,331  1,416,782 -> 197,509         0.091 s    0.014 s
-30^3   29,791            4,096  10,446,375 -> 1,406,165      0.45 s     0.077 s
-=====  ======  ===============  ===========================  =========  ===============
-
-From the repository root, with ``n = 20`` for the 20^3 row, and the
-statement ``"rbf_interpolate(p, m.vertices, r, s.solve(v))"`` for the per
-point column::
-
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python -m timeit -n 1 -r 5 -s "import scipy.sparse.linalg, scipy.spatial; from gclkit import motion, rbf; from gclkit.hexmesh import build_box_mesh; from oracles import rbf_interpolate; n = 20; m = build_box_mesh(n, n, n, 3.2, 2.8, 2.4); c = motion.MotionCase.for_case('case5'); p = m.vertices[m.boundary_vertex_ids()]; r = c.resolved_support_radius(m); v = motion._case5_modes(m, c, p); s = rbf.build_system(p, m.vertices, r)" "rbf.interpolate(s, v)"
+onto itself is evaluated point by point, under the identity alone.  The
+README's measurements section counts the near pairs and times the
+interpolation against every grid point's own pairs (``rbf_interpolate`` in
+``tests/oracles.py``).
 
 No dense and no (n_grid, n_rbf) matrix is built, and the result has the same
 bytes whatever the BLAS thread count.  A system is transient (see

@@ -4,9 +4,14 @@ Nothing in the package calls these.  Each reaches a quantity the package
 computes another way: the time derivative through the DFT instead of the
 time-spectral matrix, a closed-form swept volume, a Gauss quadrature of the
 face flux, the per-harmonic residual, a least-squares convergence order, and
-the cell-slot table of faces gathered by matching vertex sets.  The corner
-Jacobians are stacked here from the package's kernel, whose only package
-reader, the degeneracy gate, takes their minimum.  The cell volume as a sum
+the cell-slot table of faces gathered by matching vertex sets.  The
+component-last (..., k, 3) forms of the package's corner-plane kernels
+(``hex_volume``, ``quad_area_vectors``, ``face_area_vectors``, ``quad_flux``,
+``dvoldt_trimap``) and the gather of every cell's corners (``cell_corners``)
+are thin calls of those kernels, so the tests can hand them plain arrays;
+random admissible hexahedra and a Gauss quadrature of the cell volume go
+with them.  The corner Jacobians are stacked here from the package's kernel,
+whose only package reader, the degeneracy gate, takes their minimum.  The cell volume as a sum
 of six face terms, its product-rule rate and the face flux from six corner
 cross products are the absolute-position forms the package's edge-vector
 kernels replaced: the same polynomials, with rounding that grows with the
@@ -24,7 +29,7 @@ grid at fixed corner offsets replaced in ``HexMesh.blockwise``.
 
 import numpy as np
 
-from gclkit import hexmesh
+from gclkit import gcl, hexmesh
 from gclkit.flow import (
     CONVERGENCE_DROP,
     GAMMA,
@@ -33,7 +38,7 @@ from gclkit.flow import (
     VELOCITY_INF,
     FreestreamResult,
 )
-from gclkit.hexmesh import FACE_LOOPS
+from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS
 from gclkit.rbf import wendland_c0
 
 # errors at or below this are rounding noise, not a convergence curve
@@ -47,6 +52,80 @@ def corner_jacobians(corners):
     the three cell edges leaving it along xi, eta and zeta.
     """
     return np.stack(hexmesh._corner_jacobians(hexmesh.corner_planes(corners)), axis=-1)
+
+
+def hex_volume(corners):
+    """Signed volume of hexahedra from their corner positions (..., 8, 3)."""
+    return hexmesh._hex_volume(hexmesh.corner_planes(corners))
+
+
+def quad_area_vectors(quads):
+    """Area vectors of bilinear quads (..., 4, 3) along their loops' normals."""
+    return np.stack(hexmesh._quad_area(hexmesh.corner_planes(quads)), axis=-1)
+
+
+def face_area_vectors(corners):
+    """Outward area vectors (..., 6, 3) of the six faces of each cell (..., 8, 3)."""
+    return quad_area_vectors(np.asarray(corners, dtype=float)[..., FACE_LOOPS, :])
+
+
+def quad_flux(quad, velocities):
+    """Total face flux integral (v . n) dS of bilinear quads (..., 4, 3)."""
+    return gcl._quad_flux(*gcl._planes_of(quad, velocities))
+
+
+def dvoldt_trimap(corners, velocities):
+    """Exact volume rate of hexahedra from corner positions and velocities (..., 8, 3)."""
+    return gcl._dvoldt(*gcl._planes_of(corners, velocities))
+
+
+def cell_corners(mesh, positions=None):
+    """Corner positions (..., n_cells, 8, 3) of all cells of ``mesh`` for vertex
+    positions (..., n_vertices, 3), by default the undeformed vertices."""
+    positions = mesh.vertices if positions is None else positions
+    return np.asarray(positions)[..., mesh.cell_vertex_ids, :]
+
+
+def random_hexahedra(count, rng, scale=0.25):
+    """Random perturbations of the unit cube, guaranteed non-degenerate."""
+    return REF_CORNERS + rng.uniform(-scale, scale, (count, 8, 3))
+
+
+def gauss_volume_oracle(corners, points=3):
+    """Volume via tensor Gauss-Legendre quadrature of the Jacobian determinant.
+
+    The determinant of the trilinear map has per-axis polynomial degree two,
+    so three points per axis integrate it exactly.  Kept independent of the
+    closed-form volume it cross-checks.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes = 0.5 * (nodes + 1.0)
+    weights = 0.5 * weights
+
+    def gradients(xi, eta, zeta):
+        """Trilinear shape gradients at one reference point, (8, 3)."""
+        return np.array(
+            [
+                [-(1 - eta) * (1 - zeta), -(1 - xi) * (1 - zeta), -(1 - xi) * (1 - eta)],
+                [(1 - eta) * (1 - zeta), -xi * (1 - zeta), -xi * (1 - eta)],
+                [eta * (1 - zeta), xi * (1 - zeta), -xi * eta],
+                [-eta * (1 - zeta), (1 - xi) * (1 - zeta), -(1 - xi) * eta],
+                [-(1 - eta) * zeta, -(1 - xi) * zeta, (1 - xi) * (1 - eta)],
+                [(1 - eta) * zeta, -xi * zeta, xi * (1 - eta)],
+                [eta * zeta, xi * zeta, xi * eta],
+                [-eta * zeta, (1 - xi) * zeta, (1 - xi) * eta],
+            ]
+        )
+
+    corners = np.asarray(corners, dtype=float)
+    total = np.zeros(corners.shape[:-2])
+    for i, wi in enumerate(weights):
+        for j, wj in enumerate(weights):
+            for k, wk in enumerate(weights):
+                dn = gradients(nodes[i], nodes[j], nodes[k])
+                jac = np.einsum("nd,...nv->...vd", dn, corners)
+                total += wi * wj * wk * np.linalg.det(jac)
+    return total
 
 
 def gathered_blockwise(mesh, kernel, kind, *fields, out=None, dtype=float):
@@ -167,6 +246,17 @@ def dft_derivative(op, samples):
     factors = 1j * (2.0 * np.pi / op.period) * op.wavenumbers
     out = op.idft(op.dft(samples) * factors)
     return out.real if np.isrealobj(samples) else out
+
+
+def fourier_defect(op, derivative, samples):
+    """Largest sum over k of |DFT(derivative) - (i 2 pi k / T) DFT(samples)|.
+
+    The sum bounds the sample-space gap between ``derivative`` and the DFT
+    route idft(dft(samples) i 2 pi k / T) from above, so a bound on it is no
+    looser than the same bound on the samples.
+    """
+    gap = op.dft(derivative) - op.dft(samples) * (2j * np.pi / op.period * op.wavenumbers)
+    return float(np.abs(gap).sum(axis=-1).max())
 
 
 def dft_ifmv(series, op):

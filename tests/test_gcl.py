@@ -6,27 +6,29 @@ from hypothesis.extra.numpy import arrays
 from gclkit import gcl
 from gclkit.gcl import (
     aevi_increments,
-    dvoldt_trimap,
     extract_linear_and_periodic,
     ifmv_avg,
     ifmv_nlfd,
     ifmv_ts,
     lvi_increments,
-    quad_flux,
     quad_flux_by_direction,
     sweep_volume,
     sweep_volume_by_direction,
     trimap_field,
 )
-from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS, hex_volume
+from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
-from gclkit.verify import random_hexahedra
 from oracles import (
     analytic_increment_case3,
     cell_face_slots,
     dft_ifmv,
+    dvoldt_trimap,
+    fourier_defect,
+    hex_volume,
+    quad_flux,
     quad_flux_oracle,
+    random_hexahedra,
     six_face_dvoldt,
 )
 
@@ -77,7 +79,9 @@ def test_zero_velocity_zero_flux(rng):
 # -- trilinear volume rate and IFMV ---------------------------------------
 
 
-def test_trimap_faces_sum_to_volume_rate(rng):
+@pytest.mark.parametrize("flux_scale", [1.0, 1.0 + 1e-6])
+def test_trimap_faces_sum_to_volume_rate(rng, flux_scale):
+    # face fluxes scaled by 1 + 1e-6 must trip the closure bound: it can fail
     hexes = random_hexahedra(1000, rng)
     vels = rng.normal(size=(1000, 8, 3))
     quads, face_vels = hexes[:, FACE_LOOPS], vels[:, FACE_LOOPS]
@@ -85,7 +89,8 @@ def test_trimap_faces_sum_to_volume_rate(rng):
     by_dir = quad_flux_by_direction(quads, face_vels)
     rate = dvoldt_trimap(hexes, vels)
     scale = np.abs(rate) + np.abs(total).sum(-1)
-    assert (np.abs(total.sum(-1) - rate) / scale).max() <= 1e-13
+    defect = (np.abs(flux_scale * total.sum(-1) - rate) / scale).max()
+    assert (defect <= 1e-13) == (flux_scale == 1.0), defect
     assert np.abs(by_dir.sum(-1) - total).max() <= 1e-13 * np.abs(total).max()
 
 
@@ -297,6 +302,10 @@ def test_ts_equals_nlfd(case1_setup, by_direction_increments):
     a = ifmv_nlfd(series, op)
     b = ifmv_ts(series, op)
     assert np.abs(a.total - b.total).max() <= 1e-12
+    # against the DFT route mode by mode: the gap summed over modes bounds
+    # the sample gap from above
+    periodic = a.total - series.linear_slope[:, None]
+    assert fourier_defect(op, periodic, series.periodic_part) <= 1e-12
     split = extract_linear_and_periodic(by_direction_increments(mesh, traj3, "aevi"))
     a = ifmv_nlfd(split, op)
     b = ifmv_ts(split, op)

@@ -13,17 +13,21 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gclkit import gcl, metrics
-from gclkit.gcl import dvoldt_trimap, quad_flux, quad_flux_by_direction, sweep_volume
-from gclkit.hexmesh import (
-    FACE_LOOPS,
-    REF_CORNERS,
+from gclkit.gcl import quad_flux_by_direction, sweep_volume
+from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS
+from gclkit.motion import MotionCase, sample_motion
+from gclkit.spectral import SpectralOperator
+from oracles import (
+    cell_corners,
+    dvoldt_trimap,
     face_area_vectors,
     hex_volume,
     quad_area_vectors,
+    quad_flux,
+    six_cross_quad_flux_by_direction,
+    six_face_dvoldt,
+    six_face_hex_volume,
 )
-from gclkit.motion import MotionCase, sample_motion
-from gclkit.spectral import SpectralOperator
-from oracles import six_cross_quad_flux_by_direction, six_face_dvoldt, six_face_hex_volume
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -161,7 +165,7 @@ def test_results_do_not_depend_on_where_the_mesh_sits(paper_mesh, case_id, n, sh
     delta = 0.5 * np.spacing(np.abs(moved.positions).max())
     reach = np.abs(moved.positions).max() * np.sqrt(3.0)
     eps = np.finfo(float).eps
-    corners = paper_mesh.cell_corners(trajectory.positions)
+    corners = cell_corners(paper_mesh, trajectory.positions)
     area = np.linalg.norm(face_area_vectors(corners), axis=-1).max()
     edge = np.sqrt(2.0 * area)
     speed = np.abs(trajectory.velocities).max()
@@ -172,7 +176,8 @@ def test_results_do_not_depend_on_where_the_mesh_sits(paper_mesh, case_id, n, sh
         f" eps |r|^3 {eps * reach**3:.1e}, eps |v| |r|^2 {eps * speed * reach**2:.1e}"
     )
 
-    volume_move = np.abs(hex_volume(paper_mesh.cell_corners(moved.positions)) - hex_volume(corners))
+    moved_corners = cell_corners(paper_mesh, moved.positions)
+    volume_move = np.abs(hex_volume(moved_corners) - hex_volume(corners))
     assert volume_move.max() <= 1e-12, f"hex_volume moved {volume_move.max():.1e}; {floors}"
     ids = paper_mesh.interface_vertex_ids
     face_velocities = trajectory.velocities[:, ids]
@@ -181,9 +186,9 @@ def test_results_do_not_depend_on_where_the_mesh_sits(paper_mesh, case_id, n, sh
         - quad_flux(trajectory.positions[:-1, ids], face_velocities)
     )
     assert flux_move.max() <= 1e-12, f"quad_flux moved {flux_move.max():.1e}; {floors}"
-    cell_velocities = paper_mesh.cell_corners(trajectory.velocities)
+    cell_velocities = cell_corners(paper_mesh, trajectory.velocities)
     rate_move = np.abs(
-        dvoldt_trimap(paper_mesh.cell_corners(moved.positions)[:-1], cell_velocities)
+        dvoldt_trimap(moved_corners[:-1], cell_velocities)
         - dvoldt_trimap(corners[:-1], cell_velocities)
     )
     assert rate_move.max() <= 1e-12, f"dvoldt_trimap moved {rate_move.max():.1e}; {floors}"
@@ -192,7 +197,7 @@ def test_results_do_not_depend_on_where_the_mesh_sits(paper_mesh, case_id, n, sh
     # arithmetic; the defect is the rounding of that closure, taken through
     # the spectral derivative D.
     spectral = SpectralOperator(n, trajectory.period)
-    dvoldt = spectral.differentiate(hex_volume(paper_mesh.cell_corners(moved.positions[:-1])).T)
+    dvoldt = spectral.differentiate(hex_volume(moved_corners[:-1]).T)
     norm = np.abs(spectral.d_matrix).sum(axis=1).max()
     for maker in (gcl.lvi_increments, gcl.aevi_increments):
         field = gcl.ifmv_ts(maker(paper_mesh, moved), spectral)

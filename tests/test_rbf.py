@@ -326,13 +326,19 @@ def test_zero_values_interpolate_to_zero(rng):
 
 
 def test_exactness_at_control_points(rng):
+    # random points form one symmetry block; a box's boundary, eight
     pts = rng.uniform(size=(120, 3))
-    grid = np.vstack([pts, rng.uniform(size=(80, 3))])
-    system = build_system(pts, grid, 0.8)
-    values = rng.normal(size=(120, 3))
-    out = interpolate(system, values)
-    err = np.abs(out[:120] - values).max()
-    assert err <= 1e-10 * np.abs(values).max()
+    box = build_box_mesh(5, 4, 3, 3.2, 2.8, 2.4)
+    boundary = box.boundary_vertex_ids()
+    inputs = [  # (control points, grid, their rows in the grid, support radius)
+        (pts, np.vstack([pts, rng.uniform(size=(80, 3))]), np.arange(120), 0.8),
+        (box.vertices[boundary], box.vertices, boundary, 0.3 * 3.2),
+    ]
+    for points, grid, rows, support_radius in inputs:
+        values = rng.normal(size=(len(points), 3))
+        out = interpolate(build_system(points, grid, support_radius), values)
+        err = np.abs(out[rows] - values).max()
+        assert err <= 1e-10 * np.abs(values).max()
 
 
 def test_constant_field_matches_dense_solve(rng):

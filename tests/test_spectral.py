@@ -4,7 +4,7 @@ import pytest
 from gclkit.gcl import exact_volume_rates
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator, ts_matrix
-from oracles import dft_derivative
+from oracles import dft_derivative, fourier_defect
 
 
 def test_dft_of_constant():
@@ -42,7 +42,7 @@ def test_parseval(rng):
     s = rng.normal(size=op.nts)
     lhs = np.sum(np.abs(s) ** 2) / op.nts
     rhs = np.sum(np.abs(op.dft(s)) ** 2)
-    assert rhs == pytest.approx(lhs, rel=1e-12)
+    assert rhs == pytest.approx(lhs, rel=1e-12, abs=0.0)  # relative only
 
 
 def test_differentiate_constant_and_cosine():
@@ -58,6 +58,8 @@ def test_differentiate_equals_matrix_product(rng):
     signals = rng.normal(size=(100, op.nts))
     # the matrix and the DFT route are the same operator on the samples
     assert np.abs(op.differentiate(signals) - dft_derivative(op, signals)).max() <= 1e-12
+    # mode by mode: the gap summed over modes bounds the sample gap from above
+    assert fourier_defect(op, op.differentiate(signals), signals) <= 1e-12
 
 
 def test_ts_matrix_structure():
