@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__, experiments, flow
-from .experiments import METHOD_ALIASES, ConfigError, MeshConfig
+from .experiments import METHODS, ConfigError, MeshConfig
 from .flow import FreestreamDivergence
 from .motion import CASE_IDS, DegenerateMeshError, MotionCase, case_parameters
 
@@ -90,10 +90,10 @@ def _parse_methods(text: str) -> list[str]:
     methods = [m.strip().lower() for m in text.split(",") if m.strip()]
     if not methods:
         raise ConfigError("at least one method is required")
-    bad = [m for m in methods if m not in METHOD_ALIASES]
+    bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ConfigError(
-            f"unknown methods {bad}; choose from {', '.join(METHOD_ALIASES)}"
+            f"unknown methods {bad}; choose from {', '.join(METHODS)}"
         )
     twice = sorted({m for m in methods if methods.count(m) > 1})
     if twice:
@@ -269,7 +269,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             cfg.mesh,
             cfg.motion_case(),
             cfg.harmonic_range(),
-            [METHOD_ALIASES[m] for m in cfg.methods],
+            [METHODS[m][0] for m in cfg.methods],
             cfg.freestream,
             timing=cfg.timing,
         )
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate methods over a harmonic sweep")
     run.add_argument("--case", help="motion case (1..5, rigid-translation, rigid-rotation)")
-    run.add_argument("--methods", help=f"comma list: {','.join(METHOD_ALIASES)}")
+    run.add_argument("--methods", help=f"comma list: {','.join(METHODS)}")
     run.add_argument("--n", help="harmonic range a..b (default 1..20)")
     run.add_argument("--mesh", help="cells per axis, e.g. 10,10,10")
     run.add_argument("--lengths", help="box edge lengths, e.g. 3.2,2.8,2.4")

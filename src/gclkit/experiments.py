@@ -1,9 +1,10 @@
 """Benchmark driver wiring cases, methods and harmonic sweeps together.
 
-One evaluation point is a (case, N) pair: the motion is sampled, each
-distinct IFMV field of the requested methods built once, and the error
-metrics reduced into :class:`~gclkit.metrics.ErrorReport` rows.  The CLI and
-the acceptance suite both run through this module so they cannot drift apart.
+Each IFMV method is one row of :data:`METHODS`.  One evaluation point is a
+(case, N) pair: the motion is sampled, each distinct field of the requested
+methods built once, and the error metrics reduced into
+:class:`~gclkit.metrics.ErrorReport` rows.  The CLI and the acceptance suite
+both run through this module so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,8 +23,7 @@ from .motion import MotionCase, MotionTrajectory, build_rbf_system, sample_motio
 from .spectral import SpectralOperator
 
 __all__ = [
-    "METHOD_ALIASES",
-    "SHARES_FIELD_WITH",
+    "METHODS",
     "ConfigError",
     "MeshConfig",
     "CasePoint",
@@ -31,21 +32,6 @@ __all__ = [
     "run_sweep",
     "worker_count",
 ]
-
-# CLI-facing names -> canonical method ids.
-METHOD_ALIASES = {
-    "lvi": "nlfd-lvi",
-    "aevi": "nlfd-aevi",
-    "avg": "avg",
-    "trimap": "trimap",
-    "ts-lvi": "ts-lvi",
-    "ts-aevi": "ts-aevi",
-}
-
-# Method ids that report another method's field.  On the 2N+1 samples NLFD
-# and time-spectral differentiation are one linear operator, so a ts-* row is
-# its nlfd-* twin's row under another name.
-SHARES_FIELD_WITH = {"ts-lvi": "nlfd-lvi", "ts-aevi": "nlfd-aevi"}
 
 
 class ConfigError(ValueError):
@@ -75,8 +61,6 @@ class CasePoint:
     """Everything shared by the methods at one (case, N) evaluation point."""
 
     mesh: HexMesh
-    case: MotionCase
-    n_harmonics: int
     trajectory: MotionTrajectory  # holds the cell volumes, (n_cells, Nts)
     spectral: SpectralOperator
     dvoldt: np.ndarray  # spectral derivative of the volumes, (n_cells, Nts)
@@ -85,15 +69,33 @@ class CasePoint:
     fd1: float
     fd2: float
 
-    def field_for(self, method: str) -> gcl.IfmvField:
-        """The IFMV field that ``method``'s row reports."""
-        method = SHARES_FIELD_WITH.get(method, method)
-        if method == "trimap":
-            return self.reference
-        if method == "avg":
-            return gcl.ifmv_avg(self.mesh, self.trajectory)
-        maker = gcl.lvi_increments if method == "nlfd-lvi" else gcl.aevi_increments
-        return gcl.ifmv_nlfd(maker(self.mesh, self.trajectory), self.spectral)
+
+# Field builders look the gcl functions up when called, so that a wrapper
+# installed on the module later is the one they run.
+def _lvi(point: CasePoint) -> gcl.IfmvField:
+    return gcl.ifmv_nlfd(gcl.lvi_increments(point.mesh, point.trajectory), point.spectral)
+
+
+def _aevi(point: CasePoint) -> gcl.IfmvField:
+    return gcl.ifmv_nlfd(gcl.aevi_increments(point.mesh, point.trajectory), point.spectral)
+
+
+def _avg(point: CasePoint) -> gcl.IfmvField:
+    return gcl.ifmv_avg(point.mesh, point.trajectory)
+
+
+# CLI name -> (row id, field builder).  On the 2N+1 samples NLFD and
+# time-spectral differentiation are one linear operator, so a ts-* row shares
+# its nlfd-* twin's builder and reports that field under another name.
+METHODS = {
+    "lvi": ("nlfd-lvi", _lvi),
+    "aevi": ("nlfd-aevi", _aevi),
+    "avg": ("avg", _avg),
+    "trimap": ("trimap", attrgetter("reference")),
+    "ts-lvi": ("ts-lvi", _lvi),
+    "ts-aevi": ("ts-aevi", _aevi),
+}
+_BUILDERS = dict(METHODS.values())  # row id -> field builder
 
 
 def prepare_point(
@@ -116,7 +118,7 @@ def prepare_point(
     exact_rates = mesh.sum_over_faces(reference.total)
     fd1, fd2 = metrics.fd_reference_errors(trajectory.volumes, exact_rates, case.period)
     return CasePoint(
-        mesh, case, n_harmonics, trajectory, spectral,
+        mesh, trajectory, spectral,
         spectral.differentiate(trajectory.volumes), exact_rates, reference, fd1, fd2,
     )
 
@@ -127,20 +129,21 @@ def evaluate_point(
     freestream: bool = False,
     timing: bool = False,
 ) -> list[metrics.ErrorReport]:
-    """Error reports for the requested methods at one evaluation point, in their order.
+    """Error reports for the requested row ids of :data:`METHODS`, in their order.
 
-    Each distinct field is evaluated once, with its metrics and freestream
-    solve; a method that shares it (:data:`SHARES_FIELD_WITH`) gets a copy of
-    that row, ``wall_ms`` included, with only ``method`` changed.
+    Each distinct field builder runs once, with its metrics and freestream
+    solve; a method that shares it gets a copy of that row, ``wall_ms``
+    included, with only ``method`` changed.
     """
+    trajectory = point.trajectory
     reports = {}
     for method in methods:
-        name = SHARES_FIELD_WITH.get(method, method)
-        if name in reports:
+        build = _BUILDERS[method]
+        if build in reports:
             continue
         start = time.perf_counter()
-        ifmv = point.field_for(name)
-        if name == "trimap":  # its face sums are the exact rates
+        ifmv = build(point)
+        if ifmv is point.reference:  # its face sums are the exact rates
             err1 = float(np.max(np.abs(point.exact_rates - point.dvoldt)))
         else:
             err1 = metrics.abs_err_sum_vs_dvoldt(point.mesh, ifmv, point.dvoldt)
@@ -151,18 +154,18 @@ def evaluate_point(
         rel_err = None
         if freestream:
             result = flow.FreestreamProblem(
-                point.mesh, point.trajectory, point.spectral, ifmv
+                point.mesh, trajectory, point.spectral, ifmv
             ).march()
             if result.diverged:
                 raise flow.FreestreamDivergence(
-                    point.case.case_id, method, point.n_harmonics
+                    trajectory.case.case_id, method, trajectory.n_harmonics
                 )
             rel_err = result.rel_err
         wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        reports[name] = metrics.ErrorReport(
-            case_id=point.case.case_id,
+        reports[build] = metrics.ErrorReport(
+            case_id=trajectory.case.case_id,
             method=method,
-            n_harmonics=point.n_harmonics,
+            n_harmonics=trajectory.n_harmonics,
             nts=point.spectral.nts,
             abs_err1=err1,
             abs_err2_x=err2["x"],
@@ -172,9 +175,9 @@ def evaluate_point(
             fd2_ref=point.fd2,
             rel_err_freestream=rel_err,
             wall_ms=wall_ms,
-            metadata=dict(point.trajectory.metadata),
+            metadata=dict(trajectory.metadata),
         )
-    return [replace(reports[SHARES_FIELD_WITH.get(m, m)], method=m) for m in methods]
+    return [replace(reports[_BUILDERS[m]], method=m) for m in methods]
 
 
 def worker_count(n_jobs: int) -> int:

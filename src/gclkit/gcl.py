@@ -1,21 +1,21 @@
 """Integrated face mesh velocities (IFMV) on deforming hexahedral cells.
 
 Four ways to obtain the surface integral of mesh velocity over each cell
-face, G_m(t) = integral of (v . n) dS:
+face, G_m(t) = integral of (v . n) dS; :data:`gclkit.experiments.METHODS`
+names the methods built from them:
 
-* ``nlfd-lvi``   -- straight-line volumetric increments from the initial
-  configuration, differentiated spectrally;
-* ``nlfd-aevi``  -- increments accumulated as per-step sweep hexahedra,
-  differentiated spectrally;
-* ``ts-lvi`` / ``ts-aevi`` -- the same increments under the time-spectral
-  name.  On the 2N+1 samples the NLFD route (DFT, multiply by i k, inverse
-  DFT) and the time-spectral matrix are one linear operator, so
-  :func:`ifmv_ts` is :func:`ifmv_nlfd`, which takes the derivative through
-  the matrix; a ``ts-*`` row is its ``nlfd-*`` twin's row under another name;
-* ``avg``    -- mean vertex velocity dotted with the instantaneous face
+* :func:`lvi_increments` -- straight-line volumetric increments from the
+  initial configuration, differentiated spectrally by :func:`ifmv_nlfd`;
+* :func:`aevi_increments` -- increments accumulated as per-step sweep
+  hexahedra, differentiated the same way;
+* :func:`ifmv_avg` -- mean vertex velocity dotted with the instantaneous face
   area vector (no conservation guarantee);
-* ``trimap`` -- the exact closed-form face flux of the trilinear mapping,
-  used as the reference.
+* :func:`trimap_field` -- the exact closed-form face flux of the trilinear
+  mapping, used as the reference.
+
+On the 2N+1 samples the NLFD route (DFT, multiply by i k, inverse DFT) and
+the time-spectral matrix are one linear operator, so :func:`ifmv_ts` is
+:func:`ifmv_nlfd`, which takes the derivative through the matrix.
 
 The LVI/AEVI sweep volumes and the TRI-MAP flux are built from corner
 differences, so a translated mesh keeps its values to its cells' rounding.
@@ -166,7 +166,6 @@ class IncrementSeries:
     part; the increment builders return the series split.
     """
 
-    method: str  # "lvi" or "aevi"
     period: float
     times: np.ndarray  # (2N+2,)
     totals: np.ndarray  # (n_interfaces, 2N+2)
@@ -176,9 +175,8 @@ class IncrementSeries:
 
 @dataclass
 class IfmvField:
-    """IFMV of every interface at the 2N+1 spectral instants, tagged by method."""
+    """IFMV of every interface at the 2N+1 spectral instants."""
 
-    method: str
     total: np.ndarray  # (n_interfaces, 2N+1)
 
 
@@ -189,7 +187,6 @@ def lvi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeri
     of a collapsed hexahedron.
     """
     return _increments(
-        "lvi",
         mesh,
         trajectory,
         lambda q: _sweep_volume([c[:, :1] for c in q], [c[:, 1:] for c in q]),
@@ -199,14 +196,13 @@ def lvi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeri
 def aevi_increments(mesh: HexMesh, trajectory: MotionTrajectory) -> IncrementSeries:
     """Increments accumulated as a sum of per-step sweep hexahedra."""
     return _increments(
-        "aevi",
         mesh,
         trajectory,
         lambda q: np.cumsum(_sweep_volume([c[:, :-1] for c in q], [c[:, 1:] for c in q]), axis=0),
     )
 
 
-def _increments(method, mesh, trajectory, sweeps) -> IncrementSeries:
+def _increments(mesh, trajectory, sweeps) -> IncrementSeries:
     """Interface increments t_1..t_2N+1 from ``sweeps`` of a block's quads,
     split into their linear slope and periodic part.
 
@@ -215,9 +211,7 @@ def _increments(method, mesh, trajectory, sweeps) -> IncrementSeries:
     """
     totals = np.zeros((len(mesh.interface_vertex_ids), len(trajectory.times)))
     mesh.blockwise(sweeps, "interfaces", trajectory.positions, out=totals[:, 1:])
-    return extract_linear_and_periodic(
-        IncrementSeries(method, trajectory.period, trajectory.times, totals)
-    )
+    return extract_linear_and_periodic(IncrementSeries(trajectory.period, trajectory.times, totals))
 
 
 def extract_linear_and_periodic(series: IncrementSeries) -> IncrementSeries:
@@ -233,14 +227,14 @@ def extract_linear_and_periodic(series: IncrementSeries) -> IncrementSeries:
 
 
 def ifmv_nlfd(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
-    """IFMV from split increments: G = D p + slope, tagged ``nlfd-<kind>``.
+    """IFMV from split increments: G = D p + slope.
 
     D is the time-spectral matrix, the same operator on the samples as the
     NLFD route: a DFT, a multiply by i 2 pi k / T and an inverse DFT.  The
     extracted linear slope is the zeroth mode.
     """
     total = spectral.differentiate(series.periodic_part) + series.linear_slope[..., None]
-    return IfmvField(f"nlfd-{series.method}", total)
+    return IfmvField(total)
 
 
 # the time-spectral name of the same operator
@@ -261,7 +255,7 @@ def ifmv_avg(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
         trajectory.positions[:-1],
         trajectory.velocities,
     )
-    return IfmvField("avg", flux)
+    return IfmvField(flux)
 
 
 def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
@@ -272,7 +266,7 @@ def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
         trajectory.positions[:-1],
         trajectory.velocities,
     )
-    return IfmvField("trimap", flux)
+    return IfmvField(flux)
 
 
 def exact_volume_rates(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarray:

@@ -68,7 +68,7 @@ def test_quad_flux_directions_sum_to_total(rng):
 def test_unit_face_at_unit_normal_velocity():
     top = REF_CORNERS[FACE_LOOPS[1]]  # +z face of the unit cube
     vel = np.tile([0.0, 0.0, 1.0], (4, 1))
-    assert quad_flux(top, vel) == pytest.approx(1.0, rel=1e-14)
+    assert quad_flux(top, vel) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_zero_velocity_zero_flux(rng):
@@ -108,7 +108,7 @@ def test_dvoldt_uniform_scaling():
     corners = s * REF_CORNERS
     vels = s_dot * REF_CORNERS
     expected = 3 * s**2 * s_dot * 1.0
-    assert dvoldt_trimap(corners, vels) == pytest.approx(expected, rel=1e-13)
+    assert dvoldt_trimap(corners, vels) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_dvoldt_matches_finite_difference(rng):
@@ -153,7 +153,7 @@ def test_directional_sweep_sums_to_hex_volume(rng):
 def test_rigid_normal_translation_sweep():
     quad = REF_CORNERS[FACE_LOOPS[1]]  # planar unit face, +z loop
     d = 0.37
-    assert sweep_volume(quad, quad + [0, 0, d]) == pytest.approx(d, rel=1e-13)
+    assert sweep_volume(quad, quad + [0, 0, d]) == pytest.approx(d, rel=1e-13, abs=0.0)
 
 
 # -- increment series -------------------------------------------------------
@@ -194,7 +194,6 @@ def test_extraction_of_synthetic_series():
     times = np.append(op.times, op.period)
     slope = 0.7
     series = gcl.IncrementSeries(
-        method="aevi",
         period=op.period,
         times=times,
         totals=(slope * times + np.sin(2 * np.pi * times))[None, None, :],
@@ -225,7 +224,7 @@ def test_lvi_failure_mode_case3_face():
     lvi_at_period = sweep_volume(quads[0], quads[1])
     exact = analytic_increment_case3(radius, y30, depth, 1.0)
     assert abs(lvi_at_period) <= 1e-15  # degenerate hexahedron
-    assert exact == pytest.approx(depth * np.pi * radius**2, rel=1e-13)
+    assert exact == pytest.approx(depth * np.pi * radius**2, rel=1e-13, abs=0.0)
 
 
 def test_aevi_converges_on_case3_face():
@@ -250,7 +249,7 @@ def test_nlfd_pipeline_on_synthetic_sine():
     op = SpectralOperator(5)
     times = np.append(op.times, op.period)
     totals = np.sin(2 * np.pi * times)[None, None, :] * np.ones((1, 6, 1))
-    series = gcl.IncrementSeries("aevi", op.period, times, totals)
+    series = gcl.IncrementSeries(op.period, times, totals)
     field = ifmv_nlfd(extract_linear_and_periodic(series), op)
     expected = 2 * np.pi * np.cos(2 * np.pi * op.times)
     np.testing.assert_allclose(field.total[0, 0], expected, atol=1e-12)
@@ -259,7 +258,7 @@ def test_nlfd_pipeline_on_synthetic_sine():
 def test_nlfd_zero_increments_zero_ifmv():
     op = SpectralOperator(3)
     times = np.append(op.times, op.period)
-    series = gcl.IncrementSeries("lvi", op.period, times, np.zeros((2, 6, len(times))))
+    series = gcl.IncrementSeries(op.period, times, np.zeros((2, 6, len(times))))
     field = ifmv_nlfd(extract_linear_and_periodic(series), op)
     assert np.abs(field.total).max() == 0.0
 
@@ -268,9 +267,8 @@ def test_ts_constant_slope_series():
     op = SpectralOperator(4)
     times = np.append(op.times, op.period)
     slope = 1.9
-    series = gcl.IncrementSeries(
-        "aevi", op.period, times, slope * times[None, None, :] * np.ones((1, 6, 1))
-    )
+    totals = slope * times[None, None, :] * np.ones((1, 6, 1))
+    series = gcl.IncrementSeries(op.period, times, totals)
     field = ifmv_ts(extract_linear_and_periodic(series), op)
     np.testing.assert_allclose(field.total, slope, atol=1e-12)
 
@@ -278,11 +276,11 @@ def test_ts_constant_slope_series():
 def test_ts_zero_increments_zero_ifmv():
     op = SpectralOperator(3)
     times = np.append(op.times, op.period)
-    series = gcl.IncrementSeries("lvi", op.period, times, np.zeros((2, 6, len(times))))
+    series = gcl.IncrementSeries(op.period, times, np.zeros((2, 6, len(times))))
     field = ifmv_ts(extract_linear_and_periodic(series), op)
     assert np.abs(field.total).max() == 0.0
     # the per-direction layout, time still last
-    series = gcl.IncrementSeries("lvi", op.period, times, np.zeros((2, 6, 3, len(times))))
+    series = gcl.IncrementSeries(op.period, times, np.zeros((2, 6, 3, len(times))))
     field = ifmv_ts(extract_linear_and_periodic(series), op)
     assert np.abs(field.total).max() == 0.0
 
@@ -324,7 +322,7 @@ def periodic_plus_linear(draw):
     periodic = periodic - periodic[:, :1]
     times = np.append(op.times, op.period)
     totals = np.concatenate([periodic, periodic[:, :1]], axis=1) + slope * times
-    return op, gcl.IncrementSeries("lvi", op.period, times, totals)
+    return op, gcl.IncrementSeries(op.period, times, totals)
 
 
 @settings(max_examples=60, deadline=None)
@@ -373,7 +371,7 @@ def test_mesh_slope_matches_standalone_face(paper_mesh):
     times = np.append(np.arange(nts) / nts, 1.0)
     quads = case3_face_trajectory(times, 0.05, 0.28, 0.24)
     standalone = sweep_volume(quads[:-1], quads[1:]).sum()
-    assert series.linear_slope[interface] == pytest.approx(standalone, rel=1e-12)
+    assert series.linear_slope[interface] == pytest.approx(standalone, rel=1e-12, abs=0.0)
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ def test_paper_mesh_counts_and_volumes(paper_mesh):
 def test_unit_cube_mesh():
     mesh = build_box_mesh(1, 1, 1, 1.0, 1.0, 1.0)
     assert mesh.n_cells == 1
-    assert hex_volume(cell_corners(mesh))[0] == pytest.approx(1.0, rel=1e-14)
+    assert hex_volume(cell_corners(mesh))[0] == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_two_cell_partition_of_box():
@@ -41,7 +41,7 @@ def test_two_cell_partition_of_box():
     vols = hex_volume(cell_corners(mesh))
     assert vols.shape == (2,)
     assert np.allclose(vols, 1.0, rtol=1e-14)
-    assert vols.sum() == pytest.approx(2.0, rel=1e-14)
+    assert vols.sum() == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -60,7 +60,7 @@ def test_build_rejects_bad_arguments(args):
 
 def test_hex_volume_unit_cube_and_scaling():
     assert hex_volume(REF_CORNERS) == pytest.approx(1.0, abs=1e-15)
-    assert hex_volume(2.0 * REF_CORNERS) == pytest.approx(8.0, rel=1e-14)
+    assert hex_volume(2.0 * REF_CORNERS) == pytest.approx(8.0, rel=1e-14, abs=0.0)
 
 
 def test_hex_volume_matches_gauss_quadrature(rng):
@@ -74,7 +74,7 @@ def test_hex_volume_matches_gauss_quadrature(rng):
 def test_hex_volume_translation_invariant(rng):
     corners = random_hexahedra(1, rng)[0]
     shifted = corners + np.array([11.0, -7.0, 3.0])
-    assert hex_volume(shifted) == pytest.approx(hex_volume(corners), rel=1e-12)
+    assert hex_volume(shifted) == pytest.approx(hex_volume(corners), rel=1e-12, abs=0.0)
 
 
 def test_face_area_vectors_unit_cube():
@@ -166,7 +166,7 @@ def test_volume_partition_of_deformed_box(rng):
     spacing = min(1.3 / 6, 1.1 / 5, 0.9 / 4)
     positions[interior] += rng.uniform(-0.3, 0.3, (len(interior), 3)) * spacing
     total = hex_volume(cell_corners(mesh, positions)).sum()
-    assert total == pytest.approx(1.3 * 1.1 * 0.9, rel=1e-12)
+    assert total == pytest.approx(1.3 * 1.1 * 0.9, rel=1e-12, abs=0.0)
 
 
 def test_volume_of_collapsed_hexahedron_is_zero(rng):

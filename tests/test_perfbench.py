@@ -55,6 +55,10 @@ def test_ifmv_sweep_output_is_well_formed(trace):
     metrics = _check_output("ifmv_sweep", trace)
     if trace:
         assert metrics["spectral.transform_s"]["value"] == 0
+        # a method table that bound the gcl functions at import would bypass
+        # the wrappers installed on the module, and these spans would read 0
+        for kind in ("lvi", "aevi", "nlfd", "avg", "trimap"):
+            assert metrics[f"gcl.{kind}_s"]["value"] > 0, kind
 
 
 @pytest.mark.parametrize("trace", [0, 1])
