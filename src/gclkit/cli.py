@@ -2,7 +2,9 @@
 
 ``gclkit run`` evaluates the requested IFMV methods over a harmonic sweep of
 one motion case and writes one CSV row per (case, method, N), preceded by a
-``#`` metadata block echoing the effective configuration.
+``#`` metadata block echoing the effective configuration.  Each run setting
+is one entry of :data:`SETTINGS`, and the motion settings a case takes are
+the parameters of its row of :data:`motion.CASES`.
 
 Exit codes: 0 success, 2 configuration error, 3 degenerate mesh, 4 divergence.
 """
@@ -14,11 +16,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import __version__, experiments, flow
 from .experiments import METHODS, ConfigError, MeshConfig
 from .flow import FreestreamDivergence
-from .motion import CASE_IDS, DegenerateMeshError, MotionCase, case_parameters
+from .motion import CASE_IDS, CASES, DegenerateMeshError, MotionCase
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,20 +32,18 @@ CSV_COLUMNS = (
     "case,method,N,Nts,rel_err_freestream,abs_err1,"
     "abs_err2_x,abs_err2_y,abs_err2_z,fd1_ref,fd2_ref,wall_ms"
 )
-
-# Settings a config file or the command line may carry.
-CONFIG_KEYS = (
-    "case", "methods", "n", "mesh", "lengths", "amp", "alpha0", "radius",
-    "seed", "support_radius", "freestream", "timing", "out",
-)
+_MESH = MeshConfig()  # a run's default mesh
 
 
 @dataclass
 class RunConfig:
+    """One field per key of :data:`SETTINGS`, at its default until set."""
+
     case: str = "case1"
     methods: list[str] = field(default_factory=lambda: ["lvi", "aevi", "avg", "trimap"])
-    n_range: tuple[int, int] = (1, 20)
-    mesh: MeshConfig = field(default_factory=MeshConfig)
+    n: tuple[int, int] = (1, 20)
+    mesh: tuple[int, int, int] = (_MESH.nx, _MESH.ny, _MESH.nz)
+    lengths: tuple[float, float, float] = (_MESH.lx, _MESH.ly, _MESH.lz)
     amp: tuple[float, ...] | None = None
     alpha0: float | None = None
     radius: float | None = None
@@ -52,33 +53,40 @@ class RunConfig:
     timing: bool = False
     out: str | None = None
 
-    def harmonic_range(self) -> list[int]:
-        lo, hi = self.n_range
-        return list(range(lo, hi + 1))
-
     def motion_case(self) -> MotionCase:
-        """The case's motion; a motion setting that the case ignores is an error."""
-        # one amp value is the same amplitude along x, y and z
-        amp = self.amp if self.amp is None or len(self.amp) == 3 else self.amp[0]
+        """The case's motion; a motion setting that the case ignores is an error.
+
+        ``amp`` sets the amplitude of the case's row of :data:`motion.CASES`:
+        one value, or also three (x, y, z) if its default is a vector.
+        """
+        defaults = CASES[self.case].params
+        amp = next((p for p in defaults if p.endswith("amplitude")), None)
         settings = {  # setting -> (the MotionCase parameter it sets, value)
-            "amp": ("rbf_amplitude" if self.case == "case4" else "amplitude", amp),
+            "amp": (amp, self.amp),
             "alpha0": ("alpha0", self.alpha0),
             "radius": ("radius", self.radius),
             "seed": ("seed", self.seed),
             "support_radius": ("support_radius", self.support_radius),
         }
-        used = case_parameters(self.case)
-        unused = [k for k, (p, v) in settings.items() if v is not None and p not in used]
+        unused = [k for k, (p, v) in settings.items() if v is not None and p not in defaults]
         if unused:
-            takes = ", ".join(k for k, (p, _) in settings.items() if p in used)
-            raise ConfigError(
-                f"{self.case} does not use {', '.join(unused)}; it takes {takes}"
-            )
-        return MotionCase.for_case(self.case, **dict(settings.values()))
+            takes = ", ".join(k for k, (p, _) in settings.items() if p in defaults)
+            raise ConfigError(f"{self.case} does not use {', '.join(unused)}; it takes {takes}")
+        if self.amp is not None:
+            counts = (1, 3) if isinstance(defaults[amp], tuple) else (1,)
+            if len(self.amp) not in counts:
+                raise ConfigError(
+                    f"the number of amp values for {self.case} must be "
+                    f"{' or '.join(map(str, counts))}, got {len(self.amp)}"
+                )
+            settings["amp"] = (amp, self.amp[0] if len(self.amp) == 1 else self.amp)
+        return MotionCase.for_case(
+            self.case, **{p: v for p, v in settings.values() if p in defaults}
+        )
 
 
-def _parse_case(text: str) -> str:
-    text = text.strip().lower()
+def _parse_case(key: str, value) -> str:
+    text = str(value).strip().lower()
     if text in CASE_IDS:
         return text
     if text.isdigit() and f"case{text}" in CASE_IDS:
@@ -86,22 +94,22 @@ def _parse_case(text: str) -> str:
     raise ConfigError(f"unknown case {text!r}; choose from {', '.join(CASE_IDS)}")
 
 
-def _parse_methods(text: str) -> list[str]:
+def _parse_methods(key: str, value) -> list[str]:
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     methods = [m.strip().lower() for m in text.split(",") if m.strip()]
     if not methods:
         raise ConfigError("at least one method is required")
     bad = [m for m in methods if m not in METHODS]
     if bad:
-        raise ConfigError(
-            f"unknown methods {bad}; choose from {', '.join(METHODS)}"
-        )
+        raise ConfigError(f"unknown methods {bad}; choose from {', '.join(METHODS)}")
     twice = sorted({m for m in methods if methods.count(m) > 1})
     if twice:
         raise ConfigError(f"methods named more than once: {twice}")
     return methods
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(key: str, value) -> tuple[int, int]:
+    text = str(value)
     parts = text.split("..") if ".." in text else [text, text]
     try:
         lo, hi = map(int, parts)  # ValueError unless exactly two parts
@@ -136,20 +144,44 @@ def _parse_list(key: str, value, kind=float, count: int | None = None) -> tuple:
     return vals
 
 
-def _parse_onoff(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    val = str(text).strip().lower()
+def _parse_onoff(key: str, value) -> bool:
+    if isinstance(value, bool):
+        return value
+    val = str(value).strip().lower()
     if val in ("on", "true", "1", "yes"):
         return True
     if val in ("off", "false", "0", "no"):
         return False
-    raise ConfigError(f"expected on/off, got {text!r}")
+    raise ConfigError(f"expected on/off, got {value!r}")
+
+
+def _parse_path(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a file path, got {value!r}")
+    return value
+
+
+# The settings a config file or a `gclkit run` flag may carry, in the order
+# they are read: setting -> (reader taking the key and value, --help text).
+SETTINGS = {
+    "case": (_parse_case, f"motion case: {', '.join(CASE_IDS)} (or a case number)"),
+    "methods": (_parse_methods, f"comma list: {','.join(METHODS)}"),
+    "n": (_parse_range, "harmonic range a..b (default 1..20)"),
+    "mesh": (partial(_parse_list, kind=int, count=3), "cells per axis, e.g. 10,10,10"),
+    "lengths": (partial(_parse_list, count=3), "box edge lengths, e.g. 3.2,2.8,2.4"),
+    "amp": (_parse_list, "motion amplitude: one value, or x,y,z for a vector"),
+    "alpha0": (_number, "rotation amplitude [rad]"),
+    "radius": (_number, "circle radius of the interior's orbit"),
+    "seed": (partial(_number, kind=int), "random seed of the boundary directions"),
+    "support_radius": (_number, "RBF support radius"),
+    "freestream": (_parse_onoff, "on/off: run the uniform-flow experiment"),
+    "timing": (_parse_onoff, "record wall-clock per row (breaks byte-determinism)"),
+    "out": (_parse_path, "output CSV path (default: stdout)"),
+}
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values and CLI flags (flags win)."""
-    cfg = RunConfig()
     layers = []
     if args.config:
         try:
@@ -159,62 +191,22 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {err}") from err
         if not isinstance(file_layer, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-        unknown = sorted(set(file_layer) - set(CONFIG_KEYS))
+        unknown = sorted(set(file_layer) - set(SETTINGS))
         if unknown:
-            raise ConfigError(
-                f"unknown config keys {unknown}; choose from {', '.join(CONFIG_KEYS)}"
-            )
+            raise ConfigError(f"unknown config keys {unknown}; choose from {', '.join(SETTINGS)}")
         layers.append(file_layer)
-    cli_layer = {
-        key: getattr(args, key)
-        for key in CONFIG_KEYS
-        if getattr(args, key, None) is not None
-    }
-    layers.append(cli_layer)
-
-    mesh_counts = (cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.nz)
-    mesh_lengths = (cfg.mesh.lx, cfg.mesh.ly, cfg.mesh.lz)
+    layers.append({key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None})
+    cfg = RunConfig()
     for layer in layers:
-        if "case" in layer:
-            cfg.case = _parse_case(str(layer["case"]))
-        if "methods" in layer:
-            raw = layer["methods"]
-            raw = ",".join(map(str, raw)) if isinstance(raw, list) else str(raw)
-            cfg.methods = _parse_methods(raw)
-        if "n" in layer:
-            cfg.n_range = _parse_range(str(layer["n"]))
-        if "mesh" in layer:
-            mesh_counts = _parse_list("mesh", layer["mesh"], int, 3)
-        if "lengths" in layer:
-            mesh_lengths = _parse_list("lengths", layer["lengths"], float, 3)
-        if "amp" in layer:
-            cfg.amp = _parse_list("amp", layer["amp"])
-        for key in ("alpha0", "radius", "support_radius"):
+        for key, (read, _) in SETTINGS.items():
             if key in layer:
-                setattr(cfg, key, _number(key, layer[key]))
-        if "seed" in layer:
-            cfg.seed = _number("seed", layer["seed"], int)
-        if "freestream" in layer:
-            cfg.freestream = _parse_onoff(layer["freestream"])
-        if "timing" in layer:
-            cfg.timing = _parse_onoff(layer["timing"])
-        if "out" in layer:
-            if not isinstance(layer["out"], str):
-                raise ConfigError(f"out must be a file path, got {layer['out']!r}")
-            cfg.out = layer["out"]
-    counts = (1,) if cfg.case == "case4" else (1, 3)
-    if cfg.amp is not None and len(cfg.amp) not in counts:
-        raise ConfigError(
-            f"the number of amp values for {cfg.case} must be "
-            f"{' or '.join(map(str, counts))}, got {len(cfg.amp)}"
-        )
-    if min(mesh_counts) < 1 or not all(length > 0.0 for length in mesh_lengths):
-        raise ConfigError(f"mesh sizes must be positive, got {mesh_counts} {mesh_lengths}")
+                setattr(cfg, key, read(key, layer[key]))
+    if min(cfg.mesh) < 1 or not all(length > 0.0 for length in cfg.lengths):
+        raise ConfigError(f"mesh sizes must be positive, got {cfg.mesh} {cfg.lengths}")
     if cfg.seed is not None and cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.support_radius is not None and not cfg.support_radius > 0.0:
         raise ConfigError(f"support radius must be positive, got {cfg.support_radius}")
-    cfg.mesh = MeshConfig(*mesh_counts, *mesh_lengths)
     return cfg
 
 
@@ -229,11 +221,9 @@ def _fmt(value) -> str:
 def write_csv(path, cfg: RunConfig, rows) -> None:
     """The run's CSV, rows in the order given, to ``path`` or to stdout if None."""
     lines = [f"# gclkit {__version__} run"]
-    mesh = cfg.mesh
     lines.append(
-        f"# case={cfg.case} methods={','.join(cfg.methods)} "
-        f"n={cfg.n_range[0]}..{cfg.n_range[1]} "
-        f"mesh={mesh.nx},{mesh.ny},{mesh.nz} lengths={mesh.lx},{mesh.ly},{mesh.lz}"
+        f"# case={cfg.case} methods={','.join(cfg.methods)} n={cfg.n[0]}..{cfg.n[1]} "
+        f"mesh={','.join(map(str, cfg.mesh))} lengths={','.join(map(str, cfg.lengths))}"
     )
     meta = rows[0].metadata if rows else {}
     lines.append(
@@ -266,9 +256,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = build_run_config(args)
         rows = experiments.run_sweep(
-            cfg.mesh,
+            MeshConfig(*cfg.mesh, *cfg.lengths),
             cfg.motion_case(),
-            cfg.harmonic_range(),
+            list(range(cfg.n[0], cfg.n[1] + 1)),
             [METHODS[m][0] for m in cfg.methods],
             cfg.freestream,
             timing=cfg.timing,
@@ -302,21 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="evaluate methods over a harmonic sweep")
-    run.add_argument("--case", help="motion case (1..5, rigid-translation, rigid-rotation)")
-    run.add_argument("--methods", help=f"comma list: {','.join(METHODS)}")
-    run.add_argument("--n", help="harmonic range a..b (default 1..20)")
-    run.add_argument("--mesh", help="cells per axis, e.g. 10,10,10")
-    run.add_argument("--lengths", help="box edge lengths, e.g. 3.2,2.8,2.4")
-    run.add_argument("--amp", help="motion amplitude(s); case-dependent")
-    run.add_argument("--alpha0", help="rotation amplitude [rad]")
-    run.add_argument("--radius", help="case-3 circle radius")
-    run.add_argument("--seed", help="case-4 random seed")
-    run.add_argument("--support-radius", dest="support_radius", help="RBF support radius")
-    run.add_argument("--freestream", help="on/off: run the uniform-flow experiment")
-    run.add_argument("--out", help="output CSV path (default: stdout)")
+    for key, (_, text) in SETTINGS.items():
+        # --timing takes no value
+        flag = {"action": "store_true", "default": None} if key == "timing" else {}
+        run.add_argument("--" + key.replace("_", "-"), help=text, **flag)
     run.add_argument("--config", help="JSON config file (flags override it)")
-    run.add_argument("--timing", action="store_true", default=None,
-                     help="record wall-clock per row (breaks byte-determinism)")
     run.set_defaults(handler=cmd_run)
     return parser
 

@@ -136,6 +136,7 @@ def evaluate_point(
     included, with only ``method`` changed.
     """
     trajectory = point.trajectory
+    metadata = trajectory.case.metadata(point.mesh)
     reports = {}
     for method in methods:
         build = _BUILDERS[method]
@@ -175,7 +176,7 @@ def evaluate_point(
             fd2_ref=point.fd2,
             rel_err_freestream=rel_err,
             wall_ms=wall_ms,
-            metadata=dict(trajectory.metadata),
+            metadata=metadata,
         )
     return [replace(reports[_BUILDERS[m]], method=m) for m in methods]
 
@@ -186,9 +187,11 @@ def worker_count(n_jobs: int) -> int:
     workers = os.cpu_count() or 1
     if cap:
         try:
-            workers = max(1, int(cap))
+            workers = int(cap)
         except ValueError:
-            raise ConfigError(f"GCLKIT_THREADS must be an integer, got {cap!r}") from None
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"GCLKIT_THREADS must be a positive integer, got {cap!r}")
     return max(1, min(workers, n_jobs))
 
 

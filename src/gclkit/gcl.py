@@ -211,7 +211,8 @@ def _increments(mesh, trajectory, sweeps) -> IncrementSeries:
     """
     totals = np.zeros((len(mesh.interface_vertex_ids), len(trajectory.times)))
     mesh.blockwise(sweeps, "interfaces", trajectory.positions, out=totals[:, 1:])
-    return extract_linear_and_periodic(IncrementSeries(trajectory.period, trajectory.times, totals))
+    series = IncrementSeries(trajectory.case.period, trajectory.times, totals)
+    return extract_linear_and_periodic(series)
 
 
 def extract_linear_and_periodic(series: IncrementSeries) -> IncrementSeries:

@@ -1,19 +1,20 @@
 """Prescribed analytic mesh motions sampled at the spectral time instants.
 
 Five benchmark deformations of the box mesh plus two rigid calibration
-motions.  Cases 1-3 impose closed-form vertex paths directly; cases 4 and 5
-prescribe boundary-point paths and let RBF interpolation carry them into the
-volume.  Their boundary laws are separable, a few spatial modes times
-functions of time, so the modes are spread once per (mesh, case) and the
-time law is applied to the spread fields at every instant.  Velocities are
-always the exact analytic time derivatives of the positions, never finite
-differences.
+motions, each one row of :data:`CASES`: the parameters it reads with their
+defaults, its time law and, for an RBF case, its boundary modes.  Cases 1-3
+impose closed-form vertex paths directly; cases 4 and 5 prescribe
+boundary-point paths and let RBF interpolation carry them into the volume.
+Their boundary laws are separable, a few spatial modes times functions of
+time, so the modes are spread once per (mesh, case) and the time law is
+applied to the spread fields at every instant.  Velocities are always the
+exact analytic time derivatives of the positions, never finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from . import rbf
 from .hexmesh import HexMesh, _hex_volume, detect_degenerate
 
 __all__ = [
+    "CASES",
     "CASE_IDS",
     "MotionCase",
     "MotionTrajectory",
@@ -29,29 +31,6 @@ __all__ = [
     "case_parameters",
     "sample_motion",
 ]
-
-CASE_IDS = (
-    "case1",
-    "case2",
-    "case3",
-    "case4",
-    "case5",
-    "rigid-translation",
-    "rigid-rotation",
-)
-
-# Per-case default parameters.  The benchmark definitions leave amplitudes
-# free as long as no cell degenerates; these values pass that gate on the
-# 10x10x10 mesh and are overridable from the CLI.
-_CASE_DEFAULTS: dict[str, dict[str, Any]] = {
-    "case1": {"amplitude": (0.15, 0.15, 0.15)},
-    "case2": {"alpha0": 0.05},
-    "case3": {"radius": 0.05},
-    "case4": {"rbf_amplitude": 0.05, "seed": 42},
-    "case5": {"alpha0": 0.08, "pivot_fraction": 0.621},
-    "rigid-translation": {"amplitude": (0.1, 0.05, 0.02)},
-    "rigid-rotation": {"alpha0": 0.1},
-}
 
 
 class DegenerateMeshError(RuntimeError):
@@ -75,25 +54,21 @@ class MotionCase:
 
     case_id: str
     period: float = 1.0
-    amplitude: tuple[float, float, float] = (0.15, 0.15, 0.15)
-    alpha0: float = 0.05
-    radius: float = 0.05
-    rbf_amplitude: float = 0.05
-    seed: int = 42
-    pivot_fraction: float = 0.621
+    # the case parameters: for_case sets those of the case's row of :data:`CASES`
+    amplitude: tuple[float, float, float] | None = None
+    alpha0: float | None = None
+    radius: float | None = None
+    rbf_amplitude: float | None = None
+    seed: int | None = None
+    pivot_fraction: float | None = None
     support_radius: float | None = None  # None -> 0.3 * max(Lx, Ly, Lz)
 
     @classmethod
     def for_case(cls, case_id: str, **overrides) -> "MotionCase":
-        if case_id not in CASE_IDS:
-            raise ValueError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
-        params = dict(_CASE_DEFAULTS[case_id])
-        params.update({k: v for k, v in overrides.items() if v is not None})
-        if "amplitude" in params:
-            amp = params["amplitude"]
-            if np.ndim(amp) == 0:
-                amp = (float(amp),) * 3
-            params["amplitude"] = tuple(float(a) for a in amp)
+        """The case's parameters at their defaults where an override is None."""
+        params = _row(case_id).params | {k: v for k, v in overrides.items() if v is not None}
+        if "amplitude" in params:  # one value is the same amplitude along x, y and z
+            params["amplitude"] = tuple(map(float, np.broadcast_to(params["amplitude"], 3)))
         return cls(case_id=case_id, **params)
 
     def metadata(self, mesh: HexMesh) -> dict[str, Any]:
@@ -116,12 +91,10 @@ class MotionTrajectory:
 
     case: MotionCase
     n_harmonics: int
-    period: float
     times: np.ndarray  # (2N+2,)
     positions: np.ndarray  # (2N+2, n_vertices, 3)
     velocities: np.ndarray  # (2N+1, n_vertices, 3)
     volumes: np.ndarray  # (n_cells, 2N+1)
-    metadata: dict
 
     @property
     def nts(self) -> int:
@@ -250,8 +223,42 @@ def _case5(mesh, case, t, fields):
     return pos, vel
 
 
-# case -> (boundary modes, time law applied to the modes' grid fields)
-_RBF_CASES = {"case4": (_case4_modes, _case4), "case5": (_case5_modes, _case5)}
+class CaseRow(NamedTuple):
+    """One motion case of :data:`CASES`."""
+
+    params: dict[str, Any]  # every parameter the case reads -> its default
+    law: Callable  # (mesh, case, t[, rbf fields]) -> positions, velocities
+    modes: Callable | None = None  # boundary modes for RBF; None: a closed form
+
+
+# The benchmark definitions leave amplitudes free as long as no cell
+# degenerates; these defaults pass that gate on the 10x10x10 mesh and are
+# overridable from the CLI.
+CASES = {
+    "case1": CaseRow({"amplitude": (0.15, 0.15, 0.15)}, _case1),
+    "case2": CaseRow({"alpha0": 0.05}, _case2),
+    "case3": CaseRow({"radius": 0.05}, _case3),
+    "case4": CaseRow(
+        {"rbf_amplitude": 0.05, "seed": 42, "support_radius": None}, _case4, _case4_modes
+    ),
+    "case5": CaseRow(
+        {"alpha0": 0.08, "pivot_fraction": 0.621, "support_radius": None}, _case5, _case5_modes
+    ),
+    "rigid-translation": CaseRow({"amplitude": (0.1, 0.05, 0.02)}, _rigid_translation),
+    "rigid-rotation": CaseRow({"alpha0": 0.1}, _rigid_rotation),
+}
+CASE_IDS = tuple(CASES)
+
+
+def _row(case_id: str) -> CaseRow:
+    if case_id not in CASES:
+        raise ValueError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
+    return CASES[case_id]
+
+
+def case_parameters(case_id: str) -> frozenset[str]:
+    """The ``MotionCase`` parameters that the motion of ``case_id`` reads."""
+    return frozenset(_row(case_id).params)
 
 
 def build_rbf_system(mesh: HexMesh, case: MotionCase) -> np.ndarray | None:
@@ -265,29 +272,14 @@ def build_rbf_system(mesh: HexMesh, case: MotionCase) -> np.ndarray | None:
     the RBF system itself is dropped on return.  None for the other cases,
     whose vertex paths are closed forms.
     """
-    if case.case_id not in _RBF_CASES:
+    modes = _row(case.case_id).modes
+    if modes is None:
         return None
-    modes = _RBF_CASES[case.case_id][0]
     points = mesh.vertices[mesh.boundary_vertex_ids()]
     system = rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
     fields = rbf.interpolate(system, modes(mesh, case, points))
     fields.flags.writeable = False
     return fields
-
-
-def case_parameters(case_id: str) -> frozenset[str]:
-    """The ``MotionCase`` parameters that the motion of ``case_id`` reads."""
-    rbf_only = {"support_radius"} if case_id in _RBF_CASES else set()
-    return frozenset(_CASE_DEFAULTS[case_id]) | rbf_only
-
-
-_DIRECT_CASES = {
-    "case1": _case1,
-    "case2": _case2,
-    "case3": _case3,
-    "rigid-translation": _rigid_translation,
-    "rigid-rotation": _rigid_rotation,
-}
 
 
 def evaluate_motion(
@@ -302,13 +294,12 @@ def evaluate_motion(
     :func:`build_rbf_system`, built here when not given.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if case.case_id in _DIRECT_CASES:
-        return _DIRECT_CASES[case.case_id](mesh, case, t)
-    if case.case_id in _RBF_CASES:
-        if rbf_fields is None:
-            rbf_fields = build_rbf_system(mesh, case)
-        return _RBF_CASES[case.case_id][1](mesh, case, t, rbf_fields)
-    raise ValueError(f"unknown case id {case.case_id!r}")
+    row = _row(case.case_id)
+    if row.modes is None:
+        return row.law(mesh, case, t)
+    if rbf_fields is None:
+        rbf_fields = build_rbf_system(mesh, case)
+    return row.law(mesh, case, t, rbf_fields)
 
 
 def _by_component(*arrays: np.ndarray) -> np.ndarray:
@@ -367,10 +358,8 @@ def sample_motion(
     return MotionTrajectory(
         case=case,
         n_harmonics=int(n_harmonics),
-        period=case.period,
         times=times,
         positions=positions,
         velocities=velocities,
         volumes=volumes,
-        metadata=case.metadata(mesh),
     )

@@ -38,7 +38,7 @@ def _by_direction_increments(mesh, trajectory, kind):
     else:
         steps = gcl.sweep_volume_by_direction(quads[:-1], quads[1:])
         swept = np.concatenate([np.zeros_like(steps[:1]), np.cumsum(steps, axis=0)])
-    return gcl.IncrementSeries(trajectory.period, trajectory.times, np.moveaxis(swept, 0, -1))
+    return gcl.IncrementSeries(trajectory.case.period, trajectory.times, np.moveaxis(swept, 0, -1))
 
 
 @pytest.fixture(scope="session")

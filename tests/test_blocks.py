@@ -359,8 +359,7 @@ def moving_grids(draw):
     times = np.arange(n_instants + 1) / n_instants
     volumes = mesh.blockwise(hexmesh._hex_volume, "cells", positions[:-1])
     trajectory = MotionTrajectory(
-        MotionCase.for_case("case1"), n_instants // 2, 1.0, times, positions, velocities,
-        volumes, {},
+        MotionCase.for_case("case1"), n_instants // 2, times, positions, velocities, volumes
     )
     return mesh, trajectory
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gclkit.cli import build_parser, build_run_config, main
+from gclkit.cli import SETTINGS, build_parser, build_run_config, main
 from gclkit.experiments import worker_count
 
 
@@ -247,7 +247,10 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "--help"])
     assert info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: gclkit run")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gclkit run")
+    for key in SETTINGS:
+        assert "--" + key.replace("_", "-") in out, key
 
 
 def test_unknown_case_is_config_error():
@@ -337,13 +340,15 @@ def test_worker_pool_respects_thread_cap(monkeypatch):
 
 
 def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GCLKIT_THREADS", "abc")
-    code = main(["run", "--case", "1", "--methods", "avg", "--n", "1..1",
-                 "--mesh", "2,2,2", "--out", str(tmp_path / "t.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config:") and "GCLKIT_THREADS" in err
-    assert err.count("\n") == 1
+    for cap in ("abc", "0", "-3"):
+        monkeypatch.setenv("GCLKIT_THREADS", cap)
+        code = main(["run", "--case", "1", "--methods", "avg", "--n", "1..1",
+                     "--mesh", "2,2,2", "--out", str(tmp_path / "t.csv")])
+        assert code == 2, cap
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "GCLKIT_THREADS" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
 
 
 def test_csv_bytes_independent_of_worker_count(tmp_path, monkeypatch):

@@ -5,23 +5,22 @@ and its motion case, or fails with a one-line :class:`ConfigError`; nothing
 else escapes.  No sweep is run.
 """
 
+import dataclasses
 import json
 import math
 
 from hypothesis import example, given, settings, strategies as st
 
-from gclkit.cli import CONFIG_KEYS, build_parser, build_run_config
+from gclkit.cli import SETTINGS, build_parser, build_run_config
 from gclkit.experiments import ConfigError
+from gclkit.motion import case_parameters
 
-# the run subcommand's flags, retired and unknown ones, and values that sit on
-# or near what the parsers accept; --config (which opens a file) and --help
-# (which exits) are left out
-RUN_FLAGS = sorted(
-    flag
-    for action in build_parser()._subparsers._group_actions[0].choices["run"]._actions
-    for flag in action.option_strings
-    if flag not in ("-h", "--help", "--config")
-) + ["--cfl", "--max-iters", "--bogus", "-x"]
+# every setting's flag (not --config, which opens a file, nor --help, which
+# exits), retired and unknown ones, and values that sit on or near what the
+# parsers accept
+RUN_FLAGS = sorted("--" + key.replace("_", "-") for key in SETTINGS) + [
+    "--cfl", "--max-iters", "--bogus", "-x"
+]
 VALUES = [
     "1", "2", "4", "0", "-1", "1.5", "42.7", "1e308", "-1e308", "nan", "inf", "",
     "1..3", "3..1", "0..5", "1..65", "1..2..3", "2,2,2", "0,2,2", "1,x,2", "0.1,0.1",
@@ -55,7 +54,7 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 CONFIG_OBJECTS = st.dictionaries(
-    st.one_of(st.sampled_from(CONFIG_KEYS + ("cfl", "max_iters")), st.text(max_size=8)),
+    st.one_of(st.sampled_from([*SETTINGS, "cfl", "max_iters"]), st.text(max_size=8)),
     JSON_VALUES,
     max_size=6,
 )
@@ -75,10 +74,12 @@ def _check(outcome):
         assert outcome and "\n" not in outcome and "\r" not in outcome, outcome
         return
     cfg, case = outcome
-    assert 1 <= cfg.n_range[0] <= cfg.n_range[1] <= 64
-    assert min(cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.nz) >= 1
-    assert all(math.isfinite(x) and x > 0.0 for x in (cfg.mesh.lx, cfg.mesh.ly, cfg.mesh.lz))
+    assert 1 <= cfg.n[0] <= cfg.n[1] <= 64
+    assert min(cfg.mesh) >= 1
+    assert all(math.isfinite(x) and x > 0.0 for x in cfg.lengths)
     assert case.case_id == cfg.case
+    not_none = {f.name for f in dataclasses.fields(case) if getattr(case, f.name) is not None}
+    assert not_none - {"case_id", "period"} <= case_parameters(case.case_id), case
 
 
 @settings(max_examples=300, deadline=None)

@@ -196,7 +196,7 @@ def test_results_do_not_depend_on_where_the_mesh_sits(paper_mesh, case_id, n, sh
     # The increments close each cell's volume change exactly in real
     # arithmetic; the defect is the rounding of that closure, taken through
     # the spectral derivative D.
-    spectral = SpectralOperator(n, trajectory.period)
+    spectral = SpectralOperator(n, trajectory.case.period)
     dvoldt = spectral.differentiate(hex_volume(moved_corners[:-1]).T)
     norm = np.abs(spectral.d_matrix).sum(axis=1).max()
     for maker in (gcl.lvi_increments, gcl.aevi_increments):

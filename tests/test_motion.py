@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from gclkit import rbf
 from gclkit.hexmesh import build_box_mesh, detect_degenerate
 from gclkit.motion import (
     CASE_IDS,
+    CASES,
     DegenerateMeshError,
     MotionCase,
     build_rbf_system,
@@ -109,6 +111,20 @@ def test_sampling_grid(small_mesh):
     assert traj.positions.shape == (8, small_mesh.n_vertices, 3)
 
 
+@pytest.mark.parametrize("case_id", ALL_CASES)
+def test_case_row_holds_every_parameter_its_law_reads(case_id):
+    # the row's defaults are the only ones: every parameter outside it stays
+    # None, and a law that read one would fail on None
+    case = MotionCase.for_case(case_id)
+    params = CASES[case_id].params
+    for f in dataclasses.fields(case):
+        if f.name not in ("case_id", "period"):
+            assert getattr(case, f.name) == params.get(f.name), f.name
+    # an RBF case reads the support radius, None until resolved against the mesh
+    assert ("support_radius" in params) == (CASES[case_id].modes is not None)
+    sample_motion(build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4), case, 1)
+
+
 def test_unknown_case_rejected(small_mesh):
     with pytest.raises(ValueError):
         MotionCase.for_case("case9")
@@ -130,7 +146,7 @@ def test_case4_seed_reproducibility(small_mesh):
     c = sample_motion(small_mesh, MotionCase.for_case("case4", seed=43), 2)
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
-    assert a.metadata["seed"] == 42
+    assert a.case.metadata(small_mesh)["seed"] == 42
 
 
 def test_analytic_increment_case3_values():

@@ -52,7 +52,17 @@ def test_distant_points_give_identity():
     pts = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
     system = build_system(pts, pts, 1.0)
     np.testing.assert_array_equal(wendland_c0(cdist(pts, pts), 1.0), np.eye(2))
-    np.testing.assert_array_equal(system.solve(np.array([1.0, 2.0])), [1.0, 2.0])
+    values = np.array([1.0, 2.0])
+    # solve is Q B^-1 Q^T with Q = q [[1, 1], [1, -1]], q = fl(sqrt 0.5), and
+    # B = fl(fl(sqrt 2) q) I: the identity, up to roundings of u = 2^-53
+    bound = 10 * 2.0**-53 * np.abs(values).sum()  # 7.5 ulp(2)
+    gap = np.abs(system.solve(values) - values).max()
+    assert gap <= bound, (
+        f"solve is {gap:.2e} from the identity, over {bound:.2e} = 10 u |v|_1: to first "
+        "order, 9 roundings (the two square roots, B's product, Q^T v (2), the refined "
+        "solve (2) and Q c (2)), each relative to |Q| |B^-1| |Q^T| |v| = |v|_1, and one "
+        "more u for the higher orders"
+    )
 
 
 def test_paper_setup_factorises(paper_mesh):
@@ -178,7 +188,7 @@ def test_case_modes_match_the_full_solve(cells, case_id):
     case = MotionCase.for_case(case_id)
     points = mesh.vertices[mesh.boundary_vertex_ids()]
     radius = case.resolved_support_radius(mesh)
-    modes = motion._RBF_CASES[case_id][0](mesh, case, points)
+    modes = motion.CASES[case_id].modes(mesh, case, points)
     coeff = build_system(points, mesh.vertices, radius).solve(modes)
     assert _relative_change(coeff, rbf_solve(points, radius, modes)) <= 1e-13
 
