@@ -17,7 +17,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import flow, gcl, metrics
+from . import flow, gcl, hexmesh, metrics
 from .hexmesh import HexMesh, build_box_mesh
 from .motion import MotionCase, MotionTrajectory, build_rbf_system, sample_motion
 from .spectral import SpectralOperator
@@ -206,7 +206,9 @@ def run_sweep(
     """Evaluate all methods over a harmonic sweep; rows ordered by (N, method).
 
     The case's RBF-spread boundary modes are built once, before the pool;
-    its threads only read them.
+    its threads only read them.  The pool's threads run the geometry kernels
+    in larger blocks (:data:`gclkit.hexmesh.POOLED_BLOCK_ELEMENT_INSTANTS`),
+    which give the same bits.
     """
     mesh = mesh_config.build()
     rbf_fields = build_rbf_system(mesh, case)
@@ -219,6 +221,6 @@ def run_sweep(
     if workers == 1:
         batches = [job(n) for n in harmonic_range]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(workers, initializer=hexmesh._mark_pool_thread) as pool:
             batches = list(pool.map(job, harmonic_range))
     return [row for batch in batches for row in batch]

@@ -48,6 +48,7 @@ A motion's cell volumes are computed once, as it is sampled
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "FACE_LOOPS",
     "FACE_FAMILY",
     "BLOCK_ELEMENT_INSTANTS",
+    "POOLED_BLOCK_ELEMENT_INSTANTS",
     "HexMesh",
     "corner_planes",
     "build_box_mesh",
@@ -108,8 +110,22 @@ _CORNER_STEPS = {"cells": REF_CORNERS.astype(int)} | {
 
 # Anchor-instants per block of :meth:`HexMesh.blockwise`: the kernels'
 # temporaries stay cache-sized, so a thread's working set does not grow with
-# the mesh or the number of instants.
+# the mesh or the number of instants.  On one thread larger blocks gain
+# nothing and cost page faults (README, "Pooled blocks").
 BLOCK_ELEMENT_INSTANTS = 8192
+# Anchor-instants per block on the threads of a sweep's worker pool, which
+# its initializer marks (:func:`_mark_pool_thread`).  Each numpy call holds
+# the interpreter lock, and at 8,192 a call lasts a few microseconds, so two
+# workers keep handing the lock back and forth; 4x larger calls relieve
+# that, while 8x larger ones are slower again and add about 20 MB.
+POOLED_BLOCK_ELEMENT_INSTANTS = 4 * BLOCK_ELEMENT_INSTANTS
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread():
+    """Make :meth:`HexMesh.blockwise` take pooled blocks on the calling thread."""
+    _pool_thread.marked = True
+
 
 # Per corner and reference axis (xi, eta, zeta), the low and high corner of
 # the cell edge through it: the trilinear map's derivative along that axis,
@@ -283,15 +299,19 @@ class HexMesh:
         planes, which are no elements, are dropped, and the rest written to
         their elements' rows of ``out`` (n_elements, n_out), by default an
         instant-major array with n_out = n_instants.  A block holds about
-        ``BLOCK_ELEMENT_INSTANTS`` anchor-instants; an elementwise kernel
-        gives bitwise the values of one call over all elements.
+        ``BLOCK_ELEMENT_INSTANTS`` anchor-instants, or
+        ``POOLED_BLOCK_ELEMENT_INSTANTS`` on a sweep pool's worker threads;
+        an elementwise kernel gives bitwise the values of one call over all
+        elements, whatever the block.
         """
         planes = [np.moveaxis(np.asarray(f, dtype=float), -1, 0) for f in fields]
         n_instants = planes[0].shape[1]
         families = _element_families(self.counts, kind)
         if out is None:
             out = np.empty((n_instants, families[-1][0].stop), dtype=dtype).T
-        step = max(1, BLOCK_ELEMENT_INSTANTS // n_instants)
+        pooled = getattr(_pool_thread, "marked", False)
+        block = POOLED_BLOCK_ELEMENT_INSTANTS if pooled else BLOCK_ELEMENT_INSTANTS
+        step = max(1, block // n_instants)
         for rows, offsets, anchors in families:
             row = rows.start
             for start in range(0, len(anchors), step):

@@ -65,8 +65,22 @@ class MotionCase:
 
     @classmethod
     def for_case(cls, case_id: str, **overrides) -> "MotionCase":
-        """The case's parameters at their defaults where an override is None."""
-        params = _row(case_id).params | {k: v for k, v in overrides.items() if v is not None}
+        """The case's parameters at their defaults where an override is None.
+
+        Raises
+        ------
+        ValueError
+            If a non-None override is not a parameter of the case's row of
+            :data:`CASES`, which no law of the case would read.
+        """
+        defaults = _row(case_id).params
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        unused = sorted(overrides.keys() - defaults.keys())
+        if unused:
+            raise ValueError(
+                f"{case_id} does not read {', '.join(unused)}; it takes {', '.join(defaults)}"
+            )
+        params = defaults | overrides
         if "amplitude" in params:  # one value is the same amplitude along x, y and z
             params["amplitude"] = tuple(map(float, np.broadcast_to(params["amplitude"], 3)))
         return cls(case_id=case_id, **params)

@@ -15,6 +15,7 @@ replaced: on small meshes every kernel family must give bitwise its values.
 """
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gclkit import flow, gcl, hexmesh, motion
 from gclkit.hexmesh import (
     BLOCK_ELEMENT_INSTANTS,
     FACE_LOOPS,
+    POOLED_BLOCK_ELEMENT_INSTANTS,
     REF_CORNERS,
     HexMesh,
     build_box_mesh,
@@ -396,3 +398,61 @@ def test_sliced_blocks_bitwise_equal_gathered(grid, block_element_instants):
     assert sliced.keys() == gathered.keys()
     for name, expected in gathered.items():
         assert _bitwise_equal(sliced[name], expected), name
+
+
+# 20^3 at N = 4: the pooled block still cuts every family into more than two
+# blocks, the last one ragged (10^3 at N = 20 fits in two)
+POOLED_MESH, POOLED_N = (20, 20, 20, 3.2, 2.8, 2.4), 4
+
+
+def _block_count(mesh, kind, positions):
+    """How many blocks ``mesh.blockwise`` cuts ``kind`` into on the calling thread."""
+    calls = []
+
+    def kernel(r):
+        calls.append(None)
+        return r[0][0]
+
+    mesh.blockwise(kernel, kind, positions)
+    return len(calls)
+
+
+def test_pooled_blocks_bitwise_equal_single_thread_blocks():
+    mesh = build_box_mesh(*POOLED_MESH)
+    # the case-4 amplitude of the gate test: some cells invert, so the gate
+    # family has indices to compare
+    case = MotionCase.for_case("case4", rbf_amplitude=0.2)
+    nts = 2 * POOLED_N + 1
+    times = np.arange(nts + 1) / nts
+    positions, velocities = evaluate_motion(mesh, case, times)
+    positions = motion._by_component(positions[:-1], positions[:1])
+    volumes = mesh.blockwise(hexmesh._hex_volume, "cells", positions[:-1])
+    trajectory = MotionTrajectory(
+        case, POOLED_N, times, positions, motion._by_component(velocities[:-1]), volumes
+    )
+    for kind in ("cells", "interfaces"):
+        for _, _, anchors in hexmesh._element_families(mesh.counts, kind):
+            for n_instants in (nts, nts + 1):
+                step = POOLED_BLOCK_ELEMENT_INSTANTS // n_instants
+                assert len(anchors) > 2 * step and len(anchors) % step != 0
+    # a sweep pool's initializer marks its threads, and only those take the
+    # pooled block
+    with ThreadPoolExecutor(1, initializer=hexmesh._mark_pool_thread) as pool:
+        pooled = pool.submit(_kernel_families, mesh, trajectory).result()
+        counts = [
+            pool.submit(_block_count, mesh, kind, trajectory.positions).result()
+            for kind in ("cells", "interfaces")
+        ]
+    single = _kernel_families(mesh, trajectory)
+    for kind, count in zip(("cells", "interfaces"), counts):
+        families = hexmesh._element_families(mesh.counts, kind)
+        n_instants = len(trajectory.positions)
+        expected = [
+            sum(-(-len(anchors) // (block // n_instants)) for _, _, anchors in families)
+            for block in (POOLED_BLOCK_ELEMENT_INSTANTS, BLOCK_ELEMENT_INSTANTS)
+        ]
+        assert (count, _block_count(mesh, kind, trajectory.positions)) == tuple(expected)
+    assert pooled.keys() == single.keys() and len(single) == 10
+    assert len(single["gate"]) > 0
+    for name, expected in single.items():
+        assert _bitwise_equal(pooled[name], expected), name

@@ -352,15 +352,23 @@ def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch, capsys):
 
 
 def test_csv_bytes_independent_of_worker_count(tmp_path, monkeypatch):
-    outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("GCLKIT_THREADS", threads)
-        out = tmp_path / f"threads{threads}.csv"
-        assert main(["run", "--case", "4", "--n", "1..4", "--mesh", "6,6,6",
-                     "--methods", "lvi,aevi,avg,trimap,ts-lvi,ts-aevi",
-                     "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    # pooled workers run the geometry kernels in larger blocks on threads
+    # their pool marks; 2 and 4 workers (one per N), switching threads every
+    # 10 us, must still write the 1-worker bytes
+    outputs = {}
+    interval = sys.getswitchinterval()
+    try:
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("GCLKIT_THREADS", threads)
+            sys.setswitchinterval(1e-5 if threads != "1" else interval)
+            out = tmp_path / f"threads{threads}.csv"
+            assert main(["run", "--case", "4", "--n", "1..4", "--mesh", "6,6,6",
+                         "--methods", "lvi,aevi,avg,trimap,ts-lvi,ts-aevi",
+                         "--out", str(out)]) == 0
+            outputs[threads] = out.read_bytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs["2"] == outputs["1"] and outputs["4"] == outputs["1"]
 
 
 # rotated by up to 1 rad, the AVG field's conservation defect carries the

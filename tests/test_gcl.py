@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gclkit import gcl
@@ -325,8 +325,17 @@ def periodic_plus_linear(draw):
     return op, gcl.IncrementSeries(op.period, times, totals)
 
 
+def _subnormal_draw(period):
+    """Subnormal totals that Hypothesis drew; the gap is 2e-323 at T = 1."""
+    op = SpectralOperator(1, period)
+    totals = np.array([[0.0, -5e-324, -5e-324, 0.0]])
+    return op, gcl.IncrementSeries(period, np.append(op.times, period), totals)
+
+
 @settings(max_examples=60, deadline=None)
 @given(periodic_plus_linear())
+@example(_subnormal_draw(1.0))
+@example(_subnormal_draw(0.1))
 def test_nlfd_matches_dft_route(data):
     # ifmv_ts is ifmv_nlfd, so this property and criterion 12 are what hold
     # the ts-* rows, copies of the nlfd-* rows, to the time-spectral route
@@ -334,8 +343,22 @@ def test_nlfd_matches_dft_route(data):
     series = extract_linear_and_periodic(series)
     gap = np.abs(ifmv_nlfd(series, op).total - dft_ifmv(series, op)).max()
     # the series' size in derivative units: its largest sample at harmonic N
-    size = np.abs(series.totals).max() * 2.0 * np.pi * op.n_harmonics / op.period
-    assert gap <= 1e-12 * size
+    scale = 2.0 * np.pi * op.n_harmonics / op.period
+    size = np.abs(series.totals).max() * scale
+    # Below 2^-1022 doubles are spaced 2^-1074 apart, so a product there is
+    # off by up to 2^-1075 whatever its size (a sum there is exact).  D p
+    # takes nts - 1 products per sample.  The DFT route takes nts per
+    # component of a coefficient, which the factor i 2 pi k / T scales by up
+    # to the derivative scale before one more product; each term of the
+    # inverse sum reads both components (|cos| + |sin| <= sqrt 2) and adds 2
+    # products.  In all, (nts - 1) + nts (sqrt 2 (scale nts + 1) + 2) halves
+    # of 2^-1074, at most nts (scale nts + 3) 2^-1074.  On totals above about
+    # 1e-308 the relative bound is the larger, as before.
+    floor = op.nts * (scale * op.nts + 3) * 2.0**-1074
+    assert gap <= max(1e-12 * size, floor), (
+        f"gap {gap:.3g} > max(1e-12 * size {size:.3g}, subnormal floor {floor:.3g} = "
+        f"nts {op.nts} * (scale {scale:.3g} * nts + 3) * 2^-1074)"
+    )
 
 
 def test_avg_on_stationary_mesh(small_mesh_module):

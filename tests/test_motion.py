@@ -125,6 +125,21 @@ def test_case_row_holds_every_parameter_its_law_reads(case_id):
     sample_motion(build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4), case, 1)
 
 
+@pytest.mark.parametrize("case_id", ALL_CASES)
+def test_case_rejects_parameters_outside_its_row(case_id):
+    params = CASES[case_id].params
+    outside = [f.name for f in dataclasses.fields(MotionCase) if f.name not in params]
+    assert outside[0] == "case_id"
+    for name in outside[1:]:
+        with pytest.raises(ValueError) as excinfo:
+            MotionCase.for_case(case_id, **{name: 0.3})
+        message = str(excinfo.value)
+        assert case_id in message and name in message
+        assert message.endswith(f"it takes {', '.join(params)}"), message
+        # a None override is no override: callers pass every setting they hold
+        assert MotionCase.for_case(case_id, **{name: None}) == MotionCase.for_case(case_id)
+
+
 def test_unknown_case_rejected(small_mesh):
     with pytest.raises(ValueError):
         MotionCase.for_case("case9")
