@@ -19,7 +19,7 @@ import numpy as np
 
 from . import flow, gcl, hexmesh, metrics
 from .hexmesh import HexMesh, build_box_mesh
-from .motion import MotionCase, MotionTrajectory, build_rbf_system, sample_motion
+from .motion import MotionCase, MotionTrajectory, case_fields, sample_motion
 from .spectral import SpectralOperator
 
 __all__ = [
@@ -102,7 +102,7 @@ def prepare_point(
     mesh: HexMesh,
     case: MotionCase,
     n_harmonics: int,
-    rbf_fields: np.ndarray | None = None,
+    fields: np.ndarray | None = None,
 ) -> CasePoint:
     """Sample, gate and measure one (case, N) point, each quantity once.
 
@@ -110,9 +110,10 @@ def prepare_point(
     freestream problem of the point.  The TRI-MAP face fluxes
     are exact, so their signed sum over each cell's faces is the exact
     dV/dt; the product-rule rates (:func:`gcl.exact_volume_rates`) stay the
-    independent oracle of the tests.
+    independent oracle of the tests.  ``fields`` is passed on to
+    :func:`~gclkit.motion.sample_motion`.
     """
-    trajectory = sample_motion(mesh, case, n_harmonics, rbf_fields=rbf_fields)
+    trajectory = sample_motion(mesh, case, n_harmonics, fields)
     spectral = SpectralOperator(n_harmonics, case.period)
     reference = gcl.trimap_field(mesh, trajectory)
     exact_rates = mesh.sum_over_faces(reference.total)
@@ -205,16 +206,17 @@ def run_sweep(
 ) -> list[metrics.ErrorReport]:
     """Evaluate all methods over a harmonic sweep; rows ordered by (N, method).
 
-    The case's RBF-spread boundary modes are built once, before the pool;
-    its threads only read them.  The pool's threads run the geometry kernels
-    in larger blocks (:data:`gclkit.hexmesh.POOLED_BLOCK_ELEMENT_INSTANTS`),
-    which give the same bits.
+    The case's spatial fields (:func:`~gclkit.motion.case_fields`) are
+    built once, before the pool; its threads only read them.  The pool's
+    threads run the geometry kernels in larger blocks
+    (:data:`gclkit.hexmesh.POOLED_BLOCK_ELEMENT_INSTANTS`), which give the
+    same bits.
     """
     mesh = mesh_config.build()
-    rbf_fields = build_rbf_system(mesh, case)
+    fields = case_fields(mesh, case)
 
     def job(n):
-        point = prepare_point(mesh, case, n, rbf_fields)
+        point = prepare_point(mesh, case, n, fields)
         return evaluate_point(point, methods, freestream, timing)
 
     workers = worker_count(len(harmonic_range))

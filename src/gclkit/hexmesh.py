@@ -48,6 +48,7 @@ A motion's cell volumes are computed once, as it is sampled
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -379,14 +380,15 @@ def build_box_mesh(
     Raises
     ------
     ValueError
-        If any cell count is < 1 or any edge length is <= 0.
+        If any cell count is not a whole number >= 1 or any edge length is
+        not positive and finite.
     """
     counts = (nx, ny, nz)
     lengths = (lx, ly, lz)
-    if any(int(n) != n or n < 1 for n in counts):
+    if any(not 1 <= n < math.inf or int(n) != n for n in counts):
         raise ValueError(f"cell counts must be positive integers, got {counts}")
-    if any(not (length > 0.0) for length in lengths):
-        raise ValueError(f"edge lengths must be positive, got {lengths}")
+    if any(not 0.0 < length < math.inf for length in lengths):
+        raise ValueError(f"edge lengths must be positive and finite, got {lengths}")
     nx, ny, nz = counts = int(nx), int(ny), int(nz)
 
     gz, gy, gx = np.meshgrid(

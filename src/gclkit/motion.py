@@ -2,13 +2,15 @@
 
 Five benchmark deformations of the box mesh plus two rigid calibration
 motions, each one row of :data:`CASES`: the parameters it reads with their
-defaults, its time law and, for an RBF case, its boundary modes.  Cases 1-3
-impose closed-form vertex paths directly; cases 4 and 5 prescribe
-boundary-point paths and let RBF interpolation carry them into the volume.
-Their boundary laws are separable, a few spatial modes times functions of
-time, so the modes are spread once per (mesh, case) and the time law is
-applied to the spread fields at every instant.  Velocities are always the
-exact analytic time derivatives of the positions, never finite differences.
+defaults, its spatial fields and its time law.  Every case is a few spatial
+fields times functions of time, so :func:`case_fields` builds the fields
+once per (mesh, case) and the law applies to them at every instant.  Cases
+1-3 and the rigid motions evaluate their fields at every vertex; cases 4
+and 5 evaluate theirs on the boundary and let RBF interpolation spread them
+into the volume.  Four laws serve the seven cases: a straight-line shift, a
+rotation about a pivot, case 3's orbit and case 5's pitch.  Velocities are
+always the exact analytic time derivatives of the positions, never finite
+differences.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import rbf
 from .hexmesh import HexMesh, _hex_volume, detect_degenerate
+from .spectral import _checked_sampling
 
 __all__ = [
     "CASES",
@@ -27,8 +30,9 @@ __all__ = [
     "MotionCase",
     "MotionTrajectory",
     "DegenerateMeshError",
-    "build_rbf_system",
+    "case_fields",
     "case_parameters",
+    "evaluate_motion",
     "sample_motion",
 ]
 
@@ -70,15 +74,16 @@ class MotionCase:
         Raises
         ------
         ValueError
-            If a non-None override is not a parameter of the case's row of
-            :data:`CASES`, which no law of the case would read.
+            If a non-None override is neither ``period``, which every law
+            reads, nor a parameter of the case's row of :data:`CASES`.
         """
         defaults = _row(case_id).params
         overrides = {k: v for k, v in overrides.items() if v is not None}
-        unused = sorted(overrides.keys() - defaults.keys())
+        unused = sorted(overrides.keys() - defaults.keys() - {"period"})
         if unused:
             raise ValueError(
-                f"{case_id} does not read {', '.join(unused)}; it takes {', '.join(defaults)}"
+                f"{case_id} does not read {', '.join(unused)}; "
+                f"it takes {', '.join(['period', *defaults])}"
             )
         params = defaults | overrides
         if "amplitude" in params:  # one value is the same amplitude along x, y and z
@@ -119,33 +124,38 @@ def _phase(t: np.ndarray, period: float) -> np.ndarray:
     return 2.0 * np.pi * np.asarray(t, dtype=float) / period
 
 
-def _case1(mesh, case, t):
-    theta = _phase(t, case.period)[:, None]
-    x0, y0, z0 = mesh.vertices.T
-    shape = np.sin(np.pi * x0 / mesh.lx) * np.sin(np.pi * y0 / mesh.ly) * np.sin(np.pi * z0 / mesh.lz)
-    direction = shape[:, None] * np.asarray(case.amplitude)  # (Nv, 3)
-    pos = mesh.vertices + np.sin(theta)[..., None] * direction
-    vel = (2.0 * np.pi / case.period) * np.cos(theta)[..., None] * direction
+def _shift(mesh, case, t, fields):
+    """Straight-line paths: the fields scaled by sin(2 pi t / T)."""
+    theta = _phase(t, case.period)[:, None, None]
+    pos = mesh.vertices + np.sin(theta) * fields
+    vel = (2.0 * np.pi / case.period) * np.cos(theta) * fields
     return pos, vel
 
 
-def _case2(mesh, case, t):
-    theta = _phase(t, case.period)[:, None]
-    alpha = case.alpha0 * np.sin(theta)
-    alpha_dot = case.alpha0 * (2.0 * np.pi / case.period) * np.cos(theta)
-    x0, y0, z0 = mesh.vertices.T
-    # cos(pi/2 - a) and sin(pi/2 - a), written so t = 0 is bitwise undeformed
-    x = x0 + y0 * np.sin(alpha)
-    y = y0 * np.cos(alpha)
-    vx = y0 * np.cos(alpha) * alpha_dot
-    vy = -y0 * np.sin(alpha) * alpha_dot
-    zeros = np.zeros_like(x)
-    pos = np.stack([x, y, np.broadcast_to(z0, x.shape)], axis=-1)
-    vel = np.stack([vx, vy, zeros], axis=-1)
+def _pivoted(pivot_x, pivot_y, offset_x, offset_y, sense):
+    """Rotation fields, (n, 5): pivots, offsets from them, sense (+1 counter-clockwise)."""
+    return np.stack(np.broadcast_arrays(pivot_x, pivot_y, offset_x, offset_y, sense), axis=-1)
+
+
+def _rotation(mesh, case, t, fields):
+    """Each offset turned about its pivot in the x-y plane by alpha0 sin(2 pi t / T)."""
+    theta = _phase(t, case.period)
+    alpha = case.alpha0 * np.sin(theta)[:, None]
+    alpha_dot = case.alpha0 * (2.0 * np.pi / case.period) * np.cos(theta)[:, None]
+    px, py, dx, dy, sense = fields.T
+    # the sense flips sin and the rate; cos(-a) is cos(a)
+    ca, sa, ad = np.cos(alpha), sense * np.sin(alpha), sense * alpha_dot
+    x = px + ca * dx - sa * dy
+    y = py + sa * dx + ca * dy
+    vx = ad * (-sa * dx - ca * dy)
+    vy = ad * (ca * dx - sa * dy)
+    pos = np.stack([x, y, np.broadcast_to(mesh.vertices[:, 2], x.shape)], axis=-1)
+    vel = np.stack([vx, vy, np.zeros_like(x)], axis=-1)
     return pos, vel
 
 
-def _case3(mesh, case, t):
+def _orbit(mesh, case, t, fields):
+    """The points where the field is 1 circle at radius r through their rest place."""
     alpha = _phase(t, case.period)
     r = case.radius
     disp = np.stack(
@@ -154,74 +164,13 @@ def _case3(mesh, case, t):
     vel1 = (2.0 * np.pi / case.period) * np.stack(
         [r * np.sin(alpha), r * np.cos(alpha), np.zeros_like(alpha)], axis=-1
     )
-    interior = np.zeros(mesh.n_vertices)
-    interior[mesh.interior_vertex_ids()] = 1.0
-    pos = mesh.vertices + interior[:, None] * disp[:, None, :]
-    vel = interior[:, None] * vel1[:, None, :] * np.ones((len(t), 1, 1))
+    pos = mesh.vertices + fields * disp[:, None, :]
+    vel = fields * vel1[:, None, :] * np.ones((len(t), 1, 1))
     return pos, vel
 
 
-def _rigid_translation(mesh, case, t):
-    theta = _phase(t, case.period)
-    amp = np.asarray(case.amplitude)
-    pos = mesh.vertices + np.sin(theta)[:, None, None] * amp
-    vel = (2.0 * np.pi / case.period) * np.cos(theta)[:, None, None] * amp * np.ones(
-        (len(t), mesh.n_vertices, 1)
-    )
-    return pos, vel
-
-
-def _rigid_rotation(mesh, case, t):
-    theta = _phase(t, case.period)
-    alpha = case.alpha0 * np.sin(theta)
-    alpha_dot = case.alpha0 * (2.0 * np.pi / case.period) * np.cos(theta)
-    center = 0.5 * mesh.lengths
-    dx = mesh.vertices[:, 0] - center[0]
-    dy = mesh.vertices[:, 1] - center[1]
-    ca, sa = np.cos(alpha)[:, None], np.sin(alpha)[:, None]
-    x = center[0] + ca * dx - sa * dy
-    y = center[1] + sa * dx + ca * dy
-    ad = alpha_dot[:, None]
-    vx = ad * (-sa * dx - ca * dy)
-    vy = ad * (ca * dx - sa * dy)
-    pos = np.stack([x, y, np.broadcast_to(mesh.vertices[:, 2], x.shape)], axis=-1)
-    vel = np.stack([vx, vy, np.zeros_like(x)], axis=-1)
-    return pos, vel
-
-
-def _case4_modes(mesh, case, points):
-    """Each control point's random straight-line direction, (Nr, 3).
-
-    The boundary displacement is sin(2 pi t / T) times these three fields.
-    """
-    rng = np.random.default_rng(case.seed)
-    amp = rng.uniform(-case.rbf_amplitude, case.rbf_amplitude, (len(points), 3))
-    x0, y0, z0 = points.T
-    return np.stack(
-        [
-            amp[:, 0] * np.sin(2.0 * np.pi * y0) * np.sin(2.0 * np.pi * z0),
-            amp[:, 1] * np.sin(2.0 * np.pi * x0) * np.sin(2.0 * np.pi * z0),
-            amp[:, 2] * np.sin(2.0 * np.pi * y0) * np.sin(2.0 * np.pi * z0),
-        ],
-        axis=-1,
-    )
-
-
-def _case4(mesh, case, t, fields):
-    """Straight-line paths: the spread directions scaled by sin(2 pi t / T)."""
-    theta = _phase(t, case.period)[:, None, None]
-    pos = mesh.vertices + np.sin(theta) * fields
-    vel = (2.0 * np.pi / case.period) * np.cos(theta) * fields
-    return pos, vel
-
-
-def _case5_modes(mesh, case, points):
-    """The control points' offsets x - x_p and y from the pitch axis, (Nr, 2)."""
-    return np.stack([points[:, 0] - case.pivot_fraction * mesh.lx, points[:, 1]], axis=-1)
-
-
-def _case5(mesh, case, t, fields):
-    """Rigid pitching about x_p (angle alpha0 cos) of the spread offsets."""
+def _pitch(mesh, case, t, fields):
+    """Rigid pitching about x_p (angle alpha0 cos) of the offsets x - x_p and y."""
     theta = _phase(t, case.period)
     alpha = case.alpha0 * np.cos(theta)[:, None]
     alpha_dot = -case.alpha0 * (2.0 * np.pi / case.period) * np.sin(theta)[:, None]
@@ -237,29 +186,62 @@ def _case5(mesh, case, t, fields):
     return pos, vel
 
 
+def _case4_fields(mesh, case, points):
+    """Each control point's random straight-line direction, (Nr, 3)."""
+    rng = np.random.default_rng(case.seed)
+    amp = rng.uniform(-case.rbf_amplitude, case.rbf_amplitude, (len(points), 3))
+    sx, sy, sz = np.sin(2.0 * np.pi * points).T
+    return np.stack([amp[:, 0] * sy * sz, amp[:, 1] * sx * sz, amp[:, 2] * sy * sz], axis=-1)
+
+
 class CaseRow(NamedTuple):
     """One motion case of :data:`CASES`."""
 
     params: dict[str, Any]  # every parameter the case reads -> its default
-    law: Callable  # (mesh, case, t[, rbf fields]) -> positions, velocities
-    modes: Callable | None = None  # boundary modes for RBF; None: a closed form
+    fields: Callable  # (mesh, case, points) -> the spatial fields at the points
+    law: Callable  # (mesh, case, t, fields at every vertex) -> positions, velocities
+    spread: bool = False  # fields given on the boundary and spread by RBF
 
 
 # The benchmark definitions leave amplitudes free as long as no cell
 # degenerates; these defaults pass that gate on the 10x10x10 mesh and are
 # overridable from the CLI.
-CASES = {
-    "case1": CaseRow({"amplitude": (0.15, 0.15, 0.15)}, _case1),
-    "case2": CaseRow({"alpha0": 0.05}, _case2),
-    "case3": CaseRow({"radius": 0.05}, _case3),
+CASES = {  # the fields are functions of (mesh m, case c, points p)
+    # a sine bump times the amplitude
+    "case1": CaseRow(
+        {"amplitude": (0.15, 0.15, 0.15)},
+        lambda m, c, p: np.sin(np.pi * p / m.lengths).prod(axis=1, keepdims=True)
+        * np.asarray(c.amplitude),
+        _shift,
+    ),
+    # (x, y) -> (x + y sin a, y cos a): the offset (0, y) turned clockwise about (x, 0)
+    "case2": CaseRow(
+        {"alpha0": 0.05}, lambda m, c, p: _pivoted(p[:, 0], 0.0, 0.0, p[:, 1], -1.0), _rotation
+    ),
+    # the interior vertices orbit, the boundary stays
+    "case3": CaseRow(
+        {"radius": 0.05}, lambda m, c, p: (~m.boundary_vertex_mask())[:, None] * 1.0, _orbit
+    ),
     "case4": CaseRow(
-        {"rbf_amplitude": 0.05, "seed": 42, "support_radius": None}, _case4, _case4_modes
+        {"rbf_amplitude": 0.05, "seed": 42, "support_radius": None}, _case4_fields, _shift, True
     ),
     "case5": CaseRow(
-        {"alpha0": 0.08, "pivot_fraction": 0.621, "support_radius": None}, _case5, _case5_modes
+        {"alpha0": 0.08, "pivot_fraction": 0.621, "support_radius": None},
+        lambda m, c, p: np.stack([p[:, 0] - c.pivot_fraction * m.lx, p[:, 1]], axis=-1),
+        _pitch,
+        True,
     ),
-    "rigid-translation": CaseRow({"amplitude": (0.1, 0.05, 0.02)}, _rigid_translation),
-    "rigid-rotation": CaseRow({"alpha0": 0.1}, _rigid_rotation),
+    "rigid-translation": CaseRow(
+        {"amplitude": (0.1, 0.05, 0.02)},
+        lambda m, c, p: np.broadcast_to(c.amplitude, p.shape),
+        _shift,
+    ),
+    # every vertex turned about the box's centre line
+    "rigid-rotation": CaseRow(
+        {"alpha0": 0.1},
+        lambda m, c, p: _pivoted(*m.lengths[:2] / 2, *(p[:, :2] - m.lengths[:2] / 2).T, 1.0),
+        _rotation,
+    ),
 }
 CASE_IDS = tuple(CASES)
 
@@ -275,23 +257,23 @@ def case_parameters(case_id: str) -> frozenset[str]:
     return frozenset(_row(case_id).params)
 
 
-def build_rbf_system(mesh: HexMesh, case: MotionCase) -> np.ndarray | None:
-    """Case 4 or 5's boundary modes spread into the mesh, (n_vertices, k).
+def case_fields(mesh: HexMesh, case: MotionCase) -> np.ndarray:
+    """The case's spatial fields at every vertex, read-only, (n_vertices, k).
 
-    Both boundary laws are a few spatial fields times functions of time, and
-    the RBF interpolant is linear, so the k modes (3 for case 4, 2 for
-    case 5) are spread once and the time law is applied to the grid fields
-    at every instant.  The fields depend on the mesh and the case only, not
-    on N, so a harmonic sweep builds them once and shares them read-only;
-    the RBF system itself is dropped on return.  None for the other cases,
-    whose vertex paths are closed forms.
+    A closed-form case evaluates them at the vertices.  Cases 4 and 5
+    evaluate theirs at the boundary vertices and spread them into the volume
+    by RBF interpolation, which is linear, so the k fields are spread once
+    and not each instant's displacement.  The fields depend on the mesh and
+    the case only, not on N: a harmonic sweep builds them once and shares
+    them read-only, and an RBF system is dropped on return.
     """
-    modes = _row(case.case_id).modes
-    if modes is None:
-        return None
-    points = mesh.vertices[mesh.boundary_vertex_ids()]
-    system = rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
-    fields = rbf.interpolate(system, modes(mesh, case, points))
+    row = _row(case.case_id)
+    if row.spread:
+        points = mesh.vertices[mesh.boundary_vertex_ids()]
+        system = rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
+        fields = rbf.interpolate(system, row.fields(mesh, case, points))
+    else:
+        fields = row.fields(mesh, case, mesh.vertices)
     fields.flags.writeable = False
     return fields
 
@@ -300,20 +282,17 @@ def evaluate_motion(
     mesh: HexMesh,
     case: MotionCase,
     t: np.ndarray,
-    rbf_fields: np.ndarray | None = None,
+    fields: np.ndarray | None = None,
 ):
     """Vertex positions and velocities at arbitrary instants t (shape (Nt,)).
 
-    Cases 4 and 5 apply their time law to ``rbf_fields`` from
-    :func:`build_rbf_system`, built here when not given.
+    The case's time law applies to ``fields`` from :func:`case_fields`,
+    built here when not given.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    row = _row(case.case_id)
-    if row.modes is None:
-        return row.law(mesh, case, t)
-    if rbf_fields is None:
-        rbf_fields = build_rbf_system(mesh, case)
-    return row.law(mesh, case, t, rbf_fields)
+    if fields is None:
+        fields = case_fields(mesh, case)
+    return _row(case.case_id).law(mesh, case, t, fields)
 
 
 def _by_component(*arrays: np.ndarray) -> np.ndarray:
@@ -328,11 +307,11 @@ def sample_motion(
     mesh: HexMesh,
     case: MotionCase,
     n_harmonics: int,
-    rbf_fields: np.ndarray | None = None,
+    fields: np.ndarray | None = None,
 ) -> MotionTrajectory:
     """Sample a motion case at the 2N+1 spectral instants, positions also at t = T.
 
-    ``rbf_fields`` is passed on to :func:`evaluate_motion`.  The cell volumes
+    ``fields`` is passed on to :func:`evaluate_motion`.  The cell volumes
     are computed once, here, and gate the sample: the closing sample is t_0
     again and is neither measured nor checked twice.  Positions and
     velocities are stored component-first, as the planes (3, n_instants,
@@ -348,13 +327,12 @@ def sample_motion(
         is not positive, or failing that with a non-finite vertex velocity,
         and every such cell at that instant.
     """
-    if n_harmonics < 1:
-        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
+    n_harmonics, period = _checked_sampling(n_harmonics, case.period)
     nts = 2 * n_harmonics + 1
-    times = np.append(np.arange(nts) * case.period / nts, case.period)
+    times = np.append(np.arange(nts) * period / nts, period)
     # an overflowing motion is reported by the gate, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        positions, velocities = evaluate_motion(mesh, case, times[:-1], rbf_fields)
+        positions, velocities = evaluate_motion(mesh, case, times[:-1], fields)
         # the closing sample at t = T is the t = 0 configuration again;
         # reusing it makes the periodic closure exact instead of rounding-level
         positions = _by_component(positions, positions[:1])
@@ -371,7 +349,7 @@ def sample_motion(
         raise DegenerateMeshError(times[n], cells, "non-finite velocities in")
     return MotionTrajectory(
         case=case,
-        n_harmonics=int(n_harmonics),
+        n_harmonics=n_harmonics,
         times=times,
         positions=positions,
         velocities=velocities,

@@ -32,7 +32,7 @@ interpolation against every grid point's own pairs (``rbf_interpolate`` in
 
 No dense and no (n_grid, n_rbf) matrix is built, and the result has the same
 bytes whatever the BLAS thread count.  A system is transient (see
-``motion.build_rbf_system``).
+``motion.case_fields``).
 """
 
 from __future__ import annotations

@@ -11,9 +11,21 @@ there is nothing to gain from an FFT.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["SpectralOperator", "ts_matrix"]
+
+
+def _checked_sampling(n_harmonics, period) -> tuple[int, float]:
+    """N as an int and T as a float, once N is a whole number >= 1 and T
+    positive and finite; else ValueError naming the bad value."""
+    if not 1 <= n_harmonics < math.inf or int(n_harmonics) != n_harmonics:
+        raise ValueError(f"n_harmonics must be an integer >= 1, got {n_harmonics}")
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be positive and finite, got {period}")
+    return int(n_harmonics), float(period)
 
 
 def ts_matrix(n_harmonics: int, period: float = 1.0) -> np.ndarray:
@@ -24,8 +36,7 @@ def ts_matrix(n_harmonics: int, period: float = 1.0) -> np.ndarray:
     constants, and multiplying sampled complex exponentials e^{i 2 pi k t/T}
     with |k| <= N reproduces their derivatives at the samples.
     """
-    if n_harmonics < 1:
-        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
+    n_harmonics, period = _checked_sampling(n_harmonics, period)
     nts = 2 * n_harmonics + 1
     n = np.arange(nts)
     diff = n[:, None] - n[None, :]
@@ -48,12 +59,7 @@ class SpectralOperator:
     """
 
     def __init__(self, n_harmonics: int, period: float = 1.0):
-        if n_harmonics < 1:
-            raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
-        if not period > 0.0:
-            raise ValueError(f"period must be positive, got {period}")
-        self.n_harmonics = int(n_harmonics)
-        self.period = float(period)
+        self.n_harmonics, self.period = _checked_sampling(n_harmonics, period)
         self.nts = 2 * self.n_harmonics + 1
         self.wavenumbers = np.arange(-self.n_harmonics, self.n_harmonics + 1)
         self.times = np.arange(self.nts) * self.period / self.nts

@@ -13,7 +13,7 @@ import pytest
 
 from gclkit import experiments, flow, gcl, hexmesh, motion
 from gclkit.cli import main
-from gclkit.motion import DegenerateMeshError, MotionCase, build_rbf_system
+from gclkit.motion import DegenerateMeshError, MotionCase, case_fields
 
 CASES = ("case1", "case2", "case3", "case4", "case5")
 
@@ -21,7 +21,7 @@ CASES = ("case1", "case2", "case3", "case4", "case5")
 @pytest.mark.parametrize("case_id", CASES)
 def test_exact_rates_match_product_rule(paper_mesh, case_id):
     case = MotionCase.for_case(case_id)
-    fields = build_rbf_system(paper_mesh, case)
+    fields = case_fields(paper_mesh, case)
     for n in (1, 2, 20):
         point = experiments.prepare_point(paper_mesh, case, n, fields)
         oracle = gcl.exact_volume_rates(paper_mesh, point.trajectory)

@@ -51,11 +51,18 @@ def test_two_cell_partition_of_box():
         (1, -2, 1, 1.0, 1.0, 1.0),
         (1, 1, 1, 0.0, 1.0, 1.0),
         (1, 1, 1, 1.0, -3.0, 1.0),
+        (2, 2, 2, float("inf"), 1.0, 1.0),
+        (2, 2, 2, 1.0, float("nan"), 1.0),
+        (float("inf"), 2, 2, 1.0, 1.0, 1.0),
+        (2, float("nan"), 2, 1.0, 1.0, 1.0),
+        (2, 2, 2.5, 1.0, 1.0, 1.0),
     ],
 )
 def test_build_rejects_bad_arguments(args):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         build_box_mesh(*args)
+    message = str(excinfo.value)  # names the bad counts or lengths
+    assert str(args[:3]) in message or str(args[3:]) in message
 
 
 def test_hex_volume_unit_cube_and_scaling():

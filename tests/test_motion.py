@@ -13,7 +13,7 @@ from gclkit.motion import (
     CASES,
     DegenerateMeshError,
     MotionCase,
-    build_rbf_system,
+    case_fields,
     evaluate_motion,
     sample_motion,
 )
@@ -76,7 +76,7 @@ def test_periodic_closure_exact(small_mesh, case_id):
     assert len(traj.velocities) == traj.nts  # only the instants that are read
 
 
-@pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4"])
+@pytest.mark.parametrize("case_id", [c for c in ALL_CASES if c != "case5"])
 def test_starts_from_undeformed_mesh(small_mesh, case_id):
     traj = sample_motion(small_mesh, MotionCase.for_case(case_id), 1)
     np.testing.assert_array_equal(traj.positions[0], small_mesh.vertices)
@@ -103,6 +103,22 @@ def test_velocity_consistent_with_positions(small_mesh, case_id):
     assert np.abs(fd - vel).max() <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("case_id", ALL_CASES)
+def test_shared_fields_give_the_same_trajectory(small_mesh, case_id):
+    # a sweep builds the fields once and hands them to every N's sample
+    case = MotionCase.for_case(case_id)
+    fields = case_fields(small_mesh, case)
+    assert len(fields) == small_mesh.n_vertices
+    with pytest.raises(ValueError, match="read-only"):
+        fields[0] = 0.0
+    for n in (1, 3):
+        shared = sample_motion(small_mesh, case, n, fields)
+        built = sample_motion(small_mesh, case, n)
+        for name in ("positions", "velocities", "volumes"):
+            a, b = getattr(shared, name), getattr(built, name)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
 def test_sampling_grid(small_mesh):
     traj = sample_motion(small_mesh, MotionCase.for_case("case1"), 3)
     assert traj.nts == 7
@@ -121,7 +137,7 @@ def test_case_row_holds_every_parameter_its_law_reads(case_id):
         if f.name not in ("case_id", "period"):
             assert getattr(case, f.name) == params.get(f.name), f.name
     # an RBF case reads the support radius, None until resolved against the mesh
-    assert ("support_radius" in params) == (CASES[case_id].modes is not None)
+    assert ("support_radius" in params) == CASES[case_id].spread
     sample_motion(build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4), case, 1)
 
 
@@ -129,15 +145,49 @@ def test_case_row_holds_every_parameter_its_law_reads(case_id):
 def test_case_rejects_parameters_outside_its_row(case_id):
     params = CASES[case_id].params
     outside = [f.name for f in dataclasses.fields(MotionCase) if f.name not in params]
-    assert outside[0] == "case_id"
-    for name in outside[1:]:
+    assert outside[:2] == ["case_id", "period"]
+    for name in outside[2:]:
         with pytest.raises(ValueError) as excinfo:
             MotionCase.for_case(case_id, **{name: 0.3})
         message = str(excinfo.value)
         assert case_id in message and name in message
-        assert message.endswith(f"it takes {', '.join(params)}"), message
+        assert message.endswith(f"it takes period, {', '.join(params)}"), message
         # a None override is no override: callers pass every setting they hold
         assert MotionCase.for_case(case_id, **{name: None}) == MotionCase.for_case(case_id)
+
+
+@pytest.mark.parametrize("case_id", ALL_CASES)
+def test_every_case_takes_a_period(small_mesh, case_id):
+    case = MotionCase.for_case(case_id, period=2.0)
+    assert case == dataclasses.replace(MotionCase.for_case(case_id), period=2.0)
+    assert case.metadata(small_mesh)["period"] == 2.0
+    # twice the period: the same path at twice the times, at half the speed;
+    # every scaling by 2 is exact, so the bits are too
+    slow = sample_motion(small_mesh, case, 2)
+    fast = sample_motion(small_mesh, MotionCase.for_case(case_id), 2)
+    assert np.array_equal(slow.times, 2.0 * fast.times)
+    assert np.array_equal(slow.positions, fast.positions)
+    assert np.array_equal(slow.velocities, 0.5 * fast.velocities)
+    assert np.array_equal(slow.volumes, fast.volumes)
+
+
+@pytest.mark.parametrize(
+    "n_harmonics, period, bad",
+    [
+        (2, 0.0, "period must be positive and finite, got 0.0"),
+        (2, -1.0, "period must be positive and finite, got -1.0"),
+        (2, float("inf"), "period must be positive and finite, got inf"),
+        (2, float("nan"), "period must be positive and finite, got nan"),
+        (2.5, 1.0, "n_harmonics must be an integer >= 1, got 2.5"),
+        (0, 1.0, "n_harmonics must be an integer >= 1, got 0"),
+    ],
+)
+def test_sample_motion_rejects_impossible_sampling(small_mesh, n_harmonics, period, bad):
+    # a hand-built case skips for_case; sample_motion checks what it samples
+    case = dataclasses.replace(MotionCase.for_case("case1"), period=period)
+    with pytest.raises(ValueError) as excinfo:
+        sample_motion(small_mesh, case, n_harmonics)
+    assert str(excinfo.value) == bad
 
 
 def test_unknown_case_rejected(small_mesh):
@@ -206,7 +256,7 @@ def test_batched_gate_names_first_bad_instant():
     # case 4 inverts a cell of the 20^3 mesh at several instants
     mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("case4")
-    fields = build_rbf_system(mesh, case)
+    fields = case_fields(mesh, case)
     times = _spectral_instants(case, 10)
     positions, _ = evaluate_motion(mesh, case, times, fields)
     expected = _first_degenerate_instant(mesh, times, positions)
@@ -217,7 +267,7 @@ def test_batched_gate_names_first_bad_instant():
     assert info.value.cell_ids.tolist() == expected[1].tolist()
 
 
-@pytest.mark.parametrize("case_id", ["case1", "case2", "case3", "case4", "case5"])
+@pytest.mark.parametrize("case_id", ALL_CASES)
 def test_batched_gate_passes_clean_cases(paper_mesh, case_id):
     trajectory = sample_motion(paper_mesh, MotionCase.for_case(case_id), 10)
     assert _first_degenerate_instant(paper_mesh, trajectory.times, trajectory.positions) is None
@@ -315,10 +365,10 @@ def test_rbf_spread_keeps_only_the_grid_fields():
     # mesh imports scipy, whose modules would otherwise count as kept.
     mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("case5")
-    build_rbf_system(build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4), case)
+    case_fields(build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4), case)
     tracemalloc.start()
     try:
-        fields = build_rbf_system(mesh, case)
+        fields = case_fields(mesh, case)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -188,9 +188,9 @@ def test_case_modes_match_the_full_solve(cells, case_id):
     case = MotionCase.for_case(case_id)
     points = mesh.vertices[mesh.boundary_vertex_ids()]
     radius = case.resolved_support_radius(mesh)
-    modes = motion.CASES[case_id].modes(mesh, case, points)
-    coeff = build_system(points, mesh.vertices, radius).solve(modes)
-    assert _relative_change(coeff, rbf_solve(points, radius, modes)) <= 1e-13
+    fields = motion.CASES[case_id].fields(mesh, case, points)
+    coeff = build_system(points, mesh.vertices, radius).solve(fields)
+    assert _relative_change(coeff, rbf_solve(points, radius, fields)) <= 1e-13
 
 
 def test_one_mirror_plane_gives_two_blocks(rng, monkeypatch):
@@ -288,11 +288,11 @@ def test_paper_case5_box_forms_each_representatives_pairs_once():
     case = MotionCase.for_case("case5")
     points = mesh.vertices[mesh.boundary_vertex_ids()]
     system = build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
-    modes = motion._case5_modes(mesh, case, points)
+    fields = motion.CASES["case5"].fields(mesh, case, points)
     for _ in range(2):
         with pytest.MonkeyPatch.context() as patch:
             weighed = _count_calls(patch, rbf, "wendland_c0")
-            interpolate(system, modes)
+            interpolate(system, fields)
         assert len(system._grid_reps) == 1331
         assert sum(len(args[0]) for args in weighed) == 197_509
 
@@ -308,6 +308,10 @@ def test_sweep_builds_one_rbf_system(monkeypatch):
     mesh = experiments.MeshConfig(4, 4, 4)
     rows = experiments.run_sweep(mesh, MotionCase.for_case("case5"), [1, 2, 3], ["avg"])
     assert len(rows) == 3 and len(calls) == 1
+    # a closed-form case's fields are its vertices' own: no RBF system at all
+    for case_id in ("case1", "case2", "case3", "rigid-translation", "rigid-rotation"):
+        experiments.run_sweep(mesh, MotionCase.for_case(case_id), [1, 2], ["avg"])
+    assert len(calls) == 1
 
 
 def test_shared_system_gives_same_rows_under_many_threads(monkeypatch):

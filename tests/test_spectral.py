@@ -99,6 +99,25 @@ def test_resolves_band_limited_exponentials():
         )
 
 
+@pytest.mark.parametrize("build", [SpectralOperator, ts_matrix])
+@pytest.mark.parametrize(
+    "n_harmonics, period, bad",
+    [
+        (2, float("inf"), "inf"),
+        (2, 0.0, "0.0"),
+        (2, -1.0, "-1.0"),
+        (2, float("nan"), "nan"),
+        (0, 1.0, "0"),
+        (2.5, 1.0, "2.5"),
+        (float("inf"), 1.0, "inf"),
+    ],
+)
+def test_impossible_sampling_rejected(build, n_harmonics, period, bad):
+    with pytest.raises(ValueError) as excinfo:
+        build(n_harmonics, period)
+    assert str(excinfo.value).endswith(f"got {bad}")
+
+
 def test_even_or_bad_sample_counts_rejected():
     with pytest.raises(ValueError):
         SpectralOperator(0)
