@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
@@ -196,6 +197,19 @@ def worker_count(n_jobs: int) -> int:
     return max(1, min(workers, n_jobs))
 
 
+class _Inline(Executor):
+    """The executor of a one-worker sweep: a task runs on the calling thread
+    when it is submitted, in the kernels' single-thread blocks."""
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:
+            future.set_exception(err)
+        return future
+
+
 def run_sweep(
     mesh_config: MeshConfig,
     case: MotionCase,
@@ -207,22 +221,80 @@ def run_sweep(
     """Evaluate all methods over a harmonic sweep; rows ordered by (N, method).
 
     The case's spatial fields (:func:`~gclkit.motion.case_fields`) are
-    built once, before the pool; its threads only read them.  The pool's
-    threads run the geometry kernels in larger blocks
-    (:data:`gclkit.hexmesh.POOLED_BLOCK_ELEMENT_INSTANTS`), which give the
-    same bits.
+    built once, on the calling thread, before any task; the tasks only read
+    them.  A task is one :func:`prepare_point` per N, or, once that N's
+    point is prepared, one :func:`evaluate_point` per distinct field builder
+    of the methods, with the methods that read its field.  The calling
+    thread submits every task and joins them, so no task waits on another;
+    at most one point per worker is held at a time, and a task whose rows
+    come after a failed task's is skipped.  Each task computes its rows
+    alone, whichever thread runs it, and the rows are put back in (N,
+    method) order, so the rows, and the first error in that order, are
+    those of one worker, which runs the same tasks in the same order on the
+    calling thread.  The pool's threads run the geometry kernels in larger
+    blocks (:data:`gclkit.hexmesh.POOLED_BLOCK_ELEMENT_INSTANTS`), which
+    give the same bits.
     """
     mesh = mesh_config.build()
     fields = case_fields(mesh, case)
+    groups = {}  # field builder -> positions in ``methods`` of the rows reading it
+    for position, method in enumerate(methods):
+        groups.setdefault(_BUILDERS[method], []).append(position)
+    groups = list(groups.values())
+    failed = []  # (N's index, group's index or -1 to prepare) of each task that raised
 
-    def job(n):
-        point = prepare_point(mesh, case, n, fields)
-        return evaluate_point(point, methods, freestream, timing)
+    def task(key, fn, *args):
+        if failed and min(failed) < key:  # its rows would come after an error
+            return None
+        try:
+            return fn(*args)
+        except Exception:
+            failed.append(key)
+            raise
 
     workers = worker_count(len(harmonic_range))
-    if workers == 1:
-        batches = [job(n) for n in harmonic_range]
-    else:
-        with ThreadPoolExecutor(workers, initializer=hexmesh._mark_pool_thread) as pool:
-            batches = list(pool.map(job, harmonic_range))
-    return [row for batch in batches for row in batch]
+    tasks = [[] for _ in harmonic_range]  # per N: its prepare, once done its evaluates
+    running, held = {}, Counter()  # future -> key; N's index -> its running tasks
+
+    def submit(key, fn, *args):
+        future = pool.submit(task, key, fn, *args)
+        running[future] = key
+        held[key[0]] += 1
+        return future
+
+    def settle(limit):
+        """Take finished tasks until fewer than ``limit`` points are held."""
+        while len(held) >= limit:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i, g = running.pop(future)
+                held[i] -= 1
+                if g < 0 and future.exception() is None and future.result() is not None:
+                    point = future.result()  # held until its evaluates have run
+                    tasks[i] = [
+                        submit((i, g), evaluate_point, point, [methods[p] for p in group],
+                               freestream, timing)
+                        for g, group in enumerate(groups)
+                    ]
+                if not held[i]:
+                    del held[i]
+
+    with (
+        ThreadPoolExecutor(workers, initializer=hexmesh._mark_pool_thread)
+        if workers > 1 else _Inline()
+    ) as pool:
+        for i, n in enumerate(harmonic_range):
+            settle(workers)  # at most one point per worker is held
+            if failed:
+                break
+            tasks[i] = [submit((i, -1), prepare_point, mesh, case, n, fields)]
+        settle(1)
+    rows = []
+    for batch in tasks:
+        results = [future.result() for future in batch]  # raises in row order
+        point_rows = [None] * len(methods)
+        for group, group_rows in zip(groups, results):
+            for position, row in zip(group, group_rows):
+                point_rows[position] = row
+        rows += point_rows
+    return rows

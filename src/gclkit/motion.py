@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rbf
 from .hexmesh import HexMesh, _hex_volume, detect_degenerate
-from .spectral import _checked_sampling
+from .spectral import _checked_period, _checked_sampling
 
 __all__ = [
     "CASES",
@@ -75,10 +75,12 @@ class MotionCase:
         ------
         ValueError
             If a non-None override is neither ``period``, which every law
-            reads, nor a parameter of the case's row of :data:`CASES`.
+            reads, nor a parameter of the case's row of :data:`CASES`, or
+            if the period is not positive and finite.
         """
         defaults = _row(case_id).params
         overrides = {k: v for k, v in overrides.items() if v is not None}
+        _checked_period(overrides.get("period", cls.period))
         unused = sorted(overrides.keys() - defaults.keys() - {"period"})
         if unused:
             raise ValueError(
@@ -287,8 +289,10 @@ def evaluate_motion(
     """Vertex positions and velocities at arbitrary instants t (shape (Nt,)).
 
     The case's time law applies to ``fields`` from :func:`case_fields`,
-    built here when not given.
+    built here when not given.  A period that is not positive and finite
+    raises ValueError.
     """
+    _checked_period(case.period)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if fields is None:
         fields = case_fields(mesh, case)

@@ -23,9 +23,14 @@ def _checked_sampling(n_harmonics, period) -> tuple[int, float]:
     positive and finite; else ValueError naming the bad value."""
     if not 1 <= n_harmonics < math.inf or int(n_harmonics) != n_harmonics:
         raise ValueError(f"n_harmonics must be an integer >= 1, got {n_harmonics}")
+    return int(n_harmonics), _checked_period(period)
+
+
+def _checked_period(period) -> float:
+    """T as a float, once it is positive and finite; else ValueError naming it."""
     if not 0.0 < period < math.inf:
         raise ValueError(f"period must be positive and finite, got {period}")
-    return int(n_harmonics), float(period)
+    return float(period)
 
 
 def ts_matrix(n_harmonics: int, period: float = 1.0) -> np.ndarray:

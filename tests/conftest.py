@@ -1,9 +1,25 @@
+import threading
+
 import numpy as np
 import pytest
 
 from gclkit.hexmesh import build_box_mesh
 
 PAPER_MESH = (10, 10, 10, 3.2, 2.8, 2.4)
+
+
+@pytest.fixture(autouse=True)
+def no_pool_thread_outlives_its_test():
+    """Fail a test that leaves a ``ThreadPoolExecutor`` worker thread alive:
+    a sweep's pool is shut down, its threads joined, before ``run_sweep``
+    returns or raises."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [
+        thread.name for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith("ThreadPoolExecutor-")
+    ]
+    assert not leaked, f"pool threads left running: {leaked}"
 
 
 @pytest.fixture(scope="session")

@@ -351,24 +351,32 @@ def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch, capsys):
         assert not (tmp_path / "t.csv").exists()
 
 
+SIX_METHODS = ["--methods", "lvi,aevi,avg,trimap,ts-lvi,ts-aevi"]
+WORKER_COUNT_RUNS = [
+    ["--case", "4", "--n", "1..4", "--mesh", "6,6,6"],
+    # one freestream solve per (N, field), each in its own task
+    ["--case", "5", "--n", "1..3", "--mesh", "4,4,4", "--freestream", "on"],
+]
+
+
 def test_csv_bytes_independent_of_worker_count(tmp_path, monkeypatch):
-    # pooled workers run the geometry kernels in larger blocks on threads
-    # their pool marks; 2 and 4 workers (one per N), switching threads every
-    # 10 us, must still write the 1-worker bytes
-    outputs = {}
+    # a sweep is one task per N and one per (N, field); pooled workers run the
+    # geometry kernels in larger blocks on threads their pool marks; 2 and 4
+    # workers, switching threads every 10 us, must still write the 1-worker
+    # bytes
     interval = sys.getswitchinterval()
-    try:
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("GCLKIT_THREADS", threads)
-            sys.setswitchinterval(1e-5 if threads != "1" else interval)
-            out = tmp_path / f"threads{threads}.csv"
-            assert main(["run", "--case", "4", "--n", "1..4", "--mesh", "6,6,6",
-                         "--methods", "lvi,aevi,avg,trimap,ts-lvi,ts-aevi",
-                         "--out", str(out)]) == 0
-            outputs[threads] = out.read_bytes()
-    finally:
-        sys.setswitchinterval(interval)
-    assert outputs["2"] == outputs["1"] and outputs["4"] == outputs["1"]
+    for k, run in enumerate(WORKER_COUNT_RUNS):
+        outputs = {}
+        try:
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("GCLKIT_THREADS", threads)
+                sys.setswitchinterval(1e-5 if threads != "1" else interval)
+                out = tmp_path / f"run{k}_threads{threads}.csv"
+                assert main(["run", *run, *SIX_METHODS, "--out", str(out)]) == 0
+                outputs[threads] = out.read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs["2"] == outputs["1"] and outputs["4"] == outputs["1"], run
 
 
 # rotated by up to 1 rad, the AVG field's conservation defect carries the

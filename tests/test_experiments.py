@@ -7,6 +7,8 @@ a degenerate point.
 """
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -147,3 +149,87 @@ def test_divergence_names_the_first_method_that_reads_the_field(small_mesh, monk
         with pytest.raises(flow.FreestreamDivergence) as info:
             experiments.evaluate_point(point, methods, freestream=True)
         assert info.value.method == methods[0]
+
+
+def _under_each_worker_count(monkeypatch, sweep):
+    """``sweep()``'s outcome, a list of rows or the error it raised, under
+    1, 2 and 4 workers; pooled runs switch threads every 10 us.  No thread
+    of a sweep outlives it."""
+    outcomes, interval = {}, sys.getswitchinterval()
+    try:
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("GCLKIT_THREADS", threads)
+            sys.setswitchinterval(1e-5 if threads != "1" else interval)
+            alive = threading.active_count()
+            try:
+                outcomes[threads] = sweep()
+            except Exception as err:
+                outcomes[threads] = err
+            assert threading.active_count() == alive, threads
+    finally:
+        sys.setswitchinterval(interval)
+    return outcomes
+
+
+def test_first_degenerate_n_raises_under_every_worker_count(monkeypatch):
+    # on 10^3 at this amplitude N = 1 passes the gate and N = 2, 3 and 4 fail
+    # it, each at its own instant; pooled, N = 3 or 4 can fail first
+    case = MotionCase.for_case("case4", rbf_amplitude=0.12)
+    outcomes = _under_each_worker_count(
+        monkeypatch,
+        lambda: experiments.run_sweep(
+            experiments.MeshConfig(), case, [1, 2, 3, 4], ["avg", "trimap"]
+        ),
+    )
+    one = outcomes["1"]
+    assert isinstance(one, DegenerateMeshError) and one.instant == 0.8
+    for threads in ("2", "4"):
+        err = outcomes[threads]
+        assert isinstance(err, DegenerateMeshError), threads
+        assert (err.instant, err.cell_ids.tolist(), str(err)) == (
+            one.instant, one.cell_ids.tolist(), str(one)
+        ), threads
+
+
+def test_first_divergence_raises_under_every_worker_count(monkeypatch):
+    # every field diverges from N = 3 on, and at N = 2 the AVG field alone:
+    # one worker names N = 2 and avg, whatever the pool finishes first
+    avg_fields, marched = [], []
+    real_avg, real_init = gcl.ifmv_avg, flow.FreestreamProblem.__init__
+
+    def avg(*args):
+        avg_fields.append(real_avg(*args))
+        return avg_fields[-1]
+
+    def init(self, mesh, trajectory, spectral, ifmv):
+        real_init(self, mesh, trajectory, spectral, ifmv)
+        n = spectral.n_harmonics
+        self.fails = n >= 3 or (n == 2 and any(field is ifmv for field in avg_fields))
+
+    def march(self):
+        marched.append(self.spectral.n_harmonics)
+        if self.fails:
+            return flow.FreestreamResult(np.inf, 1, 1.0, np.inf, "diverged")
+        return flow.FreestreamResult(0.0, 1, 1.0, 0.0, "floor")
+
+    monkeypatch.setattr(gcl, "ifmv_avg", avg)
+    monkeypatch.setattr(flow.FreestreamProblem, "__init__", init)
+    monkeypatch.setattr(flow.FreestreamProblem, "march", march)
+    methods = ["nlfd-lvi", "ts-aevi", "avg", "trimap", "nlfd-aevi"]
+
+    def sweep():
+        return experiments.run_sweep(
+            experiments.MeshConfig(5, 5, 5), MotionCase.for_case("case1"), [1, 2, 3, 4],
+            methods, freestream=True,
+        )
+
+    for threads, err in _under_each_worker_count(monkeypatch, sweep).items():
+        assert isinstance(err, flow.FreestreamDivergence), threads
+        assert (err.case_id, err.method, err.n_harmonics) == ("case1", "avg", 2), threads
+    # one worker stops at the error: N = 1's four fields, then N = 2's LVI,
+    # AEVI and AVG, and no later task
+    marched.clear()
+    monkeypatch.setenv("GCLKIT_THREADS", "1")
+    with pytest.raises(flow.FreestreamDivergence):
+        sweep()
+    assert marched == [1, 1, 1, 1, 2, 2, 2]

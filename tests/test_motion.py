@@ -190,6 +190,28 @@ def test_sample_motion_rejects_impossible_sampling(small_mesh, n_harmonics, peri
     assert str(excinfo.value) == bad
 
 
+IMPOSSIBLE_PERIODS = [0.0, -1.0, float("inf"), float("nan")]
+
+
+@pytest.mark.parametrize("period", IMPOSSIBLE_PERIODS)
+def test_for_case_rejects_an_impossible_period(period):
+    with pytest.raises(ValueError) as excinfo:
+        MotionCase.for_case("case1", period=period)
+    assert str(excinfo.value) == f"period must be positive and finite, got {period}"
+
+
+@pytest.mark.parametrize("period", IMPOSSIBLE_PERIODS)
+def test_evaluate_motion_rejects_an_impossible_period(small_mesh, period):
+    # a hand-built case skips for_case: the error comes before any law's 2 pi / T,
+    # with no numpy warning ahead of it
+    case = dataclasses.replace(MotionCase.for_case("case1"), period=period)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            evaluate_motion(small_mesh, case, np.array([0.1]))
+    assert str(excinfo.value) == f"period must be positive and finite, got {period}"
+
+
 def test_unknown_case_rejected(small_mesh):
     with pytest.raises(ValueError):
         MotionCase.for_case("case9")
