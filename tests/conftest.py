@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +21,31 @@ def no_pool_thread_outlives_its_test():
         if thread not in before and thread.name.startswith("ThreadPoolExecutor-")
     ]
     assert not leaked, f"pool threads left running: {leaked}"
+
+
+@pytest.fixture()
+def under_each_worker_count(monkeypatch):
+    """Run ``sweep()`` under 1, 2 and 4 workers and return its outcome under
+    each, a value or the error it raised, keyed by ``GCLKIT_THREADS``.
+    Pooled runs switch threads every 10 us; no thread outlives a run."""
+
+    def run(sweep):
+        outcomes, interval = {}, sys.getswitchinterval()
+        try:
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("GCLKIT_THREADS", threads)
+                sys.setswitchinterval(1e-5 if threads != "1" else interval)
+                alive = threading.active_count()
+                try:
+                    outcomes[threads] = sweep()
+                except Exception as err:
+                    outcomes[threads] = err
+                assert threading.active_count() == alive, threads
+        finally:
+            sys.setswitchinterval(interval)
+        return outcomes
+
+    return run
 
 
 @pytest.fixture(scope="session")

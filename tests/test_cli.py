@@ -359,23 +359,19 @@ WORKER_COUNT_RUNS = [
 ]
 
 
-def test_csv_bytes_independent_of_worker_count(tmp_path, monkeypatch):
-    # a sweep is one task per N and one per (N, field); pooled workers run the
-    # geometry kernels in larger blocks on threads their pool marks; 2 and 4
-    # workers, switching threads every 10 us, must still write the 1-worker
-    # bytes
-    interval = sys.getswitchinterval()
-    for k, run in enumerate(WORKER_COUNT_RUNS):
-        outputs = {}
-        try:
-            for threads in ("1", "2", "4"):
-                monkeypatch.setenv("GCLKIT_THREADS", threads)
-                sys.setswitchinterval(1e-5 if threads != "1" else interval)
-                out = tmp_path / f"run{k}_threads{threads}.csv"
-                assert main(["run", *run, *SIX_METHODS, "--out", str(out)]) == 0
-                outputs[threads] = out.read_bytes()
-        finally:
-            sys.setswitchinterval(interval)
+def test_csv_bytes_independent_of_worker_count(tmp_path, under_each_worker_count):
+    # a sweep is one task per N and one per (N, field), and pooled workers run
+    # the geometry kernels in larger blocks on threads their pool marks; 2 and
+    # 4 workers must still write the 1-worker bytes
+    out = tmp_path / "sweep.csv"
+    for run in WORKER_COUNT_RUNS:
+
+        def sweep():
+            assert main(["run", *run, *SIX_METHODS, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        outputs = under_each_worker_count(sweep)
+        assert isinstance(outputs["1"], bytes), outputs["1"]
         assert outputs["2"] == outputs["1"] and outputs["4"] == outputs["1"], run
 
 

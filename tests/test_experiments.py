@@ -7,8 +7,6 @@ a degenerate point.
 """
 
 import dataclasses
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -151,35 +149,14 @@ def test_divergence_names_the_first_method_that_reads_the_field(small_mesh, monk
         assert info.value.method == methods[0]
 
 
-def _under_each_worker_count(monkeypatch, sweep):
-    """``sweep()``'s outcome, a list of rows or the error it raised, under
-    1, 2 and 4 workers; pooled runs switch threads every 10 us.  No thread
-    of a sweep outlives it."""
-    outcomes, interval = {}, sys.getswitchinterval()
-    try:
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("GCLKIT_THREADS", threads)
-            sys.setswitchinterval(1e-5 if threads != "1" else interval)
-            alive = threading.active_count()
-            try:
-                outcomes[threads] = sweep()
-            except Exception as err:
-                outcomes[threads] = err
-            assert threading.active_count() == alive, threads
-    finally:
-        sys.setswitchinterval(interval)
-    return outcomes
-
-
-def test_first_degenerate_n_raises_under_every_worker_count(monkeypatch):
+def test_first_degenerate_n_raises_under_every_worker_count(under_each_worker_count):
     # on 10^3 at this amplitude N = 1 passes the gate and N = 2, 3 and 4 fail
     # it, each at its own instant; pooled, N = 3 or 4 can fail first
     case = MotionCase.for_case("case4", rbf_amplitude=0.12)
-    outcomes = _under_each_worker_count(
-        monkeypatch,
+    outcomes = under_each_worker_count(
         lambda: experiments.run_sweep(
             experiments.MeshConfig(), case, [1, 2, 3, 4], ["avg", "trimap"]
-        ),
+        )
     )
     one = outcomes["1"]
     assert isinstance(one, DegenerateMeshError) and one.instant == 0.8
@@ -191,7 +168,7 @@ def test_first_degenerate_n_raises_under_every_worker_count(monkeypatch):
         ), threads
 
 
-def test_first_divergence_raises_under_every_worker_count(monkeypatch):
+def test_first_divergence_raises_under_every_worker_count(monkeypatch, under_each_worker_count):
     # every field diverges from N = 3 on, and at N = 2 the AVG field alone:
     # one worker names N = 2 and avg, whatever the pool finishes first
     avg_fields, marched = [], []
@@ -223,7 +200,7 @@ def test_first_divergence_raises_under_every_worker_count(monkeypatch):
             methods, freestream=True,
         )
 
-    for threads, err in _under_each_worker_count(monkeypatch, sweep).items():
+    for threads, err in under_each_worker_count(sweep).items():
         assert isinstance(err, flow.FreestreamDivergence), threads
         assert (err.case_id, err.method, err.n_harmonics) == ("case1", "avg", 2), threads
     # one worker stops at the error: N = 1's four fields, then N = 2's LVI,
