@@ -221,8 +221,14 @@ def run_sweep(
     """Evaluate all methods over a harmonic sweep; rows ordered by (N, method).
 
     The case's spatial fields (:func:`~gclkit.motion.case_fields`) are
-    built once, on the calling thread, before any task; the tasks only read
-    them.  A task is one :func:`prepare_point` per N, or, once that N's
+    built once, before any other task, and the tasks only read them.  For
+    cases 4 and 5 the RBF build's grid half (the grid's orbits and near
+    pairs) is one task on the pool while the calling thread factors the
+    Gram blocks, so a second worker is not idle through the build; each half
+    computes the same values on any thread, and one worker runs the grid
+    half, then the Gram half, on the calling thread.  A failed build is a
+    :class:`ConfigError`: the mesh and the case come from the settings.  A
+    task is one :func:`prepare_point` per N, or, once that N's
     point is prepared, one :func:`evaluate_point` per distinct field builder
     of the methods, with the methods that read its field.  The calling
     thread submits every task and joins them, so no task waits on another;
@@ -236,7 +242,6 @@ def run_sweep(
     give the same bits.
     """
     mesh = mesh_config.build()
-    fields = case_fields(mesh, case)
     groups = {}  # field builder -> positions in ``methods`` of the rows reading it
     for position, method in enumerate(methods):
         groups.setdefault(_BUILDERS[method], []).append(position)
@@ -283,6 +288,10 @@ def run_sweep(
         ThreadPoolExecutor(workers, initializer=hexmesh._mark_pool_thread)
         if workers > 1 else _Inline()
     ) as pool:
+        try:
+            fields = case_fields(mesh, case, pool)
+        except ValueError as err:
+            raise ConfigError(f"cannot build the fields of {case.case_id}: {err}") from None
         for i, n in enumerate(harmonic_range):
             settle(workers)  # at most one point per worker is held
             if failed:

@@ -16,13 +16,16 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import rbf
 from .hexmesh import HexMesh, _hex_volume, detect_degenerate
 from .spectral import _checked_period, _checked_sampling
+
+if TYPE_CHECKING:  # the package imports no executor machinery until a sweep runs
+    from concurrent.futures import Executor
 
 __all__ = [
     "CASES",
@@ -259,20 +262,26 @@ def case_parameters(case_id: str) -> frozenset[str]:
     return frozenset(_row(case_id).params)
 
 
-def case_fields(mesh: HexMesh, case: MotionCase) -> np.ndarray:
+def case_fields(mesh: HexMesh, case: MotionCase, pool: Executor | None = None) -> np.ndarray:
     """The case's spatial fields at every vertex, read-only, (n_vertices, k).
 
     A closed-form case evaluates them at the vertices.  Cases 4 and 5
     evaluate theirs at the boundary vertices and spread them into the volume
     by RBF interpolation, which is linear, so the k fields are spread once
-    and not each instant's displacement.  The fields depend on the mesh and
-    the case only, not on N: a harmonic sweep builds them once and shares
-    them read-only, and an RBF system is dropped on return.
+    and not each instant's displacement.  The RBF build's grid half runs as
+    one task on ``pool`` while the calling thread factors the Gram blocks,
+    or on the calling thread first without one (:func:`rbf.build_system`);
+    either half computes the same values on any thread, so the fields have
+    the same bytes.  The fields depend on the mesh and the case only, not on
+    N: a harmonic sweep builds them once and shares them read-only, and an
+    RBF system is dropped on return.
     """
     row = _row(case.case_id)
     if row.spread:
         points = mesh.vertices[mesh.boundary_vertex_ids()]
-        system = rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
+        system = rbf.build_system(
+            points, mesh.vertices, case.resolved_support_radius(mesh), pool
+        )
         fields = rbf.interpolate(system, row.fields(mesh, case, points))
     else:
         fields = row.fields(mesh, case, mesh.vertices)

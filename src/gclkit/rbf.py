@@ -21,14 +21,23 @@ The grid is evaluated by the same symmetry: the value at g x is
 sum_p phi(|x - p|) c[g p], so only the grid's orbit representatives, its
 points on the low side of every mirror, form near pairs.  ``build_system``
 folds every other grid point onto the low side and finds the representative
-it lands on with one k-d tree query; ``interpolate`` forms the
-representatives' pairs against one k-d tree of the control points, over
-blocks of ``BLOCK_POINTS`` representatives, and writes all |G| images of a
-block with one sparse product.  A grid that the whole group does not map
-onto itself is evaluated point by point, under the identity alone.  The
-README's measurements section counts the near pairs and times the
-interpolation against every grid point's own pairs (``rbf_interpolate`` in
+it lands on with one k-d tree query, then forms the representatives' pairs
+against one k-d tree of the control points and weighs them, over blocks of
+``BLOCK_POINTS`` representatives; ``interpolate`` writes all |G| images of a
+block with one sparse product of its held weights.  A grid that the whole
+group does not map onto itself is evaluated point by point, under the
+identity alone.  The README's measurements section counts the near pairs and
+times them against every grid point's own pairs (``rbf_interpolate`` in
 ``tests/oracles.py``).
+
+A build has two halves that share only the control points' k-d tree and
+mirror group: the Gram half (basis, blocks, factor) and the grid half
+(:func:`_grid_weights`: orbits, pairs, weights).  Given an executor,
+``build_system`` runs the grid half as one task on it while the calling
+thread runs the Gram half; without one it runs the grid half first, then
+the Gram half.  Each half computes the same values on any thread, so the
+system does not depend on where they ran, and the first error is the grid
+half's either way.
 
 No dense and no (n_grid, n_rbf) matrix is built, and the result has the same
 bytes whatever the BLAS thread count.  A system is transient (see
@@ -43,12 +52,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # scipy is imported where used: only the RBF cases need it
-    from scipy.sparse import csc_array
+    from concurrent.futures import Executor
+
+    from scipy.sparse import coo_array, csc_array
     from scipy.sparse.linalg import SuperLU
     from scipy.spatial import cKDTree
 __all__ = ["BLOCK_POINTS", "wendland_c0", "RbfSystem", "build_system", "interpolate"]
 
-# Grid points evaluated together; a block's near pairs take a few MB.
+# Grid representatives whose near pairs are formed together.  Every block's
+# weights are held from the build to the evaluation, 32 bytes a pair (the
+# weight and the k-d tree's (i, j, distance) record that its indices view):
+# 197,509 pairs, 6.3 MB, on 20^3.
 BLOCK_POINTS = 1024
 
 
@@ -72,10 +86,11 @@ class RbfSystem:
     symmetry-adapted basis Q of the points' mirror group (see
     :func:`build_system`): ``_basis`` is Q, ``_blocks`` the block-diagonal
     Q^T M Q, kept with its sparse LU factor, whose L and U are block diagonal
-    too.  A k-d tree of the control points serves the evaluation at
-    ``grid_points``, whose orbit representatives are ``_grid_reps``: grid
-    point x is g r_k for the flat index ``_grid_source[x]`` = |G| k + g, with
-    the control points' images under g in row g of ``_group``.  Nothing is
+    too.  The orbit representatives of ``grid_points`` are ``_grid_reps``:
+    grid point x is g r_k for the flat index ``_grid_source[x]`` = |G| k + g,
+    with the control points' images under g in row g of ``_group``, and
+    ``_weights`` holds phi(|r_k - p|) of each block of ``BLOCK_POINTS``
+    representatives' near pairs, in the k-d tree's order.  Nothing is
     written after construction.
     """
 
@@ -85,10 +100,10 @@ class RbfSystem:
     _basis: csc_array = field(repr=False)  # Q, (n_rbf, n_rbf), orthonormal
     _blocks: csc_array = field(repr=False)  # Q^T M Q, (n_rbf, n_rbf)
     _factor: SuperLU = field(repr=False)
-    _tree: cKDTree = field(repr=False)
     _group: np.ndarray = field(repr=False)  # (|G|, n_rbf): index of g p
     _grid_reps: np.ndarray = field(repr=False)  # (n_reps,) grid indices
     _grid_source: np.ndarray = field(repr=False)  # (n_grid,) |G| k + g
+    _weights: list[coo_array] = field(repr=False)  # per block, (block, n_rbf)
 
     @property
     def n_points(self) -> int:
@@ -106,8 +121,10 @@ def _reject_duplicates(tree: cKDTree, support_radius: float) -> None:
     """Raise on control points closer than 1e-14 max(R, 1): M would be singular."""
     pairs = sorted(tree.query_pairs(1e-14 * max(support_radius, 1.0)))
     if pairs:
+        shown = ", ".join(map(str, pairs[:10])) + (", ..." if len(pairs) > 10 else "")
         raise ValueError(
-            f"singular RBF system: duplicated control points at index pairs {pairs}"
+            f"singular RBF system: duplicated control points at index pairs [{shown}] "
+            f"({len(pairs)} in all)"
         )
 
 
@@ -194,39 +211,39 @@ def _grid_orbits(
     return group, reps, source * len(group) + element
 
 
-def build_system(
-    rbf_points: np.ndarray, grid_points: np.ndarray, support_radius: float
-) -> RbfSystem:
-    """Assemble and factorise the interpolation system by mirror symmetry.
+def _grid_weights(
+    grid: np.ndarray, tree: cKDTree, group: np.ndarray, axes: list, sums: np.ndarray,
+    tol: float, support_radius: float,
+):
+    """The grid half of a build: the grid's orbits (:func:`_grid_orbits`)
+    and each block of ``BLOCK_POINTS`` representatives' weights against the
+    control points in ``tree``.  Returns the group rows used, the
+    representatives, each grid point's source and the blocks' weights."""
+    from scipy.sparse import coo_array
+    from scipy.spatial import cKDTree
+    group, reps, source = _grid_orbits(grid, group, axes, sums, tol)
+    weights = []
+    for start in range(0, len(reps), BLOCK_POINTS):
+        block = grid[reps[start:start + BLOCK_POINTS]]
+        # representative i, control point j and w = phi(|r_i - p_j|) for each
+        # pair within the support, coincident points (w = 1) included
+        near = cKDTree(block).sparse_distance_matrix(
+            tree, support_radius, output_type="ndarray"
+        )
+        weights.append(coo_array(
+            (wendland_c0(near["v"], support_radius), (near["i"], near["j"])),
+            shape=(len(block), tree.n),
+        ))
+    return group, reps, source, weights
 
-    The kernel is radial, so M commutes with every mirror that maps the
-    control points onto themselves, and in the basis Q of that mirror group
-    it splits into one block per character (eight for a box's boundary, one
-    for points with no mirror symmetry).  Block s's entry (O, O') is
-    sqrt(|G| / |Stab O|) (M[r_O, :] Q)[:, (s, O')]: only the Gram rows of the
-    orbit representatives are formed, and no full Gram matrix.  The blocks
-    are symmetric positive definite up to rounding, and SuperLU factors
-    their block-diagonal matrix B with diagonal pivots after a minimum-degree
-    ordering of B + B^T, which keeps every block's elimination inside it.
-    The grid's orbit representatives under the same group are found here
-    too (:func:`_grid_orbits`).
 
-    Raises
-    ------
-    ValueError
-        If the blocks cannot be factorised; duplicated control points are
-        reported with their indices.
-    """
+def _gram_blocks(tree: cKDTree, group: np.ndarray, support_radius: float):
+    """The Gram half of a build: Q, the block-diagonal Q^T M Q and its factor."""
     from scipy.sparse import csc_array, csr_array
     from scipy.sparse.linalg import splu
     from scipy.spatial import cKDTree
-    rbf_points = np.atleast_2d(np.asarray(rbf_points, dtype=float))
-    grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    tree = cKDTree(rbf_points)
-    _reject_duplicates(tree, support_radius)
-    group, axes, sums, tol = _mirror_group(tree)
     basis, slices, reps, scale, col_orbit = _symmetry_basis(group)
-    near = cKDTree(rbf_points[reps]).sparse_distance_matrix(
+    near = cKDTree(tree.data[reps]).sparse_distance_matrix(
         tree, support_radius, output_type="ndarray"
     )
     rep_rows = csr_array(
@@ -250,10 +267,55 @@ def build_system(
         )
     except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
         raise ValueError("singular RBF system") from err
-    return RbfSystem(
-        rbf_points, grid_points, float(support_radius), basis, blocks, factor, tree,
-        *_grid_orbits(grid_points, group, axes, sums, tol),
-    )
+    return basis, blocks, factor
+
+
+def build_system(
+    rbf_points: np.ndarray,
+    grid_points: np.ndarray,
+    support_radius: float,
+    pool: Executor | None = None,
+) -> RbfSystem:
+    """Assemble and factorise the interpolation system by mirror symmetry.
+
+    The kernel is radial, so M commutes with every mirror that maps the
+    control points onto themselves, and in the basis Q of that mirror group
+    it splits into one block per character (eight for a box's boundary, one
+    for points with no mirror symmetry).  Block s's entry (O, O') is
+    sqrt(|G| / |Stab O|) (M[r_O, :] Q)[:, (s, O')]: only the Gram rows of the
+    orbit representatives are formed, and no full Gram matrix.  The blocks
+    are symmetric positive definite up to rounding, and SuperLU factors
+    their block-diagonal matrix B with diagonal pivots after a minimum-degree
+    ordering of B + B^T, which keeps every block's elimination inside it.
+    The grid's orbit representatives under the same group, and their near
+    pairs' weights, are the grid half (:func:`_grid_weights`): one task on
+    ``pool`` while this thread factors the blocks, or, without a pool, run
+    here before them.
+
+    Raises
+    ------
+    ValueError
+        If the blocks cannot be factorised; duplicated control points are
+        reported with their indices.  If both halves fail, the grid half's
+        error is raised, as on one thread.
+    """
+    from scipy.spatial import cKDTree
+    rbf_points = np.atleast_2d(np.asarray(rbf_points, dtype=float))
+    grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
+    tree = cKDTree(rbf_points)
+    _reject_duplicates(tree, support_radius)
+    group, axes, sums, tol = _mirror_group(tree)
+    grid_half = (grid_points, tree, group, axes, sums, tol, support_radius)
+    if pool is None:
+        grid = _grid_weights(*grid_half)
+    else:
+        task = pool.submit(_grid_weights, *grid_half)
+    try:
+        gram = _gram_blocks(tree, group, support_radius)
+    finally:
+        if pool is not None:
+            grid = task.result()  # its error comes first, as on one thread
+    return RbfSystem(rbf_points, grid_points, float(support_radius), *gram, *grid)
 
 
 def interpolate(system: RbfSystem, values: np.ndarray) -> np.ndarray:
@@ -261,34 +323,21 @@ def interpolate(system: RbfSystem, values: np.ndarray) -> np.ndarray:
 
     ``values`` has shape (n_rbf,) or (n_rbf, k); columns are treated
     independently (e.g. one column per Cartesian direction).  The kernel is
-    radial, so the value at g r is sum_p phi(|r - p|) c[g p]: the near pairs
-    of the grid's orbit representatives r are formed, over blocks of
-    ``BLOCK_POINTS`` of them, and one sparse product with the coefficients
-    permuted by every group element g gives all the images g r at once.
-    Each image sums its pairs in the k-d tree's order.
+    radial, so the value at g r is sum_p phi(|r - p|) c[g p]: for each block
+    of the grid's orbit representatives r, one sparse product of its weights
+    (formed by :func:`build_system`) and the coefficients permuted by every
+    group element g gives all its images g r at once.  Each image sums its
+    pairs in the k-d tree's order.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != system.n_points:
         raise ValueError(
             f"expected {system.n_points} control values, got {values.shape[0]}"
         )
-    from scipy.sparse import coo_array
-    from scipy.spatial import cKDTree
     coeff = system.solve(values).reshape(system.n_points, -1)
-    reps = system._grid_reps
     permuted = coeff[system._group.T].reshape(system.n_points, -1)  # [p, (g, col)]
-    images = np.empty((len(reps), permuted.shape[1]))
-    for start in range(0, len(reps), BLOCK_POINTS):
-        rows = slice(start, start + BLOCK_POINTS)
-        # representative i, control point j and w = phi(|r_i - p_j|) for each
-        # pair within the support, coincident points (w = 1) included
-        near = cKDTree(system.grid_points[reps[rows]]).sparse_distance_matrix(
-            system._tree, system.support_radius, output_type="ndarray"
-        )
-        weights = coo_array(
-            (wendland_c0(near["v"], system.support_radius), (near["i"], near["j"])),
-            shape=(len(images[rows]), system.n_points),
-        )
-        images[rows] = weights @ permuted
+    images = np.concatenate(
+        [np.empty((0, permuted.shape[1]))] + [weights @ permuted for weights in system._weights]
+    )
     out = images.reshape(-1, coeff.shape[1])[system._grid_source]
     return out.reshape((len(out),) + values.shape[1:])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gclkit import rbf
 from gclkit.cli import SETTINGS, build_parser, build_run_config, main
 from gclkit.experiments import worker_count
 
@@ -352,19 +353,23 @@ def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch, capsys):
 
 
 SIX_METHODS = ["--methods", "lvi,aevi,avg,trimap,ts-lvi,ts-aevi"]
-WORKER_COUNT_RUNS = [
-    ["--case", "4", "--n", "1..4", "--mesh", "6,6,6"],
+WORKER_COUNT_RUNS = [  # (rbf.BLOCK_POINTS, arguments)
+    (rbf.BLOCK_POINTS, ["--case", "4", "--n", "1..4", "--mesh", "6,6,6"]),
     # one freestream solve per (N, field), each in its own task
-    ["--case", "5", "--n", "1..3", "--mesh", "4,4,4", "--freestream", "on"],
+    (rbf.BLOCK_POINTS, ["--case", "5", "--n", "1..3", "--mesh", "4,4,4", "--freestream", "on"]),
+    # the RBF build's grid half forms its 27 representatives' pairs in 4 blocks
+    (7, ["--case", "5", "--n", "1..3", "--mesh", "4,4,4"]),
 ]
 
 
-def test_csv_bytes_independent_of_worker_count(tmp_path, under_each_worker_count):
-    # a sweep is one task per N and one per (N, field), and pooled workers run
-    # the geometry kernels in larger blocks on threads their pool marks; 2 and
-    # 4 workers must still write the 1-worker bytes
+def test_csv_bytes_independent_of_worker_count(tmp_path, monkeypatch, under_each_worker_count):
+    # a sweep is one task per N and one per (N, field), the RBF build's grid
+    # half is one more, and pooled workers run the geometry kernels in larger
+    # blocks on threads their pool marks; 2 and 4 workers must still write
+    # the 1-worker bytes
     out = tmp_path / "sweep.csv"
-    for run in WORKER_COUNT_RUNS:
+    for block_points, run in WORKER_COUNT_RUNS:
+        monkeypatch.setattr(rbf, "BLOCK_POINTS", block_points)
 
         def sweep():
             assert main(["run", *run, *SIX_METHODS, "--out", str(out)]) == 0
@@ -385,6 +390,30 @@ def test_freestream_divergence_exit_code(tmp_path, capsys):
     code = main(["run", *DIVERGING_RUN, "--mesh", "4,4,4", "--out", str(tmp_path / "d.csv")])
     assert code == 4
     assert "divergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        # a tolerance of 1e-14 R takes every pair of control points for one
+        ["--support-radius", "1e15"],
+        ["--lengths", "1e-300,1,1"],
+        # the k-d tree's distances overflow
+        ["--lengths", "1e300,1e300,1e300"],
+    ],
+)
+def test_failed_rbf_build_is_one_line_config_error(tmp_path, setting):
+    out = tmp_path / "r.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "gclkit", "run", "--case", "4", "--mesh", "3,3,3", "--n", "1..1",
+         *setting, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: config: cannot build the fields of case4:"), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists()
 
 
 def test_freestream_divergence_is_one_line_error(tmp_path):

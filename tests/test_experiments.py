@@ -7,6 +7,7 @@ a degenerate point.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -210,3 +211,48 @@ def test_first_divergence_raises_under_every_worker_count(monkeypatch, under_eac
     with pytest.raises(flow.FreestreamDivergence):
         sweep()
     assert marched == [1, 1, 1, 1, 2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "grid_fails, factor_fails, message",
+    [
+        (True, False, "grid half failed"),
+        (False, True, "singular RBF system"),
+        (True, True, "grid half failed"),  # the grid half runs first on one worker
+    ],
+)
+def test_first_rbf_build_error_under_every_worker_count(
+    monkeypatch, under_each_worker_count, grid_fails, factor_fails, message
+):
+    # pooled, the grid half is a task on a pool thread while the calling
+    # thread factors; one worker runs it first, on the calling thread
+    import scipy.sparse.linalg
+
+    from gclkit import rbf
+
+    ran_on = []
+    grid_weights = rbf._grid_weights
+
+    def grid_half(*args):
+        ran_on.append(threading.current_thread().name)
+        if grid_fails:
+            raise ValueError("grid half failed")
+        return grid_weights(*args)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(rbf, "_grid_weights", grid_half)
+    if factor_fails:
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    outcomes = under_each_worker_count(
+        lambda: experiments.run_sweep(
+            experiments.MeshConfig(4, 4, 4), MotionCase.for_case("case5"), [1, 2], ["avg"]
+        )
+    )
+    for threads, err in outcomes.items():
+        assert isinstance(err, experiments.ConfigError), threads
+        assert str(err) == f"cannot build the fields of case5: {message}", threads
+    assert ran_on[0] == "MainThread"
+    assert all(name.startswith("ThreadPoolExecutor-") for name in ran_on[1:])
+    assert len(ran_on) == 3

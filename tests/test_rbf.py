@@ -1,4 +1,6 @@
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -90,7 +92,9 @@ def test_blocked_weights_equal_dense_kernel(rng, monkeypatch, block):
     pts = np.unique(pts, axis=0)
     on_support = pts[:5] + np.array([radius, 0.0, 0.0])
     grid = np.vstack([pts, on_support, rng.uniform(0.0, 1.0, (60, 3))])
-    system = build_system(pts, grid, radius)
+    with ThreadPoolExecutor(1) as pool:  # the grid half is the pool's one task
+        blocks = _count_calls(monkeypatch, rbf, "wendland_c0", pooled=True)  # once per block
+        system = build_system(pts, grid, radius, pool)
     distance = cdist(grid, pts)
     dense = wendland_c0(distance, radius)
     assert (dense == 1.0).sum() >= len(pts)  # coincident grid and control points
@@ -98,17 +102,19 @@ def test_blocked_weights_equal_dense_kernel(rng, monkeypatch, block):
     # with unit coefficients, column j of the interpolant is the sum of the
     # near-pair weights of control point j: a missed or repeated pair shows
     monkeypatch.setattr(system, "solve", lambda values: np.eye(len(pts)))
-    blocks = _count_calls(monkeypatch, rbf, "wendland_c0")  # once per grid block
     assert np.array_equal(interpolate(system, np.zeros((len(pts), len(pts)))), dense)
     assert len(blocks) == -(-len(grid) // rbf.BLOCK_POINTS)
 
 
-def _count_calls(monkeypatch, owner, name) -> list:
-    """Patch ``owner.name`` to record each call; returns the record."""
+def _count_calls(monkeypatch, owner, name, pooled=False) -> list:
+    """Patch ``owner.name`` to record the arguments of each call, on any
+    thread, or with ``pooled`` of each call on a ``ThreadPoolExecutor``
+    thread only; returns the record."""
     calls, wrapped = [], getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        if not pooled or threading.current_thread().name.startswith("ThreadPoolExecutor-"):
+            calls.append(args)
         return wrapped(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -287,14 +293,32 @@ def test_paper_case5_box_forms_each_representatives_pairs_once():
     mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("case5")
     points = mesh.vertices[mesh.boundary_vertex_ids()]
-    system = build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
     fields = motion.CASES["case5"].fields(mesh, case, points)
-    for _ in range(2):
-        with pytest.MonkeyPatch.context() as patch:
-            weighed = _count_calls(patch, rbf, "wendland_c0")
+    with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(1) as pool:
+        weighed = _count_calls(patch, rbf, "wendland_c0", pooled=True)
+        system = build_system(points, mesh.vertices, case.resolved_support_radius(mesh), pool)
+    assert len(system._grid_reps) == 1331
+    assert sum(len(args[0]) for args in weighed) == 197_509
+    # the images are formed from the held weights, on every call
+    with pytest.MonkeyPatch.context() as patch:
+        weighed = _count_calls(patch, rbf, "wendland_c0")
+        for _ in range(2):
             interpolate(system, fields)
-        assert len(system._grid_reps) == 1331
-        assert sum(len(args[0]) for args in weighed) == 197_509
+    assert not weighed
+
+
+@pytest.mark.parametrize("cells", [10, 20])
+@pytest.mark.parametrize("case_id", ["case4", "case5"])
+def test_fields_built_on_a_pool_equal_the_inline_ones(monkeypatch, cells, case_id):
+    # 216 representatives on 10^3 are one grid block, 1,331 on 20^3 are two
+    mesh = build_box_mesh(cells, cells, cells, 3.2, 2.8, 2.4)
+    case = MotionCase.for_case(case_id)
+    inline = motion.case_fields(mesh, case)
+    with ThreadPoolExecutor(2) as pool:
+        blocks = _count_calls(monkeypatch, rbf, "wendland_c0", pooled=True)
+        pooled = motion.case_fields(mesh, case, pool)
+    assert len(blocks) == {10: 1, 20: 2}[cells]
+    assert np.array_equal(pooled, inline)
 
 
 def test_sweep_builds_one_rbf_system(monkeypatch):
@@ -376,8 +400,9 @@ def test_blocked_evaluation_matches_one_block(rng, monkeypatch):
     values = rng.normal(size=(60, 3))
     one_block = interpolate(build_system(pts, grid, 0.7), values)
     monkeypatch.setattr(rbf, "BLOCK_POINTS", 7)
-    system = build_system(pts, grid, 0.7)
-    blocks = _count_calls(monkeypatch, rbf, "wendland_c0")  # once per grid block
+    with ThreadPoolExecutor(1) as pool:  # the grid half is the pool's one task
+        blocks = _count_calls(monkeypatch, rbf, "wendland_c0", pooled=True)  # once per block
+        system = build_system(pts, grid, 0.7, pool)
     blocked = interpolate(system, values)
     assert len(blocks) == 8
     assert blocked.shape == one_block.shape == (50, 3)
@@ -407,6 +432,17 @@ def test_duplicate_points_reported():
     pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
     with pytest.raises(ValueError, match=r"(1, 2)"):
         build_system(pts, pts, 1.0)
+
+
+def test_many_duplicate_points_reported_by_count_and_first_ten():
+    pts = np.repeat(np.arange(4.0)[:, None] * [1.0, 0.0, 0.0], 3, axis=0)  # 4 x 3 pairs
+    with pytest.raises(ValueError) as info:
+        build_system(pts, pts, 1.0)
+    first_ten = "(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7), (6, 8), (7, 8), (9, 10)"
+    assert str(info.value) == (
+        f"singular RBF system: duplicated control points at index pairs [{first_ten}, ...] "
+        "(12 in all)"
+    )
 
 
 def test_singular_factor_is_value_error(monkeypatch):
