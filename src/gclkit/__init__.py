@@ -23,7 +23,7 @@ from .gcl import (
     lvi_increments,
     trimap_field,
 )
-from .flow import FreestreamProblem, ale_face_flux, jst_dissipation, pressure
+from .flow import FreestreamProblem, ale_face_flux, jst_dissipation
 from .metrics import (
     ErrorReport,
     abs_err_ifmv_vs_reference,

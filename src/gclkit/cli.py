@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple
 from functools import partial
 
 from . import __version__, experiments, flow
@@ -32,26 +32,18 @@ CSV_COLUMNS = (
     "case,method,N,Nts,rel_err_freestream,abs_err1,"
     "abs_err2_x,abs_err2_y,abs_err2_z,fd1_ref,fd2_ref,wall_ms"
 )
-_MESH = MeshConfig()  # a run's default mesh
+_MESH = astuple(MeshConfig())  # a run's default cells per axis and lengths
+# The largest box length: the highest power of a length a run forms is a face's
+# squared area norm, three cell edges^4, and (1.8e308 / 3)^(1/4) = 8.8e76.
+MAX_LENGTH = 1e76
 
 
-@dataclass
 class RunConfig:
-    """One field per key of :data:`SETTINGS`, at its default until set."""
+    """One attribute per key of :data:`SETTINGS`, at its default until set."""
 
-    case: str = "case1"
-    methods: list[str] = field(default_factory=lambda: ["lvi", "aevi", "avg", "trimap"])
-    n: tuple[int, int] = (1, 20)
-    mesh: tuple[int, int, int] = (_MESH.nx, _MESH.ny, _MESH.nz)
-    lengths: tuple[float, float, float] = (_MESH.lx, _MESH.ly, _MESH.lz)
-    amp: tuple[float, ...] | None = None
-    alpha0: float | None = None
-    radius: float | None = None
-    seed: int | None = None
-    support_radius: float | None = None
-    freestream: bool = False
-    timing: bool = False
-    out: str | None = None
+    def __init__(self):
+        for key, (_, default, _) in SETTINGS.items():
+            setattr(self, key, default)
 
     def motion_case(self) -> MotionCase:
         """The case's motion; a motion setting that the case ignores is an error.
@@ -162,21 +154,24 @@ def _parse_path(key: str, value) -> str:
 
 
 # The settings a config file or a `gclkit run` flag may carry, in the order
-# they are read: setting -> (reader taking the key and value, --help text).
+# they are read: setting -> (reader taking the key and value, default, --help
+# text).  A motion setting left at None takes its case's default.
 SETTINGS = {
-    "case": (_parse_case, f"motion case: {', '.join(CASE_IDS)} (or a case number)"),
-    "methods": (_parse_methods, f"comma list: {','.join(METHODS)}"),
-    "n": (_parse_range, "harmonic range a..b (default 1..20)"),
-    "mesh": (partial(_parse_list, kind=int, count=3), "cells per axis, e.g. 10,10,10"),
-    "lengths": (partial(_parse_list, count=3), "box edge lengths, e.g. 3.2,2.8,2.4"),
-    "amp": (_parse_list, "motion amplitude: one value, or x,y,z for a vector"),
-    "alpha0": (_number, "rotation amplitude [rad]"),
-    "radius": (_number, "circle radius of the interior's orbit"),
-    "seed": (partial(_number, kind=int), "random seed of the boundary directions"),
-    "support_radius": (_number, "RBF support radius"),
-    "freestream": (_parse_onoff, "on/off: run the uniform-flow experiment"),
-    "timing": (_parse_onoff, "record wall-clock per row (breaks byte-determinism)"),
-    "out": (_parse_path, "output CSV path (default: stdout)"),
+    "case": (_parse_case, "case1", f"motion case: {', '.join(CASE_IDS)} (or a case number)"),
+    "methods": (
+        _parse_methods, ("lvi", "aevi", "avg", "trimap"), f"comma list: {','.join(METHODS)}"
+    ),
+    "n": (_parse_range, (1, 20), "harmonic range a..b (default 1..20)"),
+    "mesh": (partial(_parse_list, kind=int, count=3), _MESH[:3], "cells per axis, e.g. 10,10,10"),
+    "lengths": (partial(_parse_list, count=3), _MESH[3:], "box edge lengths, e.g. 3.2,2.8,2.4"),
+    "amp": (_parse_list, None, "motion amplitude: one value, or x,y,z for a vector"),
+    "alpha0": (_number, None, "rotation amplitude [rad]"),
+    "radius": (_number, None, "circle radius of the interior's orbit"),
+    "seed": (partial(_number, kind=int), None, "random seed of the boundary directions"),
+    "support_radius": (_number, None, "RBF support radius"),
+    "freestream": (_parse_onoff, False, "on/off: run the uniform-flow experiment"),
+    "timing": (_parse_onoff, False, "record wall-clock per row (breaks byte-determinism)"),
+    "out": (_parse_path, None, "output CSV path (default: stdout)"),
 }
 
 
@@ -198,11 +193,16 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     layers.append({key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None})
     cfg = RunConfig()
     for layer in layers:
-        for key, (read, _) in SETTINGS.items():
+        for key, (read, _, _) in SETTINGS.items():
             if key in layer:
                 setattr(cfg, key, read(key, layer[key]))
     if min(cfg.mesh) < 1 or not all(length > 0.0 for length in cfg.lengths):
         raise ConfigError(f"mesh sizes must be positive, got {cfg.mesh} {cfg.lengths}")
+    if max(cfg.lengths) > MAX_LENGTH:
+        raise ConfigError(
+            f"lengths must be at most {MAX_LENGTH:g}, past which a cell edge to "
+            f"the 4th power overflows, got {cfg.lengths}"
+        )
     if cfg.seed is not None and cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.support_radius is not None and not cfg.support_radius > 0.0:
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="evaluate methods over a harmonic sweep")
-    for key, (_, text) in SETTINGS.items():
+    for key, (_, _, text) in SETTINGS.items():
         # --timing takes no value
         flag = {"action": "store_true", "default": None} if key == "timing" else {}
         run.add_argument("--" + key.replace("_", "-"), help=text, **flag)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import flow, gcl, hexmesh, metrics
 from .hexmesh import HexMesh, build_box_mesh
 from .motion import MotionCase, MotionTrajectory, case_fields, sample_motion
+from .rbf import INLINE
 from .spectral import SpectralOperator
 
 __all__ = [
@@ -197,19 +199,6 @@ def worker_count(n_jobs: int) -> int:
     return max(1, min(workers, n_jobs))
 
 
-class _Inline(Executor):
-    """The executor of a one-worker sweep: a task runs on the calling thread
-    when it is submitted, in the kernels' single-thread blocks."""
-
-    def submit(self, fn, /, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as err:
-            future.set_exception(err)
-        return future
-
-
 def run_sweep(
     mesh_config: MeshConfig,
     case: MotionCase,
@@ -225,19 +214,19 @@ def run_sweep(
     cases 4 and 5 the RBF build's grid half (the grid's orbits and near
     pairs) is one task on the pool while the calling thread factors the
     Gram blocks, so a second worker is not idle through the build; each half
-    computes the same values on any thread, and one worker runs the grid
-    half, then the Gram half, on the calling thread.  A failed build is a
+    computes the same values on any thread.  A failed build is a
     :class:`ConfigError`: the mesh and the case come from the settings.  A
-    task is one :func:`prepare_point` per N, or, once that N's
-    point is prepared, one :func:`evaluate_point` per distinct field builder
-    of the methods, with the methods that read its field.  The calling
+    task is one :func:`prepare_point` per N, or, once that N's point is
+    prepared, one :func:`evaluate_point` per distinct field builder of the
+    methods, with the methods that read its field.  The calling
     thread submits every task and joins them, so no task waits on another;
     at most one point per worker is held at a time, and a task whose rows
     come after a failed task's is skipped.  Each task computes its rows
     alone, whichever thread runs it, and the rows are put back in (N,
     method) order, so the rows, and the first error in that order, are
     those of one worker, which runs the same tasks in the same order on the
-    calling thread.  The pool's threads run the geometry kernels in larger
+    calling thread, each as it is submitted (:data:`gclkit.rbf.INLINE`).
+    The pool's threads run the geometry kernels in larger
     blocks (:data:`gclkit.hexmesh.POOLED_BLOCK_ELEMENT_INSTANTS`), which
     give the same bits.
     """
@@ -286,7 +275,7 @@ def run_sweep(
 
     with (
         ThreadPoolExecutor(workers, initializer=hexmesh._mark_pool_thread)
-        if workers > 1 else _Inline()
+        if workers > 1 else nullcontext(INLINE)  # the calling thread, in single-thread blocks
     ) as pool:
         try:
             fields = case_fields(mesh, case, pool)

@@ -38,7 +38,6 @@ __all__ = [
     "FreestreamResult",
     "FreestreamProblem",
     "FreestreamDivergence",
-    "pressure",
     "ale_face_flux",
     "jst_dissipation",
 ]
@@ -80,21 +79,7 @@ W_INF = np.array([RHO_INF, *RHO_INF * _u, PRESSURE_INF / (GAMMA - 1.0) + 0.5 * R
 W_INF.flags.writeable = False
 
 
-def pressure(states: np.ndarray) -> np.ndarray:
-    """Ideal-gas pressure from conservative variables (5, ...).
-
-    Raises
-    ------
-    ValueError
-        If any resulting pressure is nonpositive (unphysical state).
-    """
-    p = _pressure_unchecked(np.asarray(states, dtype=float))
-    if np.any(p <= 0.0):
-        raise ValueError("nonpositive pressure encountered")
-    return p
-
-
-def _pressure_unchecked(states: np.ndarray) -> np.ndarray:
+def _pressure(states: np.ndarray) -> np.ndarray:
     momentum = states[1:4]
     return (GAMMA - 1.0) * (states[4] - 0.5 * _dot(momentum, momentum) / states[0])
 
@@ -136,7 +121,7 @@ def ale_face_flux(
     face_ifmv = np.asarray(face_ifmv, dtype=float)
     if primitives is None:
         primitives = [
-            (states[1:4] / states[0], _pressure_unchecked(states))
+            (states[1:4] / states[0], _pressure(states))
             for states in (left, right)
         ]
     if state_sum is None:
@@ -330,7 +315,7 @@ class FreestreamProblem:
         g = np.zeros((nts, n_interfaces)) if ifmv is None else ifmv.total.T
         # the halo cells' state, velocity and pressure, computed as per cell
         w0 = W_INF.reshape(5, 1, 1, 1, 1)
-        self._halo = (w0, w0[1:4] / w0[0], _pressure_unchecked(w0))
+        self._halo = (w0, w0[1:4] / w0[0], _pressure(w0))
         self._axes = []
         for name, axis in zip("xyz", (-1, -2, -3)):
             block, shape = mesh.axis_interfaces(name)
@@ -376,7 +361,7 @@ class FreestreamProblem:
         """Spectral radii on one axis's interfaces from the summed face states."""
         mean = 0.5 * state_sum
         vel = mean[1:4] / mean[0]
-        p_mean = _pressure_unchecked(mean)
+        p_mean = _pressure(mean)
         sound = np.sqrt(GAMMA * p_mean / mean[0])
         contravariant = _dot(vel, axis.vectors) - axis.ifmv
         return np.abs(contravariant) + sound * axis.area
@@ -386,7 +371,7 @@ class FreestreamProblem:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             # per interior cell, shared by every face the cell touches
             states = self.physical_states(wbar)
-            cells = (states, states[1:4] / states[0], _pressure_unchecked(states))
+            cells = (states, states[1:4] / states[0], _pressure(states))
             conv = np.einsum("nK,cK...->cn...", self.spectral.d_matrix, wbar)
             diss = np.zeros_like(conv)
             for axis in self._axes:

@@ -28,9 +28,9 @@ slope re-enters as the zeroth mode.
 Every field holds one value per mesh interface, (n_interfaces, ...), taken
 along the interface's +axis normal.  :meth:`HexMesh.sum_over_faces` forms the
 cell sums, which the metrics set against the spectral derivative of the
-trajectory's cell volumes.  The per-direction split
-is opt-in, from :func:`sweep_volume_by_direction` or :func:`quad_flux_by_direction`;
-a series built from it, time last, goes through the same transforms.
+trajectory's cell volumes.  The per-direction split is opt-in, from
+:func:`sweep_volume_by_direction`; a series built from it, time last, goes
+through the same transforms.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .spectral import SpectralOperator
 __all__ = [
     "IncrementSeries",
     "IfmvField",
-    "quad_flux_by_direction",
     "sweep_volume",
     "sweep_volume_by_direction",
     "lvi_increments",
@@ -90,16 +89,6 @@ def _planes_of(*arrays):
     """Corner planes of arrays (..., k, 3) broadcast against each other."""
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
     return [corner_planes(a) for a in arrays]
-
-
-def quad_flux_by_direction(quad: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """Per-Cartesian-direction face flux integral of a bilinear quad.
-
-    Component ``d`` is the exact integral of v_d n_d dS over the quad, with
-    positions and velocities interpolated bilinearly from the four corners
-    (..., 4, 3).  Summing the three components gives the total flux.
-    """
-    return np.stack(_quad_flux_by_direction(*_planes_of(quad, velocities)), axis=-1)
 
 
 def _dvoldt(r, v):
@@ -141,19 +130,15 @@ def sweep_volume_by_direction(
     """Per-direction split of :func:`sweep_volume`.
 
     Component d is the integral of u_d n_d dS over the linear sweep, with u
-    the corner displacement.  The integrand is quadratic along the sweep, so
-    a three-point Simpson rule in the sweep parameter is exact; the three
-    components sum to the swept hexahedron volume.
+    the corner displacement: the flux of u through the bilinear quad
+    (:func:`_quad_flux_by_direction`), a quadratic in the sweep parameter,
+    so a three-point Simpson rule in it is exact; the three components sum
+    to the swept hexahedron volume.  Quads are (..., 4, 3).
     """
-    quad_start = np.asarray(quad_start, dtype=float)
-    quad_end = np.asarray(quad_end, dtype=float)
-    u = quad_end - quad_start
-    mid = 0.5 * (quad_start + quad_end)
-    return (
-        quad_flux_by_direction(quad_start, u)
-        + 4.0 * quad_flux_by_direction(mid, u)
-        + quad_flux_by_direction(quad_end, u)
-    ) / 6.0
+    start, end = np.asarray(quad_start, dtype=float), np.asarray(quad_end, dtype=float)
+    u = end - start
+    flux = [_quad_flux_by_direction(*_planes_of(q, u)) for q in (start, 0.5 * (start + end), end)]
+    return np.stack([(a + 4.0 * m + b) / 6.0 for a, m, b in zip(*flux)], axis=-1)
 
 
 @dataclass

@@ -268,10 +268,6 @@ class HexMesh:
     interface_vertex_ids: np.ndarray = field(repr=False)  # (n_interfaces, 4)
 
     @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
     def n_cells(self) -> int:
         return self.cell_vertex_ids.shape[0]
 
@@ -356,20 +352,13 @@ class HexMesh:
         return _interface_blocks(self.counts)[axis]
 
     def boundary_vertex_mask(self) -> np.ndarray:
-        """Boolean mask of vertices lying on the box surface."""
-        v = self.vertices
-        eps = 1e-12 * max(self.lx, self.ly, self.lz)
-        on = np.zeros(self.n_vertices, dtype=bool)
-        for axis, length in enumerate((self.lx, self.ly, self.lz)):
-            on |= np.abs(v[:, axis]) <= eps
-            on |= np.abs(v[:, axis] - length) <= eps
-        return on
+        """Mask of the vertices on the outer layer of the vertex grid, wherever they sit."""
+        inner = np.zeros((self.nz + 1, self.ny + 1, self.nx + 1), dtype=bool)
+        inner[1:-1, 1:-1, 1:-1] = True
+        return ~inner.ravel()
 
     def boundary_vertex_ids(self) -> np.ndarray:
         return np.flatnonzero(self.boundary_vertex_mask())
-
-    def interior_vertex_ids(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_vertex_mask())
 
 
 def build_box_mesh(

@@ -262,19 +262,18 @@ def case_parameters(case_id: str) -> frozenset[str]:
     return frozenset(_row(case_id).params)
 
 
-def case_fields(mesh: HexMesh, case: MotionCase, pool: Executor | None = None) -> np.ndarray:
+def case_fields(mesh: HexMesh, case: MotionCase, pool: Executor = rbf.INLINE) -> np.ndarray:
     """The case's spatial fields at every vertex, read-only, (n_vertices, k).
 
     A closed-form case evaluates them at the vertices.  Cases 4 and 5
     evaluate theirs at the boundary vertices and spread them into the volume
     by RBF interpolation, which is linear, so the k fields are spread once
     and not each instant's displacement.  The RBF build's grid half runs as
-    one task on ``pool`` while the calling thread factors the Gram blocks,
-    or on the calling thread first without one (:func:`rbf.build_system`);
-    either half computes the same values on any thread, so the fields have
-    the same bytes.  The fields depend on the mesh and the case only, not on
-    N: a harmonic sweep builds them once and shares them read-only, and an
-    RBF system is dropped on return.
+    one task on ``pool`` while the calling thread factors the Gram blocks
+    (:func:`rbf.build_system`); either half computes the same values on any
+    thread, so the fields have the same bytes.  The fields depend on the
+    mesh and the case only, not on N: a harmonic sweep builds them once and
+    shares them read-only, and an RBF system is dropped on return.
     """
     row = _row(case.case_id)
     if row.spread:

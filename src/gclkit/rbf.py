@@ -32,12 +32,13 @@ times them against every grid point's own pairs (``rbf_interpolate`` in
 
 A build has two halves that share only the control points' k-d tree and
 mirror group: the Gram half (basis, blocks, factor) and the grid half
-(:func:`_grid_weights`: orbits, pairs, weights).  Given an executor,
-``build_system`` runs the grid half as one task on it while the calling
-thread runs the Gram half; without one it runs the grid half first, then
-the Gram half.  Each half computes the same values on any thread, so the
-system does not depend on where they ran, and the first error is the grid
-half's either way.
+(:func:`_grid_weights`: orbits, pairs, weights).  ``build_system`` submits
+the grid half as one task to an executor and runs the Gram half on the
+calling thread; :data:`INLINE`, the default, runs the task as it is
+submitted.  Each half computes the same values on any thread, so the system
+does not depend on where they ran, and the first error is the grid half's
+either way.  A radius far past the points' extent makes every Gram entry
+nearly 1, and a build refuses one that costs the spread half its digits.
 
 No dense and no (n_grid, n_rbf) matrix is built, and the result has the same
 bytes whatever the BLAS thread count.  A system is transient (see
@@ -60,10 +61,29 @@ if TYPE_CHECKING:  # scipy is imported where used: only the RBF cases need it
 __all__ = ["BLOCK_POINTS", "wendland_c0", "RbfSystem", "build_system", "interpolate"]
 
 # Grid representatives whose near pairs are formed together.  Every block's
-# weights are held from the build to the evaluation, 32 bytes a pair (the
-# weight and the k-d tree's (i, j, distance) record that its indices view):
-# 197,509 pairs, 6.3 MB, on 20^3.
+# weights are held from the build to the evaluation, 24 bytes a pair (the
+# weight and its two indices): 197,509 pairs, 4.7 MB, on 20^3.
 BLOCK_POINTS = 1024
+# The largest miss at the control points of control values of unit size
+# that a build accepts, half a double's digits: a spread that misses them by
+# more no longer moves the boundary as its case prescribes.
+MAX_CONTROL_MISS = 1e-8
+
+
+class _Inline:
+    """The executor of one worker: a task runs on the calling thread when submitted."""
+
+    def submit(self, fn, /, *args):
+        from concurrent.futures import Future  # no executor machinery until a task
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as err:
+            future.set_exception(err)
+        return future
+
+
+INLINE = _Inline()
 
 
 def wendland_c0(distance: np.ndarray, support_radius: float) -> np.ndarray:
@@ -86,7 +106,7 @@ class RbfSystem:
     symmetry-adapted basis Q of the points' mirror group (see
     :func:`build_system`): ``_basis`` is Q, ``_blocks`` the block-diagonal
     Q^T M Q, kept with its sparse LU factor, whose L and U are block diagonal
-    too.  The orbit representatives of ``grid_points`` are ``_grid_reps``:
+    too.  The orbit representatives of the grid points are ``_grid_reps``:
     grid point x is g r_k for the flat index ``_grid_source[x]`` = |G| k + g,
     with the control points' images under g in row g of ``_group``, and
     ``_weights`` holds phi(|r_k - p|) of each block of ``BLOCK_POINTS``
@@ -94,9 +114,6 @@ class RbfSystem:
     written after construction.
     """
 
-    points: np.ndarray  # (n_rbf, 3)
-    grid_points: np.ndarray  # (n_grid, 3)
-    support_radius: float
     _basis: csc_array = field(repr=False)  # Q, (n_rbf, n_rbf), orthonormal
     _blocks: csc_array = field(repr=False)  # Q^T M Q, (n_rbf, n_rbf)
     _factor: SuperLU = field(repr=False)
@@ -107,7 +124,7 @@ class RbfSystem:
 
     @property
     def n_points(self) -> int:
-        return self.points.shape[0]
+        return self._basis.shape[0]
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """M^-1 values = Q B^-1 Q^T values, with one step of iterative
@@ -117,9 +134,9 @@ class RbfSystem:
         return self._basis @ (coeff + self._factor.solve(rhs - self._blocks @ coeff))
 
 
-def _reject_duplicates(tree: cKDTree, support_radius: float) -> None:
-    """Raise on control points closer than 1e-14 max(R, 1): M would be singular."""
-    pairs = sorted(tree.query_pairs(1e-14 * max(support_radius, 1.0)))
+def _reject_duplicates(tree: cKDTree, tol: float) -> None:
+    """Raise on control points closer than ``tol``: M would be singular."""
+    pairs = sorted(tree.query_pairs(tol))
     if pairs:
         shown = ", ".join(map(str, pairs[:10])) + (", ..." if len(pairs) > 10 else "")
         raise ValueError(
@@ -231,7 +248,8 @@ def _grid_weights(
             tree, support_radius, output_type="ndarray"
         )
         weights.append(coo_array(
-            (wendland_c0(near["v"], support_radius), (near["i"], near["j"])),
+            # own copies of the indices, not views that keep the distances
+            (wendland_c0(near["v"], support_radius), (near["i"].copy(), near["j"].copy())),
             shape=(len(block), tree.n),
         ))
     return group, reps, source, weights
@@ -274,7 +292,7 @@ def build_system(
     rbf_points: np.ndarray,
     grid_points: np.ndarray,
     support_radius: float,
-    pool: Executor | None = None,
+    pool: Executor = INLINE,
 ) -> RbfSystem:
     """Assemble and factorise the interpolation system by mirror symmetry.
 
@@ -289,33 +307,38 @@ def build_system(
     ordering of B + B^T, which keeps every block's elimination inside it.
     The grid's orbit representatives under the same group, and their near
     pairs' weights, are the grid half (:func:`_grid_weights`): one task on
-    ``pool`` while this thread factors the blocks, or, without a pool, run
-    here before them.
+    ``pool`` while this thread factors the blocks.
 
     Raises
     ------
     ValueError
-        If the blocks cannot be factorised; duplicated control points are
-        reported with their indices.  If both halves fail, the grid half's
+        If the blocks cannot be factorised; if the system, solved and
+        multiplied back (one product of the held blocks), misses control
+        values of unit size by more than ``MAX_CONTROL_MISS``, naming the
+        support radius; or if control points lie within 1e-12 of their extent
+        of each other, naming them.  If both halves fail, the grid half's
         error is raised, as on one thread.
     """
     from scipy.spatial import cKDTree
     rbf_points = np.atleast_2d(np.asarray(rbf_points, dtype=float))
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
     tree = cKDTree(rbf_points)
-    _reject_duplicates(tree, support_radius)
     group, axes, sums, tol = _mirror_group(tree)
-    grid_half = (grid_points, tree, group, axes, sums, tol, support_radius)
-    if pool is None:
-        grid = _grid_weights(*grid_half)
-    else:
-        task = pool.submit(_grid_weights, *grid_half)
+    _reject_duplicates(tree, tol)
+    task = pool.submit(_grid_weights, grid_points, tree, group, axes, sums, tol, support_radius)
     try:
-        gram = _gram_blocks(tree, group, support_radius)
+        basis, blocks, factor = _gram_blocks(tree, group, support_radius)
     finally:
-        if pool is not None:
-            grid = task.result()  # its error comes first, as on one thread
-    return RbfSystem(rbf_points, grid_points, float(support_radius), *gram, *grid)
+        grid = task.result()  # its error comes first, as on one thread
+    system = RbfSystem(basis, blocks, factor, *grid)
+    probe = np.cos(np.arange(tree.n))  # control values of unit size
+    miss = np.abs(basis @ (blocks @ (basis.T @ system.solve(probe))) - probe).max()
+    if not miss <= MAX_CONTROL_MISS:
+        raise ValueError(
+            f"support radius {support_radius:g} is too large: the RBF system misses "
+            f"control values of unit size by {miss:.1e}, more than {MAX_CONTROL_MISS:g}"
+        )
+    return system
 
 
 def interpolate(system: RbfSystem, values: np.ndarray) -> np.ndarray:

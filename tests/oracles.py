@@ -7,8 +7,10 @@ face flux, the per-harmonic residual, a least-squares convergence order, and
 the cell-slot table of faces gathered by matching vertex sets.  The
 component-last (..., k, 3) forms of the package's corner-plane kernels
 (``hex_volume``, ``quad_area_vectors``, ``face_area_vectors``, ``quad_flux``,
-``dvoldt_trimap``) and the gather of every cell's corners (``cell_corners``)
-are thin calls of those kernels, so the tests can hand them plain arrays;
+``quad_flux_by_direction``, ``dvoldt_trimap``) and the gather of every
+cell's corners (``cell_corners``) are thin calls of those kernels, so the
+tests can hand them plain arrays, as are the mesh's interior vertices and
+the flow's pressure, checked for a physical state;
 random admissible hexahedra and a Gauss quadrature of the cell volume go
 with them.  The corner Jacobians are stacked here from the package's kernel,
 whose only package reader, the degeneracy gate, takes their minimum.  The cell volume as a sum
@@ -29,7 +31,7 @@ grid at fixed corner offsets replaced in ``HexMesh.blockwise``.
 
 import numpy as np
 
-from gclkit import gcl, hexmesh
+from gclkit import flow, gcl, hexmesh
 from gclkit.flow import (
     CONVERGENCE_DROP,
     GAMMA,
@@ -74,6 +76,11 @@ def quad_flux(quad, velocities):
     return gcl._quad_flux(*gcl._planes_of(quad, velocities))
 
 
+def quad_flux_by_direction(quad, velocities):
+    """Per-direction face flux integral v_d n_d dS of bilinear quads (..., 4, 3)."""
+    return np.stack(gcl._quad_flux_by_direction(*gcl._planes_of(quad, velocities)), axis=-1)
+
+
 def dvoldt_trimap(corners, velocities):
     """Exact volume rate of hexahedra from corner positions and velocities (..., 8, 3)."""
     return gcl._dvoldt(*gcl._planes_of(corners, velocities))
@@ -84,6 +91,11 @@ def cell_corners(mesh, positions=None):
     positions (..., n_vertices, 3), by default the undeformed vertices."""
     positions = mesh.vertices if positions is None else positions
     return np.asarray(positions)[..., mesh.cell_vertex_ids, :]
+
+
+def interior_vertex_ids(mesh):
+    """Ids of the vertices off the mesh's boundary."""
+    return np.flatnonzero(~mesh.boundary_vertex_mask())
 
 
 def random_hexahedra(count, rng, scale=0.25):
@@ -330,6 +342,14 @@ def quad_flux_oracle(quad, velocities):
             normal = np.cross(r_xi, r_eta)
             total += wi * wj * np.einsum("...i,...i->...", vel, normal)
     return total
+
+
+def pressure(states):
+    """Ideal-gas pressure from conservative variables (5, ...), checked positive."""
+    p = flow._pressure(np.asarray(states, dtype=float))
+    if np.any(p <= 0.0):
+        raise ValueError("nonpositive pressure encountered")
+    return p
 
 
 def nlfd_unsteady_residual(problem, wbar):

@@ -395,11 +395,11 @@ def test_freestream_divergence_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "setting",
     [
-        # a tolerance of 1e-14 R takes every pair of control points for one
+        # every Gram entry lies within 1e-14 of 1: the system misses its own
+        # control values
         ["--support-radius", "1e15"],
+        # the boundary points pair up 1e-300 apart: duplicates
         ["--lengths", "1e-300,1,1"],
-        # the k-d tree's distances overflow
-        ["--lengths", "1e300,1e300,1e300"],
     ],
 )
 def test_failed_rbf_build_is_one_line_config_error(tmp_path, setting):
@@ -413,6 +413,46 @@ def test_failed_rbf_build_is_one_line_config_error(tmp_path, setting):
     assert done.returncode == 2
     assert done.stderr.startswith("error: config: cannot build the fields of case4:"), done.stderr
     assert done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["1e12", "1e15"])
+def test_too_large_support_radius_is_refused_by_name(tmp_path, capsys, radius):
+    # on 3^3 the spread misses control values of unit size by 4.0e-4 at
+    # R = 1e12 and by 1.9 at 1e15
+    argv = ["run", "--case", "4", "--mesh", "3,3,3", "--n", "1..1", "--support-radius", radius,
+            "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: config: cannot build the fields of case4: support radius {float(radius):g} "
+        "is too large: the RBF system misses control values of unit size by "
+    ), err
+    assert err.count("\n") == 1 and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "lengths, extra",
+    [
+        # nan in the CSV, with RuntimeWarnings
+        ("1e150", []),
+        # the k-d tree's distances overflow, or the mesh degenerates at t = 0
+        ("1e300", []),
+        ("1e100", ["--freestream", "on"]),  # a divergence
+    ],
+)
+@pytest.mark.parametrize("case", ["1", "4"])
+def test_lengths_whose_geometry_overflows_are_refused_by_name(tmp_path, capsys, lengths,
+                                                              extra, case):
+    out = tmp_path / "l.csv"
+    argv = ["run", "--case", case, "--mesh", "3,3,3", "--n", "1..1", "--methods", "avg,trimap",
+            "--lengths", ",".join([lengths] * 3), *extra, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: config: lengths must be at most 1e+76, past which a cell edge to the 4th "
+        f"power overflows, got {(float(lengths),) * 3}\n"
+    )
     assert not out.exists()
 
 

@@ -15,7 +15,6 @@ from gclkit.flow import (
     FreestreamResult,
     ale_face_flux,
     jst_dissipation,
-    pressure,
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
@@ -24,6 +23,7 @@ from oracles import (
     dense_preconditioner,
     face_area_vectors,
     nlfd_unsteady_residual,
+    pressure,
     random_hexahedra,
     rk_march,
 )

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gclkit import flow, gcl
-from gclkit.flow import FreestreamProblem, ale_face_flux, jst_dissipation, pressure
+from gclkit.flow import FreestreamProblem, ale_face_flux, jst_dissipation
 from gclkit.hexmesh import build_box_mesh
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
-from oracles import dense_preconditioner
+from oracles import dense_preconditioner, pressure
 from test_flow import _reference_local_timestep, _reference_residual_parts
 
 GAMMA = 1.4

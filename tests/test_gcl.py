@@ -11,7 +11,6 @@ from gclkit.gcl import (
     ifmv_nlfd,
     ifmv_ts,
     lvi_increments,
-    quad_flux_by_direction,
     sweep_volume,
     sweep_volume_by_direction,
     trimap_field,
@@ -27,6 +26,7 @@ from oracles import (
     fourier_defect,
     hex_volume,
     quad_flux,
+    quad_flux_by_direction,
     quad_flux_oracle,
     random_hexahedra,
     six_face_dvoldt,

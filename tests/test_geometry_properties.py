@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gclkit import gcl, metrics
-from gclkit.gcl import quad_flux_by_direction, sweep_volume
+from gclkit.gcl import sweep_volume
 from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
@@ -24,6 +24,7 @@ from oracles import (
     hex_volume,
     quad_area_vectors,
     quad_flux,
+    quad_flux_by_direction,
     six_cross_quad_flux_by_direction,
     six_face_dvoldt,
     six_face_hex_volume,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from oracles import (
     face_area_vectors,
     gauss_volume_oracle,
     hex_volume,
+    interior_vertex_ids,
     quad_area_vectors,
     random_hexahedra,
 )
@@ -25,7 +28,7 @@ from oracles import (
 
 def test_paper_mesh_counts_and_volumes(paper_mesh):
     assert paper_mesh.n_cells == 1000
-    assert paper_mesh.n_vertices == 1331
+    assert len(paper_mesh.vertices) == 1331
     vols = hex_volume(cell_corners(paper_mesh))
     assert np.allclose(vols, 0.32 * 0.28 * 0.24, rtol=1e-12)
 
@@ -34,6 +37,17 @@ def test_unit_cube_mesh():
     mesh = build_box_mesh(1, 1, 1, 1.0, 1.0, 1.0)
     assert mesh.n_cells == 1
     assert hex_volume(cell_corners(mesh))[0] == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("counts", [(4, 3, 2), (1, 1, 1), (1, 5, 2)])
+def test_boundary_is_the_outer_layer_of_the_vertex_grid(rng, counts):
+    # on the box that is the vertices on its faces; a warped mesh keeps them
+    mesh = build_box_mesh(*counts, 3.2, 2.8, 2.4)
+    on_faces = ((mesh.vertices == 0.0) | (mesh.vertices == mesh.lengths)).any(axis=1)
+    assert np.array_equal(mesh.boundary_vertex_mask(), on_faces)
+    shaken = mesh.vertices + rng.uniform(-0.05, 0.05, mesh.vertices.shape)
+    warped = dataclasses.replace(mesh, vertices=shaken)
+    assert np.array_equal(warped.boundary_vertex_mask(), on_faces)
 
 
 def test_two_cell_partition_of_box():
@@ -138,7 +152,7 @@ def test_detect_degenerate_undeformed(paper_mesh):
 def test_detect_degenerate_flags_non_finite_cells(value):
     # a NaN volume or Jacobian is not positive, so it must not pass
     mesh = build_box_mesh(3, 3, 3, 1.0, 1.0, 1.0)
-    victim = mesh.interior_vertex_ids()[0]
+    victim = interior_vertex_ids(mesh)[0]
     positions = mesh.vertices.copy()
     positions[victim, 0] = value
     incident = np.flatnonzero((mesh.cell_vertex_ids == victim).any(axis=1))
@@ -148,7 +162,7 @@ def test_detect_degenerate_flags_non_finite_cells(value):
 
 def test_detect_degenerate_reports_incident_cells():
     mesh = build_box_mesh(3, 3, 3, 1.0, 1.0, 1.0)
-    victim = mesh.interior_vertex_ids()[0]
+    victim = interior_vertex_ids(mesh)[0]
     positions = mesh.vertices.copy()
     positions[victim] += np.array([0.8, 0.0, 0.0])  # push past the next plane
     flagged = set(detect_degenerate(mesh, positions).tolist())
@@ -169,7 +183,7 @@ def test_case2_alpha_0p1_is_admissible(paper_mesh):
 def test_volume_partition_of_deformed_box(rng):
     mesh = build_box_mesh(6, 5, 4, 1.3, 1.1, 0.9)
     positions = mesh.vertices.copy()
-    interior = mesh.interior_vertex_ids()
+    interior = interior_vertex_ids(mesh)
     spacing = min(1.3 / 6, 1.1 / 5, 0.9 / 4)
     positions[interior] += rng.uniform(-0.3, 0.3, (len(interior), 3)) * spacing
     total = hex_volume(cell_corners(mesh, positions)).sum()

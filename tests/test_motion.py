@@ -22,6 +22,7 @@ from oracles import (
     analytic_increment_rate_case3,
     cell_corners,
     hex_volume,
+    interior_vertex_ids,
 )
 
 ALL_CASES = list(CASE_IDS)
@@ -30,7 +31,7 @@ ALL_CASES = list(CASE_IDS)
 def test_case3_quarter_period(paper_mesh):
     case = MotionCase.for_case("case3")
     pos, vel = evaluate_motion(paper_mesh, case, np.array([0.25]))
-    interior = paper_mesh.interior_vertex_ids()
+    interior = interior_vertex_ids(paper_mesh)
     v = interior[0]
     x0 = paper_mesh.vertices[v]
     np.testing.assert_allclose(
@@ -108,7 +109,7 @@ def test_shared_fields_give_the_same_trajectory(small_mesh, case_id):
     # a sweep builds the fields once and hands them to every N's sample
     case = MotionCase.for_case(case_id)
     fields = case_fields(small_mesh, case)
-    assert len(fields) == small_mesh.n_vertices
+    assert len(fields) == len(small_mesh.vertices)
     with pytest.raises(ValueError, match="read-only"):
         fields[0] = 0.0
     for n in (1, 3):
@@ -124,7 +125,7 @@ def test_sampling_grid(small_mesh):
     assert traj.nts == 7
     np.testing.assert_allclose(traj.times[:-1], np.arange(7) / 7.0, atol=1e-15)
     assert traj.times[-1] == 1.0
-    assert traj.positions.shape == (8, small_mesh.n_vertices, 3)
+    assert traj.positions.shape == (8, len(small_mesh.vertices), 3)
 
 
 @pytest.mark.parametrize("case_id", ALL_CASES)
@@ -353,7 +354,7 @@ def _reference_rbf_motion(mesh, case, t):
     def spread(values_r):
         stacked = values_r.transpose(1, 0, 2).reshape(len(points), nt * 3)
         out = rbf.interpolate(system, stacked)
-        return out.reshape(mesh.n_vertices, nt, 3).transpose(1, 0, 2)
+        return out.reshape(len(mesh.vertices), nt, 3).transpose(1, 0, 2)
 
     return mesh.vertices + spread(disp_r), spread(vel_r)
 
@@ -394,7 +395,7 @@ def test_rbf_spread_keeps_only_the_grid_fields():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fields.shape == (mesh.n_vertices, 2)
+    assert fields.shape == (len(mesh.vertices), 2)
     assert kept <= 1e6, f"{kept / 1e6:.2f} MB kept after the spread"
     assert peak <= 90e6, f"allocation peak {peak / 1e6:.1f} MB"
 

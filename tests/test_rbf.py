@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -426,6 +427,31 @@ def test_dimension_mismatch_rejected(rng):
     system = build_system(pts, pts, 1.0)
     with pytest.raises(ValueError):
         interpolate(system, np.zeros(11))
+
+
+def test_held_weights_own_their_arrays(monkeypatch):
+    # each block's indices are copies, not views that keep the k-d tree's
+    # (i, j, distance) records and their dead distances alive
+    mesh = build_box_mesh(6, 6, 6, 3.2, 2.8, 2.4)
+    monkeypatch.setattr(rbf, "BLOCK_POINTS", 7)
+    system = build_system(mesh.vertices[mesh.boundary_vertex_ids()], mesh.vertices, 0.96)
+    held = [a for weights in system._weights for a in (weights.data, *weights.coords)]
+    assert len(system._weights) > 1 and all(a.base is None for a in held)
+    assert sum(a.nbytes for a in held) == 24 * sum(w.nnz for w in system._weights)
+
+
+@pytest.mark.parametrize("radius", [1e3, 1e6, 1e9, 1e12, 1e15])
+def test_support_radius_is_refused_once_the_system_misses_its_values(radius):
+    # 3^3's boundary points lie 0.8 apart or more, so none is a duplicate at
+    # any radius; the miss grows about as R: 5.6e-16 at R = 0.96, 4.1e-10 at
+    # 1e6, 8.9e-7 at 1e9, 4.0e-4 at 1e12 and 1.9 at 1e15
+    mesh = build_box_mesh(3, 3, 3, 3.2, 2.8, 2.4)
+    points = mesh.vertices[mesh.boundary_vertex_ids()]
+    if radius <= 1e6:
+        build_system(points, mesh.vertices, radius)
+        return
+    with pytest.raises(ValueError, match=re.escape(f"support radius {radius:g} is too large: ")):
+        build_system(points, mesh.vertices, radius)
 
 
 def test_duplicate_points_reported():
