@@ -15,12 +15,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import partial
 
 from . import __version__, experiments, flow
 from .experiments import METHODS, ConfigError, MeshConfig
 from .flow import FreestreamDivergence
+from .hexmesh import checked_box
 from .motion import CASE_IDS, CASES, DegenerateMeshError, MotionCase
 
 EXIT_OK = 0
@@ -28,14 +29,13 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
 
-CSV_COLUMNS = (
-    "case,method,N,Nts,rel_err_freestream,abs_err1,"
-    "abs_err2_x,abs_err2_y,abs_err2_z,fd1_ref,fd2_ref,wall_ms"
+CSV_COLUMNS = (  # the CSV's columns in order, each with the ErrorReport attribute it prints
+    ("case", "case_id"), ("method", "method"), ("N", "n_harmonics"), ("Nts", "nts"),
+    ("rel_err_freestream", "rel_err_freestream"), ("abs_err1", "abs_err1"),
+    ("abs_err2_x", "abs_err2_x"), ("abs_err2_y", "abs_err2_y"), ("abs_err2_z", "abs_err2_z"),
+    ("fd1_ref", "fd1_ref"), ("fd2_ref", "fd2_ref"), ("wall_ms", "wall_ms"),
 )
 _MESH = astuple(MeshConfig())  # a run's default cells per axis and lengths
-# The largest box length: the highest power of a length a run forms is a face's
-# squared area norm, three cell edges^4, and (1.8e308 / 3)^(1/4) = 8.8e76.
-MAX_LENGTH = 1e76
 
 
 class RunConfig:
@@ -46,35 +46,23 @@ class RunConfig:
             setattr(self, key, default)
 
     def motion_case(self) -> MotionCase:
-        """The case's motion; a motion setting that the case ignores is an error.
-
-        ``amp`` sets the amplitude of the case's row of :data:`motion.CASES`:
-        one value, or also three (x, y, z) if its default is a vector.
-        """
+        """The case's motion; a motion setting that the case ignores, or a
+        value that :meth:`MotionCase.for_case` refuses, is an error."""
         defaults = CASES[self.case].params
         amp = next((p for p in defaults if p.endswith("amplitude")), None)
-        settings = {  # setting -> (the MotionCase parameter it sets, value)
-            "amp": (amp, self.amp),
-            "alpha0": ("alpha0", self.alpha0),
-            "radius": ("radius", self.radius),
-            "seed": ("seed", self.seed),
-            "support_radius": ("support_radius", self.support_radius),
+        settings = {"amp": (amp, self.amp)} | {  # setting -> (the parameter it sets, value)
+            k: (k, getattr(self, k)) for k in ("alpha0", "radius", "seed", "support_radius")
         }
         unused = [k for k, (p, v) in settings.items() if v is not None and p not in defaults]
         if unused:
             takes = ", ".join(k for k, (p, _) in settings.items() if p in defaults)
             raise ConfigError(f"{self.case} does not use {', '.join(unused)}; it takes {takes}")
-        if self.amp is not None:
-            counts = (1, 3) if isinstance(defaults[amp], tuple) else (1,)
-            if len(self.amp) not in counts:
-                raise ConfigError(
-                    f"the number of amp values for {self.case} must be "
-                    f"{' or '.join(map(str, counts))}, got {len(self.amp)}"
-                )
-            settings["amp"] = (amp, self.amp[0] if len(self.amp) == 1 else self.amp)
-        return MotionCase.for_case(
-            self.case, **{p: v for p, v in settings.values() if p in defaults}
-        )
+        try:
+            return MotionCase.for_case(
+                self.case, **{p: v for p, v in settings.values() if p in defaults}
+            )
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
 
 def _parse_case(key: str, value) -> str:
@@ -127,11 +115,13 @@ def _number(key: str, value, kind=float):
     return number
 
 
-def _parse_list(key: str, value, kind=float, count: int | None = None) -> tuple:
-    """A JSON list or a comma-separated string of numbers."""
+def _parse_list(key: str, value, kind=float, count: int | None = None):
+    """``count`` numbers of a JSON list or comma-separated string, or if None a number or tuple."""
     items = value if isinstance(value, (list, tuple)) else str(value).split(",")
     vals = tuple(_number(key, v, kind) for v in items)
-    if count is not None and len(vals) != count:
+    if count is None:
+        return vals[0] if len(vals) == 1 else vals
+    if len(vals) != count:
         raise ConfigError(f"{key} expects {count} comma-separated values, got {value!r}")
     return vals
 
@@ -196,17 +186,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         for key, (read, _, _) in SETTINGS.items():
             if key in layer:
                 setattr(cfg, key, read(key, layer[key]))
-    if min(cfg.mesh) < 1 or not all(length > 0.0 for length in cfg.lengths):
-        raise ConfigError(f"mesh sizes must be positive, got {cfg.mesh} {cfg.lengths}")
-    if max(cfg.lengths) > MAX_LENGTH:
-        raise ConfigError(
-            f"lengths must be at most {MAX_LENGTH:g}, past which a cell edge to "
-            f"the 4th power overflows, got {cfg.lengths}"
-        )
-    if cfg.seed is not None and cfg.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
-    if cfg.support_radius is not None and not cfg.support_radius > 0.0:
-        raise ConfigError(f"support radius must be positive, got {cfg.support_radius}")
+    try:
+        checked_box(cfg.mesh, cfg.lengths)  # before any work
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     return cfg
 
 
@@ -226,9 +209,7 @@ def write_csv(path, cfg: RunConfig, rows) -> None:
         f"mesh={','.join(map(str, cfg.mesh))} lengths={','.join(map(str, cfg.lengths))}"
     )
     meta = rows[0].metadata if rows else {}
-    lines.append(
-        "# motion: " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-    )
+    lines.append("# motion: " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())))
     lines.append(
         f"# freestream={'on' if cfg.freestream else 'off'} "
         f"precond_dissipation={flow.PRECONDITIONER_DISSIPATION:g} max_iters={flow.NEWTON_MAX} "
@@ -237,13 +218,10 @@ def write_csv(path, cfg: RunConfig, rows) -> None:
         f"forcing={flow.FORCING_GAMMA:g},{flow.FORCING_ALPHA:g},{flow.FORCING_MAX:g} "
         f"kappa2={flow.KAPPA2:g} kappa4={flow.KAPPA4:g}"
     )
-    lines.append(CSV_COLUMNS)
+    lines.append(",".join(column for column, _ in CSV_COLUMNS))
     for r in rows:
-        values = (
-            r.case_id, r.method, r.n_harmonics, r.nts, r.rel_err_freestream, r.abs_err1,
-            r.abs_err2_x, r.abs_err2_y, r.abs_err2_z, r.fd1_ref, r.fd2_ref, round(r.wall_ms, 3),
-        )
-        lines.append(",".join(map(_fmt, values)))
+        r = replace(r, wall_ms=round(r.wall_ms, 3))
+        lines.append(",".join(_fmt(getattr(r, attr)) for _, attr in CSV_COLUMNS))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -248,21 +247,19 @@ def run_sweep(
 
     workers = worker_count(len(harmonic_range))
     tasks = [[] for _ in harmonic_range]  # per N: its prepare, once done its evaluates
-    running, held = {}, Counter()  # future -> key; N's index -> its running tasks
+    running = {}  # future -> key; a point is held while a task of its N runs
 
     def submit(key, fn, *args):
         future = pool.submit(task, key, fn, *args)
         running[future] = key
-        held[key[0]] += 1
         return future
 
     def settle(limit):
         """Take finished tasks until fewer than ``limit`` points are held."""
-        while len(held) >= limit:
+        while len({i for i, _ in running.values()}) >= limit:
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             for future in done:
                 i, g = running.pop(future)
-                held[i] -= 1
                 if g < 0 and future.exception() is None and future.result() is not None:
                     point = future.result()  # held until its evaluates have run
                     tasks[i] = [
@@ -270,8 +267,6 @@ def run_sweep(
                                freestream, timing)
                         for g, group in enumerate(groups)
                     ]
-                if not held[i]:
-                    del held[i]
 
     with (
         ThreadPoolExecutor(workers, initializer=hexmesh._mark_pool_thread)

@@ -62,6 +62,7 @@ __all__ = [
     "POOLED_BLOCK_ELEMENT_INSTANTS",
     "HexMesh",
     "corner_planes",
+    "checked_box",
     "build_box_mesh",
     "detect_degenerate",
 ]
@@ -361,24 +362,32 @@ class HexMesh:
         return np.flatnonzero(self.boundary_vertex_mask())
 
 
-def build_box_mesh(
-    nx: int, ny: int, nz: int, lx: float, ly: float, lz: float
-) -> HexMesh:
-    """Build the uniform Cartesian box mesh.
+# The box's range.  The highest power of a length a run forms is a face's
+# squared area norm in the flow, three cell edges^4: on one cell, whose edge
+# is a box length, it overflows past (1.8e308 / 3)^(1/4) = 8.8e76, and it
+# underflows under an edge of the smallest normal double^(1/4), 1.2e-77.
+MAX_LENGTH = 1e76
+MIN_CELL_EDGE = np.finfo(float).tiny ** 0.25
 
-    Raises
-    ------
-    ValueError
-        If any cell count is not a whole number >= 1 or any edge length is
-        not positive and finite.
-    """
-    counts = (nx, ny, nz)
-    lengths = (lx, ly, lz)
+
+def checked_box(counts, lengths) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The cell counts as ints and the box lengths as floats, once each count
+    is a whole number >= 1 and each length at most ``MAX_LENGTH`` and at
+    least ``MIN_CELL_EDGE`` per cell; else ValueError naming them."""
     if any(not 1 <= n < math.inf or int(n) != n for n in counts):
         raise ValueError(f"cell counts must be positive integers, got {counts}")
-    if any(not 0.0 < length < math.inf for length in lengths):
-        raise ValueError(f"edge lengths must be positive and finite, got {lengths}")
-    nx, ny, nz = counts = int(nx), int(ny), int(nz)
+    if not all(MIN_CELL_EDGE * n <= length <= MAX_LENGTH for n, length in zip(counts, lengths)):
+        raise ValueError(
+            f"lengths must lie between {MIN_CELL_EDGE:.2g} per cell and {MAX_LENGTH:g}, where a "
+            f"cell edge^4 neither underflows nor overflows, got {lengths} on {counts} cells"
+        )
+    return tuple(map(int, counts)), tuple(map(float, lengths))
+
+
+def build_box_mesh(nx: int, ny: int, nz: int, lx: float, ly: float, lz: float) -> HexMesh:
+    """Build the uniform Cartesian box mesh; ValueError unless :func:`checked_box` passes."""
+    counts, (lx, ly, lz) = checked_box((nx, ny, nz), (lx, ly, lz))
+    nx, ny, nz = counts
 
     gz, gy, gx = np.meshgrid(
         np.linspace(0.0, lz, nz + 1),
@@ -389,7 +398,7 @@ def build_box_mesh(
     # vertex id = i + (nx+1)*(j + (ny+1)*k)  -> x-fastest flattening
     vertices = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
     return HexMesh(
-        nx, ny, nz, float(lx), float(ly), float(lz), vertices,
+        nx, ny, nz, lx, ly, lz, vertices,
         _element_vertex_ids(counts, "cells"),
         interface_vertex_ids=_element_vertex_ids(counts, "interfaces"),
     )

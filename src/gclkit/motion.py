@@ -15,6 +15,7 @@ differences.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -79,21 +80,19 @@ class MotionCase:
         ValueError
             If a non-None override is neither ``period``, which every law
             reads, nor a parameter of the case's row of :data:`CASES`, or
+            not in the form of its default (:func:`_checked_parameter`), or
             if the period is not positive and finite.
         """
-        defaults = _row(case_id).params
+        defaults = {"period": cls.period} | _row(case_id).params
         overrides = {k: v for k, v in overrides.items() if v is not None}
-        _checked_period(overrides.get("period", cls.period))
-        unused = sorted(overrides.keys() - defaults.keys() - {"period"})
+        unused = sorted(overrides.keys() - defaults.keys())
         if unused:
             raise ValueError(
-                f"{case_id} does not read {', '.join(unused)}; "
-                f"it takes {', '.join(['period', *defaults])}"
+                f"{case_id} does not read {', '.join(unused)}; it takes {', '.join(defaults)}"
             )
-        params = defaults | overrides
-        if "amplitude" in params:  # one value is the same amplitude along x, y and z
-            params["amplitude"] = tuple(map(float, np.broadcast_to(params["amplitude"], 3)))
-        return cls(case_id=case_id, **params)
+        params = defaults | {k: _checked_parameter(k, v, defaults[k]) for k, v in overrides.items()}
+        _checked_period(params["period"])
+        return cls(case_id, **params)
 
     def metadata(self, mesh: HexMesh) -> dict[str, Any]:
         meta = {"case": self.case_id, "period": self.period}
@@ -106,6 +105,24 @@ class MotionCase:
         if self.support_radius is not None:
             return float(self.support_radius)
         return 0.3 * float(max(mesh.lx, mesh.ly, mesh.lz))
+
+
+def _checked_parameter(name: str, value, default):
+    """``value`` in the form of the parameter's ``default``, else ValueError
+    naming it: a vector takes one number for x, y and z or three, ``seed`` a
+    non-negative integer and any other parameter a number."""
+    if isinstance(default, tuple):
+        values = list(value) if isinstance(value, (tuple, list)) or np.ndim(value) == 1 else [value]
+        real = [isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values]
+        if len(values) not in (1, 3) or not all(real):
+            raise ValueError(f"{name} must be one number or three, got {value!r}")
+        return tuple(map(float, np.broadcast_to(values, 3)))
+    if name == "seed":
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    elif not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -106,11 +106,11 @@ class RbfSystem:
     symmetry-adapted basis Q of the points' mirror group (see
     :func:`build_system`): ``_basis`` is Q, ``_blocks`` the block-diagonal
     Q^T M Q, kept with its sparse LU factor, whose L and U are block diagonal
-    too.  The orbit representatives of the grid points are ``_grid_reps``:
-    grid point x is g r_k for the flat index ``_grid_source[x]`` = |G| k + g,
-    with the control points' images under g in row g of ``_group``, and
-    ``_weights`` holds phi(|r_k - p|) of each block of ``BLOCK_POINTS``
-    representatives' near pairs, in the k-d tree's order.  Nothing is
+    too.  Grid point x is g r_k, for the grid's orbit representative r_k and
+    the flat index ``_grid_source[x]`` = |G| k + g, with the control points'
+    images under g in row g of ``_group``, and ``_weights`` holds
+    phi(|r_k - p|) of each block of ``BLOCK_POINTS`` representatives' near
+    pairs, in the k-d tree's order, one row per representative.  Nothing is
     written after construction.
     """
 
@@ -118,7 +118,6 @@ class RbfSystem:
     _blocks: csc_array = field(repr=False)  # Q^T M Q, (n_rbf, n_rbf)
     _factor: SuperLU = field(repr=False)
     _group: np.ndarray = field(repr=False)  # (|G|, n_rbf): index of g p
-    _grid_reps: np.ndarray = field(repr=False)  # (n_reps,) grid indices
     _grid_source: np.ndarray = field(repr=False)  # (n_grid,) |G| k + g
     _weights: list[coo_array] = field(repr=False)  # per block, (block, n_rbf)
 
@@ -234,8 +233,8 @@ def _grid_weights(
 ):
     """The grid half of a build: the grid's orbits (:func:`_grid_orbits`)
     and each block of ``BLOCK_POINTS`` representatives' weights against the
-    control points in ``tree``.  Returns the group rows used, the
-    representatives, each grid point's source and the blocks' weights."""
+    control points in ``tree``.  Returns the group rows used, each grid
+    point's source and the blocks' weights."""
     from scipy.sparse import coo_array
     from scipy.spatial import cKDTree
     group, reps, source = _grid_orbits(grid, group, axes, sums, tol)
@@ -252,7 +251,7 @@ def _grid_weights(
             (wendland_c0(near["v"], support_radius), (near["i"].copy(), near["j"].copy())),
             shape=(len(block), tree.n),
         ))
-    return group, reps, source, weights
+    return group, source, weights
 
 
 def _gram_blocks(tree: cKDTree, group: np.ndarray, support_radius: float):

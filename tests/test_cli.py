@@ -398,8 +398,9 @@ def test_freestream_divergence_exit_code(tmp_path, capsys):
         # every Gram entry lies within 1e-14 of 1: the system misses its own
         # control values
         ["--support-radius", "1e15"],
-        # the boundary points pair up 1e-300 apart: duplicates
-        ["--lengths", "1e-300,1,1"],
+        # the boundary points pair up 3.3e-21 apart, under 1e-12 of their
+        # extent: duplicates
+        ["--lengths", "1e-20,1,1"],
     ],
 )
 def test_failed_rbf_build_is_one_line_config_error(tmp_path, setting):
@@ -439,6 +440,9 @@ def test_too_large_support_radius_is_refused_by_name(tmp_path, capsys, radius):
         # the k-d tree's distances overflow, or the mesh degenerates at t = 0
         ("1e300", []),
         ("1e100", ["--freestream", "on"]),  # a divergence
+        # a face's squared area norm underflows: a subnormal abs_err1 on case
+        # 4, a degeneracy at t = 1/3 on case 1
+        ("1e-100", []),
     ],
 )
 @pytest.mark.parametrize("case", ["1", "4"])
@@ -450,9 +454,32 @@ def test_lengths_whose_geometry_overflows_are_refused_by_name(tmp_path, capsys, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == (
-        f"error: config: lengths must be at most 1e+76, past which a cell edge to the 4th "
-        f"power overflows, got {(float(lengths),) * 3}\n"
+        "error: config: lengths must lie between 1.2e-77 per cell and 1e+76, where a cell "
+        f"edge^4 neither underflows nor overflows, got {(float(lengths),) * 3} on (3, 3, 3) "
+        "cells\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case, setting, value, named",
+    [
+        ("4", "--seed", "-1", "seed"),
+        ("4", "--support-radius", "-1", "support radius"),
+        ("1", "--amp", "1,2", "amplitude"),
+        ("4", "--amp", "1,2,3", "rbf_amplitude"),
+    ],
+)
+def test_motion_setting_refused_where_it_is_read_is_named(tmp_path, capsys, case, setting,
+                                                          value, named):
+    # motion.MotionCase.for_case judges the seed and the amplitude, the RBF
+    # build the support radius
+    out = tmp_path / "m.csv"
+    argv = ["run", "--case", case, "--mesh", "3,3,3", "--n", "1..1", setting, value,
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and named in err and err.count("\n") == 1, err
     assert not out.exists()
 
 

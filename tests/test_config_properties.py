@@ -7,12 +7,12 @@ else escapes.  No sweep is run.
 
 import dataclasses
 import json
-import math
 
 from hypothesis import example, given, settings, strategies as st
 
 from gclkit.cli import SETTINGS, build_parser, build_run_config
 from gclkit.experiments import ConfigError
+from gclkit.hexmesh import MAX_LENGTH, MIN_CELL_EDGE
 from gclkit.motion import case_parameters
 
 # every setting's flag (not --config, which opens a file, nor --help, which
@@ -75,8 +75,13 @@ def _check(outcome):
         return
     cfg, case = outcome
     assert 1 <= cfg.n[0] <= cfg.n[1] <= 64
-    assert min(cfg.mesh) >= 1
-    assert all(math.isfinite(x) and x > 0.0 for x in cfg.lengths)
+    # the whole box rule: whole counts, and cell edges whose 4th power
+    # neither underflows nor overflows
+    assert all(isinstance(n, int) and n >= 1 for n in cfg.mesh)
+    assert all(
+        MIN_CELL_EDGE <= length / n and length <= MAX_LENGTH
+        for n, length in zip(cfg.mesh, cfg.lengths)
+    ), cfg.lengths
     assert case.case_id == cfg.case
     not_none = {f.name for f in dataclasses.fields(case) if getattr(case, f.name) is not None}
     assert not_none - {"case_id", "period"} <= case_parameters(case.case_id), case

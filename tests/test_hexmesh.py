@@ -70,13 +70,17 @@ def test_two_cell_partition_of_box():
         (float("inf"), 2, 2, 1.0, 1.0, 1.0),
         (2, float("nan"), 2, 1.0, 1.0, 1.0),
         (2, 2, 2.5, 1.0, 1.0, 1.0),
+        # a cell edge^4, a face's squared area norm, underflows or overflows
+        (3, 3, 3, 1e-100, 1e-100, 1e-100),
+        (1, 1, 1, 1e150, 1.0, 1.0),
     ],
 )
 def test_build_rejects_bad_arguments(args):
     with pytest.raises(ValueError) as excinfo:
         build_box_mesh(*args)
-    message = str(excinfo.value)  # names the bad counts or lengths
-    assert str(args[:3]) in message or str(args[3:]) in message
+    message = str(excinfo.value)  # names the bad counts, else the lengths
+    counts_ok = all(isinstance(n, int) and n >= 1 for n in args[:3])
+    assert str(args[3:] if counts_ok else args[:3]) in message, message
 
 
 def test_hex_volume_unit_cube_and_scaling():

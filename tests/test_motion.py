@@ -157,6 +157,33 @@ def test_case_rejects_parameters_outside_its_row(case_id):
         assert MotionCase.for_case(case_id, **{name: None}) == MotionCase.for_case(case_id)
 
 
+@pytest.mark.parametrize(
+    "case_id, name, value",
+    [
+        ("case4", "seed", -1),
+        ("case4", "seed", 1.5),
+        ("case1", "amplitude", (0.1, 0.1)),
+        ("case4", "rbf_amplitude", (0.01, 0.02, 0.03)),
+        ("case2", "alpha0", [0.05]),
+        # a boolean is not a number here, as in a config file
+        ("case4", "seed", True),
+        ("case2", "alpha0", True),
+        ("case1", "period", "x"),
+    ],
+)
+def test_for_case_refuses_a_parameter_not_in_the_form_of_its_default(case_id, name, value):
+    with pytest.raises(ValueError) as excinfo:
+        MotionCase.for_case(case_id, **{name: value})
+    assert str(excinfo.value).startswith(f"{name} must be "), excinfo.value
+
+
+def test_a_vector_parameter_takes_one_number_or_three():
+    one = MotionCase.for_case("case1", amplitude=0.2)
+    assert one.amplitude == (0.2, 0.2, 0.2)
+    assert MotionCase.for_case("case1", amplitude=[0.2]) == one
+    assert MotionCase.for_case("case1", amplitude=np.full(3, 0.2)) == one
+
+
 @pytest.mark.parametrize("case_id", ALL_CASES)
 def test_every_case_takes_a_period(small_mesh, case_id):
     case = MotionCase.for_case(case_id, period=2.0)

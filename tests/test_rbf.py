@@ -236,6 +236,11 @@ def _evaluation_matches_oracle(points, grid, radius, values):
     return system
 
 
+def _representatives(system):
+    """The grid's orbit representatives: one row each in the held weights."""
+    return sum(w.shape[0] for w in system._weights)
+
+
 @settings(max_examples=40, deadline=None)
 @given(box_meshes())
 def test_box_grid_evaluated_at_orbit_representatives(case):
@@ -245,7 +250,7 @@ def test_box_grid_evaluated_at_orbit_representatives(case):
     values = np.random.default_rng(seed).normal(size=(len(points), 2))
     system = _evaluation_matches_oracle(points, mesh.vertices, radius, values)
     assert len(system._group) == 8
-    assert len(system._grid_reps) == np.prod([(n + 2) // 2 for n in (mesh.nx, mesh.ny, mesh.nz)])
+    assert _representatives(system) == np.prod([(n + 2) // 2 for n in (mesh.nx, mesh.ny, mesh.nz)])
 
 
 def _box(cells=(5, 4, 3), lengths=(1.6, 1.4, 1.2)):
@@ -257,7 +262,7 @@ def test_random_grid_falls_back_to_the_identity(rng):
     points, _ = _box()
     grid = rng.uniform(size=(300, 3)) * [1.6, 1.4, 1.2]
     system = _evaluation_matches_oracle(points, grid, 0.7, rng.normal(size=(len(points), 3)))
-    assert len(system._group) == 1 and len(system._grid_reps) == len(grid)
+    assert len(system._group) == 1 and _representatives(system) == len(grid)
 
 
 def test_grid_symmetric_under_some_mirrors_falls_back_to_the_identity(rng):
@@ -266,7 +271,7 @@ def test_grid_symmetric_under_some_mirrors_falls_back_to_the_identity(rng):
     half = rng.uniform(size=(150, 3)) * [1.6, 1.4, 0.6]
     grid = np.vstack([half, half * [1.0, 1.0, -1.0] + [0.0, 0.0, 1.2]])
     system = _evaluation_matches_oracle(points, grid, 0.7, rng.normal(size=len(points)))
-    assert len(system._group) == 1 and len(system._grid_reps) == len(grid)
+    assert len(system._group) == 1 and _representatives(system) == len(grid)
 
 
 @pytest.mark.parametrize("index", [0, -1])
@@ -278,14 +283,14 @@ def test_grid_point_moved_by_1e_9_falls_back_to_the_identity(rng, index):
     grid = grid.copy()
     grid[index, 0] += 1e-9
     system = _evaluation_matches_oracle(points, grid, 0.7, values)
-    assert len(system._group) == 1 and len(system._grid_reps) == len(grid)
+    assert len(system._group) == 1 and _representatives(system) == len(grid)
 
 
 def test_control_points_without_mirrors_use_the_identity(rng):
     _, grid = _box()
     points = rng.uniform(size=(80, 3)) * [1.6, 1.4, 1.2]
     system = _evaluation_matches_oracle(points, grid, 0.7, rng.normal(size=80))
-    assert len(system._group) == 1 and len(system._grid_reps) == len(grid)
+    assert len(system._group) == 1 and _representatives(system) == len(grid)
 
 
 def test_paper_case5_box_forms_each_representatives_pairs_once():
@@ -298,7 +303,7 @@ def test_paper_case5_box_forms_each_representatives_pairs_once():
     with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(1) as pool:
         weighed = _count_calls(patch, rbf, "wendland_c0", pooled=True)
         system = build_system(points, mesh.vertices, case.resolved_support_radius(mesh), pool)
-    assert len(system._grid_reps) == 1331
+    assert _representatives(system) == 1331
     assert sum(len(args[0]) for args in weighed) == 197_509
     # the images are formed from the held weights, on every call
     with pytest.MonkeyPatch.context() as patch:

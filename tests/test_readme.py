@@ -2,7 +2,10 @@
 
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from gclkit import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +38,20 @@ def test_cited_module_names_exist():
         if not hasattr(importlib.import_module(f"gclkit.{module}"), name)
     ]
     assert not missing, f"README cites {missing}"
+
+
+def test_cli_section_examples_parse_and_name_the_csv_columns():
+    # each example's settings are read and judged as a run would, but no
+    # sweep runs
+    section = _section("CLI")
+    runs = [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+        for line in block.splitlines()
+        if line.startswith("gclkit run")
+    ]
+    assert runs
+    for argv in runs:
+        cli.build_run_config(cli.build_parser().parse_args(argv)).motion_case()
+    columns = re.search(r"columns\n\n```\n(.*?)\n```", section).group(1)
+    assert columns == ",".join(column for column, _ in cli.CSV_COLUMNS)
