@@ -172,7 +172,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config) as handle:
                 file_layer = json.load(handle)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError, RecursionError) as err:  # ValueError: JSON or UTF-8
             raise ConfigError(f"cannot read config file {args.config}: {err}") from err
         if not isinstance(file_layer, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")

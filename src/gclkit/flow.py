@@ -94,14 +94,20 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
+def _along(lo, hi) -> tuple:
+    """Index lo:hi along the leading grid axis of an axis-major array."""
+    return (Ellipsis, slice(lo, hi), slice(None), slice(None), slice(None))
+
+
+# padded cells left and right of each interface; low and high interfaces of
+# each cell
+_LEFT, _RIGHT = _along(1, -2), _along(2, -1)
+_LOWER, _UPPER = _along(None, -1), _along(1, None)
+
+
 def ale_face_flux(
-    left: np.ndarray,
-    right: np.ndarray,
-    face_vector: np.ndarray,
-    face_ifmv: np.ndarray,
-    *,
-    primitives: tuple | None = None,
-    state_sum: np.ndarray | None = None,
+    left: np.ndarray, right: np.ndarray, face_vector: np.ndarray, face_ifmv: np.ndarray,
+    primitives: tuple, state_sum: np.ndarray,
 ) -> np.ndarray:
     """Central moving-grid convective flux through one face.
 
@@ -110,22 +116,9 @@ def ale_face_flux(
     state.  The states are (5, ...), ``face_vector`` is (3, ...) and points
     from the left to the right state, and ``face_ifmv`` (...) replaces the
     product of grid velocity and face area; the flux is (5, ...).
-
-    A caller that already holds them may pass the states' ``primitives``,
-    ``((velocity_left, pressure_left), (velocity_right, pressure_right))``,
-    and ``state_sum = left + right``; the flux is the same to the bit.
+    ``primitives`` holds the states' ``((velocity_left, pressure_left),
+    (velocity_right, pressure_right))`` and ``state_sum`` is ``left + right``.
     """
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    face_vector = np.asarray(face_vector, dtype=float)
-    face_ifmv = np.asarray(face_ifmv, dtype=float)
-    if primitives is None:
-        primitives = [
-            (states[1:4] / states[0], _pressure(states))
-            for states in (left, right)
-        ]
-    if state_sum is None:
-        state_sum = left + right
 
     def fixed_grid(states, vel, p):
         contravariant = _dot(vel, face_vector)
@@ -145,47 +138,34 @@ def ale_face_flux(
 
 
 def jst_dissipation(
-    states_padded: np.ndarray,
-    pressures_padded: np.ndarray,
-    radii: np.ndarray,
-    kappa2: float,
-    kappa4: float,
-    axis: int = -1,
+    states_padded: np.ndarray, pressures_padded: np.ndarray, radii: np.ndarray
 ) -> np.ndarray:
     """Scalar JST dissipative flux on all interfaces along one grid axis.
 
-    ``states_padded`` is (5, ...) with m+4 cells along ``axis``, two halo
-    cells on each side, ``pressures_padded`` the matching (...) pressures and
-    ``radii`` the (...) per-interface spectral radii, m+1 along ``axis``.
-    ``axis`` counts from the end, so it names the same grid axis in all
-    three arrays.  Returns the (5, ...) blend of second and fourth
-    differences switched by the pressure sensor, m+1 along ``axis``; it
-    vanishes identically on a uniform field.
+    The arrays are axis-major: ``states_padded`` is (5, m+4, ...), m cells
+    with two halo cells on each side, ``pressures_padded`` the matching
+    (m+4, ...) pressures and ``radii`` the (m+1, ...) per-interface spectral
+    radii.  Returns the (5, m+1, ...) blend, by :data:`KAPPA2` and
+    :data:`KAPPA4`, of second and fourth differences switched by the
+    pressure sensor; it vanishes identically on a uniform field.
     """
-    if axis >= 0:
-        raise ValueError(f"axis must count from the end, got {axis}")
-    w = np.asarray(states_padded, dtype=float)
-    p = np.asarray(pressures_padded, dtype=float)
-
-    def cut(lo, hi):
-        return (Ellipsis, slice(lo, hi)) + (slice(None),) * (-1 - axis)
-
-    twice = 2.0 * p[cut(1, -1)]
-    nu = np.abs(p[cut(2, None)] - twice + p[cut(None, -2)])
-    nu /= p[cut(2, None)] + twice + p[cut(None, -2)]
-    eps2 = kappa2 * np.maximum(nu[cut(None, -1)], nu[cut(1, None)])
-    eps4 = np.maximum(0.0, kappa4 - eps2)
+    p = pressures_padded
+    twice = 2.0 * p[_along(1, -1)]
+    nu = np.abs(p[_along(2, None)] - twice + p[_along(None, -2)])
+    nu /= p[_along(2, None)] + twice + p[_along(None, -2)]
+    eps2 = KAPPA2 * np.maximum(nu[_LOWER], nu[_UPPER])
+    eps4 = np.maximum(0.0, KAPPA4 - eps2)
     # third difference built from first differences so it is exactly zero on
     # uniform fields
-    diff = np.diff(w, axis=axis)
-    delta1 = diff[cut(1, -1)]
-    delta3 = diff[cut(2, None)] - 2.0 * delta1
-    delta3 += diff[cut(None, -2)]
+    diff = np.diff(states_padded, axis=-4)
+    delta1 = diff[_along(1, -1)]
+    delta3 = diff[_along(2, None)] - 2.0 * delta1
+    delta3 += diff[_along(None, -2)]
     # in place, in the order radii * (eps2 * delta1 - eps4 * delta3)
     delta3 *= eps4
     out = eps2 * delta1
     out -= delta3
-    out *= np.asarray(radii, dtype=float)
+    out *= radii
     return out
 
 
@@ -253,17 +233,6 @@ class FreestreamResult:
         return self.stop_reason == "diverged"
 
 
-def _along(lo, hi) -> tuple:
-    """Index lo:hi along the leading grid axis of an axis-major array."""
-    return (Ellipsis, slice(lo, hi), slice(None), slice(None), slice(None))
-
-
-# padded cells left and right of each interface; low and high interfaces of
-# each cell
-_LEFT, _RIGHT = _along(1, -2), _along(2, -1)
-_LOWER, _UPPER = _along(None, -1), _along(1, None)
-
-
 @dataclass(frozen=True)
 class _AxisFaces:
     """Frozen geometry of the interfaces normal to one axis, axis-major.
@@ -290,8 +259,8 @@ class FreestreamProblem:
     trajectory's own.  Area vectors are computed on the interfaces the IFMV
     belongs to, and each axis's block of interfaces, stored +axis, is read as
     its grid (:meth:`HexMesh.axis_interfaces`) and kept once, axis-major
-    (:class:`_AxisFaces`).  ``ifmv=None`` zeroes every face mesh velocity, a
-    controlled conservation defect.
+    (:class:`_AxisFaces`).  The spectral operator must sample the
+    trajectory's N and period, else ValueError naming both.
     """
 
     def __init__(
@@ -299,8 +268,14 @@ class FreestreamProblem:
         mesh: HexMesh,
         trajectory: MotionTrajectory,
         spectral: SpectralOperator,
-        ifmv: IfmvField | None,
+        ifmv: IfmvField,
     ):
+        sampling = (spectral.n_harmonics, spectral.period)
+        if sampling != (trajectory.n_harmonics, trajectory.case.period):
+            raise ValueError(
+                f"the spectral operator's (N, T) = {sampling} differs from the "
+                f"trajectory's ({trajectory.n_harmonics}, {trajectory.case.period})"
+            )
         self.spectral = spectral
         nts = spectral.nts
 
@@ -312,7 +287,6 @@ class FreestreamProblem:
             trajectory.positions[:-1],
             out=np.empty((3 * nts, n_interfaces)).T,
         ).T.reshape(3, nts, n_interfaces)
-        g = np.zeros((nts, n_interfaces)) if ifmv is None else ifmv.total.T
         # the halo cells' state, velocity and pressure, computed as per cell
         w0 = W_INF.reshape(5, 1, 1, 1, 1)
         self._halo = (w0, w0[1:4] / w0[0], _pressure(w0))
@@ -320,7 +294,7 @@ class FreestreamProblem:
         for name, axis in zip("xyz", (-1, -2, -3)):
             block, shape = mesh.axis_interfaces(name)
             order = (0, axis) + tuple(i for i in range(-4, 0) if i != axis)
-            grids = (values[..., block].reshape(values.shape[:-1] + shape) for values in (areas, g))
+            grids = (v[..., block].reshape(v.shape[:-1] + shape) for v in (areas, ifmv.total.T))
             vectors, face_ifmv = (
                 np.ascontiguousarray(grid.transpose(order[-grid.ndim:])) for grid in grids
             )
@@ -380,14 +354,10 @@ class FreestreamProblem:
                 state_sum = wl + wr
                 flux = ale_face_flux(
                     wl, wr, axis.vectors, axis.ifmv,
-                    primitives=(
-                        (vel[_LEFT], pp[_LEFT]),
-                        (vel[_RIGHT], pp[_RIGHT]),
-                    ),
-                    state_sum=state_sum,
+                    ((vel[_LEFT], pp[_LEFT]), (vel[_RIGHT], pp[_RIGHT])), state_sum,
                 )
                 conv += (flux[_UPPER] - flux[_LOWER]).transpose(axis.back)
-                faces = jst_dissipation(wp, pp, self._radii(axis, state_sum), KAPPA2, KAPPA4, -4)
+                faces = jst_dissipation(wp, pp, self._radii(axis, state_sum))
                 diss += (faces[_UPPER] - faces[_LOWER]).transpose(axis.back)
         return conv, diss
 

@@ -217,8 +217,15 @@ def ifmv_nlfd(series: IncrementSeries, spectral: SpectralOperator) -> IfmvField:
 
     D is the time-spectral matrix, the same operator on the samples as the
     NLFD route: a DFT, a multiply by i 2 pi k / T and an inverse DFT.  The
-    extracted linear slope is the zeroth mode.
+    extracted linear slope is the zeroth mode.  An operator whose period is
+    not the series' is a ValueError naming both; one whose N differs is
+    refused by :meth:`SpectralOperator.differentiate`.
     """
+    if spectral.period != series.period:
+        raise ValueError(
+            f"the spectral operator's period {spectral.period} differs from "
+            f"the increments' {series.period}"
+        )
     total = spectral.differentiate(series.periodic_part) + series.linear_slope[..., None]
     return IfmvField(total)
 

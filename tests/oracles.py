@@ -10,7 +10,8 @@ component-last (..., k, 3) forms of the package's corner-plane kernels
 ``quad_flux_by_direction``, ``dvoldt_trimap``) and the gather of every
 cell's corners (``cell_corners``) are thin calls of those kernels, so the
 tests can hand them plain arrays, as are the mesh's interior vertices and
-the flow's pressure, checked for a physical state;
+the flow's pressure, checked for a physical state, and the face flux with
+the primitives it takes computed from the states;
 random admissible hexahedra and a Gauss quadrature of the cell volume go
 with them.  The corner Jacobians are stacked here from the package's kernel,
 whose only package reader, the degeneracy gate, takes their minimum.  The cell volume as a sum
@@ -24,9 +25,12 @@ the grid's orbit representatives replaced.  The five-stage Runge-Kutta
 pseudo-time march is the route to the converged freestream state that the
 Newton-Krylov solve replaced, and the dense first-order Jacobian, assembled
 face by face, is the matrix whose per-axis factors the solve's line-implicit
-preconditioner inverts line by line.  The gather of every element's
-corners, block by block, is the route that slicing the structured vertex
-grid at fixed corner offsets replaced in ``HexMesh.blockwise``.
+preconditioner inverts line by line.  The JST dissipation along the last
+axis, out of place, is the form the axis-major kernel replaced, and a zero
+IFMV field gives the freestream solve a known conservation defect.  The
+gather of every element's corners, block by block, is the route that
+slicing the structured vertex grid at fixed corner offsets replaced in
+``HexMesh.blockwise``.
 """
 
 import numpy as np
@@ -350,6 +354,36 @@ def pressure(states):
     if np.any(p <= 0.0):
         raise ValueError("nonpositive pressure encountered")
     return p
+
+
+def zero_ifmv(mesh, trajectory):
+    """IFMV zero on every interface and instant: the controlled conservation
+    defect of a mesh velocity left out, each cell's -dV/dt."""
+    return gcl.IfmvField(np.zeros((len(mesh.interface_vertex_ids), trajectory.nts)))
+
+
+def face_flux(left, right, face_vector, face_ifmv):
+    """:func:`flow.ale_face_flux` of two states, with the primitives and the
+    state sum it takes computed here as the residual computes them."""
+    left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    primitives = [(w[1:4] / w[0], flow._pressure(w)) for w in (left, right)]
+    return flow.ale_face_flux(
+        left, right, np.asarray(face_vector, dtype=float), face_ifmv, primitives, left + right
+    )
+
+
+def reference_jst(states, pressures, radii, kappa2, kappa4):
+    """JST dissipation along the last axis, out of place."""
+    p = pressures
+    nu = np.abs(p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / (
+        p[..., 2:] + 2.0 * p[..., 1:-1] + p[..., :-2]
+    )
+    eps2 = kappa2 * np.maximum(nu[..., :-1], nu[..., 1:])
+    eps4 = np.maximum(0.0, kappa4 - eps2)
+    diff = np.diff(states, axis=-1)
+    delta1 = diff[..., 1:-1]
+    delta3 = diff[..., 2:] - 2.0 * delta1 + diff[..., :-2]
+    return radii * (eps2 * delta1 - eps4 * delta3)
 
 
 def nlfd_unsteady_residual(problem, wbar):

@@ -39,6 +39,7 @@ from oracles import (
     hex_volume,
     quad_flux,
     random_hexahedra,
+    zero_ifmv,
 )
 
 CASES = ("case1", "case2", "case3", "case4", "case5")
@@ -379,7 +380,7 @@ def test_criterion_13_freestream_preservation(paper_mesh_session):
     op = SpectralOperator(5, case.period)
     series = gcl.extract_linear_and_periodic(gcl.aevi_increments(mesh, traj))
     good = FreestreamProblem(mesh, traj, op, gcl.ifmv_nlfd(series, op)).march()
-    broken = FreestreamProblem(mesh, traj, op, None).march()
+    broken = FreestreamProblem(mesh, traj, op, zero_ifmv(mesh, traj)).march()
     ok = good.converged and good.rel_err <= 1e-8 and broken.converged and broken.rel_err >= 1e-4
     _report(
         13,

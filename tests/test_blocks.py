@@ -43,6 +43,7 @@ from oracles import (
     quad_area_vectors,
     quad_flux,
     quad_flux_by_direction,
+    zero_ifmv,
 )
 
 N = 20  # 2N+2 = 42 instants: several blocks per kernel, the last one ragged
@@ -380,7 +381,7 @@ def _kernel_families(mesh, trajectory):
     }
     if trajectory.nts == len(trajectory.velocities) > 1:
         spectral = SpectralOperator(trajectory.n_harmonics)
-        problem = flow.FreestreamProblem(mesh, trajectory, spectral, None)
+        problem = flow.FreestreamProblem(mesh, trajectory, spectral, zero_ifmv(mesh, trajectory))
         for name, axis in zip("xyz", problem._axes):
             values[f"areas {name}"] = axis.vectors
     return values

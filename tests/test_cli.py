@@ -139,6 +139,20 @@ def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, confi
 
 
 @pytest.mark.parametrize(
+    "raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"]
+)
+def test_undecodable_config_file_is_one_line_config_error(tmp_path, capsys, raw):
+    # a UnicodeDecodeError and a RecursionError from the JSON decoder
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    out = tmp_path / "m.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: cannot read config file {path}: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize(
     "case, key, value",
     [
         ("2", "amp", "5"),

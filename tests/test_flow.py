@@ -13,7 +13,6 @@ from gclkit.flow import (
     FreestreamDivergence,
     FreestreamProblem,
     FreestreamResult,
-    ale_face_flux,
     jst_dissipation,
 )
 from gclkit.motion import MotionCase, sample_motion
@@ -22,10 +21,13 @@ from oracles import (
     dense_first_order_jacobian,
     dense_preconditioner,
     face_area_vectors,
+    face_flux,
     nlfd_unsteady_residual,
     pressure,
     random_hexahedra,
+    reference_jst,
     rk_march,
+    zero_ifmv,
 )
 
 GAMMA = 1.4
@@ -64,7 +66,7 @@ def test_freestream_constants():
 def test_face_flux_single_state():
     w = W_INF
     s = np.array([0.3, -0.2, 0.5])
-    flux = ale_face_flux(w, w, s, 0.0)
+    flux = face_flux(w, w, s, 0.0)
     contra = np.array(VELOCITY_INF) @ s
     h_total = (w[4] + PRESSURE_INF) / RHO_INF
     expected = np.array(
@@ -81,8 +83,8 @@ def test_face_flux_ifmv_linearity():
     w = W_INF
     s = np.array([0.1, 0.0, 0.2])
     g = 0.37
-    base = ale_face_flux(w, w, s, 0.0)
-    moved = ale_face_flux(w, w, s, g)
+    base = face_flux(w, w, s, 0.0)
+    moved = face_flux(w, w, s, g)
     np.testing.assert_allclose(moved, base - g * w, rtol=1e-14)
 
 
@@ -93,15 +95,23 @@ def test_closed_cell_flux_cancellation(rng):
     corners = random_hexahedra(1, rng)[0]
     vectors = face_area_vectors(corners)
     g = rng.normal(size=6)
-    total = sum(ale_face_flux(w, w, vectors[m], g[m]) for m in range(6))
+    total = sum(face_flux(w, w, vectors[m], g[m]) for m in range(6))
     np.testing.assert_allclose(total, -g.sum() * w, atol=1e-12)
+
+
+def _jst_line(line, p, radii):
+    """:func:`jst_dissipation` on one line of states (5, m+4), as an axis-major
+    block one cell wide across the other axes; the faces are (5, m+1)."""
+    d = jst_dissipation(line[..., None, None, None], p[:, None, None, None],
+                        radii[:, None, None, None])
+    return d[..., 0, 0, 0]
 
 
 def test_jst_vanishes_on_uniform_field():
     line = np.tile(W_INF[:, None], (1, 9))
     p = np.full(9, PRESSURE_INF)
     radii = np.ones(6)
-    d = jst_dissipation(line, p, radii, 1.0, 1.0 / 32.0)
+    d = _jst_line(line, p, radii)
     assert np.abs(d).max() == 0.0
 
 
@@ -111,7 +121,7 @@ def test_jst_damps_density_spike():
     line[0, spike] *= 1.01
     p = pressure(line)
     radii = np.ones(8 - 2)
-    d = jst_dissipation(line, p, radii, 1.0, 1.0 / 32.0)
+    d = _jst_line(line, p, radii)
     # residual contribution at the spike cell: d(right) - d(left); applying
     # the update w <- w - dt*(conv - diss) must pull the spike down
     cell = spike - 2  # interior index; its interfaces are cell and cell + 1
@@ -128,15 +138,15 @@ def test_jst_fourth_difference_scaling(rng):
     line[0] += bump
     p = pressure(line)
     radii = np.ones(n + 1)
-    kappa4 = 1.0 / 32.0
-    d = jst_dissipation(line, p, radii, 1.0, kappa4)
+    kappa4 = flow.KAPPA4
+    d = _jst_line(line, p, radii)
     # independent stencil evaluation
     for f in (3, 7):
         i = f + 1  # padded index of the left cell
         delta3 = line[0, i + 2] - 3 * line[0, i + 1] + 3 * line[0, i] - line[0, i - 1]
         delta1 = line[0, i + 1] - line[0, i]
         nu = np.abs(p[2:] - 2 * p[1:-1] + p[:-2]) / (p[2:] + 2 * p[1:-1] + p[:-2])
-        eps2 = 1.0 * max(nu[f], nu[f + 1])
+        eps2 = flow.KAPPA2 * max(nu[f], nu[f + 1])
         eps4 = max(0.0, kappa4 - eps2)
         expected = eps2 * delta1 - eps4 * delta3
         # rounding, in ulps u of max|w|: this stencil's 3*w products and its
@@ -191,13 +201,12 @@ def _structured_face_reference(mesh, traj, ifmv):
         "y": np.zeros((nts, nz, ny + 1, nx)),
         "z": np.zeros((nts, nz + 1, ny, nx)),
     }
-    if ifmv is not None:
-        f = ifmv.total.T
-        start = 0
-        for axis in "xyz":
-            stop = start + g[axis][0].size
-            g[axis][...] = f[:, start:stop].reshape(g[axis].shape)
-            start = stop
+    f = ifmv.total.T
+    start = 0
+    for axis in "xyz":
+        stop = start + g[axis][0].size
+        g[axis][...] = f[:, start:stop].reshape(g[axis].shape)
+        start = stop
     return vectors, g
 
 
@@ -208,13 +217,27 @@ def test_face_data_matches_structured_reference(case_id, with_ifmv):
 
     mesh = build_box_mesh(4, 5, 6, 3.2, 2.8, 2.4)
     traj = sample_motion(mesh, MotionCase.for_case(case_id), 2)
-    ifmv = gcl.trimap_field(mesh, traj) if with_ifmv else None
+    ifmv = gcl.trimap_field(mesh, traj) if with_ifmv else zero_ifmv(mesh, traj)
     problem = FreestreamProblem(mesh, traj, SpectralOperator(2), ifmv)
     vectors, g = _structured_face_reference(mesh, traj, ifmv)
     for axis in "xyz":
         face_vectors, face_ifmv = _grid_faces(problem, axis)
         assert np.array_equal(face_vectors, vectors[axis])
         assert np.array_equal(face_ifmv, g[axis])
+
+
+@pytest.mark.parametrize("n_harmonics, period", [(2, 1.0), (3, 2.0)])
+def test_operator_of_another_sampling_is_refused(n_harmonics, period):
+    # with an operator at T = 1 on this trajectory over T = 2, AEVI's face
+    # values miss TRI-MAP by 0.19, yet its abs_err1 reads 1e-15 and its solve
+    # ends on the floor with rel_err 0: no conservation check sees it
+    from gclkit.hexmesh import build_box_mesh
+
+    mesh = build_box_mesh(4, 4, 4, 3.2, 2.8, 2.4)
+    traj = sample_motion(mesh, MotionCase.for_case("case1", period=2.0), 2)
+    named = rf"\({n_harmonics}, {period}\) differs from the trajectory's \(2, 2\.0\)"
+    with pytest.raises(ValueError, match=named):
+        FreestreamProblem(mesh, traj, SpectralOperator(n_harmonics, period), zero_ifmv(mesh, traj))
 
 
 def test_unsteady_residual_with_conserving_ifmv(case2_small):
@@ -226,7 +249,7 @@ def test_unsteady_residual_with_conserving_ifmv(case2_small):
 
 def test_unsteady_residual_with_zero_ifmv(case2_small):
     mesh, traj, op = case2_small
-    problem = FreestreamProblem(mesh, traj, op, None)
+    problem = FreestreamProblem(mesh, traj, op, zero_ifmv(mesh, traj))
     rhat = nlfd_unsteady_residual(problem, problem.initial_state())
     # the residual is D(V) W_INF (next test), so each harmonic carries
     # rhat_k = (i 2 pi k / T) Vhat_k W_INF
@@ -243,7 +266,7 @@ def test_zero_ifmv_residual_is_the_conservation_defect(case2_small):
     # IFMV zero the residual is the cell's defect sum(G) - dV/dt = -dV/dt,
     # times -W_INF: the spectral derivative of the volume times W_INF
     mesh, traj, op = case2_small
-    problem = FreestreamProblem(mesh, traj, op, None)
+    problem = FreestreamProblem(mesh, traj, op, zero_ifmv(mesh, traj))
     residual = problem.residual(problem.initial_state())
     defect = -op.differentiate(traj.volumes)  # (n_cells, Nts)
     grid = defect.reshape(mesh.nz, mesh.ny, mesh.nx, op.nts)
@@ -256,7 +279,7 @@ def test_zero_ifmv_residual_is_the_conservation_defect(case2_small):
 def test_unsteady_residual_static_mesh(case2_small):
     mesh, _, op = case2_small
     static = sample_motion(mesh, MotionCase.for_case("rigid-translation", amplitude=(0, 0, 0)), 3)
-    problem = FreestreamProblem(mesh, static, op, None)
+    problem = FreestreamProblem(mesh, static, op, zero_ifmv(mesh, static))
     rhat = nlfd_unsteady_residual(problem, problem.initial_state())
     assert np.abs(rhat).max() <= 1e-13 * problem.flux_scale()
 
@@ -264,7 +287,7 @@ def test_unsteady_residual_static_mesh(case2_small):
 def test_freestream_static_mesh(case2_small):
     mesh, _, op = case2_small
     static = sample_motion(mesh, MotionCase.for_case("rigid-translation", amplitude=(0, 0, 0)), 3)
-    result = FreestreamProblem(mesh, static, op, None).march()
+    result = FreestreamProblem(mesh, static, op, zero_ifmv(mesh, static)).march()
     assert result.converged and result.stop_reason == "floor"
     assert result.rel_err <= 1e-14
 
@@ -310,7 +333,7 @@ def test_divergence_raises_no_floating_point_warning(case2_small, monkeypatch, d
     monkeypatch.setattr(flow, "PRECONDITIONER_DISSIPATION", dissipation)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = FreestreamProblem(mesh, traj, SpectralOperator(1), None).march()
+        result = FreestreamProblem(mesh, traj, SpectralOperator(1), zero_ifmv(mesh, traj)).march()
     assert result.stop_reason == "diverged"
 
 
@@ -352,7 +375,7 @@ def test_newton_drift_matches_the_rk_march(case_id, n_harmonics):
     case = MotionCase.for_case(case_id)
     traj = sample_motion(mesh, case, n_harmonics)
     op = SpectralOperator(n_harmonics, case.period)
-    for ifmv in (gcl.ifmv_avg(mesh, traj), None):
+    for ifmv in (gcl.ifmv_avg(mesh, traj), zero_ifmv(mesh, traj)):
         problem = FreestreamProblem(mesh, traj, op, ifmv)
         newton = problem.march()
         assert newton.converged and 0 < newton.iterations <= 8
@@ -369,10 +392,10 @@ def test_flux_jacobians_match_the_face_flux():
     jacobians = flow._flux_jacobians()
     step = 1e-6 * np.eye(5)
     for d, normal in enumerate(np.eye(3)):
-        flux = ale_face_flux(W_INF, W_INF, normal, 0.0)
+        flux = face_flux(W_INF, W_INF, normal, 0.0)
         np.testing.assert_allclose(jacobians[d] @ W_INF, flux, rtol=1e-14, atol=1e-15)
         plus, minus = (
-            ale_face_flux(w, w, normal[:, None], 0.0)
+            face_flux(w, w, normal[:, None], 0.0)
             for w in (W_INF[:, None] + step, W_INF[:, None] - step)
         )
         np.testing.assert_allclose((plus - minus) / 2e-6, jacobians[d], atol=1e-8)
@@ -439,7 +462,8 @@ def test_one_cell_thick_meshes_march_to_the_floor(size):
     mesh = build_box_mesh(*size, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("case4")
     traj = sample_motion(mesh, case, 2)
-    result = FreestreamProblem(mesh, traj, SpectralOperator(2, case.period), None).march()
+    op = SpectralOperator(2, case.period)
+    result = FreestreamProblem(mesh, traj, op, zero_ifmv(mesh, traj)).march()
     assert result.stop_reason == "floor" and result.iterations > 0
 
 
@@ -493,20 +517,6 @@ def _reference_face_flux(left, right, face_vector, face_ifmv, gamma):
     return central - face_ifmv * 0.5 * (left + right)
 
 
-def _reference_jst(states, pressures, radii, kappa2, kappa4):
-    """JST dissipation along the last axis, out of place."""
-    p = pressures
-    nu = np.abs(p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / (
-        p[..., 2:] + 2.0 * p[..., 1:-1] + p[..., :-2]
-    )
-    eps2 = kappa2 * np.maximum(nu[..., :-1], nu[..., 1:])
-    eps4 = np.maximum(0.0, kappa4 - eps2)
-    diff = np.diff(states, axis=-1)
-    delta1 = diff[..., 1:-1]
-    delta3 = diff[..., 2:] - 2.0 * delta1 + diff[..., :-2]
-    return radii * (eps2 * delta1 - eps4 * delta3)
-
-
 def _reference_padded(problem, wbar):
     states = problem.physical_states(wbar)
     _, nts, nz, ny, nx = states.shape
@@ -536,7 +546,7 @@ def _reference_direction_terms(problem, wp, pp, axis_name):
     contravariant = _reference_dot(vel, s_line) - g_line
     radii = np.abs(contravariant) + sound * area
 
-    diss = _reference_jst(w_line, p_line, radii, flow.KAPPA2, flow.KAPPA4)
+    diss = reference_jst(w_line, p_line, radii, flow.KAPPA2, flow.KAPPA4)
     conv_cells = flux[..., 1:] - flux[..., :-1]
     diss_cells = diss[..., 1:] - diss[..., :-1]
     return (
@@ -589,7 +599,7 @@ def case2_box():
 @pytest.fixture(scope="module", params=["avg", "zero", "box-avg", "box-zero"])
 def restructure_problem(request, case2_small, case2_box):
     mesh, traj, op = case2_box if request.param.startswith("box") else case2_small
-    ifmv = gcl.ifmv_avg(mesh, traj) if request.param.endswith("avg") else None
+    ifmv = gcl.ifmv_avg(mesh, traj) if request.param.endswith("avg") else zero_ifmv(mesh, traj)
     return FreestreamProblem(mesh, traj, op, ifmv)
 
 
@@ -643,9 +653,10 @@ def test_flux_scale_pinned_on_the_freestream_benchmark(case4_paper, small_mesh):
     # speed times the largest face area over all faces and instants
     assert repr(case4_paper.flux_scale()) == "0.4734858856576939"
     traj = sample_motion(small_mesh, MotionCase.for_case("case1"), 2)
-    problem = FreestreamProblem(small_mesh, traj, SpectralOperator(2), None)
+    zero = zero_ifmv(small_mesh, traj)
+    problem = FreestreamProblem(small_mesh, traj, SpectralOperator(2), zero)
     assert repr(problem.flux_scale()) == "1.8107916841144733"
-    vectors, _ = _structured_face_reference(small_mesh, traj, None)
+    vectors, _ = _structured_face_reference(small_mesh, traj, zero)
     area = max(np.sqrt(_reference_dot(v, v)).max() for v in vectors.values())
     speed = np.linalg.norm(VELOCITY_INF) + np.sqrt(GAMMA * PRESSURE_INF / RHO_INF)
     assert problem.flux_scale() == W_INF.max() * speed * area
@@ -667,16 +678,11 @@ def test_residual_calls_flux_and_jst_through_module(case2_box, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(flow, name, counting(name))
-    problem = FreestreamProblem(*case2_box, None)
+    mesh, traj, op = case2_box
+    problem = FreestreamProblem(mesh, traj, op, zero_ifmv(mesh, traj))
     wbar = problem.initial_state()
     problem.residual_parts(wbar)
     assert calls == {"ale_face_flux": 3, "jst_dissipation": 3}
-
-
-def test_jst_rejects_axis_counted_from_the_front():
-    line = np.tile(W_INF[:, None], (1, 9))
-    with pytest.raises(ValueError):
-        jst_dissipation(line, pressure(line), np.ones(6), 1.0, 1.0 / 32.0, axis=1)
 
 
 def test_freestream_divergence_pickles():

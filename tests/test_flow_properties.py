@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gclkit import flow, gcl
-from gclkit.flow import FreestreamProblem, ale_face_flux, jst_dissipation
+from gclkit.flow import FreestreamProblem, jst_dissipation
 from gclkit.hexmesh import build_box_mesh
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
-from oracles import dense_preconditioner, pressure
+from oracles import dense_preconditioner, face_flux, pressure, reference_jst, zero_ifmv
 from test_flow import _reference_local_timestep, _reference_residual_parts
 
 GAMMA = 1.4
@@ -65,8 +65,8 @@ def _scalar_flux(left, right, s, g):
 @given(faces())
 def test_flux_is_antisymmetric(data):
     left, right, vectors, ifmv = data
-    forward = ale_face_flux(left, right, vectors, ifmv)
-    backward = ale_face_flux(right, left, -vectors, -ifmv)
+    forward = face_flux(left, right, vectors, ifmv)
+    backward = face_flux(right, left, -vectors, -ifmv)
     assert np.array_equal(backward, -forward)
 
 
@@ -74,7 +74,7 @@ def test_flux_is_antisymmetric(data):
 @given(faces())
 def test_flux_equals_scalar_formula(data):
     left, right, vectors, ifmv = data
-    flux = ale_face_flux(left, right, vectors, ifmv)
+    flux = face_flux(left, right, vectors, ifmv)
     expected = np.array(
         [
             _scalar_flux(left[:, j].tolist(), right[:, j].tolist(), vectors[:, j].tolist(), g)
@@ -85,26 +85,35 @@ def test_flux_equals_scalar_formula(data):
 
 
 @st.composite
-def uniform_lines(draw):
-    """A uniform state on a 3-D block, its grid axis and per-interface radii."""
-    axis = draw(st.sampled_from([-1, -2, -3]))
+def axis_major_lines(draw):
+    """Random states on an axis-major block (5, m+4, a, b, c), m cells and
+    two halo cells each side along the lines, one uniform state on the same
+    block, and per-interface radii (m+1, a, b, c)."""
     m = draw(st.integers(1, 5))
-    shape = [draw(st.integers(1, 3)) for _ in range(3)]
-    shape[axis] = m + 4
-    state = _conservative(draw, (1,)).reshape(5, 1, 1, 1)
-    faces_shape = list(shape)
-    faces_shape[axis] = m + 1
-    radii = _values(draw, tuple(faces_shape), 0.0, 10.0)
-    kappa2 = draw(_floats(0.0, 2.0))
-    kappa4 = draw(_floats(0.0, 0.1))
-    return np.broadcast_to(state, (5, *shape)).copy(), radii, kappa2, kappa4, axis
+    across = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    states = _conservative(draw, (m + 4,) + across)
+    uniform = np.broadcast_to(_conservative(draw, (1, 1, 1, 1)), states.shape).copy()
+    return states, uniform, _values(draw, (m + 1,) + across, 0.0, 10.0)
 
 
 @PROPERTY
-@given(uniform_lines())
+@given(axis_major_lines())
+def test_jst_is_bitwise_the_reference_on_random_lines(data):
+    # the out-of-place reference differences along the last axis
+    states, _, radii = data
+    p = pressure(states)
+    d = jst_dissipation(states, p, radii)
+    assert d.shape == (5,) + radii.shape
+    last = [np.moveaxis(a, a.ndim - 4, -1) for a in (states, p, radii)]
+    expected = reference_jst(*last, flow.KAPPA2, flow.KAPPA4)
+    assert _bitwise_equal(np.moveaxis(d, 1, -1), expected)
+
+
+@PROPERTY
+@given(axis_major_lines())
 def test_jst_is_zero_on_uniform_lines(data):
-    states, radii, kappa2, kappa4, axis = data
-    d = jst_dissipation(states, pressure(states), radii, kappa2, kappa4, axis)
+    _, uniform, radii = data
+    d = jst_dissipation(uniform, pressure(uniform), radii)
     assert d.shape == (5,) + radii.shape
     assert np.all(d == 0.0)
 
@@ -116,7 +125,7 @@ def box_problems(draw):
     n_harmonics = draw(st.integers(1, 3))
     mesh = build_box_mesh(nx, ny, nz, 3.2, 2.8, 2.4)
     trajectory = sample_motion(mesh, MotionCase.for_case("case2"), n_harmonics)
-    ifmv = gcl.ifmv_avg(mesh, trajectory) if draw(st.booleans()) else None
+    ifmv = gcl.ifmv_avg(mesh, trajectory) if draw(st.booleans()) else zero_ifmv(mesh, trajectory)
     problem = FreestreamProblem(mesh, trajectory, SpectralOperator(n_harmonics), ifmv)
     wbar = problem.initial_state()
     noise = _values(draw, wbar.shape, -1e-3, 1e-3)
@@ -148,7 +157,7 @@ def preconditioned_problems(draw):
     case = MotionCase.for_case(draw(st.sampled_from(["case2", "case4", "case5"])))
     mesh = build_box_mesh(nx, ny, nz, 3.2, 2.8, 2.4)
     trajectory = sample_motion(mesh, case, n_harmonics)
-    ifmv = gcl.ifmv_avg(mesh, trajectory) if draw(st.booleans()) else None
+    ifmv = gcl.ifmv_avg(mesh, trajectory) if draw(st.booleans()) else zero_ifmv(mesh, trajectory)
     problem = FreestreamProblem(mesh, trajectory, SpectralOperator(n_harmonics, case.period), ifmv)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u, v = rng.standard_normal((2, problem.initial_state().size))

@@ -285,6 +285,18 @@ def test_ts_zero_increments_zero_ifmv():
     assert np.abs(field.total).max() == 0.0
 
 
+def test_nlfd_refuses_an_operator_of_another_sampling():
+    # an operator at T = 1 on increments over T = 2 differentiates them as
+    # if they were twice as fast; N is checked by the sample count
+    times = np.append(SpectralOperator(2, 2.0).times, 2.0)
+    series = gcl.IncrementSeries(2.0, times, np.sin(np.pi * times)[None] * np.ones((6, 1)))
+    series = extract_linear_and_periodic(series)
+    with pytest.raises(ValueError, match=r"period 1\.0 differs from the increments' 2\.0"):
+        ifmv_nlfd(series, SpectralOperator(2))
+    with pytest.raises(ValueError, match="expected 7 samples"):
+        ifmv_nlfd(series, SpectralOperator(3, 2.0))
+
+
 def test_gcl_identity_case1(case1_setup):
     mesh, traj, op = case1_setup
     series = extract_linear_and_periodic(aevi_increments(mesh, traj))

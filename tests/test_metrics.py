@@ -11,7 +11,7 @@ from gclkit.metrics import (
 )
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
-from oracles import cell_face_slots, fitted_order
+from oracles import cell_face_slots, fitted_order, zero_ifmv
 
 
 def test_rel_err_identical_fields():
@@ -40,7 +40,7 @@ def test_rel_err_grows_with_conservation_defect(small_mesh):
     for alpha0 in (0.02, 0.05):
         traj = sample_motion(small_mesh, MotionCase.for_case("case2", alpha0=alpha0), 2)
         op = SpectralOperator(2)
-        result = flow.FreestreamProblem(small_mesh, traj, op, None).march()
+        result = flow.FreestreamProblem(small_mesh, traj, op, zero_ifmv(small_mesh, traj)).march()
         values.append(result.rel_err)
     assert 0.0 < values[0] < values[1]
 
