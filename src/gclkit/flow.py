@@ -7,6 +7,9 @@ any departure measures the geometric defect.  Spatial discretisation is a
 cell-centred finite-volume scheme with central fluxes plus scalar JST
 dissipation; the time axis is spectral, and Jacobian-free Newton-Krylov,
 preconditioned line by line in each Fourier harmonic, solves the coupled system.
+The residual, which fixes the solution and the floor the solve stops on, is
+float64; the preconditioner only steers GMRES, and its line solves run in
+complex64.
 
 Boundary handling is deliberately plain: two layers of halo cells frozen at
 the freestream state, so geometric effects are never mixed with boundary
@@ -197,9 +200,10 @@ def _solve_lines(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     """Block Thomas on all lines of an axis, their m cells on axis 0 of ``rhs``
     (m, 5, ...): ``x_i = first_i rhs_i - lower_i x_{i-1}`` down the lines and
     ``x_i -= upper_i x_{i+1}`` back up.  With no ``first`` it solves ``(Dg + O) x
-    = Dg rhs``, as ``P_i^-1 Dg_i = I + lower_i upper_{i-1}`` and ``P_0 = Dg_0``."""
+    = Dg rhs``, as ``P_i^-1 Dg_i = I + lower_i upper_{i-1}`` and ``P_0 = Dg_0``.
+    It works in the precision of the factors: ``rhs`` is cast to their dtype."""
     first, lower, upper = factor
-    x = np.array(rhs, complex, order="C")
+    x = np.array(rhs, lower.dtype, order="C")
     for i in range(len(x)):
         if first is not None:
             x[i] = _mv(first[i], x[i]) - (_mv(lower[i - 1], x[i - 1]) if i else 0.0)
@@ -437,18 +441,38 @@ class FreestreamProblem:
         factored by axis as ``(Dg + Ox) Dg^-1 (Dg + Oy) Dg^-1 (Dg + Oz)``, each
         factor a line solve.  The real FFT's N+1 harmonics k >= 0 fix a real signal;
         the 2N+1 of :meth:`SpectralOperator.dft` would nearly double the line
-        work.  A singular pivot gives a NaN operator."""
+        work.  A singular pivot gives a NaN operator.
+
+        The factors are built in float64 and cast to complex64 once, so the
+        line solves run in single precision, between a float64 ``rfft`` and
+        a complex128 ``irfft``: right-preconditioned GMRES needs ``P^-1``
+        only as an approximate inverse, and ``residual(w) = 0`` fixes the
+        solution.  Two power-of-two scalings, exact in both precisions, keep
+        float32 in range on every admitted box: ``v`` is scaled by its
+        largest entry, and ``first = P_i^-1``, the only factor with a
+        dimension, by its largest entry per harmonic k.  Both are undone in
+        complex128 before the inverse FFT."""
         nts, vbar = self.spectral.nts, self.volumes.mean(axis=0)
         try:
             factors = self._line_factors()
         except np.linalg.LinAlgError:
             return lambda v: np.full_like(v, np.nan)
+        # first is (m, 5, 5, N+1, a, b): one exponent e_k per harmonic, so
+        # that first 2^-e_k has its largest entry in [0.5, 1)
+        first = factors[0][0]
+        exponents = np.frexp(np.abs(first).max(axis=(0, 1, 2, 4, 5)))[1].reshape(-1, 1, 1, 1)
+        np.ldexp(first.view(float), -exponents[..., 0], out=first.view(float))
+        factors = [[f if f is None else f.astype(np.complex64) for f in factor]
+                   for factor in factors]
 
         def precondition(v):
-            y = np.fft.rfft(v.reshape((5,) + self.volumes.shape), axis=1)
+            shift = np.frexp(np.abs(v).max())[1]
+            y = np.fft.rfft(np.ldexp(v, -shift).reshape((5,) + self.volumes.shape), axis=1)
             for axis, factor in zip(self._axes, factors):
                 lines = _solve_lines(factor, np.moveaxis(y, axis.order[1], 0))
                 y = np.moveaxis(lines, 0, axis.order[1])
+            y = y.astype(complex, order="C")
+            np.ldexp(y.view(float), exponents + shift, out=y.view(float))
             return (vbar * np.fft.irfft(y, nts, axis=1)).ravel()
 
         return precondition

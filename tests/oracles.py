@@ -25,13 +25,18 @@ the grid's orbit representatives replaced.  The five-stage Runge-Kutta
 pseudo-time march is the route to the converged freestream state that the
 Newton-Krylov solve replaced, and the dense first-order Jacobian, assembled
 face by face, is the matrix whose per-axis factors the solve's line-implicit
-preconditioner inverts line by line.  The JST dissipation along the last
+preconditioner inverts line by line; the preconditioner's own factors and
+line solves, run in complex128, give the apply that its single-precision
+one approximates.  The JST dissipation along the last
 axis, out of place, is the form the axis-major kernel replaced, and a zero
 IFMV field gives the freestream solve a known conservation defect.  The
 gather of every element's corners, block by block, is the route that
 slicing the structured vertex grid at fixed corner offsets replaced in
-``HexMesh.blockwise``.
+``HexMesh.blockwise``.  A box mesh with its interior vertices displaced
+gives the kernels faces that are not rectangles.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -524,6 +529,40 @@ def dense_preconditioner(problem, jacobians, dissipation):
         return out.reshape(cells, 5, spectral.nts).transpose(1, 2, 0).ravel()
 
     return apply
+
+
+def double_precision_preconditioner(problem):
+    """``v -> P^-1 v`` from the package's own factors and line solves, all in
+    float64: :meth:`FreestreamProblem._line_factors` and :func:`flow._solve_lines`
+    on complex128 factors, unscaled, between the state's real FFT and ``Vbar``
+    times its inverse.  It is the apply that the package's single-precision
+    one approximates; ``v`` is flat, in the layout of the spectral state."""
+    factors = problem._line_factors()
+    nts, vbar = problem.spectral.nts, problem.volumes.mean(axis=0)
+
+    def apply(v):
+        y = np.fft.rfft(v.reshape((5,) + problem.volumes.shape), axis=1)
+        for axis, factor in zip(problem._axes, factors):
+            lines = flow._solve_lines(factor, np.moveaxis(y, axis.order[1], 0))
+            y = np.moveaxis(lines, 0, axis.order[1])
+        return (vbar * np.fft.irfft(y, nts, axis=1)).ravel()
+
+    return apply
+
+
+def warped_box_mesh(counts, warp, seed):
+    """The 3.2 x 2.8 x 2.4 box mesh of ``counts`` (nx, ny, nz) cells with
+    each interior vertex moved along each axis by up to ``warp`` of a cell:
+    uniform random amounts from ``seed`` times the bump ``sin(pi x / lx)
+    sin(pi y / ly) sin(pi z / lz)``, which vanishes on the boundary.  The
+    boundary vertices stay where they are, so the box keeps its faces, and
+    the cells inside have faces that are not rectangles."""
+    mesh = hexmesh.build_box_mesh(*counts, 3.2, 2.8, 2.4)
+    bump = np.prod(np.sin(np.pi * mesh.vertices / mesh.lengths), axis=1)
+    bump[mesh.boundary_vertex_mask()] = 0.0
+    shift = np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.vertices.shape)
+    cell = mesh.lengths / np.array(counts)
+    return dataclasses.replace(mesh, vertices=mesh.vertices + warp * cell * shift * bump[:, None])
 
 
 def cell_face_slots(mesh):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gclkit import flow, gcl
+from gclkit.experiments import MeshConfig, evaluate_point, prepare_point
 from gclkit.flow import (
     PRESSURE_INF,
     RHO_INF,
@@ -20,6 +21,7 @@ from gclkit.spectral import SpectralOperator
 from oracles import (
     dense_first_order_jacobian,
     dense_preconditioner,
+    double_precision_preconditioner,
     face_area_vectors,
     face_flux,
     nlfd_unsteady_residual,
@@ -27,6 +29,7 @@ from oracles import (
     random_hexahedra,
     reference_jst,
     rk_march,
+    warped_box_mesh,
     zero_ifmv,
 )
 
@@ -386,6 +389,77 @@ def test_newton_drift_matches_the_rk_march(case_id, n_harmonics):
     assert aevi.converged and aevi.rel_err <= 1e-8
 
 
+# Newton steps, Krylov iterations and drift of the AVG and TRI-MAP solves on
+# 6^3, measured with the preconditioner's line solves in complex128
+SOLVE_TABLE = {
+    ("case2", 1): ((5, 58, 0.0031287909317788687), (5, 58, 0.0031287909317787577)),
+    ("case2", 2): ((4, 33, 2.706273206642962e-07), (4, 33, 2.7062732022020697e-07)),
+    ("case2", 3): ((4, 22, 7.728314597800686e-08), (4, 22, 7.72831461471837e-08)),
+    ("case4", 1): ((5, 56, 0.011695141767512764), (5, 56, 0.012970662828820423)),
+    ("case4", 2): ((4, 39, 0.0005675252221011284), (4, 34, 0.0002481456758338768)),
+    ("case4", 3): ((4, 39, 0.0005763463398669917), (0, 0, 1.6917684184764287e-16)),
+    ("case5", 1): ((5, 60, 0.010137287723419375), (5, 60, 0.010119926517047073)),
+    ("case5", 2): ((5, 47, 0.0001703138738730017), (5, 47, 0.0001680972796622186)),
+    ("case5", 3): ((5, 47, 0.00011830041657390211), (4, 27, 9.61256895203903e-07)),
+}
+
+
+def test_solve_counts_and_drifts_hold_on_the_6_cube_table():
+    # the preconditioner only steers GMRES: a cheaper apply of the same P
+    # keeps every Newton and Krylov count, and residual(w) = 0 with its
+    # floor fixes the drift to far better than 1e-8
+    mesh = MeshConfig(6, 6, 6).build()
+    for (case_id, n_harmonics), expected in SOLVE_TABLE.items():
+        case = MotionCase.for_case(case_id)
+        traj = sample_motion(mesh, case, n_harmonics)
+        op = SpectralOperator(n_harmonics, case.period)
+        for ifmv, (steps, krylov, drift) in zip(
+            (gcl.ifmv_avg(mesh, traj), gcl.trimap_field(mesh, traj)), expected
+        ):
+            result = FreestreamProblem(mesh, traj, op, ifmv).march()
+            label = (case_id, n_harmonics, steps, krylov)
+            assert result.stop_reason == "floor", label
+            assert (result.iterations, result.krylov_iterations) == (steps, krylov), label
+            assert result.rel_err == pytest.approx(drift, rel=1e-8, abs=1e-15), label
+
+
+@pytest.mark.parametrize(
+    "length, stop", [(1e30, (1, "floor")), (1e50, (1, "floor")), (1e70, (0, "diverged"))],
+    ids=["1e30", "1e50", "1e70"],
+)
+def test_large_boxes_keep_their_stop_reasons(length, stop):
+    # a conserving and a non-conserving field each take one Newton step to
+    # the floor; the preconditioner's range scalings keep float32 from
+    # turning that step into a non-finite state.  At 1e70 the residual
+    # itself overflows before any step
+    from gclkit.hexmesh import build_box_mesh
+
+    mesh = build_box_mesh(3, 3, 3, length, length, length)
+    case = MotionCase.for_case("case1")
+    traj = sample_motion(mesh, case, 1)
+    op = SpectralOperator(1, case.period)
+    lvi = gcl.ifmv_nlfd(gcl.lvi_increments(mesh, traj), op)
+    for ifmv in (lvi, zero_ifmv(mesh, traj)):
+        result = FreestreamProblem(mesh, traj, op, ifmv).march()
+        assert (result.iterations, result.stop_reason) == stop
+
+
+def test_max_iterations_stop_is_neither_converged_nor_diverged(monkeypatch):
+    # case 4, N = 2, AVG takes four Newton steps to its floor on 6^3; capped
+    # at one, it stops on the cap with its state, and the point's row is
+    # written without an error
+    mesh = MeshConfig(6, 6, 6).build()
+    case = MotionCase.for_case("case4")
+    monkeypatch.setattr(flow, "NEWTON_MAX", 1)
+    point = prepare_point(mesh, case, 2)
+    avg = gcl.ifmv_avg(mesh, point.trajectory)
+    result = FreestreamProblem(mesh, point.trajectory, point.spectral, avg).march()
+    assert (result.stop_reason, result.iterations) == ("max_iterations", 1)
+    assert not result.converged and not result.diverged and result.states is not None
+    (row,) = evaluate_point(point, ["avg"], freestream=True)
+    assert row.rel_err_freestream == result.rel_err
+
+
 def test_flux_jacobians_match_the_face_flux():
     # the Euler flux is homogeneous of degree one, F(w) = A(w) w, and A is
     # its derivative: central differences of the face flux agree
@@ -401,26 +475,74 @@ def test_flux_jacobians_match_the_face_flux():
         np.testing.assert_allclose((plus - minus) / 2e-6, jacobians[d], atol=1e-8)
 
 
-@pytest.fixture(scope="module", params=[1, 2])
+@pytest.fixture(
+    scope="module",
+    params=[(0.0, 1), (0.0, 2), (0.25, 1), (0.25, 2)],
+    ids=["1", "2", "warped-1", "warped-2"],
+)
 def odd_box_problem(request):
     # every grid extent differs, so a mix-up of the x, y and z axes or of an
-    # interface's orientation shows; AVG gives every face a mesh velocity
-    from gclkit.hexmesh import build_box_mesh
-
-    mesh = build_box_mesh(3, 4, 5, 3.2, 2.8, 2.4)
+    # interface's orientation shows; AVG gives every face a mesh velocity,
+    # and the warped mesh's interior faces differ in their area vectors
+    warp, n_harmonics = request.param
+    mesh = warped_box_mesh((3, 4, 5), warp, seed=5)
     case = MotionCase.for_case("case5")
-    traj = sample_motion(mesh, case, request.param)
-    op = SpectralOperator(request.param, case.period)
+    traj = sample_motion(mesh, case, n_harmonics)
+    op = SpectralOperator(n_harmonics, case.period)
     return FreestreamProblem(mesh, traj, op, gcl.ifmv_avg(mesh, traj))
 
 
 def test_preconditioner_is_the_product_of_the_inverted_factors(odd_box_problem):
+    # the package's factors and line solves, run in float64, are the dense
+    # factorisation to float64 rounding
     problem = odd_box_problem
     v = np.random.default_rng(3).standard_normal(problem.initial_state().size)
     dense = dense_preconditioner(problem, flow._flux_jacobians(), flow.PRECONDITIONER_DISSIPATION)
     expected = dense(v)
-    got = problem._preconditioner()(v)
+    got = double_precision_preconditioner(problem)(v)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+
+def _single_precision_bound(problem):
+    """Largest error of the single-precision apply, relative to max|P^-1 v|:
+    float32's epsilon once for the input's cast, once for the output's and
+    once for each block-Thomas step of the three line solves (m down and m - 1
+    back up on an axis of m cells).  Each step rounds its line's running
+    vector once, and on these diagonally dominant lines the folded factors
+    pass earlier rounding on without growing it."""
+    steps = 2 + sum(2 * m - 1 for m in problem.volumes.shape[1:])
+    return steps * np.finfo(np.float32).eps
+
+
+def test_single_precision_preconditioner_is_the_double_precision_one(odd_box_problem):
+    problem = odd_box_problem
+    precondition, exact = problem._preconditioner(), double_precision_preconditioner(problem)
+    v = np.random.default_rng(6).standard_normal(problem.initial_state().size)
+    expected, got = exact(v), precondition(v)
+    assert got.dtype == np.float64 and np.all(np.isfinite(got))
+    bound = _single_precision_bound(problem) * np.abs(expected).max()
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=bound)
+    # the range scalings are powers of two: exact, whatever the input's size
+    for power in (-700, -9, 1, 600):
+        assert np.array_equal(precondition(np.ldexp(v, power)), np.ldexp(got, power))
+
+
+def test_single_precision_preconditioner_keeps_a_large_box_in_range():
+    # on a 1e50 box P_i^-1 is about 1e-100 at k = 0 and 1e-150 at k > 0, and
+    # both underflow in float32 unless scaled; a zero time mean leaves only
+    # the k > 0 harmonics, which the k = 0 rounding would otherwise swamp
+    from gclkit.hexmesh import build_box_mesh
+
+    mesh = build_box_mesh(3, 3, 3, 1e50, 1e50, 1e50)
+    case = MotionCase.for_case("case1")
+    traj = sample_motion(mesh, case, 1)
+    problem = FreestreamProblem(mesh, traj, SpectralOperator(1, case.period), zero_ifmv(mesh, traj))
+    u = np.random.default_rng(7).standard_normal((5, 1) + problem.volumes.shape[1:])
+    v = np.concatenate([u, -u, np.zeros_like(u)], axis=1).ravel()  # each sum is exactly 0
+    expected, got = double_precision_preconditioner(problem)(v), problem._preconditioner()(v)
+    assert np.all(np.isfinite(got)) and np.abs(got).max() > 0.0
+    bound = _single_precision_bound(problem) * np.abs(expected).max()
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=bound)
 
 
 def test_line_solves_invert_their_factors(odd_box_problem):

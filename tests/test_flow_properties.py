@@ -9,8 +9,15 @@ from gclkit.flow import FreestreamProblem, jst_dissipation
 from gclkit.hexmesh import build_box_mesh
 from gclkit.motion import MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
-from oracles import dense_preconditioner, face_flux, pressure, reference_jst, zero_ifmv
-from test_flow import _reference_local_timestep, _reference_residual_parts
+from oracles import (
+    dense_preconditioner,
+    double_precision_preconditioner,
+    face_flux,
+    pressure,
+    reference_jst,
+    zero_ifmv,
+)
+from test_flow import _reference_local_timestep, _reference_residual_parts, _single_precision_bound
 
 GAMMA = 1.4
 
@@ -167,10 +174,16 @@ def preconditioned_problems(draw):
 @PROPERTY
 @given(preconditioned_problems())
 def test_preconditioner_is_the_linear_dense_factorisation(data):
+    # the package's factors and line solves in float64 are the dense
+    # factorisation, and linear; its single-precision apply stays within
+    # float32 rounding of them
     problem, u, v, scale = data
-    precondition = problem._preconditioner()
+    precondition = double_precision_preconditioner(problem)
     dense = dense_preconditioner(problem, flow._flux_jacobians(), flow.PRECONDITIONER_DISSIPATION)
     expected, got = dense(u), precondition(u)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
     combined, parts = precondition(scale * u + v), scale * got + precondition(v)
     np.testing.assert_allclose(combined, parts, rtol=0.0, atol=1e-13 * np.abs(parts).max())
+    single = problem._preconditioner()(u)
+    bound = _single_precision_bound(problem) * np.abs(got).max()
+    np.testing.assert_allclose(single, got, rtol=0.0, atol=bound)
