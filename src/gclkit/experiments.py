@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -185,9 +185,12 @@ def evaluate_point(
 
 
 def worker_count(n_jobs: int) -> int:
-    """Worker pool size, honouring the GCLKIT_THREADS cap."""
+    """Worker pool size: the CPUs this process may run on, or GCLKIT_THREADS."""
     cap = os.environ.get("GCLKIT_THREADS")
-    workers = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     if cap:
         try:
             workers = int(cap)
@@ -214,26 +217,27 @@ def run_sweep(
     pairs) is one task on the pool while the calling thread factors the
     Gram blocks, so a second worker is not idle through the build; each half
     computes the same values on any thread.  A failed build is a
-    :class:`ConfigError`: the mesh and the case come from the settings.  A
-    task is one :func:`prepare_point` per N, or, once that N's point is
-    prepared, one :func:`evaluate_point` per distinct field builder of the
-    methods, with the methods that read its field.  The calling
-    thread submits every task and joins them, so no task waits on another;
-    at most one point per worker is held at a time, and a task whose rows
-    come after a failed task's is skipped.  Each task computes its rows
-    alone, whichever thread runs it, and the rows are put back in (N,
-    method) order, so the rows, and the first error in that order, are
-    those of one worker, which runs the same tasks in the same order on the
-    calling thread, each as it is submitted (:data:`gclkit.rbf.INLINE`).
-    The pool's threads run the geometry kernels in larger
-    blocks (:data:`gclkit.hexmesh.POOLED_BLOCK_ELEMENT_INSTANTS`), which
-    give the same bits.
+    :class:`ConfigError`: the mesh and the case come from the settings.  The
+    calling thread then submits one task per N, in N order, which runs
+    :func:`prepare_point`, submits one :func:`evaluate_point` per distinct
+    field builder of the methods, with the methods that read its field, and
+    returns their futures.  While one point per worker is held, the calling
+    thread waits for the oldest, its point task and then the field tasks
+    that returned, before it submits the next.  Only the calling thread
+    waits on a future, and a task whose rows come after a failed task's
+    returns at once.  Each task computes its rows alone, whichever thread
+    runs it, and the rows are put back in (N, method) order by their method
+    names, so the rows, and the first error in that order, are those of one
+    worker, which runs the same tasks in the same order on the calling
+    thread, each as it is submitted (:data:`gclkit.rbf.INLINE`).  The pool's
+    threads run the geometry kernels in larger blocks
+    (:data:`gclkit.hexmesh.POOLED_BLOCK_ELEMENT_INSTANTS`), which give the
+    same bits.
     """
     mesh = mesh_config.build()
-    groups = {}  # field builder -> positions in ``methods`` of the rows reading it
-    for position, method in enumerate(methods):
-        groups.setdefault(_BUILDERS[method], []).append(position)
-    groups = list(groups.values())
+    groups = {}  # field builder -> the methods reading its field
+    for method in methods:
+        groups.setdefault(_BUILDERS[method], []).append(method)
     failed = []  # (N's index, group's index or -1 to prepare) of each task that raised
 
     def task(key, fn, *args):
@@ -245,29 +249,23 @@ def run_sweep(
             failed.append(key)
             raise
 
+    def point_task(i, n):
+        """Prepare N's point; return the futures of its field tasks."""
+        point = task((i, -1), prepare_point, mesh, case, n, fields)
+        if point is None:
+            return []
+        return [
+            pool.submit(task, (i, g), evaluate_point, point, group, freestream, timing)
+            for g, group in enumerate(groups.values())
+        ]
+
+    def join(point):
+        """Wait for a point task, then for the field tasks it submitted."""
+        if point.exception() is None:
+            wait(point.result())
+
     workers = worker_count(len(harmonic_range))
-    tasks = [[] for _ in harmonic_range]  # per N: its prepare, once done its evaluates
-    running = {}  # future -> key; a point is held while a task of its N runs
-
-    def submit(key, fn, *args):
-        future = pool.submit(task, key, fn, *args)
-        running[future] = key
-        return future
-
-    def settle(limit):
-        """Take finished tasks until fewer than ``limit`` points are held."""
-        while len({i for i, _ in running.values()}) >= limit:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                i, g = running.pop(future)
-                if g < 0 and future.exception() is None and future.result() is not None:
-                    point = future.result()  # held until its evaluates have run
-                    tasks[i] = [
-                        submit((i, g), evaluate_point, point, [methods[p] for p in group],
-                               freestream, timing)
-                        for g, group in enumerate(groups)
-                    ]
-
+    points = []  # per N, the future of its point task
     with (
         ThreadPoolExecutor(workers, initializer=hexmesh._mark_pool_thread)
         if workers > 1 else nullcontext(INLINE)  # the calling thread, in single-thread blocks
@@ -276,18 +274,16 @@ def run_sweep(
             fields = case_fields(mesh, case, pool)
         except ValueError as err:
             raise ConfigError(f"cannot build the fields of {case.case_id}: {err}") from None
-        for i, n in enumerate(harmonic_range):
-            settle(workers)  # at most one point per worker is held
+        for n in harmonic_range:
+            if len(points) >= workers:
+                join(points[-workers])  # at most one point per worker is held
             if failed:
                 break
-            tasks[i] = [submit((i, -1), prepare_point, mesh, case, n, fields)]
-        settle(1)
+            points.append(pool.submit(point_task, len(points), n))
+        for point in points:
+            join(point)
     rows = []
-    for batch in tasks:
-        results = [future.result() for future in batch]  # raises in row order
-        point_rows = [None] * len(methods)
-        for group, group_rows in zip(groups, results):
-            for position, row in zip(group, group_rows):
-                point_rows[position] = row
-        rows += point_rows
+    for point in points:  # raises in (N, method) order
+        by_method = {row.method: row for future in point.result() for row in future.result()}
+        rows += [by_method[method] for method in methods]
     return rows

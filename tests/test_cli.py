@@ -354,6 +354,13 @@ def test_worker_pool_respects_thread_cap(monkeypatch):
     assert worker_count(3) >= 1
 
 
+def test_worker_pool_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("GCLKIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count(20) == 1
+
+
 def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch, capsys):
     for cap in ("abc", "0", "-3"):
         monkeypatch.setenv("GCLKIT_THREADS", cap)

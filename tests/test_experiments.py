@@ -213,6 +213,79 @@ def test_first_divergence_raises_under_every_worker_count(monkeypatch, under_eac
     assert marched == [1, 1, 1, 1, 2, 2, 2]
 
 
+def test_earlier_field_error_beats_later_degenerate_point(monkeypatch, under_each_worker_count):
+    # on 10^3 at this amplitude N = 1 passes the gate and N = 2, 3 and 4 fail
+    # it; only AVG fields diverge, so N = 1's AVG row holds the first error,
+    # though pooled a later N's prepare can fail before that field is built
+    avg_fields = []
+    real_avg, real_init = gcl.ifmv_avg, flow.FreestreamProblem.__init__
+
+    def avg(*args):
+        avg_fields.append(real_avg(*args))
+        return avg_fields[-1]
+
+    def init(self, mesh, trajectory, spectral, ifmv):
+        real_init(self, mesh, trajectory, spectral, ifmv)
+        self.fails = any(field is ifmv for field in avg_fields)
+
+    def march(self):
+        if self.fails:
+            return flow.FreestreamResult(np.inf, 1, 1.0, np.inf, "diverged")
+        return flow.FreestreamResult(0.0, 1, 1.0, 0.0, "floor")
+
+    monkeypatch.setattr(gcl, "ifmv_avg", avg)
+    monkeypatch.setattr(flow.FreestreamProblem, "__init__", init)
+    monkeypatch.setattr(flow.FreestreamProblem, "march", march)
+    case = MotionCase.for_case("case4", rbf_amplitude=0.12)
+    outcomes = under_each_worker_count(
+        lambda: experiments.run_sweep(
+            experiments.MeshConfig(), case, [1, 2, 3, 4], ["nlfd-lvi", "avg", "trimap"],
+            freestream=True,
+        )
+    )
+    for threads, err in outcomes.items():
+        assert isinstance(err, flow.FreestreamDivergence), (threads, err)
+        assert (err.case_id, err.method, err.n_harmonics) == ("case4", "avg", 1), threads
+
+
+def test_sweep_holds_at_most_one_point_per_worker(monkeypatch, under_each_worker_count):
+    # a point is live from its prepare's return until its last field task
+    # returns; the four methods read three fields
+    methods = ["avg", "trimap", "nlfd-lvi", "ts-lvi"]
+    real_prepare, real_evaluate = experiments.prepare_point, experiments.evaluate_point
+    lock, live, peak = threading.Lock(), {}, [0]  # live: N -> its fields yet to return
+
+    def prepare(mesh, case, n, fields):
+        point = real_prepare(mesh, case, n, fields)
+        with lock:
+            live[n] = 3
+            peak[0] = max(peak[0], len(live))
+        return point
+
+    def evaluate(point, *args):
+        rows = real_evaluate(point, *args)
+        with lock:
+            n = point.trajectory.n_harmonics
+            live[n] -= 1
+            if not live[n]:
+                del live[n]
+        return rows
+
+    monkeypatch.setattr(experiments, "prepare_point", prepare)
+    monkeypatch.setattr(experiments, "evaluate_point", evaluate)
+
+    def sweep():
+        peak[0] = 0
+        rows = experiments.run_sweep(
+            experiments.MeshConfig(4, 4, 4), MotionCase.for_case("case1"), list(range(1, 9)),
+            methods,
+        )
+        return peak[0], len(rows)
+
+    for threads, (held, n_rows) in under_each_worker_count(sweep).items():
+        assert held <= int(threads) and n_rows == 32, (threads, held, n_rows)
+
+
 @pytest.mark.parametrize(
     "grid_fails, factor_fails, message",
     [

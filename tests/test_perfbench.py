@@ -3,7 +3,8 @@
 ``perfbench/run.py`` must print only the ``machine:`` record, one
 ``name = value unit`` line per metric and, last, one JSON result line.  Each
 run here is one untimed-budget pass (``--seconds 0``) of ``ifmv_sweep``, a
-few seconds, or of ``freestream``, about ten.  A span whose every binding a rename removed reads null
+few seconds, of ``fine_mesh``, the one workload whose sweep runs on the pool,
+or of ``freestream``, about ten.  A span whose every binding a rename removed reads null
 in the benchmark, so the span list is also checked against the package.
 """
 
@@ -59,6 +60,16 @@ def test_ifmv_sweep_output_is_well_formed(trace):
         # the wrappers installed on the module, and these spans would read 0
         for kind in ("lvi", "aevi", "nlfd", "avg", "trimap"):
             assert metrics[f"gcl.{kind}_s"]["value"] > 0, kind
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_fine_mesh_output_is_well_formed(trace):
+    metrics = _check_output("fine_mesh", trace)
+    if trace:
+        # a point task that bound prepare_point or evaluate_point before the
+        # wrappers were installed would bypass them, and these spans read 0
+        for kind in ("prepare", "evaluate"):
+            assert metrics[f"experiments.{kind}_s"]["value"] > 0, kind
 
 
 @pytest.mark.parametrize("trace", [0, 1])
