@@ -288,7 +288,7 @@ class FreestreamProblem:
         areas = mesh.blockwise(
             lambda q: np.concatenate(_quad_area(q)),
             "interfaces",
-            trajectory.positions[:-1],
+            trajectory.positions,
             out=np.empty((3 * nts, n_interfaces)).T,
         ).T.reshape(3, nts, n_interfaces)
         # the halo cells' state, velocity and pressure, computed as per cell

@@ -21,9 +21,10 @@ The LVI/AEVI sweep volumes and the TRI-MAP flux are built from corner
 differences, so a translated mesh keeps its values to its cells' rounding.
 
 Increments that grow linearly in time (faces sweeping a net volume per
-period) are split into a linear slope plus a periodic part before any
-spectral differentiation; only the periodic part is transformed and the
-slope re-enters as the zeroth mode.
+period) are split into a linear slope, the closing increment at t = T over
+T, and a periodic part; only the periodic part is differentiated spectrally
+and the slope re-enters as the zeroth mode.  Only the increments form the
+t = T sample, appending t_0 to the trajectory's 2N+1 instants.
 
 Every field holds one value per mesh interface, (n_interfaces, ...), taken
 along the interface's +axis normal.  :meth:`HexMesh.sum_over_faces` forms the
@@ -49,7 +50,7 @@ from .hexmesh import (
     _sum,
     corner_planes,
 )
-from .motion import MotionTrajectory
+from .motion import MotionTrajectory, _by_component
 from .spectral import SpectralOperator
 
 __all__ = [
@@ -146,13 +147,13 @@ class IncrementSeries:
     """Per-interface volumetric increments relative to the initial configuration.
 
     ``totals[f, n]`` is the signed volume swept by interface f between t_0
-    and t_n (n = 0..2N+1, the last entry being the closing sample at t = T).
+    and t_n (n = 0..2N+1, t_n = n T / (2N+1); the last entry, at t = T, is
+    the closing increment over the period).
     :func:`extract_linear_and_periodic` fills the linear slope and periodic
     part; the increment builders return the series split.
     """
 
     period: float
-    times: np.ndarray  # (2N+2,)
     totals: np.ndarray  # (n_interfaces, 2N+2)
     linear_slope: np.ndarray | None = None  # (n_interfaces,)
     periodic_part: np.ndarray | None = None  # (n_interfaces, 2N+1)
@@ -191,12 +192,13 @@ def _increments(mesh, trajectory, sweeps) -> IncrementSeries:
     """Interface increments t_1..t_2N+1 from ``sweeps`` of a block's quads,
     split into their linear slope and periodic part.
 
-    ``sweeps`` receives a block's quads as four corner views (3, 2N+2, block)
-    and returns (2N+1, block).
+    ``sweeps`` receives a block's quads, t_0 appended at t = T, as four
+    corner views (3, 2N+2, block) and returns (2N+1, block).
     """
-    totals = np.zeros((len(mesh.interface_vertex_ids), len(trajectory.times)))
-    mesh.blockwise(sweeps, "interfaces", trajectory.positions, out=totals[:, 1:])
-    series = IncrementSeries(trajectory.case.period, trajectory.times, totals)
+    positions = _by_component(trajectory.positions, trajectory.positions[:1])
+    totals = np.zeros((len(mesh.interface_vertex_ids), len(positions)))
+    mesh.blockwise(sweeps, "interfaces", positions, out=totals[:, 1:])
+    series = IncrementSeries(trajectory.case.period, totals)
     return extract_linear_and_periodic(series)
 
 
@@ -207,8 +209,9 @@ def extract_linear_and_periodic(series: IncrementSeries) -> IncrementSeries:
     linear ramp from the samples at t_0..t_2N leaves the periodic part that
     spectral differentiation can act on.
     """
+    nts = series.totals.shape[-1] - 1
     slope = series.totals[..., -1] / series.period
-    periodic = series.totals[..., :-1] - slope[..., None] * series.times[:-1]
+    periodic = series.totals[..., :-1] - slope[..., None] * (np.arange(nts) * series.period / nts)
     return replace(series, linear_slope=slope, periodic_part=periodic)
 
 
@@ -245,7 +248,7 @@ def ifmv_avg(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     flux = mesh.blockwise(
         _avg_flux,
         "interfaces",
-        trajectory.positions[:-1],
+        trajectory.positions,
         trajectory.velocities,
     )
     return IfmvField(flux)
@@ -256,7 +259,7 @@ def trimap_field(mesh: HexMesh, trajectory: MotionTrajectory) -> IfmvField:
     flux = mesh.blockwise(
         _quad_flux,
         "interfaces",
-        trajectory.positions[:-1],
+        trajectory.positions,
         trajectory.velocities,
     )
     return IfmvField(flux)
@@ -267,6 +270,6 @@ def exact_volume_rates(mesh: HexMesh, trajectory: MotionTrajectory) -> np.ndarra
     return mesh.blockwise(
         _dvoldt,
         "cells",
-        trajectory.positions[:-1],
+        trajectory.positions,
         trajectory.velocities,
     )

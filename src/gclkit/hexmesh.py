@@ -287,8 +287,9 @@ class HexMesh:
         ``cell_vertex_ids`` or ``interface_vertex_ids``.  Each field is a
         vertex array (n_instants, n_vertices, 3) such as positions or
         velocities, read without a copy as its component planes
-        (3, n_instants, n_vertices); :func:`gclkit.motion.sample_motion`
-        stores a trajectory's that way.  Corner m of each element of a family
+        (3, n_instants, n_vertices), as :func:`gclkit.motion.sample_motion`
+        stores a trajectory's 2N+1 instants and the LVI/AEVI increments their
+        copy closed at t = T.  Corner m of each element of a family
         (the cells, or one axis's interfaces) is vertex p + o_m, with p the
         element's grid point (its anchor), so for a block of consecutive
         anchors s..e ``kernel`` receives each field as k corner views
@@ -372,10 +373,14 @@ MIN_CELL_EDGE = np.finfo(float).tiny ** 0.25
 
 def checked_box(counts, lengths) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """The cell counts as ints and the box lengths as floats, once each count
-    is a whole number >= 1 and each length at most ``MAX_LENGTH`` and at
-    least ``MIN_CELL_EDGE`` per cell; else ValueError naming them."""
+    is a whole number >= 1 whose vertex array numpy can size (24 bytes a
+    vertex) and each length at most ``MAX_LENGTH`` and at least
+    ``MIN_CELL_EDGE`` per cell; else ValueError naming them."""
     if any(not 1 <= n < math.inf or int(n) != n for n in counts):
         raise ValueError(f"cell counts must be positive integers, got {counts}")
+    vertices = math.prod(int(n) + 1 for n in counts)
+    if 24 * vertices > np.iinfo(np.intp).max:
+        raise ValueError(f"cell counts {counts} give {vertices:.2e} vertices, too many for numpy")
     if not all(MIN_CELL_EDGE * n <= length <= MAX_LENGTH for n, length in zip(counts, lengths)):
         raise ValueError(
             f"lengths must lie between {MIN_CELL_EDGE:.2g} per cell and {MAX_LENGTH:g}, where a "

@@ -1,4 +1,4 @@
-"""Prescribed analytic mesh motions sampled at the spectral time instants.
+"""Prescribed analytic mesh motions sampled at the 2N+1 spectral instants only.
 
 Five benchmark deformations of the box mesh plus two rigid calibration
 motions, each one row of :data:`CASES`: the parameters it reads with their
@@ -127,19 +127,15 @@ def _checked_parameter(name: str, value, default):
 
 @dataclass(frozen=True)
 class MotionTrajectory:
-    """Vertex positions at t_0..t_2N plus the closing t = T, and the vertex
-    velocities and cell volumes at t_0..t_2N."""
+    """Vertex positions, vertex velocities and cell volumes at the 2N+1
+    spectral instants t_0..t_2N; the LVI/AEVI increments alone form t = T."""
 
     case: MotionCase
     n_harmonics: int
-    times: np.ndarray  # (2N+2,)
-    positions: np.ndarray  # (2N+2, n_vertices, 3)
+    times: np.ndarray  # (2N+1,)
+    positions: np.ndarray  # (2N+1, n_vertices, 3)
     velocities: np.ndarray  # (2N+1, n_vertices, 3)
     volumes: np.ndarray  # (n_cells, 2N+1)
-
-    @property
-    def nts(self) -> int:
-        return 2 * self.n_harmonics + 1
 
 
 def _phase(t: np.ndarray, period: float) -> np.ndarray:
@@ -338,16 +334,14 @@ def sample_motion(
     n_harmonics: int,
     fields: np.ndarray | None = None,
 ) -> MotionTrajectory:
-    """Sample a motion case at the 2N+1 spectral instants, positions also at t = T.
+    """Sample a motion case at the 2N+1 spectral instants t_0..t_2N.
 
     ``fields`` is passed on to :func:`evaluate_motion`.  The cell volumes
-    are computed once, here, and gate the sample: the closing sample is t_0
-    again and is neither measured nor checked twice.  Positions and
-    velocities are stored component-first, as the planes (3, n_instants,
-    n_vertices) that :meth:`HexMesh.blockwise` reads, and returned as
-    (n_instants, n_vertices, 3) views of them: every geometry pass over the
-    trajectory reads them in place, and they take no more memory than the
-    vertex arrays would.
+    are computed once, here, and gate the sample.  Positions and velocities
+    are stored component-first, as the planes (3, 2N+1, n_vertices) that
+    :meth:`HexMesh.blockwise` reads, and returned as (2N+1, n_vertices, 3)
+    views of them: every geometry pass over the trajectory reads them in
+    place, and they take no more memory than the vertex arrays would.
 
     Raises
     ------
@@ -358,16 +352,12 @@ def sample_motion(
     """
     n_harmonics, period = _checked_sampling(n_harmonics, case.period)
     nts = 2 * n_harmonics + 1
-    times = np.append(np.arange(nts) * period / nts, period)
+    times = np.arange(nts) * period / nts
     # an overflowing motion is reported by the gate, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        positions, velocities = evaluate_motion(mesh, case, times[:-1], fields)
-        # the closing sample at t = T is the t = 0 configuration again;
-        # reusing it makes the periodic closure exact instead of rounding-level
-        positions = _by_component(positions, positions[:1])
-        velocities = _by_component(velocities)
-        volumes = mesh.blockwise(_hex_volume, "cells", positions[:-1])
-        bad = detect_degenerate(mesh, positions[:-1], volumes)
+        positions, velocities = map(_by_component, evaluate_motion(mesh, case, times, fields))
+        volumes = mesh.blockwise(_hex_volume, "cells", positions)
+        bad = detect_degenerate(mesh, positions, volumes)
     if len(bad):
         instants, cells = np.divmod(bad, mesh.n_cells)
         raise DegenerateMeshError(times[instants[0]], cells[instants == instants[0]])

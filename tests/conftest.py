@@ -75,12 +75,13 @@ def _by_direction_increments(mesh, trajectory, kind):
     from gclkit import gcl
 
     quads = trajectory.positions[:, mesh.interface_vertex_ids]
+    quads = np.concatenate([quads, quads[:1]])  # the closing sample at t = T is t_0
     if kind == "lvi":
         swept = gcl.sweep_volume_by_direction(quads[0], quads)
     else:
         steps = gcl.sweep_volume_by_direction(quads[:-1], quads[1:])
         swept = np.concatenate([np.zeros_like(steps[:1]), np.cumsum(steps, axis=0)])
-    return gcl.IncrementSeries(trajectory.case.period, trajectory.times, np.moveaxis(swept, 0, -1))
+    return gcl.IncrementSeries(trajectory.case.period, np.moveaxis(swept, 0, -1))
 
 
 @pytest.fixture(scope="session")

@@ -364,7 +364,7 @@ def pressure(states):
 def zero_ifmv(mesh, trajectory):
     """IFMV zero on every interface and instant: the controlled conservation
     defect of a mesh velocity left out, each cell's -dV/dt."""
-    return gcl.IfmvField(np.zeros((len(mesh.interface_vertex_ids), trajectory.nts)))
+    return gcl.IfmvField(np.zeros((len(mesh.interface_vertex_ids), len(trajectory.times))))
 
 
 def face_flux(left, right, face_vector, face_ifmv):

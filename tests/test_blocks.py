@@ -46,7 +46,7 @@ from oracles import (
     zero_ifmv,
 )
 
-N = 20  # 2N+2 = 42 instants: several blocks per kernel, the last one ragged
+N = 20  # 41 instants, the increments 42: several blocks per kernel, the last one ragged
 
 _EDGE_LOW = np.array(
     [[0, 0, 0], [0, 1, 1], [3, 1, 2], [3, 0, 3], [4, 4, 0], [4, 5, 1], [7, 5, 2], [7, 4, 3]]
@@ -154,6 +154,7 @@ def _per_instant(formula, *stacks):
 
 def _reference_increments(mesh, trajectory, kind):
     quads = trajectory.positions[:, mesh.interface_vertex_ids]
+    quads = np.concatenate([quads, quads[:1]])  # the closing sample at t = T is t_0
     totals = np.zeros((quads.shape[1], quads.shape[0]))
     if kind == "lvi":
         totals[:, 1:] = _per_instant(lambda q: _reference_sweep(quads[0], q), quads[1:])
@@ -165,12 +166,12 @@ def _reference_increments(mesh, trajectory, kind):
 
 def _face_stacks(mesh, trajectory):
     ids = mesh.interface_vertex_ids
-    return trajectory.positions[:-1][:, ids], trajectory.velocities[:, ids]
+    return trajectory.positions[:, ids], trajectory.velocities[:, ids]
 
 
 def _cell_stacks(mesh, trajectory):
     return (
-        cell_corners(mesh, trajectory.positions)[:-1],
+        cell_corners(mesh, trajectory.positions),
         cell_corners(mesh, trajectory.velocities),
     )
 
@@ -319,7 +320,7 @@ def test_avg_flux_bitwise_equal_reference(awkward_hexahedra):
         # the cell volumes are measured as the motion is sampled
         lambda mesh, trajectory: sample_motion(mesh, trajectory.case, N),
         gcl.exact_volume_rates,
-        lambda mesh, trajectory: detect_degenerate(mesh, trajectory.positions[:-1]),
+        lambda mesh, trajectory: detect_degenerate(mesh, trajectory.positions),
     ],
     ids=["lvi", "aevi", "avg", "trimap", "volumes", "rates", "gate"],
 )
@@ -357,11 +358,11 @@ def moving_grids(draw):
     zeros = rng.random(shape)
     velocities[zeros < 0.2] = 0.0
     velocities[zeros > 0.9] = -0.0
-    positions = np.concatenate([moved, moved[:1]])
+    positions = moved
     if draw(st.booleans()):
         positions, velocities = motion._by_component(positions), motion._by_component(velocities)
-    times = np.arange(n_instants + 1) / n_instants
-    volumes = mesh.blockwise(hexmesh._hex_volume, "cells", positions[:-1])
+    times = np.arange(n_instants) / n_instants
+    volumes = mesh.blockwise(hexmesh._hex_volume, "cells", positions)
     trajectory = MotionTrajectory(
         MotionCase.for_case("case1"), n_instants // 2, times, positions, velocities, volumes
     )
@@ -371,15 +372,15 @@ def moving_grids(draw):
 def _kernel_families(mesh, trajectory):
     """Every blockwise kernel family's values on a trajectory."""
     values = {
-        "volumes": mesh.blockwise(hexmesh._hex_volume, "cells", trajectory.positions[:-1]),
-        "gate": detect_degenerate(mesh, trajectory.positions[:-1]),
+        "volumes": mesh.blockwise(hexmesh._hex_volume, "cells", trajectory.positions),
+        "gate": detect_degenerate(mesh, trajectory.positions),
         "lvi": gcl.lvi_increments(mesh, trajectory).totals,
         "aevi": gcl.aevi_increments(mesh, trajectory).totals,
         "trimap": gcl.trimap_field(mesh, trajectory).total,
         "avg": gcl.ifmv_avg(mesh, trajectory).total,
         "rates": gcl.exact_volume_rates(mesh, trajectory),
     }
-    if trajectory.nts == len(trajectory.velocities) > 1:
+    if 2 * trajectory.n_harmonics + 1 == len(trajectory.velocities) > 1:
         spectral = SpectralOperator(trajectory.n_harmonics)
         problem = flow.FreestreamProblem(mesh, trajectory, spectral, zero_ifmv(mesh, trajectory))
         for name, axis in zip("xyz", problem._axes):
@@ -425,35 +426,31 @@ def test_pooled_blocks_bitwise_equal_single_thread_blocks():
     # family has indices to compare
     case = MotionCase.for_case("case4", rbf_amplitude=0.2)
     nts = 2 * POOLED_N + 1
-    times = np.arange(nts + 1) / nts
-    positions, velocities = evaluate_motion(mesh, case, times)
-    positions = motion._by_component(positions[:-1], positions[:1])
-    volumes = mesh.blockwise(hexmesh._hex_volume, "cells", positions[:-1])
-    trajectory = MotionTrajectory(
-        case, POOLED_N, times, positions, motion._by_component(velocities[:-1]), volumes
-    )
+    times = np.arange(nts) / nts
+    positions, velocities = map(motion._by_component, evaluate_motion(mesh, case, times))
+    volumes = mesh.blockwise(hexmesh._hex_volume, "cells", positions)
+    trajectory = MotionTrajectory(case, POOLED_N, times, positions, velocities, volumes)
     for kind in ("cells", "interfaces"):
         for _, _, anchors in hexmesh._element_families(mesh.counts, kind):
             for n_instants in (nts, nts + 1):
                 step = POOLED_BLOCK_ELEMENT_INSTANTS // n_instants
                 assert len(anchors) > 2 * step and len(anchors) % step != 0
     # a sweep pool's initializer marks its threads, and only those take the
-    # pooled block
+    # pooled block, on the 2N+1 field passes and the increments' 2N+2 pass
+    closed = motion._by_component(positions, positions[:1])
+    passes = [(kind, p) for kind in ("cells", "interfaces") for p in (positions, closed)]
     with ThreadPoolExecutor(1, initializer=hexmesh._mark_pool_thread) as pool:
         pooled = pool.submit(_kernel_families, mesh, trajectory).result()
-        counts = [
-            pool.submit(_block_count, mesh, kind, trajectory.positions).result()
-            for kind in ("cells", "interfaces")
-        ]
+        counts = [pool.submit(_block_count, mesh, *args).result() for args in passes]
     single = _kernel_families(mesh, trajectory)
-    for kind, count in zip(("cells", "interfaces"), counts):
+    for (kind, fields), count in zip(passes, counts):
         families = hexmesh._element_families(mesh.counts, kind)
-        n_instants = len(trajectory.positions)
+        n_instants = len(fields)
         expected = [
             sum(-(-len(anchors) // (block // n_instants)) for _, _, anchors in families)
             for block in (POOLED_BLOCK_ELEMENT_INSTANTS, BLOCK_ELEMENT_INSTANTS)
         ]
-        assert (count, _block_count(mesh, kind, trajectory.positions)) == tuple(expected)
+        assert (count, _block_count(mesh, kind, fields)) == tuple(expected)
     assert pooled.keys() == single.keys() and len(single) == 10
     assert len(single["gate"]) > 0
     for name, expected in single.items():

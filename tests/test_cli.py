@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gclkit import rbf
+from gclkit import experiments, rbf
 from gclkit.cli import SETTINGS, build_parser, build_run_config, main
 from gclkit.experiments import worker_count
 
@@ -105,6 +105,9 @@ def test_bad_range_is_config_error():
         ([], {"methods": ["avg", "avg"]}),
         # fails at once, allocating nothing
         (["--mesh", "1000000,1000000,1000000"], None),
+        (["--mesh", "1500000,1500000,1500000"], None),
+        (["--mesh", "2100000,2100000,2100000"], None),
+        (["--mesh", "100000,100000,100000"], None),
         (["--amp", "0.1,0.1"], None),
         (["--amp", "0.1,0.1,0.1,0.1"], None),
         ([], {"amp": []}),
@@ -122,7 +125,8 @@ def test_bad_range_is_config_error():
          "config-max-iters-text", "config-max-iters-zero", "max-iters-zero",
          "config-timing", "seed-float", "max-iters-float", "cfl-text", "alpha0-text",
          "radius-nan", "support-radius-text", "range-three-parts", "range-trailing-dots",
-         "methods-twice", "config-methods-twice", "mesh-exabytes", "amp-two", "amp-four",
+         "methods-twice", "config-methods-twice", "mesh-exabytes", "mesh-array-too-big",
+         "mesh-broadcast-too-large", "mesh-petabytes", "amp-two", "amp-four",
          "config-amp-empty", "case4-amp-two", "config-out-null", "config-out-number",
          "config-cfl-bool", "config-seed-bool", "config-mesh-bool"],
 )
@@ -136,6 +140,24 @@ def test_malformed_input_is_one_line_config_error(tmp_path, capsys, extra, confi
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mesh", ["1000000,1000000,1000000", "1500000,1500000,1500000",
+                                  "2100000,2100000,2100000"])
+def test_unsizable_mesh_is_refused_before_any_array(tmp_path, capsys, monkeypatch, mesh):
+    # 24 bytes a vertex above the largest array numpy can size; numpy's own
+    # errors were a traceback ("array is too big", "broadcast dimensions too large")
+    def build_box_mesh(*args):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(experiments, "build_box_mesh", build_box_mesh)
+    out = tmp_path / "m.csv"
+    argv = ["run", "--mesh", mesh, "--n", "1..1", "--methods", "lvi", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    counts = mesh.replace(",", ", ")
+    assert err.startswith(f"error: config: cell counts ({counts}) give ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -187,8 +187,8 @@ def _structured_face_reference(mesh, traj, ifmv):
     numbering: the x, y and z blocks in turn, each in the C order of its grid.
     """
     nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
-    nts = traj.positions.shape[0] - 1
-    v = traj.positions[:-1].reshape(nts, nz + 1, ny + 1, nx + 1, 3)
+    nts = len(traj.positions)
+    v = traj.positions.reshape(nts, nz + 1, ny + 1, nx + 1, 3)
 
     def area(a, b, c, d):
         return 0.5 * np.cross(c - a, d - b)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gclkit import gcl
+from gclkit import gcl, metrics
 from gclkit.gcl import (
     aevi_increments,
     extract_linear_and_periodic,
@@ -15,8 +17,8 @@ from gclkit.gcl import (
     sweep_volume_by_direction,
     trimap_field,
 )
-from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS
-from gclkit.motion import MotionCase, sample_motion
+from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS, build_box_mesh
+from gclkit.motion import CASE_IDS, MotionCase, sample_motion
 from gclkit.spectral import SpectralOperator
 from oracles import (
     analytic_increment_case3,
@@ -195,7 +197,6 @@ def test_extraction_of_synthetic_series():
     slope = 0.7
     series = gcl.IncrementSeries(
         period=op.period,
-        times=times,
         totals=(slope * times + np.sin(2 * np.pi * times))[None, None, :],
     )
     series = extract_linear_and_periodic(series)
@@ -216,6 +217,27 @@ def test_extraction_closed_sweep_zero_slope(case1_setup):
     np.testing.assert_allclose(
         series.periodic_part, series.totals[..., :-1], atol=floor
     )
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_periodic_closure_exact(small_mesh_module, case_id):
+    # a trajectory holds the 2N+1 instants only; the increments close the
+    # period on t_0 itself, so their last sweeps end on t_0's bits
+    mesh = small_mesh_module
+    for n in (1, 2, 3):
+        traj = sample_motion(mesh, MotionCase.for_case(case_id), n)
+        nts = 2 * n + 1
+        assert traj.times.shape == (nts,)
+        assert traj.positions.shape[0] == traj.velocities.shape[0] == nts
+        assert traj.volumes.shape[1] == nts
+        quads = traj.positions[:, mesh.interface_vertex_ids]
+        closing = sweep_volume(quads[0], quads[0])
+        steps = sweep_volume(quads, np.concatenate([quads[1:], quads[:1]]))
+        lvi = lvi_increments(mesh, traj).totals
+        aevi = aevi_increments(mesh, traj).totals
+        assert lvi.shape == aevi.shape == (len(quads[0]), nts + 1)
+        assert np.array_equal(lvi[:, -1], closing), (case_id, n)
+        assert np.array_equal(aevi[:, -1], np.cumsum(steps, axis=0)[-1]), (case_id, n)
 
 
 def test_lvi_failure_mode_case3_face():
@@ -249,7 +271,7 @@ def test_nlfd_pipeline_on_synthetic_sine():
     op = SpectralOperator(5)
     times = np.append(op.times, op.period)
     totals = np.sin(2 * np.pi * times)[None, None, :] * np.ones((1, 6, 1))
-    series = gcl.IncrementSeries(op.period, times, totals)
+    series = gcl.IncrementSeries(op.period, totals)
     field = ifmv_nlfd(extract_linear_and_periodic(series), op)
     expected = 2 * np.pi * np.cos(2 * np.pi * op.times)
     np.testing.assert_allclose(field.total[0, 0], expected, atol=1e-12)
@@ -258,7 +280,7 @@ def test_nlfd_pipeline_on_synthetic_sine():
 def test_nlfd_zero_increments_zero_ifmv():
     op = SpectralOperator(3)
     times = np.append(op.times, op.period)
-    series = gcl.IncrementSeries(op.period, times, np.zeros((2, 6, len(times))))
+    series = gcl.IncrementSeries(op.period, np.zeros((2, 6, len(times))))
     field = ifmv_nlfd(extract_linear_and_periodic(series), op)
     assert np.abs(field.total).max() == 0.0
 
@@ -268,7 +290,7 @@ def test_ts_constant_slope_series():
     times = np.append(op.times, op.period)
     slope = 1.9
     totals = slope * times[None, None, :] * np.ones((1, 6, 1))
-    series = gcl.IncrementSeries(op.period, times, totals)
+    series = gcl.IncrementSeries(op.period, totals)
     field = ifmv_ts(extract_linear_and_periodic(series), op)
     np.testing.assert_allclose(field.total, slope, atol=1e-12)
 
@@ -276,11 +298,11 @@ def test_ts_constant_slope_series():
 def test_ts_zero_increments_zero_ifmv():
     op = SpectralOperator(3)
     times = np.append(op.times, op.period)
-    series = gcl.IncrementSeries(op.period, times, np.zeros((2, 6, len(times))))
+    series = gcl.IncrementSeries(op.period, np.zeros((2, 6, len(times))))
     field = ifmv_ts(extract_linear_and_periodic(series), op)
     assert np.abs(field.total).max() == 0.0
     # the per-direction layout, time still last
-    series = gcl.IncrementSeries(op.period, times, np.zeros((2, 6, 3, len(times))))
+    series = gcl.IncrementSeries(op.period, np.zeros((2, 6, 3, len(times))))
     field = ifmv_ts(extract_linear_and_periodic(series), op)
     assert np.abs(field.total).max() == 0.0
 
@@ -289,7 +311,7 @@ def test_nlfd_refuses_an_operator_of_another_sampling():
     # an operator at T = 1 on increments over T = 2 differentiates them as
     # if they were twice as fast; N is checked by the sample count
     times = np.append(SpectralOperator(2, 2.0).times, 2.0)
-    series = gcl.IncrementSeries(2.0, times, np.sin(np.pi * times)[None] * np.ones((6, 1)))
+    series = gcl.IncrementSeries(2.0, np.sin(np.pi * times)[None] * np.ones((6, 1)))
     series = extract_linear_and_periodic(series)
     with pytest.raises(ValueError, match=r"period 1\.0 differs from the increments' 2\.0"):
         ifmv_nlfd(series, SpectralOperator(2))
@@ -334,14 +356,14 @@ def periodic_plus_linear(draw):
     periodic = periodic - periodic[:, :1]
     times = np.append(op.times, op.period)
     totals = np.concatenate([periodic, periodic[:, :1]], axis=1) + slope * times
-    return op, gcl.IncrementSeries(op.period, times, totals)
+    return op, gcl.IncrementSeries(op.period, totals)
 
 
 def _subnormal_draw(period):
     """Subnormal totals that Hypothesis drew; the gap is 2e-323 at T = 1."""
     op = SpectralOperator(1, period)
     totals = np.array([[0.0, -5e-324, -5e-324, 0.0]])
-    return op, gcl.IncrementSeries(period, np.append(op.times, period), totals)
+    return op, gcl.IncrementSeries(period, totals)
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,3 +462,82 @@ def test_interior_faces_exactly_antisymmetric(paper_mesh, case5_fields, method):
         a = total[low.ravel(), low_slot]
         b = total[high.ravel(), high_slot]
         assert np.array_equal(a, -b)
+
+
+# -- a cyclic time shift ------------------------------------------------------
+
+_SHIFT_MESH = build_box_mesh(6, 6, 6, 3.2, 2.8, 2.4)
+_SHIFT_TRAJECTORIES = {}
+
+
+def _shift_trajectory(case_id, n):
+    if (case_id, n) not in _SHIFT_TRAJECTORIES:
+        case = MotionCase.for_case(case_id)
+        _SHIFT_TRAJECTORIES[case_id, n] = sample_motion(_SHIFT_MESH, case, n)
+    return _SHIFT_TRAJECTORIES[case_id, n]
+
+
+def _rolled(trajectory, k):
+    """The trajectory started at t_k: every array's instants rolled by k."""
+    return dataclasses.replace(
+        trajectory,
+        times=np.roll(trajectory.times, -k),
+        positions=np.roll(trajectory.positions, -k, axis=0),
+        velocities=np.roll(trajectory.velocities, -k, axis=0),
+        volumes=np.roll(trajectory.volumes, -k, axis=1),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case_id=st.sampled_from(["case1", "case2", "case3", "case4", "case5"]),
+    n=st.integers(1, 4),
+    data=st.data(),
+)
+def test_cyclic_time_shift_rolls_the_fields(case_id, n, data):
+    mesh, trajectory = _SHIFT_MESH, _shift_trajectory(case_id, n)
+    k = data.draw(st.integers(0, 2 * n), label="k")
+    shifted = _rolled(trajectory, k)
+    # the instantaneous fields are elementwise in the instants
+    for method in (trimap_field, ifmv_avg):
+        rolled = np.roll(method(mesh, trajectory).total, -k, axis=1)
+        assert np.array_equal(method(mesh, shifted).total, rolled), method.__name__
+
+    # AEVI sums the same per-step sweeps s_j from another start.  In exact
+    # arithmetic the totals move by a constant, the slope is the same and D
+    # annihilates the constant, so G is rolled exactly.  In rounding (unit u,
+    # S the sum of |s_j| of an interface, |T_n| <= S and |p_n| <= 2 S): each
+    # series' totals, slope, ramp and subtraction round by at most
+    # 3 (2N+1) u S; D p rounds by at most (2N+1) u |D| 2 S per series; the
+    # constant meets D's rounded row sums, 2 S |D 1|; the two slopes differ by
+    # 2 (2N+1) u S / T.
+    spectral = SpectralOperator(n, trajectory.case.period)
+    d_norm = np.abs(spectral.d_matrix).sum(axis=1).max()
+    row_sums = np.abs(spectral.d_matrix.sum(axis=1)).max()
+    u, nts, period = np.finfo(float).eps / 2, 2 * n + 1, spectral.period
+    quads = trajectory.positions[:, mesh.interface_vertex_ids]
+    steps = sweep_volume(quads, np.concatenate([quads[1:], quads[:1]]))
+    sweep = np.abs(steps).sum(axis=0)
+    bound = sweep * (nts * u * (10.0 * d_norm + 2.0 / period) + 2.0 * row_sums)
+    aevi = ifmv_nlfd(aevi_increments(mesh, trajectory), spectral)
+    moved = ifmv_nlfd(aevi_increments(mesh, shifted), spectral)
+    gap = np.abs(moved.total - np.roll(aevi.total, -k, axis=1))
+    worst = int(np.argmax(gap.max(axis=1) - bound))
+    assert (gap <= bound[:, None]).all(), (
+        f"AEVI moved {gap[worst].max():.2e} at interface {worst}, bound {bound[worst]:.2e}"
+    )
+    # its conservation defect stays at rounding: the cell sums of six faces
+    # move by at most 6 bound plus their own rounding, 2 * 5 u sum |G|, and
+    # D of the rolled volumes by 2 (2N+1) u |D| |V|
+    err1 = metrics.abs_err_sum_vs_dvoldt(
+        mesh, aevi, spectral.differentiate(trajectory.volumes)
+    )
+    shifted_err1 = metrics.abs_err_sum_vs_dvoldt(
+        mesh, moved, spectral.differentiate(shifted.volumes)
+    )
+    slack = (
+        6.0 * bound.max()
+        + 10.0 * u * 6.0 * np.abs(aevi.total).max()
+        + 2.0 * nts * u * d_norm * np.abs(trajectory.volumes).max()
+    )
+    assert shifted_err1 <= err1 + slack, (shifted_err1, err1, slack)

@@ -183,14 +183,14 @@ def test_results_do_not_depend_on_where_the_mesh_sits(paper_mesh, case_id, n, sh
     ids = paper_mesh.interface_vertex_ids
     face_velocities = trajectory.velocities[:, ids]
     flux_move = np.abs(
-        quad_flux(moved.positions[:-1, ids], face_velocities)
-        - quad_flux(trajectory.positions[:-1, ids], face_velocities)
+        quad_flux(moved.positions[:, ids], face_velocities)
+        - quad_flux(trajectory.positions[:, ids], face_velocities)
     )
     assert flux_move.max() <= 1e-12, f"quad_flux moved {flux_move.max():.1e}; {floors}"
     cell_velocities = cell_corners(paper_mesh, trajectory.velocities)
     rate_move = np.abs(
-        dvoldt_trimap(moved_corners[:-1], cell_velocities)
-        - dvoldt_trimap(corners[:-1], cell_velocities)
+        dvoldt_trimap(moved_corners, cell_velocities)
+        - dvoldt_trimap(corners, cell_velocities)
     )
     assert rate_move.max() <= 1e-12, f"dvoldt_trimap moved {rate_move.max():.1e}; {floors}"
 
@@ -198,7 +198,7 @@ def test_results_do_not_depend_on_where_the_mesh_sits(paper_mesh, case_id, n, sh
     # arithmetic; the defect is the rounding of that closure, taken through
     # the spectral derivative D.
     spectral = SpectralOperator(n, trajectory.case.period)
-    dvoldt = spectral.differentiate(hex_volume(moved_corners[:-1]).T)
+    dvoldt = spectral.differentiate(hex_volume(moved_corners).T)
     norm = np.abs(spectral.d_matrix).sum(axis=1).max()
     for maker in (gcl.lvi_increments, gcl.aevi_increments):
         field = gcl.ifmv_ts(maker(paper_mesh, moved), spectral)

@@ -78,7 +78,7 @@ def _slot_field(point, method):
     series = maker(point.mesh, point.trajectory)
     totals = _cell_slots(point.mesh, series.totals)
     split = gcl.extract_linear_and_periodic(
-        gcl.IncrementSeries(series.period, series.times, totals)
+        gcl.IncrementSeries(series.period, totals)
     )
     return gcl.ifmv_nlfd(split, point.spectral).total
 

@@ -70,13 +70,6 @@ def test_case1_initial_velocity(paper_mesh):
     np.testing.assert_allclose(vel[0, :, 0], expected, atol=1e-13)
 
 
-@pytest.mark.parametrize("case_id", ALL_CASES)
-def test_periodic_closure_exact(small_mesh, case_id):
-    traj = sample_motion(small_mesh, MotionCase.for_case(case_id), 2)
-    assert np.array_equal(traj.positions[-1], traj.positions[0])
-    assert len(traj.velocities) == traj.nts  # only the instants that are read
-
-
 @pytest.mark.parametrize("case_id", [c for c in ALL_CASES if c != "case5"])
 def test_starts_from_undeformed_mesh(small_mesh, case_id):
     traj = sample_motion(small_mesh, MotionCase.for_case(case_id), 1)
@@ -122,10 +115,9 @@ def test_shared_fields_give_the_same_trajectory(small_mesh, case_id):
 
 def test_sampling_grid(small_mesh):
     traj = sample_motion(small_mesh, MotionCase.for_case("case1"), 3)
-    assert traj.nts == 7
-    np.testing.assert_allclose(traj.times[:-1], np.arange(7) / 7.0, atol=1e-15)
-    assert traj.times[-1] == 1.0
-    assert traj.positions.shape == (8, len(small_mesh.vertices), 3)
+    np.testing.assert_allclose(traj.times, np.arange(7) / 7.0, atol=1e-15)
+    assert traj.times.shape == (7,)
+    assert traj.positions.shape == (7, len(small_mesh.vertices), 3)
 
 
 @pytest.mark.parametrize("case_id", ALL_CASES)
@@ -391,9 +383,9 @@ def _reference_rbf_motion(mesh, case, t):
 def test_spread_modes_match_per_instant_interpolation(paper_mesh, case_id, n):
     case = MotionCase.for_case(case_id)
     traj = sample_motion(paper_mesh, case, n)
-    pos, vel = _reference_rbf_motion(paper_mesh, case, traj.times[:-1])
+    pos, vel = _reference_rbf_motion(paper_mesh, case, traj.times)
     scale = np.abs(pos - paper_mesh.vertices).max()
-    assert np.abs(traj.positions[:-1] - pos).max() <= 1e-13 * scale
+    assert np.abs(traj.positions - pos).max() <= 1e-13 * scale
     assert np.abs(traj.velocities - vel).max() <= 1e-13 * scale
 
 
@@ -401,9 +393,9 @@ def test_spread_modes_match_per_instant_interpolation(paper_mesh, case_id, n):
 def test_boundary_vertices_follow_prescribed_law(paper_mesh, case_id):
     case = MotionCase.for_case(case_id)
     traj = sample_motion(paper_mesh, case, 10)
-    disp_r, vel_r = _reference_boundary(paper_mesh, case, traj.times[:-1])
+    disp_r, vel_r = _reference_boundary(paper_mesh, case, traj.times)
     boundary = paper_mesh.boundary_vertex_ids()
-    moved = traj.positions[:-1, boundary] - paper_mesh.vertices[boundary]
+    moved = traj.positions[:, boundary] - paper_mesh.vertices[boundary]
     assert np.abs(moved - disp_r).max() <= 1e-12
     assert np.abs(traj.velocities[:, boundary] - vel_r).max() <= 1e-12
 
