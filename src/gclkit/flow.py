@@ -390,6 +390,18 @@ class FreestreamProblem:
         area = max(a.area.max() for a in self._axes)
         return float(np.abs(W_INF).max() * speed * area)
 
+    def residual_floor(self) -> float:
+        """The residual RMS a solve stops on: ``1e-14 * flux_scale()``, or
+        twice the float64 rounding of the time term ``D(V w)`` where that is
+        larger.  Its time scale is the freestream's largest conservative
+        value times the largest cell volume times ``2 pi N / T``: it grows
+        as L^3 N against the flux scale's L^2, so a large box or a large N
+        leaves a conserving field's residual above the flux term alone."""
+        spectral = self.spectral
+        rate = 2.0 * np.pi * spectral.n_harmonics / spectral.period
+        time_scale = np.abs(W_INF).max() * self.volumes.max() * rate
+        return max(1e-14 * self.flux_scale(), 2.0 * np.finfo(float).eps * float(time_scale))
+
     # -- Newton-Krylov solve -----------------------------------------------
 
     def _line_factors(self):
@@ -530,7 +542,7 @@ class FreestreamProblem:
         through the result, not raised.
         """
         wbar = self.initial_state()
-        floor = 1e-14 * self.flux_scale()
+        floor = self.residual_floor()
         stop_reason, krylov, forcing = "max_iterations", 0, FORCING_MAX
         # a diverging solve overflows on its way to a non-finite state
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -2,15 +2,14 @@
 
 Five benchmark deformations of the box mesh plus two rigid calibration
 motions, each one row of :data:`CASES`: the parameters it reads with their
-defaults, its spatial fields and its time law.  Every case is a few spatial
-fields times functions of time, so :func:`case_fields` builds the fields
-once per (mesh, case) and the law applies to them at every instant.  Cases
-1-3 and the rigid motions evaluate their fields at every vertex; cases 4
-and 5 evaluate theirs on the boundary and let RBF interpolation spread them
-into the volume.  Four laws serve the seven cases: a straight-line shift, a
-rotation about a pivot, case 3's orbit and case 5's pitch.  Velocities are
-always the exact analytic time derivatives of the positions, never finite
-differences.
+defaults, its two spatial fields f1 and f2 and its angle law a(t).  One law
+moves every case: x goes to x + (cos a - 1) f1 + sin a f2, at the exact
+velocity (a' cos a) f2 - (a' sin a) f1.  A straight line has f1 = 0 and
+a = 2 pi t / T; a turn by a about a pivot has f1 the offset from the pivot
+and f2 that offset turned a quarter turn.  The positions are affine in
+(cos a - 1, sin a), so each corner Jacobian is a cubic in them.
+:func:`case_fields` builds the fields once per (mesh, case); cases 4 and 5
+give modes on the boundary, which RBF interpolation spreads into the volume.
 """
 
 from __future__ import annotations
@@ -138,73 +137,29 @@ class MotionTrajectory:
     volumes: np.ndarray  # (n_cells, 2N+1)
 
 
-def _phase(t: np.ndarray, period: float) -> np.ndarray:
-    return 2.0 * np.pi * np.asarray(t, dtype=float) / period
+def _steady(case, theta):
+    """a = 2 pi t / T, turned at the steady rate 2 pi / T."""
+    return theta, 2.0 * np.pi / case.period
 
 
-def _shift(mesh, case, t, fields):
-    """Straight-line paths: the fields scaled by sin(2 pi t / T)."""
-    theta = _phase(t, case.period)[:, None, None]
-    pos = mesh.vertices + np.sin(theta) * fields
-    vel = (2.0 * np.pi / case.period) * np.cos(theta) * fields
-    return pos, vel
+def _sine(case, theta):
+    """a = alpha0 sin(2 pi t / T)."""
+    return case.alpha0 * np.sin(theta), case.alpha0 * (2.0 * np.pi / case.period) * np.cos(theta)
 
 
-def _pivoted(pivot_x, pivot_y, offset_x, offset_y, sense):
-    """Rotation fields, (n, 5): pivots, offsets from them, sense (+1 counter-clockwise)."""
-    return np.stack(np.broadcast_arrays(pivot_x, pivot_y, offset_x, offset_y, sense), axis=-1)
+def _cosine(case, theta):
+    """a = alpha0 cos(2 pi t / T)."""
+    return case.alpha0 * np.cos(theta), -case.alpha0 * (2.0 * np.pi / case.period) * np.sin(theta)
 
 
-def _rotation(mesh, case, t, fields):
-    """Each offset turned about its pivot in the x-y plane by alpha0 sin(2 pi t / T)."""
-    theta = _phase(t, case.period)
-    alpha = case.alpha0 * np.sin(theta)[:, None]
-    alpha_dot = case.alpha0 * (2.0 * np.pi / case.period) * np.cos(theta)[:, None]
-    px, py, dx, dy, sense = fields.T
-    # the sense flips sin and the rate; cos(-a) is cos(a)
-    ca, sa, ad = np.cos(alpha), sense * np.sin(alpha), sense * alpha_dot
-    x = px + ca * dx - sa * dy
-    y = py + sa * dx + ca * dy
-    vx = ad * (-sa * dx - ca * dy)
-    vy = ad * (ca * dx - sa * dy)
-    pos = np.stack([x, y, np.broadcast_to(mesh.vertices[:, 2], x.shape)], axis=-1)
-    vel = np.stack([vx, vy, np.zeros_like(x)], axis=-1)
-    return pos, vel
+def _pair(*components):
+    """f1 and f2, (n, 2, 3), from f1's three components then f2's, each (n,)
+    or a number; stored field by field, each one contiguous block."""
+    both = np.stack(np.broadcast_arrays(*components), axis=-1)
+    return np.stack([both[:, :3], both[:, 3:]]).transpose(1, 0, 2)
 
 
-def _orbit(mesh, case, t, fields):
-    """The points where the field is 1 circle at radius r through their rest place."""
-    alpha = _phase(t, case.period)
-    r = case.radius
-    disp = np.stack(
-        [r * (1.0 - np.cos(alpha)), r * np.sin(alpha), np.zeros_like(alpha)], axis=-1
-    )  # (Nt, 3)
-    vel1 = (2.0 * np.pi / case.period) * np.stack(
-        [r * np.sin(alpha), r * np.cos(alpha), np.zeros_like(alpha)], axis=-1
-    )
-    pos = mesh.vertices + fields * disp[:, None, :]
-    vel = fields * vel1[:, None, :] * np.ones((len(t), 1, 1))
-    return pos, vel
-
-
-def _pitch(mesh, case, t, fields):
-    """Rigid pitching about x_p (angle alpha0 cos) of the offsets x - x_p and y."""
-    theta = _phase(t, case.period)
-    alpha = case.alpha0 * np.cos(theta)[:, None]
-    alpha_dot = -case.alpha0 * (2.0 * np.pi / case.period) * np.sin(theta)[:, None]
-    dx, y0 = fields.T
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    sx = dx * (ca - 1.0) + y0 * sa
-    sy = -dx * sa + y0 * (ca - 1.0)
-    vx = alpha_dot * (-dx * sa + y0 * ca)
-    vy = alpha_dot * (-dx * ca - y0 * sa)
-    zeros = np.zeros_like(sx)
-    pos = mesh.vertices + np.stack([sx, sy, zeros], axis=-1)
-    vel = np.stack([vx, vy, zeros], axis=-1)
-    return pos, vel
-
-
-def _case4_fields(mesh, case, points):
+def _case4_modes(mesh, case, points):
     """Each control point's random straight-line direction, (Nr, 3)."""
     rng = np.random.default_rng(case.seed)
     amp = rng.uniform(-case.rbf_amplitude, case.rbf_amplitude, (len(points), 3))
@@ -213,52 +168,63 @@ def _case4_fields(mesh, case, points):
 
 
 class CaseRow(NamedTuple):
-    """One motion case of :data:`CASES`."""
+    """One motion case of :data:`CASES`: a vertex x moves to
+    x + (cos a - 1) f1 + sin a f2 under the angle a(t) of its law."""
 
     params: dict[str, Any]  # every parameter the case reads -> its default
-    fields: Callable  # (mesh, case, points) -> the spatial fields at the points
-    law: Callable  # (mesh, case, t, fields at every vertex) -> positions, velocities
-    spread: bool = False  # fields given on the boundary and spread by RBF
+    # (mesh, case, values) -> f1 and f2 at every vertex, (n_vertices, 2, 3);
+    # the values are the vertices, or the spread modes of a spread case
+    fields: Callable
+    angle: Callable  # (case, 2 pi t / T) -> a and its rate a'
+    # None, or (mesh, case, boundary points) -> the modes RBF spreads into the volume
+    spread: Callable | None = None
 
 
 # The benchmark definitions leave amplitudes free as long as no cell
 # degenerates; these defaults pass that gate on the 10x10x10 mesh and are
 # overridable from the CLI.
-CASES = {  # the fields are functions of (mesh m, case c, points p)
-    # a sine bump times the amplitude
+CASES = {  # the fields are functions of (mesh m, case c, values v)
+    # straight lines: a sine bump times the amplitude
     "case1": CaseRow(
         {"amplitude": (0.15, 0.15, 0.15)},
-        lambda m, c, p: np.sin(np.pi * p / m.lengths).prod(axis=1, keepdims=True)
-        * np.asarray(c.amplitude),
-        _shift,
+        lambda m, c, v: _pair(
+            0, 0, 0, *(np.sin(np.pi * v / m.lengths).prod(axis=1, keepdims=True) * c.amplitude).T
+        ),
+        _steady,
     ),
     # (x, y) -> (x + y sin a, y cos a): the offset (0, y) turned clockwise about (x, 0)
     "case2": CaseRow(
-        {"alpha0": 0.05}, lambda m, c, p: _pivoted(p[:, 0], 0.0, 0.0, p[:, 1], -1.0), _rotation
+        {"alpha0": 0.05}, lambda m, c, v: _pair(0, v[:, 1], 0, v[:, 1], 0, 0), _sine
     ),
-    # the interior vertices orbit, the boundary stays
+    # the interior vertices go round a circle of radius r through their rest place
     "case3": CaseRow(
-        {"radius": 0.05}, lambda m, c, p: (~m.boundary_vertex_mask())[:, None] * 1.0, _orbit
+        {"radius": 0.05},
+        lambda m, c, v: _pair(-(r := c.radius * ~m.boundary_vertex_mask()), 0, 0, 0, r, 0),
+        _steady,
     ),
     "case4": CaseRow(
-        {"rbf_amplitude": 0.05, "seed": 42, "support_radius": None}, _case4_fields, _shift, True
+        {"rbf_amplitude": 0.05, "seed": 42, "support_radius": None},
+        lambda m, c, v: _pair(0, 0, 0, *v.T),
+        _steady,
+        _case4_modes,
     ),
+    # pitching about x_p: the offsets x - x_p and y turned clockwise
     "case5": CaseRow(
         {"alpha0": 0.08, "pivot_fraction": 0.621, "support_radius": None},
+        lambda m, c, v: _pair(v[:, 0], v[:, 1], 0, v[:, 1], -v[:, 0], 0),
+        _cosine,
         lambda m, c, p: np.stack([p[:, 0] - c.pivot_fraction * m.lx, p[:, 1]], axis=-1),
-        _pitch,
-        True,
     ),
     "rigid-translation": CaseRow(
         {"amplitude": (0.1, 0.05, 0.02)},
-        lambda m, c, p: np.broadcast_to(c.amplitude, p.shape),
-        _shift,
+        lambda m, c, v: _pair(0, 0, 0, *np.broadcast_to(c.amplitude, v.shape).T),
+        _steady,
     ),
-    # every vertex turned about the box's centre line
+    # every vertex turned counter-clockwise about the box's centre line
     "rigid-rotation": CaseRow(
         {"alpha0": 0.1},
-        lambda m, c, p: _pivoted(*m.lengths[:2] / 2, *(p[:, :2] - m.lengths[:2] / 2).T, 1.0),
-        _rotation,
+        lambda m, c, v: _pair(*(d := v[:, :2] - m.lengths[:2] / 2).T, 0, -d[:, 1], d[:, 0], 0),
+        _sine,
     ),
 }
 CASE_IDS = tuple(CASES)
@@ -276,27 +242,28 @@ def case_parameters(case_id: str) -> frozenset[str]:
 
 
 def case_fields(mesh: HexMesh, case: MotionCase, pool: Executor = rbf.INLINE) -> np.ndarray:
-    """The case's spatial fields at every vertex, read-only, (n_vertices, k).
+    """The case's fields f1 and f2 at every vertex, read-only, (n_vertices, 2, 3).
 
     A closed-form case evaluates them at the vertices.  Cases 4 and 5
-    evaluate theirs at the boundary vertices and spread them into the volume
-    by RBF interpolation, which is linear, so the k fields are spread once
-    and not each instant's displacement.  The RBF build's grid half runs as
-    one task on ``pool`` while the calling thread factors the Gram blocks
-    (:func:`rbf.build_system`); either half computes the same values on any
-    thread, so the fields have the same bytes.  The fields depend on the
+    evaluate their modes (three and two) at the boundary vertices, spread
+    them into the volume by RBF interpolation, which is linear, and form f1
+    and f2 from them: the modes are spread once, and not each instant's
+    displacement nor the fields' zero and repeated components.  The RBF
+    build's grid half runs as one task on ``pool`` while the calling thread
+    factors the Gram blocks (:func:`rbf.build_system`); either half computes
+    the same values on any thread, so the fields have the same bytes.  The fields depend on the
     mesh and the case only, not on N: a harmonic sweep builds them once and
     shares them read-only, and an RBF system is dropped on return.
     """
     row = _row(case.case_id)
-    if row.spread:
+    values = mesh.vertices
+    if row.spread is not None:
         points = mesh.vertices[mesh.boundary_vertex_ids()]
         system = rbf.build_system(
             points, mesh.vertices, case.resolved_support_radius(mesh), pool
         )
-        fields = rbf.interpolate(system, row.fields(mesh, case, points))
-    else:
-        fields = row.fields(mesh, case, mesh.vertices)
+        values = rbf.interpolate(system, row.spread(mesh, case, points))
+    fields = row.fields(mesh, case, values)
     fields.flags.writeable = False
     return fields
 
@@ -309,15 +276,18 @@ def evaluate_motion(
 ):
     """Vertex positions and velocities at arbitrary instants t (shape (Nt,)).
 
-    The case's time law applies to ``fields`` from :func:`case_fields`,
-    built here when not given.  A period that is not positive and finite
-    raises ValueError.
+    The one law turns ``fields`` from :func:`case_fields`, built here when
+    not given, by the angle of the case's angle law.  A period that is not
+    positive and finite raises ValueError.
     """
     _checked_period(case.period)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    theta = 2.0 * np.pi * np.atleast_1d(np.asarray(t, dtype=float))[:, None, None] / case.period
+    angle, rate = _row(case.case_id).angle(case, theta)
     if fields is None:
         fields = case_fields(mesh, case)
-    return _row(case.case_id).law(mesh, case, t, fields)
+    cos, sin, (f1, f2) = np.cos(angle), np.sin(angle), fields.transpose(1, 0, 2)
+    positions = mesh.vertices + (cos - 1.0) * f1 + sin * f2
+    return positions, (rate * cos) * f2 - (rate * sin) * f1
 
 
 def _by_component(*arrays: np.ndarray) -> np.ndarray:

@@ -68,10 +68,6 @@ class SpectralOperator:
         self.nts = 2 * self.n_harmonics + 1
         self.wavenumbers = np.arange(-self.n_harmonics, self.n_harmonics + 1)
         self.times = np.arange(self.nts) * self.period / self.nts
-        # forward: c_k = (1/Nts) sum_n s_n exp(-i 2 pi k t_n / T)
-        phase = np.outer(self.wavenumbers, self.times) * (2.0 * np.pi / self.period)
-        self._forward = np.exp(-1j * phase) / self.nts
-        self._inverse = np.exp(1j * phase).T
         self.d_matrix = ts_matrix(self.n_harmonics, self.period)
 
     def _along_time(self, values: np.ndarray, what: str = "samples") -> np.ndarray:
@@ -80,13 +76,18 @@ class SpectralOperator:
             raise ValueError(f"expected {self.nts} {what} on the last axis, got {values.shape[-1]}")
         return values
 
+    def _phases(self) -> np.ndarray:
+        """The transforms' phases 2 pi k t_n / T, (k, n), formed per call."""
+        return np.outer(self.wavenumbers, self.times) * (2.0 * np.pi / self.period)
+
     def dft(self, samples: np.ndarray) -> np.ndarray:
-        """Fourier coefficients c_k, k = -N..N, of samples along the last axis."""
-        return self._along_time(samples) @ self._forward.T
+        """Fourier coefficients c_k = (1/Nts) sum_n s_n exp(-i 2 pi k t_n / T),
+        k = -N..N, of samples along the last axis."""
+        return self._along_time(samples) @ (np.exp(-1j * self._phases()) / self.nts).T
 
     def idft(self, coefficients: np.ndarray) -> np.ndarray:
         """Samples at t_n reconstructed from coefficients along the last axis."""
-        return self._along_time(coefficients, "coefficients") @ self._inverse.T
+        return self._along_time(coefficients, "coefficients") @ np.exp(1j * self._phases())
 
     def differentiate(self, samples: np.ndarray) -> np.ndarray:
         """Spectral time derivative at the samples along the last axis, D s.

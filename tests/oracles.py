@@ -33,14 +33,17 @@ IFMV field gives the freestream solve a known conservation defect.  The
 gather of every element's corners, block by block, is the route that
 slicing the structured vertex grid at fixed corner offsets replaced in
 ``HexMesh.blockwise``.  A box mesh with its interior vertices displaced
-gives the kernels faces that are not rectangles.
+gives the kernels faces that are not rectangles.  The four hand-written
+laws (a straight-line shift, a rotation about a pivot, case 3's orbit and
+case 5's pitch), each stating its positions and its own velocities, are the
+route that the one law x + (cos a - 1) f1 + sin a f2 replaced.
 """
 
 import dataclasses
 
 import numpy as np
 
-from gclkit import flow, gcl, hexmesh
+from gclkit import flow, gcl, hexmesh, motion, rbf
 from gclkit.flow import (
     CONVERGENCE_DROP,
     GAMMA,
@@ -417,11 +420,11 @@ def rk_march(problem, cfl=1.5, max_iterations=20000, drop=CONVERGENCE_DROP):
     Local time steps from :meth:`FreestreamProblem.local_timestep` at the
     initial state; every stage evaluates the full residual and blends the
     dissipation of stages 1, 3 and 5.  The march stops on the solver's own
-    rule: the stage-1 residual at ``1e-14 * flux_scale()`` ("floor") or
+    rule: the stage-1 residual at ``residual_floor()`` ("floor") or
     fallen by ``drop`` ("drop"), else "max_iterations".
     """
     wbar = problem.initial_state()
-    floor = 1e-14 * problem.flux_scale()
+    floor = problem.residual_floor()
     dt = problem.local_timestep(wbar, cfl)
     stop_reason, initial = "max_iterations", None
     for iteration in range(1, max_iterations + 1):
@@ -548,6 +551,108 @@ def double_precision_preconditioner(problem):
         return (vbar * np.fft.irfft(y, nts, axis=1)).ravel()
 
     return apply
+
+
+# -- the four hand-written motion laws that the one law of ``motion`` replaced,
+# with the fields each read; kept verbatim
+
+
+def _phase(t: np.ndarray, period: float) -> np.ndarray:
+    return 2.0 * np.pi * np.asarray(t, dtype=float) / period
+
+
+def _shift(mesh, case, t, fields):
+    """Straight-line paths: the fields scaled by sin(2 pi t / T)."""
+    theta = _phase(t, case.period)[:, None, None]
+    pos = mesh.vertices + np.sin(theta) * fields
+    vel = (2.0 * np.pi / case.period) * np.cos(theta) * fields
+    return pos, vel
+
+
+def _pivoted(pivot_x, pivot_y, offset_x, offset_y, sense):
+    """Rotation fields, (n, 5): pivots, offsets from them, sense (+1 counter-clockwise)."""
+    return np.stack(np.broadcast_arrays(pivot_x, pivot_y, offset_x, offset_y, sense), axis=-1)
+
+
+def _rotation(mesh, case, t, fields):
+    """Each offset turned about its pivot in the x-y plane by alpha0 sin(2 pi t / T)."""
+    theta = _phase(t, case.period)
+    alpha = case.alpha0 * np.sin(theta)[:, None]
+    alpha_dot = case.alpha0 * (2.0 * np.pi / case.period) * np.cos(theta)[:, None]
+    px, py, dx, dy, sense = fields.T
+    # the sense flips sin and the rate; cos(-a) is cos(a)
+    ca, sa, ad = np.cos(alpha), sense * np.sin(alpha), sense * alpha_dot
+    x = px + ca * dx - sa * dy
+    y = py + sa * dx + ca * dy
+    vx = ad * (-sa * dx - ca * dy)
+    vy = ad * (ca * dx - sa * dy)
+    pos = np.stack([x, y, np.broadcast_to(mesh.vertices[:, 2], x.shape)], axis=-1)
+    vel = np.stack([vx, vy, np.zeros_like(x)], axis=-1)
+    return pos, vel
+
+
+def _orbit(mesh, case, t, fields):
+    """The points where the field is 1 circle at radius r through their rest place."""
+    alpha = _phase(t, case.period)
+    r = case.radius
+    disp = np.stack(
+        [r * (1.0 - np.cos(alpha)), r * np.sin(alpha), np.zeros_like(alpha)], axis=-1
+    )  # (Nt, 3)
+    vel1 = (2.0 * np.pi / case.period) * np.stack(
+        [r * np.sin(alpha), r * np.cos(alpha), np.zeros_like(alpha)], axis=-1
+    )
+    pos = mesh.vertices + fields * disp[:, None, :]
+    vel = fields * vel1[:, None, :] * np.ones((len(t), 1, 1))
+    return pos, vel
+
+
+def _pitch(mesh, case, t, fields):
+    """Rigid pitching about x_p (angle alpha0 cos) of the offsets x - x_p and y."""
+    theta = _phase(t, case.period)
+    alpha = case.alpha0 * np.cos(theta)[:, None]
+    alpha_dot = -case.alpha0 * (2.0 * np.pi / case.period) * np.sin(theta)[:, None]
+    dx, y0 = fields.T
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    sx = dx * (ca - 1.0) + y0 * sa
+    sy = -dx * sa + y0 * (ca - 1.0)
+    vx = alpha_dot * (-dx * sa + y0 * ca)
+    vy = alpha_dot * (-dx * ca - y0 * sa)
+    zeros = np.zeros_like(sx)
+    pos = mesh.vertices + np.stack([sx, sy, zeros], axis=-1)
+    vel = np.stack([vx, vy, zeros], axis=-1)
+    return pos, vel
+
+
+# case id -> (fields at the vertices, or of a spread case its spread modes; law)
+_LAWS = {
+    "case1": (
+        lambda m, c, p: np.sin(np.pi * p / m.lengths).prod(axis=1, keepdims=True)
+        * np.asarray(c.amplitude),
+        _shift,
+    ),
+    "case2": (lambda m, c, p: _pivoted(p[:, 0], 0.0, 0.0, p[:, 1], -1.0), _rotation),
+    "case3": (lambda m, c, p: (~m.boundary_vertex_mask())[:, None] * 1.0, _orbit),
+    "case4": (lambda m, c, modes: modes, _shift),
+    "case5": (lambda m, c, modes: modes, _pitch),
+    "rigid-translation": (lambda m, c, p: np.broadcast_to(c.amplitude, p.shape), _shift),
+    "rigid-rotation": (
+        lambda m, c, p: _pivoted(*m.lengths[:2] / 2, *(p[:, :2] - m.lengths[:2] / 2).T, 1.0),
+        _rotation,
+    ),
+}
+
+
+def law_motion(mesh, case, t):
+    """Vertex positions and velocities at the instants ``t`` by the case's
+    own hand-written law.  A spread case's modes are spread as the package
+    spreads them, so its fields are the package's."""
+    row, (fields, law) = motion.CASES[case.case_id], _LAWS[case.case_id]
+    values = mesh.vertices
+    if row.spread is not None:
+        points = mesh.vertices[mesh.boundary_vertex_ids()]
+        system = rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
+        values = rbf.interpolate(system, row.spread(mesh, case, points))
+    return law(mesh, case, np.atleast_1d(t), fields(mesh, case, values))
 
 
 def warped_box_mesh(counts, warp, seed):

@@ -424,14 +424,14 @@ def test_solve_counts_and_drifts_hold_on_the_6_cube_table():
 
 
 @pytest.mark.parametrize(
-    "length, stop", [(1e30, (1, "floor")), (1e50, (1, "floor")), (1e70, (0, "diverged"))],
+    "length, stop", [(1e30, (0, "floor")), (1e50, (0, "floor")), (1e70, (0, "diverged"))],
     ids=["1e30", "1e50", "1e70"],
 )
 def test_large_boxes_keep_their_stop_reasons(length, stop):
-    # a conserving and a non-conserving field each take one Newton step to
-    # the floor; the preconditioner's range scalings keep float32 from
-    # turning that step into a non-finite state.  At 1e70 the residual
-    # itself overflows before any step
+    # a conserving and a non-conserving field both start under the floor's
+    # time term, twice the rounding of D(V w), which grows as L^3 against the
+    # flux term's L^2.  At 1e70 the residual is finite, but its RMS overflows
+    # before any step
     from gclkit.hexmesh import build_box_mesh
 
     mesh = build_box_mesh(3, 3, 3, length, length, length)
@@ -442,6 +442,35 @@ def test_large_boxes_keep_their_stop_reasons(length, stop):
     for ifmv in (lvi, zero_ifmv(mesh, traj)):
         result = FreestreamProblem(mesh, traj, op, ifmv).march()
         assert (result.iterations, result.stop_reason) == stop
+
+
+@pytest.mark.parametrize(
+    "case_id, cells, length, n_harmonics",
+    [
+        *((c, 3, length, 1) for c in ("case1", "case2", "rigid-rotation") for length in (1e5, 1e10)),
+        ("case4", 10, None, 60),
+    ],
+    ids=lambda v: f"{v:g}" if isinstance(v, float) else str(v),
+)
+def test_conserving_fields_start_on_the_floor_of_any_box_and_n(
+    case_id, cells, length, n_harmonics
+):
+    # the time term D(V w) grows as L^3 N and the flux term as L^2: on these
+    # boxes 1e-14 of the flux scale alone sits below a conserving field's
+    # rounding, which ran LVI to the Newton cap or to divergence
+    from gclkit.hexmesh import build_box_mesh
+
+    lengths = (length,) * 3 if length else (3.2, 2.8, 2.4)
+    mesh = build_box_mesh(cells, cells, cells, *lengths)
+    case = MotionCase.for_case(case_id)
+    traj = sample_motion(mesh, case, n_harmonics)
+    op = SpectralOperator(n_harmonics, case.period)
+    lvi = gcl.ifmv_nlfd(gcl.lvi_increments(mesh, traj), op)
+    for name, ifmv in (("lvi", lvi), ("aevi", aevi_field(mesh, traj, op))):
+        problem = FreestreamProblem(mesh, traj, op, ifmv)
+        result = problem.march()
+        assert (result.iterations, result.stop_reason) == (0, "floor"), name
+        assert result.initial_residual > 1e-14 * problem.flux_scale(), name
 
 
 def test_max_iterations_stop_is_neither_converged_nor_diverged(monkeypatch):

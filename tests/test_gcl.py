@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gclkit import gcl, metrics
+from gclkit.experiments import evaluate_point, prepare_point
 from gclkit.gcl import (
     aevi_increments,
     extract_linear_and_periodic,
@@ -32,6 +33,7 @@ from oracles import (
     quad_flux_oracle,
     random_hexahedra,
     six_face_dvoldt,
+    warped_box_mesh,
 )
 
 
@@ -541,3 +543,36 @@ def test_cyclic_time_shift_rolls_the_fields(case_id, n, data):
         + 2.0 * nts * u * d_norm * np.abs(trajectory.volumes).max()
     )
     assert shifted_err1 <= err1 + slack, (shifted_err1, err1, slack)
+
+
+@pytest.mark.parametrize("warp", [0.0, 0.25])
+def test_the_claims_hold_on_a_mesh_whose_faces_are_not_rectangles(warp):
+    # the interior vertices of the 6^3 box moved by up to a quarter of a cell
+    mesh = warped_box_mesh((6, 6, 6), warp, seed=3)
+    eps = np.finfo(float).eps
+    for case_id in CASE_IDS:
+        case = MotionCase.for_case(case_id)
+        for n in (1, 2, 3):
+            point = prepare_point(mesh, case, n)
+            rows = evaluate_point(point, ["nlfd-lvi", "nlfd-aevi", "avg"])
+            lvi, aevi, avg = (row.abs_err1 for row in rows)
+            label = (case_id, n)
+            # LVI/AEVI: both sides of a cell's defect are rows of D dotted
+            # with its volumes, or with its increments, which sum to them;
+            # each rounds to a few ulps of sum_k |D_nk| V_k
+            d_norm = np.abs(point.spectral.d_matrix).sum(axis=1).max()
+            volume_floor = 4.0 * eps * d_norm * point.trajectory.volumes.max()
+            assert lvi <= volume_floor and aevi <= volume_floor, label
+            # TRI-MAP: a cell's six face fluxes and the product-rule rate
+            # round to a few ulps of the largest face flux each, even where
+            # the rate itself is rounding, as under a rigid rotation
+            flux_floor = 12.0 * eps * np.abs(point.reference.total).max()
+            rates = gcl.exact_volume_rates(mesh, point.trajectory)
+            assert np.abs(point.exact_rates - rates).max() <= flux_floor, label
+            if case_id == "rigid-rotation":
+                # AVG, the mean vertex velocity dotted with the area vector,
+                # is exact on the box's rectangles and not on these faces
+                if warp:
+                    assert avg > 1e-3, label
+                else:
+                    assert avg <= volume_floor + flux_floor, label

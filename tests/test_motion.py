@@ -23,6 +23,8 @@ from oracles import (
     cell_corners,
     hex_volume,
     interior_vertex_ids,
+    law_motion,
+    warped_box_mesh,
 )
 
 ALL_CASES = list(CASE_IDS)
@@ -130,7 +132,7 @@ def test_case_row_holds_every_parameter_its_law_reads(case_id):
         if f.name not in ("case_id", "period"):
             assert getattr(case, f.name) == params.get(f.name), f.name
     # an RBF case reads the support radius, None until resolved against the mesh
-    assert ("support_radius" in params) == CASES[case_id].spread
+    assert ("support_radius" in params) == (CASES[case_id].spread is not None)
     sample_motion(build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4), case, 1)
 
 
@@ -279,6 +281,46 @@ def test_analytic_increment_rate_identity():
         assert abs(fd - rate) <= 1e-12
 
 
+# -- reference: the four hand-written laws that the one law replaced ----------
+
+STRAIGHT_LINES = ("case1", "case4", "rigid-translation")
+LAW_MESHES = {
+    "box": build_box_mesh(6, 6, 6, 3.2, 2.8, 2.4),
+    "warped": warped_box_mesh((6, 6, 6), 0.25, seed=3),
+}
+
+
+@pytest.mark.parametrize("mesh_name", LAW_MESHES)
+@pytest.mark.parametrize("case_id", ALL_CASES)
+def test_one_law_matches_the_hand_written_laws(case_id, mesh_name):
+    mesh, case = LAW_MESHES[mesh_name], MotionCase.for_case(case_id)
+    fields = case_fields(mesh, case)
+    f1_max, f2_max = np.abs(fields).max(axis=(0, 2))
+    eps = np.finfo(float).eps
+    for n in range(1, 5):
+        times = _spectral_instants(case, n)
+        pos, vel = evaluate_motion(mesh, case, times, fields)
+        ref_pos, ref_vel = law_motion(mesh, case, times)
+        if case_id in STRAIGHT_LINES:
+            # f1 = 0 and a = 2 pi t / T: x + (cos a - 1) 0 + sin a f2 and
+            # (a' cos a) f2 - (a' sin a) 0 round as the shift's x + sin a f2
+            # and (a' cos a) f2 did.  Only a zero velocity's sign may differ:
+            # -0 - (-0) is +0 where cos a and sin a are both negative
+            assert np.array_equal(pos, ref_pos)
+            assert np.array_equal(np.signbit(pos), np.signbit(ref_pos))
+            assert np.array_equal(vel, ref_vel)
+            continue
+        # both routes form the same polynomial in cos a and sin a, which
+        # they share, with at most four roundings each, each at most half an
+        # ulp of a term below the scale: x + 2 |f1| + |f2| for the positions
+        # (|cos a - 1| <= 2), |a'| (|f1| + |f2|) for the velocities
+        _, rate = CASES[case_id].angle(case, 2.0 * np.pi * times / case.period)
+        pos_scale = np.abs(mesh.vertices).max() + 2.0 * f1_max + f2_max
+        vel_scale = np.abs(rate).max() * (f1_max + f2_max)
+        assert np.abs(pos - ref_pos).max() <= 4.0 * eps * pos_scale, n
+        assert np.abs(vel - ref_vel).max() <= 4.0 * eps * vel_scale, n
+
+
 def _first_degenerate_instant(mesh, times, positions):
     """Reference gate: one detect_degenerate call per sampled instant."""
     for t, instant in zip(times, positions):
@@ -403,8 +445,9 @@ def test_boundary_vertices_follow_prescribed_law(paper_mesh, case_id):
 def test_rbf_spread_keeps_only_the_grid_fields():
     # a 20^3 RBF system holds its eight symmetry blocks, their one SuperLU factor
     # (outside numpy, unseen here) and one block of grid representatives' near
-    # pairs at a time; only the (n_vertices, 2) case-5 fields outlive it.  A first spread on a tiny
-    # mesh imports scipy, whose modules would otherwise count as kept.
+    # pairs at a time; only the (n_vertices, 2, 3) case-5 fields outlive it.  A
+    # first spread on a tiny mesh imports scipy, whose modules would otherwise
+    # count as kept.
     mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("case5")
     case_fields(build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4), case)
@@ -414,7 +457,7 @@ def test_rbf_spread_keeps_only_the_grid_fields():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fields.shape == (len(mesh.vertices), 2)
+    assert fields.shape == (len(mesh.vertices), 2, 3)
     assert kept <= 1e6, f"{kept / 1e6:.2f} MB kept after the spread"
     assert peak <= 90e6, f"allocation peak {peak / 1e6:.1f} MB"
 

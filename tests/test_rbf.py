@@ -195,9 +195,9 @@ def test_case_modes_match_the_full_solve(cells, case_id):
     case = MotionCase.for_case(case_id)
     points = mesh.vertices[mesh.boundary_vertex_ids()]
     radius = case.resolved_support_radius(mesh)
-    fields = motion.CASES[case_id].fields(mesh, case, points)
-    coeff = build_system(points, mesh.vertices, radius).solve(fields)
-    assert _relative_change(coeff, rbf_solve(points, radius, fields)) <= 1e-13
+    modes = motion.CASES[case_id].spread(mesh, case, points)
+    coeff = build_system(points, mesh.vertices, radius).solve(modes)
+    assert _relative_change(coeff, rbf_solve(points, radius, modes)) <= 1e-13
 
 
 def test_one_mirror_plane_gives_two_blocks(rng, monkeypatch):
@@ -299,7 +299,7 @@ def test_paper_case5_box_forms_each_representatives_pairs_once():
     mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("case5")
     points = mesh.vertices[mesh.boundary_vertex_ids()]
-    fields = motion.CASES["case5"].fields(mesh, case, points)
+    modes = motion.CASES["case5"].spread(mesh, case, points)
     with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(1) as pool:
         weighed = _count_calls(patch, rbf, "wendland_c0", pooled=True)
         system = build_system(points, mesh.vertices, case.resolved_support_radius(mesh), pool)
@@ -309,7 +309,7 @@ def test_paper_case5_box_forms_each_representatives_pairs_once():
     with pytest.MonkeyPatch.context() as patch:
         weighed = _count_calls(patch, rbf, "wendland_c0")
         for _ in range(2):
-            interpolate(system, fields)
+            interpolate(system, modes)
     assert not weighed
 
 
