@@ -18,7 +18,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import flow, gcl, hexmesh, metrics
+from . import flow, gcl, metrics
 from .hexmesh import HexMesh, build_box_mesh
 from .motion import MotionCase, MotionTrajectory, case_fields, sample_motion
 from .rbf import INLINE
@@ -229,10 +229,7 @@ def run_sweep(
     runs it, and the rows are put back in (N, method) order by their method
     names, so the rows, and the first error in that order, are those of one
     worker, which runs the same tasks in the same order on the calling
-    thread, each as it is submitted (:data:`gclkit.rbf.INLINE`).  The pool's
-    threads run the geometry kernels in larger blocks
-    (:data:`gclkit.hexmesh.POOLED_BLOCK_ELEMENT_INSTANTS`), which give the
-    same bits.
+    thread, each as it is submitted (:data:`gclkit.rbf.INLINE`).
     """
     mesh = mesh_config.build()
     groups = {}  # field builder -> the methods reading its field
@@ -266,10 +263,8 @@ def run_sweep(
 
     workers = worker_count(len(harmonic_range))
     points = []  # per N, the future of its point task
-    with (
-        ThreadPoolExecutor(workers, initializer=hexmesh._mark_pool_thread)
-        if workers > 1 else nullcontext(INLINE)  # the calling thread, in single-thread blocks
-    ) as pool:
+    # one worker runs every task on the calling thread
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext(INLINE) as pool:
         try:
             fields = case_fields(mesh, case, pool)
         except ValueError as err:

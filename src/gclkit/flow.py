@@ -92,6 +92,15 @@ def _norm(v: np.ndarray) -> float:
     return np.sqrt(np.einsum("i,i", v, v))
 
 
+def _rms(r: np.ndarray) -> float:
+    """Root mean square of ``r``, taken on ``r 2^-e`` with ``max|r| 2^-e`` in
+    [0.5, 1) and scaled back, so a finite ``r`` never overflows its squares.
+    Scaling by a power of two is exact: where ``r**2`` neither overflows nor
+    underflows the value is the plain formula's, to the bit."""
+    shift = np.frexp(np.abs(r).max())[1]
+    return float(np.ldexp(np.sqrt(np.mean(np.ldexp(r, -shift) ** 2)), shift))
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the leading 3-component axis, in a fixed order."""
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
@@ -242,16 +251,15 @@ class _AxisFaces:
     """Frozen geometry of the interfaces normal to one axis, axis-major.
 
     Arrays put the axis's m+1 interfaces first on their grid, e.g.
-    (nx+1, Nts, nz, ny) for x.  ``order`` transposes a (c, Nts, nz, ny, nx)
-    array to axis-major and ``back`` undoes it; ``order[1:]`` and
-    ``back[1:]`` do the same without the component axis.
+    (nx+1, Nts, nz, ny) for x.  ``np.moveaxis(a, axis, -4)`` turns a
+    (..., Nts, nz, ny, nx) array axis-major and ``np.moveaxis(a, -4, axis)``
+    turns it back.
     """
 
     vectors: np.ndarray  # +axis area vectors, (3, ...)
     ifmv: np.ndarray  # integrated face mesh velocities
     area: np.ndarray  # |vectors|
-    order: tuple
-    back: tuple
+    axis: int  # the axis's index in (..., nz, ny, nx): -1 for x, -2 for y, -3 for z
 
 
 class FreestreamProblem:
@@ -297,19 +305,12 @@ class FreestreamProblem:
         self._axes = []
         for name, axis in zip("xyz", (-1, -2, -3)):
             block, shape = mesh.axis_interfaces(name)
-            order = (0, axis) + tuple(i for i in range(-4, 0) if i != axis)
             grids = (v[..., block].reshape(v.shape[:-1] + shape) for v in (areas, ifmv.total.T))
             vectors, face_ifmv = (
-                np.ascontiguousarray(grid.transpose(order[-grid.ndim:])) for grid in grids
+                np.ascontiguousarray(np.moveaxis(grid, axis, -4)) for grid in grids
             )
             self._axes.append(
-                _AxisFaces(
-                    vectors=vectors,
-                    ifmv=face_ifmv,
-                    area=np.sqrt(_dot(vectors, vectors)),
-                    order=order,
-                    back=(0,) + tuple(np.argsort(np.mod(order, 5))[1:] - 5),
-                )
+                _AxisFaces(vectors, face_ifmv, np.sqrt(_dot(vectors, vectors)), axis)
             )
 
     # -- state handling ----------------------------------------------------
@@ -326,7 +327,7 @@ class FreestreamProblem:
         axis-major, with two frozen freestream halo cells at each end."""
         padded = []
         for values, halo in zip(cells, self._halo):
-            moved = values.transpose(axis.order[-values.ndim:])
+            moved = np.moveaxis(values, axis.axis, -4)
             out = np.empty(moved.shape[:-4] + (moved.shape[-4] + 4,) + moved.shape[-3:])
             out[_along(None, 2)] = out[_along(-2, None)] = halo
             out[_along(2, -2)] = moved
@@ -360,9 +361,9 @@ class FreestreamProblem:
                     wl, wr, axis.vectors, axis.ifmv,
                     ((vel[_LEFT], pp[_LEFT]), (vel[_RIGHT], pp[_RIGHT])), state_sum,
                 )
-                conv += (flux[_UPPER] - flux[_LOWER]).transpose(axis.back)
+                conv += np.moveaxis(flux[_UPPER] - flux[_LOWER], -4, axis.axis)
                 faces = jst_dissipation(wp, pp, self._radii(axis, state_sum))
-                diss += (faces[_UPPER] - faces[_LOWER]).transpose(axis.back)
+                diss += np.moveaxis(faces[_UPPER] - faces[_LOWER], -4, axis.axis)
         return conv, diss
 
     def residual(self, wbar: np.ndarray) -> np.ndarray:
@@ -376,7 +377,7 @@ class FreestreamProblem:
         for axis in self._axes:
             (wp,) = self._axis_major((states,), axis)
             radii = self._radii(axis, wp[_LEFT] + wp[_RIGHT])
-            total += (0.5 * (radii[_LOWER] + radii[_UPPER])).transpose(axis.back[1:])
+            total += np.moveaxis(0.5 * (radii[_LOWER] + radii[_UPPER]), -4, axis.axis)
         temporal = (
             2.0 * np.pi * self.spectral.n_harmonics / self.spectral.period
         ) * self.volumes
@@ -408,7 +409,7 @@ class FreestreamProblem:
         """Per axis, ``(first, lower, upper)``: the pivots ``P_i`` of block Thomas on
         ``Dg + O_axis`` folded into its couplings, ``lower_i = P_i^-1 L_{i-1}`` and
         ``upper_i = P_i^-1 U_i`` (m-1, 5, 5, N+1, a, b), line-first on the axis's
-        m cells with (a, b) as in :attr:`_AxisFaces.order`, and ``first_i =
+        m cells with (a, b) in the order of :class:`_AxisFaces`, and ``first_i =
         P_i^-1`` on x, None on y and z.  ``Dg`` is the cell diagonal of ``J1``
         plus ``i omega k Vbar`` (k = 0..N).  ``J1`` is the Rusanov Jacobian at
         :data:`W_INF` on the time-averaged faces: an interface couples its left
@@ -429,10 +430,10 @@ class FreestreamProblem:
             couplings.append([np.repeat(np.moveaxis(c, 2, 0), 2, axis=-1)  # for _times
                               for c in (-left[:, :, 1:-1], right[:, :, 1:-1])])
             cells = left[:, :, 1:] - right[:, :, :-1]
-            diagonal = diagonal + cells.transpose((0, 1) + axis.back[1:])
+            diagonal = diagonal + np.moveaxis(cells, -4, axis.axis)
         dg, factors = diagonal + temporal * eye, []
         for n, (axis, (lower, upper)) in enumerate(zip(self._axes, couplings)):
-            pivots = np.moveaxis(dg, axis.order[1], 0)
+            pivots = np.moveaxis(dg, axis.axis, 0)
             inverses = np.empty(pivots.shape, complex)
             folds = np.empty((2, len(pivots) - 1) + pivots.shape[1:], complex)
             for i, pivot in enumerate(pivots):
@@ -481,8 +482,8 @@ class FreestreamProblem:
             shift = np.frexp(np.abs(v).max())[1]
             y = np.fft.rfft(np.ldexp(v, -shift).reshape((5,) + self.volumes.shape), axis=1)
             for axis, factor in zip(self._axes, factors):
-                lines = _solve_lines(factor, np.moveaxis(y, axis.order[1], 0))
-                y = np.moveaxis(lines, 0, axis.order[1])
+                lines = _solve_lines(factor, np.moveaxis(y, axis.axis, 0))
+                y = np.moveaxis(lines, 0, axis.axis)
             y = y.astype(complex, order="C")
             np.ldexp(y.view(float), exponents + shift, out=y.view(float))
             return (vbar * np.fft.irfft(y, nts, axis=1)).ravel()
@@ -547,7 +548,7 @@ class FreestreamProblem:
         # a diverging solve overflows on its way to a non-finite state
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r = self.residual(wbar)
-            initial = final = float(np.sqrt(np.mean(r**2)))
+            initial = final = _rms(r)
             for newton in range(NEWTON_MAX + 1):
                 if not (np.isfinite(final) and np.all(np.isfinite(wbar))):
                     stop_reason = "diverged"
@@ -568,7 +569,7 @@ class FreestreamProblem:
                 wbar = wbar - step
                 krylov += iterations
                 r = self.residual(wbar)
-                previous, final = final, float(np.sqrt(np.mean(r**2)))
+                previous, final = final, _rms(r)
             rel_err = np.inf if stop_reason == "diverged" else self.current_rel_err(wbar)
         if rel_err > 1.0:
             stop_reason = "diverged"

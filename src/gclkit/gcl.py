@@ -50,7 +50,7 @@ from .hexmesh import (
     _sum,
     corner_planes,
 )
-from .motion import MotionTrajectory, _by_component
+from .motion import MotionTrajectory
 from .spectral import SpectralOperator
 
 __all__ = [
@@ -195,9 +195,10 @@ def _increments(mesh, trajectory, sweeps) -> IncrementSeries:
     ``sweeps`` receives a block's quads, t_0 appended at t = T, as four
     corner views (3, 2N+2, block) and returns (2N+1, block).
     """
-    positions = _by_component(trajectory.positions, trajectory.positions[:1])
-    totals = np.zeros((len(mesh.interface_vertex_ids), len(positions)))
-    mesh.blockwise(sweeps, "interfaces", positions, out=totals[:, 1:])
+    planes = np.moveaxis(trajectory.positions, -1, 0)
+    closed = np.concatenate([planes, planes[:, :1]], axis=1)  # (3, 2N+2, n_vertices)
+    totals = np.zeros((len(mesh.interface_vertex_ids), closed.shape[1]))
+    mesh.blockwise(sweeps, "interfaces", np.moveaxis(closed, 0, -1), out=totals[:, 1:])
     series = IncrementSeries(trajectory.case.period, totals)
     return extract_linear_and_periodic(series)
 

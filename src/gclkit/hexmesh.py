@@ -19,7 +19,8 @@ vertex fields into that layout directly: on the structured grid every corner
 of a cell or interface is a fixed flat offset from the element's grid point,
 so for a block of consecutive elements each corner is one slice of a field's
 component planes (3, n_instants, n_vertices), and each corner component is
-one (n_instants, block) view, with no gather.  A caller holding
+one (n_instants, block) view, with no gather.  A block holds
+``BLOCK_ELEMENT_INSTANTS`` anchor-instants on every thread.  A caller holding
 component-last (..., k, 3) arrays passes the kernels strided views of them
 (:func:`corner_planes`).  Each formula therefore has one implementation, with
 no ``np.cross``, ``einsum`` or per-face fancy-index copy.
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +59,6 @@ __all__ = [
     "FACE_LOOPS",
     "FACE_FAMILY",
     "BLOCK_ELEMENT_INSTANTS",
-    "POOLED_BLOCK_ELEMENT_INSTANTS",
     "HexMesh",
     "corner_planes",
     "checked_box",
@@ -110,23 +109,10 @@ _CORNER_STEPS = {"cells": REF_CORNERS.astype(int)} | {
     for axis, (_, high) in FACE_FAMILY.items()
 }
 
-# Anchor-instants per block of :meth:`HexMesh.blockwise`: the kernels'
-# temporaries stay cache-sized, so a thread's working set does not grow with
-# the mesh or the number of instants.  On one thread larger blocks gain
-# nothing and cost page faults (README, "Pooled blocks").
-BLOCK_ELEMENT_INSTANTS = 8192
-# Anchor-instants per block on the threads of a sweep's worker pool, which
-# its initializer marks (:func:`_mark_pool_thread`).  Each numpy call holds
-# the interpreter lock, and at 8,192 a call lasts a few microseconds, so two
-# workers keep handing the lock back and forth; 4x larger calls relieve
-# that, while 8x larger ones are slower again and add about 20 MB.
-POOLED_BLOCK_ELEMENT_INSTANTS = 4 * BLOCK_ELEMENT_INSTANTS
-_pool_thread = threading.local()
-
-
-def _mark_pool_thread():
-    """Make :meth:`HexMesh.blockwise` take pooled blocks on the calling thread."""
-    _pool_thread.marked = True
+# Anchor-instants per block of :meth:`HexMesh.blockwise`, on every thread:
+# the kernels' temporaries stay cache-sized, so a thread's working set does
+# not grow with the mesh or the number of instants (README, "Block size").
+BLOCK_ELEMENT_INSTANTS = 16384
 
 
 # Per corner and reference axis (xi, eta, zeta), the low and high corner of
@@ -287,9 +273,9 @@ class HexMesh:
         ``cell_vertex_ids`` or ``interface_vertex_ids``.  Each field is a
         vertex array (n_instants, n_vertices, 3) such as positions or
         velocities, read without a copy as its component planes
-        (3, n_instants, n_vertices), as :func:`gclkit.motion.sample_motion`
-        stores a trajectory's 2N+1 instants and the LVI/AEVI increments their
-        copy closed at t = T.  Corner m of each element of a family
+        (3, n_instants, n_vertices), as :func:`gclkit.motion.evaluate_motion`
+        forms a trajectory's instants and the LVI/AEVI increments their copy
+        closed at t = T.  Corner m of each element of a family
         (the cells, or one axis's interfaces) is vertex p + o_m, with p the
         element's grid point (its anchor), so for a block of consecutive
         anchors s..e ``kernel`` receives each field as k corner views
@@ -298,9 +284,8 @@ class HexMesh:
         planes, which are no elements, are dropped, and the rest written to
         their elements' rows of ``out`` (n_elements, n_out), by default an
         instant-major array with n_out = n_instants.  A block holds about
-        ``BLOCK_ELEMENT_INSTANTS`` anchor-instants, or
-        ``POOLED_BLOCK_ELEMENT_INSTANTS`` on a sweep pool's worker threads;
-        an elementwise kernel gives bitwise the values of one call over all
+        ``BLOCK_ELEMENT_INSTANTS`` anchor-instants on any thread; an
+        elementwise kernel gives bitwise the values of one call over all
         elements, whatever the block.
         """
         planes = [np.moveaxis(np.asarray(f, dtype=float), -1, 0) for f in fields]
@@ -308,9 +293,7 @@ class HexMesh:
         families = _element_families(self.counts, kind)
         if out is None:
             out = np.empty((n_instants, families[-1][0].stop), dtype=dtype).T
-        pooled = getattr(_pool_thread, "marked", False)
-        block = POOLED_BLOCK_ELEMENT_INSTANTS if pooled else BLOCK_ELEMENT_INSTANTS
-        step = max(1, block // n_instants)
+        step = max(1, BLOCK_ELEMENT_INSTANTS // n_instants)
         for rows, offsets, anchors in families:
             row = rows.start
             for start in range(0, len(anchors), step):

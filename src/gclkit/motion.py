@@ -154,9 +154,8 @@ def _cosine(case, theta):
 
 def _pair(*components):
     """f1 and f2, (n, 2, 3), from f1's three components then f2's, each (n,)
-    or a number; stored field by field, each one contiguous block."""
-    both = np.stack(np.broadcast_arrays(*components), axis=-1)
-    return np.stack([both[:, :3], both[:, 3:]]).transpose(1, 0, 2)
+    or a number; a view of their component planes (2, 3, n)."""
+    return np.stack(np.broadcast_arrays(*components)).reshape(2, 3, -1).transpose(2, 0, 1)
 
 
 def _case4_modes(mesh, case, points):
@@ -277,25 +276,21 @@ def evaluate_motion(
     """Vertex positions and velocities at arbitrary instants t (shape (Nt,)).
 
     The one law turns ``fields`` from :func:`case_fields`, built here when
-    not given, by the angle of the case's angle law.  A period that is not
-    positive and finite raises ValueError.
+    not given, by the angle of the case's angle law.  Both are formed as
+    component planes (3, Nt, n_vertices), the layout
+    :meth:`HexMesh.blockwise` reads, and returned as (Nt, n_vertices, 3)
+    views of them.  A period that is not positive and finite raises
+    ValueError.
     """
     _checked_period(case.period)
-    theta = 2.0 * np.pi * np.atleast_1d(np.asarray(t, dtype=float))[:, None, None] / case.period
+    theta = 2.0 * np.pi * np.atleast_1d(np.asarray(t, dtype=float))[:, None] / case.period
     angle, rate = _row(case.case_id).angle(case, theta)
     if fields is None:
         fields = case_fields(mesh, case)
-    cos, sin, (f1, f2) = np.cos(angle), np.sin(angle), fields.transpose(1, 0, 2)
-    positions = mesh.vertices + (cos - 1.0) * f1 + sin * f2
-    return positions, (rate * cos) * f2 - (rate * sin) * f1
-
-
-def _by_component(*arrays: np.ndarray) -> np.ndarray:
-    """Vertex arrays (n, n_vertices, 3) joined along n into one array stored
-    as component planes (3, n, n_vertices), viewed as (n, n_vertices, 3)."""
-    planes = np.empty((3, sum(len(a) for a in arrays), arrays[0].shape[1]))
-    np.concatenate([np.moveaxis(a, -1, 0) for a in arrays], axis=1, out=planes)
-    return np.moveaxis(planes, 0, -1)
+    cos, sin, (f1, f2) = np.cos(angle), np.sin(angle), fields.transpose(1, 2, 0)[:, :, None]
+    positions = mesh.vertices.T[:, None] + (cos - 1.0) * f1 + sin * f2
+    velocities = (rate * cos) * f2 - (rate * sin) * f1
+    return np.moveaxis(positions, 0, -1), np.moveaxis(velocities, 0, -1)
 
 
 def sample_motion(
@@ -308,10 +303,9 @@ def sample_motion(
 
     ``fields`` is passed on to :func:`evaluate_motion`.  The cell volumes
     are computed once, here, and gate the sample.  Positions and velocities
-    are stored component-first, as the planes (3, 2N+1, n_vertices) that
-    :meth:`HexMesh.blockwise` reads, and returned as (2N+1, n_vertices, 3)
-    views of them: every geometry pass over the trajectory reads them in
-    place, and they take no more memory than the vertex arrays would.
+    are kept as :func:`evaluate_motion` forms them, (2N+1, n_vertices, 3)
+    views of component planes (3, 2N+1, n_vertices): every geometry pass
+    over the trajectory reads them in place, with no copy.
 
     Raises
     ------
@@ -325,7 +319,7 @@ def sample_motion(
     times = np.arange(nts) * period / nts
     # an overflowing motion is reported by the gate, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        positions, velocities = map(_by_component, evaluate_motion(mesh, case, times, fields))
+        positions, velocities = evaluate_motion(mesh, case, times, fields)
         volumes = mesh.blockwise(_hex_volume, "cells", positions)
         bad = detect_degenerate(mesh, positions, volumes)
     if len(bad):

@@ -472,8 +472,8 @@ def dense_first_order_jacobian(problem, jacobians, dissipation):
     couplings = []
     for index, axis in enumerate(problem._axes):
         grid_axis = 2 - index  # of (nz, ny, nx)
-        vectors = axis.vectors.transpose(axis.back)  # (3, Nts, ...) on the interface grid
-        ifmv = axis.ifmv.transpose(axis.back[1:])
+        vectors = np.moveaxis(axis.vectors, -4, axis.axis)  # (3, Nts, ...) on the interface grid
+        ifmv = np.moveaxis(axis.ifmv, -4, axis.axis)
         contravariant = sum(u * s for u, s in zip(VELOCITY_INF, vectors)) - ifmv
         radius = (np.abs(contravariant) + sound * np.linalg.norm(vectors, axis=0)).mean(axis=0)
         mean_vectors, mean_ifmv = vectors.mean(axis=1), ifmv.mean(axis=0)
@@ -546,8 +546,8 @@ def double_precision_preconditioner(problem):
     def apply(v):
         y = np.fft.rfft(v.reshape((5,) + problem.volumes.shape), axis=1)
         for axis, factor in zip(problem._axes, factors):
-            lines = flow._solve_lines(factor, np.moveaxis(y, axis.order[1], 0))
-            y = np.moveaxis(lines, 0, axis.order[1])
+            lines = flow._solve_lines(factor, np.moveaxis(y, axis.axis, 0))
+            y = np.moveaxis(lines, 0, axis.axis)
         return (vbar * np.fft.irfft(y, nts, axis=1)).ravel()
 
     return apply

@@ -21,11 +21,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gclkit import flow, gcl, hexmesh, motion
+from gclkit import flow, gcl, hexmesh
 from gclkit.hexmesh import (
     BLOCK_ELEMENT_INSTANTS,
     FACE_LOOPS,
-    POOLED_BLOCK_ELEMENT_INSTANTS,
     REF_CORNERS,
     HexMesh,
     build_box_mesh,
@@ -359,8 +358,10 @@ def moving_grids(draw):
     velocities[zeros < 0.2] = 0.0
     velocities[zeros > 0.9] = -0.0
     positions = moved
-    if draw(st.booleans()):
-        positions, velocities = motion._by_component(positions), motion._by_component(velocities)
+    if draw(st.booleans()):  # (n_instants, n_vertices, 3) views of (3, n_instants, n_vertices)
+        positions, velocities = (
+            np.moveaxis(np.moveaxis(a, -1, 0).copy(), 0, -1) for a in (positions, velocities)
+        )
     times = np.arange(n_instants) / n_instants
     volumes = mesh.blockwise(hexmesh._hex_volume, "cells", positions)
     trajectory = MotionTrajectory(
@@ -403,8 +404,8 @@ def test_sliced_blocks_bitwise_equal_gathered(grid, block_element_instants):
         assert _bitwise_equal(sliced[name], expected), name
 
 
-# 20^3 at N = 4: the pooled block still cuts every family into more than two
-# blocks, the last one ragged (10^3 at N = 20 fits in two)
+# 20^3 at N = 4: the block cuts every family into more than two blocks, the
+# last one ragged, at 2N+1 and at 2N+2 instants
 POOLED_MESH, POOLED_N = (20, 20, 20, 3.2, 2.8, 2.4), 4
 
 
@@ -427,31 +428,38 @@ def test_pooled_blocks_bitwise_equal_single_thread_blocks():
     case = MotionCase.for_case("case4", rbf_amplitude=0.2)
     nts = 2 * POOLED_N + 1
     times = np.arange(nts) / nts
-    positions, velocities = map(motion._by_component, evaluate_motion(mesh, case, times))
+    positions, velocities = evaluate_motion(mesh, case, times)
     volumes = mesh.blockwise(hexmesh._hex_volume, "cells", positions)
     trajectory = MotionTrajectory(case, POOLED_N, times, positions, velocities, volumes)
-    for kind in ("cells", "interfaces"):
-        for _, _, anchors in hexmesh._element_families(mesh.counts, kind):
-            for n_instants in (nts, nts + 1):
-                step = POOLED_BLOCK_ELEMENT_INSTANTS // n_instants
-                assert len(anchors) > 2 * step and len(anchors) % step != 0
-    # a sweep pool's initializer marks its threads, and only those take the
-    # pooled block, on the 2N+1 field passes and the increments' 2N+2 pass
-    closed = motion._by_component(positions, positions[:1])
+    # the 2N+1 field passes and the increments' pass closed at t = T
+    planes = np.moveaxis(positions, -1, 0)
+    closed = np.moveaxis(np.concatenate([planes, planes[:, :1]], axis=1), 0, -1)
     passes = [(kind, p) for kind in ("cells", "interfaces") for p in (positions, closed)]
-    with ThreadPoolExecutor(1, initializer=hexmesh._mark_pool_thread) as pool:
+    expected = []
+    for kind, fields in passes:
+        step = BLOCK_ELEMENT_INSTANTS // len(fields)
+        anchors = [a for _, _, a in hexmesh._element_families(mesh.counts, kind)]
+        assert all(len(a) > 2 * step and len(a) % step != 0 for a in anchors)
+        expected.append(sum(-(-len(a) // step) for a in anchors))
+    with ThreadPoolExecutor(1) as pool:
         pooled = pool.submit(_kernel_families, mesh, trajectory).result()
         counts = [pool.submit(_block_count, mesh, *args).result() for args in passes]
+    assert counts == [_block_count(mesh, *args) for args in passes] == expected
     single = _kernel_families(mesh, trajectory)
-    for (kind, fields), count in zip(passes, counts):
-        families = hexmesh._element_families(mesh.counts, kind)
-        n_instants = len(fields)
-        expected = [
-            sum(-(-len(anchors) // (block // n_instants)) for _, _, anchors in families)
-            for block in (POOLED_BLOCK_ELEMENT_INSTANTS, BLOCK_ELEMENT_INSTANTS)
-        ]
-        assert (count, _block_count(mesh, kind, fields)) == tuple(expected)
     assert pooled.keys() == single.keys() and len(single) == 10
     assert len(single["gate"]) > 0
     for name, expected in single.items():
         assert _bitwise_equal(pooled[name], expected), name
+
+
+@pytest.mark.parametrize("case_id", ["case1", "case5"])
+def test_motion_is_formed_as_the_planes_blockwise_reads(paper_mesh, case_id):
+    # positions and velocities are (Nt, n_vertices, 3) views of C-contiguous
+    # component planes (3, Nt, n_vertices), so no geometry pass copies them
+    case = MotionCase.for_case(case_id)
+    trajectory = sample_motion(paper_mesh, case, 2)
+    evaluated = evaluate_motion(paper_mesh, case, np.linspace(0.0, 1.0, 7))
+    for array in (trajectory.positions, trajectory.velocities, *evaluated):
+        planes = np.moveaxis(array, -1, 0)
+        assert planes.shape == (3, len(array), len(paper_mesh.vertices))
+        assert planes.flags.c_contiguous and not array.flags.c_contiguous

@@ -406,10 +406,9 @@ WORKER_COUNT_RUNS = [  # (rbf.BLOCK_POINTS, arguments)
 
 
 def test_csv_bytes_independent_of_worker_count(tmp_path, monkeypatch, under_each_worker_count):
-    # a sweep is one task per N and one per (N, field), the RBF build's grid
-    # half is one more, and pooled workers run the geometry kernels in larger
-    # blocks on threads their pool marks; 2 and 4 workers must still write
-    # the 1-worker bytes
+    # a sweep is one task per N and one per (N, field), and the RBF build's
+    # grid half is one more; 2 and 4 workers must still write the 1-worker
+    # bytes
     out = tmp_path / "sweep.csv"
     for block_points, run in WORKER_COUNT_RUNS:
         monkeypatch.setattr(rbf, "BLOCK_POINTS", block_points)
