@@ -8,8 +8,8 @@ flow exactly uniform.
 
 __version__ = "0.1.0"
 
-from .hexmesh import HexMesh, build_box_mesh, detect_degenerate
-from .motion import MotionCase, MotionTrajectory, sample_motion
+from .hexmesh import HexMesh, build_box_mesh
+from .motion import MotionCase, MotionTrajectory, detect_degenerate, sample_motion
 from .rbf import RbfSystem, build_system, interpolate, wendland_c0
 from .spectral import SpectralOperator, ts_matrix
 from .gcl import (

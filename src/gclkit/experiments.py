@@ -20,7 +20,7 @@ import numpy as np
 
 from . import flow, gcl, metrics
 from .hexmesh import HexMesh, build_box_mesh
-from .motion import MotionCase, MotionTrajectory, case_fields, sample_motion
+from .motion import DegenerateMeshError, MotionCase, MotionTrajectory, case_fields, sample_motion
 from .rbf import INLINE
 from .spectral import SpectralOperator
 
@@ -113,12 +113,18 @@ def prepare_point(
     are exact, so their signed sum over each cell's faces is the exact
     dV/dt; the product-rule rates (:func:`gcl.exact_volume_rates`) stay the
     independent oracle of the tests.  ``fields`` is passed on to
-    :func:`~gclkit.motion.sample_motion`.
+    :func:`~gclkit.motion.sample_motion`.  A motion whose face fluxes
+    overflow raises :class:`~gclkit.motion.DegenerateMeshError` at the
+    first instant with a non-finite rate, naming every such cell there.
     """
     trajectory = sample_motion(mesh, case, n_harmonics, fields)
     spectral = SpectralOperator(n_harmonics, case.period)
-    reference = gcl.trimap_field(mesh, trajectory)
-    exact_rates = mesh.sum_over_faces(reference.total)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not by numpy
+        reference = gcl.trimap_field(mesh, trajectory)
+        exact_rates = mesh.sum_over_faces(reference.total)
+    DegenerateMeshError.raise_first(
+        trajectory.times, ~np.isfinite(exact_rates), "non-finite face fluxes in"
+    )
     fd1, fd2 = metrics.fd_reference_errors(trajectory.volumes, exact_rates, case.period)
     return CasePoint(
         mesh, trajectory, spectral,

@@ -63,7 +63,6 @@ __all__ = [
     "corner_planes",
     "checked_box",
     "build_box_mesh",
-    "detect_degenerate",
 ]
 
 # Reference-cube corner coordinates (xi, eta, zeta) in corner-number order.
@@ -191,45 +190,8 @@ def _quad_area(q):
 
 
 def _inverted_corner(r) -> np.ndarray:
+    """Whether the smallest corner Jacobian of corners r[0..7] is nonpositive or NaN."""
     return ~(functools.reduce(np.minimum, _corner_jacobians(r)) > 0.0)
-
-
-def detect_degenerate(
-    mesh: HexMesh, positions: np.ndarray, volumes: np.ndarray | None = None
-) -> np.ndarray:
-    """Indices of cells whose volume or smallest corner Jacobian is NaN or nonpositive.
-
-    Only cells are gated.  The per-step sweep hexahedra of AEVI are not: their
-    volumes are signed increments, and a negative sweep is a face moving
-    against its normal, not an inverted cell.
-
-    Parameters
-    ----------
-    mesh : HexMesh
-        The mesh whose cells are checked.
-    positions : ndarray, shape (..., n_vertices, 3)
-        Deformed vertex positions at one instant, or at a stack of instants.
-    volumes : ndarray, shape (n_cells, n_instants), optional
-        The cell volumes at those instants, as
-        :attr:`gclkit.motion.MotionTrajectory.volumes` holds them (n_cells,
-        one column per flattened leading index), so a caller that has them
-        pays only the corner-Jacobian pass.  Computed here when not given.
-
-    Returns
-    -------
-    ndarray of int
-        Sorted flat indices of offending cells into the leading
-        (..., n_cells) shape: the cell ids for one instant, and
-        ``n * n_cells + cell`` for instant n of a stack.  Empty when every
-        configuration is admissible.
-    """
-    positions = np.asarray(positions, dtype=float)
-    stack = positions.reshape((-1,) + positions.shape[-2:])
-    if volumes is None:
-        volumes = mesh.blockwise(_hex_volume, "cells", stack)
-    inverted = mesh.blockwise(_inverted_corner, "cells", stack, dtype=bool)
-    bad = ~(np.reshape(volumes, inverted.shape) > 0.0) | inverted
-    return np.flatnonzero(bad.T)
 
 
 @dataclass(frozen=True)
@@ -266,7 +228,7 @@ class HexMesh:
     def counts(self) -> tuple[int, int, int]:
         return (self.nx, self.ny, self.nz)
 
-    def blockwise(self, kernel, kind, *fields, out=None, dtype=float):
+    def blockwise(self, kernel, kind, *fields, out=None):
         """Evaluate a per-element geometry kernel over blocks of elements.
 
         ``kind`` is "cells" or "interfaces", the elements of
@@ -283,16 +245,14 @@ class HexMesh:
         returns (n_out, block); the anchors at the ends of grid rows and
         planes, which are no elements, are dropped, and the rest written to
         their elements' rows of ``out`` (n_elements, n_out), by default an
-        instant-major array with n_out = n_instants.  A block holds about
-        ``BLOCK_ELEMENT_INSTANTS`` anchor-instants on any thread; an
-        elementwise kernel gives bitwise the values of one call over all
-        elements, whatever the block.
+        instant-major array of the kernel's dtype, allocated on the first
+        block.  A block holds about ``BLOCK_ELEMENT_INSTANTS`` anchor-instants
+        on any thread; an elementwise kernel gives bitwise the values of one
+        call over all elements, whatever the block.
         """
         planes = [np.moveaxis(np.asarray(f, dtype=float), -1, 0) for f in fields]
         n_instants = planes[0].shape[1]
         families = _element_families(self.counts, kind)
-        if out is None:
-            out = np.empty((n_instants, families[-1][0].stop), dtype=dtype).T
         step = max(1, BLOCK_ELEMENT_INSTANTS // n_instants)
         for rows, offsets, anchors in families:
             row = rows.start
@@ -300,6 +260,8 @@ class HexMesh:
                 stop = min(start + step, len(anchors))
                 corners = [[p[:, :, o + start : o + stop] for o in offsets] for p in planes]
                 values = kernel(*corners).T[anchors[start:stop]]
+                if out is None:
+                    out = np.empty((values.shape[1], families[-1][0].stop), values.dtype).T
                 out[row : row + len(values)] = values
                 row += len(values)
         return out

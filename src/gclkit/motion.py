@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 import numpy as np
 
 from . import rbf
-from .hexmesh import HexMesh, _hex_volume, detect_degenerate
+from .hexmesh import HexMesh, _hex_volume, _inverted_corner
 from .spectral import _checked_period, _checked_sampling
 
 if TYPE_CHECKING:  # the package imports no executor machinery until a sweep runs
@@ -35,6 +35,7 @@ __all__ = [
     "DegenerateMeshError",
     "case_fields",
     "case_parameters",
+    "detect_degenerate",
     "evaluate_motion",
     "sample_motion",
 ]
@@ -53,6 +54,14 @@ class DegenerateMeshError(RuntimeError):
 
     def __reduce__(self):  # pickle by the constructor's arguments, not by args
         return type(self), (self.instant, self.cell_ids, self.cause)
+
+    @classmethod
+    def raise_first(cls, times: np.ndarray, bad: np.ndarray, cause: str = "degenerate"):
+        """Raise one at the first instant whose column of ``bad`` (n_cells,
+        Nt) marks a cell, naming every cell it marks there; else return."""
+        instants = np.flatnonzero(bad.any(axis=0))
+        if len(instants):
+            raise cls(times[instants[0]], np.flatnonzero(bad[:, instants[0]]), cause)
 
 
 @dataclass(frozen=True)
@@ -293,6 +302,30 @@ def evaluate_motion(
     return np.moveaxis(positions, 0, -1), np.moveaxis(velocities, 0, -1)
 
 
+def detect_degenerate(mesh: HexMesh, times, positions, velocities, volumes) -> None:
+    """Gate the arrays of a :class:`MotionTrajectory`: return only if every cell is admissible.
+
+    A cell is degenerate at an instant where its volume or its smallest
+    corner Jacobian is nonpositive or NaN; the volumes are read, the
+    Jacobians formed here.  Only cells are gated.  The per-step sweep
+    hexahedra of AEVI are not: their volumes are signed increments, and a
+    negative sweep is a face moving against its normal, not an inverted cell.
+
+    Raises
+    ------
+    DegenerateMeshError
+        Naming the first instant with a degenerate cell, or failing that
+        with a non-finite vertex velocity, and every such cell at that
+        instant.
+    """
+    inverted = mesh.blockwise(_inverted_corner, "cells", positions)
+    DegenerateMeshError.raise_first(times, ~(volumes > 0.0) | inverted)
+    finite = np.isfinite(velocities).all(axis=-1)  # (Nt, n_vertices)
+    if not finite.all():
+        bad = ~finite.T[mesh.cell_vertex_ids].all(axis=1)  # (n_cells, Nt)
+        DegenerateMeshError.raise_first(times, bad, "non-finite velocities in")
+
+
 def sample_motion(
     mesh: HexMesh,
     case: MotionCase,
@@ -302,17 +335,11 @@ def sample_motion(
     """Sample a motion case at the 2N+1 spectral instants t_0..t_2N.
 
     ``fields`` is passed on to :func:`evaluate_motion`.  The cell volumes
-    are computed once, here, and gate the sample.  Positions and velocities
+    are computed once, here, and :func:`detect_degenerate` gates the
+    sample, raising :class:`DegenerateMeshError`.  Positions and velocities
     are kept as :func:`evaluate_motion` forms them, (2N+1, n_vertices, 3)
     views of component planes (3, 2N+1, n_vertices): every geometry pass
     over the trajectory reads them in place, with no copy.
-
-    Raises
-    ------
-    DegenerateMeshError
-        Naming the first instant with a cell whose volume or corner Jacobian
-        is not positive, or failing that with a non-finite vertex velocity,
-        and every such cell at that instant.
     """
     n_harmonics, period = _checked_sampling(n_harmonics, case.period)
     nts = 2 * n_harmonics + 1
@@ -321,15 +348,7 @@ def sample_motion(
     with np.errstate(over="ignore", invalid="ignore"):
         positions, velocities = evaluate_motion(mesh, case, times, fields)
         volumes = mesh.blockwise(_hex_volume, "cells", positions)
-        bad = detect_degenerate(mesh, positions, volumes)
-    if len(bad):
-        instants, cells = np.divmod(bad, mesh.n_cells)
-        raise DegenerateMeshError(times[instants[0]], cells[instants == instants[0]])
-    finite = np.isfinite(velocities).all(axis=-1)  # (2N+1, n_vertices)
-    if not finite.all():
-        n = np.flatnonzero(~finite.all(axis=-1))[0]
-        cells = np.flatnonzero(~finite[n][mesh.cell_vertex_ids].all(axis=-1))
-        raise DegenerateMeshError(times[n], cells, "non-finite velocities in")
+        detect_degenerate(mesh, times, positions, velocities, volumes)
     return MotionTrajectory(
         case=case,
         n_harmonics=n_harmonics,

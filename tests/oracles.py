@@ -152,7 +152,7 @@ def gauss_volume_oracle(corners, points=3):
     return total
 
 
-def gathered_blockwise(mesh, kernel, kind, *fields, out=None, dtype=float):
+def gathered_blockwise(mesh, kernel, kind, *fields, out=None):
     """``HexMesh.blockwise`` by a gather of each block's element corners.
 
     The vertex ids of the elements of ``kind`` index each field's component
@@ -163,14 +163,15 @@ def gathered_blockwise(mesh, kernel, kind, *fields, out=None, dtype=float):
     """
     vertex_ids = {"cells": mesh.cell_vertex_ids, "interfaces": mesh.interface_vertex_ids}[kind]
     n_instants = fields[0].shape[0]
-    if out is None:
-        out = np.empty((n_instants, len(vertex_ids)), dtype=dtype).T
     planes = [np.ascontiguousarray(np.moveaxis(f, -1, 0), dtype=float) for f in fields]
     step = max(1, hexmesh.BLOCK_ELEMENT_INSTANTS // n_instants)
     for start in range(0, len(vertex_ids), step):
         ids = vertex_ids[start : start + step].T
         gathered = (p[:, :, ids].transpose(2, 0, 1, 3) for p in planes)
-        out[start : start + step] = kernel(*gathered).T
+        values = kernel(*gathered).T
+        if out is None:
+            out = np.empty((values.shape[1], len(vertex_ids)), values.dtype).T
+        out[start : start + step] = values
     return out
 
 

@@ -28,9 +28,15 @@ from gclkit.hexmesh import (
     REF_CORNERS,
     HexMesh,
     build_box_mesh,
-    detect_degenerate,
 )
-from gclkit.motion import MotionCase, MotionTrajectory, evaluate_motion, sample_motion
+from gclkit.motion import (
+    DegenerateMeshError,
+    MotionCase,
+    MotionTrajectory,
+    detect_degenerate,
+    evaluate_motion,
+    sample_motion,
+)
 from gclkit.spectral import SpectralOperator
 from oracles import (
     cell_corners,
@@ -176,11 +182,11 @@ def _cell_stacks(mesh, trajectory):
 
 
 def _reference_gate(mesh, positions):
+    """Which cells of each instant have a nonpositive volume or corner Jacobian, (Nt, n_cells)."""
     corners = cell_corners(mesh, positions)
-    bad = (_reference_hex_volume(corners) <= 0.0) | (
+    return (_reference_hex_volume(corners) <= 0.0) | (
         _reference_corner_jacobians(corners).min(axis=-1) <= 0.0
     )
-    return np.flatnonzero(bad)
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -236,15 +242,17 @@ def test_cell_kernels_bitwise_equal_one_shot(paper_mesh, case5_trajectory):
 def test_gate_indices_equal_one_shot(paper_mesh):
     # a case-4 amplitude that inverts cells at about half the instants
     case = MotionCase.for_case("case4", rbf_amplitude=0.2)
-    positions, _ = evaluate_motion(paper_mesh, case, np.arange(2 * N + 1) / (2 * N + 1))
-    bad = detect_degenerate(paper_mesh, positions)
+    times = np.arange(2 * N + 1) / (2 * N + 1)
+    positions, velocities = evaluate_motion(paper_mesh, case, times)
+    volumes = paper_mesh.blockwise(hexmesh._hex_volume, "cells", positions)
+    inverted = paper_mesh.blockwise(hexmesh._inverted_corner, "cells", positions)
     expected = _reference_gate(paper_mesh, positions)
-    assert len(expected) > 0
-    assert bad.tolist() == expected.tolist()
-    # one instant: plain cell ids
-    n = int(expected[0]) // paper_mesh.n_cells
-    single = detect_degenerate(paper_mesh, positions[n])
-    assert single.tolist() == _reference_gate(paper_mesh, positions[n]).tolist()
+    assert np.array_equal((~(volumes > 0.0) | inverted).T, expected)
+    first = np.flatnonzero(expected.any(axis=1))[0]
+    with pytest.raises(DegenerateMeshError) as info:
+        detect_degenerate(paper_mesh, times, positions, velocities, volumes)
+    assert info.value.instant == times[first]
+    assert info.value.cell_ids.tolist() == np.flatnonzero(expected[first]).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +327,9 @@ def test_avg_flux_bitwise_equal_reference(awkward_hexahedra):
         # the cell volumes are measured as the motion is sampled
         lambda mesh, trajectory: sample_motion(mesh, trajectory.case, N),
         gcl.exact_volume_rates,
-        lambda mesh, trajectory: detect_degenerate(mesh, trajectory.positions),
+        lambda mesh, trajectory: mesh.blockwise(
+            hexmesh._inverted_corner, "cells", trajectory.positions
+        ),
     ],
     ids=["lvi", "aevi", "avg", "trimap", "volumes", "rates", "gate"],
 )
@@ -374,7 +384,7 @@ def _kernel_families(mesh, trajectory):
     """Every blockwise kernel family's values on a trajectory."""
     values = {
         "volumes": mesh.blockwise(hexmesh._hex_volume, "cells", trajectory.positions),
-        "gate": detect_degenerate(mesh, trajectory.positions),
+        "gate": mesh.blockwise(hexmesh._inverted_corner, "cells", trajectory.positions),
         "lvi": gcl.lvi_increments(mesh, trajectory).totals,
         "aevi": gcl.aevi_increments(mesh, trajectory).totals,
         "trimap": gcl.trimap_field(mesh, trajectory).total,
@@ -447,7 +457,7 @@ def test_pooled_blocks_bitwise_equal_single_thread_blocks():
     assert counts == [_block_count(mesh, *args) for args in passes] == expected
     single = _kernel_families(mesh, trajectory)
     assert pooled.keys() == single.keys() and len(single) == 10
-    assert len(single["gate"]) > 0
+    assert single["gate"].any()
     for name, expected in single.items():
         assert _bitwise_equal(pooled[name], expected), name
 

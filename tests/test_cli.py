@@ -303,8 +303,13 @@ def test_degenerate_motion_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case, setting",
-    [("1", ["--amp", "1e308"]), ("rigid-rotation", ["--alpha0", "1e308"])],
-    ids=["non-finite-geometry", "non-finite-velocity"],
+    [
+        ("1", ["--amp", "1e308"]),
+        ("rigid-rotation", ["--alpha0", "1e308"]),
+        # finite velocities whose TRI-MAP face sums overflow
+        ("rigid-rotation", ["--alpha0", "1e307"]),
+    ],
+    ids=["non-finite-geometry", "non-finite-velocity", "non-finite-face-flux"],
 )
 def test_non_finite_motion_is_one_line_degeneracy_error(tmp_path, case, setting):
     # every cell of 10^3 is named in cell_ids; the line shows the count and 10 ids

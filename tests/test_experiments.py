@@ -286,6 +286,41 @@ def test_sweep_holds_at_most_one_point_per_worker(monkeypatch, under_each_worker
         assert held <= int(threads) and n_rows == 32, (threads, held, n_rows)
 
 
+def test_one_worker_runs_every_task_on_the_calling_thread(monkeypatch):
+    # one worker has no pool: the point tasks, the field tasks and the RBF
+    # build's grid half all run on the calling thread; two run them on pool threads
+    from gclkit import rbf
+
+    ran_on = {}  # task -> the threads it ran on
+
+    def record(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            ran_on.setdefault(name, []).append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    record(experiments, "prepare_point")
+    record(experiments, "evaluate_point")
+    record(rbf, "_grid_weights")
+    for threads in ("1", "2"):
+        ran_on.clear()
+        monkeypatch.setenv("GCLKIT_THREADS", threads)
+        experiments.run_sweep(
+            experiments.MeshConfig(4, 4, 4), MotionCase.for_case("case5"), [1, 2, 3],
+            ["avg", "nlfd-lvi"],
+        )
+        counts = {name: len(ran) for name, ran in ran_on.items()}
+        assert counts == {"_grid_weights": 1, "prepare_point": 3, "evaluate_point": 6}, threads
+        for name, ran in ran_on.items():
+            if threads == "1":
+                assert all(t is threading.main_thread() for t in ran), name
+            else:
+                assert all(t.name.startswith("ThreadPoolExecutor-") for t in ran), name
+
+
 @pytest.mark.parametrize(
     "grid_fails, factor_fails, message",
     [

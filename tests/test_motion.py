@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gclkit import rbf
-from gclkit.hexmesh import build_box_mesh, detect_degenerate
+from gclkit.hexmesh import build_box_mesh
 from gclkit.motion import (
     CASE_IDS,
     CASES,
@@ -21,6 +22,7 @@ from oracles import (
     analytic_increment_case3,
     analytic_increment_rate_case3,
     cell_corners,
+    corner_jacobians,
     hex_volume,
     interior_vertex_ids,
     law_motion,
@@ -322,11 +324,14 @@ def test_one_law_matches_the_hand_written_laws(case_id, mesh_name):
 
 
 def _first_degenerate_instant(mesh, times, positions):
-    """Reference gate: one detect_degenerate call per sampled instant."""
+    """Reference gate: the first instant at which a cell's gathered corners
+    give a volume or corner Jacobian that is not positive, and every such
+    cell at it; None if there is none."""
     for t, instant in zip(times, positions):
-        bad = detect_degenerate(mesh, instant)
-        if len(bad):
-            return t, bad
+        corners = cell_corners(mesh, instant)
+        bad = ~(hex_volume(corners) > 0.0) | ~(corner_jacobians(corners).min(axis=-1) > 0.0)
+        if bad.any():
+            return t, np.flatnonzero(bad)
     return None
 
 
@@ -355,6 +360,45 @@ def test_batched_gate_names_first_bad_instant():
 def test_batched_gate_passes_clean_cases(paper_mesh, case_id):
     trajectory = sample_motion(paper_mesh, MotionCase.for_case(case_id), 10)
     assert _first_degenerate_instant(paper_mesh, trajectory.times, trajectory.positions) is None
+
+
+# Per case, its amplitude parameter and about where the gate first stops it
+# on the k^3 box at N = 1..3: case 1 from 0.57, case 2 from 1.61, case 3 from
+# 1.29 / k (a share of the spacing), case 4 from 0.23 and case 5 from 0.34.
+GATE_BOUNDS = {
+    "case1": ("amplitude", lambda k: 0.62),
+    "case2": ("alpha0", lambda k: 1.7),
+    "case3": ("radius", lambda k: 1.29 / k),
+    "case4": ("rbf_amplitude", lambda k: 0.33),
+    "case5": ("alpha0", lambda k: 0.36),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(GATE_BOUNDS)),
+    st.integers(1, 3),
+    st.integers(4, 6),
+    st.floats(0.6, 1.5),
+)
+def test_gate_agrees_with_gathered_corner_oracle(case_id, n_harmonics, cells, factor):
+    mesh = build_box_mesh(cells, cells, cells, 3.2, 2.8, 2.4)
+    name, bound = GATE_BOUNDS[case_id]
+    case = MotionCase.for_case(case_id, **{name: factor * bound(cells)})
+    times = _spectral_instants(case, n_harmonics)
+    positions, _ = evaluate_motion(mesh, case, times)
+    expected = _first_degenerate_instant(mesh, times, positions)
+    try:
+        sample_motion(mesh, case, n_harmonics)
+        raised = None
+    except DegenerateMeshError as err:
+        raised = err
+    if expected is None:  # only a non-finite velocity may stop a motion with no bad cell
+        assert raised is None or raised.cause == "non-finite velocities in"
+        return
+    assert raised is not None and raised.cause == "degenerate"
+    assert raised.instant == expected[0]
+    assert raised.cell_ids.tolist() == expected[1].tolist()
 
 
 # -- reference: the per-instant RBF path that the spread modes replaced -------
