@@ -88,8 +88,13 @@ def _pressure(states: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """2-norm of a flat vector by numpy's own reduction, not BLAS."""
-    return np.sqrt(np.einsum("i,i", v, v))
+    """2-norm of a flat vector by numpy's own reduction, not BLAS, scaled by a
+    power of two as :func:`_rms` is, so a finite ``v`` neither overflows its
+    squares nor underflows them to 0; a numpy scalar, so that a division by
+    a zero norm gives inf."""
+    shift = np.frexp(np.abs(v).max())[1]
+    scaled = np.ldexp(v, -shift)
+    return np.ldexp(np.sqrt(np.einsum("i,i", scaled, scaled)), shift)
 
 
 def _rms(r: np.ndarray) -> float:
@@ -292,13 +297,9 @@ class FreestreamProblem:
         nts = spectral.nts
 
         self.volumes = trajectory.volumes.T.reshape(nts, mesh.nz, mesh.ny, mesh.nx)
-        n_interfaces = len(mesh.interface_vertex_ids)
         areas = mesh.blockwise(
-            lambda q: np.concatenate(_quad_area(q)),
-            "interfaces",
-            trajectory.positions,
-            out=np.empty((3 * nts, n_interfaces)).T,
-        ).T.reshape(3, nts, n_interfaces)
+            lambda q: np.concatenate(_quad_area(q)), "interfaces", trajectory.positions
+        ).T.reshape(3, nts, -1)
         # the halo cells' state, velocity and pressure, computed as per cell
         w0 = W_INF.reshape(5, 1, 1, 1, 1)
         self._halo = (w0, w0[1:4] / w0[0], _pressure(w0))
@@ -570,9 +571,10 @@ class FreestreamProblem:
                 krylov += iterations
                 r = self.residual(wbar)
                 previous, final = final, _rms(r)
-            rel_err = np.inf if stop_reason == "diverged" else self.current_rel_err(wbar)
+            states = None if stop_reason == "diverged" else self.physical_states(wbar)
+            rel_err = np.inf if states is None else rel_err_freestream(states, W_INF)
         if rel_err > 1.0:
-            stop_reason = "diverged"
+            stop_reason, states = "diverged", None
         return FreestreamResult(
             rel_err=rel_err,
             iterations=newton,
@@ -580,8 +582,5 @@ class FreestreamProblem:
             final_residual=final,
             stop_reason=stop_reason,
             krylov_iterations=krylov,
-            states=None if stop_reason == "diverged" else self.physical_states(wbar),
+            states=states,
         )
-
-    def current_rel_err(self, wbar: np.ndarray) -> float:
-        return rel_err_freestream(self.physical_states(wbar), W_INF)

@@ -114,15 +114,16 @@ _CORNER_STEPS = {"cells": REF_CORNERS.astype(int)} | {
 BLOCK_ELEMENT_INSTANTS = 16384
 
 
+def _edge_ends(end: float) -> np.ndarray:
+    """Per corner and reference axis, the corner with that coordinate set to ``end``, (8, 3)."""
+    moved = np.where(np.eye(3, dtype=bool), end, REF_CORNERS[:, None])  # (corner, axis, 3)
+    return (moved[:, :, None] == REF_CORNERS).all(axis=-1).argmax(axis=-1)
+
+
 # Per corner and reference axis (xi, eta, zeta), the low and high corner of
 # the cell edge through it: the trilinear map's derivative along that axis,
 # at that corner, is the edge vector x[high] - x[low].
-_EDGE_LOW = np.array(
-    [[0, 0, 0], [0, 1, 1], [3, 1, 2], [3, 0, 3], [4, 4, 0], [4, 5, 1], [7, 5, 2], [7, 4, 3]]
-)
-_EDGE_HIGH = np.array(
-    [[1, 3, 4], [1, 2, 5], [2, 2, 6], [2, 3, 7], [5, 7, 4], [5, 6, 5], [6, 6, 6], [6, 7, 7]]
-)
+_EDGE_LOW, _EDGE_HIGH = _edge_ends(0.0), _edge_ends(1.0)
 # the twelve cell edges (low, high); each serves the two corners it joins
 _EDGES = sorted(set(zip(_EDGE_LOW.ravel().tolist(), _EDGE_HIGH.ravel().tolist())))
 

@@ -34,7 +34,6 @@ __all__ = [
     "MotionTrajectory",
     "DegenerateMeshError",
     "case_fields",
-    "case_parameters",
     "detect_degenerate",
     "evaluate_motion",
     "sample_motion",
@@ -103,8 +102,9 @@ class MotionCase:
         return cls(case_id, **params)
 
     def metadata(self, mesh: HexMesh) -> dict[str, Any]:
+        """The case id, the period and the parameters of the case's row, in its order."""
         meta = {"case": self.case_id, "period": self.period}
-        meta.update((p, getattr(self, p)) for p in case_parameters(self.case_id))
+        meta.update((p, getattr(self, p)) for p in _row(self.case_id).params)
         if "support_radius" in meta:
             meta["support_radius"] = self.resolved_support_radius(mesh)
         return meta
@@ -242,11 +242,6 @@ def _row(case_id: str) -> CaseRow:
     if case_id not in CASES:
         raise ValueError(f"unknown case id {case_id!r}; expected one of {CASE_IDS}")
     return CASES[case_id]
-
-
-def case_parameters(case_id: str) -> frozenset[str]:
-    """The ``MotionCase`` parameters that the motion of ``case_id`` reads."""
-    return frozenset(_row(case_id).params)
 
 
 def case_fields(mesh: HexMesh, case: MotionCase, pool: Executor = rbf.INLINE) -> np.ndarray:

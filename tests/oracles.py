@@ -50,9 +50,11 @@ from gclkit.flow import (
     PRESSURE_INF,
     RHO_INF,
     VELOCITY_INF,
+    W_INF,
     FreestreamResult,
 )
 from gclkit.hexmesh import FACE_LOOPS, REF_CORNERS
+from gclkit.metrics import rel_err_freestream
 from gclkit.rbf import wendland_c0
 
 # errors at or below this are rounding noise, not a convergence curve
@@ -445,9 +447,9 @@ def rk_march(problem, cfl=1.5, max_iterations=20000, drop=CONVERGENCE_DROP):
         if final <= floor or final <= drop * initial:
             stop_reason = "floor" if final <= floor else "drop"
             break
+    states = problem.physical_states(wbar)
     return FreestreamResult(
-        problem.current_rel_err(wbar), iteration, initial, final, stop_reason,
-        states=problem.physical_states(wbar),
+        rel_err_freestream(states, W_INF), iteration, initial, final, stop_reason, states=states
     )
 
 

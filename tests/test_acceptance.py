@@ -115,7 +115,7 @@ def test_criterion_02_trimap_exact_on_linear_motion(
     case = MotionCase.for_case(case_id)
     for n in (1, 2):
         point = experiments.prepare_point(paper_mesh_session, case, n)
-        # point.exact_rates is the TRI-MAP face sum itself; the product-rule
+        # the TRI-MAP face sums are what abs_err1 measures; the product-rule
         # rates are the independent oracle
         exact = gcl.exact_volume_rates(paper_mesh_session, point.trajectory)
         aliasing = np.abs(exact - point.spectral.differentiate(point.trajectory.volumes)).max()

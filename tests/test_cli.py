@@ -543,6 +543,56 @@ def test_freestream_divergence_is_one_line_error(tmp_path):
     assert done.stderr.count("\n") == 1, done.stderr
 
 
+@pytest.mark.parametrize(
+    "alpha0",
+    [
+        "1e20",
+        "1e150",
+        # the residual's RMS is 8e284: a plain 2-norm of it overflows, which
+        # makes GMRES's tolerance inf and every Newton step zero, so the
+        # state would never move and AVG would read rel_err 0
+        "1e300",
+    ],
+)
+def test_overflowing_freestream_solve_is_one_line_divergence(tmp_path, alpha0):
+    out = tmp_path / "o.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "gclkit", "run", "--case", "rigid-rotation", "--alpha0", alpha0,
+         "--n", "1..1", "--mesh", "3,3,3", "--freestream", "on", "--methods", "avg,lvi",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 4
+    assert done.stderr == (
+        "error: divergence: freestream run diverged: case=rigid-rotation method=avg N=1\n"
+    )
+    assert not out.exists()
+
+
+def test_timing_fills_wall_ms_and_nothing_else(tmp_path):
+    argv = ["run", "--case", "2", "--mesh", "3,3,3", "--n", "1..2", "--methods",
+            "lvi,aevi,avg,trimap,ts-lvi,ts-aevi"]
+    timed, plain = tmp_path / "timed.csv", tmp_path / "plain.csv"
+    assert main([*argv, "--timing", "--out", str(timed)]) == 0
+    assert main([*argv, "--out", str(plain)]) == 0
+    rows = read_rows(timed)
+    assert len(rows) == 12 and all(float(r["wall_ms"]) > 0.0 for r in rows)
+    by_key = {(r["N"], r["method"]): r["wall_ms"] for r in rows}
+    for (n, method), wall_ms in by_key.items():
+        if method.startswith("ts-"):  # a ts-* row is its nlfd-* twin's, renamed
+            assert wall_ms == by_key[n, "nlfd-" + method[3:]], (n, method)
+    # the wall_ms column zeroed, the bytes of the run without --timing
+    lines = timed.read_text().split("\n")
+    column = next(line for line in lines if line.startswith("case,")).split(",").index("wall_ms")
+    for i, line in enumerate(lines):
+        if line and not line.startswith(("#", "case,")):
+            fields = line.split(",")
+            fields[column] = "0"
+            lines[i] = ",".join(fields)
+    assert "\n".join(lines) == plain.read_text()
+
+
 # runs ``python -m gclkit`` with the probe's arguments, then reports whether
 # any scipy module was imported
 MODULE_PROBE = """

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from gclkit.cli import SETTINGS, build_parser, build_run_config
 from gclkit.experiments import ConfigError
 from gclkit.hexmesh import MAX_LENGTH, MIN_CELL_EDGE
-from gclkit.motion import case_parameters
+from gclkit.motion import CASES
 
 # every setting's flag (not --config, which opens a file, nor --help, which
 # exits), retired and unknown ones, and values that sit on or near what the
@@ -84,7 +84,7 @@ def _check(outcome):
     ), cfg.lengths
     assert case.case_id == cfg.case
     not_none = {f.name for f in dataclasses.fields(case) if getattr(case, f.name) is not None}
-    assert not_none - {"case_id", "period"} <= case_parameters(case.case_id), case
+    assert not_none - {"case_id", "period"} <= CASES[case.case_id].params.keys(), case
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,12 @@
 import dataclasses
+import json
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +183,29 @@ def test_a_vector_parameter_takes_one_number_or_three():
     assert one.amplitude == (0.2, 0.2, 0.2)
     assert MotionCase.for_case("case1", amplitude=[0.2]) == one
     assert MotionCase.for_case("case1", amplitude=np.full(3, 0.2)) == one
+
+
+# prints the metadata keys of case 4 on a 2^3 box as a JSON list
+METADATA_KEYS = """
+import json
+from gclkit.hexmesh import build_box_mesh
+from gclkit.motion import MotionCase
+mesh = build_box_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+print(json.dumps(list(MotionCase.for_case("case4").metadata(mesh))))
+"""
+
+
+def test_metadata_keys_follow_the_row_whatever_the_hash_seed():
+    # a set of parameter names would list them in an order that moves with
+    # the string hash, which each interpreter seeds anew
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    expected = ["case", "period", *CASES["case4"].params]
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", METADATA_KEYS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == expected, seed
 
 
 @pytest.mark.parametrize("case_id", ALL_CASES)
