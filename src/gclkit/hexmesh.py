@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -390,8 +391,10 @@ def _element_vertex_ids(counts, kind: str) -> np.ndarray:
     )
 
 
-def _interface_blocks(counts) -> dict[str, tuple[slice, tuple[int, int, int]]]:
-    """Per axis, its interface block and the (z, y, x) shape of the axis's grid."""
+@functools.lru_cache(maxsize=8)
+def _interface_blocks(counts) -> types.MappingProxyType:
+    """Per axis, its interface block and the (z, y, x) shape of the axis's
+    grid, read-only: one computation per cell counts."""
     blocks, start = {}, 0
     for axis in "xyz":
         shape = list(counts[::-1])
@@ -399,4 +402,4 @@ def _interface_blocks(counts) -> dict[str, tuple[slice, tuple[int, int, int]]]:
         stop = start + int(np.prod(shape))
         blocks[axis] = slice(start, stop), tuple(shape)
         start = stop
-    return blocks
+    return types.MappingProxyType(blocks)

@@ -21,17 +21,22 @@ The grid is evaluated by the same symmetry: the value at g x is
 sum_p phi(|x - p|) c[g p], so only the grid's orbit representatives, its
 points on the low side of every mirror, form near pairs.  ``build_system``
 folds every other grid point onto the low side and finds the representative
-it lands on with one k-d tree query, then forms the representatives' pairs
-against one k-d tree of the control points and weighs them, over blocks of
-``BLOCK_POINTS`` representatives; ``interpolate`` writes all |G| images of a
-block with one sparse product of its held weights.  A grid that the whole
+it lands on, then forms the representatives' pairs against the control points
+and weighs them, over blocks of ``BLOCK_POINTS`` representatives;
+``interpolate`` writes all |G| images of a block with one sparse product of
+its held weights.  A grid that the whole
 group does not map onto itself is evaluated point by point, under the
 identity alone.  The README's measurements section counts the near pairs and
 times them against every grid point's own pairs (``rbf_interpolate`` in
 ``tests/oracles.py``).
 
-A build has two halves that share only the control points' k-d tree and
-mirror group: the Gram half (basis, blocks, factor) and the grid half
+Every near pair, those of the Gram rows and of the grid blocks and the
+matches of the mirror images, the folds and the duplicate check, comes from
+one search (:func:`_near_pairs`): points sorted into bins by numpy, no k-d
+tree, and no scipy module beyond the sparse arrays and their factor.
+
+A build has two halves that share only the control points and their mirror
+group: the Gram half (basis, blocks, factor) and the grid half
 (:func:`_grid_weights`: orbits, pairs, weights).  ``build_system`` submits
 the grid half as one task to an executor and runs the Gram half on the
 calling thread; :data:`INLINE`, the default, runs the task as it is
@@ -57,7 +62,6 @@ if TYPE_CHECKING:  # scipy is imported where used: only the RBF cases need it
 
     from scipy.sparse import coo_array, csc_array
     from scipy.sparse.linalg import SuperLU
-    from scipy.spatial import cKDTree
 __all__ = ["BLOCK_POINTS", "wendland_c0", "RbfSystem", "build_system", "interpolate"]
 
 # Grid representatives whose near pairs are formed together.  Every block's
@@ -68,6 +72,9 @@ BLOCK_POINTS = 1024
 # that a build accepts, half a double's digits: a spread that misses them by
 # more no longer moves the boundary as its case prescribes.
 MAX_CONTROL_MISS = 1e-8
+# Candidate pairs whose distances :func:`_near_pairs` forms together, whole
+# queries at a time: each temporary is about half a megabyte.
+_CANDIDATES = 1 << 16
 
 
 class _Inline:
@@ -110,7 +117,8 @@ class RbfSystem:
     the flat index ``_grid_source[x]`` = |G| k + g, with the control points'
     images under g in row g of ``_group``, and ``_weights`` holds
     phi(|r_k - p|) of each block of ``BLOCK_POINTS`` representatives' near
-    pairs, in the k-d tree's order, one row per representative.  Nothing is
+    pairs, in (representative, control point) order, one row per
+    representative.  Nothing is
     written after construction.
     """
 
@@ -133,9 +141,96 @@ class RbfSystem:
         return self._basis @ (coeff + self._factor.solve(rhs - self._blocks @ coeff))
 
 
-def _reject_duplicates(tree: cKDTree, tol: float) -> None:
-    """Raise on control points closer than ``tol``: M would be singular."""
-    pairs = sorted(tree.query_pairs(tol))
+def _near_pairs(a: np.ndarray, b: np.ndarray, radius: float):
+    """Every pair (i, j) of rows of the (n, 3) arrays ``a`` and ``b`` with
+    |a_i - b_j| <= radius, in (i, j) order, and its distance: the squares of
+    the differences summed over x, y then z, and their root.
+
+    The points of ``b`` are sorted into the cubic bins of their bounding box,
+    of side radius/2 or more, and few enough that a table of every bin's
+    first point is no longer than about ``b`` itself.  A bin's key orders it
+    by x, then y, then z, so the bins that meet the cube of side 2 radius
+    about a query are at most 5 x 5 runs of consecutive keys, each read off
+    the table.  Their points are the query's candidates, measured whole
+    queries at a time, about ``_CANDIDATES`` at once.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    none = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    if not (len(a) and len(b) and radius >= 0.0):
+        return none
+    low = np.array([b[:, axis].min() for axis in range(3)])
+    span = max(float(b[:, axis].max() - low[axis]) for axis in range(3))
+    # past the radius by more than the rounding of a query's cube and bins
+    reach = radius * (1.0 + 2.0**-20) + span * 2.0**-40
+    side = max(0.5 * reach * (1.0 + 2.0**-20), span / (round(len(b) ** (1 / 3)) + 1))
+    if not 0.0 < side <= span:  # one bin holds every point
+        side = 2.0 * span or 1.0
+    cells = int(span / side) + 2  # bins per axis
+    width = int(min(cells, np.ceil(2.0 * reach / side) + 1))  # runs per axis
+    binned = np.floor((b - low) / side).astype(np.intp)
+    keys = (binned[:, 0] * cells + binned[:, 1]) * cells + binned[:, 2]
+    order = np.argsort(keys, kind="stable")  # each bin's points in index order
+    bins = np.searchsorted(keys[order], np.arange(cells**3 + 1))  # each bin's first
+    bx, by, bz = b[order].T.copy()
+    first = np.clip(np.floor((a - low - reach) / side), 0, cells - 1).astype(np.intp)
+    last = np.clip(np.floor((a - low + reach) / side), 0, cells - 1).astype(np.intp)
+    x, y = first[:, :1] + np.arange(width), first[:, 1:2] + np.arange(width)
+    column = (np.minimum(x, cells - 1)[:, :, None] * cells
+              + np.minimum(y, cells - 1)[:, None, :]) * cells
+    start = bins[column + first[:, 2, None, None]]
+    count = bins[column + last[:, 2, None, None] + 1] - start
+    count *= (x <= last[:, :1])[:, :, None] & (y <= last[:, 1:2])[:, None, :]
+    runs = np.flatnonzero(count)
+    if not runs.size:
+        return none
+    start, count, query = start.ravel()[runs], count.ravel()[runs], runs // width**2
+    # whole queries at a time: each cut moves back to its query's first run
+    total = np.cumsum(count)
+    cuts = np.searchsorted(query, query[np.searchsorted(total, np.arange(
+        _CANDIDATES, total[-1], _CANDIDATES))]).tolist()
+    found = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(runs)]):
+        if lo == hi:
+            continue
+        n, q = count[lo:hi], a[query[lo:hi]]
+        ends = np.cumsum(n)
+        at = np.repeat(start[lo:hi] - (ends - n), n) + np.arange(ends[-1])
+        distance = np.square(np.repeat(q[:, 0], n) - bx[at])
+        distance += np.square(np.repeat(q[:, 1], n) - by[at])
+        distance += np.square(np.repeat(q[:, 2], n) - bz[at])
+        near = np.flatnonzero(np.sqrt(distance, out=distance) <= radius)
+        i, j = np.repeat(query[lo:hi], n)[near], order[at[near]]
+        # i is sorted already; one sort of (i, j) keys that carry each pair's
+        # place in their low bits orders j within each i
+        key, shift = (i - query[lo]) * len(b) + j, len(near).bit_length()
+        if len(near) and (int(i[-1] - query[lo]) + 1) * len(b) << shift < 1 << 63:
+            place = np.sort(key << shift | np.arange(len(near))) & ((1 << shift) - 1)
+        else:
+            place = np.argsort(key)
+        found.append((i, j[place], distance[near[place]]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _matches(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """The index of the point of ``b`` nearest each point of ``a``, of those
+    nearer than ``tol`` (the lowest index of equally near ones), or -1."""
+    i, j, distance = _near_pairs(a, b, tol)
+    within = distance < tol
+    i, j, distance = i[within], j[within], distance[within]
+    match = np.full(len(a), -1)
+    if i.size:
+        heads = np.flatnonzero(np.diff(i, prepend=-1))  # each point's first pair
+        least = np.repeat(np.minimum.reduceat(distance, heads), np.diff(heads, append=i.size))
+        nearest = np.flatnonzero(distance == least)
+        nearest = nearest[np.diff(i[nearest], prepend=-1) > 0]
+        match[i[nearest]] = j[nearest]
+    return match
+
+
+def _reject_duplicates(points: np.ndarray, tol: float) -> None:
+    """Raise on control points within ``tol`` of each other: M would be singular."""
+    i, j, _ = _near_pairs(points, points, tol)
+    pairs = list(zip(i[i < j].tolist(), j[i < j].tolist()))
     if pairs:
         shown = ", ".join(map(str, pairs[:10])) + (", ..." if len(pairs) > 10 else "")
         raise ValueError(
@@ -144,7 +239,7 @@ def _reject_duplicates(tree: cKDTree, tol: float) -> None:
         )
 
 
-def _mirror_group(tree: cKDTree):
+def _mirror_group(points: np.ndarray):
     """The group G that the mid-plane mirrors of the points' bounding box
     generate, where a mirror counts if it maps the points onto themselves.
 
@@ -154,15 +249,16 @@ def _mirror_group(tree: cKDTree):
     mirrored axes, the sums low + high of the box's sides and the distance
     within which an image matches a point.
     """
-    points = tree.data
     low, high = points.min(axis=0), points.max(axis=0)
     sums, tol = low + high, 1e-12 * float(np.max(high - low))
-    group, axes = [np.arange(tree.n)], []
-    for axis in range(points.shape[1]):
-        image = points.copy()
-        image[:, axis] = sums[axis] - image[:, axis]
-        distance, perm = tree.query(image, distance_upper_bound=tol)
-        if distance.max() <= tol and np.array_equal(perm[perm], group[0]):
+    n, dims = points.shape
+    images = np.repeat(points[None], dims, axis=0)
+    for axis in range(dims):
+        images[axis, :, axis] = sums[axis] - points[:, axis]
+    perms = _matches(images.reshape(-1, dims), points, tol).reshape(dims, n)
+    group, axes = [np.arange(n)], []
+    for axis, perm in enumerate(perms):
+        if perm.min() >= 0 and np.array_equal(perm[perm], group[0]):
             group += [perm[g] for g in group]
             axes.append(axis)
     return np.stack(group), axes, sums, tol
@@ -207,12 +303,11 @@ def _grid_orbits(
     where grid point x = g r_k.
 
     A point on the high side of some mirrors is folded onto the low side by
-    them, and one k-d query finds the low-side point it lands on.  If a fold
+    them, and one search finds the low-side point it lands on.  If a fold
     lands no nearer than ``tol`` to any low-side point, the grid is not
     symmetric, and every grid point is its own representative under the
     identity.
     """
-    from scipy.spatial import cKDTree
     high = grid[:, axes] > 0.5 * sums[axes] + tol
     element = high @ (1 << np.arange(len(axes)))
     reps, moved = np.flatnonzero(element == 0), np.flatnonzero(element)
@@ -221,51 +316,43 @@ def _grid_orbits(
     if moved.size:
         image = grid[moved]
         image[:, axes] = np.where(high[moved], sums[axes] - image[:, axes], image[:, axes])
-        distance, source[moved] = cKDTree(grid[reps]).query(image, distance_upper_bound=tol)
-        if distance.max() > tol:
+        source[moved] = _matches(image, grid[reps], tol)
+        if source[moved].min() < 0:
             return group[:1], np.arange(len(grid)), np.arange(len(grid))
     return group, reps, source * len(group) + element
 
 
 def _grid_weights(
-    grid: np.ndarray, tree: cKDTree, group: np.ndarray, axes: list, sums: np.ndarray,
+    grid: np.ndarray, points: np.ndarray, group: np.ndarray, axes: list, sums: np.ndarray,
     tol: float, support_radius: float,
 ):
     """The grid half of a build: the grid's orbits (:func:`_grid_orbits`)
     and each block of ``BLOCK_POINTS`` representatives' weights against the
-    control points in ``tree``.  Returns the group rows used, each grid
-    point's source and the blocks' weights."""
+    control points.  Returns the group rows used, each grid point's source
+    and the blocks' weights."""
     from scipy.sparse import coo_array
-    from scipy.spatial import cKDTree
     group, reps, source = _grid_orbits(grid, group, axes, sums, tol)
     weights = []
     for start in range(0, len(reps), BLOCK_POINTS):
         block = grid[reps[start:start + BLOCK_POINTS]]
         # representative i, control point j and w = phi(|r_i - p_j|) for each
         # pair within the support, coincident points (w = 1) included
-        near = cKDTree(block).sparse_distance_matrix(
-            tree, support_radius, output_type="ndarray"
-        )
+        i, j, distance = _near_pairs(block, points, support_radius)
         weights.append(coo_array(
-            # own copies of the indices, not views that keep the distances
-            (wendland_c0(near["v"], support_radius), (near["i"].copy(), near["j"].copy())),
-            shape=(len(block), tree.n),
+            (wendland_c0(distance, support_radius), (i, j)), shape=(len(block), len(points))
         ))
     return group, source, weights
 
 
-def _gram_blocks(tree: cKDTree, group: np.ndarray, support_radius: float):
+def _gram_blocks(points: np.ndarray, group: np.ndarray, support_radius: float):
     """The Gram half of a build: Q, the block-diagonal Q^T M Q and its factor."""
     from scipy.sparse import csc_array, csr_array
     from scipy.sparse.linalg import splu
-    from scipy.spatial import cKDTree
     basis, slices, reps, scale, col_orbit = _symmetry_basis(group)
-    near = cKDTree(tree.data[reps]).sparse_distance_matrix(
-        tree, support_radius, output_type="ndarray"
-    )
+    i, j, distance = _near_pairs(points[reps], points, support_radius)
     rep_rows = csr_array(
-        (wendland_c0(near["v"], support_radius) * scale[near["i"]], (near["i"], near["j"])),
-        shape=(len(reps), tree.n),
+        (wendland_c0(distance, support_radius) * scale[i], (i, j)),
+        shape=(len(reps), len(points)),
     )
     # each block is symmetric, so its CSR arrays serve as its CSC arrays, and
     # the blocks are laid side by side with offset indices
@@ -275,7 +362,7 @@ def _gram_blocks(tree: cKDTree, group: np.ndarray, support_radius: float):
         (np.concatenate([part.data for part in parts]),
          np.concatenate([part.indices + cols.start for part, cols in zip(parts, slices)]),
          np.concatenate([[0]] + [part.indptr[1:] + off for part, off in zip(parts, offsets)])),
-        shape=(tree.n, tree.n),
+        shape=(len(points), len(points)),
     )
     try:
         factor = splu(
@@ -318,19 +405,19 @@ def build_system(
         of each other, naming them.  If both halves fail, the grid half's
         error is raised, as on one thread.
     """
-    from scipy.spatial import cKDTree
     rbf_points = np.atleast_2d(np.asarray(rbf_points, dtype=float))
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
-    tree = cKDTree(rbf_points)
-    group, axes, sums, tol = _mirror_group(tree)
-    _reject_duplicates(tree, tol)
-    task = pool.submit(_grid_weights, grid_points, tree, group, axes, sums, tol, support_radius)
+    group, axes, sums, tol = _mirror_group(rbf_points)
+    _reject_duplicates(rbf_points, tol)
+    task = pool.submit(
+        _grid_weights, grid_points, rbf_points, group, axes, sums, tol, support_radius
+    )
     try:
-        basis, blocks, factor = _gram_blocks(tree, group, support_radius)
+        basis, blocks, factor = _gram_blocks(rbf_points, group, support_radius)
     finally:
         grid = task.result()  # its error comes first, as on one thread
     system = RbfSystem(basis, blocks, factor, *grid)
-    probe = np.cos(np.arange(tree.n))  # control values of unit size
+    probe = np.cos(np.arange(len(rbf_points)))  # control values of unit size
     miss = np.abs(basis @ (blocks @ (basis.T @ system.solve(probe))) - probe).max()
     if not miss <= MAX_CONTROL_MISS:
         raise ValueError(
@@ -349,7 +436,7 @@ def interpolate(system: RbfSystem, values: np.ndarray) -> np.ndarray:
     of the grid's orbit representatives r, one sparse product of its weights
     (formed by :func:`build_system`) and the coefficients permuted by every
     group element g gives all its images g r at once.  Each image sums its
-    pairs in the k-d tree's order.
+    pairs in control-point order.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != system.n_points:

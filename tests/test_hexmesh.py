@@ -311,3 +311,16 @@ def test_sum_over_faces_equals_gathered_slots(data):
     assert total.shape == expected.shape
     assert np.array_equal(total, expected)
     assert np.array_equal(np.signbit(total), np.signbit(expected))
+
+
+def test_interface_blocks_computed_once_per_cell_counts_across_a_sweep():
+    from gclkit import experiments, hexmesh
+    from gclkit.motion import MotionCase
+
+    hexmesh._interface_blocks.cache_clear()
+    experiments.run_sweep(experiments.MeshConfig(3, 4, 5), MotionCase.for_case("case1"),
+                          [1, 2, 3], ["nlfd-lvi", "nlfd-aevi", "avg", "trimap"])
+    info = hexmesh._interface_blocks.cache_info()
+    assert info.misses == 1 and info.hits > 0
+    with pytest.raises(TypeError):
+        hexmesh._interface_blocks((3, 4, 5))["x"] = None

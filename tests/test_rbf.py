@@ -502,3 +502,46 @@ def test_case5_velocity_is_derivative_of_displacement(paper_mesh):
     _, vel = evaluate_motion(paper_mesh, case, t)
     scale = np.abs(vel).max()
     assert np.abs(fd - vel).max() <= 1e-10 * scale
+
+
+@st.composite
+def near_pair_inputs(draw):
+    """Point sets with duplicates and dyadic coordinates (so some pairs sit at
+    exactly d = r), empty and one-point sets, and radii from 1e-12 of the
+    extent to past it."""
+    sizes = [draw(st.integers(0, 40)) for _ in range(2)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    a, b = (rng.integers(0, 8, size=(n, 3)) / 8.0 for n in sizes)
+    if len(a) and len(b) and draw(st.booleans()):
+        a[: len(a) // 2] = b[rng.integers(0, len(b), len(a) // 2)]  # duplicates
+    radius = draw(st.sampled_from([0.0, 1e-12, 0.125, 0.25, 0.5, 1.0, 2.0, 10.0]))
+    return a, b, radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_pair_inputs())
+def test_near_pairs_match_every_pair_of_the_dense_distances(case):
+    a, b, radius = case
+    i, j, distance = rbf._near_pairs(a, b, radius)
+    dense = cdist(a, b) if len(a) and len(b) else np.zeros((len(a), len(b)))
+    want_i, want_j = np.nonzero(dense <= radius)  # row-major: (i, j) order
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert np.array_equal(distance, dense[want_i, want_j])
+
+
+@pytest.mark.parametrize("case_id", ["case4", "case5"])
+def test_rbf_case_loads_no_scipy_spatial(tmp_path, case_id):
+    import subprocess
+    from pathlib import Path
+
+    code = (
+        "import sys; from gclkit.cli import main; "
+        f"main(['run', '--case', '{case_id[-1]}', '--mesh', '3,3,3', '--n', '1..1', "
+        f"'--out', {str(tmp_path / 'r.csv')!r}]); "
+        "print('scipy.sparse' in sys.modules, 'scipy.spatial' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert done.stdout.split() == ["True", "False"], done.stderr
