@@ -200,13 +200,9 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, radius: float):
         distance += np.square(np.repeat(q[:, 2], n) - bz[at])
         near = np.flatnonzero(np.sqrt(distance, out=distance) <= radius)
         i, j = np.repeat(query[lo:hi], n)[near], order[at[near]]
-        # i is sorted already; one sort of (i, j) keys that carry each pair's
-        # place in their low bits orders j within each i
-        key, shift = (i - query[lo]) * len(b) + j, len(near).bit_length()
-        if len(near) and (int(i[-1] - query[lo]) + 1) * len(b) << shift < 1 << 63:
-            place = np.sort(key << shift | np.arange(len(near))) & ((1 << shift) - 1)
-        else:
-            place = np.argsort(key)
+        # i is sorted already; one sort of the distinct (i, j) keys orders j
+        # within each i
+        place = np.argsort((i - query[lo]) * len(b) + j)
         found.append((i, j[place], distance[near[place]]))
     return tuple(np.concatenate(parts) for parts in zip(*found))
 

@@ -435,8 +435,8 @@ def test_dimension_mismatch_rejected(rng):
 
 
 def test_held_weights_own_their_arrays(monkeypatch):
-    # each block's indices are copies, not views that keep the k-d tree's
-    # (i, j, distance) records and their dead distances alive
+    # each block's indices are copies, not views that keep the near-pair
+    # search's (i, j, distance) arrays and their dead distances alive
     mesh = build_box_mesh(6, 6, 6, 3.2, 2.8, 2.4)
     monkeypatch.setattr(rbf, "BLOCK_POINTS", 7)
     system = build_system(mesh.vertices[mesh.boundary_vertex_ids()], mesh.vertices, 0.96)
@@ -520,10 +520,15 @@ def near_pair_inputs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(near_pair_inputs())
-def test_near_pairs_match_every_pair_of_the_dense_distances(case):
+@given(near_pair_inputs(), st.sampled_from([rbf._CANDIDATES, 1, 8]))
+def test_near_pairs_match_every_pair_of_the_dense_distances(case, candidates):
+    # a few candidates per chunk put the chunk cuts inside and between queries
     a, b, radius = case
-    i, j, distance = rbf._near_pairs(a, b, radius)
+    held, rbf._CANDIDATES = rbf._CANDIDATES, candidates
+    try:
+        i, j, distance = rbf._near_pairs(a, b, radius)
+    finally:
+        rbf._CANDIDATES = held
     dense = cdist(a, b) if len(a) and len(b) else np.zeros((len(a), len(b)))
     want_i, want_j = np.nonzero(dense <= radius)  # row-major: (i, j) order
     assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
