@@ -20,7 +20,8 @@ of a cell or interface is a fixed flat offset from the element's grid point,
 so for a block of consecutive elements each corner is one slice of a field's
 component planes (3, n_instants, n_vertices), and each corner component is
 one (n_instants, block) view, with no gather.  A block holds
-``BLOCK_ELEMENT_INSTANTS`` anchor-instants on every thread.  A caller holding
+``BLOCK_ELEMENT_INSTANTS`` anchor-instants on a pool thread and a quarter of
+that on the main thread.  A caller holding
 component-last (..., k, 3) arrays passes the kernels strided views of them
 (:func:`corner_planes`).  Each formula therefore has one implementation, with
 no ``np.cross``, ``einsum`` or per-face fancy-index copy.
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import types
 from dataclasses import dataclass, field
 
@@ -109,9 +111,13 @@ _CORNER_STEPS = {"cells": REF_CORNERS.astype(int)} | {
     for axis, (_, high) in FACE_FAMILY.items()
 }
 
-# Anchor-instants per block of :meth:`HexMesh.blockwise`, on every thread:
+# Anchor-instants per block of :meth:`HexMesh.blockwise` on a pool thread:
 # the kernels' temporaries stay cache-sized, so a thread's working set does
-# not grow with the mesh or the number of instants (README, "Block size").
+# not grow with the mesh or the number of instants, and each numpy call lasts
+# long enough that workers do not hand the interpreter lock back and forth.
+# The main thread, which runs a one-worker sweep alone, takes a quarter of
+# it: glibc then keeps its temporaries on the heap instead of returning them
+# and faulting them in again every block (README, "Block size").
 BLOCK_ELEMENT_INSTANTS = 16384
 
 
@@ -249,13 +255,17 @@ class HexMesh:
         their elements' rows of ``out`` (n_elements, n_out), by default an
         instant-major array of the kernel's dtype, allocated on the first
         block.  A block holds about ``BLOCK_ELEMENT_INSTANTS`` anchor-instants
-        on any thread; an elementwise kernel gives bitwise the values of one
-        call over all elements, whatever the block.
+        on a pool thread and a quarter of that on the main thread; an
+        elementwise kernel gives bitwise the values of one call over all
+        elements, whatever the block.
         """
         planes = [np.moveaxis(np.asarray(f, dtype=float), -1, 0) for f in fields]
         n_instants = planes[0].shape[1]
         families = _element_families(self.counts, kind)
-        step = max(1, BLOCK_ELEMENT_INSTANTS // n_instants)
+        block = BLOCK_ELEMENT_INSTANTS
+        if threading.current_thread() is threading.main_thread():
+            block //= 4
+        step = max(1, block // n_instants)
         for rows, offsets, anchors in families:
             row = rows.start
             for start in range(0, len(anchors), step):

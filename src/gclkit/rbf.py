@@ -12,19 +12,22 @@ character of G and orbit of points) M splits into one independent block per
 character: eight for a box's boundary, one for points with no mirror
 symmetry (Fassler & Stiefel, *Group Theoretical Methods and Their
 Applications*, 1992).  Only the Gram rows of the orbit representatives are
-formed, no full Gram matrix, and SuperLU factors the blocks' block-diagonal
-matrix, so its L and U stay inside the blocks.  The README's measurements
-section times build + solve against one factor of the full Gram matrix
-(``rbf_solve`` in ``tests/oracles.py``).
+formed, no full Gram matrix.  The blocks are held dense, side by side and
+padded with the identity to the largest one's size, and one blocked
+square-root-free Cholesky factor L D L^T takes them all at once
+(:func:`_factor`).  The README's measurements section times build + solve
+against one factor of the full Gram matrix (``rbf_solve`` in
+``tests/oracles.py``).
 
 The grid is evaluated by the same symmetry: the value at g x is
 sum_p phi(|x - p|) c[g p], so only the grid's orbit representatives, its
 points on the low side of every mirror, form near pairs.  ``build_system``
 folds every other grid point onto the low side and finds the representative
 it lands on, then forms the representatives' pairs against the control points
-and weighs them, over blocks of ``BLOCK_POINTS`` representatives;
-``interpolate`` writes all |G| images of a block with one sparse product of
-its held weights.  A grid that the whole
+and weighs them, over blocks of ``BLOCK_POINTS`` representatives, and holds
+the weights as (representative, control point, weight) triplets;
+``interpolate`` writes all |G| images of every representative with one
+segment sum of those triplets per image and column.  A grid that the whole
 group does not map onto itself is evaluated point by point, under the
 identity alone.  The README's measurements section counts the near pairs and
 times them against every grid point's own pairs (``rbf_interpolate`` in
@@ -33,7 +36,7 @@ times them against every grid point's own pairs (``rbf_interpolate`` in
 Every near pair, those of the Gram rows and of the grid blocks and the
 matches of the mirror images, the folds and the duplicate check, comes from
 one search (:func:`_near_pairs`): points sorted into bins by numpy, no k-d
-tree, and no scipy module beyond the sparse arrays and their factor.
+tree.  The module needs numpy alone.
 
 A build has two halves that share only the control points and their mirror
 group: the Gram half (basis, blocks, factor) and the grid half
@@ -45,9 +48,11 @@ does not depend on where they ran, and the first error is the grid half's
 either way.  A radius far past the points' extent makes every Gram entry
 nearly 1, and a build refuses one that costs the spread half its digits.
 
-No dense and no (n_grid, n_rbf) matrix is built, and the result has the same
-bytes whatever the BLAS thread count.  A system is transient (see
-``motion.case_fields``).
+Every product and sum over the blocks, the basis and the weights is an
+``np.einsum`` without ``optimize``, a gather, an ``np.bincount`` or an
+``np.add.reduceat``, never BLAS or LAPACK, so the result has the same bytes
+whatever their thread count.  No full Gram matrix and no (n_grid, n_rbf) matrix is built.  A
+system is transient (see ``motion.case_fields``).
 """
 
 from __future__ import annotations
@@ -57,15 +62,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # scipy is imported where used: only the RBF cases need it
+if TYPE_CHECKING:
     from concurrent.futures import Executor
-
-    from scipy.sparse import coo_array, csc_array
-    from scipy.sparse.linalg import SuperLU
 __all__ = ["BLOCK_POINTS", "wendland_c0", "RbfSystem", "build_system", "interpolate"]
 
-# Grid representatives whose near pairs are formed together.  Every block's
-# weights are held from the build to the evaluation, 24 bytes a pair (the
+# Grid representatives whose near pairs are formed together.  Every pair's
+# weight is held from the build to the evaluation, 24 bytes a pair (the
 # weight and its two indices): 197,509 pairs, 4.7 MB, on 20^3.
 BLOCK_POINTS = 1024
 # The largest miss at the control points of control values of unit size
@@ -75,6 +77,9 @@ MAX_CONTROL_MISS = 1e-8
 # Candidate pairs whose distances :func:`_near_pairs` forms together, whole
 # queries at a time: each temporary is about half a megabyte.
 _CANDIDATES = 1 << 16
+# Columns of the Gram blocks that :func:`_factor` factors together, and
+# rows that the triangular solves take together.
+_PANEL = 48
 
 
 class _Inline:
@@ -111,34 +116,62 @@ class RbfSystem:
 
     The kernel Gram matrix M over the control points is held in the
     symmetry-adapted basis Q of the points' mirror group (see
-    :func:`build_system`): ``_basis`` is Q, ``_blocks`` the block-diagonal
-    Q^T M Q, kept with its sparse LU factor, whose L and U are block diagonal
-    too.  Grid point x is g r_k, for the grid's orbit representative r_k and
-    the flat index ``_grid_source[x]`` = |G| k + g, with the control points'
-    images under g in row g of ``_group``, and ``_weights`` holds
-    phi(|r_k - p|) of each block of ``BLOCK_POINTS`` representatives' near
-    pairs, in (representative, control point) order, one row per
-    representative.  Nothing is
+    :func:`build_system`): ``_basis`` is Q as index and scale arrays (see
+    :func:`_symmetry_basis`), ``_blocks`` the blocks of Q^T M Q, side by side
+    and padded with the identity, and ``_factor`` their factors L D L^T (see
+    :func:`_factor`).  Grid point x is g r_k, for the grid's orbit
+    representative r_k and the flat index ``_grid_source[x]`` = |G| k + g,
+    with the control points' images under g in row g of ``_group``, and
+    ``_weights`` holds the triplets (k, p, phi(|r_k - p|)) of every near pair
+    of the ``_representatives`` representatives, in (k, p) order.  Nothing is
     written after construction.
     """
 
-    _basis: csc_array = field(repr=False)  # Q, (n_rbf, n_rbf), orthonormal
-    _blocks: csc_array = field(repr=False)  # Q^T M Q, (n_rbf, n_rbf)
-    _factor: SuperLU = field(repr=False)
+    _basis: tuple = field(repr=False)  # Q: index and scale, (|G|, blocks, width)
+    _blocks: np.ndarray = field(repr=False)  # Q^T M Q, (blocks, width, width)
+    _factor: tuple = field(repr=False)  # L, D and inverses: see _factor
     _group: np.ndarray = field(repr=False)  # (|G|, n_rbf): index of g p
     _grid_source: np.ndarray = field(repr=False)  # (n_grid,) |G| k + g
-    _weights: list[coo_array] = field(repr=False)  # per block, (block, n_rbf)
+    _representatives: int
+    _weights: tuple = field(repr=False)  # (k, p, weight) of each near pair
 
     @property
     def n_points(self) -> int:
-        return self._basis.shape[0]
+        return self._group.shape[1]
 
     def solve(self, values: np.ndarray) -> np.ndarray:
         """M^-1 values = Q B^-1 Q^T values, with one step of iterative
         refinement on the blocks B."""
-        rhs = self._basis.T @ np.asarray(values, dtype=float)
-        coeff = self._factor.solve(rhs)
-        return self._basis @ (coeff + self._factor.solve(rhs - self._blocks @ coeff))
+        values = np.asarray(values, dtype=float)
+        rhs = _project(self._basis, values.reshape(self.n_points, -1))
+        coeff = _solve(self._factor, rhs)
+        coeff += _solve(self._factor, rhs - _product(self._blocks, coeff))
+        return _expand(self._basis, coeff, self.n_points).reshape(values.shape)
+
+
+def _project(basis, values: np.ndarray) -> np.ndarray:
+    """Q^T values, (blocks, k, width), for values (n, k): each entry sums
+    its |G| terms in group order.  The result is C-ordered, so the solves'
+    sums run along contiguous rows (a k-major layout made them 7x slower)."""
+    index, scale = basis
+    return np.einsum("gbc,kgbc->bkc", scale, values.T[:, index], order="C")
+
+
+def _expand(basis, coeff: np.ndarray, n: int) -> np.ndarray:
+    """Q coeff, (n, k), for coeff (blocks, k, width): each point sums its
+    terms in (group element, column) order, one ``np.bincount`` per column
+    k."""
+    index, scale = basis
+    return np.stack(
+        [np.bincount(index.ravel(), (scale * coeff[:, col]).ravel(), n)
+         for col in range(coeff.shape[1])],
+        axis=-1,
+    )
+
+
+def _product(blocks: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Each block times its coefficients, (blocks, k, width), without BLAS."""
+    return np.einsum("bij,bkj->bki", blocks, coeff, order="C")
 
 
 def _near_pairs(a: np.ndarray, b: np.ndarray, radius: float):
@@ -265,11 +298,16 @@ def _symmetry_basis(group: np.ndarray):
 
     One column per character s of G and orbit O whose stabiliser s is
     trivial on: sum_g chi_s(g) e_{g r_O} / sqrt(|G| |Stab O|), with r_O the
-    orbit's smallest index.  Returns Q (columns ordered by character, then
-    orbit), the column slice of each character, the representatives r_O,
-    sqrt(|G| / |Stab O|) per orbit and each column's orbit.
+    orbit's smallest index.  Each character's columns, ordered by orbit, are
+    one block, and the blocks are padded to the largest one's width.  Q is
+    held as two (|G|, blocks, width) arrays: index[g, b, c] = g r_O and
+    scale[g, b, c] = chi_s(g) sqrt(|Stab O| / |G|) where g is the first
+    group element to reach that point of the orbit, 0 at a later one and in
+    the padding.  Returns Q, each block's character chi_s (|G|, blocks), the
+    representatives r_O, sqrt(|G| / |Stab O|) per orbit, and the orbit of
+    every point and the first element that reaches it from its
+    representative.
     """
-    from scipy.sparse import csc_array
     order, n = group.shape
     reps = np.flatnonzero(group.min(axis=0) == group[0])
     orbit = group[:, reps]  # orbit[g, O] = g r_O
@@ -278,16 +316,25 @@ def _symmetry_basis(group: np.ndarray):
     chi = np.array([[(-1.0) ** bin(g & s).count("1") for s in range(order)] for g in range(order)])
     allowed = ~((chi[:, :, None] < 0.0) & (orbit == reps)[:, None, :]).any(axis=0)
     col_char, col_orbit = np.nonzero(allowed)
+    sizes = np.bincount(col_char, minlength=order)
+    used, width = np.flatnonzero(sizes), sizes.max()
+    # each column's place: its block's width columns, then its rank in them
+    rank = np.arange(len(col_char)) - np.searchsorted(col_char, col_char)
+    cols = np.searchsorted(used, col_char) * width + rank
     # each orbit point once, from the first group element that reaches it
-    first = np.array([(orbit[:g] != orbit[g]).all(axis=0) for g in range(order)])[:, col_orbit]
-    values = chi[:, col_char] * np.sqrt(stab[col_orbit] / order)
-    cols = np.broadcast_to(np.arange(n), first.shape)
-    basis = csc_array(
-        (values[first], (orbit[:, col_orbit][first], cols[first])), shape=(n, n)
+    first = np.array([(orbit[:g] != orbit[g]).all(axis=0) for g in range(order)])
+    index = np.zeros((order, len(used) * width), dtype=np.intp)
+    scale = np.zeros(index.shape)
+    index[:, cols] = orbit[:, col_orbit]
+    scale[:, cols] = np.where(
+        first[:, col_orbit], chi[:, col_char] * np.sqrt(stab[col_orbit] / order), 0.0
     )
-    bounds = np.searchsorted(col_char, np.arange(order + 1)).tolist()
-    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    return basis, slices, reps, np.sqrt(order / stab), col_orbit
+    element, orbit_index = np.nonzero(first)
+    orbit_of, element_of = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    orbit_of[orbit[element, orbit_index]] = orbit_index
+    element_of[orbit[element, orbit_index]] = element
+    basis = index.reshape(order, -1, width), scale.reshape(order, -1, width)
+    return basis, chi[:, used], reps, np.sqrt(order / stab), orbit_of, element_of
 
 
 def _grid_orbits(
@@ -323,51 +370,140 @@ def _grid_weights(
     tol: float, support_radius: float,
 ):
     """The grid half of a build: the grid's orbits (:func:`_grid_orbits`)
-    and each block of ``BLOCK_POINTS`` representatives' weights against the
-    control points.  Returns the group rows used, each grid point's source
-    and the blocks' weights."""
-    from scipy.sparse import coo_array
+    and the representatives' weights against the control points, formed over
+    blocks of ``BLOCK_POINTS`` representatives.  Returns the group rows used,
+    each grid point's source, the number of representatives and the
+    triplets (representative, control point, weight) in that order."""
     group, reps, source = _grid_orbits(grid, group, axes, sums, tol)
-    weights = []
+    found = []
     for start in range(0, len(reps), BLOCK_POINTS):
-        block = grid[reps[start:start + BLOCK_POINTS]]
         # representative i, control point j and w = phi(|r_i - p_j|) for each
         # pair within the support, coincident points (w = 1) included
-        i, j, distance = _near_pairs(block, points, support_radius)
-        weights.append(coo_array(
-            (wendland_c0(distance, support_radius), (i, j)), shape=(len(block), len(points))
-        ))
-    return group, source, weights
+        i, j, distance = _near_pairs(
+            grid[reps[start:start + BLOCK_POINTS]], points, support_radius
+        )
+        found.append((i + start, j, wendland_c0(distance, support_radius)))
+    return group, source, len(reps), tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _unit_lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """The inverse of each unit lower triangular (m, m) block of ``lower``,
+    row by row; only the strict lower triangles are read."""
+    inverse = np.zeros_like(lower)
+    for r in range(lower.shape[-1]):
+        inverse[:, r] = -np.einsum("bk,bkj->bj", lower[:, r, :r], inverse[:, :r])
+        inverse[:, r, r] = 1.0
+    return inverse
+
+
+def _factor(blocks: np.ndarray):
+    """The square-root-free Cholesky factors L D L^T of every symmetric
+    block of ``blocks`` (b, n, n), of which only the lower triangles are
+    read: the unit lower triangular L, the pivots D (b, n) and the inverses
+    of L's diagonal (``_PANEL``, ``_PANEL``) blocks.
+
+    Blocked and left-looking: each panel of ``_PANEL`` columns takes the
+    update from every column left of it as one ``np.einsum``, then forms its
+    own columns L D one by one, each updated from the panel's columns before
+    it by one more, and is divided by its pivots once.  The pivots are the
+    blocks' own diagonal entries, as in an LU factor with diagonal pivots.
+    No BLAS or LAPACK routine runs, so the bytes do not depend on their
+    thread count.
+
+    Raises
+    ------
+    ValueError
+        "singular RBF system" if a pivot is zero or NaN.
+    """
+    lower = np.array(blocks, dtype=float)
+    n = lower.shape[-1]
+    pivots = np.empty(lower.shape[:2])
+    inverses = []
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        lower[:, k0:, k0:k1] -= np.einsum(
+            "bik,bjk->bij", lower[:, k0:, :k0], lower[:, k0:k1, :k0] * pivots[:, None, :k0]
+        )
+        # the panel's pivots so far, read as its columns are formed
+        formed = np.diagonal(lower[:, k0:k1, k0:k1], axis1=1, axis2=2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot raises below
+            for j in range(k0 + 1, k1):
+                row = lower[:, j, k0:j] / formed[:, :j - k0]  # row j of L
+                lower[:, j:, j] -= np.einsum("bik,bk->bi", lower[:, j:, k0:j], row)
+            pivots[:, k0:k1] = formed
+            if not (np.abs(pivots[:, k0:k1]) > 0.0).all():
+                raise ValueError("singular RBF system")
+        lower[:, k0:, k0:k1] /= pivots[:, None, k0:k1]
+        inverses.append(_unit_lower_inverse(lower[:, k0:k1, k0:k1]))
+    upper = np.triu_indices(n, 1)
+    lower[:, upper[0], upper[1]] = 0.0
+    return lower, pivots, inverses
+
+
+def _solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """blocks^-1 rhs for rhs (b, k, n), from the factors that :func:`_factor`
+    returns: L y = rhs, D z = y, then L^T x = z, ``_PANEL`` rows at a time,
+    each one ``np.einsum`` for the rows solved before and one product with
+    its diagonal block's inverse."""
+    lower, pivots, inverses = factor
+    bounds = [
+        (k0, k0 + inverse.shape[-1])
+        for k0, inverse in zip(range(0, lower.shape[-1], _PANEL), inverses)
+    ]
+    y = np.empty_like(rhs)
+    for (k0, k1), inverse in zip(bounds, inverses):
+        rest = rhs[..., k0:k1] - np.einsum("bik,bck->bci", lower[:, k0:k1, :k0], y[..., :k0])
+        y[..., k0:k1] = np.einsum("bij,bcj->bci", inverse, rest)
+    y /= pivots[:, None, :]
+    x = np.empty_like(rhs)
+    for (k0, k1), inverse in reversed(list(zip(bounds, inverses))):
+        rest = y[..., k0:k1] - np.einsum("bki,bck->bci", lower[:, k1:, k0:k1], x[..., k1:])
+        x[..., k0:k1] = np.einsum("bji,bcj->bci", inverse, rest)
+    return x
 
 
 def _gram_blocks(points: np.ndarray, group: np.ndarray, support_radius: float):
-    """The Gram half of a build: Q, the block-diagonal Q^T M Q and its factor."""
-    from scipy.sparse import csc_array, csr_array
-    from scipy.sparse.linalg import splu
-    basis, slices, reps, scale, col_orbit = _symmetry_basis(group)
+    """The Gram half of a build: Q, the blocks of Q^T M Q and their factor.
+
+    Block s's entry (O, O') is sqrt(|Stab O'| / |Stab O|) times the sum of
+    chi_s(g) M[r_O, g r_O'] over the first elements g to reach each point of
+    O'.  Each near pair (r_O, g r_O') sets its term in ``orbits`` (|G|,
+    orbits, orbits), one ``np.einsum`` sums those by every block's
+    character, and each block gathers its orbits' rows and columns from the
+    sums.  The padding is the identity.  A factor that meets a zero pivot
+    at a radius past the diagonal of the points' bounding box misses the
+    control values by inf, and the radius is refused."""
+    basis, characters, reps, row_scale, orbit_of, element_of = _symmetry_basis(group)
     i, j, distance = _near_pairs(points[reps], points, support_radius)
-    rep_rows = csr_array(
-        (wendland_c0(distance, support_radius) * scale[i], (i, j)),
-        shape=(len(reps), len(points)),
+    orbits = np.zeros((len(group), len(reps), len(reps)))
+    orbits[element_of[j], i, orbit_of[j]] = (
+        wendland_c0(distance, support_radius) * row_scale[i] / row_scale[orbit_of[j]]
     )
-    # each block is symmetric, so its CSR arrays serve as its CSC arrays, and
-    # the blocks are laid side by side with offset indices
-    parts = [rep_rows[col_orbit[cols]] @ basis[:, cols] for cols in slices]
-    offsets = np.cumsum([0] + [part.nnz for part in parts])
-    blocks = csc_array(
-        (np.concatenate([part.data for part in parts]),
-         np.concatenate([part.indices + cols.start for part, cols in zip(parts, slices)]),
-         np.concatenate([[0]] + [part.indptr[1:] + off for part, off in zip(parts, offsets)])),
-        shape=(len(points), len(points)),
-    )
+    sums = np.einsum("gs,gab->sab", characters, orbits)
+    del orbits
+    index, scale = basis
+    real = scale[0] != 0.0  # (blocks, width): False in the padding
+    at = orbit_of[index[0]]  # each column's orbit
+    blocks = sums[np.arange(len(at))[:, None, None], at[:, :, None], at[:, None, :]]
+    blocks *= real[:, :, None] & real[:, None, :]
+    diagonal = np.arange(at.shape[1])
+    blocks[:, diagonal, diagonal] += ~real
     try:
-        factor = splu(
-            blocks, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-        raise ValueError("singular RBF system") from err
-    return basis, blocks, factor
+        return basis, blocks, _factor(blocks)
+    except ValueError as err:
+        # past the points' extent every entry is positive and, far past it,
+        # nearly 1: a zero pivot there is the radius's, and the system misses
+        # any control values
+        if support_radius > np.sqrt(np.sum(np.square(np.ptp(points, axis=0)))):
+            raise _too_large(support_radius, np.inf) from err
+        raise
+
+
+def _too_large(support_radius: float, miss: float) -> ValueError:
+    return ValueError(
+        f"support radius {support_radius:g} is too large: the RBF system misses "
+        f"control values of unit size by {miss:.1e}, more than {MAX_CONTROL_MISS:g}"
+    )
 
 
 def build_system(
@@ -384,22 +520,23 @@ def build_system(
     for points with no mirror symmetry).  Block s's entry (O, O') is
     sqrt(|G| / |Stab O|) (M[r_O, :] Q)[:, (s, O')]: only the Gram rows of the
     orbit representatives are formed, and no full Gram matrix.  The blocks
-    are symmetric positive definite up to rounding, and SuperLU factors
-    their block-diagonal matrix B with diagonal pivots after a minimum-degree
-    ordering of B + B^T, which keeps every block's elimination inside it.
-    The grid's orbit representatives under the same group, and their near
-    pairs' weights, are the grid half (:func:`_grid_weights`): one task on
-    ``pool`` while this thread factors the blocks.
+    are symmetric positive definite up to rounding; they are held dense,
+    padded with the identity to one width, and factored together as
+    L D L^T, blocked and without BLAS (:func:`_factor`).  The grid's orbit
+    representatives under the same group, and their near pairs' weights,
+    are the grid half (:func:`_grid_weights`): one task on ``pool`` while
+    this thread factors the blocks.
 
     Raises
     ------
     ValueError
-        If the blocks cannot be factorised; if the system, solved and
-        multiplied back (one product of the held blocks), misses control
-        values of unit size by more than ``MAX_CONTROL_MISS``, naming the
-        support radius; or if control points lie within 1e-12 of their extent
-        of each other, naming them.  If both halves fail, the grid half's
-        error is raised, as on one thread.
+        If a block's factor meets a pivot that is zero; if the system,
+        solved and multiplied back (one product of the held blocks), misses
+        control values of unit size by more than ``MAX_CONTROL_MISS``, or
+        meets a zero pivot at a radius past the diagonal of the points'
+        bounding box, naming the support radius; or if control points
+        lie within 1e-12 of their extent of each other, naming them.  If both
+        halves fail, the grid half's error is raised, as on one thread.
     """
     rbf_points = np.atleast_2d(np.asarray(rbf_points, dtype=float))
     grid_points = np.atleast_2d(np.asarray(grid_points, dtype=float))
@@ -413,13 +550,11 @@ def build_system(
     finally:
         grid = task.result()  # its error comes first, as on one thread
     system = RbfSystem(basis, blocks, factor, *grid)
-    probe = np.cos(np.arange(len(rbf_points)))  # control values of unit size
-    miss = np.abs(basis @ (blocks @ (basis.T @ system.solve(probe))) - probe).max()
+    probe = np.cos(np.arange(len(rbf_points)))[:, None]  # control values of unit size
+    back = _expand(basis, _product(blocks, _project(basis, system.solve(probe))), len(probe))
+    miss = np.abs(back - probe).max()
     if not miss <= MAX_CONTROL_MISS:
-        raise ValueError(
-            f"support radius {support_radius:g} is too large: the RBF system misses "
-            f"control values of unit size by {miss:.1e}, more than {MAX_CONTROL_MISS:g}"
-        )
+        raise _too_large(support_radius, miss)
     return system
 
 
@@ -428,11 +563,12 @@ def interpolate(system: RbfSystem, values: np.ndarray) -> np.ndarray:
 
     ``values`` has shape (n_rbf,) or (n_rbf, k); columns are treated
     independently (e.g. one column per Cartesian direction).  The kernel is
-    radial, so the value at g r is sum_p phi(|r - p|) c[g p]: for each block
-    of the grid's orbit representatives r, one sparse product of its weights
-    (formed by :func:`build_system`) and the coefficients permuted by every
-    group element g gives all its images g r at once.  Each image sums its
-    pairs in control-point order.
+    radial, so the value at g r is sum_p phi(|r - p|) c[g p]: for every group
+    element g and column, one ``np.add.reduceat`` over the held triplets
+    (formed by :func:`build_system`), weighted by the coefficients permuted
+    by g, gives the images g r of all representatives r at once.  Each image
+    sums its pairs in control-point order, and no (pairs, columns) array is
+    formed.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != system.n_points:
@@ -440,9 +576,12 @@ def interpolate(system: RbfSystem, values: np.ndarray) -> np.ndarray:
             f"expected {system.n_points} control values, got {values.shape[0]}"
         )
     coeff = system.solve(values).reshape(system.n_points, -1)
-    permuted = coeff[system._group.T].reshape(system.n_points, -1)  # [p, (g, col)]
-    images = np.concatenate(
-        [np.empty((0, permuted.shape[1]))] + [weights @ permuted for weights in system._weights]
-    )
+    # permuted[g, col, p] = c[g p, col]
+    permuted = coeff.T[:, system._group].transpose(1, 0, 2).reshape(-1, system.n_points)
+    i, j, weight = system._weights
+    heads = np.flatnonzero(np.diff(i, prepend=-1))  # each representative's first pair
+    images = np.zeros((system._representatives, len(permuted)))
+    for col, column in enumerate(permuted):
+        images[i[heads], col] = np.add.reduceat(weight * column[j], heads)
     out = images.reshape(-1, coeff.shape[1])[system._grid_source]
     return out.reshape((len(out),) + values.shape[1:])

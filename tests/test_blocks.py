@@ -204,12 +204,14 @@ def case5_trajectory(paper_mesh):
 
 
 def test_paper_mesh_spans_ragged_blocks(paper_mesh):
-    # the cells and each axis's interfaces run over blocks of anchors
+    # the cells and each axis's interfaces run over blocks of anchors, a pool
+    # thread's and the main thread's
     for kind in ("cells", "interfaces"):
         for _, _, anchors in hexmesh._element_families(paper_mesh.counts, kind):
             for n_instants in (2 * N + 1, 2 * N + 2):
-                step = BLOCK_ELEMENT_INSTANTS // n_instants
-                assert len(anchors) > 2 * step and len(anchors) % step != 0
+                for block in (BLOCK_ELEMENT_INSTANTS, BLOCK_ELEMENT_INSTANTS // 4):
+                    step = block // n_instants
+                    assert len(anchors) > 2 * step and len(anchors) % step != 0
 
 
 @pytest.mark.parametrize("kind", ["lvi", "aevi"])
@@ -445,16 +447,19 @@ def test_pooled_blocks_bitwise_equal_single_thread_blocks():
     planes = np.moveaxis(positions, -1, 0)
     closed = np.moveaxis(np.concatenate([planes, planes[:, :1]], axis=1), 0, -1)
     passes = [(kind, p) for kind in ("cells", "interfaces") for p in (positions, closed)]
-    expected = []
+    # a pool thread's blocks, then the main thread's, a quarter of the size
+    expected = {True: [], False: []}
     for kind, fields in passes:
-        step = BLOCK_ELEMENT_INSTANTS // len(fields)
         anchors = [a for _, _, a in hexmesh._element_families(mesh.counts, kind)]
-        assert all(len(a) > 2 * step and len(a) % step != 0 for a in anchors)
-        expected.append(sum(-(-len(a) // step) for a in anchors))
+        for on_pool, block in ((True, BLOCK_ELEMENT_INSTANTS), (False, BLOCK_ELEMENT_INSTANTS // 4)):
+            step = block // len(fields)
+            assert all(len(a) > 2 * step and len(a) % step != 0 for a in anchors)
+            expected[on_pool].append(sum(-(-len(a) // step) for a in anchors))
     with ThreadPoolExecutor(1) as pool:
         pooled = pool.submit(_kernel_families, mesh, trajectory).result()
         counts = [pool.submit(_block_count, mesh, *args).result() for args in passes]
-    assert counts == [_block_count(mesh, *args) for args in passes] == expected
+    assert counts == expected[True]
+    assert [_block_count(mesh, *args) for args in passes] == expected[False]
     single = _kernel_families(mesh, trajectory)
     assert pooled.keys() == single.keys() and len(single) == 10
     assert single["gate"].any()

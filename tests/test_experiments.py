@@ -335,8 +335,6 @@ def test_first_rbf_build_error_under_every_worker_count(
 ):
     # pooled, the grid half is a task on a pool thread while the calling
     # thread factors; one worker runs it first, on the calling thread
-    import scipy.sparse.linalg
-
     from gclkit import rbf
 
     ran_on = []
@@ -348,12 +346,14 @@ def test_first_rbf_build_error_under_every_worker_count(
             raise ValueError("grid half failed")
         return grid_weights(*args)
 
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    factor = rbf._factor
+
+    def singular(blocks):  # the factor meets a zero pivot
+        return factor(0.0 * blocks)
 
     monkeypatch.setattr(rbf, "_grid_weights", grid_half)
     if factor_fails:
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        monkeypatch.setattr(rbf, "_factor", singular)
     outcomes = under_each_worker_count(
         lambda: experiments.run_sweep(
             experiments.MeshConfig(4, 4, 4), MotionCase.for_case("case5"), [1, 2], ["avg"]

@@ -16,10 +16,10 @@ per file and column: how many values moved, the largest absolute and
 relative move, and how many values at or below 1e-10 rose and fell.
 
 The runs are separate processes with BLAS on one thread.  The RBF spread of
-cases 4 and 5 calls BLAS inside its sparse LU factor and solves; a test
-beside the golden one runs both cases under one and two BLAS threads and
-requires the same bytes, and another does the same for the freestream
-solve on the 10^3 mesh.
+cases 4 and 5 factors its blocks without BLAS; a test beside the golden one
+runs both cases under one and two BLAS threads, on 6^3 and on 10^3, whose
+blocks span two of the factor's panels, and requires the same bytes, and
+another does the same for the freestream solve on the 10^3 mesh.
 """
 
 import os
@@ -178,10 +178,16 @@ def test_freestream_run_writes_golden_csv(tmp_path):
     assert written == golden
 
 
-@pytest.mark.parametrize("case", ["4", "5"])
-def test_rbf_cases_write_same_bytes_under_one_and_two_blas_threads(tmp_path, case):
-    one = _run_case(case, tmp_path / "one.csv", mesh="6,6,6", blas_threads=1)
-    two = _run_case(case, tmp_path / "two.csv", mesh="6,6,6", blas_threads=2)
+@pytest.mark.parametrize(
+    "case, mesh",
+    [pytest.param("4", "6,6,6", id="4"), pytest.param("5", "6,6,6", id="5"),
+     pytest.param("4", "10,10,10", id="10-4"), pytest.param("5", "10,10,10", id="10-5")],
+)
+def test_rbf_cases_write_same_bytes_under_one_and_two_blas_threads(tmp_path, case, mesh):
+    # 6^3's blocks, 19 to 37 points, are one panel of the factor; 10^3's, 61
+    # to 91, are two
+    one = _run_case(case, tmp_path / "one.csv", mesh=mesh, blas_threads=1)
+    two = _run_case(case, tmp_path / "two.csv", mesh=mesh, blas_threads=2)
     assert one == two
 
 

@@ -515,11 +515,12 @@ def test_boundary_vertices_follow_prescribed_law(paper_mesh, case_id):
 
 
 def test_rbf_spread_keeps_only_the_grid_fields():
-    # a 20^3 RBF system holds its eight symmetry blocks, their one SuperLU factor
-    # (outside numpy, unseen here) and one block of grid representatives' near
-    # pairs at a time; only the (n_vertices, 2, 3) case-5 fields outlive it.  A
-    # first spread on a tiny mesh imports scipy, whose modules would otherwise
-    # count as kept.
+    # a 20^3 RBF system holds its eight dense symmetry blocks (7.0 MB, each
+    # padded to the largest), their factor (as much again) and its
+    # representatives' near pairs (4.7 MB), all counted in the peak; only the
+    # (n_vertices, 2, 3) case-5 fields outlive it.  A first spread on a tiny
+    # mesh leaves a first spread's one-time imports and allocations, about
+    # 0.5 MB, out of the kept count.
     mesh = build_box_mesh(20, 20, 20, 3.2, 2.8, 2.4)
     case = MotionCase.for_case("case5")
     case_fields(build_box_mesh(2, 2, 2, 3.2, 2.8, 2.4), case)

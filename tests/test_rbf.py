@@ -5,8 +5,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 from oracles import rbf_gram, rbf_interpolate, rbf_solve
 from scipy.sparse import issparse
@@ -135,22 +133,23 @@ def test_sparse_gram_equals_dense_kernel(rng):
 
 
 def _counting_blocks(monkeypatch):
-    """Record the order of every symmetry block that ``build_system`` sets on
-    the diagonal, and of every matrix that it factors."""
+    """Record the order of every symmetry block that ``build_system`` forms,
+    and the shape of every stack of blocks that it factors."""
     blocks, factored = [], []
-    symmetry_basis, splu = rbf._symmetry_basis, scipy.sparse.linalg.splu
+    symmetry_basis, factor = rbf._symmetry_basis, rbf._factor
 
     def counting_symmetry_basis(group):
-        basis, slices, *rest = symmetry_basis(group)
-        blocks.extend(cols.stop - cols.start for cols in slices)
-        return (basis, slices, *rest)
+        basis, *rest = symmetry_basis(group)
+        _, scale = basis
+        blocks.extend((scale[0] != 0.0).sum(axis=1).tolist())  # columns not padding
+        return (basis, *rest)
 
-    def counting_splu(matrix, *args, **kwargs):
-        factored.append(matrix.shape[0])
-        return splu(matrix, *args, **kwargs)
+    def counting_factor(stack):
+        factored.append(stack.shape)
+        return factor(stack)
 
     monkeypatch.setattr(rbf, "_symmetry_basis", counting_symmetry_basis)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    monkeypatch.setattr(rbf, "_factor", counting_factor)
     return blocks, factored
 
 
@@ -185,7 +184,8 @@ def test_box_boundary_splits_into_eight_blocks(case):
         blocks, factored = _counting_blocks(monkeypatch)
         system = build_system(points, points, radius)
     assert len(blocks) == 8 and sum(blocks) == len(points)
-    assert factored == [len(points)]  # one factor of the block-diagonal matrix
+    # one factor of the eight blocks, each padded to the largest
+    assert factored == [(8, max(blocks), max(blocks))]
     assert _relative_change(system.solve(values), rbf_solve(points, radius, values)) <= 1e-12
 
 
@@ -206,7 +206,7 @@ def test_one_mirror_plane_gives_two_blocks(rng, monkeypatch):
     values = rng.normal(size=(160, 3))
     blocks, factored = _counting_blocks(monkeypatch)
     system = build_system(points, points, 0.6)
-    assert blocks == [80, 80] and factored == [160]
+    assert blocks == [80, 80] and factored == [(2, 80, 80)]
     assert _relative_change(system.solve(values), rbf_solve(points, 0.6, values)) <= 1e-13
     # one point moved by 1e-9 of the box: no mirror matches any more
     points[0, 0] += 1e-9
@@ -221,7 +221,7 @@ def test_random_points_give_one_block(rng, monkeypatch):
     values = rng.normal(size=150)
     blocks, factored = _counting_blocks(monkeypatch)
     system = build_system(points, points, 0.6)
-    assert blocks == [150] and factored == [150]
+    assert blocks == [150] and factored == [(1, 150, 150)]
     assert _relative_change(system.solve(values), rbf_solve(points, 0.6, values)) <= 1e-13
 
 
@@ -237,8 +237,11 @@ def _evaluation_matches_oracle(points, grid, radius, values):
 
 
 def _representatives(system):
-    """The grid's orbit representatives: one row each in the held weights."""
-    return sum(w.shape[0] for w in system._weights)
+    """The grid's orbit representatives, each with its own pairs in the held
+    weights."""
+    i, _, _ = system._weights
+    assert np.all(i[1:] >= i[:-1]) and (i.size == 0 or i[-1] < system._representatives)
+    return system._representatives
 
 
 @settings(max_examples=40, deadline=None)
@@ -435,21 +438,24 @@ def test_dimension_mismatch_rejected(rng):
 
 
 def test_held_weights_own_their_arrays(monkeypatch):
-    # each block's indices are copies, not views that keep the near-pair
-    # search's (i, j, distance) arrays and their dead distances alive
+    # the triplets of many blocks are copies, not views that keep the
+    # near-pair search's (i, j, distance) arrays and their dead distances alive
     mesh = build_box_mesh(6, 6, 6, 3.2, 2.8, 2.4)
     monkeypatch.setattr(rbf, "BLOCK_POINTS", 7)
     system = build_system(mesh.vertices[mesh.boundary_vertex_ids()], mesh.vertices, 0.96)
-    held = [a for weights in system._weights for a in (weights.data, *weights.coords)]
-    assert len(system._weights) > 1 and all(a.base is None for a in held)
-    assert sum(a.nbytes for a in held) == 24 * sum(w.nnz for w in system._weights)
+    i, j, weight = held = system._weights
+    assert system._representatives > rbf.BLOCK_POINTS and all(a.base is None for a in held)
+    assert sum(a.nbytes for a in held) == 24 * len(i)
+    # in (representative, control point) order across the blocks
+    assert np.all(np.diff(i * len(mesh.vertices) + j) > 0)
 
 
 @pytest.mark.parametrize("radius", [1e3, 1e6, 1e9, 1e12, 1e15])
 def test_support_radius_is_refused_once_the_system_misses_its_values(radius):
     # 3^3's boundary points lie 0.8 apart or more, so none is a duplicate at
-    # any radius; the miss grows about as R: 5.6e-16 at R = 0.96, 4.1e-10 at
-    # 1e6, 8.9e-7 at 1e9, 4.0e-4 at 1e12 and 1.9 at 1e15
+    # any radius; the miss grows about as R: 7.8e-16 at R = 0.96, 2.1e-10 at
+    # 1e6, 1.0e-6 at 1e9 and 8.9e-4 at 1e12; at 1e15 the factor meets a zero
+    # pivot, a miss of inf
     mesh = build_box_mesh(3, 3, 3, 3.2, 2.8, 2.4)
     points = mesh.vertices[mesh.boundary_vertex_ids()]
     if radius <= 1e6:
@@ -477,15 +483,69 @@ def test_many_duplicate_points_reported_by_count_and_first_ten():
 
 
 def test_singular_factor_is_value_error(monkeypatch):
-    import scipy.sparse.linalg
-
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    # the factor meets a zero pivot in blocks scaled by zero; past the
+    # points' extent, 1.0 here, the error names the radius
+    factor = rbf._factor
+    monkeypatch.setattr(rbf, "_factor", lambda blocks: factor(0.0 * blocks))
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="^singular RBF system$"):
         build_system(pts, pts, 1.0)
+    with pytest.raises(ValueError, match=(
+        r"^support radius 1\.5 is too large: the RBF system misses control values of unit "
+        r"size by inf, more than 1e-08$"
+    )):
+        build_system(pts, pts, 1.5)
+
+
+@pytest.mark.parametrize("row", [0, rbf._PANEL + 2])
+def test_singular_block_is_value_error(row):
+    # beside the identity, a block whose rows row and row + 1 hold
+    # [[1, 1], [1, 1]], so its pivot at row + 1 is 1 - 1 = 0 exactly: in the
+    # first panel, or in the second
+    n = rbf._PANEL + 5
+    blocks = np.stack([np.eye(n), np.eye(n)])
+    blocks[1, row:row + 2, row:row + 2] = 1.0
+    with pytest.raises(ValueError, match="^singular RBF system$"):
+        rbf._factor(blocks)
+
+
+def test_indefinite_block_is_factored_with_its_diagonal_pivots(rng):
+    # [[1, 2], [2, 1]] has eigenvalues 3 and -1: pivots 1 and 1 - 4 = -3, as
+    # an LU factor with diagonal pivots gives them
+    block = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+    lower, pivots, _ = rbf._factor(block)
+    assert np.array_equal(lower[0], [[1.0, 0.0], [2.0, 1.0]])
+    assert np.array_equal(pivots, [[1.0, -3.0]])
+    rhs = rng.normal(size=(1, 3, 2))
+    back = np.einsum("bij,bkj->bki", block, rbf._solve((lower, pivots, _), rhs))
+    assert np.abs(back - rhs).max() <= 8 * np.finfo(float).eps * np.abs(rhs).max()
+
+
+@st.composite
+def gram_blocks(draw):
+    """Random points whose Gram matrix is of an order about the factor's
+    panel width, a support radius and one to three columns of values."""
+    panel = rbf._PANEL
+    n = draw(st.sampled_from([1, panel - 1, panel, panel + 1, 2 * panel + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.floats(0.2, 1.0))
+    return rng.uniform(size=(n, 3)), radius, rng.normal(size=(n, draw(st.integers(1, 3))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(gram_blocks())
+def test_blocked_factor_and_solve_match_the_full_solve(case):
+    points, radius, values = case
+    gram = rbf_gram(points, radius).toarray()
+    coeff = rbf._solve(rbf._factor(gram[None]), values.T[None])[0].T
+    expected = rbf_solve(points, radius, values)
+    # each solve is backward stable, so each lies within cond(M) (3n + 1) u
+    # of the exact solution, relative, to first order (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2002, Thm 10.4), and twice that of
+    # the other
+    n, cond = len(points), np.linalg.cond(gram)
+    bound = 2.0 * cond * (3 * n + 1) * np.finfo(float).eps
+    assert _relative_change(coeff, expected) <= bound, (n, cond)
 
 
 def test_case5_velocity_is_derivative_of_displacement(paper_mesh):
@@ -536,7 +596,7 @@ def test_near_pairs_match_every_pair_of_the_dense_distances(case, candidates):
 
 
 @pytest.mark.parametrize("case_id", ["case4", "case5"])
-def test_rbf_case_loads_no_scipy_spatial(tmp_path, case_id):
+def test_rbf_case_loads_no_scipy(tmp_path, case_id):
     import subprocess
     from pathlib import Path
 
@@ -544,9 +604,9 @@ def test_rbf_case_loads_no_scipy_spatial(tmp_path, case_id):
         "import sys; from gclkit.cli import main; "
         f"main(['run', '--case', '{case_id[-1]}', '--mesh', '3,3,3', '--n', '1..1', "
         f"'--out', {str(tmp_path / 'r.csv')!r}]); "
-        "print('scipy.sparse' in sys.modules, 'scipy.spatial' in sys.modules)"
+        "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                           capture_output=True, text=True, timeout=300)
-    assert done.stdout.split() == ["True", "False"], done.stderr
+    assert done.stdout.split() == ["False"], done.stderr
