@@ -51,8 +51,8 @@ nearly 1, and a build refuses one that costs the spread half its digits.
 Every product and sum over the blocks, the basis and the weights is an
 ``np.einsum`` without ``optimize``, a gather, an ``np.bincount`` or an
 ``np.add.reduceat``, never BLAS or LAPACK, so the result has the same bytes
-whatever their thread count.  No full Gram matrix and no (n_grid, n_rbf) matrix is built.  A
-system is transient (see ``motion.case_fields``).
+whatever their thread count.  No full Gram matrix and no (n_grid, n_rbf)
+matrix is built.  A system is transient (see ``motion.case_fields``).
 """
 
 from __future__ import annotations
@@ -400,20 +400,23 @@ def _factor(blocks: np.ndarray):
     """The square-root-free Cholesky factors L D L^T of every symmetric
     block of ``blocks`` (b, n, n), of which only the lower triangles are
     read: the unit lower triangular L, the pivots D (b, n) and the inverses
-    of L's diagonal (``_PANEL``, ``_PANEL``) blocks.
+    of L's diagonal (``_PANEL``, ``_PANEL``) blocks.  L is the lower
+    triangles of a (b, n, n) array whose strict upper triangles are left as
+    they fell and never read.
 
     Blocked and left-looking: each panel of ``_PANEL`` columns takes the
     update from every column left of it as one ``np.einsum``, then forms its
     own columns L D one by one, each updated from the panel's columns before
-    it by one more, and is divided by its pivots once.  The pivots are the
-    blocks' own diagonal entries, as in an LU factor with diagonal pivots.
-    No BLAS or LAPACK routine runs, so the bytes do not depend on their
-    thread count.
+    it by one more, and is divided by its pivots once.  A block is factored
+    only if it is positive definite, all its pivots positive: the Gram
+    blocks are, up to rounding.  No BLAS or LAPACK routine runs, so the
+    bytes do not depend on their thread count.
 
     Raises
     ------
     ValueError
-        "singular RBF system" if a pivot is zero or NaN.
+        "singular RBF system" if a pivot is not positive: zero, negative or
+        NaN.
     """
     lower = np.array(blocks, dtype=float)
     n = lower.shape[-1]
@@ -426,17 +429,15 @@ def _factor(blocks: np.ndarray):
         )
         # the panel's pivots so far, read as its columns are formed
         formed = np.diagonal(lower[:, k0:k1, k0:k1], axis1=1, axis2=2)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot raises below
+        with np.errstate(divide="ignore", invalid="ignore"):  # such a pivot raises below
             for j in range(k0 + 1, k1):
                 row = lower[:, j, k0:j] / formed[:, :j - k0]  # row j of L
                 lower[:, j:, j] -= np.einsum("bik,bk->bi", lower[:, j:, k0:j], row)
             pivots[:, k0:k1] = formed
-            if not (np.abs(pivots[:, k0:k1]) > 0.0).all():
+            if not (pivots[:, k0:k1] > 0.0).all():
                 raise ValueError("singular RBF system")
         lower[:, k0:, k0:k1] /= pivots[:, None, k0:k1]
         inverses.append(_unit_lower_inverse(lower[:, k0:k1, k0:k1]))
-    upper = np.triu_indices(n, 1)
-    lower[:, upper[0], upper[1]] = 0.0
     return lower, pivots, inverses
 
 
@@ -470,9 +471,9 @@ def _gram_blocks(points: np.ndarray, group: np.ndarray, support_radius: float):
     O'.  Each near pair (r_O, g r_O') sets its term in ``orbits`` (|G|,
     orbits, orbits), one ``np.einsum`` sums those by every block's
     character, and each block gathers its orbits' rows and columns from the
-    sums.  The padding is the identity.  A factor that meets a zero pivot
-    at a radius past the diagonal of the points' bounding box misses the
-    control values by inf, and the radius is refused."""
+    sums.  The padding is the identity.  A factor that meets a pivot that
+    is not positive at a radius past the diagonal of the points' bounding
+    box misses the control values by inf, and the radius is refused."""
     basis, characters, reps, row_scale, orbit_of, element_of = _symmetry_basis(group)
     i, j, distance = _near_pairs(points[reps], points, support_radius)
     orbits = np.zeros((len(group), len(reps), len(reps)))
@@ -492,8 +493,8 @@ def _gram_blocks(points: np.ndarray, group: np.ndarray, support_radius: float):
         return basis, blocks, _factor(blocks)
     except ValueError as err:
         # past the points' extent every entry is positive and, far past it,
-        # nearly 1: a zero pivot there is the radius's, and the system misses
-        # any control values
+        # nearly 1: a pivot that is not positive there is the radius's, and
+        # the system misses any control values
         if support_radius > np.sqrt(np.sum(np.square(np.ptp(points, axis=0)))):
             raise _too_large(support_radius, np.inf) from err
         raise
@@ -530,10 +531,10 @@ def build_system(
     Raises
     ------
     ValueError
-        If a block's factor meets a pivot that is zero; if the system,
+        If a block's factor meets a pivot that is not positive; if the system,
         solved and multiplied back (one product of the held blocks), misses
         control values of unit size by more than ``MAX_CONTROL_MISS``, or
-        meets a zero pivot at a radius past the diagonal of the points'
+        meets such a pivot at a radius past the diagonal of the points'
         bounding box, naming the support radius; or if control points
         lie within 1e-12 of their extent of each other, naming them.  If both
         halves fail, the grid half's error is raised, as on one thread.

@@ -467,7 +467,8 @@ def test_failed_rbf_build_is_one_line_config_error(tmp_path, setting):
 @pytest.mark.parametrize("radius", ["1e12", "1e15"])
 def test_too_large_support_radius_is_refused_by_name(tmp_path, capsys, radius):
     # on 3^3 the spread misses control values of unit size by 8.9e-4 at
-    # R = 1e12, and at 1e15 its factor meets a zero pivot, a miss of inf
+    # R = 1e12, and at 1e15 its factor meets a pivot that is not positive, a
+    # miss of inf
     argv = ["run", "--case", "4", "--mesh", "3,3,3", "--n", "1..1", "--support-radius", radius,
             "--out", str(tmp_path / "r.csv")]
     assert main(argv) == 2

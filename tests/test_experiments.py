@@ -348,8 +348,8 @@ def test_first_rbf_build_error_under_every_worker_count(
 
     factor = rbf._factor
 
-    def singular(blocks):  # the factor meets a zero pivot
-        return factor(0.0 * blocks)
+    def singular(blocks):  # the factor meets a negative pivot
+        return factor(-blocks)
 
     monkeypatch.setattr(rbf, "_grid_weights", grid_half)
     if factor_fails:

@@ -454,8 +454,8 @@ def test_held_weights_own_their_arrays(monkeypatch):
 def test_support_radius_is_refused_once_the_system_misses_its_values(radius):
     # 3^3's boundary points lie 0.8 apart or more, so none is a duplicate at
     # any radius; the miss grows about as R: 7.8e-16 at R = 0.96, 2.1e-10 at
-    # 1e6, 1.0e-6 at 1e9 and 8.9e-4 at 1e12; at 1e15 the factor meets a zero
-    # pivot, a miss of inf
+    # 1e6, 1.0e-6 at 1e9 and 8.9e-4 at 1e12; at 1e15 the factor meets a pivot
+    # that is not positive, a miss of inf
     mesh = build_box_mesh(3, 3, 3, 3.2, 2.8, 2.4)
     points = mesh.vertices[mesh.boundary_vertex_ids()]
     if radius <= 1e6:
@@ -483,18 +483,20 @@ def test_many_duplicate_points_reported_by_count_and_first_ten():
 
 
 def test_singular_factor_is_value_error(monkeypatch):
-    # the factor meets a zero pivot in blocks scaled by zero; past the
-    # points' extent, 1.0 here, the error names the radius
+    # the factor meets a zero pivot in blocks scaled by zero, and a negative
+    # one in blocks scaled by -1; past the points' extent, 1.0 here, the
+    # error names the radius
     factor = rbf._factor
-    monkeypatch.setattr(rbf, "_factor", lambda blocks: factor(0.0 * blocks))
     pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="^singular RBF system$"):
-        build_system(pts, pts, 1.0)
-    with pytest.raises(ValueError, match=(
-        r"^support radius 1\.5 is too large: the RBF system misses control values of unit "
-        r"size by inf, more than 1e-08$"
-    )):
-        build_system(pts, pts, 1.5)
+    for scale in (0.0, -1.0):
+        monkeypatch.setattr(rbf, "_factor", lambda blocks, scale=scale: factor(scale * blocks))
+        with pytest.raises(ValueError, match="^singular RBF system$"):
+            build_system(pts, pts, 1.0)
+        with pytest.raises(ValueError, match=(
+            r"^support radius 1\.5 is too large: the RBF system misses control values of "
+            r"unit size by inf, more than 1e-08$"
+        )):
+            build_system(pts, pts, 1.5)
 
 
 @pytest.mark.parametrize("row", [0, rbf._PANEL + 2])
@@ -509,16 +511,22 @@ def test_singular_block_is_value_error(row):
         rbf._factor(blocks)
 
 
-def test_indefinite_block_is_factored_with_its_diagonal_pivots(rng):
-    # [[1, 2], [2, 1]] has eigenvalues 3 and -1: pivots 1 and 1 - 4 = -3, as
-    # an LU factor with diagonal pivots gives them
-    block = np.array([[[1.0, 2.0], [2.0, 1.0]]])
-    lower, pivots, _ = rbf._factor(block)
-    assert np.array_equal(lower[0], [[1.0, 0.0], [2.0, 1.0]])
-    assert np.array_equal(pivots, [[1.0, -3.0]])
-    rhs = rng.normal(size=(1, 3, 2))
-    back = np.einsum("bij,bkj->bki", block, rbf._solve((lower, pivots, _), rhs))
-    assert np.abs(back - rhs).max() <= 8 * np.finfo(float).eps * np.abs(rhs).max()
+@pytest.mark.parametrize("n", [2, 2 * rbf._PANEL + 1])
+def test_indefinite_block_is_value_error(rng, n):
+    # a symmetric block with one negative eigenvalue among positive ones: by
+    # Sylvester's law of inertia its L D L^T, were it formed, would have as
+    # many negative pivots, so the factor meets one, wherever it lies among
+    # the panels.  [[1, 2], [2, 1]] (eigenvalues 3 and -1) has pivots 1 and -3.
+    if n == 2:
+        block = np.array([[1.0, 2.0], [2.0, 1.0]])
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eigenvalues = rng.uniform(1.0, 2.0, n)
+        eigenvalues[rng.integers(n)] = -1.0
+        block = np.einsum("ik,k,jk->ij", q, eigenvalues, q)
+    blocks = np.stack([np.eye(n), block])
+    with pytest.raises(ValueError, match="^singular RBF system$"):
+        rbf._factor(blocks)
 
 
 @st.composite
