@@ -23,9 +23,9 @@ The grid is evaluated by the same symmetry: the value at g x is
 sum_p phi(|x - p|) c[g p], so only the grid's orbit representatives, its
 points on the low side of every mirror, form near pairs.  ``build_system``
 folds every other grid point onto the low side and finds the representative
-it lands on, then forms the representatives' pairs against the control points
-and weighs them, over blocks of ``BLOCK_POINTS`` representatives, and holds
-the weights as (representative, control point, weight) triplets;
+it lands on, then forms all the representatives' pairs against the control
+points with one search and weighs them, and holds the weights as
+(representative, control point, weight) triplets;
 ``interpolate`` writes all |G| images of every representative with one
 segment sum of those triplets per image and column.  A grid that the whole
 group does not map onto itself is evaluated point by point, under the
@@ -33,10 +33,10 @@ identity alone.  The README's measurements section counts the near pairs and
 times them against every grid point's own pairs (``rbf_interpolate`` in
 ``tests/oracles.py``).
 
-Every near pair, those of the Gram rows and of the grid blocks and the
-matches of the mirror images, the folds and the duplicate check, comes from
-one search (:func:`_near_pairs`): points sorted into bins by numpy, no k-d
-tree.  The module needs numpy alone.
+Every near pair, those of the Gram rows and of the grid's representatives
+and the matches of the mirror images, the folds and the duplicate check,
+comes from one search (:func:`_near_pairs`): points sorted into bins by
+numpy, no k-d tree.  The module needs numpy alone.
 
 A build has two halves that share only the control points and their mirror
 group: the Gram half (basis, blocks, factor) and the grid half
@@ -64,12 +64,8 @@ import numpy as np
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
-__all__ = ["BLOCK_POINTS", "wendland_c0", "RbfSystem", "build_system", "interpolate"]
+__all__ = ["wendland_c0", "RbfSystem", "build_system", "interpolate"]
 
-# Grid representatives whose near pairs are formed together.  Every pair's
-# weight is held from the build to the evaluation, 24 bytes a pair (the
-# weight and its two indices): 197,509 pairs, 4.7 MB, on 20^3.
-BLOCK_POINTS = 1024
 # The largest miss at the control points of control values of unit size
 # that a build accepts, half a double's digits: a spread that misses them by
 # more no longer moves the boundary as its case prescribes.
@@ -123,8 +119,8 @@ class RbfSystem:
     representative r_k and the flat index ``_grid_source[x]`` = |G| k + g,
     with the control points' images under g in row g of ``_group``, and
     ``_weights`` holds the triplets (k, p, phi(|r_k - p|)) of every near pair
-    of the ``_representatives`` representatives, in (k, p) order.  Nothing is
-    written after construction.
+    of the ``_representatives`` representatives, in (k, p) order: 24 bytes a
+    pair, 4.7 MB on 20^3.  Nothing is written after construction.
     """
 
     _basis: tuple = field(repr=False)  # Q: index and scale, (|G|, blocks, width)
@@ -370,20 +366,15 @@ def _grid_weights(
     tol: float, support_radius: float,
 ):
     """The grid half of a build: the grid's orbits (:func:`_grid_orbits`)
-    and the representatives' weights against the control points, formed over
-    blocks of ``BLOCK_POINTS`` representatives.  Returns the group rows used,
-    each grid point's source, the number of representatives and the
-    triplets (representative, control point, weight) in that order."""
+    and, from one search, every representative's weights against the control
+    points.  Returns the group rows used, each grid point's source, the
+    number of representatives and the triplets (representative, control
+    point, weight) in that order."""
     group, reps, source = _grid_orbits(grid, group, axes, sums, tol)
-    found = []
-    for start in range(0, len(reps), BLOCK_POINTS):
-        # representative i, control point j and w = phi(|r_i - p_j|) for each
-        # pair within the support, coincident points (w = 1) included
-        i, j, distance = _near_pairs(
-            grid[reps[start:start + BLOCK_POINTS]], points, support_radius
-        )
-        found.append((i + start, j, wendland_c0(distance, support_radius)))
-    return group, source, len(reps), tuple(np.concatenate(parts) for parts in zip(*found))
+    # representative i, control point j and w = phi(|r_i - p_j|) for each pair
+    # within the support, coincident points (w = 1) included
+    i, j, distance = _near_pairs(grid[reps], points, support_radius)
+    return group, source, len(reps), (i, j, wendland_c0(distance, support_radius))
 
 
 def _unit_lower_inverse(lower: np.ndarray) -> np.ndarray:

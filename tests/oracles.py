@@ -36,7 +36,10 @@ slicing the structured vertex grid at fixed corner offsets replaced in
 gives the kernels faces that are not rectangles.  The four hand-written
 laws (a straight-line shift, a rotation about a pivot, case 3's orbit and
 case 5's pitch), each stating its positions and its own velocities, are the
-route that the one law x + (cos a - 1) f1 + sin a f2 replaced.
+route that the one law x + (cos a - 1) f1 + sin a f2 replaced.  TRI-MAP's
+conservation defect in closed form, from seven cell volumes per cell and the
+Jacobi-Anger expansion of the time law, is the prediction that the swept
+``abs_err1`` of TRI-MAP is held to.
 """
 
 import dataclasses
@@ -656,6 +659,69 @@ def law_motion(mesh, case, t):
         system = rbf.build_system(points, mesh.vertices, case.resolved_support_radius(mesh))
         values = rbf.interpolate(system, row.spread(mesh, case, points))
     return law(mesh, case, np.atleast_1d(t), fields(mesh, case, values))
+
+
+# -- TRI-MAP's conservation defect in closed form.  Every case moves a vertex
+# to x + (cos a - 1) f1 + sin a f2, so a cell's volume is a cubic in
+# (cos a - 1, sin a), a trigonometric polynomial of degree 3 in the angle a,
+# and the time law a(t) maps its coefficients onto harmonics in t.
+
+# each hand-written law's angle a(theta), theta = 2 pi t / T: the steady turn
+# a = theta, alpha0 sin(theta), or alpha0 cos(theta)
+_ANGLE_LAWS = {_shift: "steady", _orbit: "steady", _rotation: "sine", _pitch: "cosine"}
+# harmonics |m| <= this of the sine and cosine laws: for the cases' alpha0 <=
+# 0.1, J_m(3 alpha0) is below 1e-37 from |m| = 21 and 1e-141 at 64
+HARMONIC_TERMS = 64
+
+
+def angle_positions(mesh, case, angles):
+    """Vertex positions x + (cos a - 1) f1 + sin a f2 at each angle a,
+    (n_angles, n_vertices, 3), from the package's fields f1 and f2."""
+    f1, f2 = motion.case_fields(mesh, case).transpose(1, 0, 2)
+    a = np.asarray(angles, dtype=float)[:, None, None]
+    return mesh.vertices + (np.cos(a) - 1.0) * f1 + np.sin(a) * f2
+
+
+def harmonic_weights(case):
+    """The map from a cell volume's angle coefficients c_k (k = -3..3) to its
+    time harmonics V_m = sum_k B[m, k] c_k: returns m and B.  Under the steady
+    law B is the identity on |m| <= 3.  Under the sine and cosine laws the
+    Jacobi-Anger expansion e^{i z sin t} = sum_m J_m(z) e^{imt} gives
+    B[m, k] = J_m(k alpha0), times i^m under the cosine law."""
+    from scipy.special import jv
+    k = np.arange(-3, 4)
+    law = _ANGLE_LAWS[_LAWS[case.case_id][1]]
+    if law == "steady":
+        return k, np.eye(len(k))
+    m = np.arange(-HARMONIC_TERMS, HARMONIC_TERMS + 1)
+    weights = jv(m[:, None], k * case.alpha0)
+    return m, weights * np.array([1, 1j, -1, -1j])[m % 4, None] if law == "cosine" else weights
+
+
+def trimap_defect_prediction(mesh, case, harmonics):
+    """TRI-MAP's conservation defect max |dV/dt - D V| over cells and
+    samples, for each N of ``harmonics``, in closed form.
+
+    Seven volume samples at a = 2 pi j / 7 give each cell's angle
+    coefficients c_k exactly, by one FFT; :func:`harmonic_weights` maps them
+    to the time harmonics V_m.  TRI-MAP's face sums are the exact rate
+    sum_m i w m V_m e^{im theta_n} at the samples theta_n = 2 pi n / (2N+1),
+    and D differentiates the alias m' of each m in [-N, N] instead, so the
+    defect is sum_m V_m i w (m - m') e^{im theta_n}, w = 2 pi / T.
+    """
+    angles = 2.0 * np.pi * np.arange(7) / 7
+    volumes = hex_volume(cell_corners(mesh, angle_positions(mesh, case, angles)))
+    coeff = (np.fft.fft(volumes, axis=0) / 7)[np.arange(-3, 4)]  # (k, cells)
+    m, weights = harmonic_weights(case)
+    series = (weights @ coeff).T  # (cells, m)
+    omega = 2.0 * np.pi / case.period
+    out = {}
+    for n in harmonics:
+        alias = (m + n) % (2 * n + 1) - n
+        theta = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
+        defect = series @ (1j * omega * (m - alias)[:, None] * np.exp(1j * np.outer(m, theta)))
+        out[n] = float(np.abs(defect).max())
+    return out
 
 
 def warped_box_mesh(counts, warp, seed):

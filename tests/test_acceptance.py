@@ -28,17 +28,22 @@ import pytest
 from gclkit import experiments, gcl
 from gclkit.flow import FreestreamProblem
 from gclkit.hexmesh import FACE_LOOPS
-from gclkit.motion import MotionCase, sample_motion
+from gclkit.motion import CASE_IDS, MotionCase, case_fields, evaluate_motion, sample_motion
 from gclkit.spectral import SpectralOperator, ts_matrix
 from oracles import (
     analytic_increment_case3,
+    angle_positions,
+    cell_corners,
     dft_ifmv,
     dvoldt_trimap,
+    face_area_vectors,
     fitted_order,
     gauss_volume_oracle,
+    harmonic_weights,
     hex_volume,
     quad_flux,
     random_hexahedra,
+    trimap_defect_prediction,
     zero_ifmv,
 )
 
@@ -167,6 +172,62 @@ def test_criterion_03_trimap_spectral_decay(sweep_table, case_id):
         ok,
         f"N=2 {err2:.3e}, N=20 {err20:.3e}, ratio {ratio:.1e}, below FD: {below_fd}",
     )
+
+
+# The closed-form defect is exact, not asymptotic: the tolerance only covers
+# the relative rounding of the Bessel values and of the harmonic sums, about
+# 1e-15, while a wrong coefficient or alias moves the prediction by percents.
+DEFECT_RTOL = 1e-9
+
+
+def _largest_coordinate_and_surface(mesh, positions):
+    """max |coordinate| and the largest cell surface area over (..., n_vertices, 3)."""
+    faces = np.linalg.norm(face_area_vectors(cell_corners(mesh, positions)), axis=-1)
+    return float(np.abs(positions).max()), float(faces.sum(axis=-1).max())
+
+
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_trimap_defect_is_the_closed_form_aliasing(case_id):
+    # TRI-MAP's abs_err1 is max |dV/dt - D V|, and the cell volume is a
+    # trigonometric cubic in the angle, so the defect is the aliasing of its
+    # time harmonics by D, predicted in closed form for every N at once
+    mesh_cfg = experiments.MeshConfig(6, 6, 6)
+    mesh, case = mesh_cfg.build(), MotionCase.for_case(case_id)
+    rows = experiments.run_sweep(mesh_cfg, case, SWEEP_N, ["trimap"])
+    predicted = trimap_defect_prediction(mesh, case, SWEEP_N)
+    # Rounding floor.  x + (cos a - 1) f1 + sin a f2 rounds each coordinate
+    # within 3u|x|, and moving a cell's corners by d in every coordinate moves
+    # its volume by at most d times its surface area (for a box the 24
+    # corner derivatives of the volume sum to it).  D carries that volume
+    # rounding into TRI-MAP's D V by at most its row sum |D|; the face sums'
+    # own rounding, of order u |v| A with |v| below w |x| here, is smaller.  The
+    # prediction's coefficients c_k, means of the seven angle samples, carry
+    # the same volume rounding, which the alias factors w |m - m'| |B[m, :]|
+    # of harmonic_weights scale.
+    u, omega = 2.0**-53, 2.0 * np.pi / case.period
+    fields = case_fields(mesh, case)
+    x7, a7 = _largest_coordinate_and_surface(
+        mesh, angle_positions(mesh, case, 2.0 * np.pi * np.arange(7) / 7)
+    )
+    m, weights = harmonic_weights(case)
+    bad = []
+    for row in rows:
+        n = row.n_harmonics
+        op = SpectralOperator(n, case.period)
+        x_n, a_n = _largest_coordinate_and_surface(
+            mesh, evaluate_motion(mesh, case, op.times, fields)[0]
+        )
+        alias = (m + n) % (2 * n + 1) - n
+        spread = omega * np.sum(np.abs(m - alias) * np.abs(weights).sum(axis=1))
+        floor = 3.0 * u * (x_n * a_n * np.abs(op.d_matrix).sum(axis=1).max() + x7 * a7 * spread)
+        actual, pred = row.abs_err1, predicted[n]
+        if pred > floor:  # the prediction stands above rounding: relative tolerance
+            ok = abs(actual - pred) <= DEFECT_RTOL * pred + floor
+        else:  # both at rounding: TRI-MAP's defect sits at the floor
+            ok = actual <= pred + floor
+        if not ok:
+            bad.append(f"N={n}: abs_err1 {actual:.3e}, predicted {pred:.3e}, floor {floor:.1e}")
+    assert not bad, f"{case_id} TRI-MAP defect off its closed form: " + "; ".join(bad)
 
 
 @pytest.mark.parametrize("case_id", ["case4", "case5"])

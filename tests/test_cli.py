@@ -401,12 +401,12 @@ def test_bad_thread_cap_is_config_error(tmp_path, monkeypatch, capsys):
 
 
 SIX_METHODS = ["--methods", "lvi,aevi,avg,trimap,ts-lvi,ts-aevi"]
-WORKER_COUNT_RUNS = [  # (rbf.BLOCK_POINTS, arguments)
-    (rbf.BLOCK_POINTS, ["--case", "4", "--n", "1..4", "--mesh", "6,6,6"]),
+WORKER_COUNT_RUNS = [  # (rbf._CANDIDATES, arguments)
+    (rbf._CANDIDATES, ["--case", "4", "--n", "1..4", "--mesh", "6,6,6"]),
     # one freestream solve per (N, field), each in its own task
-    (rbf.BLOCK_POINTS, ["--case", "5", "--n", "1..3", "--mesh", "4,4,4", "--freestream", "on"]),
-    # the RBF build's grid half forms its 27 representatives' pairs in 4 blocks
-    (7, ["--case", "5", "--n", "1..3", "--mesh", "4,4,4"]),
+    (rbf._CANDIDATES, ["--case", "5", "--n", "1..3", "--mesh", "4,4,4", "--freestream", "on"]),
+    # the RBF build's grid half finds its 27 representatives' pairs in 4 chunks
+    (150, ["--case", "5", "--n", "1..3", "--mesh", "4,4,4"]),
 ]
 
 
@@ -415,8 +415,8 @@ def test_csv_bytes_independent_of_worker_count(tmp_path, monkeypatch, under_each
     # grid half is one more; 2 and 4 workers must still write the 1-worker
     # bytes
     out = tmp_path / "sweep.csv"
-    for block_points, run in WORKER_COUNT_RUNS:
-        monkeypatch.setattr(rbf, "BLOCK_POINTS", block_points)
+    for candidates, run in WORKER_COUNT_RUNS:
+        monkeypatch.setattr(rbf, "_CANDIDATES", candidates)
 
         def sweep():
             assert main(["run", *run, *SIX_METHODS, "--out", str(out)]) == 0

@@ -81,18 +81,19 @@ def test_paper_setup_factorises(paper_mesh):
     assert np.abs(recovered - values).max() <= 1e-10 * np.abs(values).max()
 
 
-@pytest.mark.parametrize("block", [None, 7])
-def test_blocked_weights_equal_dense_kernel(rng, monkeypatch, block):
-    # dyadic coordinates and radius, so some grid points sit exactly at d == R
-    if block is not None:
-        monkeypatch.setattr(rbf, "BLOCK_POINTS", block)
+@pytest.mark.parametrize("candidates", [None, 7])
+def test_blocked_weights_equal_dense_kernel(rng, monkeypatch, candidates):
+    # dyadic coordinates and radius, so some grid points sit exactly at d == R;
+    # 7 candidates a chunk cut the near-pair search at nearly every query
+    if candidates is not None:
+        monkeypatch.setattr(rbf, "_CANDIDATES", candidates)
     radius = 0.5
     pts = rng.integers(0, 8, size=(40, 3)) / 8.0
     pts = np.unique(pts, axis=0)
     on_support = pts[:5] + np.array([radius, 0.0, 0.0])
     grid = np.vstack([pts, on_support, rng.uniform(0.0, 1.0, (60, 3))])
     with ThreadPoolExecutor(1) as pool:  # the grid half is the pool's one task
-        blocks = _count_calls(monkeypatch, rbf, "wendland_c0", pooled=True)  # once per block
+        weighed = _count_calls(monkeypatch, rbf, "wendland_c0", pooled=True)
         system = build_system(pts, grid, radius, pool)
     distance = cdist(grid, pts)
     dense = wendland_c0(distance, radius)
@@ -102,7 +103,7 @@ def test_blocked_weights_equal_dense_kernel(rng, monkeypatch, block):
     # near-pair weights of control point j: a missed or repeated pair shows
     monkeypatch.setattr(system, "solve", lambda values: np.eye(len(pts)))
     assert np.array_equal(interpolate(system, np.zeros((len(pts), len(pts)))), dense)
-    assert len(blocks) == -(-len(grid) // rbf.BLOCK_POINTS)
+    assert len(weighed) == 1  # one search and one weighing for the whole grid
 
 
 def _count_calls(monkeypatch, owner, name, pooled=False) -> list:
@@ -319,14 +320,15 @@ def test_paper_case5_box_forms_each_representatives_pairs_once():
 @pytest.mark.parametrize("cells", [10, 20])
 @pytest.mark.parametrize("case_id", ["case4", "case5"])
 def test_fields_built_on_a_pool_equal_the_inline_ones(monkeypatch, cells, case_id):
-    # 216 representatives on 10^3 are one grid block, 1,331 on 20^3 are two
+    # the 216 representatives of 10^3, or the 1,331 of 20^3, are weighed at
+    # once on the pool
     mesh = build_box_mesh(cells, cells, cells, 3.2, 2.8, 2.4)
     case = MotionCase.for_case(case_id)
     inline = motion.case_fields(mesh, case)
     with ThreadPoolExecutor(2) as pool:
-        blocks = _count_calls(monkeypatch, rbf, "wendland_c0", pooled=True)
+        weighed = _count_calls(monkeypatch, rbf, "wendland_c0", pooled=True)
         pooled = motion.case_fields(mesh, case, pool)
-    assert len(blocks) == {10: 1, 20: 2}[cells]
+    assert len(weighed) == 1
     assert np.array_equal(pooled, inline)
 
 
@@ -403,19 +405,41 @@ def test_constant_field_matches_dense_solve(rng):
 
 
 def test_blocked_evaluation_matches_one_block(rng, monkeypatch):
-    # only the summation order of each grid point's near pairs may change
+    # a search cut into chunks of 7 candidates finds the triplets of one
+    # uncut search, bit for bit, and so interpolates the same bytes
     pts = rng.uniform(size=(60, 3))
     grid = rng.uniform(size=(50, 3))
     values = rng.normal(size=(60, 3))
-    one_block = interpolate(build_system(pts, grid, 0.7), values)
-    monkeypatch.setattr(rbf, "BLOCK_POINTS", 7)
+    whole = build_system(pts, grid, 0.7)
+    assert len(grid) * len(pts) < rbf._CANDIDATES  # every candidate in one chunk
+    monkeypatch.setattr(rbf, "_CANDIDATES", 7)
     with ThreadPoolExecutor(1) as pool:  # the grid half is the pool's one task
-        blocks = _count_calls(monkeypatch, rbf, "wendland_c0", pooled=True)  # once per block
-        system = build_system(pts, grid, 0.7, pool)
-    blocked = interpolate(system, values)
-    assert len(blocks) == 8
-    assert blocked.shape == one_block.shape == (50, 3)
-    assert np.abs(blocked - one_block).max() <= 1e-14 * np.abs(one_block).max()
+        weighed = _count_calls(monkeypatch, rbf, "wendland_c0", pooled=True)
+        chunked = build_system(pts, grid, 0.7, pool)
+    assert len(weighed) == 1
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(chunked._weights, whole._weights))
+    out = interpolate(chunked, values)
+    assert out.shape == (50, 3) and np.array_equal(out, interpolate(whole, values))
+
+
+def test_empty_grid_interpolates_to_empty_arrays():
+    mesh = build_box_mesh(4, 4, 4, 3.2, 2.8, 2.4)
+    points = mesh.vertices[mesh.boundary_vertex_ids()]
+    system = build_system(points, np.empty((0, 3)), 0.96)
+    assert interpolate(system, np.ones(len(points))).shape == (0,)
+    assert interpolate(system, np.ones((len(points), 3))).shape == (0, 3)
+
+
+def test_grid_beyond_the_support_interpolates_to_zeros(rng):
+    # no grid point lies within R of a control point: no pair, no weight
+    mesh = build_box_mesh(4, 4, 4, 3.2, 2.8, 2.4)
+    points = mesh.vertices[mesh.boundary_vertex_ids()]
+    grid = mesh.vertices + np.array([10.0, 0.0, 0.0])
+    system = build_system(points, grid, 0.96)
+    assert system._weights[0].size == 0
+    out = interpolate(system, rng.normal(size=(len(points), 3)))
+    assert out.shape == grid.shape and np.array_equal(out, np.zeros(grid.shape))
 
 
 def test_linearity(rng):
@@ -438,15 +462,16 @@ def test_dimension_mismatch_rejected(rng):
 
 
 def test_held_weights_own_their_arrays(monkeypatch):
-    # the triplets of many blocks are copies, not views that keep the
-    # near-pair search's (i, j, distance) arrays and their dead distances alive
+    # the triplets of a search cut into many chunks are copies, not views that
+    # keep the chunks' (i, j, distance) arrays and their dead distances alive
     mesh = build_box_mesh(6, 6, 6, 3.2, 2.8, 2.4)
-    monkeypatch.setattr(rbf, "BLOCK_POINTS", 7)
+    monkeypatch.setattr(rbf, "_CANDIDATES", 7)
     system = build_system(mesh.vertices[mesh.boundary_vertex_ids()], mesh.vertices, 0.96)
     i, j, weight = held = system._weights
-    assert system._representatives > rbf.BLOCK_POINTS and all(a.base is None for a in held)
+    assert len(np.unique(i)) > 1 and len(i) > rbf._CANDIDATES
+    assert all(a.base is None for a in held)
     assert sum(a.nbytes for a in held) == 24 * len(i)
-    # in (representative, control point) order across the blocks
+    # in (representative, control point) order across the chunks
     assert np.all(np.diff(i * len(mesh.vertices) + j) > 0)
 
 
